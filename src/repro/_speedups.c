@@ -1,6 +1,6 @@
 /* C hot-path kernels for the "compiled" backend (repro.core.kernels).
  *
- * Three independent pieces, each with a pure-Python twin that remains the
+ * Two independent pieces, each with a pure-Python twin that remains the
  * reference semantics:
  *
  * RoundOps
@@ -15,10 +15,6 @@
  *     checks, ablation tampering) see bit-identical state at every
  *     step, and dropping the RoundOps object at any point degrades to
  *     the pure path mid-run without a resync.
- *
- * group_indices
- *     The small-track feed grouping (BalanceEngine.feed's insertion-
- *     ordered bucket -> index-list dict), for int64 bucket-id arrays.
  *
  * dumps
  *     A canonical-JSON encoder for plain scalar trees, byte-identical
@@ -421,113 +417,6 @@ static PyTypeObject RoundOpsType = {
 };
 
 /* ====================================================================== */
-/* group_indices                                                          */
-/* ====================================================================== */
-
-/* The feed small-track grouping: for an int64 1-D bucket-id array,
- * return either a single int (exactly one distinct bucket — the caller
- * uses the whole chunk as-is) or ``(order, [(bucket, start, end), ...])``
- * where ``order`` lists the record indices stably sorted by bucket
- * (arrival order within a bucket) and each span addresses one bucket's
- * run inside ``records[order]`` — the same chunks, in the same order,
- * as the pure path's insertion-ordered dict of index lists. */
-static PyObject *
-speedups_group_indices(PyObject *Py_UNUSED(mod), PyObject *arg)
-{
-    Py_buffer buf;
-    const int64_t *ids;
-    Py_ssize_t n, i, g, ngroups = 0, pos;
-    int64_t keys[64];
-    Py_ssize_t counts[64], members[64][64];
-    PyObject *order, *spans, *out;
-
-    if (PyObject_GetBuffer(arg, &buf, PyBUF_STRIDES | PyBUF_FORMAT) < 0)
-        return NULL;
-    if (buf.ndim != 1 || buf.itemsize != 8 || buf.strides[0] != 8
-        || (buf.format != NULL && strcmp(buf.format, "l") != 0
-            && strcmp(buf.format, "q") != 0)) {
-        PyBuffer_Release(&buf);
-        PyErr_SetString(PyExc_TypeError,
-                        "group_indices needs a contiguous int64 array");
-        return NULL;
-    }
-    n = buf.shape[0];
-    if (n == 0 || n > 64) {
-        PyBuffer_Release(&buf);
-        PyErr_SetString(PyExc_ValueError, "group_indices: 1 <= n <= 64");
-        return NULL;
-    }
-    ids = (const int64_t *)buf.buf;
-
-    for (i = 0; i < n; i++) {
-        int64_t b = ids[i];
-        for (g = 0; g < ngroups; g++)
-            if (keys[g] == b)
-                break;
-        if (g == ngroups) {
-            keys[g] = b;
-            counts[g] = 0;
-            ngroups++;
-        }
-        members[g][counts[g]++] = i;
-    }
-    PyBuffer_Release(&buf);
-
-    if (ngroups == 1)
-        return PyLong_FromLongLong(keys[0]);
-
-    /* sort groups by bucket id (insertion sort, ngroups ≤ 64) */
-    for (g = 1; g < ngroups; g++) {
-        int64_t k = keys[g];
-        Py_ssize_t c = counts[g], j = g;
-        Py_ssize_t tmp[64];
-        memcpy(tmp, members[g], c * sizeof(Py_ssize_t));
-        while (j > 0 && keys[j - 1] > k) {
-            keys[j] = keys[j - 1];
-            counts[j] = counts[j - 1];
-            memcpy(members[j], members[j - 1], counts[j] * sizeof(Py_ssize_t));
-            j--;
-        }
-        keys[j] = k;
-        counts[j] = c;
-        memcpy(members[j], tmp, c * sizeof(Py_ssize_t));
-    }
-
-    order = PyList_New(n);
-    spans = PyList_New(ngroups);
-    if (order == NULL || spans == NULL) {
-        Py_XDECREF(order);
-        Py_XDECREF(spans);
-        return NULL;
-    }
-    pos = 0;
-    for (g = 0; g < ngroups; g++) {
-        Py_ssize_t start = pos;
-        PyObject *span;
-        for (i = 0; i < counts[g]; i++) {
-            PyObject *idx = PyLong_FromSsize_t(members[g][i]);
-            if (idx == NULL)
-                goto fail;
-            PyList_SET_ITEM(order, pos, idx);
-            pos++;
-        }
-        span = Py_BuildValue("(Lnn)", (long long)keys[g], start, pos);
-        if (span == NULL)
-            goto fail;
-        PyList_SET_ITEM(spans, g, span);
-    }
-    out = PyTuple_Pack(2, order, spans);
-    Py_DECREF(order);
-    Py_DECREF(spans);
-    return out;
-
-fail:
-    Py_DECREF(order);
-    Py_DECREF(spans);
-    return NULL;
-}
-
-/* ====================================================================== */
 /* dumps — canonical compact JSON for plain scalar trees                  */
 /* ====================================================================== */
 
@@ -819,8 +708,6 @@ speedups_dumps(PyObject *Py_UNUSED(mod), PyObject *args)
 /* ====================================================================== */
 
 static PyMethodDef speedups_methods[] = {
-    {"group_indices", (PyCFunction)speedups_group_indices, METH_O,
-     "Group a small int64 bucket-id array into (bucket, [indices]) pairs."},
     {"dumps", (PyCFunction)speedups_dumps, METH_VARARGS,
      "dumps(obj, sort_keys=False): canonical compact JSON for scalar trees."},
     {NULL, NULL, 0, NULL},

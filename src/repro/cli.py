@@ -2137,9 +2137,40 @@ def cmd_workloads(_args) -> int:
     return 0
 
 
+#: Subcommands that run simulations here (``bench`` only for ``record``).
+_SIMULATING = frozenset({"sort", "compare", "hierarchy", "sweep", "serve", "audit"})
+
+
+def _env_switch_error() -> str | None:
+    """A bad ``REPRO_KERNEL_BACKEND`` / ``REPRO_IO_PLAN`` as one line, else None."""
+    from .core.kernels import BACKENDS, default_backend_name
+    from .exceptions import ParameterError
+    from .pdm.machine import _env_io_plan_window
+
+    name = default_backend_name()
+    if name not in BACKENDS:
+        msg = f"REPRO_KERNEL_BACKEND={name!r} is not one of {sorted(BACKENDS)}"
+        if name == "compiled":
+            msg += (" (the C extension is not built: run "
+                    "`python setup.py build_ext --inplace`)")
+        return msg
+    try:
+        _env_io_plan_window()
+    except ParameterError as exc:
+        return str(exc)
+    return None
+
+
 def main(argv: list[str] | None = None) -> int:
     """CLI entry point; returns a process exit code."""
     args = build_parser().parse_args(argv)
+    if args.command in _SIMULATING or (
+        args.command == "bench" and args.bench_command == "record"
+    ):
+        error = _env_switch_error()
+        if error is not None:
+            print(f"repro: error: {error}", file=sys.stderr)
+            return 2
     handler = {
         "sort": cmd_sort,
         "compare": cmd_compare,

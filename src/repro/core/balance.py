@@ -175,17 +175,14 @@ class BalanceEngine:
         # time, so `kernels.use_backend(...)` contexts apply here too).
         self.kernel_backend = backend
         self.stats = EngineStats()
-        # Per-bucket accumulation buffers with monotone write/emit
-        # pointers: chunks are slice-copied in, full virtual blocks are
-        # emitted as zero-copy views.  Emitted regions are never
-        # rewritten (a fresh buffer takes over when the current one
-        # fills), so a view stays valid for as long as anyone — the
-        # round queue, a deferred I/O plan — holds it.
-        self._bufs: list[np.ndarray | None] = [None] * self.n_buckets
-        self._fills = [0] * self.n_buckets  # write pointer (plain ints:
-        self._emits = [0] * self.n_buckets  # numpy scalars cost more here)
-        self._queue: deque = deque()  # (bucket, block) awaiting placement
-        self._bucket_records = [0] * self.n_buckets
+        # Per-bucket carry: the < VB records fed but not yet cut into a
+        # block (None when empty).  Carries and emitted blocks are views of
+        # a feed call's grouped copy, which is never written after it is
+        # built, so a view stays valid for as long as anyone — the round
+        # queue, a deferred I/O plan — holds it.
+        self._carry: list[np.ndarray | None] = [None] * self.n_buckets
+        self._queue: deque = deque()  # (bucket, block, fill) awaiting placement
+        self._bucket_records = np.zeros(self.n_buckets, dtype=np.int64)
         self._finished = False
         # Round-structured write fast path (list-native, one slot per
         # round) where the backend offers it; hierarchy backends fall
@@ -326,95 +323,98 @@ class BalanceEngine:
     def bucket_ids(self, records: np.ndarray) -> np.ndarray:
         """Bucket index per record (pure: no engine state touched).
 
-        Exactly the partition rule :meth:`feed` applies — exposed so
-        streaming loops can hoist it to gather-window granularity and
-        pass the result back via ``feed(..., buckets=...)``.
+        Exactly the partition rule :meth:`feed` applies.
         """
         return np.searchsorted(self.pivots, composite_keys(records), side="right")
 
-    def feed(self, records: np.ndarray, buckets: np.ndarray | None = None) -> None:
-        """Partition records into buckets and enqueue full virtual blocks.
+    def feed(
+        self,
+        records: np.ndarray,
+        buckets: np.ndarray | None = None,
+        tracks: Sequence[int] | None = None,
+    ) -> list[list] | None:
+        """Partition records into buckets and cut them into virtual blocks.
 
         (Algorithm 3, steps 1–2: partition the track's records and collect
         them into virtual blocks, all elements of a block from one bucket.)
 
-        ``buckets`` optionally supplies the records' precomputed bucket
-        ids (``searchsorted(pivots, composite_keys(records), "right")``,
-        hoisted to gather-window granularity by the streaming loops —
-        see :func:`repro.core.streams.read_run_batches`'s ``record_map``).
-        Values must equal what this method would compute; the engine's
-        behaviour is bit-identical with or without them.
+        Without ``tracks`` the records are one track and its full blocks
+        are enqueued.  With ``tracks`` — the record counts of consecutive
+        tracks, summing to ``len(records)`` — a whole gather window is
+        grouped in one pass and nothing is enqueued: the return value
+        holds one list of queue entries per track, each block going to
+        the track whose record completed it.  Enqueueing those lists in
+        order (:meth:`enqueue`) reproduces per-track calls exactly:
+        within a track, blocks come in ascending bucket order, then carve
+        order.
+
+        ``buckets`` optionally supplies the records' bucket ids
+        (:meth:`bucket_ids`); the result is identical with or without.
         """
         if self._finished:
             raise ParameterError("engine already finished")
-        if records.size == 0:
-            return
-        kernels = get_backend(self.kernel_backend)
-        self.stats.records_fed += int(records.size)
+        out: list[list] = [[]] if tracks is None else [[] for _ in tracks]
+        if records.shape[0]:
+            self._group(records, buckets, tracks, out)
+        if tracks is not None:
+            return out
+        self._queue.extend(out[0])
+        return None
+
+    def _group(self, records, buckets, tracks, out) -> None:
+        """Append ``records`` to the bucket carries and cut full blocks.
+
+        One stable argsort by bucket (carries first, so each bucket's
+        records stay in arrival order), one gather and one ``bincount``;
+        every full block is a zero-copy view of the gathered copy, and
+        what is left over (< VB records per bucket) becomes the carry.
+        """
         if buckets is None:
             buckets = self.bucket_ids(records)
+        self.stats.records_fed += records.shape[0]
+        counts = np.bincount(buckets, minlength=self.n_buckets)
+        self._bucket_records += counts
+        carry = self._carry
+        held = [c for c in carry if c is not None]
+        n_held = 0
+        if held:
+            ids = [
+                b for b, c in enumerate(carry) if c is not None
+                for _ in range(c.shape[0])
+            ]
+            n_held = len(ids)
+            records = concat_records(held + [records])
+            buckets = np.concatenate((ids, buckets))
+        order = np.argsort(buckets, kind="stable")
+        grouped = records[order]
         vb = self.block_size
-        if records.size <= 64:
-            # Small tracks (the streaming common case: one chunk per
-            # parallel read, ≤ H'·VB records): group indices per bucket
-            # with a dict instead of argsort + np.unique.  Bit-identical
-            # to the kernel path — a stable sort by bucket groups equal
-            # buckets in arrival order, which is exactly what the
-            # insertion-ordered index lists reproduce.
-            group_small = getattr(kernels, "group_small", None)
-            if group_small is not None:
-                # Compiled backend: same grouping in C.  An int result is
-                # the single-bucket case (the chunk IS the track);
-                # otherwise one stable gather then zero-copy span views —
-                # identical chunks to the pure path's per-bucket indexing.
-                grouped = group_small(buckets)
-                if type(grouped) is int:
-                    pairs = [(grouped, records)]
-                else:
-                    order, spans = grouped
-                    gathered = records[order]
-                    pairs = [(b, gathered[s:e]) for b, s, e in spans]
-            else:
-                groups: dict[int, list[int]] = {}
-                for i, b in enumerate(buckets.tolist()):
-                    g = groups.get(b)
-                    if g is None:
-                        groups[b] = [i]
-                    else:
-                        g.append(i)
-                if len(groups) == 1:
-                    # One bucket: the chunk IS the track, in arrival order.
-                    pairs = [(next(iter(groups)), records)]
-                else:
-                    pairs = [(b, records[groups[b]]) for b in sorted(groups)]
-        else:
-            order = np.argsort(buckets, kind="stable")
-            pairs = kernels.bucket_chunks(
-                records[order], buckets[order], self.n_buckets
-            )
-        bufs, fills, emits = self._bufs, self._fills, self._emits
-        queue_append = self._queue.append
-        for b, chunk in pairs:
-            n = chunk.shape[0]
-            self._bucket_records[b] += n
-            buf = bufs[b]
-            fill = fills[b]
-            if buf is None or fill + n > buf.shape[0]:
-                rem = fill - emits[b]
-                new = np.empty(max(4 * vb, rem + n + vb), dtype=RECORD_DTYPE)
-                if rem:
-                    new[:rem] = buf[emits[b] : fill]
-                bufs[b] = buf = new
-                fill = rem
-                emits[b] = 0
-            buf[fill : fill + n] = chunk
-            fill += n
-            fills[b] = fill
-            emit = emits[b]
-            while emit + vb <= fill:
-                queue_append((b, buf[emit : emit + vb], vb))
-                emit += vb
-            emits[b] = emit
+        blocks = []
+        starts = []
+        pos = 0
+        for b, size in enumerate(counts.tolist()):
+            if carry[b] is not None:
+                size += carry[b].shape[0]
+            end = pos + size
+            cut = end - size % vb
+            for s in range(pos, cut, vb):
+                blocks.append((b, grouped[s : s + vb], vb))
+                starts.append(s)
+            carry[b] = grouped[cut:end] if cut < end else None
+            pos = end
+        if len(out) == 1:
+            out[0].extend(blocks)
+            return
+        if blocks:
+            # The record that completes a block is a window record (a carry
+            # holds < VB), so its window position names the track.
+            completer = order[np.array(starts) + (vb - 1)] - n_held
+            track = np.searchsorted(np.cumsum(tracks), completer, side="right")
+            for t, entry in zip(track.tolist(), blocks):
+                out[t].append(entry)
+
+    def enqueue(self, entries: list) -> None:
+        """Queue one track's blocks (a list returned by :meth:`feed`)."""
+        self._queue.extend(entries)
 
     @property
     def queued_blocks(self) -> int:
@@ -648,16 +648,14 @@ class BalanceEngine:
             raise ParameterError("engine already finished")
         kernels = get_backend(self.kernel_backend)
         vb = self.block_size
-        for b in range(self.n_buckets):
-            if self._fills[b] > self._emits[b]:
-                tail = self._bufs[b][self._emits[b] : self._fills[b]]
+        for b, tail in enumerate(self._carry):
+            if tail is not None:
                 true_n = tail.shape[0]
                 padded = pad_records(tail, vb)
                 n_pad = padded.shape[0] - true_n
                 self.storage.acquire_memory(n_pad)
                 self.stats.pad_records += n_pad
-                self._bufs[b] = None
-                self._fills[b] = self._emits[b] = 0
+                self._carry[b] = None
                 for block, fill in kernels.tail_blocks(padded, true_n, vb):
                     self._queue.append((b, block, fill))
         self.run_rounds(drain_below=0, drain=True)
@@ -673,7 +671,7 @@ class BalanceEngine:
 
     @property
     def bucket_record_counts(self) -> np.ndarray:
-        return np.array(self._bucket_records, dtype=np.int64)
+        return self._bucket_records.copy()
 
 
 def read_bucket_run(storage, run: BucketRun, free: bool = True):

@@ -12,19 +12,19 @@ This module provides interchangeable **kernel backends**:
 * ``"scalar"`` — the original pure-Python loops, kept verbatim as the
   reference semantics;
 * ``"vectorized"`` — NumPy formulations of the same computations;
-* ``"compiled"`` — the vectorized backend with its per-round inner
-  loops (round bookkeeping, bucket grouping) delegated to the optional
-  ``repro._speedups`` C extension.  Present in :data:`BACKENDS` only
-  when the extension is built (``python setup.py build_ext --inplace``)
-  — membership *is* the build probe; without it, selection falls back
-  to pure Python with identical results.
+* ``"compiled"`` — the vectorized backend with its per-round matrix
+  bookkeeping delegated to the optional ``repro._speedups`` C
+  extension.  Present in :data:`BACKENDS` only when the extension is
+  built (``python setup.py build_ext --inplace``) — membership *is* the
+  build probe.  Selecting it on a host without the build is refused
+  with a :class:`~repro.exceptions.ParameterError`; nothing falls back.
 
 All backends are required (and tested, see
 ``tests/test_kernels_differential.py`` and
 ``tests/test_compiled_differential.py``) to be **bit-identical**: same
-queue entries in the same order, same records in every emitted block, and
-therefore the same I/O schedule, matrices, and ``IOStats`` on any seeded
-run.  The vectorized backend is the default; select globally with
+round plans, matching pairs and matrix updates, and therefore the same
+I/O schedule, matrices, and ``IOStats`` on any seeded run.  The
+vectorized backend is the default; select globally with
 :func:`set_default_backend` / the ``REPRO_KERNEL_BACKEND`` environment
 variable, per call site with the ``backend=`` parameters on
 :class:`~repro.core.balance.BalanceEngine` and the matchers, or
@@ -32,13 +32,10 @@ temporarily with the :func:`use_backend` context manager.
 
 Kernel surface
 --------------
-``bucket_chunks``
-    Split a bucket-sorted record chunk into per-bucket sub-arrays
-    (Algorithm 3 step 1's "collect into virtual blocks" feed path,
-    previously the per-bucket loop in ``balance.feed``).
-``carve_full_blocks``
-    Carve every full virtual block out of a bucket's buffered partial
-    chunks (previously ``BalanceEngine._carve_block`` in a while loop).
+(Grouping a track's records by bucket and cutting them into virtual
+blocks is not a kernel: ``BalanceEngine.feed`` does it for a whole
+gather window in one NumPy pass on every backend.)
+
 ``tail_blocks``
     Slice a bucket's padded tail into (block, fill) pairs at flush time
     (previously the stripe-assembly loop in ``BalanceEngine.flush``).
@@ -62,7 +59,6 @@ from contextlib import contextmanager
 import numpy as np
 
 from ..exceptions import ParameterError
-from ..records import concat_records
 
 __all__ = [
     "KernelBackend",
@@ -80,27 +76,6 @@ class KernelBackend:
     """Interface of a kernel backend (see module docstring)."""
 
     name = "abstract"
-
-    # -- feed path -------------------------------------------------------
-
-    @staticmethod
-    def bucket_chunks(sorted_recs, sorted_buckets, n_buckets):
-        """Yield ``(bucket, chunk)`` for every non-empty bucket, ascending.
-
-        ``sorted_recs`` holds the chunk's records stably sorted by bucket;
-        ``sorted_buckets`` the matching bucket ids.
-        """
-        raise NotImplementedError
-
-    @staticmethod
-    def carve_full_blocks(parts, buffered, vb):
-        """Carve full blocks from ``parts`` (arrival-ordered arrays).
-
-        Returns ``(blocks, remainder_parts, remainder_size)`` where
-        ``blocks`` is the list of exactly-``vb``-record arrays in carve
-        order and ``remainder_parts`` the leftover (< ``vb`` records).
-        """
-        raise NotImplementedError
 
     # -- flush path ------------------------------------------------------
 
@@ -139,38 +114,6 @@ class ScalarBackend(KernelBackend):
     """The original pure-Python loops (reference semantics)."""
 
     name = "scalar"
-
-    @staticmethod
-    def bucket_chunks(sorted_recs, sorted_buckets, n_buckets):
-        """Per-bucket loop over all S buckets, slicing at searchsorted edges."""
-        boundaries = np.searchsorted(sorted_buckets, np.arange(n_buckets + 1))
-        for b in range(n_buckets):
-            chunk = sorted_recs[boundaries[b] : boundaries[b + 1]]
-            if chunk.size == 0:
-                continue
-            yield b, chunk
-
-    @staticmethod
-    def carve_full_blocks(parts, buffered, vb):
-        """Head-of-queue while-loop carving one ``vb``-record block at a time."""
-        parts = list(parts)
-        blocks = []
-        while buffered >= vb:
-            taken = []
-            need = vb
-            while need > 0:
-                head = parts[0]
-                if head.shape[0] <= need:
-                    taken.append(head)
-                    need -= head.shape[0]
-                    parts.pop(0)
-                else:
-                    taken.append(head[:need])
-                    parts[0] = head[need:]
-                    need = 0
-            buffered -= vb
-            blocks.append(np.concatenate(taken) if len(taken) > 1 else taken[0].copy())
-        return blocks, parts, buffered
 
     @staticmethod
     def tail_blocks(padded, true_n, vb):
@@ -214,30 +157,6 @@ class VectorizedBackend(KernelBackend):
     """NumPy formulations of the same kernels (bit-identical outputs)."""
 
     name = "vectorized"
-
-    @staticmethod
-    def bucket_chunks(sorted_recs, sorted_buckets, n_buckets):
-        """One ``np.unique`` over the present buckets; slice between starts."""
-        # Only the buckets actually present — one np.unique call instead of
-        # an S-iteration Python loop (S can be ≫ the number of non-empty
-        # buckets deep in the recursion).
-        present, starts = np.unique(sorted_buckets, return_index=True)
-        ends = np.append(starts[1:], sorted_buckets.size)
-        for b, lo, hi in zip(present.tolist(), starts.tolist(), ends.tolist()):
-            yield int(b), sorted_recs[lo:hi]
-
-    @staticmethod
-    def carve_full_blocks(parts, buffered, vb):
-        """Single concatenate, then stride-slice every full block at once."""
-        n_full = buffered // vb
-        if n_full == 0:
-            return [], list(parts), buffered
-        buf = concat_records(parts) if len(parts) > 1 else parts[0]
-        cut = n_full * vb
-        blocks = [buf[i * vb : (i + 1) * vb] for i in range(n_full)]
-        remainder = buf[cut:]
-        rem_parts = [remainder] if remainder.shape[0] else []
-        return blocks, rem_parts, buffered - cut
 
     @staticmethod
     def tail_blocks(padded, true_n, vb):
@@ -317,11 +236,10 @@ if _speedups_mod is not None:
         """NumPy kernels plus the ``repro._speedups`` C hot paths.
 
         Inherits every vectorized kernel and additionally exposes the
-        compiled hooks the Balance engine consults when this backend is
+        compiled hook the Balance engine consults when this backend is
         the resolved one: ``round_ops`` (the incremental matrices
-        bookkeeping, :class:`repro._speedups.RoundOps`) and
-        ``group_small`` (the small-track feed grouping).  Both are
-        bit-identical to the pure paths — same containers, same values,
+        bookkeeping, :class:`repro._speedups.RoundOps`).  It is
+        bit-identical to the pure path — same containers, same values,
         same error behaviour — which `tests/test_compiled_differential.py`
         gates on whole payloads.  Only registered when the extension
         imported, so ``BACKENDS`` membership is the build-presence probe.
@@ -329,7 +247,6 @@ if _speedups_mod is not None:
 
         name = "compiled"
         round_ops = staticmethod(_speedups_mod.RoundOps)
-        group_small = staticmethod(_speedups_mod.group_indices)
 
     BACKENDS[CompiledBackend.name] = CompiledBackend()
     __all__.append("CompiledBackend")

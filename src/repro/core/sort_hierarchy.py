@@ -224,10 +224,10 @@ def _sort(machine, storage, run, n, matcher, rng, check_invariants, agg, depth,
     hp = storage.n_virtual
     with _phase(tracer, machine, "distribute", n=n, level=depth) as dspan:
         for group in sorted_groups:
-            for chunk, buckets in read_run_batches(
-                storage, group, free=True, record_map=engine.bucket_ids
+            for chunk, blocks in read_run_batches(
+                storage, group, free=True, window_map=engine.feed
             ):
-                engine.feed(chunk, buckets=buckets)
+                engine.enqueue(blocks)
                 # Partitioning a track among the S−1 sorted partition elements.
                 machine.charge_interconnect(
                     chunk.shape[0] / h * math.log2(max(2, s)) + math.log2(max(2, s))

@@ -262,12 +262,12 @@ def _sort(machine, storage, run, n, s, matcher, internal_sort, rng,
     hp = storage.n_virtual
     lg_s = log2_ceil(s)
     with _phase(tracer, machine, "distribute", n=n, level=depth) as dspan:
-        # Bucket ids ride the read stream (hoisted to gather-window
-        # granularity — bit-identical to per-chunk computation).
-        for chunk, buckets in read_run_batches(
-            storage, run, free=True, record_map=engine.bucket_ids
+        # The engine groups a whole gather window at a time; each track's
+        # blocks are queued at the track's own read, as if fed alone.
+        for chunk, blocks in read_run_batches(
+            storage, run, free=True, window_map=engine.feed
         ):
-            engine.feed(chunk, buckets=buckets)
+            engine.enqueue(blocks)
             # CPU: partition the chunk among S sorted pivots (binary search).
             machine.cpu.charge(
                 work=chunk.shape[0] * lg_s, depth=lg_s, label="partition"

@@ -30,6 +30,12 @@ whole windows of future rounds in one physical store pass and charges
 each logical round at its yield point.  Counters, trace events, ledger
 trajectory, and yielded records are bit-identical either way — only the
 number of physical store calls changes.
+
+Padding is stripped once per gather window, and a caller may hand the
+whole window to a hook (``read_run_batches(..., window_map=...)``): the
+distribute loops pass :meth:`~repro.core.balance.BalanceEngine.feed`, so
+the Balance engine groups a window of tracks in one pass.  The classic
+path is a window of one round.
 """
 
 from __future__ import annotations
@@ -39,7 +45,13 @@ from dataclasses import dataclass
 import numpy as np
 
 from ..exceptions import ParameterError
-from ..records import RECORD_DTYPE, concat_records, pad_records, strip_pad_records
+from ..records import (
+    RECORD_DTYPE,
+    concat_records,
+    pad_records,
+    real_records_mask,
+    strip_pad_records,
+)
 from .balance import BlockRef, BucketRun
 from .kernels import get_backend
 
@@ -168,21 +180,17 @@ def plan_read_rounds(storage, run) -> list[list[BlockRef]]:
     return [blocks[bounds[i]: bounds[i + 1]] for i in range(len(bounds) - 1)]
 
 
-def _execute_rounds(storage, rounds, free, record_map=None):
-    """Yield ``(refs, merged_records, mapped)`` per planned round.
+def _execute_windows(storage, rounds, free):
+    """Yield ``(window_rounds, matrix, fused)`` per gather window.
 
     With an active I/O plan on the backend (``storage.io_plan_window >
     1``) whole windows of future rounds are gathered in one physical
-    store pass and each round is charged (fault hook, ledger, stats, obs
-    event — :meth:`~repro.pdm.striping.VirtualDisks.charge_read_round`)
-    at its yield point, preserving the logical schedule bit-for-bit.
-    Otherwise every round is one classic ``parallel_read_arr`` call.
-
-    ``record_map`` (a pure per-record function over a record array) is
-    hoisted to window granularity when the window carries no padding:
-    ``mapped`` is then the window result sliced to the round.  Rounds
-    without a hoisted result yield ``mapped = None`` and the caller
-    applies ``record_map`` itself — by purity the values are identical.
+    store pass, uncharged (``fused``): the caller charges each round
+    (fault hook, ledger, stats, obs event —
+    :meth:`~repro.pdm.striping.VirtualDisks.charge_read_round`) at its
+    yield point, preserving the logical schedule bit-for-bit.  Otherwise
+    every round is its own window: one classic, charged
+    ``parallel_read_arr`` call.
     """
     window = getattr(storage, "io_plan_window", 0)
     if window > 1 and len(rounds) > 1:
@@ -191,73 +199,79 @@ def _execute_rounds(storage, rounds, free, record_map=None):
             matrix = storage.gather_rounds_arr(
                 [[r.address for r in refs] for refs in chunk], free=free
             )
-            mapped_full = None
-            if record_map is not None and matrix.size:
-                fills = sum(r.fill for refs in chunk for r in refs)
-                if fills == matrix.size:  # pad-free window
-                    mapped_full = record_map(matrix.reshape(-1))
-            offset = 0
-            vb = matrix.shape[1] if matrix.ndim == 2 else 1
-            for refs in chunk:
-                k = len(refs)
-                storage.charge_read_round(k)
-                mapped = (
-                    mapped_full[offset * vb: (offset + k) * vb]
-                    if mapped_full is not None else None
-                )
-                yield refs, matrix[offset: offset + k].reshape(-1), mapped
-                offset += k
+            yield chunk, matrix, True
     else:
         for refs in rounds:
-            merged = storage.parallel_read_arr(
+            yield [refs], storage.parallel_read_arr(
                 [r.address for r in refs], free=free
-            )
-            yield refs, merged.reshape(-1), None
+            ), False
 
 
-def read_run_batches(storage, run, free: bool = False, record_map=None):
+def _strip_window(flat, sizes, promised):
+    """Drop a window's padding: ``(records, per-round record counts)``.
+
+    Fills are authoritative: a round whose fills promise full blocks is
+    kept as read (padding only ever sits at block tails), and only the
+    other rounds are filtered by the PAD mask — so a corrupted fill
+    surfaces in the caller's per-round guard.
+    """
+    if promised == sizes:
+        return flat, sizes
+    keep = real_records_mask(flat)
+    trusted = [p == s for p, s in zip(promised, sizes)]
+    if any(trusted):
+        keep |= np.repeat(trusted, sizes)
+    kept = np.cumsum(keep)[np.cumsum(sizes) - 1]
+    return flat[keep], np.diff(kept, prepend=0).tolist()
+
+
+def read_run_batches(storage, run, free: bool = False, window_map=None):
     """Stream any run back as record chunks, one parallel read per chunk.
 
     Each yielded chunk corresponds to exactly one charged parallel read
     (physical gathers may be fused across rounds — see
-    :func:`plan_read_rounds` / :func:`_execute_rounds`).  Chunks may be
+    :func:`plan_read_rounds` / :func:`_execute_windows`).  Chunks may be
     views of a shared gather buffer: hold them as long as needed, but do
     not mutate them in place.
 
-    ``record_map`` — optionally, a **pure per-record** function mapping a
-    record array to an aligned result array (e.g. bucket ids).  When
-    given, the generator yields ``(chunk, record_map(chunk))`` pairs,
-    computing the map once per fused gather window where possible; the
-    values are bit-identical to calling ``record_map(chunk)`` per chunk
-    (purity is the caller's contract).
+    ``window_map`` — optionally, a per-window hook called as
+    ``window_map(records, tracks=counts)`` with each gather window's
+    pad-stripped records and its per-round record counts, returning one
+    result per round (:meth:`repro.core.balance.BalanceEngine.feed` is
+    the intended hook).  The generator then yields ``(chunk, result)``
+    pairs.  The hook runs once per window, before the window's first
+    round is charged; each round's charge, fill check and ledger release
+    still happen at its own yield point.
     """
     strict = not isinstance(run, BucketRun)
     rounds = plan_read_rounds(storage, run)
     remaining = run.n_records
-    for refs, merged, mapped in _execute_rounds(storage, rounds, free, record_map):
-        promised = sum(r.fill for r in refs)
-        if promised == merged.shape[0]:
-            # Every block in the batch is full (``fill == VB``), so there is
-            # no padding to strip — yield the gathered batch as-is.  (Fills
-            # are authoritative: padding only ever sits at block tails, and
-            # a corrupted fill falls through to the strip + guard below.)
-            trimmed = merged
-        else:
-            trimmed = strip_pad_records(merged)
-            n_pad = merged.shape[0] - trimmed.shape[0]
-            if strict and trimmed.shape[0] != promised:
-                raise ParameterError(
-                    f"block fill bookkeeping error: read {trimmed.shape[0]} records, "
-                    f"refs promised {promised}"
-                )
-            if n_pad:
-                storage.release_memory(n_pad)
-            mapped = None  # padded round: remap on the stripped records
-        remaining -= trimmed.shape[0]
-        if record_map is None:
-            yield trimmed
-        else:
-            yield trimmed, record_map(trimmed) if mapped is None else mapped
+    for chunk, matrix, fused in _execute_windows(storage, rounds, free):
+        vb = matrix.shape[1]
+        sizes = [len(refs) * vb for refs in chunk]
+        promised = [sum(r.fill for r in refs) for refs in chunk]
+        records, counts = _strip_window(matrix.reshape(-1), sizes, promised)
+        mapped = None if window_map is None else window_map(records, tracks=counts)
+        offset = 0
+        for i, refs in enumerate(chunk):
+            if fused:
+                storage.charge_read_round(len(refs))
+            n = counts[i]
+            if promised[i] != sizes[i]:
+                if strict and n != promised[i]:
+                    raise ParameterError(
+                        f"block fill bookkeeping error: read {n} records, "
+                        f"refs promised {promised[i]}"
+                    )
+                if n != sizes[i]:
+                    storage.release_memory(sizes[i] - n)
+            trimmed = records[offset: offset + n]
+            offset += n
+            remaining -= n
+            if window_map is None:
+                yield trimmed
+            else:
+                yield trimmed, mapped[i]
     if strict and remaining != 0:
         raise ParameterError(
             f"run bookkeeping error: {remaining} records unaccounted for"
@@ -326,7 +340,7 @@ def peek_run(storage, run) -> np.ndarray:
     refs = as_ordered_run(run).blocks
     if not refs:
         return np.empty(0, dtype=RECORD_DTYPE)
-    return strip_pad_records(concat_records([storage.peek(r.address) for r in refs]))
+    return strip_pad_records(storage.peek_many([r.address for r in refs]).reshape(-1))
 
 
 def concat_runs(runs: list[OrderedRun]) -> OrderedRun:

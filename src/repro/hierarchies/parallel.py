@@ -477,6 +477,29 @@ class VirtualHierarchies:
             raise AddressError(f"peek of unwritten virtual block {address}") from None
         return self._store.peek(address.vdisk, address.slot)
 
+    def peek_many(self, addresses: Sequence[VirtualBlockAddress]) -> np.ndarray:
+        """Inspect many virtual blocks without charging, in one store gather.
+
+        Returns a fresh ``(k, virtual_block_size)`` matrix, row ``i`` the
+        block at ``addresses[i]`` (validators only, like :meth:`peek`).
+        """
+        if not addresses:
+            return np.empty((0, self.group), dtype=RECORD_DTYPE)
+        k = len(addresses)
+        vdisks = np.fromiter((a.vdisk for a in addresses), np.int64, k)
+        slots = np.fromiter((a.slot for a in addresses), np.int64, k)
+        bad = (vdisks < 0) | (vdisks >= self.n_virtual) | (slots < 0)
+        if bad.any():
+            a = addresses[int(np.argmax(bad))]
+            raise AddressError(f"peek of unwritten virtual block {a}")
+        try:
+            return self._store.read_batch(vdisks, slots)
+        except AddressError:
+            for a in addresses:
+                if not self._store.has(a.vdisk, a.slot):
+                    raise AddressError(f"peek of unwritten virtual block {a}") from None
+            raise  # pragma: no cover - read_batch raised for another reason
+
     def footprint(self, v: int) -> int:
         """Current high-water address on channel v (working-set diagnostics)."""
         return self._frontier[v]

@@ -1016,6 +1016,30 @@ class ParallelDiskMachine:
             self.flush_io_plan()
         return self.store.peek(addr.disk, addr.slot)
 
+    def peek_blocks_arr(self, disks: np.ndarray, slots: np.ndarray) -> np.ndarray:
+        """Batched :meth:`peek_block`: one store gather, no I/O charged.
+
+        Returns a fresh ``(k, B)`` matrix.  Pending plan writes are
+        flushed first and checksums are verified; an unwritten block
+        raises :class:`AddressError` as :meth:`peek_block` does.
+        """
+        disks = np.asarray(disks, dtype=np.int64)
+        slots = np.asarray(slots, dtype=np.int64)
+        if disks.size == 0:
+            return np.empty((0, self.B), dtype=RECORD_DTYPE)
+        self._validate_addr_arr(disks, slots)
+        if self._plan is not None:
+            self.flush_io_plan()
+        try:
+            return self.store.read_batch(disks, slots)
+        except AddressError:
+            for d, s in zip(disks.tolist(), slots.tolist()):
+                if not self.store.has(d, s):
+                    raise AddressError(
+                        f"peek of unwritten block BlockAddress(disk={d}, slot={s})"
+                    ) from None
+            raise  # pragma: no cover - read_batch raised for another reason
+
     def free_block(self, addr: BlockAddress) -> None:
         """Drop a block from a disk (reclaims simulator memory, no I/O cost)."""
         self._validate_addr(addr.disk, addr.slot)

@@ -375,16 +375,21 @@ class VirtualDisks:
 
     def peek(self, address: VirtualBlockAddress) -> np.ndarray:
         """Inspect a virtual block without an I/O (tests/validators only)."""
-        from .machine import BlockAddress
+        return self.peek_many([address])[0]
 
-        g, b = self.group, self.machine.B
-        out = np.empty(self.virtual_block_size, dtype=RECORD_DTYPE)
-        base = address.vdisk * g
-        for j in range(g):
-            out[j * b : (j + 1) * b] = self.machine.peek_block(
-                BlockAddress(disk=base + j, slot=address.slot)
-            )
-        return out
+    def peek_many(self, addresses: Sequence[VirtualBlockAddress]) -> np.ndarray:
+        """Inspect many virtual blocks without an I/O, in one store gather.
+
+        Returns a fresh ``(k, virtual_block_size)`` matrix, row ``i`` the
+        block at ``addresses[i]`` (validators only, like :meth:`peek`).
+        """
+        if not addresses:
+            return np.empty((0, self.virtual_block_size), dtype=RECORD_DTYPE)
+        vdisks, slots = self._addr_arrays(addresses)
+        # Direct expansion: the memo cache is for per-round stripe keys.
+        pdisks = (vdisks[:, None] * self.group + self._offsets).ravel()
+        matrix = self.machine.peek_blocks_arr(pdisks, np.repeat(slots, self.group))
+        return matrix.reshape(len(addresses), self.virtual_block_size)
 
     def free(self, addresses: Sequence[VirtualBlockAddress]) -> None:
         """Drop virtual blocks from the disks (no I/O cost)."""

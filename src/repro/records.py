@@ -28,6 +28,7 @@ __all__ = [
     "searchsorted_records",
     "records_equal",
     "pad_records",
+    "real_records_mask",
     "strip_pad_records",
     "concat_records",
 ]
@@ -139,10 +140,14 @@ def pad_records(records: np.ndarray, multiple: int) -> np.ndarray:
     return out
 
 
+def real_records_mask(records: np.ndarray) -> np.ndarray:
+    """Boolean mask: True for every record that is not sentinel padding."""
+    return ~((records["key"] == PAD_KEY) & (records["rid"] == PAD_KEY))
+
+
 def strip_pad_records(records: np.ndarray) -> np.ndarray:
     """Remove sentinel padding records."""
-    mask = ~((records["key"] == PAD_KEY) & (records["rid"] == PAD_KEY))
-    return records[mask]
+    return records[real_records_mask(records)]
 
 
 def concat_records(parts) -> np.ndarray:

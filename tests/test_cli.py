@@ -260,3 +260,43 @@ class TestSweepExitCodes:
         assert main(self.ARGS + ["--journal", jdir, "--resume"]) == 0
         err = capsys.readouterr().err
         assert "executed=0" in err and "resumed=1" in err
+
+
+# ------------------------------------------------ REPRO_* switch validation
+
+
+class TestEnvSwitches:
+    """A bad ``REPRO_KERNEL_BACKEND`` or ``REPRO_IO_PLAN`` is a usage error:
+    exit 2 with one line naming the valid values, before anything runs."""
+
+    SORT = ["sort", "--n", "2000", "--memory", "512", "--disks", "4"]
+    SWEEP = ["sweep", "--task", "sort", "--n", "2000", "--memory", "512",
+             "--disks", "4"]
+
+    @pytest.mark.parametrize("argv", [SORT, SWEEP], ids=["sort", "sweep"])
+    def test_unbuilt_compiled_backend_exits_two(self, argv, capsys, monkeypatch):
+        from repro.core import kernels
+
+        # Simulate a host without the C extension, built or not.
+        monkeypatch.delitem(kernels.BACKENDS, "compiled", raising=False)
+        monkeypatch.setenv("REPRO_KERNEL_BACKEND", "compiled")
+        assert main(argv) == 2
+        cap = capsys.readouterr()
+        assert cap.out == ""
+        (line,) = cap.err.strip().splitlines()
+        assert "['scalar', 'vectorized']" in line
+        assert "python setup.py build_ext --inplace" in line
+
+    @pytest.mark.parametrize("argv", [SORT, SWEEP], ids=["sort", "sweep"])
+    def test_bad_io_plan_exits_two(self, argv, capsys, monkeypatch):
+        monkeypatch.setenv("REPRO_IO_PLAN", "abc")
+        assert main(argv) == 2
+        cap = capsys.readouterr()
+        assert cap.out == ""
+        (line,) = cap.err.strip().splitlines()
+        assert "REPRO_IO_PLAN" in line and "off/auto" in line
+
+    def test_commands_that_run_nothing_are_unaffected(self, capsys, monkeypatch):
+        monkeypatch.setenv("REPRO_IO_PLAN", "abc")
+        monkeypatch.setenv("REPRO_KERNEL_BACKEND", "bogus")
+        assert main(["workloads"]) == 0

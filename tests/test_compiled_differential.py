@@ -186,6 +186,5 @@ class TestCompiledVsPython:
         backend = get_backend("compiled")
         assert backend.name == "compiled"
         assert callable(getattr(backend, "round_ops", None))
-        assert callable(getattr(backend, "group_small", None))
         with use_backend("compiled"):
             assert get_backend(None).name == "compiled"

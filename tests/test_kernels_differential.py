@@ -126,25 +126,11 @@ def test_resolve_conflicts_bit_identical():
         assert a == b
 
 
-def test_carve_and_tail_kernels_bit_identical():
-    """Block carving / tail padding agree on ragged random part lists."""
+def test_tail_blocks_bit_identical():
+    """Tail padding agrees on random padded tails."""
     rng = np.random.default_rng(23)
     for _ in range(200):
         vb = int(rng.integers(2, 9))
-        parts = [
-            workloads.uniform(int(rng.integers(1, 2 * vb)), seed=int(rng.integers(99)))
-            for _ in range(int(rng.integers(1, 6)))
-        ]
-        buffered = sum(p.shape[0] for p in parts)
-        sa = ScalarBackend.carve_full_blocks([p.copy() for p in parts], buffered, vb)
-        va = VectorizedBackend.carve_full_blocks([p.copy() for p in parts], buffered, vb)
-        assert len(sa[0]) == len(va[0])
-        for x, y in zip(sa[0], va[0]):
-            assert x.tobytes() == y.tobytes()
-        assert sa[2] == va[2]  # remainder size
-        assert np.concatenate(sa[1] or [np.empty(0, dtype=np.uint64)]).tobytes() == \
-            np.concatenate(va[1] or [np.empty(0, dtype=np.uint64)]).tobytes()
-
         true_n = int(rng.integers(1, 3 * vb))
         padded_n = -(-true_n // vb) * vb
         padded = workloads.uniform(padded_n, seed=int(rng.integers(99)))
@@ -154,22 +140,6 @@ def test_carve_and_tail_kernels_bit_identical():
         for (xb, xf), (yb, yf) in zip(st_, vt):
             assert xf == yf
             assert xb.tobytes() == yb.tobytes()
-
-
-def test_bucket_chunks_bit_identical():
-    rng = np.random.default_rng(29)
-    for _ in range(100):
-        n = int(rng.integers(1, 400))
-        nb = int(rng.integers(1, 8))
-        recs = workloads.uniform(n, seed=int(rng.integers(99)))
-        buckets = rng.integers(0, nb, size=n)
-        order = np.argsort(buckets, kind="stable")
-        sr, sb = recs[order], buckets[order]
-        a = list(ScalarBackend.bucket_chunks(sr, sb, nb))
-        b = list(VectorizedBackend.bucket_chunks(sr, sb, nb))
-        assert [x[0] for x in a] == [x[0] for x in b]
-        for (_, ca), (_, cb) in zip(a, b):
-            assert ca.tobytes() == cb.tobytes()
 
 
 def test_backend_selection_plumbing():

@@ -18,7 +18,7 @@ from repro.core.streams import (
 from repro.exceptions import ParameterError
 from repro.hierarchies import ParallelHierarchies, VirtualHierarchies
 from repro.pdm import ParallelDiskMachine, VirtualDisks
-from repro.records import records_equal
+from repro.records import pad_records, records_equal
 
 
 def pdm_storage():
@@ -79,6 +79,58 @@ class TestLoadAndRead:
             assert machine.stats.total_ios == 0
         else:
             assert machine.memory_time == 0
+
+
+class TestPeekMany:
+    """``peek_many``: one validated store gather that charges nothing."""
+
+    def test_rows_are_the_blocks(self, backend):
+        machine, storage = backend
+        vb = storage.virtual_block_size
+        data = workloads.uniform(50, seed=27)
+        run = load_ordered_run(storage, data)
+        addresses = [ref.address for ref in run.blocks]
+        many = storage.peek_many(addresses)
+        assert many.tobytes() == pad_records(data, vb).tobytes()
+        for row, address in zip(many, addresses):
+            assert row.tobytes() == storage.peek(address).tobytes()
+        if hasattr(machine, "stats"):
+            assert machine.stats.total_ios == 0
+        else:
+            assert machine.memory_time == 0
+        assert storage.peek_many([]).shape == (0, storage.virtual_block_size)
+
+    def test_unwritten_block_raises_address_error(self, backend):
+        from repro.exceptions import AddressError
+
+        machine, storage = backend
+        run = load_ordered_run(storage, workloads.uniform(20, seed=28))
+        missing = type(run.blocks[0].address)(1, 999)
+        with pytest.raises(AddressError, match="peek of unwritten"):
+            storage.peek_many([run.blocks[0].address, missing])
+        with pytest.raises(AddressError):  # never a wrapped-around index
+            storage.peek_many([type(missing)(0, -1)])
+
+    def test_flushes_pending_plan_writes(self):
+        machine, storage = pdm_storage()
+        vb = storage.virtual_block_size
+        data = workloads.uniform(4 * vb, seed=29)
+        machine.mem_acquire(4 * vb)
+        with machine.io_plan(window=8):
+            run = write_ordered_run(storage, data)
+            assert machine.plan_stats.write_flushes == 0  # still deferred
+            assert records_equal(peek_run(storage, run), data)
+            assert machine.plan_stats.write_flushes == 1
+
+    def test_verifies_checksums(self):
+        from repro.exceptions import BlockCorruptionError
+
+        machine = ParallelDiskMachine(memory=2048, block=4, disks=8, checksums=True)
+        storage = VirtualDisks(machine, 4)
+        run = load_ordered_run(storage, workloads.uniform(64, seed=30))
+        machine.store.corrupt_block(5, run.blocks[2].address.slot, bit_seed=3)
+        with pytest.raises(BlockCorruptionError):
+            peek_run(storage, run)
 
 
 class TestWrite:
