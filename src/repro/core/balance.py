@@ -5,8 +5,8 @@ storage contract shared by :class:`repro.pdm.striping.VirtualDisks`
 (parallel disks, Section 5) and
 :class:`repro.hierarchies.parallel.VirtualHierarchies` (parallel memory
 hierarchies, Section 4) — ``n_virtual`` channels, ``virtual_block_size``
-records per block, ``parallel_write`` / ``parallel_read`` moving at most one
-block per channel per step, plus memory-ledger hooks.
+records per block, ``write_round`` moving at most one block per channel per
+step, plus memory-ledger hooks.
 
 Per processing round (one "track" of Algorithm 3):
 
@@ -32,19 +32,14 @@ The engine checks Invariants 1 and 2 every round (disable with
 from __future__ import annotations
 
 from collections import deque
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Callable, NamedTuple, Sequence
 
 import numpy as np
 
 from ..exceptions import InvariantViolation, ParameterError
-from ..records import RECORD_DTYPE, composite_keys, concat_records, pad_records
+from ..records import composite_keys, concat_records, pad_records
 from .kernels import get_backend
-
-# Fixed layout of one in-flight placement inside a round (a plain list —
-# one is built per queued block per round, so dict keys would be the
-# single largest allocation left in the round loop).
-_P_BUCKET, _P_BLOCK, _P_FILL, _P_CHANNEL, _P_SWAPPED, _P_DROPPED = range(6)
 from .matching import (
     MatchingInstance,
     MatchResult,
@@ -113,9 +108,6 @@ class EngineStats:
     pad_records: int = 0
 
 
-_MATCHERS: dict[str, Callable] = {}
-
-
 class BalanceEngine:
     """Distribute a record stream into S buckets, balanced across channels.
 
@@ -137,7 +129,10 @@ class BalanceEngine:
         Kernel backend for the hot loops: ``"vectorized"`` (NumPy,
         default), ``"scalar"`` (the reference Python loops), or ``None``
         to follow the process default (see :mod:`repro.core.kernels`).
-        Both backends are bit-identical in every observable output.
+        Both backends are bit-identical in every observable output.  The
+        round bookkeeping (``round_ops`` of the ``"compiled"`` backend)
+        follows the backend resolved at the engine's first
+        :meth:`run_rounds`; everything else resolves at call time.
     """
 
     def __init__(
@@ -184,10 +179,9 @@ class BalanceEngine:
         self._queue: deque = deque()  # (bucket, block, fill) awaiting placement
         self._bucket_records = np.zeros(self.n_buckets, dtype=np.int64)
         self._finished = False
-        # Round-structured write fast path (list-native, one slot per
-        # round) where the backend offers it; hierarchy backends fall
-        # back to the (k, VB) matrix API.
-        self._write_round = getattr(storage, "write_round", None)
+        # Compiled round bookkeeping factory (False when the backend has
+        # none); resolved at the first run_rounds.
+        self._round_ops = None
         # Round observers: callbacks fired after every completed placement
         # round (the first-class replacement for BalanceTracer's old
         # `_round` monkey-patch).  Empty list = zero per-round overhead
@@ -434,102 +428,110 @@ class BalanceEngine:
         drain mode automatically (a handful of tail blocks can otherwise
         bounce as "unprocessed" forever when the queue is nearly empty).
         """
-        if not self._queue:
+        queue = self._queue
+        if not queue:
             return
-        # Compiled round bookkeeping follows the backend resolved *now*
-        # (so `use_backend("compiled")` contexts and REPRO_KERNEL_BACKEND
-        # both apply): attach the C ops when the backend offers them,
-        # detach when it stopped doing so since the last call.  Either
-        # way the matrices keep the identical containers — switching
-        # backends mid-run is seamless and bit-identical.
-        mat = self.matrices
-        ops_factory = getattr(
-            get_backend(self.kernel_backend), "round_ops", None
-        )
-        if ops_factory is not None:
-            enable = getattr(mat, "enable_compiled", None)
-            if enable is not None:
-                enable(ops_factory)
-        elif getattr(mat, "_cops", None) is not None:
-            mat.disable_compiled()
-        while len(self._queue) > drain_below:
-            before = (len(self._queue), self.stats.blocks_placed)
-            self._round(drain=drain)
-            if (len(self._queue), self.stats.blocks_placed) == before:
-                self._round(drain=True)
+        # Compiled round bookkeeping follows the backend resolved at the
+        # first call.  Attaching is idempotent and repeated every call: a
+        # resync after direct X tampering detaches the compiled object.
+        ops = self._round_ops
+        if ops is None:
+            ops = self._round_ops = getattr(
+                get_backend(self.kernel_backend), "round_ops", False
+            )
+        if ops:
+            self.matrices.enable_compiled(ops)
+        stats = self.stats
+        while len(queue) > drain_below:
+            n, placed = len(queue), stats.blocks_placed
+            self._round(drain)
+            if len(queue) == n and stats.blocks_placed == placed:
+                self._round(True)
 
     def _round(self, drain: bool = False) -> None:
-        """One track of Algorithm 3 (steps 2–9)."""
-        k = min(self.n_channels, len(self._queue))
+        """One track of Algorithm 3 (steps 2–9).
+
+        Tentative block ``i`` is the ``i``-th popped queue entry and sits
+        on channel ``i`` (arrival order, at most one new block per channel
+        — the {0,1,2} aux-matrix property), so one flag per block says
+        whether it left its channel: swapped away by a Rearrange batch,
+        or unprocessed and back on the queue.
+        """
+        queue = self._queue
+        k = min(self.n_channels, len(queue))
         if k == 0:
             return
-        self.stats.rounds += 1
-        # Tentative placement: block j -> channel j (arrival order, at most
-        # one new block per channel — the {0,1,2} aux-matrix property).
-        # Each placement is a fixed-layout list (see the _P_* indices):
-        # ~50k placements per cell make per-placement dicts measurable.
-        placements = []
-        popleft = self._queue.popleft
-        add_block = self.matrices.add_block
+        stats = self.stats
+        mat = self.matrices
+        stats.rounds += 1
+        popped = []
+        popleft = queue.popleft
+        add_block = mat.add_block
         for channel in range(k):
-            bucket, block, fill = popleft()
-            placements.append([bucket, block, fill, channel, False, False])
-            add_block(bucket, channel)
-        self.matrices.refresh_aux()
+            entry = popleft()
+            popped.append(entry)
+            add_block(entry[0], channel)
+        mat.refresh_aux()
         if self.check_invariants:
-            self.matrices.check_invariant_1()
+            mat.check_invariant_1()
+        twos = mat.channels_with_two()
+        if not twos:
+            # Nothing to swap or drop, and nothing touches the matrices
+            # before the write: the closing refresh and the Invariant-2
+            # check below would be no-ops.
+            self._write_batch(range(k), popped)
+            if self._round_observers:
+                self._notify_round()
+            return
 
-        swap_batches: list[list] = []
         # Rebalance (Algorithm 5): resolve 2s while at least ⌊H'/2⌋ remain
-        # (every 2 when draining).  The (channel, bucket) placement index
-        # is only built when a 2 exists at all — a channel can legally
-        # end up holding two of this round's blocks (its own tentative
-        # block plus a swapped-in block of another bucket; they are
-        # written in separate parallel steps), hence the compound key.
+        # (every 2 when draining).  A channel can legally end up holding
+        # two of this round's blocks (its own tentative block plus a
+        # swapped-in block of another bucket); they are written in
+        # separate parallel steps.
+        moved = [False] * k
+        swap_batches = []
         threshold = 1 if drain else max(1, self.n_channels // 2)
-        twos = self.matrices.channels_with_two()
-        by_slot = None
-        if twos:
-            by_slot = {(p[_P_CHANNEL], p[_P_BUCKET]): p for p in placements}
-            while len(twos) >= threshold:
-                take = max(1, self.n_channels // 2)
-                batch = self._rearrange(twos[:take], by_slot)
-                swap_batches.append(batch)
-                twos = self.matrices.channels_with_two()
+        take = max(1, self.n_channels // 2)
+        while len(twos) >= threshold:
+            swap_batches.append(self._rearrange(twos[:take], popped, moved))
+            twos = mat.channels_with_two()
 
-            # Remaining 2s: unprocessed — conceptually written back to
-            # the input.
-            for h in twos:
-                b = self.matrices.bucket_with_two(h)
-                p = by_slot.pop((h, b), None)
-                if p is None:
-                    raise InvariantViolation(
-                        f"2 at channel {h} (bucket {b}) not caused by this round's block"
-                    )
-                self.matrices.remove_block(b, h)
-                p[_P_DROPPED] = True
-                self._queue.appendleft((b, p[_P_BLOCK], p[_P_FILL]))
-                self.stats.blocks_unprocessed += 1
-        self.matrices.refresh_aux()
+        # Remaining 2s: unprocessed — conceptually written back to the
+        # input (the front of the queue).
+        for h in twos:
+            b = mat.bucket_with_two(h)
+            if h >= k or moved[h] or popped[h][0] != b:
+                raise InvariantViolation(
+                    f"2 at channel {h} (bucket {b}) not caused by this round's block"
+                )
+            mat.remove_block(b, h)
+            moved[h] = True
+            queue.appendleft(popped[h])
+            stats.blocks_unprocessed += 1
+        mat.refresh_aux()
         if self.check_invariants:
-            self.matrices.check_invariant_2()
+            mat.check_invariant_2()
 
-        # Write: untouched blocks in one parallel step, then each Rearrange
-        # batch in its own parallel step (separate memory references, as in
-        # the paper's Algorithm 6 line 5).
-        if by_slot is None:
-            # No 2s this round: nothing was swapped or dropped.
-            self._write_batch(placements)
-        else:
-            live = [p for p in placements if not p[_P_DROPPED]]
-            self._write_batch([p for p in live if not p[_P_SWAPPED]])
-            for batch in swap_batches:
-                self._write_batch([p for p in batch if not p[_P_DROPPED]])
+        # Write: kept blocks in one parallel step, then each Rearrange
+        # batch in its own parallel step (separate memory references, as
+        # in the paper's Algorithm 6 line 5).
+        kept = [h for h in range(k) if not moved[h]]
+        if kept:
+            self._write_batch(kept, [popped[h] for h in kept])
+        for batch in swap_batches:
+            self._write_batch([v for _, v in batch], [popped[u] for u, _ in batch])
         if self._round_observers:
             self._notify_round()
 
-    def _rearrange(self, u_set: Sequence[int], by_slot: dict) -> list:
-        """Algorithm 6: match overloaded channels to zero channels and swap."""
+    def _rearrange(self, u_set: Sequence[int], popped: list, moved: list) -> list:
+        """Algorithm 6: match overloaded channels to zero channels and swap.
+
+        Returns the batch's ``(u, v)`` swaps: the tentative block of
+        channel ``u`` moves to channel ``v``.
+        """
+        mat = self.matrices
+        stats = self.stats
         if len(u_set) == 1 and self.n_channels == 2 and self.matcher == "derandomized":
             # H' = 2 closed form: |U| = 1 and the only legal target is the
             # other channel (the 2 sits on u, so a_b,u ≠ 0).  The pairwise-
@@ -540,7 +542,6 @@ class BalanceEngine:
             # with the general path's diagnostics.
             u = u_set[0]
             v = 1 - u
-            mat = self.matrices
             b = mat.bucket_with_two(u)
             # Incremental matrices mirror A in plain lists — read the
             # mirror instead of a numpy scalar (same value by invariant).
@@ -550,46 +551,42 @@ class BalanceEngine:
                 else int(mat.A[b, v])
             )
             if a_bv == 0:
-                self.stats.match_calls += 1
-                p = by_slot.pop((u, b), None)
-                if p is None:
-                    raise InvariantViolation(
-                        f"swap source (channel {u}, bucket {b}) has no block this round"
-                    )
-                self.matrices.remove_block(b, u)
-                self.matrices.add_block(b, v)
-                p[_P_CHANNEL] = v
-                p[_P_SWAPPED] = True
-                self.stats.blocks_swapped += 1
-                self.matrices.refresh_aux()
-                return [p]
-        instance = MatchingInstance.from_matrices(self.matrices, list(u_set))
+                stats.match_calls += 1
+                self._swap(u, b, v, popped, moved)
+                mat.refresh_aux()
+                return [(u, v)]
+        instance = MatchingInstance.from_matrices(mat, list(u_set))
         if self.check_invariants:
             instance.check_degree_invariant()
         result = self._run_matcher(instance)
-        self.stats.match_calls += 1
+        stats.match_calls += 1
         if result.used_fallback:
-            self.stats.match_fallbacks += 1
+            stats.match_fallbacks += 1
+        if not result.pairs:
+            # Nothing swapped means nothing changes: the Rebalance loop
+            # would retry the same instance forever.
+            raise InvariantViolation(
+                f"Rearrange swapped nothing: the matcher returned no pairs "
+                f"for overloaded channels {list(u_set)}"
+            )
         bucket_of = dict(zip(instance.u_channels, instance.buckets))
-        batch = []
         for u, v in result.pairs:
-            b = bucket_of[u]
-            p = by_slot.pop((u, b), None)
-            if p is None:
-                raise InvariantViolation(
-                    f"swap source (channel {u}, bucket {b}) has no block this round"
-                )
-            self.matrices.remove_block(b, u)
-            self.matrices.add_block(b, v)
-            p[_P_CHANNEL] = v
-            p[_P_SWAPPED] = True
-            # Swapped blocks never re-enter by_slot: only tentative blocks
-            # can carry a 2 (swaps remove 2s and never create them), so no
-            # later lookup targets a swapped block.
-            batch.append(p)
-            self.stats.blocks_swapped += 1
-        self.matrices.refresh_aux()
-        return batch
+            self._swap(u, bucket_of[u], v, popped, moved)
+        mat.refresh_aux()
+        return list(result.pairs)
+
+    def _swap(self, u: int, b: int, v: int, popped: list, moved: list) -> None:
+        """Move channel ``u``'s tentative block (bucket ``b``) to channel ``v``."""
+        # Only tentative blocks can carry a 2 (swaps remove 2s and never
+        # create them), so a swap source must be one still in place.
+        if u >= len(popped) or moved[u] or popped[u][0] != b:
+            raise InvariantViolation(
+                f"swap source (channel {u}, bucket {b}) has no block this round"
+            )
+        self.matrices.remove_block(b, u)
+        self.matrices.add_block(b, v)
+        moved[u] = True
+        self.stats.blocks_swapped += 1
 
     def _run_matcher(self, instance: MatchingInstance) -> MatchResult:
         if callable(self.matcher):
@@ -606,39 +603,28 @@ class BalanceEngine:
             return greedy_mincost_match(instance, self.matrices.X)
         raise ParameterError(f"unknown matcher {self.matcher!r}")
 
-    def _write_batch(self, batch: list) -> None:
-        if not batch:
-            return
-        k = len(batch)
-        # Distribution output parks out of the compaction zone on hierarchy
-        # backends (a no-op on disks): buckets are repositioned to the front
-        # before their recursion (see streams.reposition_run).
-        if self._write_round is not None:
-            # List-native round write: the backend takes the blocks as-is
-            # (they are handed over — every queued block is a fresh carve
-            # or an immutable view of a gather window, never mutated).
-            # checked=False: each batch holds at most one full block per
-            # channel by construction (tentative placement assigns
-            # distinct channels; swap targets are distinct matched v's).
-            addresses = self._write_round(
-                [p[_P_CHANNEL] for p in batch],
-                [p[_P_BLOCK] for p in batch],
-                park=True,
-                checked=False,
-            )
-        else:
-            channels = np.fromiter((p[_P_CHANNEL] for p in batch), np.int64, k)
-            matrix = np.empty((k, self.block_size), dtype=RECORD_DTYPE)
-            for i, p in enumerate(batch):
-                matrix[i] = p[_P_BLOCK]
-            addresses = self.storage.parallel_write_arr(channels, matrix, park=True)
+    def _write_batch(self, channels: Sequence[int], entries: list) -> None:
+        """One parallel write: queue entry ``entries[i]`` lands on ``channels[i]``.
+
+        Blocks are handed over as-is (every queued block is a fresh carve
+        or an immutable view of a gather window, never mutated), with
+        ``checked=False``: each batch holds at most one full block per
+        channel by construction (tentative placement assigns distinct
+        channels; swap targets are distinct matched v's).  Distribution
+        output parks out of the compaction zone on hierarchy backends (a
+        no-op on disks): buckets are repositioned to the front before
+        their recursion (see streams.reposition_run).
+        """
+        addresses = self.storage.write_round(
+            channels, [e[1] for e in entries], park=True, checked=False
+        )
         record_location = self.matrices.record_location
-        for p, addr in zip(batch, addresses):
-            record_location(
-                p[_P_BUCKET], p[_P_CHANNEL], BlockRef(address=addr, fill=p[_P_FILL])
-            )
-        self.stats.write_steps += 1
-        self.stats.blocks_placed += k
+        new = tuple.__new__  # BlockRef without the NamedTuple __new__ frame
+        for (bucket, _, fill), channel, addr in zip(entries, channels, addresses):
+            record_location(bucket, channel, new(BlockRef, (addr, fill)))
+        stats = self.stats
+        stats.write_steps += 1
+        stats.blocks_placed += len(entries)
 
     # --------------------------------------------------------------- flush
 

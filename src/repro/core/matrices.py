@@ -90,10 +90,6 @@ class BalanceMatrices:
             )
         return True
 
-    def disable_compiled(self) -> None:
-        """Detach compiled bookkeeping (updates fall back to pure Python)."""
-        self._cops = None
-
     def enable_incremental(self) -> None:
         """Switch to O(H') per-update maintenance of ``A`` (Section 5).
 
@@ -152,8 +148,8 @@ class BalanceMatrices:
     def _update_row(self, bucket: int) -> None:
         """Recompute row ``bucket``'s aux/factor after a ±1 entry change."""
         row = self._xrows[bucket]
-        alist = self._alist[bucket]  # plain-list mirror: numpy scalar
-        arow = self.A[bucket]        # reads dominate these loops otherwise
+        alist = self._alist[bucket]  # plain-list mirror: numpy scalar reads
+        arow = None  # would dominate these loops; A's row is fetched on change
         if len(row) == 2:
             # H' = 2 (rank 1): the median is the row min, so exactly the
             # larger entry can carry a nonzero aux — unrolled.
@@ -167,6 +163,8 @@ class BalanceMatrices:
                 a = x - m if x > m else 0
                 old = alist[h]
                 if old != a:
+                    if arow is None:
+                        arow = self.A[bucket]
                     alist[h] = a
                     arow[h] = a
                     cell = (bucket, h)
@@ -187,6 +185,8 @@ class BalanceMatrices:
             a = x - m if x > m else 0
             old = alist[h]
             if old != a:
+                if arow is None:
+                    arow = self.A[bucket]
                 alist[h] = a
                 arow[h] = a
                 cell = (bucket, h)

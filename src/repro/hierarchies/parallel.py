@@ -239,9 +239,9 @@ class VirtualHierarchies:
     """Partial striping of a :class:`ParallelHierarchies` into H' groups.
 
     Interface-compatible with :class:`repro.pdm.striping.VirtualDisks`:
-    ``n_virtual``, ``virtual_block_size``, ``parallel_write``,
-    ``parallel_read``, ``free``, ``load_initial`` — the contract the
-    Balance engine consumes.
+    ``n_virtual``, ``virtual_block_size``, ``write_round``,
+    ``parallel_write``, ``parallel_read``, ``free``, ``load_initial`` —
+    the contract the Balance engine and the run streams consume.
 
     A virtual block of ``H/H'`` records is striped one record per member
     hierarchy at a common local address, so a parallel step touching one
@@ -373,6 +373,29 @@ class VirtualHierarchies:
         self.machine.parallel_step(self._step_costs(slots), kind="write")
         return addresses
 
+    def write_round(
+        self, channels: Sequence[int], blocks: Sequence[np.ndarray],
+        park: bool = False, checked: bool = True,
+    ) -> list[VirtualBlockAddress]:
+        """Write ``blocks[i]`` to virtual hierarchy ``channels[i]`` — one step.
+
+        :meth:`repro.pdm.striping.VirtualDisks.write_round`'s signature
+        over :meth:`parallel_write_arr` (which does the write, so slots,
+        addresses and step cost are its own).  ``checked=False`` skips
+        the per-block range/shape checks; contention is always checked.
+        """
+        k = len(channels)
+        if k == 0:
+            return []
+        matrix = np.empty((k, self.group), dtype=RECORD_DTYPE)
+        for i, (v, block) in enumerate(zip(channels, blocks)):
+            if checked:
+                self._check_block(v, block)
+            matrix[i] = block
+        return self.parallel_write_arr(
+            np.array(channels, dtype=np.int64), matrix, park=park
+        )
+
     def parallel_read_arr(
         self, addresses: Sequence[VirtualBlockAddress], free: bool = False
     ) -> np.ndarray:
@@ -417,17 +440,11 @@ class VirtualHierarchies:
         (or the frontier): used for distribution output and sorted results
         so they stay clear of the front, where repositioned subproblems
         compact (DESIGN.md §4; the working-set discipline of the paper's
-        recurrences).  Thin shim over :meth:`parallel_write_arr`.
+        recurrences).  Thin shim over :meth:`write_round`.
         """
-        if not items:
-            return []
-        k = len(items)
-        vdisks = np.fromiter((v for v, _ in items), np.int64, k)
-        matrix = np.empty((k, self.group), dtype=RECORD_DTYPE)
-        for i, (v, data) in enumerate(items):
-            self._check_block(v, data)
-            matrix[i] = data
-        return self.parallel_write_arr(vdisks, matrix, park=park)
+        return self.write_round(
+            [v for v, _ in items], [data for _, data in items], park=park
+        )
 
     def parallel_read(self, addresses: Sequence[VirtualBlockAddress]) -> list[np.ndarray]:
         """Read ≤1 virtual block per virtual hierarchy — one parallel step.

@@ -559,16 +559,15 @@ class ParallelDiskMachine:
             return
         disks = np.array(plan.disks, dtype=np.int64)
         slots = np.array(plan.slots, dtype=np.int64)
-        pieces = plan.data
-        if len(pieces) == 1:
-            data = pieces[0].reshape(-1, self.B)
-        else:
-            # Each piece's flat record order already matches its span of
-            # the disk/slot lists, so one bulk concatenate rebuilds the
-            # full (k, B) scatter matrix.
-            data = concat_records(
-                [p.reshape(-1) for p in pieces]
-            ).reshape(-1, self.B)
+        # Each piece's flat record order already matches its span of the
+        # disk/slot lists, so one bytes join of the pieces (C order; every
+        # in-tree writer hands over contiguous blocks) rebuilds the full
+        # (k, B) scatter matrix.
+        try:
+            joined = b"".join(plan.data)
+        except TypeError:  # a non-contiguous piece: copy piece by piece
+            joined = concat_records([p.reshape(-1) for p in plan.data])
+        data = np.frombuffer(joined, dtype=RECORD_DTYPE).reshape(-1, self.B)
         plan.disks.clear()
         plan.slots.clear()
         plan.data.clear()
@@ -772,13 +771,13 @@ class ParallelDiskMachine:
             self._observe_write(k)
 
     def write_round_blocks(
-        self, disks: list, slot: int, blocks: list
+        self, disks: Sequence[int], slot: int, blocks: Sequence[np.ndarray]
     ) -> None:
         """One parallel write of whole blocks sharing a single slot.
 
         The list-native fast path for round-structured writers
         (:meth:`repro.pdm.striping.VirtualDisks.write_round`): ``disks``
-        is a plain int list (distinctness/range already enforced by the
+        is an int sequence (distinctness/range already enforced by the
         caller, exactly like ``checked=False``), every block lands at
         ``slot``, and ``blocks`` are record arrays whose concatenation in
         list order is the scatter payload (each a multiple of ``B``
@@ -964,15 +963,6 @@ class ParallelDiskMachine:
                 f"two blocks addressed to disk {dup} in one I/O"
             )
 
-    def _check_contention(self, addresses: Iterable[BlockAddress]) -> None:
-        seen: set[int] = set()
-        for addr in addresses:
-            if addr.disk in seen:
-                raise DiskContentionError(
-                    f"two blocks addressed to disk {addr.disk} in one I/O"
-                )
-            seen.add(addr.disk)
-
     def _validate_addr_arr(self, disks: np.ndarray, slots: np.ndarray) -> None:
         # Builtin min/max over small lists avoid per-call ufunc-reduce
         # overhead (four numpy reductions per I/O add up at ~20k I/Os/s).
@@ -1095,12 +1085,6 @@ class ParallelDiskMachine:
         return snap
 
     # -------------------------------------------------------------- misc
-
-    def next_free_slot(self, disk: int) -> int:
-        """Smallest unused slot index on ``disk`` (simple allocator)."""
-        if self._plan is not None:
-            self.flush_io_plan()
-        return self.store.max_slot(disk) + 1
 
     def allocate_slots(self, n_slots: int) -> int:
         """Reserve ``n_slots`` consecutive slots on every disk (bump allocator).

@@ -189,7 +189,7 @@ class VirtualDisks:
 
         The list-native twin of :meth:`parallel_write_arr` for
         round-structured writers (the Balance engine's per-round
-        batches): ``channels`` is a plain int list, ``blocks[i]`` the
+        batches): ``channels`` is an int sequence, ``blocks[i]`` the
         full virtual block bound for ``channels[i]``.  Charges, ledger
         and obs effects are identical; the per-call numpy address
         assembly is replaced by Python smalls (stripe widths are ≤ H').
@@ -222,16 +222,16 @@ class VirtualDisks:
                         f"virtual block must hold {vb} records, got {block.shape[0]}"
                     )
         slot = self.machine.allocate_slots(1)
-        g = self.group
-        if g == 1:
-            pdisks = list(channels)
+        if self.group == 1:
+            pdisks = channels
         else:
             rows = self._pdisk_rows
             pdisks = []
             for c in channels:
                 pdisks += rows[c]
-        self.machine.write_round_blocks(pdisks, slot, list(blocks))
-        return [VirtualBlockAddress(vdisk=c, slot=slot) for c in channels]
+        self.machine.write_round_blocks(pdisks, slot, blocks)
+        new = tuple.__new__  # skips the NamedTuple __new__ frame per address
+        return [new(VirtualBlockAddress, (c, slot)) for c in channels]
 
     def parallel_read_arr(
         self, addresses: Sequence[VirtualBlockAddress], free: bool = False

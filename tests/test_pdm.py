@@ -100,6 +100,29 @@ class TestMachineRules:
         assert m.stats.write_ios == 1
         assert m.stats.blocks_written == 4
 
+    @pytest.mark.parametrize("strided", [False, True])
+    def test_deferred_writes_flush_as_written(self, strided):
+        """A plan flush stores exactly what each deferred write handed over,
+        contiguous pieces (one bytes join) or strided views (copy loop)."""
+        m = machine(M=256)
+        records = make_records(np.arange(64, dtype=np.uint64))
+        wide = records.reshape(8, 2 * m.B)
+        m.mem_acquire(64)
+        with m.io_plan(window=8):
+            for slot in range(2):
+                rows = wide[4 * slot : 4 * slot + 4]
+                data = rows[:, ::2] if strided else rows[:, : m.B]
+                disks = np.arange(4, dtype=np.int64)
+                m.write_blocks_arr(disks, np.full(4, slot, dtype=np.int64), data)
+            assert m.plan_stats.write_flushes == 0
+        assert m.plan_stats.write_flushes == 1
+        for slot in range(2):
+            rows = wide[4 * slot : 4 * slot + 4]
+            want = rows[:, ::2] if strided else rows[:, : m.B]
+            for d in range(4):
+                got = m.peek_block(BlockAddress(d, slot))
+                assert got.tobytes() == want[d].tobytes()
+
     def test_allocate_slots_monotone(self):
         m = machine()
         a = m.allocate_slots(3)
