@@ -58,6 +58,7 @@ from .obs import (
     render_report,
     summarize_trace,
 )
+from .obs.report import write_json
 from .pdm import ParallelDiskMachine
 from .util import assert_is_permutation, assert_sorted
 
@@ -967,8 +968,8 @@ def cmd_sweep(args) -> int:
     import tempfile
 
     from .exceptions import ParameterError
-    from .exec import ParallelRunner, merge_metrics, merge_trace_events, write_merged_trace
-    from .obs import LiveProgressView, TelemetryWriter, summarize_trace
+    from .exec import ParallelRunner
+    from .obs import LiveProgressView, TelemetryWriter
     from .resilience import FaultPlan, SweepJournal, inject_cache_faults
 
     task, specs = _sweep_specs(args)
@@ -1060,9 +1061,6 @@ def cmd_sweep(args) -> int:
     if args.telemetry:
         print(f"[sweep] telemetry={args.telemetry}", file=sys.stderr)
     ok_payloads = [r.payload for r in results if not r.failed]
-
-    columns, row_fn = _SWEEP_COLUMNS[task]
-    t = Table(columns, title=f"sweep · {task} · {len(results)} cells")
     rows = []
     failures = []
     for res in results:
@@ -1074,48 +1072,12 @@ def cmd_sweep(args) -> int:
                 "key": res.key,
             })
             continue
-        cells = row_fn(res.spec.params, res.result, res.cached)
-        t.add(*cells)
         rows.append({**res.result, "params": dict(res.spec.params),
                      "cached": res.cached})
-
-    if args.trace_out:
-        write_merged_trace(ok_payloads, args.trace_out)
-
-    show_table = True
-    if args.emit_json is not None or args.trace_out is not None:
-        report = RunReport(
-            command="sweep",
-            params={
-                k: v for k, v in vars(args).items()
-                if k not in _SWEEP_PARAM_EXCLUDES
-            },
-            result={
-                "task": task,
-                "n_cells": len(results),
-                "rows": rows,
-                "n_failed": len(failures),
-                "failures": failures,
-            },
-            metrics=merge_metrics(ok_payloads).export(),
-            trace_summary=summarize_trace(merge_trace_events(ok_payloads)),
-        )
-        if args.emit_json:
-            report.write(args.emit_json)
-            show_table = args.emit_json != "-"
-    if show_table:
-        t.print()
-        if failures:
-            ft = Table(
-                ["task", "error", "message", "attempts"],
-                title=f"failed cells · {len(failures)}",
-            )
-            for f in failures:
-                ft.add(
-                    task, f["error"]["type"],
-                    f["error"]["message"][:60], f["attempts"],
-                )
-            ft.print()
+    _grid_output(
+        args, "sweep", _SWEEP_PARAM_EXCLUDES, "cells",
+        task, len(results), rows, failures, ok_payloads,
+    )
     stats = runner.stats
     if stats["jobs"] != stats["jobs_requested"]:
         print(
@@ -1145,20 +1107,64 @@ def cmd_sweep(args) -> int:
         )
     print(_sweep_stats_table(stats, journal_stats).render(), file=sys.stderr)
     if args.stats_json:
-        import json
-
-        doc = {
+        write_json({
             "schema": "repro.sweep_stats/1",
             "runner": stats,
             "journal": journal_stats,
-        }
-        text = json.dumps(doc, indent=2)
-        if args.stats_json == "-":
-            print(text)
-        else:
-            with open(args.stats_json, "w") as fh:
-                fh.write(text + "\n")
+        }, args.stats_json)
     return 3 if stats["failed"] else 0
+
+
+def _grid_output(
+    args, command, excludes, unit, task, n_cells, rows, failures, payloads,
+) -> None:
+    """The output of a grid run, shared by ``sweep`` and ``submit``.
+
+    ``--trace-out`` gets the merged trace of the successful cells and
+    ``--emit-json`` one ``repro.run_report/1`` built the same way for
+    both commands (``excludes`` names the arguments left out of its
+    ``params``), which is what lets a submit report diff at threshold 0
+    against the serial sweep of the same grid.  Unless the report went
+    to stdout, the grid table and a failures table follow, counting
+    ``unit``.
+    """
+    from .exec import merge_metrics, merge_trace_events, write_merged_trace
+
+    if args.trace_out:
+        write_merged_trace(payloads, args.trace_out)
+    if args.emit_json:
+        report = RunReport(
+            command=command,
+            params={k: v for k, v in vars(args).items() if k not in excludes},
+            result={
+                "task": task,
+                "n_cells": n_cells,
+                "rows": rows,
+                "n_failed": len(failures),
+                "failures": failures,
+            },
+            metrics=merge_metrics(payloads).export(),
+            trace_summary=summarize_trace(merge_trace_events(payloads)),
+        )
+        if report.write(args.emit_json):
+            return
+    columns, row_fn = _SWEEP_COLUMNS[task]
+    t = Table(columns, title=f"{command} · {task} · {n_cells} {unit}")
+    for row in rows:
+        t.add(*row_fn(row["params"], row, row["cached"]))
+    t.print()
+    if failures:
+        ft = Table(
+            ["task", "error", "message", "attempts"],
+            title=f"failed {unit} · {len(failures)}",
+        )
+        for f in failures:
+            err = f.get("error") or {}
+            ft.add(
+                task, err.get("type"),
+                str(err.get("message", ""))[:60], f.get("attempts"),
+            )
+        ft.print()
 
 
 def _sweep_stats_table(stats: dict, journal_stats: dict | None = None) -> Table:
@@ -1219,7 +1225,6 @@ def cmd_serve(args) -> int:
     ``--journal``).
     """
     import asyncio
-    import json
     import signal
 
     from .exceptions import ParameterError
@@ -1318,12 +1323,7 @@ def cmd_serve(args) -> int:
     )
     obs.close()
     if args.stats_json:
-        text = json.dumps(stats, indent=2)
-        if args.stats_json == "-":
-            print(text)
-        else:
-            with open(args.stats_json, "w") as fh:
-                fh.write(text + "\n")
+        write_json(stats, args.stats_json)
     return 0
 
 
@@ -1337,9 +1337,6 @@ def cmd_submit(args) -> int:
     codes: 0 all jobs done, 2 transport/usage errors (including a job
     shed beyond the retry budget), 3 when any job failed.
     """
-    import json
-
-    from .exec import merge_metrics, merge_trace_events, write_merged_trace
     from .serve import Rejected, ServeClient, ServeError
 
     task, specs = _sweep_specs(args)
@@ -1370,18 +1367,12 @@ def cmd_submit(args) -> int:
                 file=sys.stderr,
             )
             if args.stats_json:
-                doc = {
+                write_json({
                     "schema": "repro.submit_stats/1",
                     "client": {**client.counters,
                                "dispositions": dispositions, "failed": 0},
                     "serve": client.stats()["stats"],
-                }
-                text = json.dumps(doc, indent=2)
-                if args.stats_json == "-":
-                    print(text)
-                else:
-                    with open(args.stats_json, "w") as fh:
-                        fh.write(text + "\n")
+                }, args.stats_json)
             return 0
         for spec, job_id in admitted:
             resp = client.wait(
@@ -1421,49 +1412,10 @@ def cmd_submit(args) -> int:
     finally:
         client.close()
 
-    columns, row_fn = _SWEEP_COLUMNS[task]
-    t = Table(columns, title=f"submit · {task} · {len(specs)} jobs")
-    for row in rows:
-        params = row["params"]
-        t.add(*row_fn(params, row, row["cached"]))
-
-    if args.trace_out:
-        write_merged_trace(ok_payloads, args.trace_out)
-    show_table = True
-    if args.emit_json is not None or args.trace_out is not None:
-        report = RunReport(
-            command="submit",
-            params={
-                k: v for k, v in vars(args).items()
-                if k not in _SUBMIT_PARAM_EXCLUDES
-            },
-            result={
-                "task": task,
-                "n_cells": len(specs),
-                "rows": rows,
-                "n_failed": len(failures),
-                "failures": failures,
-            },
-            metrics=merge_metrics(ok_payloads).export(),
-            trace_summary=summarize_trace(merge_trace_events(ok_payloads)),
-        )
-        if args.emit_json:
-            report.write(args.emit_json)
-            show_table = args.emit_json != "-"
-    if show_table:
-        t.print()
-        if failures:
-            ft = Table(
-                ["task", "error", "message", "attempts"],
-                title=f"failed jobs · {len(failures)}",
-            )
-            for f in failures:
-                err = f.get("error") or {}
-                ft.add(
-                    task, err.get("type"),
-                    str(err.get("message", ""))[:60], f.get("attempts"),
-                )
-            ft.print()
+    _grid_output(
+        args, "submit", _SUBMIT_PARAM_EXCLUDES, "jobs",
+        task, len(specs), rows, failures, ok_payloads,
+    )
     print(
         f"[submit] jobs={len(specs)} new={dispositions['new']} "
         f"coalesced={dispositions['coalesced']} cached={dispositions['cached']} "
@@ -1472,25 +1424,17 @@ def cmd_submit(args) -> int:
         file=sys.stderr,
     )
     if args.stats_json:
-        doc = {
+        write_json({
             "schema": "repro.submit_stats/1",
             "client": {**client.counters, "dispositions": dispositions,
                        "failed": len(failures)},
             "serve": stats_doc,
-        }
-        text = json.dumps(doc, indent=2)
-        if args.stats_json == "-":
-            print(text)
-        else:
-            with open(args.stats_json, "w") as fh:
-                fh.write(text + "\n")
+        }, args.stats_json)
     return 3 if failures else 0
 
 
 def cmd_report(args) -> int:
     """Summarize a saved JSONL trace: phases, balance timeline, stripes."""
-    import json
-
     summary = summarize_trace(args.trace)
     report = {
         "schema": "repro.trace_summary/1",
@@ -1498,13 +1442,8 @@ def cmd_report(args) -> int:
         "trace": args.trace,
         **summary,
     }
-    if args.emit_json:
-        text = json.dumps(report, indent=2)
-        if args.emit_json == "-":
-            print(text)
-            return 0
-        with open(args.emit_json, "w") as fh:
-            fh.write(text + "\n")
+    if args.emit_json and write_json(report, args.emit_json):
+        return 0
     tables = render_report(report)
     if not tables:
         print(f"{args.trace}: {summary['n_events']} events, no phase spans")
@@ -1591,13 +1530,8 @@ def cmd_profile(args) -> int:
             memory = None
     profile = profile_trace(args.trace, top=args.top, bins=args.bins,
                             memory=memory)
-    if args.emit_json:
-        text = json.dumps(profile, indent=2)
-        if args.emit_json == "-":
-            print(text)
-            return 0
-        with open(args.emit_json, "w") as fh:
-            fh.write(text + "\n")
+    if args.emit_json and write_json(profile, args.emit_json):
+        return 0
     for t in render_profile(profile):
         t.print()
         print()
@@ -1606,8 +1540,6 @@ def cmd_profile(args) -> int:
 
 def cmd_diff(args) -> int:
     """Diff two JSON run documents; exit 1 when a path regresses."""
-    import json
-
     rules = []
     for spec in args.rule:
         pattern, sep, threshold = spec.rpartition("=")
@@ -1620,16 +1552,7 @@ def cmd_diff(args) -> int:
         args.a, args.b, threshold=args.threshold, rules=rules,
         ignore=args.ignore, strict=args.strict,
     )
-    show = True
-    if args.emit_json:
-        text = json.dumps(result.to_dict(), indent=2)
-        if args.emit_json == "-":
-            print(text)
-            show = False
-        else:
-            with open(args.emit_json, "w") as fh:
-                fh.write(text + "\n")
-    if show:
+    if not (args.emit_json and write_json(result.to_dict(), args.emit_json)):
         tables = result.tables()
         for t in tables:
             t.print()
@@ -1792,8 +1715,6 @@ def cmd_bench(args) -> int:
         return 0
 
     if args.bench_command == "list":
-        import json
-
         ledger = BenchLedger(args.ledger)
         groups: dict[tuple, list[dict]] = {}
         for entry in ledger.read():
@@ -1818,16 +1739,7 @@ def cmd_bench(args) -> int:
             })
         doc = {"schema": "repro.bench_list/1", "ledger": args.ledger,
                "groups": rows}
-        show = True
-        if args.emit_json:
-            text = json.dumps(doc, indent=2)
-            if args.emit_json == "-":
-                print(text)
-                show = False
-            else:
-                with open(args.emit_json, "w") as fh:
-                    fh.write(text + "\n")
-        if show:
+        if not (args.emit_json and write_json(doc, args.emit_json)):
             t = Table(
                 ["series", "host", "min of", "points", "latest s",
                  "rec/s", "µs/rec", "commit"],
@@ -2025,12 +1937,7 @@ def cmd_history(args) -> int:
         "n": len(records),
         "records": records,
     }
-    text = json.dumps(doc, indent=2)
-    if args.emit_json == "-":
-        print(text)
-    else:
-        with open(args.emit_json, "w") as fh:
-            fh.write(text + "\n")
+    write_json(doc, args.emit_json)
     return 0
 
 
@@ -2072,8 +1979,6 @@ def _resolve_attrib_input(history, ref: str, label: str):
 
 def cmd_attribute(args) -> int:
     """Attribute a perf delta between two runs, ranked by |Δ self time|."""
-    import json
-
     from .obs import RunHistory, attribute_runs, render_attrib
 
     history = RunHistory(args.history)
@@ -2086,16 +1991,7 @@ def cmd_attribute(args) -> int:
     except (KeyError, ValueError) as exc:
         print(f"[attribute] error: {exc.args[0]}", file=sys.stderr)
         return 2
-    show = True
-    if args.emit_json:
-        text = json.dumps(attrib, indent=2)
-        if args.emit_json == "-":
-            print(text)
-            show = False
-        else:
-            with open(args.emit_json, "w") as fh:
-                fh.write(text + "\n")
-    if show:
+    if not (args.emit_json and write_json(attrib, args.emit_json)):
         for t in render_attrib(attrib):
             t.print()
             print()

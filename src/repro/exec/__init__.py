@@ -4,9 +4,10 @@ The repo's benchmarks and CLI sweeps are embarrassingly parallel — every
 grid cell is an independent, seeded, deterministic simulation.  This
 package turns that shape into throughput without giving up determinism:
 
-* :class:`RunSpec` / :class:`ParallelRunner` — process-pool sharding of
-  registered tasks with results returned in spec order (tables are
-  bit-identical to serial runs);
+* :class:`RunSpec` / :class:`JobRunner` — process-pool sharding of
+  registered tasks behind one serial and one pool driver;
+  :class:`ParallelRunner` is its batch front-end, returning results in
+  spec order (tables are bit-identical to serial runs);
 * :mod:`~repro.exec.fingerprint` / :class:`ResultCache` — content-hashed
   run cache (config fingerprint → payload JSON) so repeated grid cells
   are served without re-simulating;

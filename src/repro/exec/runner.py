@@ -1,21 +1,24 @@
-"""The ParallelRunner: shard independent simulation runs across cores.
+"""The exec layer's one job runner: shard independent simulation runs.
 
 Every benchmark grid (E1–E13), ``repro compare`` sweep, and workload
 matrix is a list of *independent* deterministic simulations — exactly the
 shape Rahn–Sanders–Singler exploit when they turn an external-sort
 algorithm into a system: the engineering is in the execution layer, not
-the algorithm.  :class:`ParallelRunner` is that layer for this repo:
+the algorithm.  :class:`JobRunner` is that layer for this repo, and
+:class:`ParallelRunner` is its batch front-end (``map`` a spec list to
+results in spec order):
 
-* **sharding** — grid cells run in a ``ProcessPoolExecutor`` (``jobs``
+* **sharding** — jobs run in a ``ProcessPoolExecutor`` (``jobs``
   workers); each worker re-creates the simulation from its
   :class:`RunSpec` (task name + params), so nothing unpicklable crosses
   the process boundary;
 * **content-hashed cache** — every cell is fingerprinted
   (:mod:`repro.exec.fingerprint`); hits skip execution entirely
-  (:mod:`repro.exec.cache`);
-* **deterministic ordering** — results come back in spec order no matter
-  which worker finished first, so tables and reports are bit-identical
-  to a serial run;
+  (:mod:`repro.exec.cache`), and identical specs in flight coalesce
+  into one job;
+* **deterministic ordering** — ``map`` returns results in spec order no
+  matter which worker finished first, so tables and reports are
+  bit-identical to a serial run;
 * **observability merging** — per-run metrics/trace payloads fold into a
   single registry / trace via :mod:`repro.exec.merge`;
 * **failure isolation** — with ``retries``/``timeout`` configured, a
@@ -28,13 +31,17 @@ the algorithm.  :class:`ParallelRunner` is that layer for this repo:
   traceback.  Failure payloads are **never cached** — a re-run retries
   them.
 
-``jobs=None`` or ``jobs<=1`` runs serially in-process (no pool, no
-pickling) but through the same cache, retry, and payload path, which is
-what makes serial-vs-parallel bit-identity testable — including under a
-seeded :class:`~repro.resilience.FaultPlan` (the chaos-determinism gate
-of ``docs/resilience.md``).
+There is one serial driver and one pool driver.  ``jobs=None`` or
+``jobs<=1`` runs serially in-process (no pool, no pickling) but through
+the same cache, retry, and payload path, which is what makes
+serial-vs-parallel bit-identity testable — including under a seeded
+:class:`~repro.resilience.FaultPlan` (the chaos-determinism gate of
+``docs/resilience.md``).  A service starts the driver on a background
+thread (:meth:`JobRunner.start`); ``map`` runs it on the calling thread
+(:meth:`JobRunner.run_until_idle`), so a serial sweep executes every
+attempt on the thread that called it.
 
-Completed payloads are written to the cache **as each future lands**, so
+Completed payloads are written to the cache **as each job lands**, so
 a ``KeyboardInterrupt`` (or SIGKILL) mid-sweep leaves every finished
 cell cached: the interrupted sweep is warm on restart.  The interrupt
 handler additionally drains any already-completed-but-unprocessed
@@ -44,10 +51,11 @@ futures into the cache before shutting the pool down with
 
 from __future__ import annotations
 
+import bisect
 import os
 import threading
 import time
-from concurrent.futures import FIRST_COMPLETED, ProcessPoolExecutor, wait
+from concurrent.futures import FIRST_COMPLETED, Future, ProcessPoolExecutor, wait
 from concurrent.futures.process import BrokenProcessPool
 from contextlib import ExitStack
 from dataclasses import dataclass, field
@@ -89,11 +97,15 @@ FAILURES_SCHEMA = "repro.failures/1"
 #: payload — guaranteed to fail the runner's schema validation.
 _POISON_SCHEMA = "repro.poisoned/0"
 
-#: Default cap on the *total* deterministic-backoff sleep one cell may
+#: Default cap on the *total* deterministic-backoff delay one cell may
 #: accumulate across its retries.  Without a cap, a permanent-fault plan
-#: with a generous retry budget sleeps ``backoff · (2^k - 1)`` per cell —
+#: with a generous retry budget waits ``backoff · (2^k - 1)`` per cell —
 #: minutes of dead air for payloads that were never going to arrive.
 DEFAULT_BACKOFF_MAX = 5.0
+
+#: How often the pool driver wakes to notice deadlines, cancels, backoffs
+#: that expired and (on a service) newly admitted jobs.
+_POLL_S = 0.05
 
 
 def error_record(attempt: int, exc: BaseException) -> dict:
@@ -262,8 +274,73 @@ def _validate_payload(payload, task: str) -> None:
         )
 
 
-class ParallelRunner:
-    """Run specs across a process pool with caching and stable ordering.
+def default_jobs() -> int:
+    """A sensible ``--jobs`` default: the usable core count."""
+    try:
+        return len(os.sched_getaffinity(0))
+    except AttributeError:  # pragma: no cover - non-Linux
+        return os.cpu_count() or 1
+
+
+# ---------------------------------------------------------------------------
+# Jobs and the runner.
+# ---------------------------------------------------------------------------
+
+#: Terminal job statuses; everything else is still in flight.
+_TERMINAL = ("done", "failed", "cancelled")
+
+
+@dataclass
+class Job:
+    """One admitted unit of work in a :class:`JobRunner`.
+
+    The job id **is** the spec's content fingerprint, which is what makes
+    request coalescing natural: two clients submitting the same spec get
+    the same job.  ``meta`` carries admission-side annotations (tenant,
+    source connection, a sweep's cell index) that never enter the
+    payload — payloads stay pure functions of ``(task, params)``.
+    """
+
+    spec: RunSpec
+    key: str
+    seq: int
+    meta: dict = field(default_factory=dict)
+    status: str = "queued"
+    attempt: int = 0
+    errors: list = field(default_factory=list)
+    payload: dict | None = None
+    cached: bool = False
+    subscribers: int = 1
+    cancel_requested: bool = False
+    #: Earliest monotonic time the next attempt may start (retry backoff).
+    not_before: float = 0.0
+    #: Cumulative backoff delay charged to this job (capped by the runner).
+    slept: float = 0.0
+    #: Monotonic time the first attempt was dispatched (telemetry).
+    started: float | None = None
+
+    @property
+    def terminal(self) -> bool:
+        return self.status in _TERMINAL
+
+    @property
+    def failed(self) -> bool:
+        return self.status == "failed"
+
+
+class JobRunner:
+    """Submit/poll/cancel execution over the exec layer.
+
+    Jobs are **admitted** one at a time (with an optional capacity limit
+    for deterministic load shedding), coalesced by content fingerprint,
+    served from the shared :class:`ResultCache` when warm, and executed
+    by one driver: serial in-process, or on a process pool with retry /
+    backoff / crash-attribution / pool-rebuild recovery — chaos payloads
+    therefore stay bit-identical to a fault-free serial run (the
+    chaos-determinism gate).  A service runs the driver on a background
+    thread (:meth:`start`); a batch drives it on its own thread until the
+    queue is empty (:meth:`run_until_idle`, which is what
+    :meth:`ParallelRunner.map` does).
 
     Parameters
     ----------
@@ -278,9 +355,10 @@ class ParallelRunner:
         Pass an existing :class:`ResultCache` to share across runners.
     obs:
         Optional :class:`~repro.obs.Observation`; retries, pool
-        rebuilds, timeouts, and cell failures then emit ``retry.*`` /
-        ``runner.*`` trace events and counters under the ``resilience``
-        metrics scope (run-level only — never inside task payloads).
+        rebuilds, timeouts, and job outcomes then emit ``retry.*`` /
+        ``runner.*`` / ``job.*`` trace events and counters under the
+        ``resilience`` metrics scope (run-level only — never inside task
+        payloads).
     retries:
         Extra attempts per cell after the first (default 0: one attempt,
         the legacy fail-fast behaviour surfaced as a failure record).
@@ -289,30 +367,36 @@ class ParallelRunner:
         worker cannot be cancelled, so an expiry rebuilds the pool and
         resubmits the innocent in-flight cells at their same attempt).
     backoff:
-        Base of the deterministic exponential backoff: attempt ``k``
-        (0-based) sleeps ``backoff · 2^k`` before its retry.
+        Base of the deterministic exponential backoff: after failed
+        attempt ``k`` (0-based) the retry waits ``backoff · 2^k``.  The
+        wait holds back that job only; other ready jobs run meanwhile.
     backoff_max:
-        Cap on the *cumulative* backoff sleep per cell (seconds,
-        default :data:`DEFAULT_BACKOFF_MAX`); once a cell has slept its
-        budget, further retries fire immediately.  ``None`` disables
-        the cap (the pre-cap behaviour, unbounded under permanent
-        fault plans with high retry budgets).
+        Cap on the *cumulative* backoff delay per cell (seconds,
+        default :data:`DEFAULT_BACKOFF_MAX`); once a cell has been
+        charged its budget, further retries fire immediately.  ``None``
+        disables the cap (the pre-cap behaviour, unbounded under
+        permanent fault plans with high retry budgets).
     fault_plan:
         Optional :class:`~repro.resilience.FaultPlan`; every attempt of
         every cell then runs under its own deterministic
         :class:`~repro.resilience.FaultInjector`.
     journal:
-        Optional :class:`~repro.resilience.SweepJournal`; each cell's
-        terminal state (``done`` / ``failed``) is checkpointed as it
-        completes.
+        Optional :class:`~repro.resilience.SweepJournal`; job transitions
+        are checkpointed as ``job`` records (:class:`ParallelRunner`
+        writes the sweep's ``cell`` records instead).
     telemetry:
         Optional live-progress channel: a
         :class:`~repro.obs.telemetry.TelemetryWriter` or a path to the
         JSONL file one should append to.  The runner then streams
-        ``repro.progress/1`` lifecycle events (sweep/cell start+finish,
-        retries, pool rebuilds) and workers tee throttled phase progress
-        into the same file — run-level observability only; payload bytes
-        are identical with telemetry on or off.
+        ``repro.progress/1`` lifecycle events (cell start+finish,
+        retries, pool rebuilds; ``map`` adds sweep start+finish) and
+        workers tee throttled phase progress into the same file —
+        run-level observability only; payload bytes are identical with
+        telemetry on or off.
+    scheduler:
+        Optional pick-next hook: a callable given the list of runnable
+        jobs (admission order) that returns the one to run next — the
+        seam the serve layer uses for fair-share scheduling.
 
     ``jobs`` is clamped to the *usable* core count
     (:func:`default_jobs`): worker processes beyond the cores the
@@ -320,6 +404,13 @@ class ParallelRunner:
     on a 1-core host, ``--jobs 4`` measured ~0.63× the serial
     wall-clock before the clamp.  The requested and effective values
     are both reported in :attr:`stats`.
+
+    Concurrency contract: every public method is safe to call from any
+    thread.  Listeners registered with :meth:`add_listener` are invoked
+    from the driver (or the submitting thread, for cache hits and
+    queued-job cancels) **while the runner lock is held** — they must be
+    non-blocking and must not call back into the runner (bridge to an
+    event loop with ``call_soon_threadsafe``).
     """
 
     def __init__(
@@ -335,6 +426,7 @@ class ParallelRunner:
         fault_plan=None,
         journal=None,
         telemetry=None,
+        scheduler: Callable[[list[Job]], Job] | None = None,
     ):
         requested = int(jobs) if jobs else 0
         usable = default_jobs()
@@ -365,600 +457,12 @@ class ParallelRunner:
             telemetry = TelemetryWriter(telemetry)
         self.telemetry = telemetry
         self._telemetry_path = telemetry.path if telemetry is not None else None
-        self._cell_started: dict[int, float] = {}
-        self.executed = 0
-        self.served_from_cache = 0
-        self.retried = 0
-        self.failed = 0
-        self.timeouts = 0
-        self.pool_rebuilds = 0
-        self.backoff_capped = 0
-        self._backoff_slept: dict[str, float] = {}
-        self._obs = obs
-        self._scope = obs.scope("resilience") if obs is not None else None
-        self._failed_payloads: dict[str, dict] = {}
-        self._plan_snaps: list[dict] = []
-        self._mem_snaps: list[dict] = []
-
-    # ------------------------------------------------------- obs plumbing
-
-    def _event(self, name: str, **fields) -> None:
-        if self._obs is not None:
-            self._obs.event(name, **fields)
-
-    def _count(self, name: str, n: int = 1) -> None:
-        if self._scope is not None:
-            self._scope.counter(name).inc(n)
-
-    def _tel(self, ev: str, **fields) -> None:
-        """Emit one live-telemetry line (no-op without a channel)."""
-        if self.telemetry is not None:
-            self.telemetry.emit(ev, **fields)
-
-    def _tel_finish(
-        self, i: int, key: str, payload: dict, cached: bool, failed: bool,
-        records=None,
-    ) -> None:
-        """The ``cell_finish`` telemetry line for one terminal cell state."""
-        if self.telemetry is None:
-            return
-        fields = {"key": key, "index": i, "cached": cached, "failed": failed}
-        started = self._cell_started.pop(i, None)
-        if started is not None:
-            seconds = time.monotonic() - started
-            fields["seconds"] = round(seconds, 4)
-            if not failed and records:
-                fields["records"] = records
-                if seconds > 0:
-                    fields["records_per_sec"] = round(records / seconds, 1)
-        if not failed:
-            fields["rounds"] = _payload_rounds(payload)
-        self.telemetry.emit("cell_finish", **fields)
-
-    # ---------------------------------------------------------------- map
-
-    def map(self, specs: Iterable[RunSpec]) -> list[RunResult]:
-        """Execute every spec; results return in spec order.
-
-        Cache hits are served without execution; duplicate specs within
-        one call execute once (the second occurrence is a cache hit even
-        with an in-memory cache).  Misses run serially or on the pool
-        depending on ``jobs``; either way the returned list is ordered by
-        input position, so downstream tables are bit-identical to a
-        serial sweep.  Cells that exhaust their retry budget come back
-        with ``failed=True`` and a ``repro.failures/1`` payload.
-        """
-        specs = list(specs)
-        keys = [spec.fingerprint() for spec in specs]
-        results: list[RunResult | None] = [None] * len(specs)
-        t_sweep = time.monotonic()
-        self._tel(
-            "sweep_start",
-            schema=PROGRESS_SCHEMA,
-            task=specs[0].task if specs else "",
-            cells=len(specs),
-            jobs=self.jobs or 1,
-            grid=grid_fingerprint(keys),
-        )
-
-        # Serve cache hits; collect the first occurrence of each missing key.
-        pending: dict[str, int] = {}
-        order: list[int] = []
-        for i, (spec, key) in enumerate(zip(specs, keys)):
-            if key in pending:
-                continue  # duplicate of an in-flight miss; filled below
-            payload = self.cache.get(key, obs=self._obs)
-            if payload is not None:
-                results[i] = RunResult(spec=spec, payload=payload, cached=True, key=key)
-                self.served_from_cache += 1
-                self._tel_finish(i, key, payload, cached=True, failed=False)
-            else:
-                pending[key] = i
-                order.append(i)
-
-        # Execute the misses (pool when jobs > 1, else inline).
-        if order:
-            if self.jobs > 1:
-                self._map_pool(specs, keys, order, results)
-            else:
-                for i in order:
-                    self._cell_started[i] = time.monotonic()
-                    self._tel("cell_start", key=keys[i], index=i, attempt=0)
-                    payload, failed = self._run_cell_serial(specs[i], keys[i])
-                    self._finish(i, specs[i], keys[i], payload, failed, results)
-
-        # Fill duplicates / late cache hits from the now-warm cache.
-        for i, (spec, key) in enumerate(zip(specs, keys)):
-            if results[i] is None:
-                failure = self._failed_payloads.get(key)
-                if failure is not None:
-                    results[i] = RunResult(
-                        spec=spec, payload=failure, cached=False, key=key, failed=True
-                    )
-                    self._tel_finish(i, key, failure, cached=False, failed=True)
-                    continue
-                payload = self.cache.get(key, obs=self._obs)
-                assert payload is not None  # just stored above
-                results[i] = RunResult(spec=spec, payload=payload, cached=True, key=key)
-                self.served_from_cache += 1
-                self._tel_finish(i, key, payload, cached=True, failed=False)
-        self._tel(
-            "sweep_end",
-            cells=len(specs),
-            executed=self.executed,
-            cached=self.served_from_cache,
-            failed=self.failed,
-            retried=self.retried,
-            seconds=round(time.monotonic() - t_sweep, 3),
-        )
-        return results  # type: ignore[return-value]
-
-    def _absorb_plan(self, payload) -> None:
-        """Pop a cell's out-of-band sidecars (``_plan_stats``, ``_mem_stats``).
-
-        Must run before the payload is validated, cached, or exposed in
-        a result: plan shape and memory gauges are telemetry, and a
-        cached serve must be byte-identical to a fresh execution.
-        """
-        if isinstance(payload, dict):
-            side = payload.pop("_plan_stats", None)
-            if side:
-                self._plan_snaps.append(side)
-            mem = payload.pop("_mem_stats", None)
-            if mem:
-                self._mem_snaps.append(mem)
-                self._tel(
-                    "cell_mem",
-                    **{k: mem[k] for k in (
-                        "high_water_blocks", "slab_bytes",
-                        "ledger_high_water_records", "peak_rss_kb",
-                    ) if k in mem},
-                )
-
-    # ------------------------------------------------------ cell plumbing
-
-    def _finish(self, i, spec, key, payload, failed, results) -> None:
-        """Record one cell's terminal state (cache, journal, counters)."""
-        if failed:
-            self.failed += 1
-            self._failed_payloads[key] = payload
-            results[i] = RunResult(
-                spec=spec, payload=payload, cached=False, key=key, failed=True
-            )
-            self._event(
-                "runner.cell_failed",
-                key=key[:16],
-                attempts=payload.get("attempts"),
-                error=payload.get("error", {}).get("type"),
-            )
-            self._count("cell_failed")
-        else:
-            self.cache.put(key, payload)  # incremental: interrupts stay warm
-            results[i] = RunResult(spec=spec, payload=payload, cached=False, key=key)
-            self.executed += 1
-        self._tel_finish(
-            i, key, payload, cached=False, failed=failed,
-            records=spec.params.get("n"),
-        )
-        if self.journal is not None:
-            self.journal.record(key, "failed" if failed else "done")
-
-    def _failure_payload(self, spec: RunSpec, key: str, errors: list[dict]) -> dict:
-        """The structured ``repro.failures/1`` record for an exhausted cell."""
-        return failure_payload(spec.task, spec.params, key, errors, self.retries)
-
-    @staticmethod
-    def _error_record(attempt: int, exc: BaseException) -> dict:
-        return error_record(attempt, exc)
-
-    def _backoff_delay(self, key: str, attempt: int) -> float:
-        """The capped deterministic backoff slot for one retry of ``key``.
-
-        The exponential schedule ``backoff · 2^attempt`` is clipped so a
-        cell's *cumulative* sleep never exceeds ``backoff_max`` — a
-        permanent-fault plan with a deep retry budget then degrades to
-        immediate retries instead of stalling the sweep unboundedly.
-        """
-        delay = self.backoff * (2 ** attempt)
-        if self.backoff_max is not None:
-            spent = self._backoff_slept.get(key, 0.0)
-            budget = max(0.0, self.backoff_max - spent)
-            if delay > budget:
-                delay = budget
-                self.backoff_capped += 1
-        if delay > 0:
-            self._backoff_slept[key] = self._backoff_slept.get(key, 0.0) + delay
-        return delay
-
-    def _note_retry(self, key: str, attempt: int, exc: BaseException) -> None:
-        """Count one retry and sleep its deterministic backoff slot."""
-        self.retried += 1
-        delay = self._backoff_delay(key, attempt)
-        self._event(
-            "retry.attempt",
-            key=key[:16],
-            attempt=attempt + 1,
-            error=type(exc).__name__,
-            backoff=delay,
-        )
-        self._count("retry.attempt")
-        self._tel(
-            "cell_retry", key=key, attempt=attempt + 1,
-            error=type(exc).__name__,
-        )
-        if delay > 0:
-            time.sleep(delay)
-
-    # --------------------------------------------------------- serial path
-
-    def _run_cell_serial(self, spec: RunSpec, key: str) -> tuple[dict, bool]:
-        """Run one cell inline with the full retry loop.
-
-        Serial mode cannot preempt a wedged task, so ``timeout`` is a
-        pool-mode feature; ``hang``-effect faults self-release after
-        their configured duration, which keeps serial and pool retry
-        accounting identical.
-        """
-        errors: list[dict] = []
-        attempt = 0
-        while True:
-            try:
-                payload = _execute(
-                    spec.task, spec.params, self.fault_plan, key, attempt,
-                    False, self._telemetry_path,
-                )
-                self._absorb_plan(payload)
-                _validate_payload(payload, spec.task)
-                return payload, False
-            except Exception as exc:  # noqa: BLE001 - isolation is the point
-                errors.append(self._error_record(attempt, exc))
-                if attempt >= self.retries:
-                    return self._failure_payload(spec, key, errors), True
-                self._note_retry(key, attempt, exc)
-                attempt += 1
-
-    # ----------------------------------------------------------- pool path
-
-    def _map_pool(self, specs, keys, order, results) -> None:
-        """Dispatch pending cells on a process pool with recovery.
-
-        Three failure surfaces are handled:
-
-        * a future resolving to an exception (injected fault, poison, or
-          a real bug) → per-cell retry with backoff;
-        * ``BrokenProcessPool`` (a worker died — in chaos runs, a
-          ``crash``-effect fault calling ``os._exit``) → rebuild the
-          pool, charge the crash to the cell whose plan *says* it
-          crashed (:func:`~repro.resilience.exec_decision`, a pure
-          function of ``(plan, cell, attempt)``), and resubmit every
-          innocent in-flight cell at its **same** attempt number, so
-          pool and serial sweeps converge on identical retry accounting;
-        * a per-attempt ``timeout`` expiring → hung workers cannot be
-          cancelled, so this also rebuilds the pool; expired cells are
-          charged a :class:`~repro.exceptions.TaskTimeout`, innocents
-          resubmit unchanged.
-
-        A bounded rebuild budget stops a genuinely broken environment
-        (workers dying for non-injected reasons) from rebuilding
-        forever: once exhausted, crashed cells are charged directly.
-        """
-        state = {i: {"attempt": 0, "errors": []} for i in order}
-        inflight: dict = {}  # future -> (index, attempt)
-        deadlines: dict = {}  # future -> monotonic deadline (or None)
-        pool = ProcessPoolExecutor(max_workers=self.jobs)
-        rebuilds_left = self.jobs + (self.retries + 1) * len(order) + 2
-
-        def submit(idx: int) -> None:
-            st = state[idx]
-            if idx not in self._cell_started:
-                self._cell_started[idx] = time.monotonic()
-            self._tel(
-                "cell_start", key=keys[idx], index=idx, attempt=st["attempt"]
-            )
-            f = pool.submit(
-                _execute,
-                specs[idx].task,
-                specs[idx].params,
-                self.fault_plan,
-                keys[idx],
-                st["attempt"],
-                True,
-                self._telemetry_path,
-            )
-            inflight[f] = (idx, st["attempt"])
-            deadlines[f] = (
-                time.monotonic() + self.timeout if self.timeout else None
-            )
-
-        def charge(idx: int, attempt: int, exc: BaseException, resubmit: list) -> None:
-            st = state[idx]
-            st["errors"].append(self._error_record(attempt, exc))
-            if attempt >= self.retries:
-                payload = self._failure_payload(specs[idx], keys[idx], st["errors"])
-                self._finish(idx, specs[idx], keys[idx], payload, True, results)
-                return
-            self._note_retry(keys[idx], attempt, exc)
-            st["attempt"] = attempt + 1
-            resubmit.append(idx)
-
-        def settle(f, idx: int, attempt: int, resubmit: list) -> bool:
-            """Process one completed future; True unless the pool broke."""
-            try:
-                payload = f.result()
-                self._absorb_plan(payload)
-                _validate_payload(payload, specs[idx].task)
-            except BrokenProcessPool:
-                return False
-            except Exception as exc:  # noqa: BLE001 - isolation is the point
-                charge(idx, attempt, exc, resubmit)
-                return True
-            self._finish(idx, specs[idx], keys[idx], payload, False, results)
-            return True
-
-        def rebuild(reason: str):
-            nonlocal pool, rebuilds_left
-            pool.shutdown(wait=False, cancel_futures=True)
-            pool = ProcessPoolExecutor(max_workers=self.jobs)
-            self.pool_rebuilds += 1
-            rebuilds_left -= 1
-            self._event("runner.pool_rebuilt", reason=reason)
-            self._count("pool_rebuilds")
-            self._tel("pool_rebuilt", reason=reason)
-
-        try:
-            for idx in order:
-                submit(idx)
-            while inflight:
-                wait_for = None
-                if self.timeout is not None:
-                    now = time.monotonic()
-                    nearest = min(d for d in deadlines.values() if d is not None)
-                    wait_for = max(0.0, nearest - now) + 0.02
-                done, _ = wait(
-                    set(inflight), timeout=wait_for, return_when=FIRST_COMPLETED
-                )
-                resubmit: list[int] = []
-                crashed: list[tuple[int, int]] = []
-                for f in done:
-                    idx, attempt = inflight.pop(f)
-                    deadlines.pop(f, None)
-                    if not settle(f, idx, attempt, resubmit):
-                        crashed.append((idx, attempt))
-                if crashed:
-                    # The pool is broken: drain what finished, bucket the rest.
-                    for f, (idx, attempt) in list(inflight.items()):
-                        if f.done() and settle(f, idx, attempt, resubmit):
-                            continue
-                        crashed.append((idx, attempt))
-                    inflight.clear()
-                    deadlines.clear()
-                    rebuild("crash")
-                    for idx, attempt in crashed:
-                        rule = (
-                            exec_decision(self.fault_plan, keys[idx], attempt)
-                            if self.fault_plan is not None
-                            else None
-                        )
-                        if rule is not None and rule.effect == "crash":
-                            charge(
-                                idx,
-                                attempt,
-                                InjectedWorkerCrash(
-                                    f"injected {rule.mode} worker crash "
-                                    f"(attempt {attempt})"
-                                ),
-                                resubmit,
-                            )
-                        elif rebuilds_left <= 0:
-                            charge(
-                                idx,
-                                attempt,
-                                RuntimeError("worker process crashed"),
-                                resubmit,
-                            )
-                        else:
-                            resubmit.append(idx)  # innocent: same attempt
-                elif self.timeout is not None and inflight:
-                    now = time.monotonic()
-                    if any(
-                        d is not None and now > d for d in deadlines.values()
-                    ):
-                        # A wedged worker can't be cancelled: rebuild, charge
-                        # the expired cells, resubmit the innocents as-is.
-                        expired: list[tuple[int, int]] = []
-                        for f, (idx, attempt) in list(inflight.items()):
-                            d = deadlines.get(f)
-                            if f.done():
-                                if not settle(f, idx, attempt, resubmit):
-                                    expired.append((idx, attempt))
-                            elif d is not None and now > d:
-                                expired.append((idx, attempt))
-                            else:
-                                resubmit.append(idx)
-                        inflight.clear()
-                        deadlines.clear()
-                        rebuild("timeout")
-                        for idx, attempt in expired:
-                            self.timeouts += 1
-                            self._count("timeouts")
-                            charge(
-                                idx,
-                                attempt,
-                                TaskTimeout(
-                                    f"cell exceeded the {self.timeout}s "
-                                    f"per-attempt timeout (attempt {attempt})"
-                                ),
-                                resubmit,
-                            )
-                for idx in resubmit:
-                    submit(idx)
-        except KeyboardInterrupt:
-            # Persist every already-finished payload so restart is warm,
-            # then cancel what never started and re-raise.
-            for f, (idx, attempt) in inflight.items():
-                if not f.done() or results[idx] is not None:
-                    continue
-                try:
-                    payload = f.result()
-                    self._absorb_plan(payload)
-                    _validate_payload(payload, specs[idx].task)
-                except BaseException:
-                    continue
-                self._finish(idx, specs[idx], keys[idx], payload, False, results)
-            pool.shutdown(wait=False, cancel_futures=True)
-            raise
-        else:
-            pool.shutdown()
-
-    # -------------------------------------------------------------- stats
-
-    @property
-    def stats(self) -> dict:
-        """Execution, cache, and resilience counters for reporting.
-
-        ``jobs`` is the *effective* worker count after the usable-core
-        clamp; ``jobs_requested`` preserves what the caller asked for.
-        """
-        return {
-            "jobs": self.jobs or 1,
-            "jobs_requested": self.jobs_requested or 1,
-            "executed": self.executed,
-            "served_from_cache": self.served_from_cache,
-            "retried": self.retried,
-            "failed": self.failed,
-            "timeouts": self.timeouts,
-            "pool_rebuilds": self.pool_rebuilds,
-            "backoff_max": self.backoff_max,
-            "backoff_slept": round(sum(self._backoff_slept.values()), 4),
-            "backoff_capped": self.backoff_capped,
-            "cache": self.cache.stats,
-            # Physical-fusion telemetry summed over the freshly executed
-            # cells (cache hits ran no simulation, so contribute nothing).
-            "io_plan": merge_plan_snapshots(self._plan_snaps),
-            # Memory gauges folded the same way (counters add, high
-            # waters max); all-zero when REPRO_MEM_TELEMETRY is off.
-            "memory": merge_mem_snapshots(self._mem_snaps),
-        }
-
-
-def default_jobs() -> int:
-    """A sensible ``--jobs`` default: the usable core count."""
-    try:
-        return len(os.sched_getaffinity(0))
-    except AttributeError:  # pragma: no cover - non-Linux
-        return os.cpu_count() or 1
-
-
-# ---------------------------------------------------------------------------
-# Incremental job API (submit / poll / cancel) — the service-facing runner.
-# ---------------------------------------------------------------------------
-
-#: Terminal job statuses; everything else is still in flight.
-_TERMINAL = ("done", "failed", "cancelled")
-
-
-@dataclass
-class Job:
-    """One admitted unit of work in a :class:`JobRunner`.
-
-    The job id **is** the spec's content fingerprint, which is what makes
-    request coalescing natural: two clients submitting the same spec get
-    the same job.  ``meta`` carries admission-side annotations (tenant,
-    source connection) that never enter the payload — payloads stay pure
-    functions of ``(task, params)``.
-    """
-
-    spec: RunSpec
-    key: str
-    seq: int
-    meta: dict = field(default_factory=dict)
-    status: str = "queued"
-    attempt: int = 0
-    errors: list = field(default_factory=list)
-    payload: dict | None = None
-    cached: bool = False
-    subscribers: int = 1
-    cancel_requested: bool = False
-    #: Earliest monotonic time the next attempt may start (retry backoff).
-    not_before: float = 0.0
-    #: Cumulative backoff delay charged to this job (capped by the runner).
-    slept: float = 0.0
-
-    @property
-    def terminal(self) -> bool:
-        return self.status in _TERMINAL
-
-    @property
-    def failed(self) -> bool:
-        return self.status == "failed"
-
-
-class JobRunner:
-    """Incremental submit/poll/cancel execution over the exec layer.
-
-    Where :class:`ParallelRunner` maps a fixed spec list to completion,
-    ``JobRunner`` is the long-running variant a service needs: jobs are
-    **admitted** one at a time (with an optional capacity limit for
-    deterministic load shedding), coalesced by content fingerprint,
-    served from the shared :class:`ResultCache` when warm, and executed
-    by a background driver thread that reuses the same retry / backoff /
-    crash-attribution / pool-rebuild machinery as the batch runner —
-    chaos payloads therefore stay bit-identical to a fault-free serial
-    run (the service-grade chaos-determinism gate).
-
-    Concurrency contract: every public method is safe to call from any
-    thread.  Listeners registered with :meth:`add_listener` are invoked
-    from the driver thread (or the submitting thread, for cache hits and
-    queued-job cancels) **while the runner lock is held** — they must be
-    non-blocking and must not call back into the runner (bridge to an
-    event loop with ``call_soon_threadsafe``).
-
-    ``scheduler`` is an optional pick-next hook: a callable given the
-    list of runnable jobs (admission order) that returns the one to run
-    next — the seam the serve layer uses for fair-share scheduling.
-    """
-
-    def __init__(
-        self,
-        jobs: int | None = None,
-        cache_dir: str | None = None,
-        cache: ResultCache | None = None,
-        obs=None,
-        retries: int = 0,
-        timeout: float | None = None,
-        backoff: float = 0.05,
-        backoff_max: float | None = DEFAULT_BACKOFF_MAX,
-        fault_plan=None,
-        journal=None,
-        scheduler: Callable[[list[Job]], Job] | None = None,
-    ):
-        requested = int(jobs) if jobs else 0
-        usable = default_jobs()
-        self.jobs_requested = requested
-        self.jobs = min(requested, usable) if requested > 1 else requested
-        if cache is not None and cache_dir is not None:
-            raise ValueError("pass cache or cache_dir, not both")
-        if retries < 0:
-            raise ValueError(f"retries must be >= 0, got {retries}")
-        if timeout is not None and timeout <= 0:
-            raise ValueError(f"timeout must be > 0, got {timeout}")
-        if backoff < 0:
-            raise ValueError(f"backoff must be >= 0, got {backoff}")
-        if backoff_max is not None and backoff_max < 0:
-            raise ValueError(f"backoff_max must be >= 0, got {backoff_max}")
-        self.cache = cache if cache is not None else ResultCache(cache_dir)
-        self.retries = int(retries)
-        self.timeout = timeout
-        self.backoff = float(backoff)
-        self.backoff_max = None if backoff_max is None else float(backoff_max)
-        self.fault_plan = fault_plan
-        self.journal = journal
         self.scheduler = scheduler
         self._obs = obs
         self._scope = obs.scope("resilience") if obs is not None else None
         self._cond = threading.Condition()
         self._jobs: dict[str, Job] = {}
-        self._queue: list[Job] = []
+        self._queue: list[Job] = []  # kept in admission (seq) order
         self._running: set[str] = set()
         self._listeners: list[Callable[[Job, str], None]] = []
         self._seq = 0
@@ -978,7 +482,13 @@ class JobRunner:
         self.timeouts = 0
         self.pool_rebuilds = 0
         self.backoff_capped = 0
-        self._rebuilds_since_progress = 0
+        self.backoff_slept = 0.0
+        self._unexplained_crashes = 0  # since the last completed attempt
+        # Out-of-band sidecars of the executed jobs, folded as each lands:
+        # physical-fusion counters and memory gauges (counters add, high
+        # waters max; all-zero when REPRO_MEM_TELEMETRY is off).
+        self._io_plan = merge_plan_snapshots(())
+        self._memory = merge_mem_snapshots(())
 
     # ----------------------------------------------------------- plumbing
 
@@ -989,6 +499,30 @@ class JobRunner:
     def _count(self, name: str, n: int = 1) -> None:
         if self._scope is not None:
             self._scope.counter(name).inc(n)
+
+    def _tel(self, ev: str, **fields) -> None:
+        """Emit one live-telemetry line (no-op without a channel)."""
+        if self.telemetry is not None:
+            self.telemetry.emit(ev, **fields)
+
+    def _tel_finish(
+        self, index, key: str, payload, cached: bool = False,
+        failed: bool = False, started: float | None = None, records=None,
+    ) -> None:
+        """The ``cell_finish`` telemetry line for one terminal cell state."""
+        if self.telemetry is None:
+            return
+        fields = {"key": key, "index": index, "cached": cached, "failed": failed}
+        if started is not None:
+            seconds = time.monotonic() - started
+            fields["seconds"] = round(seconds, 4)
+            if not failed and records:
+                fields["records"] = records
+                if seconds > 0:
+                    fields["records_per_sec"] = round(records / seconds, 1)
+        if not failed:
+            fields["rounds"] = _payload_rounds(payload)
+        self.telemetry.emit("cell_finish", **fields)
 
     def add_listener(self, fn: Callable[[Job, str], None]) -> None:
         """Register a transition callback ``fn(job, status)``.
@@ -1167,6 +701,25 @@ class JobRunner:
             self._thread.start()
         return self
 
+    def run_until_idle(self) -> None:
+        """Drive the queue on the calling thread until it is empty.
+
+        The batch counterpart of :meth:`start`: the same driver runs, but
+        on this thread (a serial runner executes every attempt here; a
+        pool runner waits on its workers here) and it returns once no job
+        is queued or running.  If it is interrupted, the jobs in flight
+        go back to the queue.
+        """
+        if self.driver_alive:
+            raise RuntimeError("the driver thread is running; use wait_idle()")
+        try:
+            (self._drive_pool if self.jobs > 1 else self._drive_serial)(until_idle=True)
+        except BaseException:
+            with self._cond:
+                for key in list(self._running):
+                    self._requeue_locked(self._jobs[key])
+            raise
+
     @property
     def driver_alive(self) -> bool:
         thread = self._thread
@@ -1189,6 +742,7 @@ class JobRunner:
         return not thread.is_alive()
 
     def _finish_locked(self, job: Job, status: str, payload: dict | None = None) -> None:
+        self._running.discard(job.key)
         job.status = status
         if payload is not None:
             job.payload = payload
@@ -1196,13 +750,33 @@ class JobRunner:
             self.completed += 1
         elif status == "failed":
             self.failed += 1
+            self._event(
+                "runner.cell_failed",
+                key=job.key[:16],
+                attempts=payload.get("attempts"),
+                error=payload.get("error", {}).get("type"),
+            )
+            self._count("cell_failed")
         elif status == "cancelled":
             self.cancelled += 1
         self._count(f"job.{status}")
         self._event("job.finished", key=job.key[:16], status=status)
         self._journal_job(job, status)
+        if status != "cancelled":
+            self._tel_finish(
+                job.meta.get("index"), job.key, job.payload,
+                failed=status == "failed", started=job.started,
+                records=job.spec.params.get("n"),
+            )
         self._notify_locked(job, status)
         self._cond.notify_all()
+
+    def _complete_locked(self, job: Job, payload: dict) -> None:
+        """A successful attempt: cache the payload, then finish the job."""
+        self.cache.put(job.key, payload)  # incremental: interrupts stay warm
+        self.executed += 1
+        self._unexplained_crashes = 0
+        self._finish_locked(job, "done", payload=payload)
 
     def _charge_locked(self, job: Job, exc: BaseException) -> None:
         """Account one failed attempt: retry with capped backoff, or fail."""
@@ -1216,6 +790,10 @@ class JobRunner:
             )
             self._finish_locked(job, "failed", payload=payload)
             return
+        # The capped deterministic backoff: the exponential schedule is
+        # clipped so a cell's *cumulative* delay never exceeds
+        # ``backoff_max`` — a permanent-fault plan with a deep retry
+        # budget then degrades to immediate retries instead of stalling.
         delay = self.backoff * (2 ** job.attempt)
         if self.backoff_max is not None:
             budget = max(0.0, self.backoff_max - job.slept)
@@ -1223,217 +801,301 @@ class JobRunner:
                 delay = budget
                 self.backoff_capped += 1
         job.slept += delay
+        self.backoff_slept += delay
         self.retried += 1
         self._count("retry.attempt")
         self._event(
             "retry.attempt", key=job.key[:16], attempt=job.attempt + 1,
             error=type(exc).__name__, backoff=delay,
         )
+        self._tel(
+            "cell_retry", key=job.key, attempt=job.attempt + 1,
+            error=type(exc).__name__,
+        )
         job.attempt += 1
+        self._requeue_locked(job, delay)
+
+    def _requeue_locked(self, job: Job, delay: float = 0.0) -> None:
+        """Put a non-terminal job back in the queue, ready after ``delay``."""
+        self._running.discard(job.key)
         job.status = "queued"
         job.not_before = time.monotonic() + delay
-        self._queue.append(job)
+        bisect.insort(self._queue, job, key=lambda j: j.seq)
         self._cond.notify_all()
 
-    def _settle_locked(self, payload_or_exc, job: Job) -> None:
-        """Terminal-ize one finished attempt (payload or exception)."""
-        if isinstance(payload_or_exc, BaseException):
-            self._charge_locked(job, payload_or_exc)
-            return
-        self.cache.put(job.key, payload_or_exc)
-        self.executed += 1
-        self._rebuilds_since_progress = 0
-        self._finish_locked(job, "done", payload=payload_or_exc)
+    def _unpack(self, payload, task: str) -> dict:
+        """Pop a payload's out-of-band sidecars, then schema-check it.
 
-    def _absorb(self, payload) -> None:
-        """Drop the out-of-band sidecars a worker may attach."""
+        Must run before the payload is validated, cached, or exposed in
+        a result: plan shape and memory gauges are telemetry, and a
+        cached serve must be byte-identical to a fresh execution.  Each
+        sidecar is folded into the runner's totals as it lands.
+        """
         if isinstance(payload, dict):
-            payload.pop("_plan_stats", None)
-            payload.pop("_mem_stats", None)
+            side = payload.pop("_plan_stats", None)
+            mem = payload.pop("_mem_stats", None)
+            with self._cond:
+                if side:
+                    self._io_plan = merge_plan_snapshots((self._io_plan, side))
+                if mem:
+                    self._memory = merge_mem_snapshots((self._memory, mem))
+                    self._tel(
+                        "cell_mem",
+                        **{k: mem[k] for k in (
+                            "high_water_blocks", "slab_bytes",
+                            "ledger_high_water_records", "peak_rss_kb",
+                        ) if k in mem},
+                    )
+        _validate_payload(payload, task)
+        return payload
 
     def _pick_locked(self, now: float) -> Job | None:
-        ready = [j for j in self._queue if j.not_before <= now]
-        if not ready:
-            return None
-        ready.sort(key=lambda j: j.seq)
-        if self.scheduler is not None:
-            job = self.scheduler(ready)
+        """Dequeue the next ready job (the scheduler's pick, else the oldest)."""
+        if self.scheduler is None:
+            job = next((j for j in self._queue if j.not_before <= now), None)
         else:
-            job = ready[0]
-        self._queue.remove(job)
+            ready = [j for j in self._queue if j.not_before <= now]
+            job = self.scheduler(ready) if ready else None
+        if job is not None:
+            self._queue.remove(job)
         return job
+
+    def _dispatch_locked(self, job: Job, now: float) -> None:
+        job.status = "running"
+        self._running.add(job.key)
+        if job.started is None:
+            job.started = now
+        self._tel(
+            "cell_start", key=job.key, index=job.meta.get("index"),
+            attempt=job.attempt,
+        )
+        self._notify_locked(job, "running")
 
     def _next_delay_locked(self, now: float) -> float | None:
         pending = [j.not_before - now for j in self._queue if j.not_before > now]
         return min(pending) if pending else None
 
     def _drive(self) -> None:
+        """Driver-thread entry point: run until :meth:`close`."""
         try:
-            if self.jobs > 1:
-                self._drive_pool()
-            else:
-                self._drive_serial()
+            (self._drive_pool if self.jobs > 1 else self._drive_serial)(until_idle=False)
         except BaseException as exc:  # noqa: BLE001 - surfaced via readiness
             with self._cond:
                 self.driver_error = f"{type(exc).__name__}: {exc}"
                 self._cond.notify_all()
             raise
 
-    def _drive_serial(self) -> None:
+    def _drive_serial(self, until_idle: bool) -> None:
+        """Run jobs one at a time on this thread.
+
+        Serial mode cannot preempt a wedged task, so ``timeout`` is a
+        pool-mode feature; ``hang``-effect faults self-release after
+        their configured duration, which keeps serial and pool retry
+        accounting identical.
+        """
         while True:
             with self._cond:
                 job = None
                 while not self._stop:
                     now = time.monotonic()
                     job = self._pick_locked(now)
-                    if job is not None:
+                    if job is not None or (until_idle and not self._queue):
                         break
                     self._cond.wait(timeout=self._next_delay_locked(now))
                 if job is None:
                     return
-                if job.cancel_requested:
-                    self._finish_locked(job, "cancelled")
-                    continue
-                job.status = "running"
-                self._running.add(job.key)
-                self._notify_locked(job, "running")
+                self._dispatch_locked(job, now)
             try:
-                payload = _execute(
+                payload = self._unpack(_execute(
                     job.spec.task, job.spec.params, self.fault_plan,
-                    job.key, job.attempt, False, None,
-                )
-                self._absorb(payload)
-                _validate_payload(payload, job.spec.task)
-                outcome = payload
+                    job.key, job.attempt, False, self._telemetry_path,
+                ), job.spec.task)
             except Exception as exc:  # noqa: BLE001 - isolation is the point
-                outcome = exc
+                # Settle inside the handler: ``exc`` (whose traceback pins
+                # every frame of the failed attempt, machines included)
+                # is released when the clause ends, not after the retry.
+                with self._cond:
+                    self._charge_locked(job, exc)
+                continue
             with self._cond:
-                self._running.discard(job.key)
-                self._settle_locked(outcome, job)
+                self._complete_locked(job, payload)
 
-    def _drive_pool(self) -> None:
+    def _drive_pool(self, until_idle: bool) -> None:
+        """Dispatch jobs on a process pool with recovery.
+
+        Three failure surfaces are handled:
+
+        * a future resolving to an exception (injected fault, poison, or
+          a real bug) → per-job retry with backoff;
+        * ``BrokenProcessPool`` (a worker died — in chaos runs, a
+          ``crash``-effect fault calling ``os._exit``) → rebuild the
+          pool, charge the crash to the job whose plan *says* it
+          crashed (:func:`~repro.resilience.exec_decision`, a pure
+          function of ``(plan, cell, attempt)``), and resubmit every
+          innocent in-flight job at its **same** attempt number, so
+          pool and serial runs converge on identical retry accounting;
+        * a per-attempt ``timeout`` expiring, or a running job being
+          cancelled → a worker cannot be interrupted in place, so this
+          also rebuilds the pool; expired jobs are charged a
+          :class:`~repro.exceptions.TaskTimeout`, cancelled ones end
+          ``cancelled``, innocents resubmit unchanged.
+
+        One rebuild rule stops a genuinely broken environment (workers
+        dying for causes no plan attributes) from rebuilding forever:
+        after more than ``jobs + retries + 2`` crashes that no plan rule
+        explains, with no attempt completing in between, such crashes are
+        charged to every job they took down as failed attempts
+        (``RuntimeError("worker process crashed")``).  A planned crash, a
+        timeout or a cancel charges or ends the job that caused it, so
+        none of them counts: the budget of those is the retry budget.
+        Counting since the last completion, not in total, is what a
+        long-lived service needs: its budget must not run out over days
+        of healthy work.
+        """
         pool = ProcessPoolExecutor(max_workers=self.jobs)
-        inflight: dict = {}   # future -> job
-        deadlines: dict = {}  # future -> monotonic deadline (or None)
+        # A batch owns its whole queue, so it keeps one job queued behind
+        # each worker: a worker that finishes starts its next job without
+        # waiting for this thread to collect and cache the last one.  A
+        # service keeps its waiting jobs in the runner's queue, where a
+        # cancel or the scheduler can still reach them.
+        depth = 2 * self.jobs if until_idle else self.jobs
+        inflight: dict = {}   # future -> job, in submission order
+        deadlines: dict = {}  # future -> monotonic deadline, once on a worker
 
         def rebuild_locked(reason: str):
             nonlocal pool
             pool.shutdown(wait=False, cancel_futures=True)
             pool = ProcessPoolExecutor(max_workers=self.jobs)
             self.pool_rebuilds += 1
-            self._rebuilds_since_progress += 1
             self._event("runner.pool_rebuilt", reason=reason)
             self._count("pool_rebuilds")
+            self._tel("pool_rebuilt", reason=reason)
 
-        def settle_future_locked(f, job: Job) -> bool:
+        def settle_locked(f, job: Job) -> bool:
             """Process one completed future; False iff the pool broke."""
             try:
-                payload = f.result()
-                self._absorb(payload)
-                _validate_payload(payload, job.spec.task)
+                payload = self._unpack(f.result(), job.spec.task)
             except BrokenProcessPool:
                 return False
             except Exception as exc:  # noqa: BLE001 - isolation is the point
-                self._settle_locked(exc, job)
+                self._charge_locked(job, exc)
                 return True
-            self._settle_locked(payload, job)
+            self._complete_locked(job, payload)
             return True
 
-        def attribute_crash_locked(job: Job) -> None:
-            rule = (
-                exec_decision(self.fault_plan, job.key, job.attempt)
-                if self.fault_plan is not None
-                else None
+        def arm_locked(now: float) -> None:
+            """Start the timeout of every job that has reached a worker.
+
+            The pool runs jobs in submission order, so the oldest ``jobs``
+            futures in flight are the running ones; a job queued behind
+            them gets its deadline once a worker frees up for it.
+            """
+            if self.timeout is not None:
+                for f in list(inflight)[: self.jobs]:
+                    deadlines.setdefault(f, now + self.timeout)
+
+        def crash_rule(job: Job):
+            """The plan's ``crash`` rule for this attempt, if it names one."""
+            if self.fault_plan is None:
+                return None
+            rule = exec_decision(self.fault_plan, job.key, job.attempt)
+            return rule if rule is not None and rule.effect == "crash" else None
+
+        def attribute_crashes_locked(crashed: list[Job]) -> None:
+            rules = [crash_rule(job) for job in crashed]
+            # A crash the plan predicts is explained: its job is charged
+            # and the others killed with it are innocent.  Only a crash no
+            # rule explains counts toward the rebuild rule, so a run of
+            # planned crashes never charges the cell running beside them.
+            unexplained = not any(rules)
+            if unexplained:
+                self._unexplained_crashes += 1
+            give_up = (
+                unexplained
+                and self._unexplained_crashes > self.jobs + self.retries + 2
             )
-            if job.cancel_requested:
-                self._finish_locked(job, "cancelled")
-            elif rule is not None and rule.effect == "crash":
-                self._charge_locked(
-                    job,
-                    InjectedWorkerCrash(
-                        f"injected {rule.mode} worker crash "
-                        f"(attempt {job.attempt})"
-                    ),
-                )
-            elif self._rebuilds_since_progress > self.jobs + self.retries + 2:
-                self._charge_locked(job, RuntimeError("worker process crashed"))
-            else:
-                job.status = "queued"  # innocent: resubmit at the same attempt
-                self._queue.append(job)
+            for job, rule in zip(crashed, rules):
+                if job.cancel_requested:
+                    self._finish_locked(job, "cancelled")
+                elif rule is not None:
+                    self._charge_locked(
+                        job,
+                        InjectedWorkerCrash(
+                            f"injected {rule.mode} worker crash "
+                            f"(attempt {job.attempt})"
+                        ),
+                    )
+                elif give_up:
+                    self._charge_locked(job, RuntimeError("worker process crashed"))
+                else:
+                    self._requeue_locked(job)  # innocent: same attempt
 
         try:
             while True:
                 with self._cond:
                     now = time.monotonic()
-                    while not self._stop and len(inflight) < self.jobs:
+                    while not self._stop and len(inflight) < depth:
                         job = self._pick_locked(now)
                         if job is None:
                             break
-                        if job.cancel_requested:
-                            self._finish_locked(job, "cancelled")
-                            continue
-                        job.status = "running"
-                        self._running.add(job.key)
-                        self._notify_locked(job, "running")
-                        f = pool.submit(
-                            _execute, job.spec.task, job.spec.params,
-                            self.fault_plan, job.key, job.attempt, True, None,
-                        )
+                        self._dispatch_locked(job, now)
+                        try:
+                            f = pool.submit(
+                                _execute, job.spec.task, job.spec.params,
+                                self.fault_plan, job.key, job.attempt, True,
+                                self._telemetry_path,
+                            )
+                        except BrokenProcessPool as exc:
+                            # A worker died since the last rebuild: settle
+                            # this job as one more crash of the same pool.
+                            f = Future()
+                            f.set_exception(exc)
                         inflight[f] = job
-                        deadlines[f] = now + self.timeout if self.timeout else None
+                    arm_locked(now)
                     if not inflight:
-                        if self._stop:
-                            return
+                        if self._stop or (until_idle and not self._queue):
+                            break
                         self._cond.wait(timeout=self._next_delay_locked(now))
                         continue
-                done, _ = wait(set(inflight), timeout=0.05, return_when=FIRST_COMPLETED)
+                done, _ = wait(set(inflight), timeout=_POLL_S, return_when=FIRST_COMPLETED)
                 with self._cond:
                     crashed: list[Job] = []
                     for f in done:
                         job = inflight.pop(f)
                         deadlines.pop(f, None)
-                        self._running.discard(job.key)
-                        if not settle_future_locked(f, job):
+                        if not settle_locked(f, job):
                             crashed.append(job)
-                    if crashed:
-                        # Pool is broken: drain what finished, bucket the rest.
-                        for f, job in list(inflight.items()):
-                            self._running.discard(job.key)
-                            if f.done() and settle_future_locked(f, job):
-                                continue
-                            crashed.append(job)
-                        inflight.clear()
-                        deadlines.clear()
-                        rebuild_locked("crash")
-                        for job in crashed:
-                            attribute_crash_locked(job)
-                        continue
                     now = time.monotonic()
-                    expired = any(
-                        d is not None and now > d for d in deadlines.values()
-                    )
-                    cancels = any(j.cancel_requested for j in inflight.values())
-                    if not (expired or cancels):
+                    if crashed:
+                        reason = "crash"
+                    elif any(j.cancel_requested for j in inflight.values()):
+                        reason = "cancel"
+                    elif any(now > d for d in deadlines.values()):
+                        reason = "timeout"
+                    else:
                         continue
-                    # A wedged (or cancelled) worker can't be interrupted:
-                    # rebuild, charge the victims, resubmit the innocents.
+                    # The pool must go: a dead worker broke it, or a wedged
+                    # (or cancelled) one can't be interrupted.  Settle what
+                    # finished, charge the victims, resubmit the innocents.
                     victims: list[tuple[Job, str]] = []
-                    innocents: list[Job] = []
-                    for f, job in list(inflight.items()):
+                    for f, job in inflight.items():
                         d = deadlines.get(f)
-                        self._running.discard(job.key)
                         if f.done():
-                            if not settle_future_locked(f, job):
-                                victims.append((job, "crash"))
+                            if not settle_locked(f, job):
+                                crashed.append(job)
+                        elif reason == "crash":
+                            crashed.append(job)
                         elif job.cancel_requested:
                             victims.append((job, "cancel"))
                         elif d is not None and now > d:
                             victims.append((job, "timeout"))
                         else:
-                            innocents.append(job)
+                            victims.append((job, "innocent"))
                     inflight.clear()
                     deadlines.clear()
-                    rebuild_locked("cancel" if cancels else "timeout")
+                    rebuild_locked(reason)
+                    if crashed:
+                        attribute_crashes_locked(crashed)
                     for job, why in victims:
                         if why == "cancel":
                             self._finish_locked(job, "cancelled")
@@ -1448,10 +1110,20 @@ class JobRunner:
                                 ),
                             )
                         else:
-                            attribute_crash_locked(job)
-                    for job in innocents:
-                        job.status = "queued"
-                        self._queue.append(job)
+                            self._requeue_locked(job)
+        except KeyboardInterrupt:
+            # Persist every already-finished payload so restart is warm,
+            # then cancel what never started and re-raise.
+            with self._cond:
+                for f, job in inflight.items():
+                    if not f.done():
+                        continue
+                    try:
+                        payload = self._unpack(f.result(), job.spec.task)
+                    except Exception:  # noqa: BLE001 - only payloads persist
+                        continue
+                    self._complete_locked(job, payload)
+            raise
         finally:
             pool.shutdown(wait=False, cancel_futures=True)
 
@@ -1459,7 +1131,7 @@ class JobRunner:
 
     @property
     def stats(self) -> dict:
-        """Admission + execution counters (service-facing superset)."""
+        """Admission + execution counters (``runner`` in ``repro.serve_stats/1``)."""
         with self._cond:
             return {
                 "jobs": self.jobs or 1,
@@ -1482,4 +1154,110 @@ class JobRunner:
                 "driver_alive": self.driver_alive,
                 "driver_error": self.driver_error,
                 "cache": self.cache.stats,
+            }
+
+
+class ParallelRunner(JobRunner):
+    """Map a spec list to results in spec order over a :class:`JobRunner`.
+
+    Takes the :class:`JobRunner` constructor.  :meth:`map` submits every
+    spec, drives the queue to empty on the calling thread, and returns
+    one :class:`RunResult` per spec; :attr:`stats` is the
+    ``repro.sweep_stats/1`` view of the counters.  A journal receives
+    the sweep's ``cell`` records (the caller writes the ``start``
+    record).
+    """
+
+    def __init__(self, *args, **kwargs):
+        super().__init__(*args, **kwargs)
+        self.served_from_cache = 0
+
+    def _journal_job(self, job: Job, status: str) -> None:
+        """Checkpoint terminal cells as ``cell`` records (``start`` + ``cell``)."""
+        if self.journal is not None and status in ("done", "failed"):
+            self.journal.record(job.key, status)
+
+    def map(self, specs: Iterable[RunSpec]) -> list[RunResult]:
+        """Execute every spec; results return in spec order.
+
+        Cache hits are served without execution; duplicate specs within
+        one call coalesce into one job (the later occurrences come back
+        ``cached=True``, even with an in-memory cache).  Misses run
+        serially or on the pool depending on ``jobs``; either way the
+        returned list is ordered by input position, so downstream tables
+        are bit-identical to a serial sweep.  Cells that exhaust their
+        retry budget come back with ``failed=True`` and a
+        ``repro.failures/1`` payload.
+        """
+        specs = list(specs)
+        t_sweep = time.monotonic()
+        admitted = [
+            self.submit(spec, meta={"index": i}) for i, spec in enumerate(specs)
+        ]
+        self._tel(
+            "sweep_start",
+            schema=PROGRESS_SCHEMA,
+            task=specs[0].task if specs else "",
+            cells=len(specs),
+            jobs=self.jobs or 1,
+            grid=grid_fingerprint(job.key for job, _ in admitted),
+        )
+        for i, (job, disposition) in enumerate(admitted):
+            if disposition == "cached":
+                self.served_from_cache += 1
+                self._tel_finish(i, job.key, job.payload, cached=True)
+        self.run_until_idle()
+
+        results = []
+        for i, (spec, (job, disposition)) in enumerate(zip(specs, admitted)):
+            cached = disposition != "new" and not job.failed
+            if disposition == "coalesced":
+                if cached:
+                    self.served_from_cache += 1
+                self._tel_finish(
+                    i, job.key, job.payload, cached=cached, failed=job.failed
+                )
+            results.append(RunResult(
+                spec=spec, payload=job.payload, cached=cached, key=job.key,
+                failed=job.failed,
+            ))
+        self._tel(
+            "sweep_end",
+            cells=len(specs),
+            executed=self.executed,
+            cached=self.served_from_cache,
+            failed=self.failed,
+            retried=self.retried,
+            seconds=round(time.monotonic() - t_sweep, 3),
+        )
+        return results
+
+    @property
+    def stats(self) -> dict:
+        """Execution, cache, and resilience counters for reporting.
+
+        ``jobs`` is the *effective* worker count after the usable-core
+        clamp; ``jobs_requested`` preserves what the caller asked for.
+        ``backoff_slept`` is the total backoff delay charged to retries.
+        """
+        with self._cond:
+            return {
+                "jobs": self.jobs or 1,
+                "jobs_requested": self.jobs_requested or 1,
+                "executed": self.executed,
+                "served_from_cache": self.served_from_cache,
+                "retried": self.retried,
+                "failed": self.failed,
+                "timeouts": self.timeouts,
+                "pool_rebuilds": self.pool_rebuilds,
+                "backoff_max": self.backoff_max,
+                "backoff_slept": round(self.backoff_slept, 4),
+                "backoff_capped": self.backoff_capped,
+                "cache": self.cache.stats,
+                # Physical-fusion telemetry summed over the freshly executed
+                # cells (cache hits ran no simulation, so contribute nothing).
+                "io_plan": dict(self._io_plan),
+                # Memory gauges folded the same way (counters add, high
+                # waters max); all-zero when REPRO_MEM_TELEMETRY is off.
+                "memory": dict(self._memory),
             }

@@ -17,7 +17,7 @@ from ..analysis.reporting import Table
 from .metrics import Histogram, MetricsRegistry
 from .tracer import Observation, read_trace
 
-__all__ = ["RunReport", "render_report", "summarize_trace", "SCHEMA"]
+__all__ = ["RunReport", "render_report", "summarize_trace", "write_json", "SCHEMA"]
 
 SCHEMA = "repro.run_report/1"
 
@@ -189,20 +189,32 @@ class RunReport:
         """The report as a JSON string (numpy values coerced)."""
         return json.dumps(self.to_dict(), indent=indent, default=_default)
 
-    def write(self, path_or_dash: str) -> None:
+    def write(self, path_or_dash: str) -> bool:
         """Write the JSON report to ``path`` (``"-"`` for stdout)."""
-        text = self.to_json()
-        if path_or_dash == "-":
-            print(text)
-        else:
-            with open(path_or_dash, "w") as fh:
-                fh.write(text + "\n")
+        return write_json(self.to_dict(), path_or_dash)
 
     # ------------------------------------------------------------- tables
 
     def tables(self) -> list[Table]:
         """Human rendering: one aligned table per report section."""
         return render_report(self.to_dict())
+
+
+def write_json(doc, dest: str) -> bool:
+    """Write ``doc`` as indented JSON to ``dest`` (``"-"`` for stdout).
+
+    The one JSON writer behind every ``--emit-json`` / ``--stats-json``
+    flag and :meth:`RunReport.write` (numpy values coerced).  Returns
+    True when the document went to stdout, where it replaces the human
+    tables.
+    """
+    text = json.dumps(doc, indent=2, default=_default)
+    if dest == "-":
+        print(text)
+        return True
+    with open(dest, "w") as fh:
+        fh.write(text + "\n")
+    return False
 
 
 def _default(value):

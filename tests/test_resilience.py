@@ -15,7 +15,7 @@ import os
 import pytest
 
 from repro.exceptions import InjectedIOError, ParameterError
-from repro.exec import ParallelRunner, ResultCache, RunSpec, payload_digest
+from repro.exec import JobRunner, ParallelRunner, ResultCache, RunSpec, payload_digest
 from repro.exec.runner import FAILURES_SCHEMA
 from repro.obs import Observation
 from repro.resilience import (
@@ -313,6 +313,43 @@ class TestPoolRecovery:
             json.dumps([r.payload for r in q], sort_keys=True)
         assert serial.stats["retried"] == pooled.stats["retried"]
 
+    def test_planned_crashes_never_charge_the_cell_beside_them(self):
+        """A run of planned crashes longer than the rebuild rule's
+        ``jobs + retries + 2`` must not charge the innocent cell each of
+        them kills: every one is explained by the plan, so the pool ends
+        exactly like the serial run.  A long cell goes first and short
+        cells fated to crash their first attempt follow; the backoff holds
+        their retries back until all of them have crashed, so the long
+        cell is killed by every one of those pool rebuilds in a row."""
+        p = plan(rule(effect="crash", rate=0.5, at=()))
+
+        def fated(spec):
+            return exec_decision(p, spec.fingerprint(), 0) is not None
+
+        long_cell = next(
+            s for s in (RunSpec("hierarchy_sort", {"n": 2048, "h": 16, "seed": i})
+                        for i in range(40))
+            if not fated(s)
+        )
+        crashers = [
+            s for s in (RunSpec("hierarchy_sort", {"n": 256, "h": 16, "seed": i})
+                        for i in range(100))
+            if fated(s)
+        ][:24]
+        assert len(crashers) == 24
+        specs = [long_cell, *crashers]
+
+        serial = ParallelRunner(jobs=0, retries=1, backoff=3.0, fault_plan=p)
+        pooled = ParallelRunner(jobs=2, retries=1, backoff=3.0, fault_plan=p)
+        s = serial.map(specs)
+        q = pooled.map(specs)
+        assert not any(r.failed for r in s)
+        assert json.dumps([r.payload for r in s], sort_keys=True) == \
+            json.dumps([r.payload for r in q], sort_keys=True)
+        assert serial.stats["retried"] == pooled.stats["retried"] == 24
+        # the scenario really outran the rule's bound
+        assert pooled.stats["pool_rebuilds"] > pooled.jobs + pooled.retries + 2
+
     def test_permanent_crash_isolates_to_failure_record(self):
         p = plan(rule(effect="crash", mode="permanent"))
         runner = ParallelRunner(jobs=2, retries=1, backoff=0.0, fault_plan=p)
@@ -330,12 +367,59 @@ class TestPoolRecovery:
         assert runner.stats["timeouts"] == 1
         assert runner.stats["pool_rebuilds"] >= 1
 
+    def test_queued_cell_timeout_starts_on_a_worker(self):
+        """A batch queues one cell behind each worker, and a queued
+        cell's timeout starts only once a worker takes it.  Two hung cells
+        hold both workers past the timeout: they alone are charged, and
+        the two cells queued behind them resubmit at their same attempt."""
+        p = plan(rule(effect="hang", duration=20.0, rate=0.5, at=()))
+
+        def hangs(spec):
+            return exec_decision(p, spec.fingerprint(), 0) is not None
+
+        cells = [RunSpec("hierarchy_sort", {"n": 256, "h": 16, "seed": i})
+                 for i in range(40)]
+        hung = [s for s in cells if hangs(s)][:2]
+        queued = [s for s in cells if not hangs(s)][:2]
+        runner = ParallelRunner(jobs=2, retries=1, backoff=0.0, timeout=1.0,
+                                fault_plan=p)
+        out = runner.map([*hung, *queued])
+        assert not any(r.failed for r in out)
+        assert runner.stats["timeouts"] == 2
+        assert runner.stats["retried"] == 2
+
     def test_exhausted_timeout_charges_taskTimeout(self):
         p = plan(rule(effect="hang", mode="permanent", duration=20.0))
         runner = ParallelRunner(jobs=2, retries=0, timeout=0.6, fault_plan=p)
         out = runner.map([SPEC])[0]
         assert out.failed
         assert out.error["type"] == "TaskTimeout"
+
+    def test_submit_to_broken_pool_counts_as_a_crash(self, monkeypatch):
+        """A worker can die between two submits; the next ``submit`` then
+        raises ``BrokenProcessPool`` itself, which must go through crash
+        recovery instead of escaping the driver."""
+        from concurrent.futures import ProcessPoolExecutor
+        from concurrent.futures.process import BrokenProcessPool
+
+        import repro.exec.runner as runner_mod
+
+        broken = [True]
+
+        class DiesBeforeFirstSubmit(ProcessPoolExecutor):
+            def submit(self, *args, **kwargs):
+                if broken:
+                    broken.pop()
+                    raise BrokenProcessPool("a worker died")
+                return super().submit(*args, **kwargs)
+
+        monkeypatch.setattr(runner_mod, "ProcessPoolExecutor",
+                            DiesBeforeFirstSubmit)
+        runner = ParallelRunner(jobs=2)
+        out = runner.map([SPEC])[0]
+        assert not out.failed
+        assert runner.stats["pool_rebuilds"] == 1
+        assert runner.stats["retried"] == 0  # innocent: same attempt
 
     def test_interrupt_persists_completed_payloads(self, monkeypatch, tmp_path):
         import repro.exec.runner as runner_mod
@@ -360,6 +444,122 @@ class TestPoolRecovery:
         out = warm.map([SPEC, SPEC2])
         assert all(r.cached for r in out)
         assert warm.executed == 0
+
+
+# --------------------------------------------------- one driver, two uses
+
+
+class TestRetryReleasesFailedAttempt:
+    """A failed attempt's simulation is garbage before its retry starts.
+
+    The exception of a failed attempt carries a traceback that pins every
+    frame of that attempt, and with them the machine it built.  Holding it
+    while the retry runs keeps two simulations alive at once (and raises
+    peak RSS) on every retried cell.  Both the batch and the service path
+    count the machines still alive when attempt 1 starts.
+    """
+
+    CELL = RunSpec("sort_pdm", {"n": 2000, "memory": 512, "block": 4,
+                                "disks": 4, "workload": "uniform", "seed": 0})
+    PLAN = plan(rule("store.read", at=(3,)))  # attempt 0 dies mid-sort
+
+    @pytest.fixture
+    def live_at_retry(self, monkeypatch):
+        import gc
+        import weakref
+
+        import repro.exec.runner as runner_mod
+        from repro.pdm.machine import ParallelDiskMachine
+
+        machines = weakref.WeakSet()
+        counts: list[int] = []
+        init = ParallelDiskMachine.__init__
+        execute = runner_mod._execute
+
+        def tracked_init(self, *args, **kwargs):
+            init(self, *args, **kwargs)
+            machines.add(self)
+
+        def counting_execute(task, params, plan=None, cell="", attempt=0, *rest):
+            if attempt > 0:
+                gc.collect()
+                counts.append(len(machines))
+            return execute(task, params, plan, cell, attempt, *rest)
+
+        monkeypatch.setattr(ParallelDiskMachine, "__init__", tracked_init)
+        monkeypatch.setattr(runner_mod, "_execute", counting_execute)
+        return counts
+
+    def test_batch_map(self, live_at_retry):
+        runner = ParallelRunner(jobs=0, retries=1, backoff=0.0,
+                                fault_plan=self.PLAN)
+        assert not runner.map([self.CELL])[0].failed
+        assert live_at_retry == [0]
+
+    def test_started_service_runner(self, live_at_retry):
+        runner = JobRunner(jobs=0, retries=1, backoff=0.0,
+                           fault_plan=self.PLAN).start()
+        try:
+            job, _ = runner.submit(self.CELL)
+            assert runner.wait(job.key, timeout=120).status == "done"
+        finally:
+            runner.close()
+        assert live_at_retry == [0]
+
+
+@pytest.mark.slow
+class TestRebuildRule:
+    """The one rebuild rule: once a pool has been rebuilt more than
+    ``jobs + retries + 2`` times with no attempt completing, crashes no
+    fault plan attributes are charged as failed attempts.
+
+    With every worker dying on every attempt, nothing attributable, and
+    all cells in flight together (cells <= jobs), the first
+    ``jobs + retries + 2`` rebuilds resubmit every cell at its same
+    attempt; each later rebuild charges every cell one attempt, and a
+    cell fails on its ``retries + 1``-th charge, so
+
+        pool_rebuilds == (jobs + retries + 2) + (retries + 1)
+    """
+
+    JOBS, RETRIES = 2, 1
+    REBUILDS = (JOBS + RETRIES + 2) + (RETRIES + 1)
+    PLAN = plan(rule(effect="crash", mode="permanent"))
+    CRASHED = {"attempt": RETRIES, "type": "RuntimeError",
+               "message": "worker process crashed"}
+
+    @pytest.fixture(autouse=True)
+    def _hidden_crashes(self, monkeypatch):
+        # Widen the usable cores, and hide every crash from attribution
+        # as if workers died for causes no fault plan names.
+        import repro.exec.runner as runner_mod
+
+        monkeypatch.setattr(runner_mod, "default_jobs", lambda: 4)
+        monkeypatch.setattr(runner_mod, "exec_decision", lambda *_args: None)
+
+    def test_batch_map(self):
+        runner = ParallelRunner(jobs=self.JOBS, retries=self.RETRIES,
+                                backoff=0.0, fault_plan=self.PLAN)
+        out = runner.map([SPEC, SPEC2])
+        for r in out:
+            assert r.failed and r.error == self.CRASHED
+            assert r.payload["attempts"] == self.RETRIES + 1
+        assert runner.stats["pool_rebuilds"] == self.REBUILDS
+
+    def test_started_service_runner(self):
+        runner = JobRunner(jobs=self.JOBS, retries=self.RETRIES,
+                           backoff=0.0, fault_plan=self.PLAN)
+        # Admit both before the driver starts, so they share every pool.
+        jobs = [runner.submit(spec)[0] for spec in (SPEC, SPEC2)]
+        runner.start()
+        try:
+            assert runner.wait_idle(timeout=120)
+        finally:
+            runner.close()
+        for job in jobs:
+            assert job.status == "failed"
+            assert job.payload["error"] == self.CRASHED
+        assert runner.stats["pool_rebuilds"] == self.REBUILDS
 
 
 # -------------------------------------------------------- cache integrity

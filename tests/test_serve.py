@@ -19,6 +19,7 @@ The robustness contract under test, end to end:
 """
 
 import json
+import time
 
 import pytest
 
@@ -205,6 +206,81 @@ class TestJobRunner:
         finally:
             clean.close()
             chaotic.close()
+
+
+@pytest.mark.slow
+class TestJobRunnerPool:
+    """The service's pool mode on a started runner: crash retry, timeout
+    preemption, and cancelling a running job (the ``cancel`` rebuild
+    path).  The CI box may report one usable core, so these tests widen
+    ``default_jobs`` explicitly."""
+
+    @pytest.fixture(autouse=True)
+    def _cores(self, monkeypatch):
+        import repro.exec.runner as runner_mod
+
+        monkeypatch.setattr(runner_mod, "default_jobs", lambda: 4)
+
+    @staticmethod
+    def _plan(**rule):
+        rule = {"site": "exec.task", "at": [0], **rule}
+        return FaultPlan.from_dict({"seed": 0, "rules": [rule]})
+
+    @staticmethod
+    def _rebuilds(obs):
+        return [e["attrs"]["reason"] for e in obs.tracer.events
+                if e["name"] == "runner.pool_rebuilt"]
+
+    def test_worker_crash_rebuilds_and_retries(self):
+        baseline = ParallelRunner(jobs=0).map([SPEC])[0].payload
+        obs = Observation()
+        runner = JobRunner(jobs=2, retries=1, backoff=0.0, obs=obs,
+                           fault_plan=self._plan(effect="crash")).start()
+        try:
+            job, _ = runner.submit(SPEC)
+            done = runner.wait(job.key, timeout=120)
+            assert done.status == "done"
+            assert done.errors[0]["type"] == "InjectedWorkerCrash"
+            assert payload_digest(done.payload) == payload_digest(baseline)
+            assert runner.stats["retried"] == 1
+            assert self._rebuilds(obs) == ["crash"]
+        finally:
+            runner.close()
+
+    def test_timeout_preempts_hung_worker(self):
+        obs = Observation()
+        runner = JobRunner(jobs=2, retries=1, backoff=0.0, timeout=0.6,
+                           obs=obs, fault_plan=self._plan(effect="hang",
+                                                          duration=5.0)).start()
+        try:
+            job, _ = runner.submit(SPEC)
+            done = runner.wait(job.key, timeout=120)
+            assert done.status == "done"
+            assert done.errors[0]["type"] == "TaskTimeout"
+            stats = runner.stats
+            assert stats["timeouts"] == 1 and stats["retried"] == 1
+            assert self._rebuilds(obs) == ["timeout"]
+        finally:
+            runner.close()
+
+    def test_cancel_running_job_rebuilds_pool(self):
+        obs = Observation()
+        runner = JobRunner(jobs=2, obs=obs, fault_plan=self._plan(
+            effect="hang", mode="permanent", duration=5.0)).start()
+        try:
+            job, _ = runner.submit(SPEC)
+            deadline = time.monotonic() + 60
+            while runner.poll(job.key).status != "running":
+                assert time.monotonic() < deadline
+                time.sleep(0.01)
+            runner.cancel(job.key)
+            done = runner.wait(job.key, timeout=60)
+            assert done.status == "cancelled"
+            assert runner.stats["cancelled"] == 1
+            assert runner.stats["running"] == 0
+            assert self._rebuilds(obs) == ["cancel"]
+        finally:
+            runner.close()
 
 
 # ---------------------------------------------------------------- service
