@@ -5,9 +5,10 @@ through PEP 517, which requires ``wheel``; on an offline machine without it,
 ``pip install -e . --no-build-isolation --no-use-pep517`` falls back to the
 legacy ``setup.py develop`` path this file enables.
 
-The ``repro._speedups`` extension is **optional**: it backs the
-``"compiled"`` kernel backend (see ``repro.core.kernels``), and every
-import site falls back to the pure-Python reference when it is absent.
+The ``repro._speedups`` extension is **optional**: when it is built, the
+Balance engine's round bookkeeping (``repro.core.kernels.ROUND_OPS``)
+and the canonical-JSON encoders use it, and every import site falls
+back to the pure-Python reference when it is absent.
 ``Extension(optional=True)`` turns any compiler failure into a warning,
 so source installs succeed on toolchain-less machines.  Build it in
 place for a checkout with::

@@ -1,4 +1,4 @@
-/* C hot-path kernels for the "compiled" backend (repro.core.kernels).
+/* C hot paths, used whenever this extension is built (repro.core.kernels).
  *
  * Two independent pieces, each with a pure-Python twin that remains the
  * reference semantics:
@@ -716,7 +716,7 @@ static PyMethodDef speedups_methods[] = {
 static struct PyModuleDef speedups_module = {
     PyModuleDef_HEAD_INIT,
     .m_name = "repro._speedups",
-    .m_doc = "C hot-path kernels for the compiled backend.",
+    .m_doc = "C hot paths used whenever this extension is built.",
     .m_size = -1,
     .m_methods = speedups_methods,
 };

@@ -43,7 +43,7 @@ from .baselines import (
 from .core.sort_hierarchy import balance_sort_hierarchy
 from .core.sort_pdm import balance_sort_pdm
 from .core.streams import peek_run
-from .hierarchies import LogCost, ParallelHierarchies, PowerCost, UMHCost
+from .hierarchies import ParallelHierarchies, well_behaved
 from .obs import (
     NULL_TRACER,
     MemoryTelemetry,
@@ -650,14 +650,6 @@ def _emit(args, obs: Observation | None, command: str, result: dict,
     return args.emit_json != "-"
 
 
-def _cost_fn(spec: str):
-    if spec == "log":
-        return LogCost()
-    if spec == "umh":
-        return UMHCost()
-    return PowerCost(alpha=float(spec))
-
-
 def cmd_sort(args) -> int:
     """Run Balance Sort on a PDM machine and print the measurements."""
     machine = ParallelDiskMachine(
@@ -802,7 +794,7 @@ def cmd_compare(args) -> int:
 def cmd_hierarchy(args) -> int:
     """Run Balance Sort on a parallel memory hierarchy machine."""
     machine = ParallelHierarchies(
-        args.h, model=args.model, cost_fn=_cost_fn(args.cost),
+        args.h, model=args.model, cost_fn=well_behaved(args.cost),
         interconnect=args.interconnect,
     )
     obs = _make_obs(args)
@@ -1484,7 +1476,7 @@ def cmd_audit(args) -> int:
         }
     else:
         machine = ParallelHierarchies(
-            args.h, model=args.model, cost_fn=_cost_fn(args.cost),
+            args.h, model=args.model, cost_fn=well_behaved(args.cost),
             interconnect=args.interconnect,
         )
         res = balance_sort_hierarchy(
@@ -2037,21 +2029,21 @@ def cmd_workloads(_args) -> int:
 _SIMULATING = frozenset({"sort", "compare", "hierarchy", "sweep", "serve", "audit"})
 
 
-def _env_switch_error() -> str | None:
-    """A bad ``REPRO_KERNEL_BACKEND`` / ``REPRO_IO_PLAN`` as one line, else None."""
-    from .core.kernels import BACKENDS, default_backend_name
+def _usage_error(args) -> str | None:
+    """A bad ``--cost`` or ``REPRO_IO_PLAN`` as one line, else None."""
     from .exceptions import ParameterError
     from .pdm.machine import _env_io_plan_window
 
-    name = default_backend_name()
-    if name not in BACKENDS:
-        msg = f"REPRO_KERNEL_BACKEND={name!r} is not one of {sorted(BACKENDS)}"
-        if name == "compiled":
-            msg += (" (the C extension is not built: run "
-                    "`python setup.py build_ext --inplace`)")
-        return msg
+    cost = getattr(args, "cost", None)
+    # `hierarchy` / `audit` take one spec; the grid flag is a comma list.
+    specs = [cost] if args.command in ("hierarchy", "audit") else _axis(cost or "")
     try:
-        _env_io_plan_window()
+        for spec in specs:
+            well_behaved(spec)
+        if args.command in _SIMULATING or (
+            args.command == "bench" and args.bench_command == "record"
+        ):
+            _env_io_plan_window()
     except ParameterError as exc:
         return str(exc)
     return None
@@ -2060,13 +2052,10 @@ def _env_switch_error() -> str | None:
 def main(argv: list[str] | None = None) -> int:
     """CLI entry point; returns a process exit code."""
     args = build_parser().parse_args(argv)
-    if args.command in _SIMULATING or (
-        args.command == "bench" and args.bench_command == "record"
-    ):
-        error = _env_switch_error()
-        if error is not None:
-            print(f"repro: error: {error}", file=sys.stderr)
-            return 2
+    error = _usage_error(args)
+    if error is not None:
+        print(f"repro: error: {error}", file=sys.stderr)
+        return 2
     handler = {
         "sort": cmd_sort,
         "compare": cmd_compare,

@@ -15,12 +15,11 @@
   hierarchies (Section 4, Theorems 2–3).
 * :mod:`~repro.core.aux_variants` — the [Arg] alternative auxiliary-matrix
   rule (Section 4.1 ablation).
-* :mod:`~repro.core.kernels` — selectable scalar/vectorized compute
-  kernels for the engine's hot loops (bit-identical backends).
+* :mod:`~repro.core.kernels` — the NumPy compute kernels for the
+  engine's hot loops, plus the optional C round bookkeeping.
 """
 
 from .incremental import IncrementalAux
-from .kernels import get_backend, set_default_backend, use_backend
 from .matrices import BalanceMatrices
 from .matching import (
     MatchingInstance,
@@ -51,7 +50,4 @@ __all__ = [
     "validate_bucket_sizes",
     "balance_sort_pdm",
     "balance_sort_hierarchy",
-    "get_backend",
-    "set_default_backend",
-    "use_backend",
 ]

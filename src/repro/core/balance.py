@@ -39,7 +39,8 @@ import numpy as np
 
 from ..exceptions import InvariantViolation, ParameterError
 from ..records import composite_keys, concat_records, pad_records
-from .kernels import get_backend
+from . import kernels
+from .kernels import tail_blocks
 from .matching import (
     MatchingInstance,
     MatchResult,
@@ -125,14 +126,10 @@ class BalanceEngine:
         ``"randomized"`` (Algorithm 7), ``"greedy"``, or ``"mincost"``
         (Section 6 conjecture); or a callable ``(MatchingInstance,
         BalanceMatrices, rng) -> MatchResult``.
-    backend:
-        Kernel backend for the hot loops: ``"vectorized"`` (NumPy,
-        default), ``"scalar"`` (the reference Python loops), or ``None``
-        to follow the process default (see :mod:`repro.core.kernels`).
-        Both backends are bit-identical in every observable output.  The
-        round bookkeeping (``round_ops`` of the ``"compiled"`` backend)
-        follows the backend resolved at the engine's first
-        :meth:`run_rounds`; everything else resolves at call time.
+
+    The round bookkeeping runs in C (:data:`repro.core.kernels.ROUND_OPS`)
+    whenever the optional extension is built; both paths are
+    bit-identical in every observable output.
     """
 
     def __init__(
@@ -142,7 +139,6 @@ class BalanceEngine:
         matcher: str | Callable = "derandomized",
         rng: np.random.Generator | None = None,
         check_invariants: bool = True,
-        backend: str | None = None,
     ):
         pivots = np.asarray(pivots, dtype=np.uint64)
         if pivots.size and np.any(pivots[1:] < pivots[:-1]):
@@ -166,9 +162,6 @@ class BalanceEngine:
         self.matcher = matcher
         self.rng = rng or np.random.default_rng(0)
         self.check_invariants = check_invariants
-        # Kernel backend name (None = follow the process default at call
-        # time, so `kernels.use_backend(...)` contexts apply here too).
-        self.kernel_backend = backend
         self.stats = EngineStats()
         # Per-bucket carry: the < VB records fed but not yet cut into a
         # block (None when empty).  Carries and emitted blocks are views of
@@ -179,9 +172,6 @@ class BalanceEngine:
         self._queue: deque = deque()  # (bucket, block, fill) awaiting placement
         self._bucket_records = np.zeros(self.n_buckets, dtype=np.int64)
         self._finished = False
-        # Compiled round bookkeeping factory (False when the backend has
-        # none); resolved at the first run_rounds.
-        self._round_ops = None
         # Round observers: callbacks fired after every completed placement
         # round (the first-class replacement for BalanceTracer's old
         # `_round` monkey-patch).  Empty list = zero per-round overhead
@@ -431,15 +421,11 @@ class BalanceEngine:
         queue = self._queue
         if not queue:
             return
-        # Compiled round bookkeeping follows the backend resolved at the
-        # first call.  Attaching is idempotent and repeated every call: a
-        # resync after direct X tampering detaches the compiled object.
-        ops = self._round_ops
-        if ops is None:
-            ops = self._round_ops = getattr(
-                get_backend(self.kernel_backend), "round_ops", False
-            )
-        if ops:
+        # Compiled round bookkeeping, when built.  Attaching is idempotent
+        # and repeated every call: a resync after direct X tampering
+        # detaches the compiled object.
+        ops = kernels.ROUND_OPS
+        if ops is not None:
             self.matrices.enable_compiled(ops)
         stats = self.stats
         while len(queue) > drain_below:
@@ -592,11 +578,9 @@ class BalanceEngine:
         if callable(self.matcher):
             return self.matcher(instance, self.matrices, self.rng)
         if self.matcher == "derandomized":
-            return derandomized_partial_match(instance, backend=self.kernel_backend)
+            return derandomized_partial_match(instance)
         if self.matcher == "randomized":
-            return randomized_partial_match(
-                instance, self.rng, backend=self.kernel_backend
-            )
+            return randomized_partial_match(instance, self.rng)
         if self.matcher == "greedy":
             return greedy_match(instance)
         if self.matcher == "mincost":
@@ -632,7 +616,6 @@ class BalanceEngine:
         """Pad partial blocks, place everything, and return the bucket runs."""
         if self._finished:
             raise ParameterError("engine already finished")
-        kernels = get_backend(self.kernel_backend)
         vb = self.block_size
         for b, tail in enumerate(self._carry):
             if tail is not None:
@@ -642,7 +625,7 @@ class BalanceEngine:
                 self.storage.acquire_memory(n_pad)
                 self.stats.pad_records += n_pad
                 self._carry[b] = None
-                for block, fill in kernels.tail_blocks(padded, true_n, vb):
+                for block, fill in tail_blocks(padded, true_n, vb):
                     self._queue.append((b, block, fill))
         self.run_rounds(drain_below=0, drain=True)
         self._finished = True

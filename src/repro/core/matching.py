@@ -39,7 +39,7 @@ import numpy as np
 
 from ..exceptions import InvariantViolation
 from ..util.pairwise import PairwiseSpace
-from .kernels import get_backend
+from .kernels import resolve_conflicts
 
 __all__ = [
     "MatchingInstance",
@@ -176,7 +176,6 @@ def randomized_partial_match(
     instance: MatchingInstance,
     rng: np.random.Generator,
     max_rounds: int = 1000,
-    backend: str | None = None,
 ) -> MatchResult:
     """Algorithm 7 verbatim (randomized).
 
@@ -199,27 +198,13 @@ def randomized_partial_match(
         unresolved = unresolved[~hit]
     if unresolved.size:
         raise InvariantViolation("randomized matching failed to find neighbors")
-    pairs = _resolve_conflicts(instance, picks, backend)
+    pairs = resolve_conflicts(instance.u_channels, picks)
     result = MatchResult(pairs=pairs, picking_rounds=rounds)
     _validate(instance, pairs)
     return result
 
 
-def _resolve_conflicts(
-    instance: MatchingInstance, picks: np.ndarray, backend: str | None = None
-) -> list:
-    """Smallest-numbered u wins each contested v (Algorithm 7, step 2).
-
-    Dispatched through the kernel backend (:mod:`repro.core.kernels`):
-    the scalar reference loop and the vectorized ``np.unique`` kernel are
-    bit-identical (same pairs, same order).
-    """
-    return get_backend(backend).resolve_conflicts(instance.u_channels, picks)
-
-
-def derandomized_partial_match(
-    instance: MatchingInstance, backend: str | None = None
-) -> MatchResult:
+def derandomized_partial_match(instance: MatchingInstance) -> MatchResult:
     """Theorem 5: deterministic ≥ ⌈H'/4⌉ matching via the pairwise space.
 
     Every sample point ``(a, b) ∈ Z_p²`` deterministically drives the
@@ -252,7 +237,7 @@ def derandomized_partial_match(
             undecided = undecided[~ok]
             if undecided.size == 0:
                 break
-        pairs = _resolve_conflicts(instance, picks, backend)
+        pairs = resolve_conflicts(instance.u_channels, picks)
         if len(pairs) >= target:
             result = MatchResult(pairs=pairs, picking_rounds=DERAND_RETRIES, sample_points_tried=tried)
             _validate(instance, pairs)
@@ -272,10 +257,11 @@ def _derandomized_small(
 
     Bit-identical to the vectorized loop in
     :func:`derandomized_partial_match` (same sample-point order, same
-    per-vertex retry sequence, same smallest-``u``-wins conflict rule —
-    the scalar kernel's reference semantics), just without the ~15 NumPy
-    array constructions per sample point, which dominate when ``|U| ≤ 4``
-    — the common case, since ``|U| ≤ ⌊H'/2⌋`` per Rearrange call.
+    per-vertex retry sequence, same smallest-``u``-wins conflict rule as
+    :func:`~repro.core.kernels.resolve_conflicts`), just without the ~15
+    NumPy array constructions per sample point, which dominate when
+    ``|U| ≤ 4`` — the common case, since ``|U| ≤ ⌊H'/2⌋`` per Rearrange
+    call.
     """
     k = instance.size
     adj = instance.adjacency.tolist()

@@ -53,7 +53,7 @@ from ..records import (
     strip_pad_records,
 )
 from .balance import BlockRef, BucketRun
-from .kernels import get_backend
+from .kernels import stream_batches
 
 __all__ = [
     "OrderedRun",
@@ -176,7 +176,7 @@ def plan_read_rounds(storage, run) -> list[list[BlockRef]]:
     if not blocks:
         return []
     channels = [r.address.vdisk for r in blocks]
-    bounds = get_backend().stream_batches(channels, storage.n_virtual)
+    bounds = stream_batches(channels, storage.n_virtual)
     return [blocks[bounds[i]: bounds[i + 1]] for i in range(len(bounds) - 1)]
 
 

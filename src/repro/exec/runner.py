@@ -310,7 +310,6 @@ class Job:
     errors: list = field(default_factory=list)
     payload: dict | None = None
     cached: bool = False
-    subscribers: int = 1
     cancel_requested: bool = False
     #: Earliest monotonic time the next attempt may start (retry backoff).
     not_before: float = 0.0
@@ -601,7 +600,6 @@ class JobRunner:
         with self._cond:
             job = self._jobs.get(key)
             if job is not None and not job.terminal:
-                job.subscribers += 1
                 self.coalesced += 1
                 self._count("job.coalesced")
                 return job, "coalesced"

@@ -262,23 +262,16 @@ def hierarchy_sort(params: dict, obs: Observation) -> dict:
     """Balance Sort on P-HMM / P-BT / P-UMH — a hierarchy grid cell.
 
     Params: ``n`` (required), ``h`` (64), ``model`` ("hmm"), ``cost``
-    ("log" | "umh" | float exponent), ``interconnect`` ("pram"),
-    ``workload`` ("uniform"), ``seed`` (0).
+    ("log" | "umh" | "constant" | positive exponent), ``interconnect``
+    ("pram"), ``workload`` ("uniform"), ``seed`` (0).
     """
     from ..core.sort_hierarchy import balance_sort_hierarchy
-    from ..hierarchies import LogCost, ParallelHierarchies, PowerCost, UMHCost
+    from ..hierarchies import ParallelHierarchies, well_behaved
 
-    cost = params.get("cost", "log")
-    if cost == "log":
-        cost_fn = LogCost()
-    elif cost == "umh":
-        cost_fn = UMHCost()
-    else:
-        cost_fn = PowerCost(alpha=float(cost))
     machine = ParallelHierarchies(
         int(params.get("h", 64)),
         model=params.get("model", "hmm"),
-        cost_fn=cost_fn,
+        cost_fn=well_behaved(params.get("cost", "log")),
         interconnect=params.get("interconnect", "pram"),
     )
     from ..obs import TheoryAuditor

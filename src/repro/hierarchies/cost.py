@@ -14,6 +14,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from ..exceptions import ParameterError
+
 __all__ = [
     "CostFunction",
     "LogCost",
@@ -112,14 +114,25 @@ class UMHCost(CostFunction):
         return 1.0 + np.log(x) / math.log(self.rho)
 
 
+_NAMED = {"log": LogCost, "umh": UMHCost, "constant": ConstantCost}
+
+
 def well_behaved(spec: str | float) -> CostFunction:
-    """Build a cost function from a short spec: ``"log"`` or an exponent α."""
-    if isinstance(spec, str):
-        if spec == "log":
-            return LogCost()
-        if spec == "constant":
-            return ConstantCost()
-        if spec == "umh":
-            return UMHCost()
-        raise ValueError(f"unknown cost spec {spec!r}")
-    return PowerCost(alpha=float(spec))
+    """Build a cost function from a short spec — the one ``--cost`` parser.
+
+    ``"log"``, ``"umh"``, ``"constant"``, or a positive exponent α of
+    ``x^α``, given as a number or a numeric string (``0.5`` or ``"0.5"``).
+    Anything else raises :class:`~repro.exceptions.ParameterError`.
+    """
+    if isinstance(spec, str) and spec in _NAMED:
+        return _NAMED[spec]()
+    try:
+        alpha = float(spec)
+    except (TypeError, ValueError):
+        alpha = math.nan
+    if not (math.isfinite(alpha) and alpha > 0):
+        raise ParameterError(
+            f"bad cost spec {spec!r}: expected log, umh, constant "
+            "or a positive exponent"
+        )
+    return PowerCost(alpha=alpha)

@@ -488,7 +488,7 @@ class VirtualHierarchies:
         """Inspect a virtual block without charging (tests/validators only).
 
         Zero-copy read-only view under the arena backend; a defensive
-        copy under ``REPRO_PDM_STORE=dict`` or ``REPRO_PDM_SAFE_COPIES=1``.
+        copy under ``REPRO_PDM_STORE=dict``.
         """
         if not self._store.has(address.vdisk, address.slot):
             raise AddressError(f"peek of unwritten virtual block {address}") from None

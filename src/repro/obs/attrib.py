@@ -12,7 +12,7 @@ read like the diagnosis a human would write::
 
 The round-count cross-check is the heart of the heuristic: the paper's
 cost model says *schedule* changes move the round count, while
-*constant-factor* changes (dispatch overhead, kernel backends, fusion)
+*constant-factor* changes (dispatch overhead, compiled kernels, fusion)
 move seconds-per-round.  A span that got slower with its rounds
 unchanged therefore regressed per round; one whose rounds grew changed
 schedule.  Inputs are ``repro.profile/1`` docs (self-time basis) or

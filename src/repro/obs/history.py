@@ -62,10 +62,8 @@ _SCHEMA_KINDS = {
 #: the ones actually set — defaults are not configuration).
 _CONFIG_ENV = (
     ("REPRO_IO_PLAN", "io_plan"),
-    ("REPRO_KERNEL_BACKEND", "kernel_backend"),
     ("REPRO_PDM_STORE", "pdm_store"),
     ("REPRO_PDM_CHECKSUMS", "pdm_checksums"),
-    ("REPRO_OBS_COLUMNAR", "obs_columnar"),
     ("REPRO_MEM_TELEMETRY", "mem_telemetry"),
 )
 

@@ -29,7 +29,6 @@ from __future__ import annotations
 import gzip
 import io as _io
 import json
-import os
 import time
 from typing import Callable, Iterable, TextIO
 
@@ -291,12 +290,8 @@ class Tracer:
         a live sink needs every event as a dict at emit time, and
         ``keep_events=False`` tracers have nothing to store at all —
         callers must then fall back to the classic per-event API.
-        ``REPRO_OBS_COLUMNAR=0`` forces that fallback everywhere, keeping
-        the dict-per-event path selectable as the differential reference.
         """
         if self.sink is not None or self._events is None:
-            return None
-        if os.environ.get("REPRO_OBS_COLUMNAR", "1") in ("0", "off"):
             return None
         journal = self._journal
         if journal is None:

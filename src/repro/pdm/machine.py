@@ -998,8 +998,7 @@ class ParallelDiskMachine:
         """Inspect a block without an I/O (for tests/validators only).
 
         Under the arena backend this is a **read-only zero-copy view**
-        of the stored block; set ``REPRO_PDM_SAFE_COPIES=1`` for a
-        defensive copy (the dict backend always copies).
+        of the stored block (the dict backend always copies).
         """
         self._validate_addr(addr.disk, addr.slot)
         if self._plan is not None:

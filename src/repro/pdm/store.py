@@ -31,8 +31,7 @@ Copy discipline (see ``docs/performance.md``):
   pass views of their own buffers.
 * ``peek`` returns a **read-only view** of the stored block under the
   arena backend (zero-copy; peeks are for tests/validators which only
-  inspect).  Set ``REPRO_PDM_SAFE_COPIES=1`` to restore defensive
-  copies everywhere while debugging.
+  inspect) and a defensive copy under the dict backend.
 """
 
 from __future__ import annotations
@@ -50,16 +49,10 @@ __all__ = [
     "DictBlockStore",
     "STORE_BACKENDS",
     "make_store",
-    "safe_copies_enabled",
 ]
 
 _SLOT_GROWTH_MIN = 64
 _ROW_GROWTH_MIN = 64
-
-
-def safe_copies_enabled() -> bool:
-    """True when ``REPRO_PDM_SAFE_COPIES`` asks for defensive copies."""
-    return os.environ.get("REPRO_PDM_SAFE_COPIES", "0") not in ("", "0")
 
 
 def _unwritten(kind: str, disk: int, slot: int) -> AddressError:
@@ -92,18 +85,9 @@ class ArenaBlockStore:
 
     name = "arena"
 
-    def __init__(
-        self,
-        n_disks: int,
-        block: int,
-        safe_copies: bool | None = None,
-        checksums: bool = False,
-    ):
+    def __init__(self, n_disks: int, block: int, checksums: bool = False):
         self.D = int(n_disks)
         self.B = int(block)
-        self.safe_copies = (
-            safe_copies_enabled() if safe_copies is None else bool(safe_copies)
-        )
         #: Opt-in per-block CRC-32s, keyed ``(disk, slot)``.  ``None`` when
         #: disabled so the hot paths pay a single attribute test.
         self._sums: dict[tuple[int, int], int] | None = (
@@ -280,14 +264,12 @@ class ArenaBlockStore:
         )
 
     def peek(self, disk: int, slot: int) -> np.ndarray:
-        """Read-only zero-copy view of a stored block (copy when safe mode)."""
+        """Read-only zero-copy view of a stored block."""
         if not self.has(disk, slot):
             raise _unwritten("peek", disk, slot)
         block = self._arena[int(self._rows[disk, slot])]
         if self._sums is not None:
             self._verify("peek", disk, slot, block)
-        if self.safe_copies:
-            return block.copy()
         view = block.view()
         view.flags.writeable = False  # copy-on-write discipline: writers go
         return view  # through the machine, never through a peek
@@ -402,18 +384,9 @@ class DictBlockStore:
 
     name = "dict"
 
-    def __init__(
-        self,
-        n_disks: int,
-        block: int,
-        safe_copies: bool | None = None,
-        checksums: bool = False,
-    ):
+    def __init__(self, n_disks: int, block: int, checksums: bool = False):
         self.D = int(n_disks)
         self.B = int(block)
-        self.safe_copies = (
-            safe_copies_enabled() if safe_copies is None else bool(safe_copies)
-        )
         #: Opt-in per-block CRC-32s, keyed ``(disk, slot)`` (mirrors arena).
         self._sums: dict[tuple[int, int], int] | None = (
             {} if checksums else None
@@ -563,11 +536,7 @@ STORE_BACKENDS = {
 
 
 def make_store(
-    name: str | None,
-    n_disks: int,
-    block: int,
-    safe_copies: bool | None = None,
-    checksums: bool = False,
+    name: str | None, n_disks: int, block: int, checksums: bool = False
 ):
     """Build the storage backend ``name`` (or ``$REPRO_PDM_STORE``, or arena)."""
     if name is None:
@@ -579,4 +548,4 @@ def make_store(
             f"unknown block store backend {name!r} "
             f"(expected one of {sorted(STORE_BACKENDS)})"
         ) from None
-    return cls(n_disks, block, safe_copies=safe_copies, checksums=checksums)
+    return cls(n_disks, block, checksums=checksums)

@@ -68,10 +68,6 @@ __all__ = ["SortService", "ServiceThread", "serve_in_thread"]
 #: Longest accepted request line (bytes); longer lines are rejected.
 LINE_LIMIT = 1 << 20
 
-#: Statuses that end a job's life.
-_TERMINAL = ("done", "failed", "cancelled")
-
-
 class SortService:
     """One service instance wrapping a :class:`~repro.exec.JobRunner`.
 
@@ -174,7 +170,7 @@ class SortService:
 
     def _on_job_transition(self, job, status: str) -> None:
         """Runner listener (driver thread, runner lock held): hop to the loop."""
-        if status not in _TERMINAL:
+        if not job.terminal:
             return
         loop = self._loop
         if loop is None or loop.is_closed():

@@ -266,26 +266,12 @@ class TestSweepExitCodes:
 
 
 class TestEnvSwitches:
-    """A bad ``REPRO_KERNEL_BACKEND`` or ``REPRO_IO_PLAN`` is a usage error:
-    exit 2 with one line naming the valid values, before anything runs."""
+    """A bad ``REPRO_IO_PLAN`` is a usage error: exit 2 with one line
+    naming the valid values, before anything runs."""
 
     SORT = ["sort", "--n", "2000", "--memory", "512", "--disks", "4"]
     SWEEP = ["sweep", "--task", "sort", "--n", "2000", "--memory", "512",
              "--disks", "4"]
-
-    @pytest.mark.parametrize("argv", [SORT, SWEEP], ids=["sort", "sweep"])
-    def test_unbuilt_compiled_backend_exits_two(self, argv, capsys, monkeypatch):
-        from repro.core import kernels
-
-        # Simulate a host without the C extension, built or not.
-        monkeypatch.delitem(kernels.BACKENDS, "compiled", raising=False)
-        monkeypatch.setenv("REPRO_KERNEL_BACKEND", "compiled")
-        assert main(argv) == 2
-        cap = capsys.readouterr()
-        assert cap.out == ""
-        (line,) = cap.err.strip().splitlines()
-        assert "['scalar', 'vectorized']" in line
-        assert "python setup.py build_ext --inplace" in line
 
     @pytest.mark.parametrize("argv", [SORT, SWEEP], ids=["sort", "sweep"])
     def test_bad_io_plan_exits_two(self, argv, capsys, monkeypatch):
@@ -298,5 +284,33 @@ class TestEnvSwitches:
 
     def test_commands_that_run_nothing_are_unaffected(self, capsys, monkeypatch):
         monkeypatch.setenv("REPRO_IO_PLAN", "abc")
-        monkeypatch.setenv("REPRO_KERNEL_BACKEND", "bogus")
         assert main(["workloads"]) == 0
+
+
+# ------------------------------------------------------- --cost validation
+
+
+class TestBadCost:
+    """A bad ``--cost`` is a usage error: exit 2 with one stderr line,
+    checked before anything runs or connects."""
+
+    HIER = ["--n", "900", "--h", "16"]
+
+    @pytest.mark.parametrize("argv", [
+        ["hierarchy", *HIER, "--cost", "abc"],
+        ["hierarchy", *HIER, "--cost", "-1"],
+        ["audit", "--target", "hierarchy", *HIER, "--cost", "abc"],
+        ["sweep", "--task", "hierarchy", *HIER, "--cost", "abc"],
+        ["sweep", "--task", "hierarchy", *HIER, "--cost", "log,0"],
+        ["submit", "--port", "1", "--task", "hierarchy", *HIER, "--cost", "abc"],
+    ], ids=["hierarchy", "hierarchy-negative", "audit", "sweep", "sweep-list",
+            "submit"])
+    def test_bad_cost_exits_two(self, argv, capsys):
+        assert main(argv) == 2
+        cap = capsys.readouterr()
+        assert cap.out == ""
+        (line,) = cap.err.strip().splitlines()
+        assert line.startswith("repro: error: bad cost spec")
+
+    def test_numeric_string_cost_runs(self, capsys):
+        assert main(["hierarchy", *self.HIER, "--model", "bt", "--cost", "0.5"]) == 0

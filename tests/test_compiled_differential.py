@@ -1,13 +1,13 @@
-"""Differential tier: the compiled fast paths vs their Python references.
+"""Differential tier: the fast paths vs their Python references.
 
-PR 8 adds two selectable fast paths that must never change a single
-observable byte:
+Two fast paths must never change a single observable byte:
 
-* the **columnar event journal** (``REPRO_OBS_COLUMNAR``, default on)
-  vs the classic dict-per-event tracer path;
-* the **compiled kernel backend** (``REPRO_KERNEL_BACKEND=compiled``,
+* the **columnar event journal** vs the classic dict-per-event tracer
+  path, which a tracer with a live sink (telemetry on) still takes;
+* the **compiled round ops** (:data:`repro.core.kernels.ROUND_OPS`,
   present only when the optional C extension ``repro._speedups`` is
-  built) vs the pure-Python ``vectorized`` reference.
+  built) vs the pure-Python bookkeeping, reached by patching
+  ``ROUND_OPS`` to ``None``.
 
 The unit of comparison is the whole exec payload — result, metrics
 export, and zero-clock trace — canonicalized with ``json.dumps(...,
@@ -23,10 +23,11 @@ import json
 
 import pytest
 
-from repro.core.kernels import BACKENDS
+from repro.core import kernels
 from repro.exec import run_task
+from repro.obs.telemetry import TelemetryWriter, activate_telemetry
 
-HAVE_COMPILED = "compiled" in BACKENDS
+HAVE_COMPILED = kernels.default_backend_name() == "compiled"
 
 needs_compiled = pytest.mark.skipif(
     not HAVE_COMPILED,
@@ -58,44 +59,47 @@ def _set_env(monkeypatch, **env):
             monkeypatch.setenv(key, value)
 
 
-def payload_under(monkeypatch, task: str, params: dict, **env) -> dict:
-    _set_env(monkeypatch, **env)
-    return run_task(task, dict(params))
+def dict_events_payload(tmp_path, task: str, params: dict) -> dict:
+    """The payload built with a live tracer sink: the dict-per-event path."""
+    with TelemetryWriter(str(tmp_path / "telemetry.jsonl")) as writer:
+        with activate_telemetry(writer):
+            return run_task(task, dict(params))
+
+
+def python_payload(monkeypatch, task: str, params: dict) -> dict:
+    """The payload with the compiled round ops detached."""
+    with monkeypatch.context() as m:
+        m.setattr(kernels, "ROUND_OPS", None)
+        return run_task(task, dict(params))
 
 
 # ---------------------------------------------- columnar vs dict events
 
 
 class TestColumnarVsDictEvents:
-    """``REPRO_OBS_COLUMNAR=0`` (classic dicts) vs the columnar journal."""
+    """A tracer with a sink (classic dicts) vs the columnar journal."""
 
     @pytest.mark.parametrize("store", STORES)
     @pytest.mark.parametrize("plan", PLANS, ids=lambda p: p[0])
-    def test_sort_payload_identity(self, monkeypatch, store, plan):
+    def test_sort_payload_identity(self, monkeypatch, tmp_path, store, plan):
         _set_env(monkeypatch, REPRO_PDM_STORE=store, REPRO_IO_PLAN=plan[1])
-        classic = payload_under(monkeypatch, "sort_pdm", CELL,
-                                REPRO_OBS_COLUMNAR="0")
-        columnar = payload_under(monkeypatch, "sort_pdm", CELL,
-                                 REPRO_OBS_COLUMNAR=None)
+        classic = dict_events_payload(tmp_path, "sort_pdm", CELL)
+        columnar = run_task("sort_pdm", dict(CELL))
         assert canon(classic) == canon(columnar)
 
-    def test_compare_and_hierarchy_payload_identity(self, monkeypatch):
+    def test_compare_and_hierarchy_payload_identity(self, tmp_path):
         for task, params in (
             ("compare_pdm", {**CELL, "algorithm": "balance"}),
             ("hierarchy_sort", HCELL),
         ):
-            classic = payload_under(monkeypatch, task, params,
-                                    REPRO_OBS_COLUMNAR="0")
-            columnar = payload_under(monkeypatch, task, params,
-                                     REPRO_OBS_COLUMNAR=None)
+            classic = dict_events_payload(tmp_path, task, params)
+            columnar = run_task(task, dict(params))
             assert canon(classic) == canon(columnar), task
 
-    def test_trace_and_metrics_sections_individually(self, monkeypatch):
+    def test_trace_and_metrics_sections_individually(self, tmp_path):
         """Pinpoint failure mode: which payload section drifted."""
-        classic = payload_under(monkeypatch, "sort_pdm", CELL,
-                                REPRO_OBS_COLUMNAR="0")
-        columnar = payload_under(monkeypatch, "sort_pdm", CELL,
-                                 REPRO_OBS_COLUMNAR=None)
+        classic = dict_events_payload(tmp_path, "sort_pdm", CELL)
+        columnar = run_task("sort_pdm", dict(CELL))
         assert classic["result"] == columnar["result"]
         assert classic["metrics"] == columnar["metrics"]
         assert len(classic["trace"]) == len(columnar["trace"])
@@ -109,51 +113,47 @@ class TestColumnarVsDictEvents:
 
 @needs_compiled
 class TestCompiledVsPython:
-    """``REPRO_KERNEL_BACKEND=compiled`` vs the ``vectorized`` reference."""
+    """``ROUND_OPS`` attached (the default when built) vs patched to ``None``."""
 
     @pytest.mark.parametrize("store", STORES)
     @pytest.mark.parametrize("plan", PLANS, ids=lambda p: p[0])
     def test_sort_payload_identity(self, monkeypatch, store, plan):
         _set_env(monkeypatch, REPRO_PDM_STORE=store, REPRO_IO_PLAN=plan[1])
-        python = payload_under(monkeypatch, "sort_pdm", CELL,
-                               REPRO_KERNEL_BACKEND="vectorized")
-        compiled = payload_under(monkeypatch, "sort_pdm", CELL,
-                                 REPRO_KERNEL_BACKEND="compiled")
+        python = python_payload(monkeypatch, "sort_pdm", CELL)
+        compiled = run_task("sort_pdm", dict(CELL))
         assert canon(python) == canon(compiled)
 
     @pytest.mark.parametrize("matcher", ["derandomized", "randomized"])
     def test_matchers_identical(self, monkeypatch, matcher):
         params = {**CELL, "matcher": matcher}
-        python = payload_under(monkeypatch, "sort_pdm", params,
-                               REPRO_KERNEL_BACKEND="vectorized")
-        compiled = payload_under(monkeypatch, "sort_pdm", params,
-                                 REPRO_KERNEL_BACKEND="compiled")
+        python = python_payload(monkeypatch, "sort_pdm", params)
+        compiled = run_task("sort_pdm", dict(params))
         assert canon(python) == canon(compiled)
 
-    def test_full_fast_stack_vs_full_reference_stack(self, monkeypatch):
+    def test_full_fast_stack_vs_full_reference_stack(self, monkeypatch, tmp_path):
         """Strongest cross: compiled+columnar vs pure-python+dict-events."""
-        reference = payload_under(monkeypatch, "sort_pdm", CELL,
-                                  REPRO_KERNEL_BACKEND="vectorized",
-                                  REPRO_OBS_COLUMNAR="0")
-        fast = payload_under(monkeypatch, "sort_pdm", CELL,
-                             REPRO_KERNEL_BACKEND="compiled",
-                             REPRO_OBS_COLUMNAR=None)
+        with monkeypatch.context() as m:
+            m.setattr(kernels, "ROUND_OPS", None)
+            reference = dict_events_payload(tmp_path, "sort_pdm", CELL)
+        fast = run_task("sort_pdm", dict(CELL))
         assert canon(reference) == canon(fast)
 
     def test_audit_report_identical(self, monkeypatch, tmp_path):
-        """The Theorem 1–4 audit surface is backend-invariant."""
+        """The Theorem 1–4 audit surface is round-path-invariant."""
         from repro.cli import main
 
         reports = {}
-        for backend in ("vectorized", "compiled"):
-            _set_env(monkeypatch, REPRO_KERNEL_BACKEND=backend)
-            path = tmp_path / f"audit-{backend}.json"
-            rc = main(["audit", "--n", "2000", "--memory", "512",
-                       "--block", "4", "--disks", "8",
-                       "--emit-json", str(path)])
+        for path_name in ("python", "compiled"):
+            path = tmp_path / f"audit-{path_name}.json"
+            with monkeypatch.context() as m:
+                if path_name == "python":
+                    m.setattr(kernels, "ROUND_OPS", None)
+                rc = main(["audit", "--n", "2000", "--memory", "512",
+                           "--block", "4", "--disks", "8",
+                           "--emit-json", str(path)])
             assert rc == 0
-            reports[backend] = json.loads(path.read_text())
-        a, b = reports["vectorized"], reports["compiled"]
+            reports[path_name] = json.loads(path.read_text())
+        a, b = reports["python"], reports["compiled"]
         # Wall-clock fields move run to run; the deterministic audit
         # verdicts and measurements must not.
         assert a["audit"] == b["audit"]
@@ -164,27 +164,41 @@ class TestCompiledVsPython:
         from repro.cli import main
 
         profiles = {}
-        for backend in ("vectorized", "compiled"):
-            payload = payload_under(monkeypatch, "sort_pdm", CELL,
-                                    REPRO_KERNEL_BACKEND=backend)
-            trace_path = tmp_path / f"trace-{backend}.jsonl"
+        for path_name in ("python", "compiled"):
+            if path_name == "python":
+                payload = python_payload(monkeypatch, "sort_pdm", CELL)
+            else:
+                payload = run_task("sort_pdm", dict(CELL))
+            trace_path = tmp_path / f"trace-{path_name}.jsonl"
             with open(trace_path, "w") as fh:
                 for event in payload["trace"]:
                     fh.write(json.dumps(event) + "\n")
-            out_path = tmp_path / f"profile-{backend}.json"
+            out_path = tmp_path / f"profile-{path_name}.json"
             rc = main(["profile", str(trace_path),
                        "--emit-json", str(out_path)])
             assert rc == 0
             doc = json.loads(out_path.read_text())
             doc.pop("trace", None)  # the input path differs by name
-            profiles[backend] = doc
-        assert profiles["vectorized"] == profiles["compiled"]
+            profiles[path_name] = doc
+        assert profiles["python"] == profiles["compiled"]
 
-    def test_backend_registered_and_selectable(self):
-        from repro.core.kernels import get_backend, use_backend
+    def test_engine_attaches_round_ops(self, monkeypatch):
+        """A built extension is always used; patching ``ROUND_OPS`` to
+        ``None`` (the python side of every test above) detaches it."""
+        from repro import _speedups, workloads
+        from repro.core.balance import BalanceEngine
+        from repro.pdm import ParallelDiskMachine, VirtualDisks
 
-        backend = get_backend("compiled")
-        assert backend.name == "compiled"
-        assert callable(getattr(backend, "round_ops", None))
-        with use_backend("compiled"):
-            assert get_backend(None).name == "compiled"
+        def attached() -> bool:
+            machine = ParallelDiskMachine(memory=8192, block=2, disks=8)
+            data = workloads.uniform(400, seed=0)
+            engine = BalanceEngine(VirtualDisks(machine, 4), [])
+            machine.mem_acquire(data.shape[0])
+            engine.feed(data)
+            engine.run_rounds(drain_below=0)
+            return engine.matrices._cops is not None
+
+        assert kernels.ROUND_OPS is _speedups.RoundOps
+        assert attached()
+        monkeypatch.setattr(kernels, "ROUND_OPS", None)
+        assert not attached()

@@ -10,8 +10,9 @@ bit-identical to executing the rounds one at a time:
   every round boundary,
 * ``IOStats`` (logical parallel-I/O accounting) and CPU counters,
 * full ``repro.run_report/1`` payloads — trace events, metrics, result —
-  under both store backends, both kernel backends, with observation
-  attached, and in ``REPRO_PDM_SAFE_COPIES=1`` mode.
+  under both store backends, under the shipped kernels and their scalar
+  reference loops (``tests/kernel_reference.py``), and with observation
+  attached.
 
 ``REPRO_IO_PLAN=0`` selects the unfused reference execution; the window
 sweep (1 / 2 / 64 / auto) pins that *every* fusion width agrees with it.
@@ -26,12 +27,13 @@ import pytest
 
 from repro import workloads
 from repro.core.balance import BalanceEngine, read_bucket_run
-from repro.core.kernels import use_backend
 from repro.core.sort_pdm import balance_sort_pdm
 from repro.exec.tasks import run_task
 from repro.obs import Observation, TheoryAuditor
 from repro.pdm import ParallelDiskMachine, VirtualDisks
 from repro.records import composite_keys
+
+from .kernel_reference import use_kernels
 
 CELL = dict(n=2000, memory=512, block=4, disks=8, workload="uniform", seed=0)
 
@@ -66,18 +68,16 @@ class TestPayloadIdentity:
     """Full run-report payloads, fused vs unfused, across the mode grid."""
 
     @pytest.mark.parametrize("store", ["arena", "dict"])
-    @pytest.mark.parametrize("backend", ["scalar", "vectorized"])
-    def test_fused_payload_bit_identical(self, store, backend):
-        modes = dict(REPRO_PDM_STORE=store, REPRO_KERNEL_BACKEND=backend)
-        assert payload_json(None, **modes) == payload_json("0", **modes)
+    @pytest.mark.parametrize("kernels", ["scalar", "vectorized"])
+    def test_fused_payload_bit_identical(self, store, kernels):
+        with use_kernels(kernels):
+            fused = payload_json(None, REPRO_PDM_STORE=store)
+            unfused = payload_json("0", REPRO_PDM_STORE=store)
+        assert fused == unfused
 
     @pytest.mark.parametrize("window", ["1", "2", "64", "auto"])
     def test_every_window_width_agrees(self, window):
         assert payload_json(window) == payload_json("0")
-
-    def test_safe_copies_mode(self):
-        assert (payload_json(None, REPRO_PDM_SAFE_COPIES="1")
-                == payload_json("0", REPRO_PDM_SAFE_COPIES="1"))
 
     def test_workload_spread(self):
         for workload in ["adversarial_striping", "few_distinct", "sorted"]:
@@ -98,7 +98,7 @@ def pivots_for(records, s):
     return ck[ranks]
 
 
-def drive_engine(plan, backend="vectorized", n=900, hp=4, s=4, seed=7,
+def drive_engine(plan, kernels="vectorized", n=900, hp=4, s=4, seed=7,
                  workload="adversarial_bucket_skew"):
     """Feed a block stream through BalanceEngine, recording every round.
 
@@ -109,7 +109,7 @@ def drive_engine(plan, backend="vectorized", n=900, hp=4, s=4, seed=7,
     """
     data = workloads.by_name(workload, n, seed=seed)
     rounds = []
-    with env(REPRO_IO_PLAN=plan), use_backend(backend):
+    with env(REPRO_IO_PLAN=plan), use_kernels(kernels):
         machine = ParallelDiskMachine(memory=8192, block=2, disks=8)
         storage = VirtualDisks(machine, hp)
         engine = BalanceEngine(
@@ -141,10 +141,10 @@ def drive_engine(plan, backend="vectorized", n=900, hp=4, s=4, seed=7,
 
 
 class TestEngineRoundIdentity:
-    @pytest.mark.parametrize("backend", ["scalar", "vectorized"])
-    def test_rounds_matrices_chains_and_buckets(self, backend):
-        fused = drive_engine(None, backend=backend)
-        unfused = drive_engine("0", backend=backend)
+    @pytest.mark.parametrize("kernels", ["scalar", "vectorized"])
+    def test_rounds_matrices_chains_and_buckets(self, kernels):
+        fused = drive_engine(None, kernels=kernels)
+        unfused = drive_engine("0", kernels=kernels)
         f_rounds, f_chains, f_io, f_buckets = fused
         u_rounds, u_chains, u_io, u_buckets = unfused
         assert len(f_rounds) > 0

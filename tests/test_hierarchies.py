@@ -11,6 +11,7 @@ from repro.hierarchies import (
     LogCost,
     ParallelHierarchies,
     PowerCost,
+    UMHCost,
     VirtualHierarchies,
     well_behaved,
 )
@@ -49,6 +50,13 @@ class TestCostFunctions:
         assert isinstance(well_behaved("constant"), ConstantCost)
         with pytest.raises(ValueError):
             well_behaved("bogus")
+
+    def test_well_behaved_parses_every_cli_spec(self):
+        assert well_behaved("0.5") == well_behaved(0.5) == PowerCost(alpha=0.5)
+        assert well_behaved("umh") == UMHCost()
+        for bad in ("abc", "-1", "0", "nan", "inf", "", None):
+            with pytest.raises(ParameterError):
+                well_behaved(bad)
 
 
 class TestHMM:

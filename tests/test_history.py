@@ -177,8 +177,8 @@ class TestIngestPath:
 
     def test_config_env_and_explicit_merge(self, tmp_path, monkeypatch):
         # The snapshot reads the ambient environment, so clear every
-        # captured knob first — CI legitimately runs the whole suite
-        # under e.g. REPRO_KERNEL_BACKEND=compiled.
+        # captured knob first — the suite may legitimately run under
+        # e.g. REPRO_PDM_STORE=dict.
         from repro.obs.history import _CONFIG_ENV
 
         for env_name, _ in _CONFIG_ENV:

@@ -2,7 +2,7 @@
 
 The unit/integration tier checks the engine's end state; this tier uses
 Hypothesis to drive randomly shaped block streams (workload shape, bucket
-count, channel count, feed chunking, kernel backend) through
+count, channel count, feed chunking) through
 :class:`~repro.core.balance.BalanceEngine` and asserts the paper's safety
 properties at every round boundary via a round observer:
 
@@ -13,8 +13,9 @@ properties at every round boundary via a round observer:
 * **Theorem 4** — the balance factor (worst-case reads over the optimal
   ``ceil(count/H')``) stays ≤ ~2 throughout the pass, not just at flush.
 
-Both kernel backends (scalar reference and vectorized) must uphold the
-properties; the differential tier separately proves them bit-identical.
+The adversarial spot-check also runs under the scalar reference loops
+(``tests/kernel_reference.py``); the differential tier separately proves
+them bit-identical to the shipped kernels.
 """
 
 import numpy as np
@@ -24,9 +25,10 @@ from hypothesis import strategies as st
 
 from repro import workloads
 from repro.core.balance import BalanceEngine, read_bucket_run
-from repro.core.kernels import use_backend
 from repro.pdm import ParallelDiskMachine, VirtualDisks
 from repro.records import composite_keys
+
+from .kernel_reference import use_kernels
 
 WORKLOADS = [
     "uniform",
@@ -45,7 +47,6 @@ engine_shapes = st.fixed_dictionaries(
         "hp": st.sampled_from([2, 4, 8]),
         "workload": st.sampled_from(WORKLOADS),
         "chunk": st.sampled_from([16, 48, 128]),
-        "backend": st.sampled_from(["scalar", "vectorized"]),
     }
 )
 
@@ -98,13 +99,12 @@ def install_per_round_assertions(engine) -> dict:
 def test_invariants_hold_after_every_round(shape):
     machine, storage, data, piv, engine = build(shape)
     seen = install_per_round_assertions(engine)
-    with use_backend(shape["backend"]):
-        for i in range(0, data.shape[0], shape["chunk"]):
-            part = data[i : i + shape["chunk"]]
-            machine.mem_acquire(part.shape[0])
-            engine.feed(part)
-            engine.run_rounds(drain_below=2 * engine.n_channels)
-        runs = engine.flush()
+    for i in range(0, data.shape[0], shape["chunk"]):
+        part = data[i : i + shape["chunk"]]
+        machine.mem_acquire(part.shape[0])
+        engine.feed(part)
+        engine.run_rounds(drain_below=2 * engine.n_channels)
+    runs = engine.flush()
 
     # The stream actually exercised the round machinery...
     assert seen["rounds"] == engine.stats.rounds
@@ -117,15 +117,14 @@ def test_invariants_hold_after_every_round(shape):
 @given(engine_shapes)
 @settings(max_examples=15, deadline=None)
 def test_partition_correct_under_random_streams(shape):
-    """Every record lands in its bucket, for either backend."""
+    """Every record lands in its bucket."""
     machine, storage, data, piv, engine = build(shape)
-    with use_backend(shape["backend"]):
-        for i in range(0, data.shape[0], shape["chunk"]):
-            part = data[i : i + shape["chunk"]]
-            machine.mem_acquire(part.shape[0])
-            engine.feed(part)
-            engine.run_rounds(drain_below=2 * engine.n_channels)
-        runs = engine.flush()
+    for i in range(0, data.shape[0], shape["chunk"]):
+        part = data[i : i + shape["chunk"]]
+        machine.mem_acquire(part.shape[0])
+        engine.feed(part)
+        engine.run_rounds(drain_below=2 * engine.n_channels)
+    runs = engine.flush()
     seen = 0
     for b, run in enumerate(runs):
         for chunk in read_bucket_run(storage, run, free=True):
@@ -147,7 +146,6 @@ planner_shapes = st.fixed_dictionaries(
         "n": st.integers(600, 2500),
         "window": st.sampled_from([0, 1, 2, 3, 7, 64, 256]),
         "workload": st.sampled_from(WORKLOADS),
-        "backend": st.sampled_from(["scalar", "vectorized"]),
     }
 )
 
@@ -191,8 +189,7 @@ def test_invariants_hold_under_fused_plans_at_every_level(shape):
         obs.engine_observers.append(check)
         machine = ParallelDiskMachine(memory=512, block=4, disks=8)
         data = workloads.by_name(shape["workload"], shape["n"], seed=shape["seed"])
-        with use_backend(shape["backend"]):
-            res = balance_sort_pdm(machine, data, obs=obs)
+        res = balance_sort_pdm(machine, data, obs=obs)
         obs.close()
     finally:
         if saved is None:
@@ -208,8 +205,8 @@ def test_invariants_hold_under_fused_plans_at_every_level(shape):
     assert np.array_equal(out, sort_records(data))
 
 
-@pytest.mark.parametrize("backend", ["scalar", "vectorized"])
-def test_theorem4_worst_case_workloads(backend):
+@pytest.mark.parametrize("kernels", ["scalar", "vectorized"])
+def test_theorem4_worst_case_workloads(kernels):
     """Deterministic spot-check: the adversarial workloads stay ≤ ~2."""
     for workload in ["adversarial_striping", "adversarial_bucket_skew"]:
         machine = ParallelDiskMachine(memory=8192, block=2, disks=8)
@@ -217,7 +214,7 @@ def test_theorem4_worst_case_workloads(backend):
         data = workloads.by_name(workload, 1000, seed=13)
         engine = BalanceEngine(storage, pivots_for(data, 4))
         install_per_round_assertions(engine)
-        with use_backend(backend):
+        with use_kernels(kernels):
             machine.mem_acquire(data.shape[0])
             engine.feed(data)
             engine.run_rounds(drain_below=0)

@@ -1,36 +1,40 @@
-"""Differential tier: the vectorized kernels are *bit-identical* to scalar.
+"""Differential tier: the kernels are *bit-identical* to their reference loops.
 
-:mod:`repro.core.kernels` keeps the original per-bucket Python loops as a
-selectable reference backend ("scalar") next to the NumPy kernels
-("vectorized").  These tests run the same seeded instances through both
-and require exact equality — same records byte-for-byte, same balance
-matrices (X, A, L), same I/O statistics, same matching pairs in the same
-order — so the fast path can never silently drift from the paper's
-reference semantics.
+:mod:`repro.core.kernels` holds one NumPy implementation per kernel; the
+original per-bucket / per-vertex Python loops live on in
+``tests/kernel_reference.py`` as the oracle.  These tests compare each
+kernel with its loop on Hypothesis-generated inputs, and run the same
+seeded engine passes and sorts with the loops patched in at the kernels'
+call sites, requiring exact equality — same records byte-for-byte, same
+balance matrices (X, A, L), same I/O statistics, same matching decisions
+— so the fast path can never silently drift from the paper's reference
+semantics.
 """
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro import workloads
+from repro.core import kernels
 from repro.core.balance import BalanceEngine, read_bucket_run
-from repro.core.kernels import (
-    BACKENDS,
-    ScalarBackend,
-    VectorizedBackend,
-    get_backend,
-    use_backend,
-)
 from repro.pdm import ParallelDiskMachine, VirtualDisks
 from repro.records import composite_keys
 
-# Seeded grid: (n, buckets, virtual channels, workload, seed).
+from . import kernel_reference as ref
+
+# Seeded grid: (n, buckets, virtual channels, workload, seed).  H' = 16
+# takes the derandomized matcher past its small-instance loop, so the
+# conflict kernel runs inside the engine.
 GRID = [
     (300, 3, 2, "uniform", 0),
     (500, 4, 4, "adversarial_striping", 1),
     (640, 5, 8, "adversarial_bucket_skew", 2),
     (257, 4, 4, "few_distinct", 3),
     (801, 6, 8, "uniform", 4),
+    (1500, 6, 16, "adversarial_bucket_skew", 5),
+    (1200, 5, 16, "uniform", 6),
 ]
 
 
@@ -40,19 +44,23 @@ def pivots_for(records: np.ndarray, s: int) -> np.ndarray:
     return ck[ranks]
 
 
-def run_engine(backend, n, s, hp, workload, seed, chunk=64):
-    """One full engine pass under ``backend``; return comparable state."""
-    machine = ParallelDiskMachine(memory=8192, block=2, disks=8)
+def run_engine(kernel_set, n, s, hp, workload, seed, chunk=64,
+               matcher="derandomized"):
+    """One full engine pass under ``kernel_set``; return comparable state."""
+    machine = ParallelDiskMachine(memory=8192, block=2, disks=16)
     storage = VirtualDisks(machine, hp)
     data = workloads.by_name(workload, n, seed=seed)
     piv = pivots_for(data, s)
-    engine = BalanceEngine(storage, piv, backend=backend)
-    for i in range(0, data.shape[0], chunk):
-        part = data[i : i + chunk]
-        machine.mem_acquire(part.shape[0])
-        engine.feed(part)
-        engine.run_rounds(drain_below=2 * engine.n_channels)
-    runs = engine.flush()
+    with ref.use_kernels(kernel_set):
+        engine = BalanceEngine(
+            storage, piv, matcher=matcher, rng=np.random.default_rng(seed)
+        )
+        for i in range(0, data.shape[0], chunk):
+            part = data[i : i + chunk]
+            machine.mem_acquire(part.shape[0])
+            engine.feed(part)
+            engine.run_rounds(drain_below=2 * engine.n_channels)
+        runs = engine.flush()
     buckets = []
     for run in runs:
         chunks = []
@@ -76,8 +84,24 @@ def run_engine(backend, n, s, hp, workload, seed, chunk=64):
 
 @pytest.mark.parametrize("n,s,hp,workload,seed", GRID)
 def test_engine_state_bit_identical(n, s, hp, workload, seed):
-    a = run_engine("scalar", n, s, hp, workload, seed)
-    b = run_engine("vectorized", n, s, hp, workload, seed)
+    assert_same_state(
+        run_engine("scalar", n, s, hp, workload, seed),
+        run_engine("vectorized", n, s, hp, workload, seed),
+    )
+
+
+@pytest.mark.parametrize("hp", [4, 16])
+def test_randomized_engine_state_bit_identical(hp):
+    """Algorithm 7's randomized picks resolve conflicts every call."""
+    args = (1200, 5, hp, "adversarial_bucket_skew", 7)
+    assert_same_state(
+        run_engine("scalar", *args, matcher="randomized"),
+        run_engine("vectorized", *args, matcher="randomized"),
+    )
+
+
+def assert_same_state(a, b):
+    assert a["match_calls"] > 0
     assert np.array_equal(a["X"], b["X"])
     assert np.array_equal(a["A"], b["A"])
     assert a["L"] == b["L"]
@@ -92,20 +116,20 @@ def test_engine_state_bit_identical(n, s, hp, workload, seed):
 
 @pytest.mark.parametrize("matcher", ["derandomized", "randomized"])
 def test_full_sort_bit_identical(matcher):
-    """End-to-end: same records out, same I/O trace, either backend."""
+    """End-to-end: same records out, same I/O trace, either kernel set."""
     from repro.core.sort_pdm import balance_sort_pdm
     from repro.core.streams import peek_run
 
     outs = {}
-    for backend in ("scalar", "vectorized"):
+    for kernel_set in ("scalar", "vectorized"):
         machine = ParallelDiskMachine(memory=512, block=4, disks=8)
         data = workloads.uniform(6_000, seed=11)
-        with use_backend(backend):
+        with ref.use_kernels(kernel_set):
             res = balance_sort_pdm(
                 machine, data, matcher=matcher,
                 rng=np.random.default_rng(7), check_invariants=False,
             )
-        outs[backend] = (
+        outs[kernel_set] = (
             res.total_ios,
             res.io_stats,
             peek_run(res.storage, res.output).tobytes(),
@@ -113,48 +137,72 @@ def test_full_sort_bit_identical(matcher):
     assert outs["scalar"] == outs["vectorized"]
 
 
-def test_resolve_conflicts_bit_identical():
-    """Algorithm 7 step 2: smallest-numbered u wins, same order, both kernels."""
-    rng = np.random.default_rng(17)
-    for _ in range(200):
-        k = int(rng.integers(1, 12))
-        hp = int(rng.integers(2, 16))
-        u_channels = tuple(int(x) for x in np.sort(rng.choice(64, k, replace=False)))
-        picks = rng.integers(0, hp, size=k).astype(np.int64)
-        a = ScalarBackend.resolve_conflicts(u_channels, picks)
-        b = VectorizedBackend.resolve_conflicts(u_channels, picks)
-        assert a == b
+@st.composite
+def conflict_instances(draw):
+    """Sorted distinct ``u`` channels and one pick (or −1) per vertex."""
+    k = draw(st.integers(1, 12))
+    hp = draw(st.integers(2, 16))
+    u_channels = tuple(
+        sorted(draw(st.sets(st.integers(0, 63), min_size=k, max_size=k)))
+    )
+    picks = draw(st.lists(st.integers(-1, hp - 1), min_size=k, max_size=k))
+    return u_channels, np.array(picks, dtype=np.int64)
 
 
-def test_tail_blocks_bit_identical():
+@given(conflict_instances())
+@settings(max_examples=100, deadline=None)
+def test_resolve_conflicts_bit_identical(instance):
+    """Algorithm 7 step 2: smallest-numbered u wins, same pairs, same order."""
+    u_channels, picks = instance
+    assert kernels.resolve_conflicts(u_channels, picks) == ref.resolve_conflicts(
+        u_channels, picks
+    )
+
+
+@given(st.integers(2, 8), st.integers(1, 24), st.integers(0, 98))
+@settings(max_examples=100, deadline=None)
+def test_tail_blocks_bit_identical(vb, true_n, seed):
     """Tail padding agrees on random padded tails."""
-    rng = np.random.default_rng(23)
-    for _ in range(200):
-        vb = int(rng.integers(2, 9))
-        true_n = int(rng.integers(1, 3 * vb))
-        padded_n = -(-true_n // vb) * vb
-        padded = workloads.uniform(padded_n, seed=int(rng.integers(99)))
-        st_ = ScalarBackend.tail_blocks(padded.copy(), true_n, vb)
-        vt = VectorizedBackend.tail_blocks(padded.copy(), true_n, vb)
-        assert len(st_) == len(vt)
-        for (xb, xf), (yb, yf) in zip(st_, vt):
-            assert xf == yf
-            assert xb.tobytes() == yb.tobytes()
+    padded_n = -(-true_n // vb) * vb
+    padded = workloads.uniform(padded_n, seed=seed)
+    got = kernels.tail_blocks(padded.copy(), true_n, vb)
+    want = ref.tail_blocks(padded.copy(), true_n, vb)
+    assert len(got) == len(want)
+    for (xb, xf), (yb, yf) in zip(got, want):
+        assert xf == yf
+        assert xb.tobytes() == yb.tobytes()
 
 
-def test_backend_selection_plumbing():
-    """Registry, env default, and context-manager override all resolve."""
-    from repro.exceptions import ParameterError
+@st.composite
+def channel_sequences(draw):
+    """Round-robin runs (the kernel's fast path) and arbitrary layouts."""
+    h = draw(st.integers(1, 8))
+    if draw(st.booleans()):
+        windows = draw(st.lists(st.permutations(range(h)), max_size=6))
+        tail = draw(st.permutations(range(h)))[: draw(st.integers(0, h))]
+        channels = [c for w in windows for c in w] + list(tail)
+    else:
+        channels = draw(st.lists(st.integers(0, h - 1), max_size=40))
+    return channels, h
 
-    # "compiled" joins the registry only when the optional C extension
-    # is built — its presence is exactly the build probe.
-    assert set(BACKENDS) - {"compiled"} == {"scalar", "vectorized"}
-    assert isinstance(get_backend("scalar"), ScalarBackend)
-    assert isinstance(get_backend("vectorized"), VectorizedBackend)
-    with use_backend("scalar"):
-        assert isinstance(get_backend(None), ScalarBackend)
-        with use_backend("vectorized"):
-            assert isinstance(get_backend(None), VectorizedBackend)
-        assert isinstance(get_backend(None), ScalarBackend)
-    with pytest.raises(ParameterError):
-        get_backend("bogus")
+
+@given(channel_sequences())
+@settings(max_examples=200, deadline=None)
+def test_stream_batches_bit_identical(sequence):
+    """The round planner's boundaries equal the greedy loop's."""
+    channels, h = sequence
+    assert kernels.stream_batches(channels, h) == ref.stream_batches(channels, h)
+
+
+def test_default_backend_name_reports_the_round_path(monkeypatch):
+    """``"compiled"`` exactly when the C extension imports."""
+    try:
+        from repro import _speedups  # noqa: F401
+    except ImportError:
+        built = False
+    else:
+        built = True
+    assert (kernels.ROUND_OPS is not None) == built
+    assert (kernels.default_backend_name() == "compiled") == built
+    monkeypatch.setattr(kernels, "ROUND_OPS", None)
+    assert kernels.default_backend_name() == "vectorized"

@@ -111,15 +111,6 @@ class TestSortDifferential:
         legacy = run_task("sort_pdm", dict(cell))
         assert arena == legacy
 
-    def test_safe_copies_mode_identical(self, monkeypatch):
-        """REPRO_PDM_SAFE_COPIES=1 changes aliasing, never observables."""
-        cell = CELLS[0]
-        monkeypatch.setenv("REPRO_PDM_SAFE_COPIES", "1")
-        safe = run_task("sort_pdm", dict(cell))
-        monkeypatch.delenv("REPRO_PDM_SAFE_COPIES")
-        fast = run_task("sort_pdm", dict(cell))
-        assert safe == fast
-
 
 # ----------------------------------------- engine internals, round by round
 

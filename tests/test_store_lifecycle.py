@@ -172,12 +172,6 @@ class TestBlockLifecycle:
             assert view.flags.writeable  # defensive copy; mutation harmless
             view["key"][0] = 1
             assert s.peek(0, 0)["key"][0] == 3
-        safe = make_store(store, 4, 4, safe_copies=True)
-        safe.write_batch(np.array([0]), np.array([0]), block(3)[None])
-        copy = safe.peek(0, 0)
-        assert copy.flags.writeable
-        copy["key"][0] = 1
-        assert safe.peek(0, 0)["key"][0] == 3
 
     def test_arena_recycles_rows_before_growing(self, store):
         if store != "arena":
