@@ -2025,14 +2025,20 @@ def cmd_workloads(_args) -> int:
     return 0
 
 
-#: Subcommands that run simulations here (``bench`` only for ``record``).
-_SIMULATING = frozenset({"sort", "compare", "hierarchy", "sweep", "serve", "audit"})
+#: Subcommands that sort ``--n`` records on one machine shape.
+_SHAPED = frozenset({"sort", "compare", "audit", "hierarchy"})
 
 
 def _usage_error(args) -> str | None:
-    """A bad ``--cost`` or ``REPRO_IO_PLAN`` as one line, else None."""
+    """A bad ``--cost``, ``--n`` or machine shape as one line, else None.
+
+    Shapes are checked by building the machine the command runs on, with
+    the sort's own defaults, so the rules live in one place: the
+    constructors and the sort's memoryload rule.
+    """
+    from .core.sort_pdm import _memoryload, default_bucket_count
     from .exceptions import ParameterError
-    from .pdm.machine import _env_io_plan_window
+    from .pdm.striping import VirtualDisks, default_virtual_disk_count
 
     cost = getattr(args, "cost", None)
     # `hierarchy` / `audit` take one spec; the grid flag is a comma list.
@@ -2040,10 +2046,26 @@ def _usage_error(args) -> str | None:
     try:
         for spec in specs:
             well_behaved(spec)
-        if args.command in _SIMULATING or (
-            args.command == "bench" and args.bench_command == "record"
-        ):
-            _env_io_plan_window()
+        if args.command in _SHAPED:
+            if args.n < 0:
+                raise ParameterError(f"--n must be >= 0, got {args.n}")
+            if "hierarchy" in (args.command, getattr(args, "target", None)):
+                ParallelHierarchies(args.h)
+            else:
+                machine = ParallelDiskMachine(
+                    memory=args.memory, block=args.block, disks=args.disks,
+                    processors=getattr(args, "processors", 1),
+                )
+                storage = VirtualDisks(
+                    machine,
+                    getattr(args, "virtual_disks", None)
+                    or default_virtual_disk_count(machine.D),
+                )
+                _memoryload(
+                    machine, storage,
+                    getattr(args, "buckets", None)
+                    or default_bucket_count(machine.M, machine.B),
+                )
     except ParameterError as exc:
         return str(exc)
     return None

@@ -18,7 +18,7 @@ the reference oracle every kernel is required to match bit for bit.
     The round planner: split an ordered run's per-block channel sequence
     into maximal contention-free parallel-read rounds (greedy
     until-a-channel-repeats batching).  Planned rounds are what the fused
-    gather/scatter executor (``ParallelDiskMachine.io_plan``) prefetches.
+    gather executor (:func:`repro.core.streams.read_run_batches`) prefetches.
 ``ROUND_OPS``
     The incremental matrices bookkeeping in C
     (:class:`repro._speedups.RoundOps`) when the optional extension is

@@ -144,14 +144,8 @@ def balance_sort_hierarchy(
         machine.attach_obs(obs)
         tracer = obs.tracer
 
-    # Uniform plan scope with the PDM sort: a no-op here (hierarchy cost
-    # is address-dependent per parallel step, so VirtualHierarchies pins
-    # io_plan_window = 0 and every round executes one at a time), but the
-    # engine/streams plumbing runs through the same plan-aware code path
-    # on both backends.
-    with storage.io_plan():
-        output = _sort(machine, storage, run, n, matcher, rng, check_invariants,
-                       agg, 0, obs=obs, tracer=tracer)
+    output = _sort(machine, storage, run, n, matcher, rng, check_invariants,
+                   agg, 0, obs=obs, tracer=tracer)
     return HierarchySortResult(
         output=output,
         n_records=n,

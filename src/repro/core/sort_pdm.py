@@ -159,17 +159,10 @@ def balance_sort_pdm(
         machine.attach_obs(obs)
         tracer = obs.tracer
 
-    # The whole sort runs under one fused I/O plan: every logical round
-    # still charges IOStats / ledger / obs at its usual point (the cost
-    # model and trace are bit-identical with plans off), but physical
-    # store traffic is batched — reads gathered a window of rounds at a
-    # time, writes scattered once per window (see machine.io_plan).  The
-    # scope is a no-op under fault injection / checksums or REPRO_IO_PLAN=0.
-    with machine.io_plan():
-        output = _sort(
-            machine, storage, run, n, s, matcher, internal_sort, rng,
-            check_invariants, agg, depth=0, obs=obs, tracer=tracer,
-        )
+    output = _sort(
+        machine, storage, run, n, s, matcher, internal_sort, rng,
+        check_invariants, agg, depth=0, obs=obs, tracer=tracer,
+    )
     return PDMSortResult(
         output=output,
         n_records=n,

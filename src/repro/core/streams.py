@@ -23,19 +23,19 @@ Plan/execute split
 Streaming is structured as **plan then execute**: the pure round planner
 (:func:`plan_read_rounds`, built on the ``stream_batches`` kernel) turns a
 run into its exact sequence of parallel-read rounds without touching
-storage, and the executor either performs them round-at-a-time (the
-classic path — hierarchy backends, fault/checksum runs) or, when the
-backend has an active I/O plan (``storage.io_plan_window > 1``), gathers
-whole windows of future rounds in one physical store pass and charges
-each logical round at its yield point.  Counters, trace events, ledger
-trajectory, and yielded records are bit-identical either way — only the
-number of physical store calls changes.
+storage, and the executor gathers windows of ``PLAN_WINDOW`` future
+rounds in one physical store pass, then charges each logical round —
+fault hook, checksum verdict, ledger, stats, obs event on disks; the
+address-dependent step cost and address recycling on hierarchies — at
+its yield point.  Counters, trace events, ledger trajectory, failures
+and yielded records are bit-identical to round-at-a-time execution
+(``tests/io_reference.py``); only the number of physical store calls
+differs.
 
 Padding is stripped once per gather window, and a caller may hand the
 whole window to a hook (``read_run_batches(..., window_map=...)``): the
 distribute loops pass :meth:`~repro.core.balance.BalanceEngine.feed`, so
-the Balance engine groups a window of tracks in one pass.  The classic
-path is a window of one round.
+the Balance engine groups a window of tracks in one pass.
 """
 
 from __future__ import annotations
@@ -45,6 +45,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from ..exceptions import ParameterError
+from ..pdm import machine as pdm_machine
 from ..records import (
     RECORD_DTYPE,
     concat_records,
@@ -181,30 +182,18 @@ def plan_read_rounds(storage, run) -> list[list[BlockRef]]:
 
 
 def _execute_windows(storage, rounds, free):
-    """Yield ``(window_rounds, matrix, fused)`` per gather window.
+    """Yield ``(window_rounds, window_addresses, matrix)`` per gather window.
 
-    With an active I/O plan on the backend (``storage.io_plan_window >
-    1``) whole windows of future rounds are gathered in one physical
-    store pass, uncharged (``fused``): the caller charges each round
-    (fault hook, ledger, stats, obs event —
-    :meth:`~repro.pdm.striping.VirtualDisks.charge_read_round`) at its
-    yield point, preserving the logical schedule bit-for-bit.  Otherwise
-    every round is its own window: one classic, charged
-    ``parallel_read_arr`` call.
+    Up to ``PLAN_WINDOW`` future rounds are gathered in one physical store
+    pass, uncharged: the caller charges each round at its yield point
+    (:meth:`~repro.pdm.striping.VirtualDisks.charge_read_round`),
+    preserving the logical schedule bit-for-bit.
     """
-    window = getattr(storage, "io_plan_window", 0)
-    if window > 1 and len(rounds) > 1:
-        for lo in range(0, len(rounds), window):
-            chunk = rounds[lo: lo + window]
-            matrix = storage.gather_rounds_arr(
-                [[r.address for r in refs] for refs in chunk], free=free
-            )
-            yield chunk, matrix, True
-    else:
-        for refs in rounds:
-            yield [refs], storage.parallel_read_arr(
-                [r.address for r in refs], free=free
-            ), False
+    window = pdm_machine.PLAN_WINDOW
+    for lo in range(0, len(rounds), window):
+        chunk = rounds[lo: lo + window]
+        addresses = [[r.address for r in refs] for refs in chunk]
+        yield chunk, addresses, storage.gather_rounds_arr(addresses, free=free)
 
 
 def _strip_window(flat, sizes, promised):
@@ -246,16 +235,15 @@ def read_run_batches(storage, run, free: bool = False, window_map=None):
     strict = not isinstance(run, BucketRun)
     rounds = plan_read_rounds(storage, run)
     remaining = run.n_records
-    for chunk, matrix, fused in _execute_windows(storage, rounds, free):
+    for chunk, addresses, matrix in _execute_windows(storage, rounds, free):
         vb = matrix.shape[1]
         sizes = [len(refs) * vb for refs in chunk]
         promised = [sum(r.fill for r in refs) for refs in chunk]
         records, counts = _strip_window(matrix.reshape(-1), sizes, promised)
         mapped = None if window_map is None else window_map(records, tracks=counts)
         offset = 0
-        for i, refs in enumerate(chunk):
-            if fused:
-                storage.charge_read_round(len(refs))
+        for i, round_addresses in enumerate(addresses):
+            storage.charge_read_round(round_addresses, free=free)
             n = counts[i]
             if promised[i] != sizes[i]:
                 if strict and n != promised[i]:

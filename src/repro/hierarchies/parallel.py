@@ -28,7 +28,6 @@ from __future__ import annotations
 
 import heapq
 import math
-from contextlib import contextmanager
 from typing import NamedTuple, Sequence
 
 import numpy as np
@@ -285,25 +284,6 @@ class VirtualHierarchies:
         """Records per virtual block: one per member hierarchy = H/H'."""
         return self.group
 
-    # ------------------------------------------------------------ I/O plans
-
-    #: Fused I/O plans (``ParallelDiskMachine.io_plan``) never apply to
-    #: hierarchy backends: the cost model charges every parallel step
-    #: with *address-dependent* costs (``cost_fn(slots + 1)``), so rounds
-    #: must execute one at a time.  Planned readers consult this and take
-    #: the classic round-at-a-time path.
-    io_plan_window = 0
-
-    @contextmanager
-    def io_plan(self, window: int | None = None):
-        """Interface parity with :class:`~repro.pdm.striping.VirtualDisks`.
-
-        A no-op scope: hierarchy execution is always round-at-a-time
-        (see ``io_plan_window``), but sorts can open the scope uniformly
-        on either backend.
-        """
-        yield None
-
     def _alloc(self, v: int, park: bool = False) -> int:
         """Take a free slot: lowest free (default) or highest free / frontier.
 
@@ -408,22 +388,64 @@ class VirtualHierarchies:
         """
         if not addresses:
             return np.empty((0, self.group), dtype=RECORD_DTYPE)
-        k = len(addresses)
-        vdisks = np.fromiter((a.vdisk for a in addresses), np.int64, k)
-        slots = np.fromiter((a.slot for a in addresses), np.int64, k)
-        if k > 1 and np.unique(vdisks).size != k:
-            raise DiskContentionError("two virtual blocks read from one virtual hierarchy")
-        try:
-            matrix = self._store.read_batch(vdisks, slots)
-        except AddressError:
-            for a in addresses:
-                if not self._store.has(a.vdisk, a.slot):
-                    raise AddressError(f"read of unwritten virtual block {a}") from None
-            raise  # pragma: no cover - read_batch raised for another reason
+        matrix = self.gather_rounds_arr([addresses])
+        slots = np.fromiter((a.slot for a in addresses), np.int64, len(addresses))
         self.machine.parallel_step(self._step_costs(slots), kind="read")
         if free:
             self.free(addresses)
         return matrix
+
+    # ------------------------------------------------------------ I/O plans
+
+    def gather_rounds_arr(
+        self, round_addresses: Sequence[Sequence[VirtualBlockAddress]],
+        free: bool = False,
+    ) -> np.ndarray:
+        """Gather several planned read rounds in one store pass.
+
+        The hierarchy twin of
+        :meth:`repro.pdm.striping.VirtualDisks.gather_rounds_arr`: each
+        round is checked for contention on its own, and the fused
+        ``(total_blocks, virtual_block_size)`` matrix comes back with
+        rounds in plan order.  Nothing is charged **or freed** here —
+        each round's step cost and address recycling happen at its
+        :meth:`charge_read_round`, so the free pools (and hence every
+        later slot and step cost) evolve exactly as round-at-a-time.
+        """
+        flat: list[VirtualBlockAddress] = []
+        for addresses in round_addresses:
+            k = len(addresses)
+            if k > 1 and len({a.vdisk for a in addresses}) != k:
+                raise DiskContentionError(
+                    "two virtual blocks read from one virtual hierarchy"
+                )
+            flat.extend(addresses)
+        k = len(flat)
+        if k == 0:
+            return np.empty((0, self.group), dtype=RECORD_DTYPE)
+        vdisks = np.fromiter((a.vdisk for a in flat), np.int64, k)
+        slots = np.fromiter((a.slot for a in flat), np.int64, k)
+        try:
+            return self._store.read_batch(vdisks, slots)
+        except AddressError:
+            for a in flat:
+                if not self._store.has(a.vdisk, a.slot):
+                    raise AddressError(f"read of unwritten virtual block {a}") from None
+            raise  # pragma: no cover - read_batch raised for another reason
+
+    def charge_read_round(
+        self, addresses: Sequence[VirtualBlockAddress], free: bool = False
+    ) -> None:
+        """Charge one gathered read round: one parallel step over ``addresses``.
+
+        The step costs ``max f(slot + 1)`` over the round's channels, as
+        :meth:`parallel_read_arr` charges it; ``free=True`` then recycles
+        the round's addresses.
+        """
+        slots = np.fromiter((a.slot for a in addresses), np.int64, len(addresses))
+        self.machine.parallel_step(self._step_costs(slots), kind="read")
+        if free:
+            self.free(addresses)
 
     def free_arr(self, addresses: Sequence[VirtualBlockAddress]) -> None:
         """Batched alias of :meth:`free` (address pools need per-slot pushes)."""

@@ -61,7 +61,6 @@ _SCHEMA_KINDS = {
 #: Environment knobs captured as run configuration at ingest time (only
 #: the ones actually set — defaults are not configuration).
 _CONFIG_ENV = (
-    ("REPRO_IO_PLAN", "io_plan"),
     ("REPRO_PDM_STORE", "pdm_store"),
     ("REPRO_PDM_CHECKSUMS", "pdm_checksums"),
     ("REPRO_MEM_TELEMETRY", "mem_telemetry"),

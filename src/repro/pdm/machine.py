@@ -50,30 +50,9 @@ from .store import make_store
 
 __all__ = ["BlockAddress", "IOPlanStats", "IOStats", "ParallelDiskMachine"]
 
-#: Default rounds per fused flush/gather when an I/O plan is active.
-_PLAN_WINDOW_DEFAULT = 64
-
-
-def _env_io_plan_window() -> int:
-    """Plan window from ``$REPRO_IO_PLAN``: rounds per fused flush.
-
-    Unset / ``auto`` / ``on`` select the default window; ``0`` / ``off`` /
-    ``no`` / ``false`` disable plans entirely (exact round-at-a-time
-    execution); any other integer is used literally (``1`` keeps the plan
-    machinery active but flushes after every round — a debugging mode).
-    """
-    raw = os.environ.get("REPRO_IO_PLAN", "").strip().lower()
-    if raw in ("", "auto", "on"):
-        return _PLAN_WINDOW_DEFAULT
-    if raw in ("off", "no", "false"):
-        return 0
-    try:
-        window = int(raw)
-    except ValueError:
-        raise ParameterError(
-            f"REPRO_IO_PLAN must be an integer or off/auto, got {raw!r}"
-        ) from None
-    return max(0, window)
+#: Rounds per fused store pass: pending write rounds flush once this many
+#: have queued, and planned readers gather this many rounds at a time.
+PLAN_WINDOW = 64
 
 
 @dataclass(frozen=True, slots=True)
@@ -139,9 +118,9 @@ class IOPlanStats:
 
     Deliberately **not** part of any payload, span, metric, or trace
     event: exec payloads must stay a pure function of ``(task, params)``
-    regardless of how rounds are physically fused (``REPRO_IO_PLAN``,
-    fault injectors and checksums all change the fusion), so plan shape
-    is reported out of band — ``machine.plan_stats`` and the
+    regardless of how rounds are physically fused (``PLAN_WINDOW`` and
+    the reads that force an early flush change the fusion), so plan
+    shape is reported out of band — ``machine.plan_stats`` and the
     ``repro sort`` CLI summary line.
     """
 
@@ -263,25 +242,27 @@ class _IOPlan:
     """Pending physically-deferred write rounds (logically already done).
 
     Each deferred round is one logical parallel write whose
-    stats/ledger/obs effects have already landed; only the
-    ``store.write_batch`` scatter is outstanding.  Addresses accumulate
-    as flat Python int lists (building per-round numpy arrays just to
-    concatenate them at flush costs more than the store scatter itself
-    for tiny stripe widths); ``data`` keeps the callers' record buffers
-    as handed over, flattened into one ``(k, B)`` matrix only at flush.
-    ``min_slot`` is the smallest pending slot — the overlap watermark
-    that forces a flush before any read/free/peek that could touch a
-    pending block (slots are bump-allocated monotonically, so ``slot <
-    min_slot`` proves a block cannot be pending).
+    stats/ledger/obs effects — and fault hook — have already landed;
+    only the ``store.write_batch`` scatter is outstanding.  Addresses
+    accumulate as flat Python int lists (building per-round numpy arrays
+    just to concatenate them at flush costs more than the store scatter
+    itself for tiny stripe widths); ``data`` keeps the callers' record
+    buffers as handed over, flattened into one ``(k, B)`` matrix only at
+    flush.  ``corrupt`` holds the ``(disk, slot, bit_seed)`` damage of
+    injected corrupt writes, applied right after the flush that stores
+    their blocks.  ``min_slot`` is the smallest pending slot — the
+    overlap watermark that forces a flush before any read/free/peek that
+    could touch a pending block (slots are bump-allocated monotonically,
+    so ``slot < min_slot`` proves a block cannot be pending).
     """
 
-    __slots__ = ("window", "disks", "slots", "data", "rounds", "min_slot")
+    __slots__ = ("disks", "slots", "data", "corrupt", "rounds", "min_slot")
 
-    def __init__(self, window: int) -> None:
-        self.window = int(window)
+    def __init__(self) -> None:
         self.disks: list[int] = []
         self.slots: list[int] = []
         self.data: list[np.ndarray] = []
+        self.corrupt: list[tuple[int, int, int]] = []
         self.rounds = 0
         self.min_slot = -1
 
@@ -355,8 +336,11 @@ class ParallelDiskMachine:
         self._mem_used = 0
         self._mem_high_water = 0
         self._alloc_ptr = 0
-        # Fused I/O plans (optional; None keeps the hot path untouched).
-        self._plan: _IOPlan | None = None
+        # Every write scatter is deferred into the plan (see write_blocks_arr).
+        self._plan = _IOPlan()
+        #: Checksum mismatches a fused gather found, keyed ``(disk, slot)``;
+        #: each raises at the charge of the round that reads its block.
+        self.corrupt_reads: dict[tuple[int, int], Exception] = {}
         self.plan_stats = IOPlanStats()
         if _PLAN_COLLECTOR is not None:
             _PLAN_COLLECTOR.append(self.plan_stats)
@@ -382,11 +366,6 @@ class ParallelDiskMachine:
         self._fault = (
             injector if injector is not None and injector.watches_store else None
         )
-        if self._fault is not None and self._plan is not None:
-            # Store-watching injectors require round-at-a-time execution
-            # (see io_plans_supported); retire any in-flight plan now.
-            self.flush_io_plan()
-            self._plan = None
 
     def detach_faults(self) -> None:
         """Remove the attached fault injector (I/O hooks become no-ops)."""
@@ -498,64 +477,26 @@ class ParallelDiskMachine:
         self._trace_event("io.write", width=width, full_stripe=width == self.D)
 
     # ------------------------------------------------------------- I/O plans
-
-    @property
-    def io_plan_window(self) -> int:
-        """Rounds the active I/O plan may fuse (0 = no plan active)."""
-        return self._plan.window if self._plan is not None else 0
-
-    def io_plans_supported(self) -> bool:
-        """May physical execution be fused across logical rounds here?
-
-        Fault injectors need their store hooks to interleave with store
-        effects exactly as the logical schedule does, and checksummed
-        stores verify blocks on physical gather — both therefore force
-        round-at-a-time execution (the plan machinery stays off and the
-        classic per-round path runs unchanged, so chaos schedules and
-        corruption detection are bit-identical to pre-plan behaviour).
-        """
-        return self._fault is None and not self.store.checksums
-
-    @contextmanager
-    def io_plan(self, window: int | None = None):
-        """Scope in which physical I/O may be fused across logical rounds.
-
-        Inside the scope every parallel write charges its **logical**
-        costs (``IOStats``, memory ledger, obs counters/events) at the
-        usual point — the paper's cost model is untouched — but the
-        physical scatter is queued and executed as one fused
-        ``store.write_batch`` per up-to-``window`` rounds.  Reads that
-        could touch a pending slot flush the queue first, so store
-        contents observable through *any* entry point never differ from
-        round-at-a-time execution.  Planned readers additionally use
-        :meth:`gather_blocks_arr` + :meth:`charge_read_io` to prefetch
-        whole windows of read rounds in one store pass.
-
-        ``window`` defaults to ``$REPRO_IO_PLAN`` (64); the scope is a
-        no-op when plans are unsupported (:meth:`io_plans_supported`) or
-        the window is 0.  Re-entrant: nested scopes join the outer plan.
-        Yields the machine's :class:`IOPlanStats`.
-        """
-        if self._plan is not None:
-            yield self.plan_stats
-            return
-        window = _env_io_plan_window() if window is None else int(window)
-        if window < 1 or not self.io_plans_supported():
-            yield self.plan_stats
-            return
-        self._plan = _IOPlan(window)
-        try:
-            yield self.plan_stats
-        finally:
-            try:
-                self.flush_io_plan()
-            finally:
-                self._plan = None
+    #
+    # Every parallel write charges its **logical** costs (fault hook,
+    # ``IOStats``, memory ledger, obs counters/events) at its own point —
+    # the paper's cost model is untouched — but its physical scatter is
+    # queued and executed as one fused ``store.write_batch`` per
+    # ``PLAN_WINDOW`` rounds.  Reads, frees and peeks that could touch a
+    # pending slot flush the queue first, so store contents observable
+    # through *any* entry point never differ from round-at-a-time
+    # execution.  Planned readers additionally use
+    # :meth:`gather_blocks_arr` + :meth:`charge_read_io` to prefetch
+    # whole windows of read rounds in one store pass.
 
     def flush_io_plan(self) -> None:
-        """Execute all pending deferred writes as one fused store scatter."""
+        """Execute all pending deferred writes as one fused store scatter.
+
+        Injected corruption of a pending block lands right after the
+        scatter that stores it.
+        """
         plan = self._plan
-        if plan is None or not plan.rounds:
+        if not plan.rounds:
             return
         disks = np.array(plan.disks, dtype=np.int64)
         slots = np.array(plan.slots, dtype=np.int64)
@@ -568,12 +509,15 @@ class ParallelDiskMachine:
         except TypeError:  # a non-contiguous piece: copy piece by piece
             joined = concat_records([p.reshape(-1) for p in plan.data])
         data = np.frombuffer(joined, dtype=RECORD_DTYPE).reshape(-1, self.B)
+        corrupt, plan.corrupt = plan.corrupt, []
         plan.disks.clear()
         plan.slots.clear()
         plan.data.clear()
         plan.rounds = 0
         plan.min_slot = -1
         self.store.write_batch(disks, slots, data)
+        for disk, slot, bit_seed in corrupt:
+            self.store.corrupt_block(disk, slot, bit_seed)
         stats = self.plan_stats
         stats.write_flushes += 1
         if disks.size > stats.max_write_flush_blocks:
@@ -588,7 +532,7 @@ class ParallelDiskMachine:
         while writes land on freshly allocated slots) never flushes.
         """
         plan = self._plan
-        if plan is None or not plan.rounds:
+        if not plan.rounds:
             return
         sl_max = max(slots.tolist()) if slots.size <= 64 else int(slots.max())
         if sl_max >= plan.min_slot:
@@ -602,11 +546,13 @@ class ParallelDiskMachine:
         The plan executor's read half: fetches (and with ``free=True``
         recycles) many future rounds' blocks in one store pass, returning
         the fused ``(k, B)`` record matrix.  The caller must charge each
-        logical round via :meth:`charge_read_io` exactly where the
-        unfused schedule would have performed it.  The one-block-per-disk
-        contention rule is a *per-logical-round* rule — the planner
-        enforces it per round, never across the fused gather — so only
-        negative slots are guarded here.
+        logical round via :meth:`charge_read_io` exactly where
+        round-at-a-time execution would have performed it.  The
+        one-block-per-disk contention rule is a *per-logical-round* rule —
+        the planner enforces it per round, never across the fused gather —
+        so only negative slots are guarded here.  A checksum mismatch does
+        not raise here: it is recorded in :attr:`corrupt_reads` and raised
+        by the charge of the round that reads the block.
         """
         disks = np.asarray(disks, dtype=np.int64)
         slots = np.asarray(slots, dtype=np.int64)
@@ -618,24 +564,39 @@ class ParallelDiskMachine:
             raise AddressError(
                 f"negative slot in BlockAddress(disk={int(disks[i])}, slot={int(slots[i])})"
             )
-        matrix = self.store.read_batch(disks, slots, free=free)
+        if self.corrupt_reads:  # a verdict from an earlier gather may be stale
+            for addr in zip(disks.tolist(), slots.tolist()):
+                self.corrupt_reads.pop(addr, None)
+        matrix = self.store.read_batch(
+            disks, slots, free=free, mismatches=self.corrupt_reads
+        )
         stats = self.plan_stats
         stats.read_gathers += 1
         if disks.size > stats.max_read_gather_blocks:
             stats.max_read_gather_blocks = int(disks.size)
         return matrix
 
-    def charge_read_io(self, width: int) -> None:
+    def charge_read_io(
+        self, width: int, blocks: Sequence[tuple[int, int]] | None = None
+    ) -> None:
         """Charge one logical parallel read of ``width`` blocks (plan executor).
 
-        The logical half of a planned read: the fault hook, memory
-        ledger, ``IOStats`` counters and obs event fire here — at the
-        point the unfused schedule would have issued the I/O — so every
-        counter, trace event, and failure (``CapacityError`` included)
-        surfaces exactly as in round-at-a-time execution.
+        The logical half of a planned read: the fault hook, checksum
+        verdict, memory ledger, ``IOStats`` counters and obs event fire
+        here — at the point round-at-a-time execution would have issued
+        the I/O — so every counter, trace event, and failure
+        (``CapacityError`` included) surfaces exactly as it would there.
+        ``blocks`` lists the round's physical ``(disk, slot)`` pairs in
+        read order; callers pass it whenever :attr:`corrupt_reads` is
+        non-empty, and the first recorded mismatch among them raises.
         """
         if self._fault is not None:
             self._fault.on_read()
+        if blocks is not None:
+            for addr in blocks:
+                error = self.corrupt_reads.get(addr)
+                if error is not None:
+                    raise error
         self.mem_acquire(width * self.B)
         self.stats.read_ios += 1
         self.stats.blocks_read += width
@@ -687,8 +648,7 @@ class ParallelDiskMachine:
                 raise AddressError(
                     f"negative slot in BlockAddress(disk={int(disks[i])}, slot={sl[i]})"
                 )
-        if self._plan is not None:
-            self._flush_if_overlap(slots)
+        self._flush_if_overlap(slots)
         if self._fault is not None:
             # One opportunity per parallel I/O; fires *before* the store is
             # touched, so a failed read has no partial effects (nothing
@@ -712,12 +672,15 @@ class ParallelDiskMachine:
         """One parallel write I/O: scatter a ``(k, B)`` record matrix.
 
         Row ``i`` of ``data`` lands on ``(disks[i], slots[i])``.  The
-        store copies the rows (one vectorized scatter), so ``data`` may
-        be a view of caller-owned memory.  The written records leave
+        logical effects land now, in program order; the scatter is
+        deferred into the I/O plan, so ``data`` is handed over — the
+        caller must not mutate it afterwards.  The written records leave
         internal memory (the ledger is released).  ``checked=False``
         skips contention/address validation for callers that enforce
         both at their own layer *and* generate the slots themselves
-        (:class:`~repro.pdm.striping.VirtualDisks` bump-allocates them).
+        (:class:`~repro.pdm.striping.VirtualDisks` bump-allocates them);
+        checked writes may target any slot, so one that rewrites a
+        pending block flushes the plan first.
         """
         disks = np.asarray(disks, dtype=np.int64)
         slots = np.asarray(slots, dtype=np.int64)
@@ -730,38 +693,31 @@ class ParallelDiskMachine:
             raise AddressError(
                 f"write batch must be shaped (k={k}, B={self.B}), got {data.shape}"
             )
+        plan = self._plan
         if checked:
             self._check_io_batch(disks, slots)
-        corrupt = None
-        if self._fault is not None:
-            # Raise-class rules fire *before* the write (no partial
-            # effects); corrupt rules return the (row, bit_seed) to damage
-            # after the scatter lands.
-            corrupt = self._fault.on_write(k)
-        plan = self._plan
-        if plan is not None and corrupt is None:
-            # Fused execution: the logical effects below land now, in
-            # program order; only the physical scatter is deferred.  The
-            # caller must not mutate `data` rows after this call — every
-            # in-tree writer hands over a freshly assembled buffer.
-            # (`corrupt` can only be non-None with an attached injector,
-            # which disables plans — the branch guard is defensive.)
-            slot_list = slots.tolist()
-            plan.disks.extend(disks.tolist())
-            plan.slots.extend(slot_list)
-            plan.data.append(data)
-            plan.rounds += 1
-            smin = min(slot_list)
-            if plan.min_slot < 0 or smin < plan.min_slot:
-                plan.min_slot = smin
-            self.plan_stats.deferred_write_rounds += 1
-            if plan.rounds >= plan.window:
-                self.flush_io_plan()
-        else:
-            self.store.write_batch(disks, slots, data)
-            if corrupt is not None:
-                row, bit_seed = corrupt
-                self.store.corrupt_block(int(disks[row]), int(slots[row]), bit_seed)
+            if plan.rounds and not set(zip(plan.disks, plan.slots)).isdisjoint(
+                zip(disks.tolist(), slots.tolist())
+            ):
+                self.flush_io_plan()  # a rewrite lands after the first write
+        # Raise-class fault rules fire *before* the write is queued (no
+        # partial effects); corrupt rules return the (row, bit_seed) to
+        # damage once the flush has stored the block.
+        corrupt = self._fault.on_write(k) if self._fault is not None else None
+        slot_list = slots.tolist()
+        plan.disks.extend(disks.tolist())
+        plan.slots.extend(slot_list)
+        plan.data.append(data)
+        if corrupt is not None:
+            row, bit_seed = corrupt
+            plan.corrupt.append((int(disks[row]), slot_list[row], bit_seed))
+        plan.rounds += 1
+        smin = min(slot_list)
+        if plan.min_slot < 0 or smin < plan.min_slot:
+            plan.min_slot = smin
+        self.plan_stats.deferred_write_rounds += 1
+        if plan.rounds >= PLAN_WINDOW:
+            self.flush_io_plan()
         self.mem_release(k * self.B)
         self.stats.write_ios += 1
         self.stats.blocks_written += k
@@ -785,35 +741,25 @@ class ParallelDiskMachine:
         fault hook, ledger, :class:`IOStats`, obs — are identical to the
         equivalent :meth:`write_blocks_arr` call; only the per-call array
         construction is gone.  Blocks are handed over: the caller must
-        not mutate them afterwards (deferred scatter under a plan).
+        not mutate them afterwards (the scatter is deferred).
         """
         k = len(disks)
         if k == 0:
             return
-        corrupt = None
-        if self._fault is not None:
-            corrupt = self._fault.on_write(k)
+        corrupt = self._fault.on_write(k) if self._fault is not None else None
         plan = self._plan
-        if plan is not None and corrupt is None:
-            plan.disks.extend(disks)
-            plan.slots.extend([slot] * k)
-            plan.data.extend(blocks)
-            plan.rounds += 1
-            if plan.min_slot < 0 or slot < plan.min_slot:
-                plan.min_slot = slot
-            self.plan_stats.deferred_write_rounds += 1
-            if plan.rounds >= plan.window:
-                self.flush_io_plan()
-        else:
-            disk_arr = np.array(disks, dtype=np.int64)
-            slot_arr = np.full(k, slot, dtype=np.int64)
-            data = (
-                blocks[0] if len(blocks) == 1 else concat_records(blocks)
-            ).reshape(-1, self.B)
-            self.store.write_batch(disk_arr, slot_arr, data)
-            if corrupt is not None:
-                row, bit_seed = corrupt
-                self.store.corrupt_block(int(disk_arr[row]), slot, bit_seed)
+        plan.disks.extend(disks)
+        plan.slots.extend([slot] * k)
+        plan.data.extend(blocks)
+        if corrupt is not None:
+            row, bit_seed = corrupt
+            plan.corrupt.append((disks[row], slot, bit_seed))
+        plan.rounds += 1
+        if plan.min_slot < 0 or slot < plan.min_slot:
+            plan.min_slot = slot
+        self.plan_stats.deferred_write_rounds += 1
+        if plan.rounds >= PLAN_WINDOW:
+            self.flush_io_plan()
         self.mem_release(k * self.B)
         self.stats.write_ios += 1
         self.stats.blocks_written += k
@@ -829,8 +775,7 @@ class ParallelDiskMachine:
         if disks.size == 0:
             return
         self._validate_addr_arr(disks, slots)
-        if self._plan is not None:
-            self._flush_if_overlap(slots)
+        self._flush_if_overlap(slots)
         if self._fault is not None:
             self._fault.on_free()
         self.store.free_batch(disks, slots)
@@ -857,8 +802,7 @@ class ParallelDiskMachine:
                 f"load batch must be shaped (k={k}, B={self.B}), got {data.shape}"
             )
         self._validate_addr_arr(disks, slots)
-        if self._plan is not None:
-            self._flush_if_overlap(slots)
+        self._flush_if_overlap(slots)
         self.store.write_batch(disks, slots, data)
 
     # ------------------------------------------------------------------ I/O
@@ -1001,8 +945,7 @@ class ParallelDiskMachine:
         of the stored block (the dict backend always copies).
         """
         self._validate_addr(addr.disk, addr.slot)
-        if self._plan is not None:
-            self.flush_io_plan()
+        self.flush_io_plan()
         return self.store.peek(addr.disk, addr.slot)
 
     def peek_blocks_arr(self, disks: np.ndarray, slots: np.ndarray) -> np.ndarray:
@@ -1017,8 +960,7 @@ class ParallelDiskMachine:
         if disks.size == 0:
             return np.empty((0, self.B), dtype=RECORD_DTYPE)
         self._validate_addr_arr(disks, slots)
-        if self._plan is not None:
-            self.flush_io_plan()
+        self.flush_io_plan()
         try:
             return self.store.read_batch(disks, slots)
         except AddressError:
@@ -1032,8 +974,7 @@ class ParallelDiskMachine:
     def free_block(self, addr: BlockAddress) -> None:
         """Drop a block from a disk (reclaims simulator memory, no I/O cost)."""
         self._validate_addr(addr.disk, addr.slot)
-        if self._plan is not None:
-            self.flush_io_plan()
+        self.flush_io_plan()
         self.store.free(addr.disk, addr.slot)
 
     # ------------------------------------------------------- memory ledger
@@ -1077,6 +1018,7 @@ class ParallelDiskMachine:
         is the lifetime peak of :attr:`memory_in_use`, i.e. how close the
         run actually came to the configured ``M``.
         """
+        self.flush_io_plan()  # pending blocks count as resident
         snap = self.store.mem_snapshot()
         snap["machines"] = 1
         snap["ledger_high_water_records"] = int(self._mem_high_water)

@@ -74,6 +74,23 @@ def _corrupted(kind: str, disk: int, slot: int) -> BlockCorruptionError:
     )
 
 
+def _verify(
+    sums: dict, kind: str, disk: int, slot: int, block: np.ndarray,
+    mismatches: dict | None = None,
+) -> None:
+    """Check one block against its recorded CRC-32.
+
+    A mismatch raises :class:`BlockCorruptionError`, or — given a
+    ``mismatches`` dict — is recorded there under ``(disk, slot)``.
+    """
+    expected = sums.get((int(disk), int(slot)))
+    if expected is not None and _block_sum(block) != expected:
+        error = _corrupted(kind, disk, slot)
+        if mismatches is None:
+            raise error
+        mismatches[(int(disk), int(slot))] = error
+
+
 class ArenaBlockStore:
     """Slab-allocated block store: one shared ``(capacity, B)`` arena.
 
@@ -107,11 +124,6 @@ class ArenaBlockStore:
     def checksums(self) -> bool:
         """True when per-block integrity checksums are being kept."""
         return self._sums is not None
-
-    def _verify(self, kind: str, disk: int, slot: int, block: np.ndarray) -> None:
-        expected = self._sums.get((int(disk), int(slot)))  # type: ignore[union-attr]
-        if expected is not None and _block_sum(block) != expected:
-            raise _corrupted(kind, disk, slot)
 
     def corrupt_block(self, disk: int, slot: int, bit_seed: int) -> None:
         """Flip one bit of a stored block **without** updating its checksum.
@@ -169,7 +181,8 @@ class ArenaBlockStore:
     # ---------------------------------------------------------------- I/O
 
     def read_batch(
-        self, disks: np.ndarray, slots: np.ndarray, free: bool = False
+        self, disks: np.ndarray, slots: np.ndarray, free: bool = False,
+        mismatches: dict | None = None,
     ) -> np.ndarray:
         """Gather ``k`` blocks into a fresh ``(k, B)`` matrix (one fancy index).
 
@@ -182,7 +195,9 @@ class ArenaBlockStore:
         any release happens, so a fused read-and-free that detects
         corruption raises :class:`BlockCorruptionError` with **no partial
         effects** — the corrupt batch stays fully resident on both
-        backends.
+        backends.  Given a ``mismatches`` dict, mismatches are recorded
+        there instead and the read completes (the machine's windowed
+        gather raises each at the round that reads the block).
         """
         try:
             rows = self._rows[disks, slots]
@@ -197,7 +212,7 @@ class ArenaBlockStore:
         out = self._arena[rows]  # fancy index => fresh copy, never a view
         if self._sums is not None:
             for i, (d, s) in enumerate(zip(disks.tolist(), slots.tolist())):
-                self._verify("read", d, s, out[i])
+                _verify(self._sums, "read", d, s, out[i], mismatches)
         if free:
             self._free_rows.extend(rows.tolist())
             self._rows[disks, slots] = -1
@@ -269,7 +284,7 @@ class ArenaBlockStore:
             raise _unwritten("peek", disk, slot)
         block = self._arena[int(self._rows[disk, slot])]
         if self._sums is not None:
-            self._verify("peek", disk, slot, block)
+            _verify(self._sums, "peek", disk, slot, block)
         view = block.view()
         view.flags.writeable = False  # copy-on-write discipline: writers go
         return view  # through the machine, never through a peek
@@ -403,11 +418,6 @@ class DictBlockStore:
         """True when per-block integrity checksums are being kept."""
         return self._sums is not None
 
-    def _verify(self, kind: str, disk: int, slot: int, block: np.ndarray) -> None:
-        expected = self._sums.get((int(disk), int(slot)))  # type: ignore[union-attr]
-        if expected is not None and _block_sum(block) != expected:
-            raise _corrupted(kind, disk, slot)
-
     def corrupt_block(self, disk: int, slot: int, bit_seed: int) -> None:
         """Flip one bit of a stored block **without** updating its checksum."""
         store = self._disks[disk]
@@ -420,7 +430,8 @@ class DictBlockStore:
     # ---------------------------------------------------------------- I/O
 
     def read_batch(
-        self, disks: np.ndarray, slots: np.ndarray, free: bool = False
+        self, disks: np.ndarray, slots: np.ndarray, free: bool = False,
+        mismatches: dict | None = None,
     ) -> np.ndarray:
         """Assemble ``k`` blocks into a fresh ``(k, B)`` matrix (per-block loop).
 
@@ -428,7 +439,7 @@ class DictBlockStore:
         read-and-drop the arena backend mirrors).  With checksums on, the
         whole batch is gathered and verified **before** anything is
         dropped, so corruption detection has no partial effects — exactly
-        like the arena backend.
+        like the arena backend, ``mismatches`` included.
         """
         out = np.empty((disks.size, self.B), dtype=RECORD_DTYPE)
         if self._sums is None:
@@ -448,7 +459,7 @@ class DictBlockStore:
                 raise _unwritten("read", d, s)
             out[i] = store[s]
         for i, (d, s) in enumerate(pairs):
-            self._verify("read", d, s, out[i])
+            _verify(self._sums, "read", d, s, out[i], mismatches)
         if free:
             for d, s in pairs:
                 if self._disks[d].pop(s, None) is not None:
@@ -480,7 +491,7 @@ class DictBlockStore:
         if slot not in store:
             raise _unwritten("peek", disk, slot)
         if self._sums is not None:
-            self._verify("peek", disk, slot, store[slot])
+            _verify(self._sums, "peek", disk, slot, store[slot])
         return store[slot].copy()
 
     def free(self, disk: int, slot: int) -> None:

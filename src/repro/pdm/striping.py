@@ -264,25 +264,6 @@ class VirtualDisks:
 
     # ------------------------------------------------------------ I/O plans
 
-    @property
-    def io_plan_window(self) -> int:
-        """Rounds the machine's active I/O plan may fuse (0 = none).
-
-        Planned readers (:func:`repro.core.streams.read_run_batches`)
-        consult this to decide between windowed gather execution and the
-        classic round-at-a-time path.
-        """
-        return self.machine.io_plan_window
-
-    def io_plan(self, window: int | None = None):
-        """Open a fused-execution scope on the underlying machine.
-
-        See :meth:`repro.pdm.machine.ParallelDiskMachine.io_plan` — all
-        logical charges stay per round; only physical store traffic is
-        batched.
-        """
-        return self.machine.io_plan(window)
-
     def gather_rounds_arr(
         self, round_addresses: Sequence[Sequence[VirtualBlockAddress]],
         free: bool = False,
@@ -295,8 +276,8 @@ class VirtualDisks:
         round rule).  Returns the fused ``(total_blocks,
         virtual_block_size)`` record matrix, rounds concatenated in plan
         order.  **No logical charges happen here** — the caller charges
-        each round via :meth:`charge_read_round` at the point the
-        unfused schedule would have issued it.
+        each round via :meth:`charge_read_round` at the point
+        round-at-a-time execution would have issued it.
         """
         # Addresses accumulate as flat Python lists (per-round numpy
         # construction costs more than the fused store pass for the tiny
@@ -335,9 +316,22 @@ class VirtualDisks:
         matrix = self.machine.gather_blocks_arr(pdisks, pslots, free=free)
         return matrix.reshape(total, self.virtual_block_size)
 
-    def charge_read_round(self, n_blocks: int) -> None:
-        """Charge one logical parallel read of ``n_blocks`` virtual blocks."""
-        self.machine.charge_read_io(n_blocks * self.group)
+    def charge_read_round(
+        self, addresses: Sequence[VirtualBlockAddress], free: bool = False
+    ) -> None:
+        """Charge one gathered read round: the virtual blocks at ``addresses``.
+
+        The gather already moved (and with ``free`` dropped) the blocks.
+        The round's physical addresses go along only when the machine
+        holds a checksum mismatch, which then raises here if it is this
+        round's.
+        """
+        machine = self.machine
+        g = self.group
+        blocks = None
+        if machine.corrupt_reads:
+            blocks = [(a.vdisk * g + i, a.slot) for a in addresses for i in range(g)]
+        machine.charge_read_io(len(addresses) * g, blocks)
 
     # --------------------------------------------------------- classic API
 

@@ -84,12 +84,12 @@ class TestAttributeRuns:
     def test_config_deltas_with_default_placeholder(self):
         attrib = attribute_runs(
             _profile(), _profile(distribute=2.9),
-            a_meta={"config": {}}, b_meta={"config": {"io_plan": "0"}},
+            a_meta={"config": {}}, b_meta={"config": {"pdm_store": "dict"}},
         )
         assert attrib["config"] == [
-            {"key": "io_plan", "a": "(default)", "b": "0"}
+            {"key": "pdm_store", "a": "(default)", "b": "dict"}
         ]
-        assert "config delta: io_plan '(default)' → '0'" in attrib["findings"]
+        assert "config delta: pdm_store '(default)' → 'dict'" in attrib["findings"]
 
     def test_report_pair_uses_wall_basis(self):
         attrib = attribute_runs(_report(), _report(distribute=2.9))
@@ -125,7 +125,7 @@ class TestRenderAttrib:
             _profile(read_width={"4": 10}),
             _profile(distribute=2.9, read_width={"4": 10}),
             a_meta={"commit": "aaa", "config": {}},
-            b_meta={"commit": "bbb", "config": {"io_plan": "0"}},
+            b_meta={"commit": "bbb", "config": {"pdm_store": "dict"}},
         )
         tables = render_attrib(attrib)
         assert [t.title for t in tables] == [

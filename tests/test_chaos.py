@@ -18,8 +18,17 @@ import time
 
 import pytest
 
+from repro import workloads
+from repro.baselines import greed_sort
+from repro.core.sort_pdm import balance_sort_pdm
+from repro.core.streams import peek_run, read_run_batches, write_ordered_run
+from repro.exceptions import AddressError, BlockCorruptionError
 from repro.exec import ParallelRunner, RunSpec
+from repro.pdm import BlockAddress, ParallelDiskMachine, VirtualDisks
 from repro.resilience import FaultPlan, FaultRule, SweepJournal
+from repro.resilience.injector import FaultInjector, activate
+
+from .io_reference import use_io
 
 pytestmark = pytest.mark.chaos
 
@@ -50,6 +59,30 @@ PLANS = {
     )),
 }
 for _p in PLANS.values():
+    _p.validate()
+
+#: Hand-placed store faults on one cell.  On its Balance Sort, write
+#: 70's corrupted block is read back 18 rounds into a 64-round gather
+#: window, as read op 143, and write op 100 fires with eight write rounds
+#: still pending; approximate Greed Sort frees (op 0) with 63 pending.
+TIMING_CELL = {"n": 2000, "memory": 512, "block": 4, "disks": 8,
+               "workload": "uniform", "seed": 0}
+TIMING_PLANS = {
+    "corrupt-in-window": FaultPlan(seed=55, name="corrupt-in-window", rules=(
+        FaultRule(site="store.write", mode="corrupt", at=(70,), seed=6),
+    )),
+    "read-on-corrupt-round": FaultPlan(seed=55, name="read-on-corrupt-round", rules=(
+        FaultRule(site="store.write", mode="corrupt", at=(70,), seed=6),
+        FaultRule(site="store.read", at=(143,), seed=7),
+    )),
+    "write-while-pending": FaultPlan(seed=56, name="write-while-pending", rules=(
+        FaultRule(site="store.write", at=(100,), seed=8),
+    )),
+    "free": FaultPlan(seed=57, name="free", rules=(
+        FaultRule(site="store.free", at=(0,), seed=9),
+    )),
+}
+for _p in TIMING_PLANS.values():
     _p.validate()
 
 
@@ -91,58 +124,182 @@ class TestSerialChaosGate:
 
 
 class TestFusedChaosParity:
-    """Fault plans and fused I/O plans compose deterministically.
+    """Fault plans run on the fused I/O path, decision for decision.
 
-    Store-watching injectors must see every logical round as its own
-    store access, so the machine refuses to fuse while one is attached
-    (``io_plans_supported``) — the fault schedule's (site, cell, attempt,
-    index) decisions are then *identical* no matter what the ambient
-    ``REPRO_IO_PLAN`` asks for.  Exec-layer plans don't watch the store,
-    so fusion stays on — and the payloads must still be bit-identical.
-    The retry counts double as a decision-schedule fingerprint: the same
-    plan firing at the same decisions retries the same number of times.
+    Fault decisions are pure functions of (site, cell, attempt, index),
+    and the fused executor fires every store hook at its logical round,
+    so a plan's decisions — and therefore its retries and the payloads —
+    are identical to the round-at-a-time oracle's
+    (``tests/io_reference.py``).  The retry counts double as a
+    decision-schedule fingerprint: the same plan firing at the same
+    decisions retries the same number of times.
     """
 
-    def _run(self, plan_name, io_plan):
-        saved = os.environ.get("REPRO_IO_PLAN")
-        os.environ["REPRO_IO_PLAN"] = io_plan
-        try:
+    def _run(self, plan, io, specs=SPECS):
+        with use_io(io):
             runner = ParallelRunner(jobs=0, retries=3, backoff=0.0,
-                                    fault_plan=PLANS[plan_name])
-            out = payloads_json(runner.map(SPECS))
-            return out, runner.stats["retried"]
-        finally:
-            if saved is None:
-                os.environ.pop("REPRO_IO_PLAN", None)
-            else:
-                os.environ["REPRO_IO_PLAN"] = saved
+                                    fault_plan=plan)
+            out = payloads_json(runner.map(specs))
+        return out, runner.stats["retried"]
 
     @pytest.mark.parametrize("name", sorted(PLANS))
     def test_fault_decisions_identical_under_fused_plans(self, name,
                                                          clean_payloads):
-        fused, fused_retries = self._run(name, "64")
-        unfused, unfused_retries = self._run(name, "0")
+        fused, fused_retries = self._run(PLANS[name], "fused")
+        unfused, unfused_retries = self._run(PLANS[name], "rounds")
         assert fused_retries == unfused_retries > 0  # same schedule fired
         assert fused == unfused == clean_payloads    # same bytes out
 
-    def test_store_watching_injector_disables_fusion(self):
-        from repro.pdm import ParallelDiskMachine
-        from repro.resilience.injector import FaultInjector, activate
+    @pytest.mark.parametrize("name", sorted(set(TIMING_PLANS) - {"free"}))
+    def test_hand_placed_faults_identical_under_fused_plans(self, name):
+        spec = RunSpec("sort_pdm", dict(TIMING_CELL))
+        clean = payloads_json(ParallelRunner(jobs=0).map([spec]))
+        fused, fused_retries = self._run(TIMING_PLANS[name], "fused", [spec])
+        unfused, unfused_retries = self._run(TIMING_PLANS[name], "rounds", [spec])
+        assert fused_retries == unfused_retries == 1
+        assert fused == unfused == clean
 
-        saved = os.environ.get("REPRO_IO_PLAN")
-        os.environ["REPRO_IO_PLAN"] = "64"
-        try:
-            injector = FaultInjector(PLANS["store-read"], cell="probe", attempt=0)
-            with activate(injector):
+    def test_plans_run_under_store_watching_injector(self):
+        """An attached injector leaves fusion on and sees every round."""
+        # Attempt 1 is past every transient rule: the hooks run, nothing fires.
+        injector = FaultInjector(PLANS["mixed"], cell="probe", attempt=1)
+        with activate(injector):
+            machine = ParallelDiskMachine(memory=512, block=4, disks=8)
+            balance_sort_pdm(machine, workloads.uniform(2000, seed=0))
+        assert machine._fault is injector and injector.fired_total == 0
+        plan = machine.plan_stats
+        assert plan.deferred_write_rounds > plan.write_flushes > 0
+        assert plan.prefetched_read_rounds > plan.read_gathers > 0
+        assert injector._counts["store.read"] == machine.stats.read_ios
+
+
+# ----------------------------------------------------- fused fault timing
+
+def sort_at(machine):
+    return balance_sort_pdm(machine, workloads.uniform(TIMING_CELL["n"], seed=0))
+
+
+def greed_at(machine):
+    data = workloads.uniform(TIMING_CELL["n"], seed=0)
+    return greed_sort(machine, data, mode="approximate")
+
+
+def attempt_history(task, plan, io, limit=4):
+    """Run ``task`` attempt by attempt under ``plan`` until one succeeds.
+
+    Returns each failed attempt's exception type and message, then the
+    successful attempt's counts and output bytes.
+    """
+    history = []
+    with use_io(io):
+        for attempt in range(limit):
+            with activate(FaultInjector(plan, cell="timing", attempt=attempt)):
                 machine = ParallelDiskMachine(memory=512, block=4, disks=8)
-                assert not machine.io_plans_supported()
-            clean = ParallelDiskMachine(memory=512, block=4, disks=8)
-            assert clean.io_plans_supported()
-        finally:
-            if saved is None:
-                os.environ.pop("REPRO_IO_PLAN", None)
-            else:
-                os.environ["REPRO_IO_PLAN"] = saved
+                try:
+                    res = task(machine)
+                except Exception as exc:
+                    history.append((type(exc).__name__, str(exc),
+                                    machine.stats.snapshot()))
+                    continue
+            output = peek_run(res.storage, res.output).tobytes()
+            return history, (res.io_stats, output)
+    return history, None
+
+
+class TestFusedFaultTiming:
+    """Every store fault surfaces at its logical round on the fused path:
+    per attempt, the same exception type and message, at the same I/O
+    counts, as the round-at-a-time oracle."""
+
+    @pytest.mark.parametrize("name", sorted(set(PLANS) - {"exec-transient"}))
+    def test_store_plans(self, name):
+        fused = attempt_history(sort_at, PLANS[name], "fused")
+        assert fused == attempt_history(sort_at, PLANS[name], "rounds")
+        assert fused[0] and fused[1] is not None
+
+    @pytest.mark.parametrize("name,expected", [
+        ("corrupt-in-window", "BlockCorruptionError"),
+        ("read-on-corrupt-round", "InjectedIOError"),
+        ("write-while-pending", "InjectedIOError"),
+    ])
+    def test_hand_placed(self, name, expected):
+        fused = attempt_history(sort_at, TIMING_PLANS[name], "fused")
+        assert fused == attempt_history(sort_at, TIMING_PLANS[name], "rounds")
+        (error,), done = fused
+        assert error[0] == expected and done is not None
+
+    def test_free_fault_with_writes_pending(self):
+        fused = attempt_history(greed_at, TIMING_PLANS["free"], "fused")
+        assert fused == attempt_history(greed_at, TIMING_PLANS["free"], "rounds")
+        (error,), done = fused
+        assert "free fault (op 0" in error[1] and done is not None
+
+
+def stream_back(plan, io, rounds=100):
+    """Write ``rounds`` full write rounds, free round 0's first block (its
+    slot predates every pending write), then stream rounds 1+ back.
+
+    Returns the first failure (type, message, I/O counts), every chunk
+    read before it, and the store as it then reads — every written block,
+    peeked (pending writes flush first; a missing or corrupt block reads
+    as its error's name).
+    """
+    with use_io(io):
+        with activate(FaultInjector(plan, cell="stream", attempt=0)):
+            machine = ParallelDiskMachine(memory=4096, block=4, disks=4)
+        storage = VirtualDisks(machine, 4)
+        data = workloads.uniform(rounds * 16, seed=3)
+        chunks, failure = [], None
+        try:
+            machine.mem_acquire(data.shape[0])
+            run = write_ordered_run(storage, data)
+            storage.free([run.blocks[0].address])
+            for chunk in read_run_batches(storage, run.slice_blocks(4, 4 * rounds),
+                                          free=True):
+                chunks.append(chunk.tobytes())
+                machine.mem_release(chunk.shape[0])
+        except Exception as exc:
+            failure = (type(exc).__name__, str(exc), machine.stats.snapshot())
+        store = []
+        for slot in range(rounds):
+            for disk in range(4):
+                try:
+                    store.append(machine.peek_block(BlockAddress(disk, slot)).tobytes())
+                except (AddressError, BlockCorruptionError) as exc:
+                    store.append(type(exc).__name__)
+    return failure, chunks, store
+
+
+class TestFusedStreamFaults:
+    """The same timing, placed exactly: 100 write rounds, one free, and a
+    read-back whose first gather window holds rounds 1–64.
+
+    After a write or free fault the store reads back the same, pending
+    writes included.  After a failed read the stream has already dropped
+    the rest of that gather window, which round-at-a-time reading would
+    not have reached; no retry can see it, since every attempt rebuilds
+    its machine.
+    """
+
+    @pytest.mark.parametrize("rules,expected", [
+        ((FaultRule(site="store.write", mode="corrupt", at=(10,), seed=1),),
+         "BlockCorruptionError"),
+        ((FaultRule(site="store.write", mode="corrupt", at=(10,), seed=1),
+          FaultRule(site="store.read", at=(9,), seed=2)), "InjectedIOError"),
+        ((FaultRule(site="store.write", at=(70,), seed=3),), "InjectedIOError"),
+        ((FaultRule(site="store.free", at=(0,), seed=4),), "InjectedIOError"),
+    ], ids=["corrupt-round-10", "read-on-round-10", "write-70-pending",
+            "free-pending"])
+    def test_fault_lands_at_its_round(self, rules, expected):
+        plan = FaultPlan(seed=9, rules=rules)
+        failure, chunks, store = stream_back(plan, "fused")
+        ref_failure, ref_chunks, ref_store = stream_back(plan, "rounds")
+        assert (failure, chunks) == (ref_failure, ref_chunks)
+        assert failure[0] == expected
+        if chunks:
+            assert len(chunks) == 9  # rounds 1-9 streamed, round 10 failed
+        else:
+            assert store == ref_store
 
 
 # -------------------------------------------------------------- pool gate

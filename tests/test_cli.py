@@ -266,25 +266,48 @@ class TestSweepExitCodes:
 
 
 class TestEnvSwitches:
-    """A bad ``REPRO_IO_PLAN`` is a usage error: exit 2 with one line
-    naming the valid values, before anything runs."""
-
-    SORT = ["sort", "--n", "2000", "--memory", "512", "--disks", "4"]
-    SWEEP = ["sweep", "--task", "sort", "--n", "2000", "--memory", "512",
-             "--disks", "4"]
-
-    @pytest.mark.parametrize("argv", [SORT, SWEEP], ids=["sort", "sweep"])
-    def test_bad_io_plan_exits_two(self, argv, capsys, monkeypatch):
-        monkeypatch.setenv("REPRO_IO_PLAN", "abc")
-        assert main(argv) == 2
-        cap = capsys.readouterr()
-        assert cap.out == ""
-        (line,) = cap.err.strip().splitlines()
-        assert "REPRO_IO_PLAN" in line and "off/auto" in line
+    """``REPRO_IO_PLAN`` is no longer read: a leftover value changes
+    nothing, and commands that run nothing never look at it."""
 
     def test_commands_that_run_nothing_are_unaffected(self, capsys, monkeypatch):
         monkeypatch.setenv("REPRO_IO_PLAN", "abc")
         assert main(["workloads"]) == 0
+
+
+# ------------------------------------------------------ shape validation
+
+
+class TestBadShapes:
+    """A shape the sort cannot run is a usage error: exit 2 with one
+    stderr line and nothing on stdout, checked before anything runs.
+    The rules are the machine constructors' and the sort's own."""
+
+    @pytest.mark.parametrize("argv", [
+        ["sort", "--memory", "16", "--block", "4", "--disks", "4"],
+        ["sort", "--block", "512"],
+        ["sort", "--buckets", "100"],
+        ["sort", "--disks", "64"],
+        ["sort", "--disks", "8", "--virtual-disks", "3"],
+        ["sort", "--disks", "0"],
+        ["sort", "--n", "-5"],
+        ["sort", "--processors", "0"],
+        ["compare", "--block", "512"],
+        ["compare", "--n", "-5"],
+        ["audit", "--buckets", "100"],
+        ["audit", "--target", "hierarchy", "--h", "0"],
+        ["hierarchy", "--h", "0"],
+        ["hierarchy", "--n", "-5"],
+    ], ids=lambda argv: "_".join(argv).replace("--", ""))
+    def test_bad_shape_exits_two(self, argv, capsys):
+        assert main(argv) == 2
+        cap = capsys.readouterr()
+        assert cap.out == ""
+        (line,) = cap.err.strip().splitlines()
+        assert line.startswith("repro: error: ")
+
+    def test_n_zero_is_accepted(self, capsys):
+        assert main(["sort", "--n", "0", "--memory", "512"]) == 0
+        assert "output verified" in capsys.readouterr().out
 
 
 # ------------------------------------------------------- --cost validation

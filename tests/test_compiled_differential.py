@@ -27,6 +27,8 @@ from repro.core import kernels
 from repro.exec import run_task
 from repro.obs.telemetry import TelemetryWriter, activate_telemetry
 
+from .io_reference import use_io
+
 HAVE_COMPILED = kernels.default_backend_name() == "compiled"
 
 needs_compiled = pytest.mark.skipif(
@@ -42,8 +44,9 @@ CELL = {"n": 2000, "memory": 512, "block": 4, "disks": 4,
 HCELL = {"n": 1200, "h": 27, "model": "bt", "cost": "0.5"}
 
 STORES = ["arena", "dict"]
-#: REPRO_IO_PLAN values: default windowed fusion vs fully unfused.
-PLANS = [("fused", None), ("unfused", "0")]
+#: I/O executors (``tests/io_reference.py``): the shipped windowed
+#: fusion vs the round-at-a-time oracle.
+PLANS = [("fused", "fused"), ("unfused", "rounds")]
 
 
 def canon(payload: dict) -> str:
@@ -82,9 +85,10 @@ class TestColumnarVsDictEvents:
     @pytest.mark.parametrize("store", STORES)
     @pytest.mark.parametrize("plan", PLANS, ids=lambda p: p[0])
     def test_sort_payload_identity(self, monkeypatch, tmp_path, store, plan):
-        _set_env(monkeypatch, REPRO_PDM_STORE=store, REPRO_IO_PLAN=plan[1])
-        classic = dict_events_payload(tmp_path, "sort_pdm", CELL)
-        columnar = run_task("sort_pdm", dict(CELL))
+        _set_env(monkeypatch, REPRO_PDM_STORE=store)
+        with use_io(plan[1]):
+            classic = dict_events_payload(tmp_path, "sort_pdm", CELL)
+            columnar = run_task("sort_pdm", dict(CELL))
         assert canon(classic) == canon(columnar)
 
     def test_compare_and_hierarchy_payload_identity(self, tmp_path):
@@ -118,9 +122,10 @@ class TestCompiledVsPython:
     @pytest.mark.parametrize("store", STORES)
     @pytest.mark.parametrize("plan", PLANS, ids=lambda p: p[0])
     def test_sort_payload_identity(self, monkeypatch, store, plan):
-        _set_env(monkeypatch, REPRO_PDM_STORE=store, REPRO_IO_PLAN=plan[1])
-        python = python_payload(monkeypatch, "sort_pdm", CELL)
-        compiled = run_task("sort_pdm", dict(CELL))
+        _set_env(monkeypatch, REPRO_PDM_STORE=store)
+        with use_io(plan[1]):
+            python = python_payload(monkeypatch, "sort_pdm", CELL)
+            compiled = run_task("sort_pdm", dict(CELL))
         assert canon(python) == canon(compiled)
 
     @pytest.mark.parametrize("matcher", ["derandomized", "randomized"])

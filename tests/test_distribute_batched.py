@@ -14,8 +14,9 @@ bit-identical to executing the rounds one at a time:
   reference loops (``tests/kernel_reference.py``), and with observation
   attached.
 
-``REPRO_IO_PLAN=0`` selects the unfused reference execution; the window
-sweep (1 / 2 / 64 / auto) pins that *every* fusion width agrees with it.
+The round-at-a-time reference execution is ``tests/io_reference.py``'s
+oracle; the window sweep (1 / 2 / 64 / auto, patching ``PLAN_WINDOW``)
+pins that *every* fusion width agrees with it.
 """
 
 import json
@@ -28,11 +29,13 @@ import pytest
 from repro import workloads
 from repro.core.balance import BalanceEngine, read_bucket_run
 from repro.core.sort_pdm import balance_sort_pdm
+from repro.core.streams import peek_run
 from repro.exec.tasks import run_task
 from repro.obs import Observation, TheoryAuditor
 from repro.pdm import ParallelDiskMachine, VirtualDisks
 from repro.records import composite_keys
 
+from .io_reference import use_io, use_window
 from .kernel_reference import use_kernels
 
 CELL = dict(n=2000, memory=512, block=4, disks=8, workload="uniform", seed=0)
@@ -56,9 +59,9 @@ def env(**kv):
                 os.environ[k] = v
 
 
-def payload_json(plan, **extra_env):
-    with env(REPRO_IO_PLAN=plan, **extra_env):
-        return json.dumps(run_task("sort_pdm", dict(CELL)), sort_keys=True)
+def payload_json(io, cell=CELL, **extra_env):
+    with env(**extra_env), use_io(io):
+        return json.dumps(run_task("sort_pdm", dict(cell)), sort_keys=True)
 
 
 # ------------------------------------------------------- payload identity
@@ -71,21 +74,24 @@ class TestPayloadIdentity:
     @pytest.mark.parametrize("kernels", ["scalar", "vectorized"])
     def test_fused_payload_bit_identical(self, store, kernels):
         with use_kernels(kernels):
-            fused = payload_json(None, REPRO_PDM_STORE=store)
-            unfused = payload_json("0", REPRO_PDM_STORE=store)
+            fused = payload_json("fused", REPRO_PDM_STORE=store)
+            unfused = payload_json("rounds", REPRO_PDM_STORE=store)
         assert fused == unfused
 
     @pytest.mark.parametrize("window", ["1", "2", "64", "auto"])
     def test_every_window_width_agrees(self, window):
-        assert payload_json(window) == payload_json("0")
+        if window == "auto":
+            fused = payload_json("fused")
+        else:
+            with use_window(int(window)):
+                fused = payload_json("fused")
+        assert fused == payload_json("rounds")
 
     def test_workload_spread(self):
         for workload in ["adversarial_striping", "few_distinct", "sorted"]:
             cell = dict(CELL, workload=workload, n=1200)
-            with env(REPRO_IO_PLAN=None):
-                fused = json.dumps(run_task("sort_pdm", cell), sort_keys=True)
-            with env(REPRO_IO_PLAN="0"):
-                unfused = json.dumps(run_task("sort_pdm", cell), sort_keys=True)
+            fused = payload_json("fused", cell)
+            unfused = payload_json("rounds", cell)
             assert fused == unfused, workload
 
 
@@ -98,7 +104,7 @@ def pivots_for(records, s):
     return ck[ranks]
 
 
-def drive_engine(plan, kernels="vectorized", n=900, hp=4, s=4, seed=7,
+def drive_engine(io, kernels="vectorized", n=900, hp=4, s=4, seed=7,
                  workload="adversarial_bucket_skew"):
     """Feed a block stream through BalanceEngine, recording every round.
 
@@ -109,7 +115,7 @@ def drive_engine(plan, kernels="vectorized", n=900, hp=4, s=4, seed=7,
     """
     data = workloads.by_name(workload, n, seed=seed)
     rounds = []
-    with env(REPRO_IO_PLAN=plan), use_kernels(kernels):
+    with use_io(io), use_kernels(kernels):
         machine = ParallelDiskMachine(memory=8192, block=2, disks=8)
         storage = VirtualDisks(machine, hp)
         engine = BalanceEngine(
@@ -122,17 +128,16 @@ def drive_engine(plan, kernels="vectorized", n=900, hp=4, s=4, seed=7,
             m = eng.matrices
             rounds.append((dict(info), m.X.copy().tolist(), m.A.copy().tolist()))
 
-        with machine.io_plan():
-            for i in range(0, data.shape[0], 64):
-                part = data[i : i + 64]
-                machine.mem_acquire(part.shape[0])
-                engine.feed(part)
-                engine.run_rounds(drain_below=2 * hp)
-            runs = engine.flush()
-            chains = [
-                [list(map(repr, chain)) for chain in bucket_chains]
-                for bucket_chains in engine.matrices.L
-            ]
+        for i in range(0, data.shape[0], 64):
+            part = data[i : i + 64]
+            machine.mem_acquire(part.shape[0])
+            engine.feed(part)
+            engine.run_rounds(drain_below=2 * hp)
+        runs = engine.flush()
+        chains = [
+            [list(map(repr, chain)) for chain in bucket_chains]
+            for bucket_chains in engine.matrices.L
+        ]
         buckets = []
         for run in runs:
             parts = [c.tobytes() for c in read_bucket_run(storage, run, free=True)]
@@ -143,8 +148,8 @@ def drive_engine(plan, kernels="vectorized", n=900, hp=4, s=4, seed=7,
 class TestEngineRoundIdentity:
     @pytest.mark.parametrize("kernels", ["scalar", "vectorized"])
     def test_rounds_matrices_chains_and_buckets(self, kernels):
-        fused = drive_engine(None, kernels=kernels)
-        unfused = drive_engine("0", kernels=kernels)
+        fused = drive_engine("fused", kernels=kernels)
+        unfused = drive_engine("rounds", kernels=kernels)
         f_rounds, f_chains, f_io, f_buckets = fused
         u_rounds, u_chains, u_io, u_buckets = unfused
         assert len(f_rounds) > 0
@@ -154,7 +159,9 @@ class TestEngineRoundIdentity:
         assert f_buckets == u_buckets  # record payloads, byte for byte
 
     def test_window_one_equals_off(self):
-        assert drive_engine("1") == drive_engine("0")
+        with use_window(1):
+            fused = drive_engine("fused")
+        assert fused == drive_engine("rounds")
 
 
 # -------------------------------------------------- obs-attached identity
@@ -163,8 +170,8 @@ class TestEngineRoundIdentity:
 class TestObservedSortIdentity:
     """balance_sort_pdm with Observation + TheoryAuditor attached."""
 
-    def _run(self, plan):
-        with env(REPRO_IO_PLAN=plan):
+    def _run(self, io):
+        with use_io(io):
             obs = Observation()
             auditor = TheoryAuditor().install(obs)
             machine = ParallelDiskMachine(memory=512, block=4, disks=8)
@@ -188,8 +195,8 @@ class TestObservedSortIdentity:
             )
 
     def test_observed_run_identical(self):
-        fused = self._run(None)
-        unfused = self._run("0")
+        fused = self._run("fused")
+        unfused = self._run("rounds")
         assert json.dumps(fused, sort_keys=True, default=str) == \
             json.dumps(unfused, sort_keys=True, default=str)
         assert fused["audit"]["ok"] is True
@@ -200,36 +207,41 @@ class TestObservedSortIdentity:
 
 class TestPlanStatsOutOfBand:
     def test_plans_fire_and_stay_out_of_payload(self):
-        with env(REPRO_IO_PLAN=None):
-            machine = ParallelDiskMachine(memory=512, block=4, disks=8)
-            data = workloads.by_name("uniform", 2000, seed=0)
-            balance_sort_pdm(machine, data)
+        machine = ParallelDiskMachine(memory=512, block=4, disks=8)
+        data = workloads.by_name("uniform", 2000, seed=0)
+        balance_sort_pdm(machine, data)
         snap = machine.plan_stats.snapshot()
         assert snap["deferred_write_rounds"] > 0
         assert snap["write_flushes"] > 0
         assert snap["max_write_flush_blocks"] > 0
         # The payload schema must not mention plan execution anywhere:
         # physical fusion is telemetry, not a result.
-        payload = payload_json(None)
+        payload = payload_json("fused")
         assert "plan_stats" not in payload
         assert "deferred_write_rounds" not in payload
 
-    def test_plans_disabled_under_checksums(self):
-        with env(REPRO_IO_PLAN=None):
+    def test_plans_run_under_checksums(self):
+        """Checksummed stores take the fused path, with the same counts."""
+        data = workloads.by_name("uniform", 1000, seed=0)
+        runs = {}
+        for checksums in (True, False):
             machine = ParallelDiskMachine(
-                memory=512, block=4, disks=8, checksums=True
+                memory=512, block=4, disks=8, checksums=checksums
             )
-            data = workloads.by_name("uniform", 1000, seed=0)
-            balance_sort_pdm(machine, data)
-        snap = machine.plan_stats.snapshot()
-        assert snap["deferred_write_rounds"] == 0
-        assert snap["write_flushes"] == 0
+            res = balance_sort_pdm(machine, data)
+            assert machine.store.checksums is checksums
+            output = peek_run(res.storage, res.output).tobytes()
+            runs[checksums] = (res.io_stats, output, machine.plan_stats.snapshot())
+        assert runs[True] == runs[False]
+        snap = runs[True][2]
+        assert snap["deferred_write_rounds"] > 0 and snap["write_flushes"] > 0
+        assert snap["read_gathers"] > 0
 
     def test_ambient_collector_and_merge(self):
         """collect_plan_stats gathers every machine; merge sums/maxes."""
         from repro.pdm.machine import collect_plan_stats, merge_plan_snapshots
 
-        with env(REPRO_IO_PLAN=None), collect_plan_stats() as collected:
+        with collect_plan_stats() as collected:
             for n in (1000, 2000):
                 machine = ParallelDiskMachine(memory=512, block=4, disks=8)
                 balance_sort_pdm(machine, workloads.uniform(n, seed=0))
@@ -254,16 +266,14 @@ class TestPlanStatsOutOfBand:
 
         runner = ParallelRunner(cache_dir=str(tmp_path / "cache"))
         specs = [RunSpec("sort_pdm", {"n": 1000, "disks": 4})]
-        with env(REPRO_IO_PLAN=None):
-            results = runner.map(specs)
+        results = runner.map(specs)
         assert not results[0].failed
         assert "_plan_stats" not in results[0].payload
         totals = runner.stats["io_plan"]
         assert totals["write_flushes"] > 0
         # A cache-served rerun contributes nothing new (no simulation).
         rerun = ParallelRunner(cache_dir=str(tmp_path / "cache"))
-        with env(REPRO_IO_PLAN=None):
-            again = rerun.map(specs)
+        again = rerun.map(specs)
         assert again[0].cached
         assert "_plan_stats" not in again[0].payload
         assert not any(rerun.stats["io_plan"].values())

@@ -183,10 +183,10 @@ class TestIngestPath:
 
         for env_name, _ in _CONFIG_ENV:
             monkeypatch.delenv(env_name, raising=False)
-        monkeypatch.setenv("REPRO_IO_PLAN", "0")
+        monkeypatch.setenv("REPRO_PDM_STORE", "dict")
         history = RunHistory(str(tmp_path / "h"))
         record = history.ingest_doc(_report(), config={"extra": "1"})
-        assert record["config"] == {"io_plan": "0", "extra": "1"}
+        assert record["config"] == {"pdm_store": "dict", "extra": "1"}
 
 
 class TestQuery:

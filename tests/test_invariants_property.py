@@ -28,6 +28,7 @@ from repro.core.balance import BalanceEngine, read_bucket_run
 from repro.pdm import ParallelDiskMachine, VirtualDisks
 from repro.records import composite_keys
 
+from .io_reference import use_io, use_window
 from .kernel_reference import use_kernels
 
 WORKLOADS = [
@@ -156,20 +157,17 @@ def test_invariants_hold_under_fused_plans_at_every_level(shape):
     """Invariants 1 & 2 + Theorem 4 after every fused round, every level.
 
     Runs the whole recursive PDM sort (not a single engine) under a
-    randomly drawn ``REPRO_IO_PLAN`` window, hooking every recursion
-    level's engine through ``obs.engine_observers`` — the same seam the
+    randomly drawn ``PLAN_WINDOW``, hooking every recursion level's
+    engine through ``obs.engine_observers`` — the same seam the
     TheoryAuditor uses — and asserting the paper's safety properties at
-    each round boundary.  Window 0 is the unfused reference execution,
-    so the strategy itself pins fused == unfused on the property level.
+    each round boundary.  Window 0 stands for the round-at-a-time oracle
+    (``tests/io_reference.py``), so the strategy itself pins fused ==
+    unfused on the property level.
     """
     from repro.core.sort_pdm import balance_sort_pdm
     from repro.obs import Observation
     from repro.records import sort_records
 
-    import os
-
-    saved = os.environ.get("REPRO_IO_PLAN")
-    os.environ["REPRO_IO_PLAN"] = str(shape["window"])
     seen = {"rounds": 0}
 
     def check(engine, info):
@@ -184,18 +182,14 @@ def test_invariants_hold_under_fused_plans_at_every_level(shape):
             f"(window={shape['window']})"
         )
 
-    try:
+    window = shape["window"]
+    with use_io("rounds") if window == 0 else use_window(window):
         obs = Observation()
         obs.engine_observers.append(check)
         machine = ParallelDiskMachine(memory=512, block=4, disks=8)
         data = workloads.by_name(shape["workload"], shape["n"], seed=shape["seed"])
         res = balance_sort_pdm(machine, data, obs=obs)
         obs.close()
-    finally:
-        if saved is None:
-            os.environ.pop("REPRO_IO_PLAN", None)
-        else:
-            os.environ["REPRO_IO_PLAN"] = saved
     assert seen["rounds"] == res.engine_rounds > 0
     assert res.max_balance_factor <= 2.0 + 2.0 / max(1, data.shape[0] // 100)
     # The sorted output is exactly the input, reordered.

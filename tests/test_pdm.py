@@ -108,13 +108,13 @@ class TestMachineRules:
         records = make_records(np.arange(64, dtype=np.uint64))
         wide = records.reshape(8, 2 * m.B)
         m.mem_acquire(64)
-        with m.io_plan(window=8):
-            for slot in range(2):
-                rows = wide[4 * slot : 4 * slot + 4]
-                data = rows[:, ::2] if strided else rows[:, : m.B]
-                disks = np.arange(4, dtype=np.int64)
-                m.write_blocks_arr(disks, np.full(4, slot, dtype=np.int64), data)
-            assert m.plan_stats.write_flushes == 0
+        for slot in range(2):
+            rows = wide[4 * slot : 4 * slot + 4]
+            data = rows[:, ::2] if strided else rows[:, : m.B]
+            disks = np.arange(4, dtype=np.int64)
+            m.write_blocks_arr(disks, np.full(4, slot, dtype=np.int64), data)
+        assert m.plan_stats.write_flushes == 0
+        m.flush_io_plan()
         assert m.plan_stats.write_flushes == 1
         for slot in range(2):
             rows = wide[4 * slot : 4 * slot + 4]
@@ -122,6 +122,18 @@ class TestMachineRules:
             for d in range(4):
                 got = m.peek_block(BlockAddress(d, slot))
                 assert got.tobytes() == want[d].tobytes()
+
+    def test_rewrite_of_a_pending_block_lands_last(self):
+        """A checked write to a pending address flushes the plan first, so
+        the rewrite wins and the store holds one block, not two."""
+        m = machine()
+        m.mem_acquire(2 * m.B)
+        first, second = block_of(m, 1), block_of(m, 2)
+        m.write_blocks([(BlockAddress(0, 3), first)])
+        m.write_blocks([(BlockAddress(0, 3), second)])
+        assert m.plan_stats.write_flushes == 1
+        assert m.peek_block(BlockAddress(0, 3)).tobytes() == second.tobytes()
+        assert m.mem_snapshot()["resident_blocks"] == 1 == m.store.n_blocks()
 
     def test_allocate_slots_monotone(self):
         m = machine()

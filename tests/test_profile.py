@@ -24,6 +24,8 @@ from repro.obs import (
 )
 from repro.pdm import ParallelDiskMachine
 
+from .io_reference import use_io
+
 
 def _begin(span, parent, name, ts, **attrs):
     return {"ev": "begin", "span": span, "parent": parent, "name": name,
@@ -221,31 +223,22 @@ class TestFusedRoundAccounting:
     store scatter — but the cost model (and therefore IOStats, the trace
     events, and every profile column derived from them) counts logical
     rounds.  A fused run's profile must be indistinguishable from the
-    unfused reference: same round counts, same stripe-width histograms,
-    same per-span attribution.
+    round-at-a-time oracle's (``tests/io_reference.py``): same round
+    counts, same stripe-width histograms, same per-span attribution.
     """
 
-    def _profile(self, io_plan):
-        import os
-
-        saved = os.environ.get("REPRO_IO_PLAN")
-        os.environ["REPRO_IO_PLAN"] = io_plan
-        try:
+    def _profile(self, io):
+        with use_io(io):
             obs = Observation()
             machine = ParallelDiskMachine(memory=512, block=4, disks=8)
             data = workloads.by_name("uniform", 2000, seed=0)
             res = balance_sort_pdm(machine, data, obs=obs)
             obs.close()
-            return profile_trace(list(obs.tracer.events)), res, machine
-        finally:
-            if saved is None:
-                os.environ.pop("REPRO_IO_PLAN", None)
-            else:
-                os.environ["REPRO_IO_PLAN"] = saved
+        return profile_trace(list(obs.tracer.events)), res, machine
 
     def test_logical_round_columns_identical_fused_vs_unfused(self):
-        fused, fres, fmachine = self._profile("64")
-        unfused, ures, _ = self._profile("0")
+        fused, fres, fmachine = self._profile("fused")
+        unfused, ures, _ = self._profile("rounds")
         # The plan actually fired in the fused run...
         assert fmachine.plan_stats.write_flushes > 0
         assert (fmachine.plan_stats.deferred_write_rounds
@@ -258,8 +251,8 @@ class TestFusedRoundAccounting:
         assert fres.io_stats == ures.io_stats
 
     def test_per_span_round_attribution_identical(self):
-        fused, _, _ = self._profile("64")
-        unfused, _, _ = self._profile("0")
+        fused, _, _ = self._profile("fused")
+        unfused, _, _ = self._profile("rounds")
         by_name = lambda prof: {
             h["name"]: (h["count"], h["rounds"]) for h in prof["hotspots"]
         }
@@ -270,8 +263,8 @@ class TestFusedRoundAccounting:
         assert levels(fused) == levels(unfused)
 
     def test_timeline_round_totals_identical(self):
-        fused, _, _ = self._profile("64")
-        unfused, _, _ = self._profile("0")
+        fused, _, _ = self._profile("fused")
+        unfused, _, _ = self._profile("rounds")
         total = lambda prof: sum(b["rounds"] for b in prof["io"]["timeline"])
         assert total(fused) == total(unfused) == fused["io"]["rounds"]["total"]
 

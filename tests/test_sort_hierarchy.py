@@ -10,8 +10,11 @@ from repro.analysis import bounds
 from repro.core.sort_hierarchy import balance_sort_hierarchy, choose_s_and_g
 from repro.core.streams import peek_run
 from repro.exceptions import ParameterError
-from repro.hierarchies import LogCost, ParallelHierarchies, PowerCost
+from repro.hierarchies import LogCost, ParallelHierarchies, PowerCost, well_behaved
+from repro.obs import Observation
 from repro.util import assert_is_permutation, assert_sorted
+
+from .io_reference import use_io
 
 
 def phmm(h=64, cost=None, interconnect="pram", model="hmm"):
@@ -146,3 +149,35 @@ class TestCostShapes:
         t8 = balance_sort_hierarchy(phmm(h=8), data).total_time
         t64 = balance_sort_hierarchy(phmm(h=64), data).total_time
         assert t64 < t8
+
+
+class TestFusedReads:
+    """Hierarchy reads take the windowed executor.  Each round's step is
+    charged ``max f(slot + 1)`` and its addresses recycled at the round
+    itself, so slot reuse, every step cost and the working set match the
+    round-at-a-time oracle (``tests/io_reference.py``)."""
+
+    @staticmethod
+    def _run(io, model, cost, h):
+        with use_io(io):
+            machine = ParallelHierarchies(h, model=model, cost_fn=well_behaved(cost))
+            obs = Observation()
+            res = balance_sort_hierarchy(
+                machine, workloads.uniform(3000, seed=62), obs=obs
+            )
+            obs.close()
+        storage = res.storage
+        steps = [ev for ev in obs.tracer.events if ev.get("name") == "mem.step"]
+        return dict(
+            memory_time=machine.memory_time,
+            parallel_steps=machine.parallel_steps,
+            footprint=[storage.footprint(v) for v in range(storage.n_virtual)],
+            steps=[{k: v for k, v in ev.items() if k != "ts"} for ev in steps],
+            output=peek_run(storage, res.output).tobytes(),
+        )
+
+    @pytest.mark.parametrize("model", ["hmm", "bt", "umh"])
+    @pytest.mark.parametrize("cost", ["log", "0.5", "umh"])
+    def test_matches_round_at_a_time(self, model, cost):
+        fused = self._run("fused", model, cost, h=27)
+        assert fused["steps"] and fused == self._run("rounds", model, cost, h=27)

@@ -150,6 +150,37 @@ class TestChecksums:
         # the detection aborted the whole batch: all D blocks still resident
         assert m.store.n_blocks() == D
 
+    def test_gather_defers_mismatch_to_its_round(self, store):
+        """A windowed gather records a mismatch instead of raising; the
+        charge of the round that reads the block raises it, with the
+        message a single read would give."""
+        m = machine(store, checksums=True)
+        disks, slots = load(m)
+        m.store.corrupt_block(2, 0, bit_seed=12345)
+        with pytest.raises(BlockCorruptionError) as single:
+            m.read_blocks_arr(disks, slots)
+        matrix = m.gather_blocks_arr(disks, slots, free=True)
+        assert matrix.shape == (D, B) and m.store.n_blocks() == 0
+        m.charge_read_io(2, [(0, 0), (1, 0)])
+        with pytest.raises(BlockCorruptionError) as deferred:
+            m.charge_read_io(2, [(2, 0), (3, 0)])
+        assert str(deferred.value) == str(single.value)
+        assert m.stats.read_ios == 1
+
+    def test_rewrite_clears_a_deferred_mismatch(self, store):
+        """A later gather re-verifies: a rewritten block's old verdict
+        does not outlive the rewrite."""
+        m = machine(store, checksums=True)
+        disks, slots = load(m)
+        m.store.corrupt_block(0, 0, bit_seed=5)
+        m.gather_blocks_arr(disks, slots)
+        assert (0, 0) in m.corrupt_reads
+        m.mem_acquire(D * B)
+        m.write_blocks_arr(disks, slots, blocks(D, start=100))
+        out = m.gather_blocks_arr(disks, slots)
+        m.charge_read_io(D, list(zip(disks.tolist(), slots.tolist())))
+        assert np.array_equal(out, blocks(D, start=100)) and not m.corrupt_reads
+
     def test_rewrite_clears_corruption(self, store):
         m = machine(store, checksums=True)
         disks, slots = load(m)

@@ -116,11 +116,12 @@ class TestPeekMany:
         vb = storage.virtual_block_size
         data = workloads.uniform(4 * vb, seed=29)
         machine.mem_acquire(4 * vb)
-        with machine.io_plan(window=8):
-            run = write_ordered_run(storage, data)
-            assert machine.plan_stats.write_flushes == 0  # still deferred
-            assert records_equal(peek_run(storage, run), data)
-            assert machine.plan_stats.write_flushes == 1
+        run = write_ordered_run(storage, data)
+        assert machine.plan_stats.write_flushes == 0  # still deferred
+        assert records_equal(peek_run(storage, run), data)
+        assert machine.plan_stats.write_flushes == 1
+        machine.flush_io_plan()  # the peek left nothing pending
+        assert machine.plan_stats.write_flushes == 1
 
     def test_verifies_checksums(self):
         from repro.exceptions import BlockCorruptionError

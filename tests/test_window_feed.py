@@ -13,7 +13,8 @@ each track on its own.  Two checks pin it:
 
 The streaming side (``read_run_batches(..., window_map=...)``) must hand
 the hook exactly the records the plain reader yields, with the memory
-ledger moving at the same yield points, fused or not.
+ledger moving at the same yield points, fused or round at a time
+(``tests/io_reference.py``).
 """
 
 import numpy as np
@@ -26,6 +27,8 @@ from repro.core.balance import BalanceEngine
 from repro.core.streams import read_run_batches
 from repro.pdm import ParallelDiskMachine, VirtualDisks
 from repro.records import composite_keys, make_records
+
+from .io_reference import use_io
 
 
 def reference_feed(records, pivots, vb, tracks, held):
@@ -168,28 +171,24 @@ def stream(window_map):
         return out
 
     seen = []
-    with machine.io_plan():
-        for item in read_run_batches(storage, run, free=True,
-                                     window_map=hook if window_map else None):
-            chunk, mapped = item if window_map else (item, None)
-            if window_map:
-                assert mapped == chunk.tobytes()
-            seen.append((chunk.tobytes(), machine.memory_in_use))
-            machine.mem_release(chunk.shape[0])
+    for item in read_run_batches(storage, run, free=True,
+                                 window_map=hook if window_map else None):
+        chunk, mapped = item if window_map else (item, None)
+        if window_map:
+            assert mapped == chunk.tobytes()
+        seen.append((chunk.tobytes(), machine.memory_in_use))
+        machine.mem_release(chunk.shape[0])
     return seen, calls
 
 
-@pytest.mark.parametrize("plan", [None, "0"], ids=["fused", "classic"])
-def test_window_hook_matches_plain_reader(plan, monkeypatch):
-    if plan is None:
-        monkeypatch.delenv("REPRO_IO_PLAN", raising=False)
-    else:
-        monkeypatch.setenv("REPRO_IO_PLAN", plan)
-    plain, _ = stream(False)
-    hooked, calls = stream(True)
+@pytest.mark.parametrize("io", ["fused", "rounds"], ids=["fused", "classic"])
+def test_window_hook_matches_plain_reader(io):
+    with use_io(io):
+        plain, _ = stream(False)
+        hooked, calls = stream(True)
     assert hooked == plain
     assert sum(len(c) for c in calls) == len(plain)
-    if plan is None:
+    if io == "fused":
         assert len(calls) == 1  # the whole run is one gather window
     else:
         assert all(len(c) == 1 for c in calls)  # one round per window
