@@ -2029,16 +2029,32 @@ def cmd_workloads(_args) -> int:
 _SHAPED = frozenset({"sort", "compare", "audit", "hierarchy"})
 
 
+def _run_spec(args) -> tuple[str, dict]:
+    """The ``(task, params)`` cell a single-run subcommand executes."""
+    if "hierarchy" in (args.command, getattr(args, "target", None)):
+        return "hierarchy_sort", {
+            "n": args.n, "h": args.h, "model": args.model, "cost": args.cost,
+            "interconnect": args.interconnect,
+        }
+    # `compare` runs Balance Sort among its four, so the sort's rules apply.
+    return "sort_pdm", {
+        "n": args.n, "memory": args.memory, "block": args.block,
+        "disks": args.disks, "processors": getattr(args, "processors", 1),
+        "virtual_disks": getattr(args, "virtual_disks", None),
+        "buckets": getattr(args, "buckets", None),
+    }
+
+
 def _usage_error(args) -> str | None:
     """A bad ``--cost``, ``--n`` or machine shape as one line, else None.
 
-    Shapes are checked by building the machine the command runs on, with
-    the sort's own defaults, so the rules live in one place: the
-    constructors and the sort's memoryload rule.
+    Single runs and every cell of a ``sweep`` / ``submit`` / ``bench
+    record`` grid are checked by :func:`repro.exec.tasks.check_spec`, so
+    the rules live in one place: the constructors and the sort's
+    memoryload rule, with the task's own defaults.
     """
-    from .core.sort_pdm import _memoryload, default_bucket_count
     from .exceptions import ParameterError
-    from .pdm.striping import VirtualDisks, default_virtual_disk_count
+    from .exec import check_spec
 
     cost = getattr(args, "cost", None)
     # `hierarchy` / `audit` take one spec; the grid flag is a comma list.
@@ -2047,25 +2063,19 @@ def _usage_error(args) -> str | None:
         for spec in specs:
             well_behaved(spec)
         if args.command in _SHAPED:
-            if args.n < 0:
-                raise ParameterError(f"--n must be >= 0, got {args.n}")
-            if "hierarchy" in (args.command, getattr(args, "target", None)):
-                ParallelHierarchies(args.h)
-            else:
-                machine = ParallelDiskMachine(
-                    memory=args.memory, block=args.block, disks=args.disks,
-                    processors=getattr(args, "processors", 1),
-                )
-                storage = VirtualDisks(
-                    machine,
-                    getattr(args, "virtual_disks", None)
-                    or default_virtual_disk_count(machine.D),
-                )
-                _memoryload(
-                    machine, storage,
-                    getattr(args, "buckets", None)
-                    or default_bucket_count(machine.M, machine.B),
-                )
+            check_spec(*_run_spec(args))
+        elif args.command in ("sweep", "submit") or (
+            getattr(args, "bench_command", None) == "record"
+        ):
+            task, cells = _sweep_specs(args)
+            for index, cell in enumerate(cells):
+                try:
+                    check_spec(task, cell.params)
+                except ParameterError as exc:
+                    shape = " ".join(f"{k}={v}" for k, v in cell.params.items())
+                    raise ParameterError(
+                        f"cell {index} ({task} {shape}): {exc}"
+                    ) from None
     except ParameterError as exc:
         return str(exc)
     return None

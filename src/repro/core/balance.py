@@ -209,11 +209,16 @@ class BalanceEngine:
         """Wire an :class:`~repro.obs.Observation` through a round observer.
 
         Per completed round: a ``balance.round`` trace event (cumulative
-        totals + current Theorem-4 balance factor) plus, under
-        ``obs.scope(scope)``, counters ``rounds`` / ``swaps`` /
+        totals + current Theorem-4 balance factor) on a trace channel.
+        Under ``obs.scope(scope)``, counters ``rounds`` / ``swaps`` /
         ``unprocessed`` / ``match_calls``, a per-round swap-count
         histogram, and a ``max_balance_factor`` gauge (its ``max``
-        watermark is the worst factor seen anywhere in the pass).
+        watermark is the worst factor seen anywhere in the pass) are
+        replayed from the channel's columns in bulk when the scope is
+        next read (see :meth:`~repro.obs.MetricsRegistry.add_pending_flush`).
+        This engine's private channel keeps the replay cursor independent
+        of any other engine sharing the scope, and registration order
+        keeps the shared instruments' update order chronological.
         """
         reg = obs.scope(scope)
         rounds = reg.counter("rounds")
@@ -228,66 +233,41 @@ class BalanceEngine:
             ("round", "placed", "swapped", "unprocessed", "match_calls",
              "max_balance_factor"),
         )
-        if channel is not None:
-            # Columnar fast path: one scalar append per round; counters,
-            # the swap histogram, and the gauge are replayed in bulk from
-            # the columns when the scope is next read (see
-            # MetricsRegistry.add_pending_flush).  This engine's private
-            # channel keeps the replay cursor independent of any other
-            # engine sharing the scope, and registration order keeps the
-            # shared instruments' update order chronological.
-            append = channel.append
+        append = channel.append
 
-            def _observe(engine, info):
-                append(info["round"], info["placed"], info["swapped"],
-                       info["unprocessed"], info["match_calls"],
-                       info["max_balance_factor"])
+        def _observe(engine, info):
+            append(info["round"], info["placed"], info["swapped"],
+                   info["unprocessed"], info["match_calls"],
+                   info["max_balance_factor"])
 
-            cols = channel.cols
-            swapped_col, unproc_col = cols[2], cols[3]
-            match_col, factor_col = cols[4], cols[5]
-            state = [0, 0, 0, 0]  # cursor, prev swapped/unprocessed/match
+        cols = channel.cols
+        swapped_col, unproc_col = cols[2], cols[3]
+        match_col, factor_col = cols[4], cols[5]
+        state = [0, 0, 0, 0]  # cursor, prev swapped/unprocessed/match
 
-            def _flush():
-                n = len(swapped_col)
-                i = state[0]
-                if i >= n:
-                    return
-                state[0] = n
-                rounds.inc(n - i)
-                prev_swapped = state[1]
-                diffs = []
-                add_diff = diffs.append
-                for s in swapped_col[i:n]:
-                    add_diff(s - prev_swapped)
-                    prev_swapped = s
-                swaps.inc(prev_swapped - state[1])
-                state[1] = prev_swapped
-                swap_hist.observe_bulk(diffs)
-                unprocessed.inc(unproc_col[n - 1] - state[2])
-                state[2] = unproc_col[n - 1]
-                match_calls.inc(match_col[n - 1] - state[3])
-                state[3] = match_col[n - 1]
-                bf.set_bulk(factor_col[i:n])
+        def _flush():
+            n = len(swapped_col)
+            i = state[0]
+            if i >= n:
+                return
+            state[0] = n
+            rounds.inc(n - i)
+            prev_swapped = state[1]
+            diffs = []
+            add_diff = diffs.append
+            for s in swapped_col[i:n]:
+                add_diff(s - prev_swapped)
+                prev_swapped = s
+            swaps.inc(prev_swapped - state[1])
+            state[1] = prev_swapped
+            swap_hist.observe_bulk(diffs)
+            unprocessed.inc(unproc_col[n - 1] - state[2])
+            state[2] = unproc_col[n - 1]
+            match_calls.inc(match_col[n - 1] - state[3])
+            state[3] = match_col[n - 1]
+            bf.set_bulk(factor_col[i:n])
 
-            reg.add_pending_flush(_flush)
-        else:
-            prev = {"swapped": 0, "unprocessed": 0, "match_calls": 0}
-            trace_event = obs.tracer.event  # bound: one event per round
-
-            def _observe(engine, info):
-                rounds.inc()
-                swaps.inc(info["swapped"] - prev["swapped"])
-                unprocessed.inc(info["unprocessed"] - prev["unprocessed"])
-                match_calls.inc(info["match_calls"] - prev["match_calls"])
-                swap_hist.observe(info["swapped"] - prev["swapped"])
-                bf.set(info["max_balance_factor"])
-                trace_event("balance.round", **info)
-                prev.update(
-                    swapped=info["swapped"], unprocessed=info["unprocessed"],
-                    match_calls=info["match_calls"],
-                )
-
+        reg.add_pending_flush(_flush)
         self.add_round_observer(_observe)
 
     def _notify_round(self) -> None:

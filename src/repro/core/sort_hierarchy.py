@@ -2,9 +2,11 @@
 
 ``Sort(N, T)``:
 
-* **base case** ``N ≤ 3H`` — bring the records to the base level ``H`` at a
-  time, sort each batch on the interconnect (``T(H)`` each), write back,
-  and binary-merge the ≤ 3 sorted lists;
+* **base case** ``N ≤ max(3H, 20)`` — bring the records to the base level
+  ``H`` at a time, sort each batch on the interconnect (``T(H)`` each),
+  write back, and binary-merge the sorted lists (≤ 3 of them when
+  ``N ≤ 3H``; the floor of 20 covers the small ``N`` for which Algorithm 2
+  has no ``(S, G)``, reached only when ``H ≤ 6``);
 * **recursive case** — ``ComputePartitionElements`` (Algorithm 2: ``G``
   recursively sorted groups, sample every ⌊log N⌋-th element), then
   ``Balance`` distributes the sorted groups' records into ``S`` buckets
@@ -51,7 +53,15 @@ from .streams import (
     write_ordered_run,
 )
 
-__all__ = ["balance_sort_hierarchy", "HierarchySortResult", "choose_s_and_g"]
+__all__ = [
+    "balance_sort_hierarchy", "HierarchySortResult", "choose_s_and_g",
+    "BASE_CASE_MIN",
+]
+
+#: The base case takes every ``N ≤ max(3H, BASE_CASE_MIN)``.  For some
+#: ``N`` up to 20, ``choose_s_and_g`` has no ``(S, G)`` at all; above
+#: ``max(3H, 20)`` it always has one (pinned for H ≤ 64, N ≤ 10,000).
+BASE_CASE_MIN = 20
 
 
 @dataclass
@@ -187,7 +197,7 @@ def _sort(machine, storage, run, n, matcher, rng, check_invariants, agg, depth,
     if n == 0:
         return OrderedRun(blocks=[], n_records=0)
     h = machine.h
-    if n <= 3 * h:
+    if n <= max(3 * h, BASE_CASE_MIN):
         with _phase(tracer, machine, "base-case", n=n, level=depth):
             return _base_case(machine, storage, run, n, agg)
 
@@ -271,14 +281,17 @@ def _sort(machine, storage, run, n, matcher, rng, check_invariants, agg, depth,
 
 
 def _base_case(machine, storage, run, n, agg) -> OrderedRun:
-    """N ≤ 3H: batch-sort at the base level and binary-merge ≤3 lists."""
+    """Batch-sort at the base level and binary-merge the sorted lists."""
     agg.base_calls += 1
     recs = read_run_all(storage, run, free=True)
     batches = -(-n // machine.h)  # ⌈N/H⌉ interconnect sorts of H records
     machine.charge_base_sort(rounds=batches)
     if batches > 1:
-        # Binary merge of the ≤3 sorted lists: ≤2 merge sweeps, each a scan
-        # at the base plus a log-H combine.
-        machine.charge_interconnect(2 * (n / machine.h + math.log2(max(2, machine.h))))
+        # Binary merge of the k sorted lists: 2 merge sweeps for k ≤ 3 and
+        # ⌈log₂ k⌉ above, each a scan at the base plus a log-H combine.
+        sweeps = max(2, (batches - 1).bit_length())
+        machine.charge_interconnect(
+            sweeps * (n / machine.h + math.log2(max(2, machine.h)))
+        )
     out = sort_records(recs)
     return write_ordered_run(storage, out, park=True)

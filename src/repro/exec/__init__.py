@@ -45,7 +45,7 @@ from .runner import (
     default_jobs,
     grid,
 )
-from .tasks import get_task, run_task, task, task_names
+from .tasks import check_spec, get_task, run_task, task, task_names
 
 __all__ = [
     "CACHE_ENTRY_SCHEMA",
@@ -70,4 +70,5 @@ __all__ = [
     "run_task",
     "task",
     "task_names",
+    "check_spec",
 ]

@@ -62,6 +62,7 @@ from dataclasses import dataclass, field
 from typing import Callable, Iterable
 
 from ..exceptions import InjectedWorkerCrash, PoisonedPayloadError, TaskTimeout
+from ..obs import ROUND_EVENTS
 from ..obs.memory import memory_telemetry_enabled, peak_rss_kb
 from ..obs.telemetry import PROGRESS_SCHEMA, TelemetryWriter, activate_telemetry
 from ..pdm.machine import (
@@ -258,7 +259,7 @@ def _payload_rounds(payload: dict) -> int:
     return sum(
         1 for event in payload.get("trace", ())
         if event.get("ev") == "event"
-        and event.get("name") in ("io.read", "io.write", "mem.step")
+        and event.get("name") in ROUND_EVENTS
     )
 
 

@@ -32,11 +32,12 @@ import numpy as np
 
 from .. import workloads
 from ..analysis import bounds
+from ..exceptions import ParameterError
 from ..obs import Observation, Tracer
 from ..obs.telemetry import ProgressSink, active_telemetry
 from .fingerprint import SCHEMA_SALT
 
-__all__ = ["task", "get_task", "task_names", "run_task"]
+__all__ = ["task", "get_task", "task_names", "check_spec", "run_task"]
 
 _TASKS: dict[str, Callable] = {}
 
@@ -66,6 +67,54 @@ def get_task(name: str) -> Callable:
 def task_names() -> list[str]:
     """All registered task names, sorted."""
     return sorted(_TASKS)
+
+
+def check_spec(task: str, params: dict) -> None:
+    """Refuse a cell its task cannot run, before anything runs.
+
+    Raises :class:`~repro.exceptions.ParameterError` naming the broken
+    rule (``KeyError`` for an unknown task).  The rules, with the task's
+    own defaults: ``n ≥ 0``; for hierarchy cells, the cost spec and the
+    machine constructor; for ``sort_pdm`` and balance ``compare_pdm``
+    cells, the machine, :class:`~repro.pdm.VirtualDisks` and the sort's
+    memoryload rule; for the other ``compare_pdm`` algorithms, the
+    machine constructor alone.  Single CLI runs, every cell of a
+    ``sweep`` / ``submit`` / ``bench record`` grid, and ``repro serve``
+    admission all check here.
+    """
+    from ..core.sort_pdm import _memoryload, default_bucket_count
+    from ..hierarchies import ParallelHierarchies, well_behaved
+    from ..pdm import ParallelDiskMachine, VirtualDisks
+    from ..pdm.striping import default_virtual_disk_count
+
+    get_task(task)
+    n = int(params["n"])
+    if n < 0:
+        raise ParameterError(f"n must be >= 0, got {n}")
+    if task == "hierarchy_sort":
+        ParallelHierarchies(
+            int(params.get("h", 64)),
+            model=params.get("model", "hmm"),
+            cost_fn=well_behaved(params.get("cost", "log")),
+            interconnect=params.get("interconnect", "pram"),
+        )
+        return
+    machine = ParallelDiskMachine(
+        memory=int(params.get("memory", 512)),
+        block=int(params.get("block", 4)),
+        disks=int(params.get("disks", 8)),
+        processors=int(params.get("processors", 1)) if task == "sort_pdm" else 1,
+    )
+    if task == "compare_pdm" and params.get("algorithm") != "balance":
+        return
+    storage = VirtualDisks(
+        machine,
+        params.get("virtual_disks") or default_virtual_disk_count(machine.D),
+    )
+    _memoryload(
+        machine, storage,
+        params.get("buckets") or default_bucket_count(machine.M, machine.B),
+    )
 
 
 def _zero_clock() -> float:

@@ -9,13 +9,15 @@ model and sort one shared instrumentation substrate:
   with labeled child scopes (one scope per machine, per recursion level,
   per phase);
 * :class:`Tracer` — nested spans (``span("distribute", level=1)``) and
-  point events (``event("io.read", disks=4)``) carrying wall-clock *and*
-  model-cost attribution, streamed to a JSONL sink so any run can be
+  point events (``event("audit.violation", ...)``, or one columnar
+  channel row per ``io.read`` / ``io.write`` / ``balance.round``)
+  carrying wall-clock *and* model-cost attribution, recorded in one
+  columnar journal and optionally fed to a JSONL sink so any run can be
   replayed or diffed offline;
 * :class:`Observation` — the bundle (registry + tracer) that machines and
-  sorts accept; ``Observation.disabled()`` is a shared no-op whose hooks
-  cost one attribute check, so un-instrumented runs are bit-identical to
-  the uninstrumented code path;
+  sorts accept; machines hold ``None`` by default, so their hooks cost
+  one attribute check and un-instrumented runs are bit-identical to the
+  uninstrumented code path;
 * :class:`RunReport` — metrics + spans merged into one schema-stable dict,
   rendered as an aligned table for humans or emitted as JSON
   (``repro sort --emit-json``), with :func:`summarize_trace` re-deriving
@@ -101,6 +103,7 @@ from .telemetry import (
 )
 from .tracer import (
     NULL_TRACER,
+    ROUND_EVENTS,
     JsonlSink,
     ListSink,
     NullTracer,
@@ -121,6 +124,7 @@ __all__ = [
     "JsonlSink",
     "ListSink",
     "read_trace",
+    "ROUND_EVENTS",
     "RunReport",
     "render_report",
     "summarize_trace",

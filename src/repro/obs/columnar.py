@@ -13,9 +13,10 @@ instead: each registered *channel* (one fixed ``(name, attr-keys)``
 shape) appends ``(seq, span, ts, *values)`` onto parallel Python lists
 (which grow geometrically, like any list), and the event dicts are
 materialized **only at the serialization boundary** — bit-identical to
-the dicts the classic path would have built, in the same global order
+the dicts ``Tracer.event`` would have built, in the same global order
 (the shared ``seq`` counter interleaves channels and cold literal
-events chronologically).
+events chronologically).  A tracer with a sink materializes from its
+delivery cursor on (``materialize(start)``) at each literal it emits.
 
 Cold events — span begin/end records, rare diagnostics, anything emitted
 through the generic ``Tracer.event`` API — are stored as ready-made
@@ -33,6 +34,8 @@ canonicalizing JSON round-trip for the trace portion of a payload
 
 from __future__ import annotations
 
+from bisect import bisect_left
+
 __all__ = ["ColumnarJournal", "EventChannel", "json_roundtrip_safe"]
 
 
@@ -47,19 +50,26 @@ def json_roundtrip_safe(obj) -> bool:
     non-``str`` dict keys fail (JSON stringifies them).
     """
     t = type(obj)
-    if t is int or t is float or t is str or t is bool or obj is None:
+    if t in _SCALARS:
         return True
+    # Scalar members are tested inline: one call per container, not per
+    # value (a trace has thousands of small literal records to scan).
     if t is dict:
         for k, v in obj.items():
-            if type(k) is not str or not json_roundtrip_safe(v):
+            if type(k) is not str or (
+                type(v) not in _SCALARS and not json_roundtrip_safe(v)
+            ):
                 return False
         return True
     if t is list:
         for v in obj:
-            if not json_roundtrip_safe(v):
+            if type(v) not in _SCALARS and not json_roundtrip_safe(v):
                 return False
         return True
     return False
+
+
+_SCALARS = frozenset((int, float, str, bool, type(None)))
 
 
 class EventChannel:
@@ -156,12 +166,14 @@ class ColumnarJournal:
         """Total events recorded (channels + literals)."""
         return self._count[0]
 
-    def literal(self, record: dict) -> None:
-        """Append a ready-made event dict at the next sequence number."""
+    def literal(self, record: dict) -> int:
+        """Append a ready-made event dict; return its sequence number."""
         count = self._count
-        self._literal_seqs.append(count[0])
-        count[0] += 1
+        seq = count[0]
+        self._literal_seqs.append(seq)
+        count[0] = seq + 1
         self._literals.append(record)
+        return seq
 
     def channel(self, tracer, name: str, keys: tuple) -> EventChannel:
         """Open a new private channel for one fixed event shape."""
@@ -169,30 +181,38 @@ class ColumnarJournal:
         self.channels.append(ch)
         return ch
 
-    def materialize(self) -> list[dict]:
-        """All events as dicts, in emission order.
+    def materialize(self, start: int = 0) -> list[dict]:
+        """Events from sequence number ``start`` on, as dicts, in emission order.
 
-        Each channel row becomes exactly the dict the classic path
-        builds in ``Tracer.event``: ``{"ev": "event", "span": ...,
-        "name": ..., "ts": ..., "attrs": {keys in declaration order}}``.
+        Each channel row becomes the dict ``Tracer.event`` would build:
+        ``{"ev": "event", "span": ..., "name": ..., "ts": ...,
+        "attrs": {keys in declaration order}}``.
         """
-        out: list = [None] * self._count[0]
-        for seq, rec in zip(self._literal_seqs, self._literals):
-            out[seq] = rec
+        out: list = [None] * (self._count[0] - start)
+        seqs = self._literal_seqs
+        i = bisect_left(seqs, start) if start else 0
+        for seq, rec in zip(seqs[i:], self._literals[i:]):
+            out[seq - start] = rec
         for ch in self.channels:
+            seqs = ch.seqs
+            if not seqs or seqs[-1] < start:
+                continue
             name = ch.name
             keys = ch.keys
+            spans, ts, cols = ch.spans, ch.ts, ch.cols
+            if start:
+                i = bisect_left(seqs, start)
+                seqs, spans, ts = seqs[i:], spans[i:], ts[i:]
+                cols = [col[i:] for col in cols]
             if len(keys) == 1:
                 k0 = keys[0]
-                for seq, span, t, v0 in zip(ch.seqs, ch.spans, ch.ts,
-                                            ch.cols[0]):
-                    out[seq] = {"ev": "event", "span": span, "name": name,
-                                "ts": t, "attrs": {k0: v0}}
+                for seq, span, t, v0 in zip(seqs, spans, ts, cols[0]):
+                    out[seq - start] = {"ev": "event", "span": span, "name": name,
+                                        "ts": t, "attrs": {k0: v0}}
             else:
-                for seq, span, t, *values in zip(ch.seqs, ch.spans, ch.ts,
-                                                 *ch.cols):
-                    out[seq] = {"ev": "event", "span": span, "name": name,
-                                "ts": t, "attrs": dict(zip(keys, values))}
+                for seq, span, t, *values in zip(seqs, spans, ts, *cols):
+                    out[seq - start] = {"ev": "event", "span": span, "name": name,
+                                        "ts": t, "attrs": dict(zip(keys, values))}
         return out
 
     def literals_json_safe(self) -> bool:

@@ -38,14 +38,11 @@ from __future__ import annotations
 import json
 
 from .diff import flatten
-from .tracer import read_trace
+from .tracer import ROUND_EVENTS, read_trace
 
 __all__ = ["EXPORT_SCHEMA", "export_chrome_trace", "write_chrome_trace"]
 
 EXPORT_SCHEMA = "repro.chrome_trace/1"
-
-#: Point events rendered as cumulative counter samples, not instants.
-_ROUND_EVENTS = ("io.read", "io.write", "mem.step")
 
 #: The process id every exported event carries (one logical process).
 _PID = 1
@@ -109,7 +106,7 @@ def export_chrome_trace(
     next_tid = 2
     #: span id -> (begin µs, name, tid) for spans still open.
     open_spans: dict[int, tuple[float, str, int]] = {}
-    rounds = {name: 0 for name in _ROUND_EVENTS}
+    rounds = {name: 0 for name in ROUND_EVENTS}
     since_sample = 0
 
     def tid_for(event: dict) -> int:

@@ -265,7 +265,8 @@ class MetricsRegistry:
         ``flush`` replays the new rows into the instruments (keeping its
         own cursor, so repeated flushes are idempotent).  Flushes run in
         registration order, which is chronological for sequentially
-        attached emitters — exports are bit-identical to the eager path.
+        attached emitters — exports are bit-identical to updating the
+        instruments at every event.
         """
         self._pending.append(flush)
 
@@ -416,7 +417,7 @@ class MetricsRegistry:
 
         Deferred sources flush first (their cursors advance), so events
         recorded before the reset are absorbed and zeroed with everything
-        else while later events still land — exactly the eager timeline.
+        else while later events still land — exactly the per-event timeline.
         """
         self._flush_pending()
         for group in (self._counters, self._gauges, self._histograms):

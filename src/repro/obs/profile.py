@@ -37,15 +37,12 @@ from __future__ import annotations
 
 from typing import Iterable
 
-from .tracer import read_trace
+from .tracer import ROUND_EVENTS, read_trace
 
 __all__ = ["profile_trace", "render_profile", "PROFILE_SCHEMA"]
 
 PROFILE_SCHEMA = "repro.profile/1"
 
-#: Point events counted as one I/O round trip each: a PDM parallel I/O
-#: (``io.read`` / ``io.write``) or a hierarchy parallel memory step.
-_ROUND_EVENTS = ("io.read", "io.write", "mem.step")
 
 
 def profile_trace(
@@ -122,11 +119,11 @@ def profile_trace(
             children.setdefault(parent, []).append(sid)
 
     # Attribute round-trip point events to their owning span.
-    round_total = {"io.read": 0, "io.write": 0, "mem.step": 0}
+    round_total = {name: 0 for name in ROUND_EVENTS}
     timeline_events = []
     for ev in point_events:
         name = ev.get("name")
-        if name not in _ROUND_EVENTS:
+        if name not in ROUND_EVENTS:
             continue
         round_total[name] += 1
         node = spans.get(ev.get("span"))

@@ -15,7 +15,7 @@ from typing import Iterable, Sequence
 
 from ..analysis.reporting import Table
 from .metrics import Histogram, MetricsRegistry
-from .tracer import Observation, read_trace
+from .tracer import ROUND_EVENTS, Observation, read_trace
 
 __all__ = ["RunReport", "render_report", "summarize_trace", "write_json", "SCHEMA"]
 
@@ -93,16 +93,15 @@ def summarize_trace(events_or_path: str | Iterable[dict]) -> dict:
         elif kind == "event":
             if name == "balance.round":
                 timeline.append(dict(attrs))
-            elif name in ("io.read", "io.write"):
-                width = attrs.get("width", attrs.get("disks"))
-                if width is not None:
-                    widths[name.split(".", 1)[1]].observe(int(width))
-            elif name == "mem.step":
-                # hierarchy machines: parallel memory steps tagged with the
-                # access kind carry the stripe width of that step.
-                step_kind = attrs.get("kind")
-                width = attrs.get("width")
-                if step_kind in ("read", "write") and width is not None:
+            elif name in ROUND_EVENTS:
+                if name == "mem.step":
+                    # hierarchy machines: parallel memory steps tagged with
+                    # the access kind carry the stripe width of that step.
+                    step_kind, width = attrs.get("kind"), attrs.get("width")
+                else:
+                    step_kind = name.split(".", 1)[1]
+                    width = attrs.get("width", attrs.get("disks"))
+                if step_kind in widths and width is not None:
                     widths[step_kind].observe(int(width))
 
     return {

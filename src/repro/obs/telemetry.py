@@ -57,7 +57,7 @@ import time
 from contextlib import contextmanager
 
 from .memory import memory_telemetry_enabled, peak_rss_kb
-from .tracer import read_trace
+from .tracer import ROUND_EVENTS, read_trace
 
 __all__ = [
     "PROGRESS_SCHEMA",
@@ -73,9 +73,6 @@ __all__ = [
 ]
 
 PROGRESS_SCHEMA = "repro.progress/1"
-
-#: Point events counted as one I/O round trip (mirrors the profiler).
-_ROUND_EVENTS = ("io.read", "io.write", "mem.step")
 
 
 def _jsonable(value):
@@ -163,6 +160,9 @@ class ProgressSink:
     seconds, whichever comes first.  Top-level phase transitions
     (``partition`` / ``distribute`` / ``recurse`` / ``base-case`` at
     recursion level 0) are forwarded immediately as ``phase`` lines.
+    Like every sink it receives the tracer's delivery order: each span
+    boundary at once, after the I/O rows recorded since the previous
+    one, so round counts advance in bursts between boundaries.
     """
 
     #: Phase span names worth announcing at recursion level 0.
@@ -198,7 +198,7 @@ class ProgressSink:
         kind = event.get("ev")
         name = event.get("name", "")
         if kind == "event":
-            if name in _ROUND_EVENTS:
+            if name in ROUND_EVENTS:
                 self.rounds += 1
             elif name == "balance.round":
                 self.balance_rounds += 1

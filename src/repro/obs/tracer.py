@@ -1,4 +1,4 @@
-"""Span/event tracer with JSONL persistence and a zero-cost disabled path.
+"""Span/event tracer over one columnar journal, with JSONL persistence.
 
 Event schema (one JSON object per line in a trace file)::
 
@@ -15,13 +15,19 @@ events repeat the final attribute set — cost attribution recorded with
 memory time) lands there, so offline consumers only need ``end`` lines to
 reconstruct the per-phase breakdown.
 
-The disabled path: :data:`NULL_TRACER` (a :class:`NullTracer`) exposes the
-same interface with constant no-op objects — ``span()`` returns a shared
-reusable context manager, ``event()`` returns immediately.  Machines keep
-their observation attribute as ``None`` by default and guard hooks with a
-single ``is not None`` check, so un-instrumented runs execute the same
-arithmetic as before the instrumentation existed (counted I/O and model
-costs are bit-identical).
+Every event lands in the tracer's :class:`~repro.obs.columnar.ColumnarJournal`:
+the hot point events (one per parallel I/O, one per Balance round) as
+channel rows, everything else as literal dicts.  A sink sees the same
+records, materialized in sequence order: each literal is delivered when
+it is emitted, right after the channel rows recorded before it, and
+:meth:`Tracer.close` delivers the rest.
+
+The disabled path: :data:`NULL_TRACER` (a :class:`NullTracer`) exposes
+``span()`` / ``event()`` as constant no-ops — ``span()`` returns a shared
+reusable context manager.  Machines keep their observation hooks as
+``None`` by default and guard them with a single ``is not None`` check,
+so un-instrumented runs execute the same arithmetic as before the
+instrumentation existed (counted I/O and model costs are bit-identical).
 """
 
 from __future__ import annotations
@@ -49,11 +55,16 @@ __all__ = [
     "JsonlSink",
     "ListSink",
     "read_trace",
+    "ROUND_EVENTS",
 ]
+
+#: Point events that each count as one I/O round trip: a PDM parallel I/O
+#: (``io.read`` / ``io.write``) or a hierarchy parallel memory step.
+ROUND_EVENTS = ("io.read", "io.write", "mem.step")
 
 
 class ListSink:
-    """Collect emitted events in memory (the default sink)."""
+    """Collect emitted events in memory."""
 
     def __init__(self):
         self.events: list[dict] = []
@@ -161,39 +172,44 @@ class Tracer:
     """Nested span/event recorder.
 
     Spans nest via an explicit stack (``with tracer.span("distribute"):``);
-    point events attach to the innermost open span.  Every event goes to
-    the ``sink`` as it happens (JSONL for offline analysis, the default
-    :class:`ListSink` for in-process reports).
+    point events attach to the innermost open span.  Events are stored in
+    a :class:`~repro.obs.columnar.ColumnarJournal`; an optional ``sink``
+    (JSONL for offline analysis, :class:`ListSink`, telemetry) receives
+    them as dicts in the same order — see the module docstring for when.
     """
 
-    def __init__(self, sink=None, clock: Callable[[], float] = time.perf_counter,
-                 keep_events: bool = True):
+    def __init__(self, sink=None, clock: Callable[[], float] = time.perf_counter):
         self.sink = sink
         self._clock = clock
         self._epoch = clock()
         self._stack: list[Span] = []
         self._next_id = 1
-        self.enabled = True
         #: Optional span-end observer (``observe_span_end(name, attrs)``)
         #: — the memory-telemetry sampler attaches here.  Span begin/end
         #: is the cold path (one pair per phase, not per I/O), so the
         #: detached cost is a single ``is not None`` test.
         self.memory = None
-        self._events: list[dict] | None = [] if keep_events else None
-        # Columnar fast path (see obs/columnar.py): activated lazily by
-        # the first scalar_channel() request.  None = classic dict-per-
-        # event storage, kept as the bit-for-bit reference.
-        self._journal: ColumnarJournal | None = None
+        self._journal = ColumnarJournal()
         self._mat_cache: tuple[int, list] | None = None
+        #: Events handed to the sink so far (a sequence-number cursor).
+        self._fed = 0
 
     def _emit(self, record: dict) -> None:
-        journal = self._journal
-        if journal is not None:
-            journal.literal(record)
-        elif self._events is not None:
-            self._events.append(record)
+        seq = self._journal.literal(record)
         if self.sink is not None:
-            self.sink.emit(record)
+            if seq == self._fed:
+                self.sink.emit(record)  # no channel rows since the last one
+                self._fed = seq + 1
+            else:
+                self._feed_sink()
+
+    def _feed_sink(self) -> None:
+        """Hand the sink every recorded event it has not seen, in order."""
+        journal = self._journal
+        emit = self.sink.emit
+        for record in journal.materialize(self._fed):
+            emit(record)
+        self._fed = journal.n
 
     # ----------------------------------------------------------- recording
 
@@ -208,35 +224,14 @@ class Tracer:
         return span
 
     def event(self, name: str, **attrs) -> None:
-        """Emit a point event under the innermost open span.
-
-        Hot path (machines emit one event per parallel I/O): the record is
-        built and delivered inline — identical content to
-        :meth:`_emit_event` → :meth:`_emit`, minus two call frames.
-        """
+        """Emit a point event under the innermost open span."""
         stack = self._stack
-        t = self._clock() - self._epoch
-        record = {
-            "ev": "event",
-            "span": stack[-1].span_id if stack else None,
-            "name": name,
-            # round(0.0, 6) == 0.0: skip the call under pinned clocks
-            # (the exec layer's deterministic-payload mode).
-            "ts": round(t, 6) if t else 0.0,
-            "attrs": attrs,
-        }
-        journal = self._journal
-        if journal is not None:
-            journal.literal(record)
-        elif self._events is not None:
-            self._events.append(record)
-        if self.sink is not None:
-            self.sink.emit(record)
+        self._emit_event(name, stack[-1].span_id if stack else None, attrs)
 
     def _emit_event(self, name: str, span_id: int | None, attrs: dict) -> None:
         self._emit(
-            {"ev": "event", "span": span_id, "name": name, "ts": round(self._now(), 6),
-             "attrs": attrs}
+            {"ev": "event", "span": span_id, "name": name,
+             "ts": round(self._clock() - self._epoch, 6), "attrs": attrs}
         )
 
     def _begin(self, span: Span) -> None:
@@ -268,40 +263,26 @@ class Tracer:
             self.memory.observe_span_end(span.name, span.attrs)
 
     def close(self) -> None:
-        """Close any dangling spans and flush the sink."""
+        """Close any dangling spans, feed the sink the rest, and close it."""
         while self._stack:
             self._end(self._stack[-1])
         if self.sink is not None:
+            self._feed_sink()
             self.sink.close()
 
     # ------------------------------------------------------- columnar path
 
     def scalar_channel(self, name: str, keys: tuple):
-        """Open a columnar fast-path channel for one fixed event shape.
+        """Open a columnar channel for one fixed event shape.
 
         Returns an :class:`~repro.obs.columnar.EventChannel` whose
         ``append(*values)`` records the event ``{"ev": "event", ...,
         "name": name, "attrs": dict(zip(keys, values))}`` without
-        building the dict (materialized lazily, bit-identical, in global
-        order).  Values must be plain scalars — see the appender
-        contract in :mod:`repro.obs.columnar`.
-
-        Returns ``None`` when the tracer cannot take the columnar path:
-        a live sink needs every event as a dict at emit time, and
-        ``keep_events=False`` tracers have nothing to store at all —
-        callers must then fall back to the classic per-event API.
+        building the dict (materialized lazily, in global order).
+        Values must be plain scalars — see the appender contract in
+        :mod:`repro.obs.columnar`.
         """
-        if self.sink is not None or self._events is None:
-            return None
-        journal = self._journal
-        if journal is None:
-            journal = self._journal = ColumnarJournal()
-            # Adopt anything recorded before activation as literals so
-            # the global order is preserved.
-            for record in self._events:
-                journal.literal(record)
-            self._events = []
-        return journal.channel(self, name, keys)
+        return self._journal.channel(self, name, keys)
 
     def payload_events(self) -> tuple[list, bool]:
         """``(events, roundtrip_safe)`` for payload building.
@@ -309,28 +290,22 @@ class Tracer:
         ``roundtrip_safe=True`` guarantees ``json.loads(json.dumps(events))``
         is value-identical to ``events`` (plain scalar trees only), which
         lets the exec layer skip the canonicalizing JSON round-trip for
-        the trace portion of a payload.  Only the columnar path can make
-        that promise cheaply: channel values are scalars by contract and
-        the few literal records are scanned incrementally.
+        the trace portion of a payload.  Channel values are scalars by
+        contract, and the few literal records are scanned incrementally.
         """
-        journal = self._journal
-        if journal is None:
-            return self.events, False
-        return self.events, journal.literals_json_safe()
+        return self.events, self._journal.literals_json_safe()
 
     # ---------------------------------------------------------- inspection
 
     @property
     def events(self) -> list[dict]:
-        """The in-memory event list (empty when ``keep_events=False``).
+        """Every recorded event as a dict, in emission order.
 
-        Under the columnar fast path this materializes (and caches) the
-        dicts; the result is a snapshot — recording more events after
-        reading it returns a fresh, longer list on the next access.
+        Materialized from the journal and cached; the result is a
+        snapshot — recording more events after reading it returns a
+        fresh, longer list on the next access.
         """
         journal = self._journal
-        if journal is None:
-            return self._events if self._events is not None else []
         cache = self._mat_cache
         if cache is not None and cache[0] == journal.n:
             return cache[1]
@@ -363,7 +338,6 @@ _NULL_SPAN = _NullSpan()
 class NullTracer:
     """Tracer that records nothing (the near-zero-overhead default)."""
 
-    enabled = False
     events: list = []
     memory = None
 
@@ -373,14 +347,6 @@ class NullTracer:
 
     def event(self, name: str, **attrs) -> None:
         """Discard the event."""
-
-    def scalar_channel(self, name: str, keys: tuple):
-        """No columnar path on a null tracer (callers fall back)."""
-        return None
-
-    def payload_events(self) -> tuple[list, bool]:
-        """No events, nothing to round-trip."""
-        return [], False
 
     def close(self) -> None:
         """Nothing to flush."""
@@ -393,10 +359,9 @@ class Observation:
     """The bundle the simulators accept: a metrics registry + a tracer.
 
     ``Observation()`` records in memory; ``Observation(trace_path=...)``
-    streams the trace to JSONL as it happens.  ``Observation.disabled()``
-    returns a shared instance whose tracer is :data:`NULL_TRACER` and whose
-    registry is still live (cheap) — but machines treat an absent
-    observation (``None``) as "don't even look", which is the default.
+    also streams the trace to JSONL (see the tracer's delivery rule).
+    Machines treat an absent observation (``None``) as "don't even
+    look", which is the default.
     """
 
     def __init__(self, registry: MetricsRegistry | None = None, tracer: Tracer | None = None,
@@ -418,20 +383,6 @@ class Observation:
         #: checker here so Invariants 1 & 2 and the Theorem 4 factor are
         #: verified after every matching round of every engine in the run.
         self.engine_observers: list = []
-
-    _DISABLED: "Observation | None" = None
-
-    @classmethod
-    def disabled(cls) -> "Observation":
-        """A shared no-op-tracer observation (metrics still collected)."""
-        if cls._DISABLED is None:
-            obs = cls.__new__(cls)
-            obs.registry = MetricsRegistry("disabled")
-            obs.tracer = NULL_TRACER
-            obs.memory = None
-            obs.engine_observers = []
-            cls._DISABLED = obs
-        return cls._DISABLED
 
     def scope(self, name: str) -> MetricsRegistry:
         """Shorthand for ``registry.scope(name)``."""

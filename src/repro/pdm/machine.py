@@ -31,6 +31,7 @@ classic :class:`BlockAddress`-list API is a thin shim over them.
 from __future__ import annotations
 
 import os
+import threading
 from contextlib import contextmanager
 from dataclasses import dataclass
 from typing import Iterable, Sequence
@@ -168,13 +169,27 @@ def merge_plan_snapshots(snapshots: Iterable[dict]) -> dict:
     return out
 
 
-#: Ambient (per-process) collector: when active, every machine created
-#: registers its ``plan_stats`` here so callers outside the task boundary
-#: can aggregate physical-fusion telemetry without touching payloads.
-_PLAN_COLLECTOR: list | None = None
+#: Ambient collectors, one set per thread: when active, every machine
+#: created on that thread registers its ``plan_stats`` (``.plans``) and
+#: its bound ``mem_snapshot`` (``.mems``) here, so callers outside the
+#: task boundary can aggregate out-of-band telemetry without touching
+#: payloads.  Per thread, so a machine another thread builds meanwhile
+#: (``repro serve`` checks each admitted spec's shape on its event loop
+#: while a job runs) never lands in the running job's collection.
+_COLLECTORS = threading.local()
 
 
 @contextmanager
+def _collect(kind: str):
+    prev = getattr(_COLLECTORS, kind, None)
+    live: list = []
+    setattr(_COLLECTORS, kind, live)
+    try:
+        yield live
+    finally:
+        setattr(_COLLECTORS, kind, prev)
+
+
 def collect_plan_stats():
     """Collect the ``IOPlanStats`` of every machine built in this context.
 
@@ -183,12 +198,7 @@ def collect_plan_stats():
     shadows the outer one, mirroring how each sweep cell owns exactly
     the machines its task constructs.
     """
-    global _PLAN_COLLECTOR
-    prev, _PLAN_COLLECTOR = _PLAN_COLLECTOR, []
-    try:
-        yield _PLAN_COLLECTOR
-    finally:
-        _PLAN_COLLECTOR = prev
+    return _collect("plans")
 
 
 #: Memory gauges that add across machines/cells vs. high-water marks.
@@ -216,26 +226,15 @@ def merge_mem_snapshots(snapshots: Iterable[dict]) -> dict:
     return out
 
 
-#: Ambient (per-process) collector: when active, every machine created
-#: registers its bound ``mem_snapshot`` here (a callable, not a dict —
-#: gauges are read lazily so the snapshot reflects lifetime high waters).
-_MEM_COLLECTOR: list | None = None
-
-
-@contextmanager
 def collect_mem_stats():
     """Collect the ``mem_snapshot`` callable of every machine built here.
 
-    Yields the live list of zero-argument callables; invoke them after
-    the block and fold through :func:`merge_mem_snapshots`.  Nestable,
-    exactly like :func:`collect_plan_stats`.
+    Yields the live list of zero-argument callables (gauges are read
+    lazily, so the snapshot reflects lifetime high waters); invoke them
+    after the block and fold through :func:`merge_mem_snapshots`.
+    Nestable, exactly like :func:`collect_plan_stats`.
     """
-    global _MEM_COLLECTOR
-    prev, _MEM_COLLECTOR = _MEM_COLLECTOR, []
-    try:
-        yield _MEM_COLLECTOR
-    finally:
-        _MEM_COLLECTOR = prev
+    return _collect("mems")
 
 
 class _IOPlan:
@@ -342,16 +341,15 @@ class ParallelDiskMachine:
         #: each raises at the charge of the round that reads its block.
         self.corrupt_reads: dict[tuple[int, int], Exception] = {}
         self.plan_stats = IOPlanStats()
-        if _PLAN_COLLECTOR is not None:
-            _PLAN_COLLECTOR.append(self.plan_stats)
-        if _MEM_COLLECTOR is not None:
-            _MEM_COLLECTOR.append(self.mem_snapshot)
+        plans = getattr(_COLLECTORS, "plans", None)
+        if plans is not None:
+            plans.append(self.plan_stats)
+        mems = getattr(_COLLECTORS, "mems", None)
+        if mems is not None:
+            mems.append(self.mem_snapshot)
         # Observability (optional; None keeps the hot path untouched).
-        self._obs = None
         self._obs_scope = None
-        self._m_read = self._m_write = None
         self._ev_read = self._ev_write = None
-        self._trace_event = None
 
     # ------------------------------------------------------- fault injection
 
@@ -376,105 +374,65 @@ class ParallelDiskMachine:
     def attach_obs(self, obs, scope: str = "pdm") -> None:
         """Attach an :class:`~repro.obs.Observation` to this machine.
 
-        Every parallel I/O then increments counters and the stripe-width
-        histograms under ``obs.scope(scope)`` (names mirror
-        :meth:`IOStats.snapshot`) and emits an ``io.read`` / ``io.write``
-        trace event carrying the stripe width.  With no observation
-        attached (the default) the I/O path performs one ``is not None``
-        check and nothing else — counted I/Os are bit-identical either way.
+        Every parallel I/O then appends its stripe width to an
+        ``io.read`` / ``io.write`` trace channel.  The counters and
+        stripe-width histograms under ``obs.scope(scope)`` (names mirror
+        :meth:`IOStats.snapshot`) are replayed from those columns in bulk
+        when the scope is next read (see
+        :meth:`~repro.obs.MetricsRegistry.add_pending_flush`).  With no
+        observation attached (the default) the I/O path performs one
+        ``is not None`` check and nothing else — counted I/Os are
+        bit-identical either way.
         """
-        self._obs = obs
-        self._trace_event = obs.tracer.event  # bound: one event per I/O
         self._obs_scope = reg = obs.scope(scope)
-        self._m_read = (
-            reg.counter("read_ios"),
-            reg.counter("blocks_read"),
-            reg.histogram("io.read.width"),
-        )
-        self._m_write = (
-            reg.counter("write_ios"),
-            reg.counter("blocks_written"),
-            reg.counter("full_width_writes"),
-            reg.histogram("io.write.width"),
-        )
-        # Columnar fast path: one scalar append per I/O instead of three
-        # instrument updates plus an event dict.  Metrics are replayed in
-        # bulk from the width columns when the scope is next read (see
-        # MetricsRegistry.add_pending_flush) — exports, traces, and the
-        # payload stay bit-identical to the eager path.
+        ios_r = reg.counter("read_ios")
+        blocks_r = reg.counter("blocks_read")
+        hist_r = reg.histogram("io.read.width")
+        ios_w = reg.counter("write_ios")
+        blocks_w = reg.counter("blocks_written")
+        full_w = reg.counter("full_width_writes")
+        hist_w = reg.histogram("io.write.width")
         read_ch = obs.tracer.scalar_channel("io.read", ("width",))
-        if read_ch is not None:
-            write_ch = obs.tracer.scalar_channel(
-                "io.write", ("width", "full_stripe")
-            )
-            self._ev_read = read_ch.append
-            self._ev_write = write_ch.append
-            ios_r, blocks_r, hist_r = self._m_read
-            ios_w, blocks_w, full_w, hist_w = self._m_write
-            read_widths = read_ch.cols[0]
-            write_widths = write_ch.cols[0]
-            full_flags = write_ch.cols[1]
-            read_cursor = [0]
-            write_cursor = [0]
+        write_ch = obs.tracer.scalar_channel("io.write", ("width", "full_stripe"))
+        self._ev_read = read_ch.append
+        self._ev_write = write_ch.append
+        read_widths = read_ch.cols[0]
+        write_widths, full_flags = write_ch.cols
+        read_cursor = [0]
+        write_cursor = [0]
 
-            def _flush_reads():
-                n = len(read_widths)
-                i = read_cursor[0]
-                if i >= n:
-                    return
-                read_cursor[0] = n
-                widths = read_widths[i:n]
-                ios_r.inc(n - i)
-                blocks_r.inc(sum(widths))
-                hist_r.observe_bulk(widths)
+        def _flush_reads():
+            n = len(read_widths)
+            i = read_cursor[0]
+            if i >= n:
+                return
+            read_cursor[0] = n
+            widths = read_widths[i:n]
+            ios_r.inc(n - i)
+            blocks_r.inc(sum(widths))
+            hist_r.observe_bulk(widths)
 
-            def _flush_writes():
-                n = len(write_widths)
-                i = write_cursor[0]
-                if i >= n:
-                    return
-                write_cursor[0] = n
-                widths = write_widths[i:n]
-                ios_w.inc(n - i)
-                blocks_w.inc(sum(widths))
-                full_w.inc(sum(full_flags[i:n]))
-                hist_w.observe_bulk(widths)
+        def _flush_writes():
+            n = len(write_widths)
+            i = write_cursor[0]
+            if i >= n:
+                return
+            write_cursor[0] = n
+            widths = write_widths[i:n]
+            ios_w.inc(n - i)
+            blocks_w.inc(sum(widths))
+            full_w.inc(sum(full_flags[i:n]))
+            hist_w.observe_bulk(widths)
 
-            reg.add_pending_flush(_flush_reads)
-            reg.add_pending_flush(_flush_writes)
+        reg.add_pending_flush(_flush_reads)
+        reg.add_pending_flush(_flush_writes)
         self.cpu.attach_obs(obs, scope=f"{scope}.cpu")
 
     def detach_obs(self) -> None:
         """Remove the attached observation (hooks become no-ops again)."""
-        self._obs = self._obs_scope = None
-        self._m_read = self._m_write = None
+        self._obs_scope = None
         self._ev_read = self._ev_write = None
-        self._trace_event = None
         self.cpu.detach_obs()
-
-    def _observe_read(self, width: int) -> None:
-        ev = self._ev_read
-        if ev is not None:
-            ev(width)
-            return
-        ios, blocks, hist = self._m_read
-        ios.inc()
-        blocks.inc(width)
-        hist.observe(width)
-        self._trace_event("io.read", width=width)
-
-    def _observe_write(self, width: int) -> None:
-        ev = self._ev_write
-        if ev is not None:
-            ev(width, width == self.D)
-            return
-        ios, blocks, full, hist = self._m_write
-        ios.inc()
-        blocks.inc(width)
-        if width == self.D:
-            full.inc()
-        hist.observe(width)
-        self._trace_event("io.write", width=width, full_stripe=width == self.D)
 
     # ------------------------------------------------------------- I/O plans
     #
@@ -601,8 +559,8 @@ class ParallelDiskMachine:
         self.stats.read_ios += 1
         self.stats.blocks_read += width
         self.plan_stats.prefetched_read_rounds += 1
-        if self._obs is not None:
-            self._observe_read(width)
+        if self._ev_read is not None:
+            self._ev_read(width)
 
     # ------------------------------------------------- batched I/O (fast path)
 
@@ -658,8 +616,8 @@ class ParallelDiskMachine:
         self.mem_acquire(k * self.B)
         self.stats.read_ios += 1
         self.stats.blocks_read += k
-        if self._obs is not None:
-            self._observe_read(k)
+        if self._ev_read is not None:
+            self._ev_read(k)
         return matrix
 
     def write_blocks_arr(
@@ -723,8 +681,8 @@ class ParallelDiskMachine:
         self.stats.blocks_written += k
         if k == self.D:
             self.stats.full_width_writes += 1
-        if self._obs is not None:
-            self._observe_write(k)
+        if self._ev_write is not None:
+            self._ev_write(k, k == self.D)
 
     def write_round_blocks(
         self, disks: Sequence[int], slot: int, blocks: Sequence[np.ndarray]
@@ -765,8 +723,8 @@ class ParallelDiskMachine:
         self.stats.blocks_written += k
         if k == self.D:
             self.stats.full_width_writes += 1
-        if self._obs is not None:
-            self._observe_write(k)
+        if self._ev_write is not None:
+            self._ev_write(k, k == self.D)
 
     def free_blocks_arr(self, disks: np.ndarray, slots: np.ndarray) -> None:
         """Drop many blocks at once (no I/O cost; unwritten slots are no-ops)."""

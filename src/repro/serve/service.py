@@ -50,7 +50,7 @@ import json
 import threading
 import time
 
-from ..exec import JobRunner, RunSpec, task_names
+from ..exec import JobRunner, RunSpec, check_spec, task_names
 from ..obs.telemetry import TelemetryWriter
 from .protocol import (
     JOB_SCHEMA,
@@ -232,6 +232,13 @@ class SortService:
         if not isinstance(params, dict):
             self._count("bad_requests")
             return reject("submit", "bad_request", "params must be an object")
+        try:
+            check_spec(task, params)
+        except (KeyError, TypeError, ValueError) as exc:
+            self._count("bad_requests")
+            return reject(
+                "submit", "bad_request", f"bad spec: {type(exc).__name__}: {exc}"
+            )
         spec = RunSpec(task, params)
         try:
             key = spec.fingerprint()

@@ -45,8 +45,8 @@ def _land_write(machine, disks, slots, data, corrupt):
     machine.stats.blocks_written += k
     if k == machine.D:
         machine.stats.full_width_writes += 1
-    if machine._obs is not None:
-        machine._observe_write(k)
+    if machine._ev_write is not None:
+        machine._ev_write(k, k == machine.D)
 
 
 def write_blocks_arr(self, disks, slots, data, checked=True):

@@ -310,6 +310,70 @@ class TestBadShapes:
         assert "output verified" in capsys.readouterr().out
 
 
+class TestBadGridShapes:
+    """A grid cell the task cannot run is a bad spec, not a failed cell:
+    every cell of a ``sweep`` / ``submit`` / ``bench record`` grid is
+    checked before anything runs or connects (exit 2, one stderr line
+    naming the cell, nothing on stdout)."""
+
+    PROBES = [
+        ["--memory", "16", "--block", "4", "--disks", "4"],
+        ["--block", "512"],
+        ["--buckets", "100"],
+        ["--disks", "64"],
+        ["--disks", "8", "--virtual-disks", "3"],
+        ["--disks", "0"],
+        ["--n", "-5"],
+    ]
+
+    @pytest.mark.parametrize("probe", PROBES,
+                             ids=lambda argv: "_".join(argv).replace("--", ""))
+    @pytest.mark.parametrize("command", ["sweep", "submit", "bench"])
+    def test_bad_cell_exits_two(self, command, probe, tmp_path, capsys):
+        ledger = tmp_path / "ledger.jsonl"
+        head = {
+            "sweep": ["sweep"],
+            # Port 1 refuses connections: a connect would fail differently.
+            "submit": ["submit", "--port", "1"],
+            "bench": ["bench", "record", "--series", "s", "--ledger", str(ledger)],
+        }[command]
+        assert main([*head, "--n", "2000", *probe]) == 2
+        cap = capsys.readouterr()
+        assert cap.out == ""
+        (line,) = cap.err.strip().splitlines()
+        assert line.startswith("repro: error: cell 0 (sort_pdm ")
+        assert not ledger.exists()
+
+    def test_the_bad_cell_is_named(self, capsys):
+        argv = ["sweep", "--n", "2000", "--disks", "4,64"]
+        assert main(argv) == 2
+        cap = capsys.readouterr()
+        assert cap.out == ""
+        (line,) = cap.err.strip().splitlines()
+        assert line.startswith("repro: error: cell 1 (sort_pdm ")
+        assert "disks=64" in line
+
+    @pytest.mark.parametrize("argv", [
+        ["sweep", "--task", "hierarchy", "--n", "200", "--h", "16,0"],
+        ["sweep", "--task", "compare", "--algorithms", "balance",
+         "--n", "2000", "--buckets", "100"],
+        ["sweep", "--task", "compare", "--algorithms", "greed",
+         "--n", "2000", "--disks", "0"],
+    ], ids=["hierarchy", "compare-balance", "compare-greed"])
+    def test_other_tasks(self, argv, capsys):
+        assert main(argv) == 2
+        cap = capsys.readouterr()
+        assert cap.out == ""
+        assert cap.err.startswith("repro: error: cell ")
+
+    def test_compare_baselines_skip_the_sort_rules(self, capsys):
+        """Only Balance Sort has a memoryload rule; greed runs."""
+        argv = ["sweep", "--task", "compare", "--algorithms", "greed",
+                "--n", "500", "--buckets", "100"]
+        assert main(argv) == 0
+        assert "greed" in capsys.readouterr().out
+
+
 # ------------------------------------------------------- --cost validation
 
 

@@ -2,8 +2,8 @@
 
 Two fast paths must never change a single observable byte:
 
-* the **columnar event journal** vs the classic dict-per-event tracer
-  path, which a tracer with a live sink (telemetry on) still takes;
+* the **columnar event journal** vs dict-per-event recording with eager
+  metrics, the oracle in ``tests/obs_reference.py`` (``use_obs("dicts")``);
 * the **compiled round ops** (:data:`repro.core.kernels.ROUND_OPS`,
   present only when the optional C extension ``repro._speedups`` is
   built) vs the pure-Python bookkeeping, reached by patching
@@ -12,8 +12,9 @@ Two fast paths must never change a single observable byte:
 The unit of comparison is the whole exec payload — result, metrics
 export, and zero-clock trace — canonicalized with ``json.dumps(...,
 sort_keys=True)`` so a drift anywhere in the value tree fails loudly.
-Both block-store backends and both physical I/O-plan modes (fused /
-unfused) are crossed in, plus the audit and profile report surfaces.
+Both block-store backends and both I/O executors (the fused plan and its
+round-at-a-time oracle, ``tests/io_reference.py``) are crossed in, plus
+the audit and profile report surfaces.
 
 Without the extension the compiled classes are skipped (the build is
 optional by design); the columnar half always runs.
@@ -25,9 +26,9 @@ import pytest
 
 from repro.core import kernels
 from repro.exec import run_task
-from repro.obs.telemetry import TelemetryWriter, activate_telemetry
 
 from .io_reference import use_io
+from .obs_reference import use_obs
 
 HAVE_COMPILED = kernels.default_backend_name() == "compiled"
 
@@ -62,11 +63,10 @@ def _set_env(monkeypatch, **env):
             monkeypatch.setenv(key, value)
 
 
-def dict_events_payload(tmp_path, task: str, params: dict) -> dict:
-    """The payload built with a live tracer sink: the dict-per-event path."""
-    with TelemetryWriter(str(tmp_path / "telemetry.jsonl")) as writer:
-        with activate_telemetry(writer):
-            return run_task(task, dict(params))
+def dict_events_payload(task: str, params: dict) -> dict:
+    """The payload built by the dict-per-event oracle."""
+    with use_obs("dicts"):
+        return run_task(task, dict(params))
 
 
 def python_payload(monkeypatch, task: str, params: dict) -> dict:
@@ -80,29 +80,29 @@ def python_payload(monkeypatch, task: str, params: dict) -> dict:
 
 
 class TestColumnarVsDictEvents:
-    """A tracer with a sink (classic dicts) vs the columnar journal."""
+    """The columnar journal vs the dict-per-event oracle."""
 
     @pytest.mark.parametrize("store", STORES)
     @pytest.mark.parametrize("plan", PLANS, ids=lambda p: p[0])
-    def test_sort_payload_identity(self, monkeypatch, tmp_path, store, plan):
+    def test_sort_payload_identity(self, monkeypatch, store, plan):
         _set_env(monkeypatch, REPRO_PDM_STORE=store)
         with use_io(plan[1]):
-            classic = dict_events_payload(tmp_path, "sort_pdm", CELL)
+            classic = dict_events_payload("sort_pdm", CELL)
             columnar = run_task("sort_pdm", dict(CELL))
         assert canon(classic) == canon(columnar)
 
-    def test_compare_and_hierarchy_payload_identity(self, tmp_path):
+    def test_compare_and_hierarchy_payload_identity(self):
         for task, params in (
             ("compare_pdm", {**CELL, "algorithm": "balance"}),
             ("hierarchy_sort", HCELL),
         ):
-            classic = dict_events_payload(tmp_path, task, params)
+            classic = dict_events_payload(task, params)
             columnar = run_task(task, dict(params))
             assert canon(classic) == canon(columnar), task
 
-    def test_trace_and_metrics_sections_individually(self, tmp_path):
+    def test_trace_and_metrics_sections_individually(self):
         """Pinpoint failure mode: which payload section drifted."""
-        classic = dict_events_payload(tmp_path, "sort_pdm", CELL)
+        classic = dict_events_payload("sort_pdm", CELL)
         columnar = run_task("sort_pdm", dict(CELL))
         assert classic["result"] == columnar["result"]
         assert classic["metrics"] == columnar["metrics"]
@@ -135,11 +135,11 @@ class TestCompiledVsPython:
         compiled = run_task("sort_pdm", dict(params))
         assert canon(python) == canon(compiled)
 
-    def test_full_fast_stack_vs_full_reference_stack(self, monkeypatch, tmp_path):
+    def test_full_fast_stack_vs_full_reference_stack(self, monkeypatch):
         """Strongest cross: compiled+columnar vs pure-python+dict-events."""
         with monkeypatch.context() as m:
             m.setattr(kernels, "ROUND_OPS", None)
-            reference = dict_events_payload(tmp_path, "sort_pdm", CELL)
+            reference = dict_events_payload("sort_pdm", CELL)
         fast = run_task("sort_pdm", dict(CELL))
         assert canon(reference) == canon(fast)
 

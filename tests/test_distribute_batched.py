@@ -259,6 +259,26 @@ class TestPlanStatsOutOfBand:
         ParallelDiskMachine(memory=512, block=4, disks=8)
         assert len(collected) == before
 
+    def test_collectors_are_per_thread(self):
+        """A machine another thread builds (``repro serve`` checks specs
+        on its event loop while a job runs) never joins this thread's
+        collection."""
+        import threading
+
+        from repro.pdm.machine import collect_mem_stats, collect_plan_stats
+
+        def build():
+            ParallelDiskMachine(memory=512, block=4, disks=8)
+
+        with collect_plan_stats() as plans, collect_mem_stats() as mems:
+            other = threading.Thread(target=build)
+            other.start()
+            other.join(timeout=10)
+            assert not other.is_alive()
+            assert plans == [] and mems == []
+            build()
+        assert len(plans) == 1 and len(mems) == 1
+
     def test_runner_folds_plan_stats_out_of_band(self, tmp_path):
         """The sweep runner aggregates per-cell plan telemetry without
         ever letting the sidecar key reach a payload or the cache."""

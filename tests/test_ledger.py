@@ -256,15 +256,27 @@ class TestCliBench:
         assert rc == 0
         assert "baseline" in captured.err
 
-    def test_record_failed_cell_records_nothing(self, capsys, tmp_path):
+    def test_record_failed_cell_records_nothing(self, capsys, tmp_path,
+                                                monkeypatch):
         from repro.cli import main
+        from repro.exec import tasks
 
         ledger_path = str(tmp_path / "ledger.jsonl")
-        # memory=8 cannot hold a block per disk: the cell fails at run
-        # time, and a failed grid must never become a trajectory point.
-        rc = main(["bench", "record", "--series", "smoke",
-                   "--ledger", ledger_path, "--n", "1000", "--disks", "4",
-                   "--memory", "8", "--block", "4"])
+        record = ["bench", "record", "--series", "smoke",
+                  "--ledger", ledger_path, "--n", "1000", "--disks", "4"]
+
+        def fails_at_run_time(params, obs):
+            raise RuntimeError("cell failed")
+
+        # A failed grid must never become a trajectory point.
+        with monkeypatch.context() as m:
+            m.setitem(tasks._TASKS, "sort_pdm", fails_at_run_time)
+            rc = main(record)
         capsys.readouterr()
         assert rc == 3
+        assert BenchLedger(ledger_path).read() == []
+        # memory=8 cannot hold a block per disk: refused before it runs.
+        rc = main([*record, "--memory", "8", "--block", "4"])
+        assert "repro: error: cell 0" in capsys.readouterr().err
+        assert rc == 2
         assert BenchLedger(ledger_path).read() == []

@@ -37,6 +37,8 @@ from repro.obs.report import SCHEMA
 from repro.pdm import ParallelDiskMachine, VirtualDisks
 from repro.records import composite_keys
 
+from .obs_reference import use_obs
+
 
 # --------------------------------------------------------------------------
 # metrics registry
@@ -621,7 +623,77 @@ class TestObservation:
         obs.close()
         assert [e["ev"] for e in read_trace(path)] == ["begin", "event", "end"]
 
-    def test_disabled_is_shared_and_inert(self):
-        a = Observation.disabled()
-        assert a is Observation.disabled()
-        assert a.tracer is NULL_TRACER
+    def test_sort_metrics_match_the_dict_events_oracle(self):
+        """Bulk-replayed metrics export exactly what eager updates give."""
+        exports = []
+        for mode in ("dicts", "columnar"):
+            machine = ParallelDiskMachine(memory=512, block=4, disks=4)
+            data = workloads.by_name("adversarial_bucket_skew", 2000, seed=1)
+            obs = Observation()
+            with use_obs(mode):
+                balance_sort_pdm(machine, data, obs=obs)
+            obs.close()
+            exports.append(obs.registry.export())
+        assert exports[0]["balance"]["counters"]["rounds"] > 0
+        assert exports[0] == exports[1]
+
+
+class TestSinkDelivery:
+    """A sink sees exactly the journal's events, literals as they happen."""
+
+    def test_list_sink_holds_exactly_the_events_in_order(self):
+        sink = ListSink()
+        tr = Tracer(sink=sink, clock=lambda: 0.0)
+        reads = tr.scalar_channel("io.read", ("width",))
+        writes = tr.scalar_channel("io.write", ("width", "full_stripe"))
+        with pytest.raises(RuntimeError):
+            with tr.span("distribute", level=0):
+                reads.append(4)
+                writes.append(3, False)
+                reads.append(2)
+                # Channel rows wait for the next literal.
+                assert [e["ev"] for e in sink.events] == ["begin"]
+                tr.event("note", k=1)
+                assert sink.events == tr.events
+                writes.append(4, True)
+                raise RuntimeError("boom")
+        reads.append(1)  # after the last literal: delivered by close()
+        assert sink.events == tr.events[:-1]
+        tr.close()
+        assert sink.events == tr.events
+        assert [(e["ev"], e["name"]) for e in sink.events] == [
+            ("begin", "distribute"), ("event", "io.read"), ("event", "io.write"),
+            ("event", "io.read"), ("event", "note"), ("event", "io.write"),
+            ("end", "distribute"), ("event", "io.read"),
+        ]
+        assert sink.events[2]["attrs"] == {"width": 3, "full_stripe": False}
+        assert sink.events[6]["error"] == "RuntimeError"
+
+    def test_trace_out_file_holds_exactly_the_events(self, tmp_path):
+        path = str(tmp_path / "sort.jsonl")
+        obs = Observation(trace_path=path)
+        machine = ParallelDiskMachine(memory=512, block=4, disks=4)
+        balance_sort_pdm(machine, workloads.uniform(2000, seed=3), obs=obs)
+        obs.close()
+        events = obs.tracer.events
+        assert {e["name"] for e in events} >= {"io.read", "io.write", "balance.round"}
+        assert read_trace(path) == events
+
+    def test_jsonl_sink_with_numpy_literals(self, tmp_path):
+        path = str(tmp_path / "trace.jsonl")
+        tr = Tracer(sink=JsonlSink(path))
+        reads = tr.scalar_channel("io.read", ("width",))
+        with tr.span("distribute", level=np.int64(0)) as sp:
+            reads.append(4)
+            sp.event("balance.round", round=np.int64(1),
+                     max_balance_factor=np.float64(1.5))
+            reads.append(3)
+            sp.annotate(ios=np.int64(2))
+        tr.close()
+        on_disk = read_trace(path)
+        assert on_disk == json.loads(json.dumps(tr.events, default=lambda v: v.item()))
+        assert [e["name"] for e in on_disk] == [
+            "distribute", "io.read", "balance.round", "io.read", "distribute",
+        ]
+        assert type(on_disk[2]["attrs"]["max_balance_factor"]) is float
+        assert on_disk[-1]["attrs"] == {"level": 0, "ios": 2}

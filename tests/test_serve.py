@@ -406,6 +406,31 @@ class TestServiceEndToEnd:
         ]
         assert statuses == ["admitted", "cancelled"]
 
+    def test_bad_shape_is_a_bad_request_not_a_failed_job(self, tmp_path):
+        j = SweepJournal(str(tmp_path / "j"))
+        runner = JobRunner(jobs=0, journal=j, cache_dir=j.cells_dir)
+        svc = service(runner, journal=j)
+        thread = serve_in_thread(svc)
+        try:
+            with ServeClient(port=thread.port) as c:
+                for task, params in (
+                    ("sort_pdm", {"n": 2000, "disks": 64}),
+                    ("compare_pdm", {"algorithm": "greed", "n": 100, "disks": 0}),
+                    ("hierarchy_sort", {"n": 200, "h": 0}),
+                    ("sort_pdm", {"disks": 4}),
+                ):
+                    r = c.submit(task, params)
+                    assert r["schema"] == REJECT_SCHEMA, params
+                    assert r["reason"] == "bad_request"
+                    assert r["message"].startswith("bad spec: ")
+                serve = c.stats()["stats"]["serve"]
+                assert serve["bad_requests"] == 4
+                assert serve["submitted"] == 0 and serve["admitted"] == 0
+        finally:
+            thread.stop()
+        assert [rec for rec in SweepJournal(str(tmp_path / "j")).read()
+                if rec.get("ev") == "job"] == []
+
     def test_readyz_reflects_hold_and_drain(self):
         svc = service(hold=True, drain_grace=1.5)
         thread = serve_in_thread(svc)

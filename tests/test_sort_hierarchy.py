@@ -7,7 +7,11 @@ from hypothesis import strategies as st
 
 from repro import workloads
 from repro.analysis import bounds
-from repro.core.sort_hierarchy import balance_sort_hierarchy, choose_s_and_g
+from repro.core.sort_hierarchy import (
+    BASE_CASE_MIN,
+    balance_sort_hierarchy,
+    choose_s_and_g,
+)
 from repro.core.streams import peek_run
 from repro.exceptions import ParameterError
 from repro.hierarchies import LogCost, ParallelHierarchies, PowerCost, well_behaved
@@ -93,7 +97,47 @@ class TestCorrectness:
         assert_is_permutation(out, data)
 
 
+class TestSmallMachines:
+    """Every H sorts: no sub-problem reaches Algorithm 2 unservable."""
+
+    @pytest.mark.parametrize("h", range(1, 9))
+    def test_small_h_sorts(self, h):
+        for n in (4, 13, 20, 21, 200):
+            data = workloads.uniform(n, seed=h)
+            res = balance_sort_hierarchy(phmm(h=h), data)
+            out = peek_run(res.storage, res.output)
+            assert_sorted(out, f"H={h} N={n}")
+            assert_is_permutation(out, data, f"H={h} N={n}")
+
+    @pytest.mark.parametrize("model", ["bt", "umh"])
+    def test_small_h_sorts_other_models(self, model):
+        data = workloads.uniform(300, seed=5)
+        res = balance_sort_hierarchy(phmm(h=4, model=model), data)
+        out = peek_run(res.storage, res.output)
+        assert_sorted(out)
+        assert_is_permutation(out, data)
+
+    def test_base_case_merge_charge(self):
+        """k > 3 batches merge in ⌈log₂ k⌉ sweeps; k ≤ 3 keeps two."""
+        for h, n, sweeps in ((2, 5, 2), (2, 8, 2), (2, 9, 3), (1, 20, 5)):
+            m = phmm(h=h)
+            res = balance_sort_hierarchy(m, workloads.uniform(n, seed=1))
+            assert res.recursion_depth == 0
+            lg = np.log2(max(2, h))
+            base_sorts = -(-n // h) * m.sort_time()
+            assert m.interconnect_time == pytest.approx(
+                base_sorts + sweeps * (n / h + lg)
+            ), (h, n)
+
+
 class TestParameterChoice:
+    def test_choose_s_and_g_above_the_base_case(self):
+        """Above max(3H, BASE_CASE_MIN), Algorithm 2 always has (S, G)."""
+        for h in range(1, 65):
+            for n in range(max(3 * h, BASE_CASE_MIN) + 1, 10_001):
+                s, g = choose_s_and_g(n, h)
+                assert s >= 3 and g >= 2
+
     def test_choose_s_and_g_constraint(self):
         for n in [200, 1000, 10**4, 10**6]:
             for h in [8, 64, 512]:

@@ -16,12 +16,14 @@ The contract under test, in order of importance:
 
 import json
 import io
+from unittest import mock
 
 import pytest
 
-from repro.exec import ParallelRunner, RunSpec
+from repro.exec import ParallelRunner, RunSpec, run_task, tasks
 from repro.obs import (
     PROGRESS_SCHEMA,
+    ROUND_EVENTS,
     LiveProgressView,
     ProgressSink,
     TelemetryWriter,
@@ -32,6 +34,8 @@ from repro.obs import (
     render_progress_line,
 )
 from repro.obs.telemetry import progress_tables
+
+from .obs_reference import use_obs
 
 
 def _sweep_specs():
@@ -121,6 +125,35 @@ class TestProgressSink:
         progress = [e for e in read_telemetry(w.path) if e["ev"] == "progress"]
         assert progress[-1]["max_balance_factor"] == 1.5
         assert progress[-1]["balance_rounds"] == 1
+
+    def test_real_cell_ends_with_the_oracle_counters(self, tmp_path):
+        """Rows delivered at literal boundaries count exactly like dicts
+        delivered one by one (the dict-per-event oracle)."""
+        finals = {}
+        for mode in ("dicts", "columnar"):
+            sinks = []
+
+            class Capture(ProgressSink):
+                def __init__(self, writer):
+                    super().__init__(writer)
+                    sinks.append(self)
+
+            path = str(tmp_path / f"tel-{mode}.jsonl")
+            with TelemetryWriter(path) as writer, activate_telemetry(writer):
+                with use_obs(mode), mock.patch.object(tasks, "ProgressSink", Capture):
+                    payload = run_task("sort_pdm", {"n": 2000, "disks": 4})
+            (sink,) = sinks
+            finals[mode] = (sink.rounds, sink.spans, sink.balance_rounds,
+                            sink.max_balance_factor, sink.events)
+        trace = payload["trace"]
+        rounds = [e for e in trace if e.get("name") == "balance.round"]
+        assert finals["columnar"] == finals["dicts"] == (
+            sum(e.get("name") in ROUND_EVENTS for e in trace),
+            sum(e["ev"] == "end" for e in trace),
+            len(rounds),
+            rounds[-1]["attrs"]["max_balance_factor"],
+            len(trace),
+        )
 
 
 class TestRunnerTelemetry:
