@@ -30,22 +30,13 @@ from __future__ import annotations
 import argparse
 import sys
 
-import numpy as np
-
 from . import workloads
 from .analysis import bounds
 from .analysis.reporting import Table
-from .baselines import (
-    greed_sort,
-    randomized_distribution_sort,
-    striped_merge_sort,
-)
-from .core.sort_hierarchy import balance_sort_hierarchy
-from .core.sort_pdm import balance_sort_pdm
-from .core.streams import peek_run
-from .hierarchies import ParallelHierarchies, well_behaved
+from .core.balance import MATCHERS
+from .exceptions import InputError, ParameterError
+from .hierarchies import well_behaved
 from .obs import (
-    NULL_TRACER,
     MemoryTelemetry,
     Observation,
     RunReport,
@@ -59,8 +50,6 @@ from .obs import (
     summarize_trace,
 )
 from .obs.report import write_json
-from .pdm import ParallelDiskMachine
-from .util import assert_is_permutation, assert_sorted
 
 __all__ = ["main", "build_parser"]
 
@@ -92,22 +81,30 @@ def build_parser() -> argparse.ArgumentParser:
             help="stream the span/event trace to a JSONL file (see `repro report`)",
         )
 
+    def add_sort_args(p):
+        p.add_argument("--matcher", default="derandomized", choices=MATCHERS)
+        p.add_argument("--processors", type=int, default=1, help="[pdm] P: CPUs")
+        p.add_argument("--buckets", type=int, default=None, help="[pdm] override S")
+        p.add_argument("--virtual-disks", type=int, default=None,
+                       help="[pdm] override D'")
+
+    def add_hierarchy_args(p):
+        p.add_argument("--h", type=int, default=64, help="H: number of hierarchies")
+        p.add_argument("--model", default="hmm", choices=["hmm", "bt", "umh"])
+        p.add_argument("--cost", default="log",
+                       help="'log', 'umh', or a float exponent alpha for x^alpha")
+        p.add_argument("--interconnect", default="pram", choices=["pram", "hypercube"])
+
     p_sort = sub.add_parser("sort", help="Balance Sort on the parallel disk model")
     add_machine_args(p_sort)
     add_obs_args(p_sort)
-    p_sort.add_argument(
-        "--matcher", default="derandomized",
-        choices=["derandomized", "randomized", "greedy", "mincost"],
-    )
-    p_sort.add_argument("--processors", type=int, default=1, help="P: CPUs")
+    add_sort_args(p_sort)
     p_sort.add_argument(
         "-q", "--quiet", action="store_true",
         help="suppress informational stderr chatter (the [io-plan] "
              "summary line); chatter is also withheld when stderr is "
              "not a terminal",
     )
-    p_sort.add_argument("--buckets", type=int, default=None, help="override S")
-    p_sort.add_argument("--virtual-disks", type=int, default=None, help="override D'")
 
     p_cmp = sub.add_parser("compare", help="all four PDM algorithms side by side")
     add_machine_args(p_cmp)
@@ -115,11 +112,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_h = sub.add_parser("hierarchy", help="Balance Sort on P-HMM / P-BT / P-UMH")
     p_h.add_argument("--n", type=int, default=8_000)
-    p_h.add_argument("--h", type=int, default=64, help="H: number of hierarchies")
-    p_h.add_argument("--model", default="hmm", choices=["hmm", "bt", "umh"])
-    p_h.add_argument("--cost", default="log",
-                     help="'log', 'umh', or a float exponent alpha for x^alpha")
-    p_h.add_argument("--interconnect", default="pram", choices=["pram", "hypercube"])
+    add_hierarchy_args(p_h)
     p_h.add_argument("--workload", default="uniform", choices=sorted(workloads.GENERATORS))
     p_h.add_argument("--seed", type=int, default=0)
     add_obs_args(p_h)
@@ -358,21 +351,8 @@ def build_parser() -> argparse.ArgumentParser:
     )
     p_audit.add_argument("--target", default="pdm", choices=["pdm", "hierarchy"])
     add_machine_args(p_audit)
-    p_audit.add_argument(
-        "--matcher", default="derandomized",
-        choices=["derandomized", "randomized", "greedy", "mincost"],
-    )
-    p_audit.add_argument("--processors", type=int, default=1, help="[pdm] P: CPUs")
-    p_audit.add_argument("--buckets", type=int, default=None, help="[pdm] override S")
-    p_audit.add_argument("--virtual-disks", type=int, default=None,
-                         help="[pdm] override D'")
-    p_audit.add_argument("--h", type=int, default=64, help="[hierarchy] H")
-    p_audit.add_argument("--model", default="hmm", choices=["hmm", "bt", "umh"],
-                         help="[hierarchy] machine model")
-    p_audit.add_argument("--cost", default="log",
-                         help="[hierarchy] 'log', 'umh', or a float exponent alpha")
-    p_audit.add_argument("--interconnect", default="pram",
-                         choices=["pram", "hypercube"], help="[hierarchy]")
+    add_sort_args(p_audit)
+    add_hierarchy_args(p_audit)
     p_audit.add_argument(
         "--theorem4-limit", type=float, default=2.0,
         help="max allowed read-parallelism balance factor (Theorem 4; default 2.0)",
@@ -632,9 +612,9 @@ def _make_obs(args) -> Observation | None:
     return Observation(trace_path=args.trace_out, memory=memory)
 
 
-def _emit(args, obs: Observation | None, command: str, result: dict,
-          audit: dict | None = None) -> bool:
-    """Finalize observability output; returns True if the table should print."""
+def _emit(args, obs: Observation | None, command: str, result: dict) -> bool:
+    """Finalize observability output (with the theory audit the task
+    finished on ``obs``, if any); returns True if the table should print."""
     if obs is None:
         return True
     obs.close()
@@ -642,6 +622,7 @@ def _emit(args, obs: Observation | None, command: str, result: dict,
         k: v for k, v in vars(args).items()
         if k not in ("command", "emit_json", "trace_out")
     }
+    audit = obs.auditor.report.to_dict() if obs.auditor else None
     report = RunReport.from_observation(
         obs, command=command, params=params, result=result, audit=audit
     )
@@ -650,84 +631,74 @@ def _emit(args, obs: Observation | None, command: str, result: dict,
     return args.emit_json != "-"
 
 
+def _run(args, obs: Observation | None) -> tuple[str, list[dict]]:
+    """Run the cells :func:`_run_spec` builds under ``obs``: (task, results)."""
+    from .exec import get_task
+
+    task, cells = _run_spec(args)
+    return task, [get_task(task)(params, obs) for params in cells]
+
+
 def cmd_sort(args) -> int:
     """Run Balance Sort on a PDM machine and print the measurements."""
-    machine = ParallelDiskMachine(
-        memory=args.memory, block=args.block, disks=args.disks, processors=args.processors
+    from .pdm.machine import (
+        collect_mem_stats,
+        collect_plan_stats,
+        merge_mem_snapshots,
+        merge_plan_snapshots,
     )
+
     obs = _make_obs(args)
-    auditor = TheoryAuditor().install(obs) if obs is not None else None
-    data = workloads.by_name(args.workload, args.n, seed=args.seed)
-    res = balance_sort_pdm(
-        machine, data, matcher=args.matcher, buckets=args.buckets,
-        virtual_disks=args.virtual_disks, obs=obs,
-    )
-    out = peek_run(res.storage, res.output)
-    assert_sorted(out)
-    assert_is_permutation(out, data)
-    plan = machine.plan_stats.snapshot()
-    if (
-        (plan["write_flushes"] or plan["read_gathers"])
-        and not args.quiet
-        and sys.stderr.isatty()
-    ):
-        # Out-of-band on purpose: payloads and stdout are a pure function
-        # of (task, params); physical fusion shape is telemetry only.
-        # Interactive chatter only: --quiet and redirected stderr both
-        # silence it (scripts get the counters via sweep --stats-json).
-        print(
-            f"[io-plan] {plan['deferred_write_rounds']} write rounds fused "
-            f"into {plan['write_flushes']} flushes "
-            f"(max {plan['max_write_flush_blocks']} blocks); "
-            f"{plan['prefetched_read_rounds']} read rounds gathered "
-            f"in {plan['read_gathers']} batches "
-            f"(max {plan['max_read_gather_blocks']} blocks)",
-            file=sys.stderr,
-        )
-    if not args.quiet and sys.stderr.isatty() and memory_telemetry_enabled():
-        # Same out-of-band discipline as [io-plan]: memory gauges are
-        # telemetry, never part of the deterministic stdout/payloads.
-        mem = machine.mem_snapshot()
-        print(
-            f"[mem] arena high-water {mem['high_water_blocks']} blocks "
-            f"(slab {mem['slab_bytes']} bytes, {mem['grow_events']} grows); "
-            f"ledger high-water {mem['ledger_high_water_records']} records; "
-            f"peak RSS {peak_rss_kb()} kB",
-            file=sys.stderr,
-        )
-    audit = auditor.finish_pdm(machine, res).to_dict() if auditor else None
-    bound = bounds.sort_io_bound(args.n, args.memory, args.block, args.disks)
-    result = {
-        "records": res.n_records,
-        "workload": args.workload,
-        "parallel_ios": res.total_ios,
-        "theorem1_bound": round(bound, 1),
-        "ratio": round(res.total_ios / bound, 4),
-        "cpu_work": res.cpu["work"],
-        "cpu_time": res.cpu["time"],
-        "recursion_depth": res.recursion_depth,
-        "blocks_swapped": res.blocks_swapped,
-        "blocks_unprocessed": res.blocks_unprocessed,
-        "match_calls": res.match_calls,
-        "balance_factor": round(res.max_balance_factor, 4),
-        "io": res.io_stats,
-        "verified": True,
-    }
-    if _emit(args, obs, "sort", result, audit=audit):
+    with collect_plan_stats() as plans, collect_mem_stats() as mems:
+        _, (result,) = _run(args, obs)
+    if not args.quiet and sys.stderr.isatty():
+        # Interactive chatter only, out of band: the physical I/O-plan
+        # and memory gauges never reach stdout or the report.
+        plan = merge_plan_snapshots(stats.snapshot() for stats in plans)
+        if plan["write_flushes"] or plan["read_gathers"]:
+            print(
+                "[io-plan] {deferred_write_rounds} write rounds fused into "
+                "{write_flushes} flushes (max {max_write_flush_blocks} "
+                "blocks); {prefetched_read_rounds} read rounds gathered in "
+                "{read_gathers} batches (max {max_read_gather_blocks} "
+                "blocks)".format(**plan),
+                file=sys.stderr,
+            )
+        if memory_telemetry_enabled():
+            print(
+                "[mem] arena high-water {high_water_blocks} blocks (slab "
+                "{slab_bytes} bytes, {grow_events} grows); ledger high-water "
+                "{ledger_high_water_records} records; peak RSS {rss} kB".format(
+                    **merge_mem_snapshots(fn() for fn in mems), rss=peak_rss_kb()
+                ),
+                file=sys.stderr,
+            )
+    if _emit(args, obs, "sort", result):
+        bound = bounds.sort_io_bound(args.n, args.memory, args.block, args.disks)
         t = Table(["metric", "value"], title="Balance Sort (parallel disk model)")
-        t.add("records", res.n_records)
-        t.add("workload", args.workload)
-        t.add("parallel I/Os", res.total_ios)
-        t.add("Theorem 1 bound", round(bound, 1))
-        t.add("ratio", round(res.total_ios / bound, 2))
-        t.add("CPU work / time", f"{res.cpu['work']} / {res.cpu['time']}")
-        t.add("recursion depth", res.recursion_depth)
-        t.add("blocks swapped", res.blocks_swapped)
-        t.add("balance factor", round(res.max_balance_factor, 2))
-        t.add("full-stripe write fraction", round(res.io_stats["write_width_fraction"], 2))
-        t.add("output verified", True)
+        t.add("records", result["records"])
+        t.add("workload", result["workload"])
+        t.add("parallel I/Os", result["parallel_ios"])
+        t.add("Theorem 1 bound", result["theorem1_bound"])
+        t.add("ratio", round(result["parallel_ios"] / bound, 2))
+        t.add("CPU work / time", f"{result['cpu_work']} / {result['cpu_time']}")
+        t.add("recursion depth", result["recursion_depth"])
+        t.add("blocks swapped", result["blocks_swapped"])
+        t.add("balance factor", round(result["balance_factor"], 2))
+        t.add("full-stripe write fraction",
+              round(result["io"]["write_width_fraction"], 2))
+        t.add("output verified", result["verified"])
         t.print()
     return 0
+
+
+#: ``repro compare``'s table name for each compare algorithm.
+_ALGORITHM_NAMES = {
+    "balance": "balance (this paper)",
+    "greed": "greed sort [NoV]",
+    "randomized": "randomized [ViSa]",
+    "striped": "striped merge sort",
+}
 
 
 def cmd_compare(args) -> int:
@@ -735,50 +706,29 @@ def cmd_compare(args) -> int:
     from .pdm import DISK_1993, DISK_NVME
 
     obs = _make_obs(args)
-    tracer = obs.tracer if obs is not None else NULL_TRACER
-    data = workloads.by_name(args.workload, args.n, seed=args.seed)
+    _, results = _run(args, obs)
     bound = bounds.sort_io_bound(args.n, args.memory, args.block, args.disks)
-    algs = [
-        ("balance", "balance (this paper)",
-         lambda m: balance_sort_pdm(m, data, check_invariants=False)),
-        ("greed", "greed sort [NoV]", lambda m: greed_sort(m, data)),
-        ("randomized", "randomized [ViSa]",
-         lambda m: randomized_distribution_sort(m, data)),
-        ("striped-merge", "striped merge sort", lambda m: striped_merge_sort(m, data)),
-    ]
     t = Table(
         ["algorithm", "parallel I/Os", "ratio to bound",
          "est. 1993 HDD", "est. NVMe", "verified"],
         title=f"N={args.n} M={args.memory} B={args.block} D={args.disks} ({args.workload})",
     )
     rows = []
-    for slug, name, fn in algs:
-        machine = ParallelDiskMachine(
-            memory=args.memory, block=args.block, disks=args.disks
-        )
-        if obs is not None:
-            # Each algorithm gets its own metrics scope; the baselines do
-            # not accept obs themselves, so the machine-level hooks are the
-            # instrumentation surface here.
-            machine.attach_obs(obs, scope=f"algo.{slug}")
-        with tracer.span(f"algo:{slug}") as span:
-            res = fn(machine)
-            span.annotate(ios=res.total_ios)
-        out = peek_run(res.storage, res.output)
-        assert_sorted(out, name)
-        hdd_s = DISK_1993.estimate_seconds(machine.stats, args.block)
-        nvme_s = DISK_NVME.estimate_seconds(machine.stats, args.block)
+    for r in results:
+        hdd_s, nvme_s = (r["io"]["total_ios"] * disk.io_ms(args.block) / 1e3
+                         for disk in (DISK_1993, DISK_NVME))
         rows.append({
-            "algorithm": slug,
-            "parallel_ios": res.total_ios,
-            "ratio": round(res.total_ios / bound, 4),
+            "algorithm": r["algorithm"],
+            "parallel_ios": r["parallel_ios"],
+            "ratio": r["ratio"],
             "est_1993_hdd_s": round(hdd_s, 3),
             "est_nvme_s": round(nvme_s, 6),
-            "verified": True,
+            "verified": r["verified"],
         })
         t.add(
-            name, res.total_ios, round(res.total_ios / bound, 2),
-            f"{hdd_s:.1f}s", f"{nvme_s * 1e3:.0f}ms", True,
+            _ALGORITHM_NAMES[r["algorithm"]], r["parallel_ios"],
+            round(r["parallel_ios"] / bound, 2),
+            f"{hdd_s:.1f}s", f"{nvme_s * 1e3:.0f}ms", r["verified"],
         )
     result = {
         "records": args.n,
@@ -793,53 +743,32 @@ def cmd_compare(args) -> int:
 
 def cmd_hierarchy(args) -> int:
     """Run Balance Sort on a parallel memory hierarchy machine."""
-    machine = ParallelHierarchies(
-        args.h, model=args.model, cost_fn=well_behaved(args.cost),
-        interconnect=args.interconnect,
-    )
     obs = _make_obs(args)
-    auditor = TheoryAuditor().install(obs) if obs is not None else None
-    data = workloads.by_name(args.workload, args.n, seed=args.seed)
-    res = balance_sort_hierarchy(machine, data, obs=obs)
-    out = peek_run(res.storage, res.output)
-    assert_sorted(out)
-    assert_is_permutation(out, data)
-    audit = auditor.finish_hierarchy(machine, res).to_dict() if auditor else None
-    result = {
-        "records": res.n_records,
-        "workload": args.workload,
-        "model": args.model,
-        "memory_time": round(res.memory_time, 3),
-        "interconnect_time": round(res.interconnect_time, 3),
-        "total_time": round(res.total_time, 3),
-        "parallel_steps": res.parallel_steps,
-        "recursion_depth": res.recursion_depth,
-        "base_case_calls": res.base_case_calls,
-        "blocks_swapped": res.blocks_swapped,
-        "match_calls": res.match_calls,
-        "balance_factor": round(res.max_balance_factor, 4),
-        "verified": True,
-    }
-    if _emit(args, obs, "hierarchy", result, audit=audit):
+    _, (r,) = _run(args, obs)
+    result = {"records": r["records"], "workload": args.workload, **r}
+    if _emit(args, obs, "hierarchy", result):
         t = Table(["metric", "value"],
                   title=f"Balance Sort (P-{args.model.upper()}, f={args.cost}, {args.interconnect})")
-        t.add("records", res.n_records)
-        t.add("memory time", round(res.memory_time, 1))
-        t.add("interconnect time", round(res.interconnect_time, 1))
-        t.add("total time", round(res.total_time, 1))
-        t.add("parallel steps", res.parallel_steps)
-        t.add("base-case calls", res.base_case_calls)
-        t.add("balance factor", round(res.max_balance_factor, 2))
-        t.add("output verified", True)
+        t.add("records", r["records"])
+        t.add("memory time", round(r["memory_time"], 1))
+        t.add("interconnect time", round(r["interconnect_time"], 1))
+        t.add("total time", round(r["total_time"], 1))
+        t.add("parallel steps", r["parallel_steps"])
+        t.add("base-case calls", r["base_case_calls"])
+        t.add("balance factor", round(r["balance_factor"], 2))
+        t.add("output verified", r["verified"])
         t.print()
     return 0
 
 
-def _axis(value, cast=str) -> list:
-    """Parse a comma-separated CLI axis into a list of ``cast`` values."""
-    if isinstance(value, (int, float)):
-        return [cast(value)]
-    return [cast(v) for v in str(value).split(",") if v != ""]
+def _axis(args, name: str, cast=str) -> list:
+    """Parse the comma-separated grid flag ``--<name>`` into ``cast`` values."""
+    value = getattr(args, name)
+    try:
+        return [cast(v) for v in str(value).split(",") if v != ""]
+    except ValueError:
+        raise ParameterError(f"argument --{name}: invalid {cast.__name__} "
+                             f"value in {value!r}") from None
 
 
 def _sweep_specs(args) -> tuple[str, list]:
@@ -847,15 +776,15 @@ def _sweep_specs(args) -> tuple[str, list]:
     from .exec import RunSpec, grid
 
     common = dict(
-        workload=_axis(args.workload),
-        n=_axis(args.n, int),
-        memory=_axis(args.memory, int),
-        block=_axis(args.block, int),
-        disks=_axis(args.disks, int),
-        seed=_axis(args.seed, int),
+        workload=_axis(args, "workload"),
+        n=_axis(args, "n", int),
+        memory=_axis(args, "memory", int),
+        block=_axis(args, "block", int),
+        disks=_axis(args, "disks", int),
+        seed=_axis(args, "seed", int),
     )
     if args.task == "sort":
-        cells = grid(**common, matcher=_axis(args.matcher))
+        cells = grid(**common, matcher=_axis(args, "matcher"))
         for cell in cells:
             if args.buckets is not None:
                 cell["buckets"] = args.buckets
@@ -865,7 +794,7 @@ def _sweep_specs(args) -> tuple[str, list]:
                 cell["verify"] = True
         return "sort_pdm", [RunSpec("sort_pdm", c) for c in cells]
     if args.task == "compare":
-        cells = grid(algorithm=_axis(args.algorithms), **common)
+        cells = grid(algorithm=_axis(args, "algorithms"), **common)
         for cell in cells:
             if cell["algorithm"] == "balance":
                 if args.buckets is not None:
@@ -874,13 +803,13 @@ def _sweep_specs(args) -> tuple[str, list]:
                     cell["virtual_disks"] = args.virtual_disks
         return "compare_pdm", [RunSpec("compare_pdm", c) for c in cells]
     cells = grid(
-        model=_axis(args.model),
-        cost=_axis(args.cost),
-        interconnect=_axis(args.interconnect),
-        h=_axis(args.h, int),
-        n=_axis(args.n, int),
-        workload=_axis(args.workload),
-        seed=_axis(args.seed, int),
+        model=_axis(args, "model"),
+        cost=_axis(args, "cost"),
+        interconnect=_axis(args, "interconnect"),
+        h=_axis(args, "h", int),
+        n=common["n"],
+        workload=common["workload"],
+        seed=common["seed"],
     )
     return "hierarchy_sort", [RunSpec("hierarchy_sort", c) for c in cells]
 
@@ -959,7 +888,6 @@ def cmd_sweep(args) -> int:
     import os
     import tempfile
 
-    from .exceptions import ParameterError
     from .exec import ParallelRunner
     from .obs import LiveProgressView, TelemetryWriter
     from .resilience import FaultPlan, SweepJournal, inject_cache_faults
@@ -1219,7 +1147,6 @@ def cmd_serve(args) -> int:
     import asyncio
     import signal
 
-    from .exceptions import ParameterError
     from .exec import JobRunner
     from .resilience import FaultPlan, SweepJournal, inject_cache_faults
     from .serve import FairShareScheduler, SortService
@@ -1456,41 +1383,14 @@ def cmd_audit(args) -> int:
     """
     obs = _make_obs(args) or Observation()
     auditor = TheoryAuditor(theorem4_limit=args.theorem4_limit).install(obs)
-    data = workloads.by_name(args.workload, args.n, seed=args.seed)
-    if args.target == "pdm":
-        machine = ParallelDiskMachine(
-            memory=args.memory, block=args.block, disks=args.disks,
-            processors=args.processors,
-        )
-        res = balance_sort_pdm(
-            machine, data, matcher=args.matcher, buckets=args.buckets,
-            virtual_disks=args.virtual_disks, obs=obs, check_invariants=False,
-        )
-        out = peek_run(res.storage, res.output)
-        assert_sorted(out)
-        assert_is_permutation(out, data)
-        report = auditor.finish_pdm(machine, res)
-        result = {
-            "records": res.n_records, "workload": args.workload,
-            "parallel_ios": res.total_ios, "verified": True,
-        }
-    else:
-        machine = ParallelHierarchies(
-            args.h, model=args.model, cost_fn=well_behaved(args.cost),
-            interconnect=args.interconnect,
-        )
-        res = balance_sort_hierarchy(
-            machine, data, matcher=args.matcher, obs=obs, check_invariants=False
-        )
-        out = peek_run(res.storage, res.output)
-        assert_sorted(out)
-        assert_is_permutation(out, data)
-        report = auditor.finish_hierarchy(machine, res)
-        result = {
-            "records": res.n_records, "workload": args.workload,
-            "total_time": round(res.total_time, 3), "verified": True,
-        }
-    if _emit(args, obs, "audit", result, audit=report.to_dict()):
+    task, (r,) = _run(args, obs)
+    report = auditor.report
+    measure = "parallel_ios" if task == "sort_pdm" else "total_time"
+    result = {
+        "records": r["records"], "workload": args.workload,
+        measure: r[measure], "verified": r["verified"],
+    }
+    if _emit(args, obs, "audit", result):
         for t in report.tables():
             t.print()
             print()
@@ -1502,16 +1402,15 @@ def cmd_audit(args) -> int:
 
 def cmd_profile(args) -> int:
     """Profile a saved trace: hotspots, critical path, I/O attribution."""
-    import json
+    from .obs import load_doc
 
     memory = None
     if args.memory:
-        with open(args.memory, encoding="utf-8") as fh:
-            doc = json.load(fh)
+        doc = load_doc(args.memory)
         if doc.get("schema") == "repro.sweep_stats/1":
             # A sweep --stats-json dump: the gauges live under runner.
             memory = (doc.get("runner") or {}).get("memory")
-        elif isinstance(doc, dict):
+        else:
             memory = doc
         if not memory or not any(memory.values()):
             print(
@@ -2025,57 +1924,53 @@ def cmd_workloads(_args) -> int:
     return 0
 
 
-#: Subcommands that sort ``--n`` records on one machine shape.
-_SHAPED = frozenset({"sort", "compare", "audit", "hierarchy"})
+def _run_spec(args) -> tuple[str, list[dict]]:
+    """The ``(task, cells)`` a single run checks and then runs: one cell,
+    or one per algorithm for ``compare``; every cell verifies its output."""
+    from .exec.tasks import ALGORITHMS
 
-
-def _run_spec(args) -> tuple[str, dict]:
-    """The ``(task, params)`` cell a single-run subcommand executes."""
+    sample = {"workload": args.workload, "seed": args.seed, "verify": True}
     if "hierarchy" in (args.command, getattr(args, "target", None)):
-        return "hierarchy_sort", {
-            "n": args.n, "h": args.h, "model": args.model, "cost": args.cost,
-            "interconnect": args.interconnect,
-        }
-    # `compare` runs Balance Sort among its four, so the sort's rules apply.
-    return "sort_pdm", {
-        "n": args.n, "memory": args.memory, "block": args.block,
-        "disks": args.disks, "processors": getattr(args, "processors", 1),
-        "virtual_disks": getattr(args, "virtual_disks", None),
-        "buckets": getattr(args, "buckets", None),
-    }
+        cell = {"n": args.n, "h": args.h, "model": args.model, "cost": args.cost,
+                "interconnect": args.interconnect, **sample}
+        if args.command == "audit":  # the auditor observes; nothing raises
+            cell.update(matcher=args.matcher, check_invariants=False)
+        return "hierarchy_sort", [cell]
+    machine = {"n": args.n, "memory": args.memory, "block": args.block,
+               "disks": args.disks, **sample}
+    if args.command == "compare":
+        return "compare_pdm", [{"algorithm": a, **machine} for a in ALGORITHMS]
+    cell = {**machine, "processors": args.processors, "matcher": args.matcher,
+            "check_invariants": args.command == "sort"}
+    for key in ("buckets", "virtual_disks"):
+        if getattr(args, key) is not None:
+            cell[key] = getattr(args, key)
+    return "sort_pdm", [cell]
 
 
 def _usage_error(args) -> str | None:
-    """A bad ``--cost``, ``--n`` or machine shape as one line, else None.
-
-    Single runs and every cell of a ``sweep`` / ``submit`` / ``bench
-    record`` grid are checked by :func:`repro.exec.tasks.check_spec`, so
-    the rules live in one place: the constructors and the sort's
-    memoryload rule, with the task's own defaults.
-    """
-    from .exceptions import ParameterError
-    from .exec import check_spec
-
-    cost = getattr(args, "cost", None)
-    # `hierarchy` / `audit` take one spec; the grid flag is a comma list.
-    specs = [cost] if args.command in ("hierarchy", "audit") else _axis(cost or "")
+    """The first cell a command cannot run (by :func:`repro.exec.check_spec`,
+    a bad ``--cost`` named as such), as one line; else None."""
     try:
-        for spec in specs:
-            well_behaved(spec)
-        if args.command in _SHAPED:
-            check_spec(*_run_spec(args))
+        if args.command in ("sort", "compare", "audit", "hierarchy"):
+            task, cells = _run_spec(args)
         elif args.command in ("sweep", "submit") or (
             getattr(args, "bench_command", None) == "record"
         ):
-            task, cells = _sweep_specs(args)
-            for index, cell in enumerate(cells):
-                try:
-                    check_spec(task, cell.params)
-                except ParameterError as exc:
-                    shape = " ".join(f"{k}={v}" for k, v in cell.params.items())
-                    raise ParameterError(
-                        f"cell {index} ({task} {shape}): {exc}"
-                    ) from None
+            task, specs = _sweep_specs(args)
+            cells = [spec.params for spec in specs]
+        else:
+            return None
+        from .exec import check_spec
+
+        for cost in dict.fromkeys(cell["cost"] for cell in cells if "cost" in cell):
+            well_behaved(cost)
+        for index, cell in enumerate(cells):
+            try:
+                check_spec(task, cell)
+            except ParameterError as exc:
+                shape = " ".join(f"{k}={v}" for k, v in cell.items())
+                return f"cell {index} ({task} {shape}): {exc}"
     except ParameterError as exc:
         return str(exc)
     return None
@@ -2107,7 +2002,11 @@ def main(argv: list[str] | None = None) -> int:
         "dashboard": cmd_dashboard,
         "workloads": cmd_workloads,
     }[args.command]
-    return handler(args)
+    try:
+        return handler(args)
+    except InputError as exc:  # a file an offline reader cannot read
+        print(f"repro: error: {exc}", file=sys.stderr)
+        return 2
 
 
 if __name__ == "__main__":  # pragma: no cover - exercised via __main__

@@ -51,7 +51,10 @@ from .matching import (
 )
 from .matrices import BalanceMatrices
 
-__all__ = ["BalanceEngine", "BlockRef", "BucketRun", "EngineStats", "read_bucket_run"]
+__all__ = ["BalanceEngine", "BlockRef", "BucketRun", "EngineStats", "MATCHERS", "read_bucket_run"]
+
+#: The named rebalancing matchers (see :class:`BalanceEngine`).
+MATCHERS = ("derandomized", "randomized", "greedy", "mincost")
 
 
 class BlockRef(NamedTuple):
@@ -155,9 +158,7 @@ class BalanceEngine:
         # (Ablations that swap in a different matrices class after
         # construction get that class's default batch behaviour.)
         self.matrices.enable_incremental()
-        if not callable(matcher) and matcher not in (
-            "derandomized", "randomized", "greedy", "mincost",
-        ):
+        if not callable(matcher) and matcher not in MATCHERS:
             raise ParameterError(f"unknown matcher {matcher!r}")
         self.matcher = matcher
         self.rng = rng or np.random.default_rng(0)

@@ -44,7 +44,10 @@ from .streams import (
     write_ordered_run,
 )
 
-__all__ = ["balance_sort_pdm", "PDMSortResult", "default_bucket_count"]
+__all__ = ["balance_sort_pdm", "PDMSortResult", "default_bucket_count", "INTERNAL_SORTS"]
+
+#: The internal-sort flavours ``balance_sort_pdm`` accepts.
+INTERNAL_SORTS = ("cole", "radix", "radix-operational")
 
 
 def default_bucket_count(m: int, b: int) -> int:
@@ -132,9 +135,9 @@ def balance_sort_pdm(
     if (records is None) == (run is None):
         raise ParameterError("provide exactly one of records / run")
     if storage is None:
-        storage = VirtualDisks(
-            machine, virtual_disks or default_virtual_disk_count(machine.D)
-        )
+        if virtual_disks is None:
+            virtual_disks = default_virtual_disk_count(machine.D)
+        storage = VirtualDisks(machine, virtual_disks)
     if run is None:
         run = load_ordered_run(storage, records)
     n = run.n_records
@@ -150,7 +153,7 @@ def balance_sort_pdm(
     else:
         raise ParameterError(f"unknown internal sort {internal!r}")
 
-    s = buckets or default_bucket_count(machine.M, machine.B)
+    s = default_bucket_count(machine.M, machine.B) if buckets is None else buckets
     agg = _Aggregate()
     rng = rng or np.random.default_rng(2718)
 
@@ -187,6 +190,8 @@ def _memoryload(machine: ParallelDiskMachine, storage: VirtualDisks, s: int) -> 
     Reserves partial-block buffers (S blocks), the in-flight queue
     (2·D' blocks), and one read batch.
     """
+    if s < 2:
+        raise ParameterError(f"need at least 2 buckets, got S={s}")
     vb = storage.virtual_block_size
     reserve = (s + 2 * storage.n_virtual + 1) * vb
     load = machine.M - reserve

@@ -46,6 +46,10 @@ class ParameterError(ReproError, ValueError):
     """Machine or algorithm parameters are out of the model's legal range."""
 
 
+class InputError(ReproError, ValueError):
+    """A file given to an offline reader is missing or not in its format."""
+
+
 class BlockCorruptionError(ReproError):
     """A stored block's content no longer matches its recorded checksum.
 

@@ -6,9 +6,13 @@ dict``.  The registry makes grid cells self-describing: a
 which is what the fingerprint hashes and what a worker process needs to
 reproduce the run from scratch.
 
-Every execution goes through :func:`run_task`, which wraps the task in a
-**deterministic observation**: a metrics registry plus a tracer whose
-clock is pinned to zero.  Simulated costs (parallel I/Os, CPU work, model
+The tasks are the only code that runs a cell, and :func:`check_spec`
+decides which cells they accept.  A single CLI run (``repro sort`` /
+``hierarchy`` / ``compare`` / ``audit``) calls its task with the
+observation it built, or ``None`` (no tracing, no theory audit).  Grid
+cells and served jobs go through :func:`run_task`, which wraps the task
+in a **deterministic observation**: a metrics registry plus a tracer
+whose clock is pinned to zero.  Simulated costs (parallel I/Os, CPU work, model
 time) are exact and reproducible; wall-clock is not, so pinning the clock
 makes the whole payload — result, metrics, and trace events — a pure
 function of ``(task, params)``.  That is what lets payloads be content-
@@ -33,11 +37,11 @@ import numpy as np
 from .. import workloads
 from ..analysis import bounds
 from ..exceptions import ParameterError
-from ..obs import Observation, Tracer
+from ..obs import NULL_TRACER, Observation, TheoryAuditor, Tracer
 from ..obs.telemetry import ProgressSink, active_telemetry
 from .fingerprint import SCHEMA_SALT
 
-__all__ = ["task", "get_task", "task_names", "check_spec", "run_task"]
+__all__ = ["ALGORITHMS", "task", "get_task", "task_names", "check_spec", "run_task"]
 
 _TASKS: dict[str, Callable] = {}
 
@@ -69,52 +73,104 @@ def task_names() -> list[str]:
     return sorted(_TASKS)
 
 
+#: The algorithms a ``compare_pdm`` cell can run.
+ALGORITHMS = ("balance", "greed", "randomized", "striped")
+
+
 def check_spec(task: str, params: dict) -> None:
     """Refuse a cell its task cannot run, before anything runs.
 
     Raises :class:`~repro.exceptions.ParameterError` naming the broken
     rule (``KeyError`` for an unknown task).  The rules, with the task's
-    own defaults: ``n ≥ 0``; for hierarchy cells, the cost spec and the
-    machine constructor; for ``sort_pdm`` and balance ``compare_pdm``
-    cells, the machine, :class:`~repro.pdm.VirtualDisks` and the sort's
-    memoryload rule; for the other ``compare_pdm`` algorithms, the
-    machine constructor alone.  Single CLI runs, every cell of a
+    own defaults: ``n ≥ 0``; known names (``workload``, ``matcher``,
+    ``internal``, ``algorithm``); the machine constructor (with the cost
+    spec for hierarchy cells); for ``sort_pdm`` and balance
+    ``compare_pdm`` cells, :class:`~repro.pdm.VirtualDisks` and the
+    sort's memoryload rule too.  Single CLI runs, every cell of a
     ``sweep`` / ``submit`` / ``bench record`` grid, and ``repro serve``
     admission all check here.
     """
-    from ..core.sort_pdm import _memoryload, default_bucket_count
-    from ..hierarchies import ParallelHierarchies, well_behaved
-    from ..pdm import ParallelDiskMachine, VirtualDisks
+    from ..core.balance import MATCHERS
+    from ..core.sort_pdm import INTERNAL_SORTS, _memoryload, default_bucket_count
+    from ..pdm import VirtualDisks
     from ..pdm.striping import default_virtual_disk_count
 
     get_task(task)
     n = int(params["n"])
     if n < 0:
         raise ParameterError(f"n must be >= 0, got {n}")
+    int(params.get("seed", 0))
+    _choice(params, "workload", "uniform", workloads.GENERATORS)
     if task == "hierarchy_sort":
-        ParallelHierarchies(
-            int(params.get("h", 64)),
-            model=params.get("model", "hmm"),
-            cost_fn=well_behaved(params.get("cost", "log")),
-            interconnect=params.get("interconnect", "pram"),
-        )
+        _choice(params, "matcher", "derandomized", MATCHERS)
+        _hierarchy_machine(params)
         return
-    machine = ParallelDiskMachine(
-        memory=int(params.get("memory", 512)),
-        block=int(params.get("block", 4)),
-        disks=int(params.get("disks", 8)),
-        processors=int(params.get("processors", 1)) if task == "sort_pdm" else 1,
-    )
-    if task == "compare_pdm" and params.get("algorithm") != "balance":
+    if task == "sort_pdm":
+        _choice(params, "matcher", "derandomized", MATCHERS)
+        _choice(params, "internal", "cole", INTERNAL_SORTS)
+        machine = _pdm_machine(params, int(params.get("processors", 1)))
+    elif _choice(params, "algorithm", None, ALGORITHMS) == "balance":
+        machine = _pdm_machine(params)
+    else:
+        _pdm_machine(params)
         return
+    buckets, virtual = params.get("buckets"), params.get("virtual_disks")
     storage = VirtualDisks(
         machine,
-        params.get("virtual_disks") or default_virtual_disk_count(machine.D),
+        default_virtual_disk_count(machine.D) if virtual is None else int(virtual),
     )
     _memoryload(
         machine, storage,
-        params.get("buckets") or default_bucket_count(machine.M, machine.B),
+        default_bucket_count(machine.M, machine.B) if buckets is None else int(buckets),
     )
+
+
+def _choice(params: dict, key: str, default, choices) -> str:
+    """``params[key]`` (else ``default``), refused unless one of ``choices``."""
+    value = params.get(key, default)
+    if not isinstance(value, str) or value not in choices:
+        raise ParameterError(
+            f"unknown {key} {value!r} (expected one of {sorted(choices)})"
+        )
+    return value
+
+
+def _pdm_machine(params: dict, processors: int = 1):
+    from ..pdm import ParallelDiskMachine
+
+    return ParallelDiskMachine(
+        memory=int(params.get("memory", 512)),
+        block=int(params.get("block", 4)),
+        disks=int(params.get("disks", 8)),
+        processors=processors,
+    )
+
+
+def _hierarchy_machine(params: dict):
+    from ..hierarchies import ParallelHierarchies, well_behaved
+
+    return ParallelHierarchies(
+        int(params.get("h", 64)),
+        model=params.get("model", "hmm"),
+        cost_fn=well_behaved(params.get("cost", "log")),
+        interconnect=params.get("interconnect", "pram"),
+    )
+
+
+def _input(params: dict) -> np.ndarray:
+    workload = params.get("workload", "uniform")
+    return workloads.by_name(workload, int(params["n"]), seed=int(params.get("seed", 0)))
+
+
+def _verified(res, data: np.ndarray) -> bool:
+    """Assert the sort's output is ``data`` in sorted order; True if it is."""
+    from ..core.streams import peek_run
+    from ..util import assert_is_permutation, assert_sorted
+
+    out = peek_run(res.storage, res.output)
+    assert_sorted(out)
+    assert_is_permutation(out, data)
+    return True
 
 
 def _zero_clock() -> float:
@@ -178,8 +234,8 @@ def _jsonable(value):
 
 
 @task("sort_pdm")
-def sort_pdm(params: dict, obs: Observation) -> dict:
-    """Balance Sort on the PDM — one E1-style grid cell.
+def sort_pdm(params: dict, obs: Observation | None) -> dict:
+    """Balance Sort on the PDM — one E1-style grid cell, or ``repro sort``.
 
     Params: ``n`` (required), ``memory`` (512), ``block`` (4), ``disks``
     (8), ``workload`` ("uniform"), ``seed`` (0), ``matcher``
@@ -187,24 +243,14 @@ def sort_pdm(params: dict, obs: Observation) -> dict:
     ``processors`` (1), ``internal`` ("cole"), ``check_invariants``
     (False — grid cells favour speed; the invariant tier covers safety),
     ``verify`` (False — full output verification costs extra reads).
+    The run is scored by the :class:`~repro.obs.TheoryAuditor` already
+    on ``obs``, else by a default one.
     """
     from ..core.sort_pdm import balance_sort_pdm
-    from ..pdm import ParallelDiskMachine
 
-    from ..obs import TheoryAuditor
-
-    n = int(params["n"])
-    memory = int(params.get("memory", 512))
-    block = int(params.get("block", 4))
-    disks = int(params.get("disks", 8))
-    machine = ParallelDiskMachine(
-        memory=memory, block=block, disks=disks,
-        processors=int(params.get("processors", 1)),
-    )
-    data = workloads.by_name(
-        params.get("workload", "uniform"), n, seed=int(params.get("seed", 0))
-    )
-    auditor = TheoryAuditor().install(obs)
+    machine = _pdm_machine(params, int(params.get("processors", 1)))
+    data = _input(params)
+    auditor = None if obs is None else obs.auditor or TheoryAuditor().install(obs)
     res = balance_sort_pdm(
         machine,
         data,
@@ -215,20 +261,12 @@ def sort_pdm(params: dict, obs: Observation) -> dict:
         check_invariants=bool(params.get("check_invariants", False)),
         obs=obs,
     )
-    # Per-cell theory audit: deterministic measured/bound ratios land as
-    # gauges under the "audit" scope and merge across the sweep like any
-    # other metric (grid-wide min/max watermarks per theorem).
-    auditor.finish_pdm(machine, res)
-    verified = None
-    if params.get("verify", False):
-        from ..core.streams import peek_run
-        from ..util import assert_is_permutation, assert_sorted
-
-        out = peek_run(res.storage, res.output)
-        assert_sorted(out)
-        assert_is_permutation(out, data)
-        verified = True
-    bound = bounds.sort_io_bound(n, memory, block, disks)
+    if auditor is not None:
+        # Per-cell theory audit: deterministic measured/bound ratios land
+        # as gauges under the "audit" scope and merge across the sweep
+        # like any other metric (grid-wide min/max watermarks per theorem).
+        auditor.finish_pdm(machine, res)
+    bound = bounds.sort_io_bound(int(params["n"]), machine.M, machine.B, machine.D)
     return {
         "records": res.n_records,
         "workload": params.get("workload", "uniform"),
@@ -243,17 +281,18 @@ def sort_pdm(params: dict, obs: Observation) -> dict:
         "match_calls": res.match_calls,
         "balance_factor": round(res.max_balance_factor, 4),
         "io": res.io_stats,
-        "verified": verified,
+        "verified": _verified(res, data) if params.get("verify", False) else None,
     }
 
 
 @task("compare_pdm")
-def compare_pdm(params: dict, obs: Observation) -> dict:
+def compare_pdm(params: dict, obs: Observation | None) -> dict:
     """One algorithm × one config — an E3-style comparison cell.
 
-    Params: ``algorithm`` ∈ {"balance", "greed", "randomized",
-    "striped"} (required) plus the machine/workload params of
-    ``sort_pdm`` (``rng_seed`` seeds the randomized baseline).
+    Params: ``algorithm`` ∈ :data:`ALGORITHMS` (required) plus the
+    machine/workload params of ``sort_pdm`` (``rng_seed`` seeds the
+    randomized baseline); ``verify`` (False) checks the output and adds
+    ``verified`` to the result.
     """
     from ..baselines import (
         greed_sort,
@@ -261,19 +300,14 @@ def compare_pdm(params: dict, obs: Observation) -> dict:
         striped_merge_sort,
     )
     from ..core.sort_pdm import balance_sort_pdm
-    from ..pdm import ParallelDiskMachine
 
     algorithm = params["algorithm"]
-    n = int(params["n"])
-    memory = int(params.get("memory", 512))
-    block = int(params.get("block", 4))
-    disks = int(params.get("disks", 8))
-    machine = ParallelDiskMachine(memory=memory, block=block, disks=disks)
-    machine.attach_obs(obs, scope=f"algo.{algorithm}")
-    data = workloads.by_name(
-        params.get("workload", "uniform"), n, seed=int(params.get("seed", 0))
-    )
-    with obs.span(f"algo:{algorithm}") as span:
+    machine = _pdm_machine(params)
+    tracer = NULL_TRACER if obs is None else obs.tracer
+    if obs is not None:  # the baselines take no obs: the machine's hooks do
+        machine.attach_obs(obs, scope=f"algo.{algorithm}")
+    data = _input(params)
+    with tracer.span(f"algo:{algorithm}") as span:
         if algorithm == "balance":
             res = balance_sort_pdm(
                 machine, data,
@@ -295,8 +329,9 @@ def compare_pdm(params: dict, obs: Observation) -> dict:
         else:
             raise KeyError(f"unknown algorithm {algorithm!r}")
         span.annotate(ios=res.total_ios)
-    bound = bounds.sort_io_bound(n, memory, block, disks)
-    return {
+    n = int(params["n"])
+    bound = bounds.sort_io_bound(n, machine.M, machine.B, machine.D)
+    result = {
         "algorithm": algorithm,
         "records": n,
         "parallel_ios": res.total_ios,
@@ -304,37 +339,37 @@ def compare_pdm(params: dict, obs: Observation) -> dict:
         "ratio": round(res.total_ios / bound, 4),
         "io": machine.stats.snapshot(),
     }
+    if params.get("verify", False):
+        result["verified"] = _verified(res, data)
+    return result
 
 
 @task("hierarchy_sort")
-def hierarchy_sort(params: dict, obs: Observation) -> dict:
+def hierarchy_sort(params: dict, obs: Observation | None) -> dict:
     """Balance Sort on P-HMM / P-BT / P-UMH — a hierarchy grid cell.
 
     Params: ``n`` (required), ``h`` (64), ``model`` ("hmm"), ``cost``
     ("log" | "umh" | "constant" | positive exponent), ``interconnect``
-    ("pram"), ``workload`` ("uniform"), ``seed`` (0).
+    ("pram"), ``workload`` ("uniform"), ``seed`` (0), ``matcher``
+    ("derandomized"), ``check_invariants`` (True — raise on a broken
+    invariant; ``repro audit`` passes False and only observes),
+    ``verify`` (False; True checks the output and adds ``verified``).
     """
     from ..core.sort_hierarchy import balance_sort_hierarchy
-    from ..hierarchies import ParallelHierarchies, well_behaved
 
-    machine = ParallelHierarchies(
-        int(params.get("h", 64)),
-        model=params.get("model", "hmm"),
-        cost_fn=well_behaved(params.get("cost", "log")),
-        interconnect=params.get("interconnect", "pram"),
+    machine = _hierarchy_machine(params)
+    data = _input(params)
+    auditor = None if obs is None else obs.auditor or TheoryAuditor().install(obs)
+    res = balance_sort_hierarchy(
+        machine, data,
+        matcher=params.get("matcher", "derandomized"),
+        check_invariants=bool(params.get("check_invariants", True)),
+        obs=obs,
     )
-    from ..obs import TheoryAuditor
-
-    data = workloads.by_name(
-        params.get("workload", "uniform"),
-        int(params["n"]),
-        seed=int(params.get("seed", 0)),
-    )
-    auditor = TheoryAuditor().install(obs)
-    res = balance_sort_hierarchy(machine, data, obs=obs)
-    # Per-cell theory audit (see sort_pdm): ratios become "audit" gauges.
-    auditor.finish_hierarchy(machine, res)
-    return {
+    if auditor is not None:
+        # Per-cell theory audit (see sort_pdm): ratios become "audit" gauges.
+        auditor.finish_hierarchy(machine, res)
+    result = {
         "records": res.n_records,
         "model": params.get("model", "hmm"),
         "memory_time": round(res.memory_time, 3),
@@ -347,3 +382,6 @@ def hierarchy_sort(params: dict, obs: Observation) -> dict:
         "match_calls": res.match_calls,
         "balance_factor": round(res.max_balance_factor, 4),
     }
+    if params.get("verify", False):
+        result["verified"] = _verified(res, data)
+    return result

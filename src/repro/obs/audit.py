@@ -212,6 +212,8 @@ class TheoryAuditor:
         self.violations: list[dict] = []
         self.rounds_checked = 0
         self.worst_factor = 1.0
+        #: The last :class:`AuditReport` a ``finish_*`` call produced.
+        self.report: AuditReport | None = None
 
     # ------------------------------------------------------------- install
 
@@ -223,6 +225,7 @@ class TheoryAuditor:
         ``install`` covers every distribution pass of the run.
         """
         self.obs = obs
+        obs.auditor = self
         obs.engine_observers.append(self.check_round)
         return self
 
@@ -324,8 +327,7 @@ class TheoryAuditor:
             violations=list(self.violations),
             rounds_checked=self.rounds_checked,
         )
-        self._emit_gauges(report)
-        return report
+        return self._finish(report)
 
     def finish_hierarchy(self, machine, result,
                          params: dict | None = None) -> AuditReport:
@@ -382,13 +384,13 @@ class TheoryAuditor:
             violations=list(self.violations),
             rounds_checked=self.rounds_checked,
         )
-        self._emit_gauges(report)
-        return report
+        return self._finish(report)
 
-    def _emit_gauges(self, report: AuditReport) -> None:
-        if self.obs is None:
-            return
-        record_cell_audit(self.obs, report)
+    def _finish(self, report: AuditReport) -> AuditReport:
+        self.report = report
+        if self.obs is not None:
+            record_cell_audit(self.obs, report)
+        return report
 
 
 def record_cell_audit(obs: "Observation", report: AuditReport) -> None:

@@ -39,6 +39,8 @@ import math
 from dataclasses import dataclass, field
 from fnmatch import fnmatchcase
 
+from ..exceptions import InputError
+
 __all__ = ["flatten", "DiffEntry", "DiffResult", "diff_runs", "load_doc",
            "DIFF_SCHEMA"]
 
@@ -46,11 +48,17 @@ DIFF_SCHEMA = "repro.diff/1"
 
 
 def load_doc(path_or_doc) -> dict:
-    """Accept a dict as-is or load JSON from a path."""
+    """Accept a dict as-is or load one JSON object from a path."""
     if isinstance(path_or_doc, dict):
         return path_or_doc
-    with open(path_or_doc) as fh:
-        return json.load(fh)
+    try:
+        with open(path_or_doc) as fh:
+            doc = json.load(fh)
+    except (OSError, ValueError) as exc:
+        raise InputError(f"cannot read {path_or_doc} as JSON: {exc}") from None
+    if not isinstance(doc, dict):
+        raise InputError(f"{path_or_doc}: not a JSON object")
+    return doc
 
 
 def _coerce(value):

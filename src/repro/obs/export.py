@@ -38,7 +38,7 @@ from __future__ import annotations
 import json
 
 from .diff import flatten
-from .tracer import ROUND_EVENTS, read_trace
+from .tracer import ROUND_EVENTS, read_trace, reading
 
 __all__ = ["EXPORT_SCHEMA", "export_chrome_trace", "write_chrome_trace"]
 
@@ -235,11 +235,11 @@ def write_chrome_trace(
     Torn final lines are forgiven (a killed run's trace still exports).
     Returns the exported document (also written to ``out_path``).
     """
-    events = read_trace(trace_path, tolerate_truncated_tail=True)
-    doc = export_chrome_trace(
-        events, metrics=metrics, counter_every=counter_every,
-        source=trace_path,
-    )
+    with reading(trace_path):
+        doc = export_chrome_trace(
+            read_trace(trace_path, tolerate_truncated_tail=True),
+            metrics=metrics, counter_every=counter_every, source=trace_path,
+        )
     with open(out_path, "w", encoding="utf-8") as fh:
         try:  # C canonical encoder when built — byte-identical output
             from .._speedups import dumps as _c_dumps

@@ -37,7 +37,7 @@ from __future__ import annotations
 
 from typing import Iterable
 
-from .tracer import ROUND_EVENTS, read_trace
+from .tracer import ROUND_EVENTS, read_trace, reading
 
 __all__ = ["profile_trace", "render_profile", "PROFILE_SCHEMA"]
 
@@ -61,9 +61,10 @@ def profile_trace(
     ``stats["memory"]``) under the profile's ``memory`` key.
     """
     if isinstance(events_or_path, str):
-        events = read_trace(events_or_path, tolerate_truncated_tail=True)
-    else:
-        events = list(events_or_path)
+        with reading(events_or_path):
+            events = read_trace(events_or_path, tolerate_truncated_tail=True)
+            return profile_trace(events, top=top, bins=bins, memory=memory)
+    events = list(events_or_path)
 
     spans: dict[int, dict] = {}
     order: list[int] = []

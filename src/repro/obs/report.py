@@ -15,7 +15,7 @@ from typing import Iterable, Sequence
 
 from ..analysis.reporting import Table
 from .metrics import Histogram, MetricsRegistry
-from .tracer import ROUND_EVENTS, Observation, read_trace
+from .tracer import ROUND_EVENTS, Observation, read_trace, reading
 
 __all__ = ["RunReport", "render_report", "summarize_trace", "write_json", "SCHEMA"]
 
@@ -62,9 +62,9 @@ def summarize_trace(events_or_path: str | Iterable[dict]) -> dict:
     that never attributed them.
     """
     if isinstance(events_or_path, str):
-        events = read_trace(events_or_path, tolerate_truncated_tail=True)
-    else:
-        events = list(events_or_path)
+        with reading(events_or_path):
+            return summarize_trace(read_trace(events_or_path, tolerate_truncated_tail=True))
+    events = list(events_or_path)
 
     phases: dict[str, dict] = {}
     order: list[str] = []

@@ -36,8 +36,10 @@ import gzip
 import io as _io
 import json
 import time
+from contextlib import contextmanager
 from typing import Callable, Iterable, TextIO
 
+from ..exceptions import InputError
 from .columnar import ColumnarJournal
 from .metrics import MetricsRegistry
 
@@ -55,6 +57,7 @@ __all__ = [
     "JsonlSink",
     "ListSink",
     "read_trace",
+    "reading",
     "ROUND_EVENTS",
 ]
 
@@ -383,6 +386,8 @@ class Observation:
         #: checker here so Invariants 1 & 2 and the Theorem 4 factor are
         #: verified after every matching round of every engine in the run.
         self.engine_observers: list = []
+        #: The installed :class:`~repro.obs.audit.TheoryAuditor`, if any.
+        self.auditor = None
 
     def scope(self, name: str) -> MetricsRegistry:
         """Shorthand for ``registry.scope(name)``."""
@@ -421,15 +426,21 @@ def read_trace(
     """Load a JSONL trace back into a list of event dicts.
 
     Accepts a path (plain or gzipped JSONL) or an iterable of lines; blank
-    lines are skipped, malformed lines raise ``ValueError`` with the
-    offending line number.  ``tolerate_truncated_tail=True`` forgives a
-    malformed **final** line — the signature of a run that crashed or was
+    lines are skipped, an unreadable file or a line that is not a JSON
+    object raises :class:`~repro.exceptions.InputError` naming the file
+    and line.  ``tolerate_truncated_tail=True`` forgives a malformed
+    **final** line — the signature of a run that crashed or was
     interrupted mid-write — while still rejecting corruption anywhere
     else; offline summarizers pass it so partial traces stay readable.
     """
+    where = ""
     if isinstance(path_or_lines, str):
-        with _open_trace(path_or_lines) as fh:
-            lines = fh.readlines()
+        where = f"{path_or_lines}: "
+        try:
+            with _open_trace(path_or_lines) as fh:
+                lines = fh.readlines()
+        except (OSError, EOFError, UnicodeDecodeError) as exc:
+            raise InputError(f"cannot read trace {path_or_lines}: {exc}") from None
     else:
         lines = list(path_or_lines)
     events = []
@@ -439,9 +450,24 @@ def read_trace(
         if not line:
             continue
         try:
-            events.append(json.loads(line))
+            record = json.loads(line)
         except json.JSONDecodeError as exc:
             if tolerate_truncated_tail and i == last_index:
                 break  # torn tail of an interrupted run
-            raise ValueError(f"bad trace line {i}: {exc}") from None
+            raise InputError(f"{where}bad trace line {i}: {exc}") from None
+        if not isinstance(record, dict):
+            raise InputError(f"{where}trace line {i} is not a JSON object")
+        events.append(record)
     return events
+
+
+@contextmanager
+def reading(path: str):
+    """Turn a record of ``path`` its reader cannot use into an InputError
+    (say ``"wall_s": "abc"``), so the error names the file."""
+    try:
+        yield
+    except InputError:
+        raise
+    except (AttributeError, TypeError, ValueError) as exc:
+        raise InputError(f"{path}: unreadable record ({type(exc).__name__}: {exc})") from None

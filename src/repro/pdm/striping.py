@@ -72,7 +72,9 @@ class VirtualDisks:
     """Partial-striping view: D physical disks as D' virtual disks."""
 
     def __init__(self, machine: ParallelDiskMachine, n_virtual: int):
-        if n_virtual < 1 or machine.D % n_virtual != 0:
+        if n_virtual < 1:
+            raise ParameterError(f"need at least 1 virtual disk, got D'={n_virtual}")
+        if machine.D % n_virtual != 0:
             raise ParameterError(
                 f"D={machine.D} must be divisible by D'={n_virtual}"
             )

@@ -208,31 +208,37 @@ class FaultPlan:
 
     @classmethod
     def from_dict(cls, doc: dict) -> "FaultPlan":
-        """Inverse of :meth:`to_dict`; validates the result."""
+        """Inverse of :meth:`to_dict`; validates the result (any malformed
+        field raises :class:`~repro.exceptions.ParameterError`)."""
         if not isinstance(doc, dict):
             raise ParameterError(f"fault plan must be a JSON object, got {type(doc).__name__}")
         schema = doc.get("schema", "repro.fault_plan/1")
         if schema != "repro.fault_plan/1":
             raise ParameterError(f"unknown fault plan schema {schema!r}")
         rules = []
-        for raw in doc.get("rules", []):
-            if not isinstance(raw, dict) or "site" not in raw:
-                raise ParameterError(f"bad fault rule {raw!r} (need at least a site)")
-            known = {f for f in FaultRule.__dataclass_fields__}
-            unknown = set(raw) - known
-            if unknown:
-                raise ParameterError(
-                    f"unknown fault rule field(s) {sorted(unknown)} in {raw!r}"
-                )
-            kwargs = dict(raw)
-            if "at" in kwargs:
-                kwargs["at"] = tuple(kwargs["at"])
-            rules.append(FaultRule(**kwargs))
-        return cls(
-            seed=int(doc.get("seed", 0)),
-            rules=tuple(rules),
-            name=str(doc.get("name", "")),
-        ).validate()
+        try:
+            for raw in doc.get("rules", []):
+                if not isinstance(raw, dict) or "site" not in raw:
+                    raise ParameterError(f"bad fault rule {raw!r} (need at least a site)")
+                known = {f for f in FaultRule.__dataclass_fields__}
+                unknown = set(raw) - known
+                if unknown:
+                    raise ParameterError(
+                        f"unknown fault rule field(s) {sorted(unknown)} in {raw!r}"
+                    )
+                kwargs = dict(raw)
+                if "at" in kwargs:
+                    kwargs["at"] = tuple(kwargs["at"])
+                rules.append(FaultRule(**kwargs))
+            return cls(
+                seed=int(doc.get("seed", 0)),
+                rules=tuple(rules),
+                name=str(doc.get("name", "")),
+            ).validate()
+        except ParameterError:
+            raise
+        except (TypeError, ValueError) as exc:
+            raise ParameterError(f"malformed fault plan: {exc}") from None
 
     @classmethod
     def loads(cls, text: str) -> "FaultPlan":

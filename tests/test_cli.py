@@ -141,7 +141,7 @@ class TestCommands:
         assert rc == 0
         report = json.loads(out)
         algos = [r["algorithm"] for r in report["result"]["algorithms"]]
-        assert algos == ["balance", "greed", "randomized", "striped-merge"]
+        assert algos == ["balance", "greed", "randomized", "striped"]
         assert set(report["metrics"]["algo"]) >= {"balance", "greed"}
 
     def test_hierarchy_emit_json(self, capsys):
@@ -401,3 +401,229 @@ class TestBadCost:
 
     def test_numeric_string_cost_runs(self, capsys):
         assert main(["hierarchy", *self.HIER, "--model", "bt", "--cost", "0.5"]) == 0
+
+
+# ---------------------------------------------------------- one run path
+
+
+class TestOneRunPath:
+    """``sort``, ``hierarchy``, ``compare`` and ``audit`` run the
+    registered tasks: a single run's ``--emit-json`` result is the
+    task's result on the same cell."""
+
+    @staticmethod
+    def _result(argv, capsys):
+        import json
+
+        assert main([*argv, "--emit-json", "-"]) == 0
+        return json.loads(capsys.readouterr().out)["result"]
+
+    def test_sort_result_is_the_task_result(self, capsys):
+        from repro.exec import run_task
+
+        result = self._result(
+            ["sort", "--n", "3000", "--memory", "512", "--disks", "4",
+             "--workload", "zipf", "--seed", "2", "--matcher", "greedy",
+             "--buckets", "4", "--virtual-disks", "2"], capsys)
+        cell = {"n": 3000, "memory": 512, "block": 4, "disks": 4,
+                "workload": "zipf", "seed": 2, "matcher": "greedy",
+                "buckets": 4, "virtual_disks": 2, "processors": 1,
+                "check_invariants": True, "verify": True}
+        assert result == run_task("sort_pdm", cell)["result"]
+
+    def test_hierarchy_result_is_the_task_result(self, capsys):
+        from repro.exec import run_task
+
+        result = self._result(
+            ["hierarchy", "--n", "2000", "--h", "16", "--model", "bt",
+             "--cost", "0.5", "--workload", "zipf", "--seed", "2"], capsys)
+        assert result.pop("workload") == "zipf"
+        assert result.pop("verified") is True
+        cell = {"n": 2000, "h": 16, "model": "bt", "cost": "0.5",
+                "workload": "zipf", "seed": 2}
+        assert result == run_task("hierarchy_sort", cell)["result"]
+
+    def test_compare_rows_are_the_task_results(self, capsys):
+        from repro.exec import run_task
+        from repro.exec.tasks import ALGORITHMS
+
+        rows = self._result(
+            ["compare", "--n", "2000", "--memory", "512", "--disks", "4"],
+            capsys)["algorithms"]
+        assert [row["algorithm"] for row in rows] == list(ALGORITHMS)
+        keys = ("algorithm", "parallel_ios", "ratio")
+        for row in rows:
+            cell = {"algorithm": row["algorithm"], "n": 2000, "memory": 512,
+                    "block": 4, "disks": 4}
+            expected = run_task("compare_pdm", cell)["result"]
+            assert {k: row[k] for k in keys} == {k: expected[k] for k in keys}
+            assert row["verified"] is True
+
+    @pytest.mark.parametrize("argv", [
+        ["audit", "--n", "6000", "--memory", "512", "--disks", "8",
+         "--virtual-disks", "4"],
+        ["audit", "--target", "hierarchy", "--n", "4000", "--h", "64",
+         "--model", "bt", "--cost", "0.5"],
+    ], ids=["pdm", "hierarchy"])
+    def test_audit_keeps_its_theorem4_limit(self, argv, capsys):
+        import json
+
+        assert main([*argv, "--theorem4-limit", "1.0", "--emit-json", "-"]) == 1
+        report = json.loads(capsys.readouterr().out)
+        (check,) = [c for c in report["audit"]["checks"]
+                    if c["name"] == "theorem4.read_parallelism"]
+        assert check["limit"] == 1.0 and check["ok"] is False
+        assert report["result"]["verified"] is True
+
+    def test_sort_without_sinks_builds_no_observation(self, capsys, monkeypatch):
+        from repro.obs import tracer
+
+        built = []
+        init = tracer.Observation.__init__
+
+        def spy(self, *args, **kwargs):
+            built.append(True)
+            init(self, *args, **kwargs)
+
+        monkeypatch.setattr(tracer.Observation, "__init__", spy)
+        argv = ["sort", "--n", "2000", "--memory", "512", "--disks", "4"]
+        assert main(argv) == 0
+        assert built == []
+        assert main([*argv, "--emit-json", "-"]) == 0  # the spy does see one
+        assert built == [True]
+
+
+# ------------------------------------------------ cells a task would reject
+
+
+class TestBadCells:
+    """Every cell its task would reject is refused before anything runs:
+    an unknown workload, matcher or algorithm, an explicit ``buckets``
+    < 2 or ``virtual_disks`` < 1 (never a silent fall back to the
+    default), and a grid axis value that is not a number.  Exit 2, one
+    stderr line naming the cell or the flag, nothing on stdout."""
+
+    GRID = ["--n", "500", "--disks", "4"]
+
+    @pytest.mark.parametrize("argv", [
+        ["sweep", *GRID, "--workload", "nope"],
+        ["sweep", *GRID, "--matcher", "nope"],
+        ["sweep", *GRID, "--task", "compare", "--algorithms", "nope"],
+        ["sweep", "--n", "500", "--task", "hierarchy", "--workload", "nope"],
+        ["sweep", *GRID, "--buckets", "1"],
+        ["sweep", *GRID, "--virtual-disks", "0"],
+        ["bench", "record", "--series", "s", *GRID, "--workload", "nope"],
+        ["submit", "--port", "1", *GRID, "--workload", "nope"],
+    ], ids=["workload", "matcher", "algorithm", "hierarchy-workload",
+            "buckets", "virtual-disks", "bench-record", "submit"])
+    def test_bad_grid_cell_exits_two(self, argv, tmp_path, capsys):
+        ledger = tmp_path / "ledger.jsonl"
+        if argv[0] == "bench":
+            argv = [*argv, "--ledger", str(ledger)]
+        assert main(argv) == 2
+        cap = capsys.readouterr()
+        assert cap.out == ""
+        (line,) = cap.err.strip().splitlines()
+        assert line.startswith("repro: error: cell 0 (")
+        assert not ledger.exists()
+
+    @pytest.mark.parametrize("command", ["sort", "audit"])
+    @pytest.mark.parametrize("flag, value, rule", [
+        ("--buckets", "1", "need at least 2 buckets, got S=1"),
+        ("--buckets", "-3", "need at least 2 buckets, got S=-3"),
+        ("--buckets", "0", "need at least 2 buckets, got S=0"),
+        ("--virtual-disks", "0", "need at least 1 virtual disk, got D'=0"),
+    ])
+    def test_bad_override_exits_two(self, command, flag, value, rule, capsys):
+        assert main([command, "--n", "2000", "--memory", "512",
+                     flag, value]) == 2
+        cap = capsys.readouterr()
+        assert cap.out == ""
+        (line,) = cap.err.strip().splitlines()
+        assert line.startswith("repro: error: cell 0 (sort_pdm ")
+        assert line.endswith(rule)
+
+    @pytest.mark.parametrize("argv, flag", [
+        (["sweep", "--n", "abc"], "--n"),
+        (["sweep", "--disks", "x"], "--disks"),
+        (["sweep", "--task", "hierarchy", "--h", "x"], "--h"),
+        (["submit", "--port", "1", "--n", "abc"], "--n"),
+    ], ids=["sweep-n", "sweep-disks", "sweep-h", "submit-n"])
+    def test_bad_axis_value_names_the_flag(self, argv, flag, capsys):
+        assert main(argv) == 2
+        cap = capsys.readouterr()
+        assert cap.out == ""
+        (line,) = cap.err.strip().splitlines()
+        assert line.startswith(f"repro: error: argument {flag}: invalid int value")
+
+    @pytest.mark.parametrize("plan", [
+        '{"rules": 5}',
+        '{"seed": "x", "rules": []}',
+        '{"rules": [{"site": "store.read", "rate": "x"}]}',
+        '{"rules": [{"site": "store.read", "at": "x"}]}',
+    ], ids=["rules-int", "seed-str", "rate-str", "at-str"])
+    @pytest.mark.parametrize("command", ["sweep", "serve"])
+    def test_malformed_fault_plan_exits_two(self, command, plan, capsys):
+        head = ["sweep", *self.GRID] if command == "sweep" else ["serve"]
+        assert main([*head, "--fault-plan", plan]) == 2
+        cap = capsys.readouterr()
+        assert cap.out == ""
+        (line,) = cap.err.strip().splitlines()
+        assert line.startswith(f"[{command}] error: ")
+
+
+# --------------------------------------------- offline readers, bad input
+
+
+class TestUnreadableInputs:
+    """An offline reader given a file it cannot read exits 2 with one
+    stderr line naming the file and nothing on stdout."""
+
+    BEGIN = '{"ev": "begin", "name": "a", "span": 1, "ts": 0}'
+    END = '{"ev": "end", "name": "a", "span": 1, "ts": 1}'
+
+    @pytest.fixture
+    def files(self, tmp_path, monkeypatch):
+        (tmp_path / "trace.jsonl").write_text(f"{self.BEGIN}\n{self.END}\n")
+        (tmp_path / "mid.jsonl").write_text(
+            f"{self.BEGIN}\nnot json\n{self.END}\n")
+        (tmp_path / "list.json").write_text("[1, 2]\n")
+        (tmp_path / "wall.jsonl").write_text(
+            '{"ev": "end", "name": "a", "span": 1, "ts": 1, "wall_s": "abc"}\n')
+        (tmp_path / "width.jsonl").write_text(
+            '{"ev": "event", "name": "io.read", "ts": 1, '
+            '"attrs": {"width": "x"}}\n')
+        (tmp_path / "doc.json").write_text('{"a": 1}\n')
+        monkeypatch.chdir(tmp_path)
+        return tmp_path
+
+    @pytest.mark.parametrize("argv, named", [
+        (["report", "missing.jsonl"], "missing.jsonl"),
+        (["profile", "missing.jsonl"], "missing.jsonl"),
+        (["diff", "missing.json", "doc.json"], "missing.json"),
+        (["diff", "trace.jsonl", "doc.json"], "trace.jsonl"),
+        (["report", "mid.jsonl"], "mid.jsonl"),
+        (["profile", "mid.jsonl"], "mid.jsonl"),
+        (["export-trace", "mid.jsonl", "-o", "out.json"], "mid.jsonl"),
+        (["report", "list.json"], "list.json"),
+        (["profile", "list.json"], "list.json"),
+        (["export-trace", "list.json", "-o", "out.json"], "list.json"),
+        (["top", "list.json"], "list.json"),
+        (["profile", "trace.jsonl", "--memory", "list.json"], "list.json"),
+        (["report", "wall.jsonl"], "wall.jsonl"),
+        (["profile", "wall.jsonl"], "wall.jsonl"),
+        (["report", "width.jsonl"], "width.jsonl"),
+        (["profile", "width.jsonl"], "width.jsonl"),
+    ], ids=lambda v: "_".join(v) if isinstance(v, list) else None)
+    def test_unreadable_input_exits_two(self, argv, named, files, capsys):
+        assert main(argv) == 2
+        cap = capsys.readouterr()
+        assert cap.out == ""
+        (line,) = cap.err.strip().splitlines()
+        assert line.startswith("repro: error: ") and named in line
+        assert not (files / "out.json").exists()
+
+    def test_diff_keeps_its_exit_codes(self, files, capsys):
+        (files / "more.json").write_text('{"a": 2}\n')
+        assert main(["diff", "doc.json", "doc.json"]) == 0
+        assert main(["diff", "doc.json", "more.json"]) == 1

@@ -100,6 +100,17 @@ class TestFaultPlanDSL:
         with pytest.raises(ParameterError, match=match):
             FaultRule(**bad).validate()
 
+    @pytest.mark.parametrize("doc", [
+        {"rules": 5},
+        {"seed": "x", "rules": []},
+        {"rules": [{"site": "store.read", "rate": "x"}]},
+        {"rules": [{"site": "store.read", "at": "x"}]},
+        {"rules": [{"site": "store.read", "at": [0], "budget": "2"}]},
+    ], ids=["rules-int", "seed-str", "rate-str", "at-str", "budget-str"])
+    def test_malformed_fields_are_parameter_errors(self, doc):
+        with pytest.raises(ParameterError, match="malformed fault plan"):
+            FaultPlan.from_dict(doc)
+
     def test_plan_properties(self):
         p = plan(rule("store.write", mode="corrupt"))
         assert p.watches_store and p.wants_store_checksums

@@ -431,6 +431,36 @@ class TestServiceEndToEnd:
         assert [rec for rec in SweepJournal(str(tmp_path / "j")).read()
                 if rec.get("ev") == "job"] == []
 
+    def test_unknown_names_are_bad_requests(self, tmp_path):
+        """A workload, matcher or algorithm the task does not know, or an
+        explicit ``buckets`` < 2, is refused at admission, never run."""
+        j = SweepJournal(str(tmp_path / "j"))
+        runner = JobRunner(jobs=0, journal=j, cache_dir=j.cells_dir)
+        svc = service(runner, journal=j)
+        thread = serve_in_thread(svc)
+        probes = (
+            ("sort_pdm", {"n": 100, "workload": "nope"}),
+            ("sort_pdm", {"n": 100, "matcher": "nope"}),
+            ("sort_pdm", {"n": 100, "buckets": 1}),
+            ("compare_pdm", {"n": 100}),
+            ("compare_pdm", {"n": 100, "algorithm": "zzz"}),
+            ("hierarchy_sort", {"n": 100, "h": 16, "workload": "nope"}),
+        )
+        try:
+            with ServeClient(port=thread.port) as c:
+                for task, params in probes:
+                    r = c.submit(task, params)
+                    assert r["schema"] == REJECT_SCHEMA, params
+                    assert r["reason"] == "bad_request"
+                    assert r["message"].startswith("bad spec: ")
+                serve = c.stats()["stats"]["serve"]
+                assert serve["bad_requests"] == len(probes)
+                assert serve["submitted"] == 0 and serve["admitted"] == 0
+        finally:
+            thread.stop()
+        assert [rec for rec in SweepJournal(str(tmp_path / "j")).read()
+                if rec.get("ev") == "job"] == []
+
     def test_readyz_reflects_hold_and_drain(self):
         svc = service(hold=True, drain_grace=1.5)
         thread = serve_in_thread(svc)
