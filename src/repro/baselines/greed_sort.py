@@ -181,7 +181,7 @@ def greed_sort(
                     # the approximate output (its I/Os were really spent and
                     # stay counted) and redo this group with the exact merge
                     # — deterministic and always correct.
-                    storage.free([ref.address for ref in approx.blocks])
+                    storage.free_arr([ref.address for ref in approx.blocks])
                     cleanup_fallbacks += 1
                     merged.append(
                         _greedy_merge(
@@ -190,7 +190,7 @@ def greed_sort(
                     )
                 else:
                     for source in group:
-                        storage.free([ref.address for ref in source.blocks])
+                        storage.free_arr([ref.address for ref in source.blocks])
                     merged.append(cleaned)
             else:
                 merged.append(
@@ -506,7 +506,7 @@ def _adaptive_cleanup(
                 raise  # caller decides (greed_sort falls back to exact merge)
             window = min(2 * window, limit)
             continue
-        storage.free([ref.address for ref in run.blocks])
+        storage.free_arr([ref.address for ref in run.blocks])
         return out
 
 
@@ -581,7 +581,7 @@ def _cleanup_pass(
         flush_out(final=True)
     except InvariantViolation:
         # discard the partial output and release everything still held
-        storage.free([ref.address for ref in out_blocks])
+        storage.free_arr([ref.address for ref in out_blocks])
         storage.release_memory(held)
         raise
     return OrderedRun(blocks=out_blocks, n_records=out_count)

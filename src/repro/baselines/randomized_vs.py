@@ -118,7 +118,7 @@ class RandomizedPlacer:
         entries = [self._queue.popleft() for _ in range(k)]
         channels = self.rng.integers(0, self.n_channels, size=k)
         taken: set[int] = set()
-        items = []
+        blocks = []
         writers = []
         for (b, block, fill), ch in zip(entries, channels.tolist()):
             if ch in taken:
@@ -126,10 +126,11 @@ class RandomizedPlacer:
                 self._queue.append((b, block, fill))
                 continue
             taken.add(ch)
-            items.append((ch, block))
+            blocks.append(block)
             writers.append((b, ch, fill))
-        if items:
-            addrs = self.storage.parallel_write(items)
+        if blocks:
+            vdisks = np.array([ch for _, ch, _ in writers], dtype=np.int64)
+            addrs = self.storage.parallel_write_arr(vdisks, np.stack(blocks))
             for (b, ch, fill), addr in zip(writers, addrs):
                 self.chains[b][ch].append(BlockRef(addr, fill))
 

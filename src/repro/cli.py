@@ -1433,12 +1433,16 @@ def cmd_diff(args) -> int:
     """Diff two JSON run documents; exit 1 when a path regresses."""
     rules = []
     for spec in args.rule:
-        pattern, sep, threshold = spec.rpartition("=")
-        if not sep or not pattern:
+        pattern, _, threshold = spec.rpartition("=")
+        try:
+            value = float(threshold)
+        except ValueError:
+            value = None
+        if not pattern or value is None:
             print(f"bad --rule {spec!r} (expected PATTERN=THRESHOLD)",
                   file=sys.stderr)
             return 2
-        rules.append((pattern, float(threshold)))
+        rules.append((pattern, value))
     result = diff_runs(
         args.a, args.b, threshold=args.threshold, rules=rules,
         ignore=args.ignore, strict=args.strict,
@@ -1473,6 +1477,7 @@ def cmd_top(args) -> int:
         read_telemetry,
         render_progress_line,
     )
+    from .obs.tracer import reading
 
     if not os.path.exists(args.telemetry):
         print(f"[top] no telemetry file at {args.telemetry}", file=sys.stderr)
@@ -1480,8 +1485,9 @@ def cmd_top(args) -> int:
     if args.follow:
         last = ""
         while True:
-            state = aggregate_progress(read_telemetry(args.telemetry))
-            line = render_progress_line(state)
+            with reading(args.telemetry):
+                state = aggregate_progress(read_telemetry(args.telemetry))
+                line = render_progress_line(state)
             if line != last:
                 print(line, flush=True)
                 last = line
@@ -1492,11 +1498,14 @@ def cmd_top(args) -> int:
     if not events:
         print(f"[top] {args.telemetry} is empty", file=sys.stderr)
         return 0
-    state = aggregate_progress(events)
-    for t in progress_tables(state):
+    with reading(args.telemetry):  # an ill-typed field names the file
+        state = aggregate_progress(events)
+        tables = progress_tables(state)
+        line = render_progress_line(state)
+    for t in tables:
         t.print()
         print()
-    print(render_progress_line(state))
+    print(line)
     return 0
 
 
@@ -1558,7 +1567,7 @@ def cmd_bench(args) -> int:
 
         task, specs = _sweep_specs(args)
         keys = [spec.fingerprint() for spec in specs]
-        reps = max(1, int(args.min_of))
+        reps = args.min_of
         seconds = None
         runner = None
         for rep in range(reps):
@@ -1949,14 +1958,27 @@ def _run_spec(args) -> tuple[str, list[dict]]:
 
 
 def _usage_error(args) -> str | None:
-    """The first cell a command cannot run (by :func:`repro.exec.check_spec`,
-    a bad ``--cost`` named as such), as one line; else None."""
+    """The first thing a command cannot run with, as one line; else None:
+    a runner, service, ``--bins`` or ``--min-of`` value no run can use, a
+    bad ``--cost`` named as such, or a cell :func:`repro.exec.check_spec`
+    refuses."""
+    bench_record = getattr(args, "bench_command", None) == "record"
+    if args.command == "profile" and args.bins < 1:
+        return f"--bins must be >= 1, got {args.bins}"
+    if bench_record and args.min_of < 1:
+        return f"--min-of must be >= 1, got {args.min_of}"
     try:
+        if args.command in ("sweep", "serve"):
+            from .exec import check_runner_options
+
+            check_runner_options(args.retries, args.timeout, args.backoff)
+        if args.command == "serve":
+            from .serve.service import check_service_options
+
+            check_service_options(args.queue, args.quota_burst, args.quota_rate)
         if args.command in ("sort", "compare", "audit", "hierarchy"):
             task, cells = _run_spec(args)
-        elif args.command in ("sweep", "submit") or (
-            getattr(args, "bench_command", None) == "record"
-        ):
+        elif args.command in ("sweep", "submit") or bench_record:
             task, specs = _sweep_specs(args)
             cells = [spec.params for spec in specs]
         else:

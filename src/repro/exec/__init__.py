@@ -42,6 +42,7 @@ from .runner import (
     ParallelRunner,
     RunResult,
     RunSpec,
+    check_runner_options,
     default_jobs,
     grid,
 )
@@ -71,4 +72,5 @@ __all__ = [
     "task",
     "task_names",
     "check_spec",
+    "check_runner_options",
 ]

@@ -61,7 +61,12 @@ from contextlib import ExitStack
 from dataclasses import dataclass, field
 from typing import Callable, Iterable
 
-from ..exceptions import InjectedWorkerCrash, PoisonedPayloadError, TaskTimeout
+from ..exceptions import (
+    InjectedWorkerCrash,
+    ParameterError,
+    PoisonedPayloadError,
+    TaskTimeout,
+)
 from ..obs import ROUND_EVENTS
 from ..obs.memory import memory_telemetry_enabled, peak_rss_kb
 from ..obs.telemetry import PROGRESS_SCHEMA, TelemetryWriter, activate_telemetry
@@ -85,6 +90,7 @@ __all__ = [
     "grid",
     "FAILURES_SCHEMA",
     "DEFAULT_BACKOFF_MAX",
+    "check_runner_options",
     "error_record",
     "failure_payload",
 ]
@@ -107,6 +113,25 @@ DEFAULT_BACKOFF_MAX = 5.0
 #: How often the pool driver wakes to notice deadlines, cancels, backoffs
 #: that expired and (on a service) newly admitted jobs.
 _POLL_S = 0.05
+
+
+def check_runner_options(
+    retries: int, timeout: float | None, backoff: float,
+    backoff_max: float | None = None,
+) -> None:
+    """Refuse retry settings no run can use (:class:`ParameterError`).
+
+    :class:`JobRunner` applies it at construction; ``repro sweep`` and
+    ``repro serve`` apply it to their flags before anything runs.
+    """
+    if retries < 0:
+        raise ParameterError(f"retries must be >= 0, got {retries}")
+    if timeout is not None and timeout <= 0:
+        raise ParameterError(f"timeout must be > 0, got {timeout}")
+    if backoff < 0:
+        raise ParameterError(f"backoff must be >= 0, got {backoff}")
+    if backoff_max is not None and backoff_max < 0:
+        raise ParameterError(f"backoff_max must be >= 0, got {backoff_max}")
 
 
 def error_record(attempt: int, exc: BaseException) -> dict:
@@ -438,14 +463,7 @@ class JobRunner:
             )
         if cache is not None and cache_dir is not None:
             raise ValueError("pass cache or cache_dir, not both")
-        if retries < 0:
-            raise ValueError(f"retries must be >= 0, got {retries}")
-        if timeout is not None and timeout <= 0:
-            raise ValueError(f"timeout must be > 0, got {timeout}")
-        if backoff < 0:
-            raise ValueError(f"backoff must be >= 0, got {backoff}")
-        if backoff_max is not None and backoff_max < 0:
-            raise ValueError(f"backoff_max must be >= 0, got {backoff_max}")
+        check_runner_options(retries, timeout, backoff, backoff_max)
         self.cache = cache if cache is not None else ResultCache(cache_dir)
         self.retries = int(retries)
         self.timeout = timeout

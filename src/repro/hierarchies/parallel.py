@@ -13,7 +13,7 @@ the per-hierarchy access costs.  Interconnect time accumulates separately
 striping** (Section 4.1): the ``H`` hierarchies are grouped into
 ``H' = H^{1/3}`` *virtual hierarchies*, and a *virtual block* of
 ``H/H'`` records is striped one record per member hierarchy at a common
-local address.  It exposes the same ``parallel_write`` / ``parallel_read``
+local address.  It exposes the same ``write_round`` / ``parallel_read_arr``
 interface as :class:`repro.pdm.striping.VirtualDisks`, so the Balance
 engine (:mod:`repro.core.balance`) drives disks and hierarchies
 identically — the paper's central portability claim.
@@ -27,7 +27,6 @@ hold.
 from __future__ import annotations
 
 import heapq
-import math
 from typing import NamedTuple, Sequence
 
 import numpy as np
@@ -35,8 +34,8 @@ import numpy as np
 from ..exceptions import AddressError, DiskContentionError, ParameterError
 from ..hypercube.sharesort import T_H
 from ..pdm.store import make_store
-from ..records import RECORD_DTYPE, argsort_records
-from .bt import BT, touch_cost, transpose_cost
+from ..records import RECORD_DTYPE
+from .bt import BT
 from .cost import CostFunction, LogCost
 from .hmm import HMM
 
@@ -239,8 +238,9 @@ class VirtualHierarchies:
 
     Interface-compatible with :class:`repro.pdm.striping.VirtualDisks`:
     ``n_virtual``, ``virtual_block_size``, ``write_round``,
-    ``parallel_write``, ``parallel_read``, ``free``, ``load_initial`` —
-    the contract the Balance engine and the run streams consume.
+    ``parallel_write_arr``, ``parallel_read_arr``, ``free_arr``,
+    ``peek_many``, ``load_initial`` — the contract the Balance engine
+    and the run streams consume.
 
     A virtual block of ``H/H'`` records is striped one record per member
     hierarchy at a common local address, so a parallel step touching one
@@ -322,11 +322,13 @@ class VirtualHierarchies:
     ) -> list[VirtualBlockAddress]:
         """Write ≤1 virtual block per virtual hierarchy — one parallel step.
 
-        Batched flavour of :meth:`parallel_write`: ``data`` is one
-        ``(k, virtual_block_size)`` record matrix whose rows may be views
-        of caller buffers (the store scatters a copy).  ``park=True``
-        places the blocks at the highest recycled addresses (or the
-        frontier) — see :meth:`parallel_write`.
+        ``data`` is one ``(k, virtual_block_size)`` record matrix whose
+        rows may be views of caller buffers (the store scatters a copy).
+        ``park=True`` places the blocks at the highest recycled addresses
+        (or the frontier): used for distribution output and sorted
+        results so they stay clear of the front, where repositioned
+        subproblems compact (DESIGN.md §4; the working-set discipline of
+        the paper's recurrences).
         """
         vdisks = np.asarray(vdisks, dtype=np.int64)
         k = vdisks.size
@@ -392,7 +394,7 @@ class VirtualHierarchies:
         slots = np.fromiter((a.slot for a in addresses), np.int64, len(addresses))
         self.machine.parallel_step(self._step_costs(slots), kind="read")
         if free:
-            self.free(addresses)
+            self.free_arr(addresses)
         return matrix
 
     # ------------------------------------------------------------ I/O plans
@@ -445,48 +447,30 @@ class VirtualHierarchies:
         slots = np.fromiter((a.slot for a in addresses), np.int64, len(addresses))
         self.machine.parallel_step(self._step_costs(slots), kind="read")
         if free:
-            self.free(addresses)
+            self.free_arr(addresses)
 
     def free_arr(self, addresses: Sequence[VirtualBlockAddress]) -> None:
-        """Batched alias of :meth:`free` (address pools need per-slot pushes)."""
-        self.free(addresses)
+        """Recycle virtual-block addresses (no cost) in one store batch.
 
-    # --------------------------------------------------------- classic API
-
-    def parallel_write(
-        self, items: Sequence[tuple[int, np.ndarray]], park: bool = False
-    ) -> list[VirtualBlockAddress]:
-        """Write ≤1 virtual block per virtual hierarchy — one parallel step.
-
-        ``park=True`` places the blocks at the highest recycled addresses
-        (or the frontier): used for distribution output and sorted results
-        so they stay clear of the front, where repositioned subproblems
-        compact (DESIGN.md §4; the working-set discipline of the paper's
-        recurrences).  Thin shim over :meth:`write_round`.
+        Each freed slot joins its hierarchy's free pools, served from
+        either end; absent or repeated addresses are no-ops.
         """
-        return self.write_round(
-            [v for v, _ in items], [data for _, data in items], park=park
-        )
-
-    def parallel_read(self, addresses: Sequence[VirtualBlockAddress]) -> list[np.ndarray]:
-        """Read ≤1 virtual block per virtual hierarchy — one parallel step.
-
-        Thin shim over :meth:`parallel_read_arr`; the returned blocks are
-        rows of the fresh batch matrix (safe to hold and mutate).
-        """
-        if not addresses:
-            return []
-        return list(self.parallel_read_arr(addresses))
-
-    def free(self, addresses: Sequence[VirtualBlockAddress]) -> None:
-        """Recycle virtual-block addresses (served from either pool end)."""
-        for a in addresses:
-            if self._store.has(a.vdisk, a.slot):
-                self._store.free(a.vdisk, a.slot)
-                if a.slot not in self._free_set[a.vdisk]:
-                    self._free_set[a.vdisk].add(a.slot)
-                    heapq.heappush(self._free_min[a.vdisk], a.slot)
-                    heapq.heappush(self._free_max[a.vdisk], -a.slot)
+        store = self._store
+        # Plain lists: a round frees at most H' blocks (H^{1/3} by default),
+        # so building the arrays from generators would dominate the call.
+        vdisks, slots = [], []
+        for v, slot in addresses:
+            if store.has(v, slot):
+                vdisks.append(v)
+                slots.append(slot)
+                if slot not in self._free_set[v]:
+                    self._free_set[v].add(slot)
+                    heapq.heappush(self._free_min[v], slot)
+                    heapq.heappush(self._free_max[v], -slot)
+        if vdisks:
+            store.free_batch(
+                np.array(vdisks, dtype=np.int64), np.array(slots, dtype=np.int64)
+            )
 
     def load_initial(self, blocks: Sequence[tuple[int, np.ndarray]]) -> list[VirtualBlockAddress]:
         """Place input blocks without charging cost (the problem's given state)."""
@@ -506,21 +490,11 @@ class VirtualHierarchies:
         self._store.write_batch(vdisks, slots, matrix)
         return addresses
 
-    def peek(self, address: VirtualBlockAddress) -> np.ndarray:
-        """Inspect a virtual block without charging (tests/validators only).
-
-        Zero-copy read-only view under the arena backend; a defensive
-        copy under ``REPRO_PDM_STORE=dict``.
-        """
-        if not self._store.has(address.vdisk, address.slot):
-            raise AddressError(f"peek of unwritten virtual block {address}") from None
-        return self._store.peek(address.vdisk, address.slot)
-
     def peek_many(self, addresses: Sequence[VirtualBlockAddress]) -> np.ndarray:
         """Inspect many virtual blocks without charging, in one store gather.
 
         Returns a fresh ``(k, virtual_block_size)`` matrix, row ``i`` the
-        block at ``addresses[i]`` (validators only, like :meth:`peek`).
+        block at ``addresses[i]`` (tests/validators only).
         """
         if not addresses:
             return np.empty((0, self.group), dtype=RECORD_DTYPE)

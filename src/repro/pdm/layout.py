@@ -20,15 +20,10 @@ from dataclasses import dataclass
 import numpy as np
 
 from ..exceptions import AddressError, ParameterError
-from ..records import PAD_KEY, RECORD_DTYPE, concat_records, pad_records, strip_pad_records
+from ..records import PAD_KEY, RECORD_DTYPE, concat_records, pad_records
 from .machine import BlockAddress, ParallelDiskMachine
 
-__all__ = ["PAD_KEY", "Extent", "StripedFile", "pad_to_block", "strip_padding"]
-
-# Backwards-compatible aliases: padding lives in repro.records because both
-# the disk and hierarchy backends use it.
-pad_to_block = pad_records
-strip_padding = strip_pad_records
+__all__ = ["PAD_KEY", "Extent", "StripedFile"]
 
 
 @dataclass(frozen=True)
@@ -109,7 +104,7 @@ class StripedFile:
         if not self.length:
             return
         b, d = self.machine.B, self.machine.D
-        padded = pad_to_block(records, b)
+        padded = pad_records(records, b)
         logical = np.arange(self.n_blocks, dtype=np.int64)
         self.machine.load_blocks_arr(
             logical % d,
@@ -145,7 +140,7 @@ class StripedFile:
             raise ParameterError(
                 f"stripe {stripe} holds {expected} records, got {records.shape[0]}"
             )
-        padded = pad_to_block(records, b)
+        padded = pad_records(records, b)
         self.machine.mem_acquire(padded.shape[0] - records.shape[0])
         disks, slots = self._stripe_addr_arrays(stripe)
         self.machine.write_blocks_arr(disks, slots, padded.reshape(len(blocks), b))

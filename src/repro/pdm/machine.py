@@ -21,11 +21,13 @@ default slab-allocated arena, or the legacy dict-of-dicts reference
 backend under ``REPRO_PDM_STORE=dict``.  The paper's cost model only
 counts parallel I/Os, so the substrate is free to be as fast as the
 hardware allows — both backends are pinned bit-identical by the
-differential suite.  The **batched entry points**
+differential suite.  Each block operation has one entry point, over
+integer address arrays: a parallel I/O is
 :meth:`ParallelDiskMachine.read_blocks_arr` /
-:meth:`~ParallelDiskMachine.write_blocks_arr` move one ``(k, B)`` record
-matrix per parallel I/O with a single vectorized gather/scatter; the
-classic :class:`BlockAddress`-list API is a thin shim over them.
+:meth:`~ParallelDiskMachine.write_blocks_arr`, moving one ``(k, B)``
+record matrix with a single vectorized gather/scatter; blocks are
+dropped by :meth:`~ParallelDiskMachine.free_blocks_arr` and inspected
+by :meth:`~ParallelDiskMachine.peek_blocks_arr`.
 """
 
 from __future__ import annotations
@@ -763,63 +765,50 @@ class ParallelDiskMachine:
         self._flush_if_overlap(slots)
         self.store.write_batch(disks, slots, data)
 
-    # ------------------------------------------------------------------ I/O
+    def peek_blocks_arr(self, disks: np.ndarray, slots: np.ndarray) -> np.ndarray:
+        """Inspect blocks without an I/O (tests/validators only).
 
-    def read_blocks(self, addresses: Sequence[BlockAddress]) -> list[np.ndarray]:
-        """One parallel read I/O: fetch one block from each addressed disk.
-
-        Thin shim over :meth:`read_blocks_arr`; the returned blocks are
-        rows of the freshly gathered batch matrix (safe to hold and
-        mutate — they never alias the store).
-
-        Raises :class:`DiskContentionError` if two addresses share a disk,
-        and :class:`CapacityError` if memory cannot hold the fetched records.
+        One store gather, nothing charged.  Returns a fresh ``(k, B)``
+        matrix.  Pending plan writes are flushed first and checksums are
+        verified (a mismatch raises
+        :class:`~repro.exceptions.BlockCorruptionError`); an unwritten
+        block raises :class:`AddressError`.
         """
-        addresses = list(addresses)
-        if not addresses:
-            return []
-        k = len(addresses)
-        disks = np.fromiter((a.disk for a in addresses), np.int64, k)
-        slots = np.fromiter((a.slot for a in addresses), np.int64, k)
-        matrix = self.read_blocks_arr(disks, slots)
-        return list(matrix)
+        disks = np.asarray(disks, dtype=np.int64)
+        slots = np.asarray(slots, dtype=np.int64)
+        if disks.size == 0:
+            return np.empty((0, self.B), dtype=RECORD_DTYPE)
+        self._validate_addr_arr(disks, slots)
+        self.flush_io_plan()
+        try:
+            return self.store.read_batch(disks, slots)
+        except AddressError:
+            for d, s in zip(disks.tolist(), slots.tolist()):
+                if not self.store.has(d, s):
+                    raise AddressError(
+                        f"peek of unwritten block BlockAddress(disk={d}, slot={s})"
+                    ) from None
+            raise  # pragma: no cover - read_batch raised for another reason
 
-    def write_blocks(self, writes: Sequence[tuple[BlockAddress, np.ndarray]]) -> None:
-        """One parallel write I/O: store one block on each addressed disk.
-
-        Thin shim over :meth:`write_blocks_arr`.  The written records
-        leave internal memory (the ledger is released).  Blocks must
-        contain exactly ``B`` records of the record dtype.
-        """
-        writes = list(writes)
-        if not writes:
-            return
-        k = len(writes)
-        disks = np.fromiter((addr.disk for addr, _ in writes), np.int64, k)
-        slots = np.fromiter((addr.slot for addr, _ in writes), np.int64, k)
-        self._check_contention_arr(disks)
-        matrix = np.empty((k, self.B), dtype=RECORD_DTYPE)
-        for i, (_, data) in enumerate(writes):
-            if data.dtype != RECORD_DTYPE:
-                raise TypeError(f"blocks must have record dtype, got {data.dtype}")
-            if data.shape != (self.B,):
-                raise AddressError(
-                    f"block must hold exactly B={self.B} records, got shape {data.shape}"
-                )
-            matrix[i] = data
-        self.write_blocks_arr(disks, slots, matrix)
+    # ------------------------------------------------------- address checks
 
     def _check_io_batch(self, disks: np.ndarray, slots: np.ndarray) -> None:
         """Contention + address validation fused into one pass.
 
-        Semantically identical (same checks, same order, same messages) to
-        :meth:`_check_contention_arr` followed by :meth:`_validate_addr_arr`,
-        but the small-batch path materializes each address list exactly
-        once — the per-I/O overhead matters at ~20k I/Os/s.
+        One block per disk per I/O, then :meth:`_validate_addr_arr`'s
+        checks, in that order.  A Python set over the (always tiny:
+        k ≤ D) address list beats ``np.unique`` by an order of magnitude
+        and materializes each list exactly once — the per-I/O overhead
+        matters at ~20k I/Os/s; ``np.unique`` takes over for wide batches.
         """
         k = disks.size
         if k > 64:
-            self._check_contention_arr(disks)
+            uniq, counts = np.unique(disks, return_counts=True)
+            if uniq.size != k:
+                dup = int(uniq[np.argmax(counts > 1)])
+                raise DiskContentionError(
+                    f"two blocks addressed to disk {dup} in one I/O"
+                )
             self._validate_addr_arr(disks, slots)
             return
         dl = disks.tolist()
@@ -839,30 +828,6 @@ class ParallelDiskMachine:
             i = next(i for i, s in enumerate(sl) if s < 0)
             raise AddressError(
                 f"negative slot in BlockAddress(disk={dl[i]}, slot={sl[i]})"
-            )
-
-    def _check_contention_arr(self, disks: np.ndarray) -> None:
-        # One block per disk per I/O.  A Python set over the (always tiny:
-        # k ≤ D) address list beats np.unique by an order of magnitude at
-        # these sizes; np.unique takes over for genuinely wide batches.
-        k = disks.size
-        if k <= 1:
-            return
-        if k <= 64:
-            listed = disks.tolist()
-            if len(set(listed)) != k:
-                seen: set[int] = set()
-                for d in listed:
-                    if d in seen:
-                        raise DiskContentionError(
-                            f"two blocks addressed to disk {d} in one I/O"
-                        )
-                    seen.add(d)
-        elif np.unique(disks).size != k:
-            uniq, counts = np.unique(disks, return_counts=True)
-            dup = int(uniq[np.argmax(counts > 1)])
-            raise DiskContentionError(
-                f"two blocks addressed to disk {dup} in one I/O"
             )
 
     def _validate_addr_arr(self, disks: np.ndarray, slots: np.ndarray) -> None:
@@ -887,53 +852,6 @@ class ParallelDiskMachine:
             raise AddressError(
                 f"negative slot in BlockAddress(disk={int(disks[i])}, slot={int(slots[i])})"
             )
-
-    def _validate_addr(self, disk: int, slot: int) -> None:
-        if not 0 <= disk < self.D:
-            raise AddressError(f"disk {disk} out of range [0, {self.D})")
-        if slot < 0:
-            raise AddressError(
-                f"negative slot in BlockAddress(disk={disk}, slot={slot})"
-            )
-
-    def peek_block(self, addr: BlockAddress) -> np.ndarray:
-        """Inspect a block without an I/O (for tests/validators only).
-
-        Under the arena backend this is a **read-only zero-copy view**
-        of the stored block (the dict backend always copies).
-        """
-        self._validate_addr(addr.disk, addr.slot)
-        self.flush_io_plan()
-        return self.store.peek(addr.disk, addr.slot)
-
-    def peek_blocks_arr(self, disks: np.ndarray, slots: np.ndarray) -> np.ndarray:
-        """Batched :meth:`peek_block`: one store gather, no I/O charged.
-
-        Returns a fresh ``(k, B)`` matrix.  Pending plan writes are
-        flushed first and checksums are verified; an unwritten block
-        raises :class:`AddressError` as :meth:`peek_block` does.
-        """
-        disks = np.asarray(disks, dtype=np.int64)
-        slots = np.asarray(slots, dtype=np.int64)
-        if disks.size == 0:
-            return np.empty((0, self.B), dtype=RECORD_DTYPE)
-        self._validate_addr_arr(disks, slots)
-        self.flush_io_plan()
-        try:
-            return self.store.read_batch(disks, slots)
-        except AddressError:
-            for d, s in zip(disks.tolist(), slots.tolist()):
-                if not self.store.has(d, s):
-                    raise AddressError(
-                        f"peek of unwritten block BlockAddress(disk={d}, slot={s})"
-                    ) from None
-            raise  # pragma: no cover - read_batch raised for another reason
-
-    def free_block(self, addr: BlockAddress) -> None:
-        """Drop a block from a disk (reclaims simulator memory, no I/O cost)."""
-        self._validate_addr(addr.disk, addr.slot)
-        self.flush_io_plan()
-        self.store.free(addr.disk, addr.slot)
 
     # ------------------------------------------------------- memory ledger
 

@@ -9,7 +9,7 @@ one small interface:
     A slab allocator: all blocks of all disks live in **one contiguous
     ``(capacity, B)`` record array** that grows geometrically, with a
     per-disk ``(D, slot_capacity)`` row map (``-1`` = unwritten) and a
-    free-row stack so :meth:`free` recycles arena rows.  A parallel I/O
+    free-row stack so freed arena rows are recycled.  A parallel I/O
     over ``k`` blocks is a single fancy-indexed gather/scatter on the
     slab instead of ``k`` Python dict lookups and ``k`` per-block
     copies.  The slab is shared across disks precisely because one
@@ -29,9 +29,10 @@ Copy discipline (see ``docs/performance.md``):
 * ``write_batch`` always copies *into* the store (a scatter for the
   arena, per-row ``.copy()`` for the dict backend), so callers may
   pass views of their own buffers.
-* ``peek`` returns a **read-only view** of the stored block under the
-  arena backend (zero-copy; peeks are for tests/validators which only
-  inspect) and a defensive copy under the dict backend.
+
+Each operation has one batched entry point — ``read_batch``,
+``write_batch``, ``free_batch`` — plus ``has`` for diagnostics; a
+validator's peek is a ``read_batch`` too.
 """
 
 from __future__ import annotations
@@ -67,25 +68,21 @@ def _block_sum(block: np.ndarray) -> int:
     return zlib.crc32(np.ascontiguousarray(block).view(np.uint8).tobytes())
 
 
-def _corrupted(kind: str, disk: int, slot: int) -> BlockCorruptionError:
-    return BlockCorruptionError(
-        f"checksum mismatch on {kind} of "
-        f"BlockAddress(disk={int(disk)}, slot={int(slot)})"
-    )
-
-
 def _verify(
-    sums: dict, kind: str, disk: int, slot: int, block: np.ndarray,
+    sums: dict, disk: int, slot: int, block: np.ndarray,
     mismatches: dict | None = None,
 ) -> None:
-    """Check one block against its recorded CRC-32.
+    """Check one read block against its recorded CRC-32.
 
     A mismatch raises :class:`BlockCorruptionError`, or — given a
     ``mismatches`` dict — is recorded there under ``(disk, slot)``.
     """
     expected = sums.get((int(disk), int(slot)))
     if expected is not None and _block_sum(block) != expected:
-        error = _corrupted(kind, disk, slot)
+        error = BlockCorruptionError(
+            f"checksum mismatch on read of "
+            f"BlockAddress(disk={int(disk)}, slot={int(slot)})"
+        )
         if mismatches is None:
             raise error
         mismatches[(int(disk), int(slot))] = error
@@ -212,7 +209,7 @@ class ArenaBlockStore:
         out = self._arena[rows]  # fancy index => fresh copy, never a view
         if self._sums is not None:
             for i, (d, s) in enumerate(zip(disks.tolist(), slots.tolist())):
-                _verify(self._sums, "read", d, s, out[i], mismatches)
+                _verify(self._sums, d, s, out[i], mismatches)
         if free:
             self._free_rows.extend(rows.tolist())
             self._rows[disks, slots] = -1
@@ -277,28 +274,6 @@ class ArenaBlockStore:
             and 0 <= slot < self._rows.shape[1]
             and self._rows[disk, slot] >= 0
         )
-
-    def peek(self, disk: int, slot: int) -> np.ndarray:
-        """Read-only zero-copy view of a stored block."""
-        if not self.has(disk, slot):
-            raise _unwritten("peek", disk, slot)
-        block = self._arena[int(self._rows[disk, slot])]
-        if self._sums is not None:
-            _verify(self._sums, "peek", disk, slot, block)
-        view = block.view()
-        view.flags.writeable = False  # copy-on-write discipline: writers go
-        return view  # through the machine, never through a peek
-
-    def free(self, disk: int, slot: int) -> None:
-        """Release one block's arena row back to the free stack (no-op if absent)."""
-        if 0 <= slot < self._rows.shape[1]:
-            row = int(self._rows[disk, slot])
-            if row >= 0:
-                self._rows[disk, slot] = -1
-                self._free_rows.append(row)
-                self._resident -= 1
-                if self._sums is not None:
-                    self._sums.pop((int(disk), int(slot)), None)
 
     def free_batch(self, disks: np.ndarray, slots: np.ndarray) -> None:
         """Release many blocks at once (vectorized; absent addresses are no-ops)."""
@@ -459,7 +434,7 @@ class DictBlockStore:
                 raise _unwritten("read", d, s)
             out[i] = store[s]
         for i, (d, s) in enumerate(pairs):
-            _verify(self._sums, "read", d, s, out[i], mismatches)
+            _verify(self._sums, d, s, out[i], mismatches)
         if free:
             for d, s in pairs:
                 if self._disks[d].pop(s, None) is not None:
@@ -484,22 +459,6 @@ class DictBlockStore:
     def has(self, disk: int, slot: int) -> bool:
         """True when a block is resident at ``(disk, slot)``."""
         return 0 <= disk < self.D and slot in self._disks[disk]
-
-    def peek(self, disk: int, slot: int) -> np.ndarray:
-        """Defensive copy of a stored block (this backend always copies)."""
-        store = self._disks[disk]
-        if slot not in store:
-            raise _unwritten("peek", disk, slot)
-        if self._sums is not None:
-            _verify(self._sums, "peek", disk, slot, store[slot])
-        return store[slot].copy()
-
-    def free(self, disk: int, slot: int) -> None:
-        """Drop one block (no-op when absent, like ``dict.pop(slot, None)``)."""
-        if self._disks[disk].pop(slot, None) is not None:
-            self._resident -= 1
-        if self._sums is not None:
-            self._sums.pop((int(disk), int(slot)), None)
 
     def free_batch(self, disks: np.ndarray, slots: np.ndarray) -> None:
         """Drop many blocks (no-ops for absent addresses)."""

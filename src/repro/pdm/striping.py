@@ -19,10 +19,10 @@ rules still enforced there):
 * read at most one virtual block from each of a set of distinct virtual
   disks.
 
-Both come in two flavours: the classic list-of-arrays API, and the
-batched ``*_arr`` fast path that expands virtual addresses to physical
-``(disk, slot)`` index arrays with two vectorized expressions and moves
-one ``(k, virtual_block_size)`` record matrix per parallel I/O (see
+Each has one entry point (``parallel_write_arr`` or the list-native
+``write_round``, and ``parallel_read_arr``) that expands virtual
+addresses to physical ``(disk, slot)`` index arrays and moves one
+``(k, virtual_block_size)`` record matrix per parallel I/O (see
 ``docs/performance.md``).
 """
 
@@ -335,49 +335,13 @@ class VirtualDisks:
             blocks = [(a.vdisk * g + i, a.slot) for a in addresses for i in range(g)]
         machine.charge_read_io(len(addresses) * g, blocks)
 
-    # --------------------------------------------------------- classic API
-
-    def parallel_write(
-        self, items: Sequence[tuple[int, np.ndarray]], park: bool = False
-    ) -> list[VirtualBlockAddress]:
-        """Write ≤1 virtual block per virtual disk — one parallel I/O.
-
-        ``items`` is a sequence of ``(vdisk, data)`` with ``data`` exactly
-        one virtual block of records.  Thin shim over
-        :meth:`parallel_write_arr`.
-        """
-        if not items:
-            return []
-        vb = self.virtual_block_size
-        k = len(items)
-        vdisks = np.fromiter((v for v, _ in items), np.int64, k)
-        matrix = np.empty((k, vb), dtype=RECORD_DTYPE)
-        for i, (_, data) in enumerate(items):
-            if data.shape[0] != vb:
-                raise ParameterError(
-                    f"virtual block must hold {vb} records, got {data.shape[0]}"
-                )
-            matrix[i] = data
-        return self.parallel_write_arr(vdisks, matrix, park=park)
-
-    def parallel_read(self, addresses: Sequence[VirtualBlockAddress]) -> list[np.ndarray]:
-        """Read ≤1 virtual block per virtual disk — one parallel I/O.
-
-        Thin shim over :meth:`parallel_read_arr`; the returned blocks
-        are rows of the fresh batch matrix (safe to hold and mutate).
-        """
-        matrix = self.parallel_read_arr(addresses)
-        return list(matrix)
-
-    def peek(self, address: VirtualBlockAddress) -> np.ndarray:
-        """Inspect a virtual block without an I/O (tests/validators only)."""
-        return self.peek_many([address])[0]
+    # ------------------------------------------------- inspection, placement
 
     def peek_many(self, addresses: Sequence[VirtualBlockAddress]) -> np.ndarray:
         """Inspect many virtual blocks without an I/O, in one store gather.
 
         Returns a fresh ``(k, virtual_block_size)`` matrix, row ``i`` the
-        block at ``addresses[i]`` (validators only, like :meth:`peek`).
+        block at ``addresses[i]`` (tests/validators only).
         """
         if not addresses:
             return np.empty((0, self.virtual_block_size), dtype=RECORD_DTYPE)
@@ -386,10 +350,6 @@ class VirtualDisks:
         pdisks = (vdisks[:, None] * self.group + self._offsets).ravel()
         matrix = self.machine.peek_blocks_arr(pdisks, np.repeat(slots, self.group))
         return matrix.reshape(len(addresses), self.virtual_block_size)
-
-    def free(self, addresses: Sequence[VirtualBlockAddress]) -> None:
-        """Drop virtual blocks from the disks (no I/O cost)."""
-        self.free_arr(list(addresses))
 
     def load_initial(self, blocks: Sequence[tuple[int, np.ndarray]]) -> list[VirtualBlockAddress]:
         """Place input blocks on the disks without charging I/Os.

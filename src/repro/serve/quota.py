@@ -18,7 +18,18 @@ from __future__ import annotations
 
 import time
 
-__all__ = ["TokenBucket", "FairShareScheduler"]
+from ..exceptions import ParameterError
+
+__all__ = ["TokenBucket", "FairShareScheduler", "check_quota"]
+
+
+def check_quota(burst: int | None, rate: float) -> None:
+    """Refuse a quota no submission could pass (:class:`ParameterError`);
+    ``burst=None`` means no quota."""
+    if burst is not None and burst < 1:
+        raise ParameterError(f"burst must be >= 1, got {burst}")
+    if rate < 0:
+        raise ParameterError(f"rate must be >= 0, got {rate}")
 
 
 class TokenBucket:
@@ -31,10 +42,7 @@ class TokenBucket:
     """
 
     def __init__(self, burst: int, rate: float = 0.0):
-        if burst < 1:
-            raise ValueError(f"burst must be >= 1, got {burst}")
-        if rate < 0:
-            raise ValueError(f"rate must be >= 0, got {rate}")
+        check_quota(burst, rate)
         self.burst = int(burst)
         self.rate = float(rate)
         self.tokens = float(burst)

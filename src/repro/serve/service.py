@@ -50,23 +50,37 @@ import json
 import threading
 import time
 
+from ..exceptions import ParameterError
 from ..exec import JobRunner, RunSpec, check_spec, task_names
 from ..obs.telemetry import TelemetryWriter
 from .protocol import (
-    JOB_SCHEMA,
-    REJECT_SCHEMA,
     SERVE_SCHEMA,
     SERVE_STATS_SCHEMA,
     job_record,
     reject,
     response,
 )
-from .quota import FairShareScheduler, TokenBucket
+from .quota import TokenBucket, check_quota
 
-__all__ = ["SortService", "ServiceThread", "serve_in_thread"]
+__all__ = [
+    "SortService", "ServiceThread", "check_service_options", "serve_in_thread",
+]
 
 #: Longest accepted request line (bytes); longer lines are rejected.
 LINE_LIMIT = 1 << 20
+
+
+def check_service_options(
+    queue_limit: int, quota_burst: int | None, quota_rate: float
+) -> None:
+    """Refuse settings that would refuse every job (:class:`ParameterError`):
+    a queue bound below 1 sheds every submission, and a quota no
+    submission can pass rejects each one.  ``SortService`` applies it at
+    construction; ``repro serve`` before it listens."""
+    if queue_limit < 1:
+        raise ParameterError(f"queue must be >= 1, got {queue_limit}")
+    check_quota(quota_burst, quota_rate)
+
 
 class SortService:
     """One service instance wrapping a :class:`~repro.exec.JobRunner`.
@@ -94,6 +108,7 @@ class SortService:
         hold: bool = False,
         port_file: str | None = None,
     ):
+        check_service_options(queue_limit, quota_burst, quota_rate)
         self.runner = runner
         self.host = host
         self.port = port

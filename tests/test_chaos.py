@@ -16,6 +16,7 @@ import subprocess
 import sys
 import time
 
+import numpy as np
 import pytest
 
 from repro import workloads
@@ -24,7 +25,7 @@ from repro.core.sort_pdm import balance_sort_pdm
 from repro.core.streams import peek_run, read_run_batches, write_ordered_run
 from repro.exceptions import AddressError, BlockCorruptionError
 from repro.exec import ParallelRunner, RunSpec
-from repro.pdm import BlockAddress, ParallelDiskMachine, VirtualDisks
+from repro.pdm import ParallelDiskMachine, VirtualDisks
 from repro.resilience import FaultPlan, FaultRule, SweepJournal
 from repro.resilience.injector import FaultInjector, activate
 
@@ -253,7 +254,7 @@ def stream_back(plan, io, rounds=100):
         try:
             machine.mem_acquire(data.shape[0])
             run = write_ordered_run(storage, data)
-            storage.free([run.blocks[0].address])
+            storage.free_arr([run.blocks[0].address])
             for chunk in read_run_batches(storage, run.slice_blocks(4, 4 * rounds),
                                           free=True):
                 chunks.append(chunk.tobytes())
@@ -264,7 +265,8 @@ def stream_back(plan, io, rounds=100):
         for slot in range(rounds):
             for disk in range(4):
                 try:
-                    store.append(machine.peek_block(BlockAddress(disk, slot)).tobytes())
+                    block = machine.peek_blocks_arr(np.array([disk]), np.array([slot]))
+                    store.append(block.tobytes())
                 except (AddressError, BlockCorruptionError) as exc:
                     store.append(type(exc).__name__)
     return failure, chunks, store

@@ -571,6 +571,69 @@ class TestBadCells:
         (line,) = cap.err.strip().splitlines()
         assert line.startswith(f"[{command}] error: ")
 
+    @staticmethod
+    def _never_listen(monkeypatch):
+        """Fail, rather than serve forever, if ``repro serve`` gets as far
+        as listening."""
+        def listen(self):
+            raise AssertionError("serve listened despite a refused setting")
+
+        monkeypatch.setattr("repro.serve.service.SortService.run", listen)
+
+    @pytest.mark.parametrize("flag, value, rule", [
+        ("--retries", "-1", "retries must be >= 0, got -1"),
+        ("--timeout", "0", "timeout must be > 0, got 0.0"),
+        ("--timeout", "-1", "timeout must be > 0, got -1.0"),
+        ("--backoff", "-1", "backoff must be >= 0, got -1.0"),
+    ], ids=["retries", "timeout-0", "timeout-neg", "backoff"])
+    @pytest.mark.parametrize("command", ["sweep", "serve"])
+    def test_bad_runner_flag_exits_two(self, command, flag, value, rule,
+                                       capsys, monkeypatch):
+        self._never_listen(monkeypatch)
+        head = ["sweep", *self.GRID] if command == "sweep" else ["serve"]
+        assert main([*head, flag, value]) == 2
+        cap = capsys.readouterr()
+        assert cap.out == ""
+        assert cap.err.strip().splitlines() == [f"repro: error: {rule}"]
+
+    @pytest.mark.parametrize("flag, value, rule", [
+        ("--queue", "0", "queue must be >= 1, got 0"),
+        ("--queue", "-1", "queue must be >= 1, got -1"),
+        ("--quota-burst", "0", "burst must be >= 1, got 0"),
+        ("--quota-burst", "-1", "burst must be >= 1, got -1"),
+        ("--quota-rate", "-1", "rate must be >= 0, got -1.0"),
+    ], ids=["queue-0", "queue-neg", "burst-0", "burst-neg", "rate-neg"])
+    def test_serve_refuses_settings_that_refuse_every_job(
+        self, flag, value, rule, capsys, monkeypatch
+    ):
+        self._never_listen(monkeypatch)
+        assert main(["serve", flag, value]) == 2
+        cap = capsys.readouterr()
+        assert cap.out == ""
+        assert cap.err.strip().splitlines() == [f"repro: error: {rule}"]
+
+    @pytest.mark.parametrize("argv, says", [
+        (["diff", "a.json", "b.json", "--rule", "a=abc"], "bad --rule 'a=abc'"),
+        (["profile", "t.jsonl", "--bins", "0"], "--bins must be >= 1, got 0"),
+        (["profile", "t.jsonl", "--bins", "-1"], "--bins must be >= 1, got -1"),
+        (["bench", "record", "--series", "s", *GRID, "--min-of", "0"],
+         "--min-of must be >= 1, got 0"),
+    ], ids=["diff-rule", "profile-bins-0", "profile-bins-neg", "bench-min-of"])
+    def test_bad_flag_value_exits_two(self, argv, says, tmp_path, capsys,
+                                      monkeypatch):
+        monkeypatch.chdir(tmp_path)
+        for name in ("a.json", "b.json"):
+            (tmp_path / name).write_text('{"a": 1}\n')
+        (tmp_path / "t.jsonl").write_text(
+            '{"ev": "begin", "name": "a", "span": 1, "ts": 0}\n'
+            '{"ev": "end", "name": "a", "span": 1, "ts": 1}\n')
+        assert main(argv) == 2
+        cap = capsys.readouterr()
+        assert cap.out == ""
+        (line,) = cap.err.strip().splitlines()
+        assert says in line
+        assert not (tmp_path / "BENCH_ledger.jsonl").exists()
+
 
 # --------------------------------------------- offline readers, bad input
 
@@ -594,6 +657,9 @@ class TestUnreadableInputs:
             '{"ev": "event", "name": "io.read", "ts": 1, '
             '"attrs": {"width": "x"}}\n')
         (tmp_path / "doc.json").write_text('{"a": 1}\n')
+        (tmp_path / "tel.jsonl").write_text(
+            '{"ev": "cell_finish", "ts": 1, "src": "runner", "key": "k", '
+            '"cached": false, "failed": false, "seconds": "abc"}\n')
         monkeypatch.chdir(tmp_path)
         return tmp_path
 
@@ -609,6 +675,7 @@ class TestUnreadableInputs:
         (["profile", "list.json"], "list.json"),
         (["export-trace", "list.json", "-o", "out.json"], "list.json"),
         (["top", "list.json"], "list.json"),
+        (["top", "tel.jsonl"], "tel.jsonl"),
         (["profile", "trace.jsonl", "--memory", "list.json"], "list.json"),
         (["report", "wall.jsonl"], "wall.jsonl"),
         (["profile", "wall.jsonl"], "wall.jsonl"),

@@ -5,7 +5,7 @@ import pytest
 
 from repro import workloads
 from repro.exceptions import AddressError, ParameterError
-from repro.pdm import BlockAddress, ParallelDiskMachine, StripedFile, VirtualDisks
+from repro.pdm import ParallelDiskMachine, StripedFile, VirtualDisks
 from repro.pram import PRAM, Variant, primitives
 from repro.records import make_records
 
@@ -52,20 +52,21 @@ class TestStripedFileEdges:
         f = StripedFile(m, 16, start_slot=0)
         f.load_initial(data)
         f.free()
+        addr = f.block_address(0)
         with pytest.raises(AddressError):
-            m.peek_block(f.block_address(0))
+            m.peek_blocks_arr(np.array([addr.disk]), np.array([addr.slot]))
 
 
 class TestMachineAddressing:
     def test_negative_slot(self):
         m = ParallelDiskMachine(memory=64, block=4, disks=4)
-        with pytest.raises(AddressError):
-            m.read_blocks([BlockAddress(0, -1)])
+        with pytest.raises(AddressError, match="negative slot"):
+            m.read_blocks_arr(np.array([0]), np.array([-1]))
 
     def test_disk_out_of_range(self):
         m = ParallelDiskMachine(memory=64, block=4, disks=4)
-        with pytest.raises(AddressError):
-            m.read_blocks([BlockAddress(9, 0)])
+        with pytest.raises(AddressError, match="disk 9 out of range"):
+            m.read_blocks_arr(np.array([9]), np.array([0]))
 
     def test_allocate_negative(self):
         m = ParallelDiskMachine(memory=64, block=4, disks=4)

@@ -230,39 +230,39 @@ class TestVirtualHierarchies:
         ph, vh = self._vh()
         d0 = make_records(np.arange(4, dtype=np.uint64))
         d1 = make_records(np.arange(4, dtype=np.uint64) + 50)
-        addrs = vh.parallel_write([(0, d0), (1, d1)])
-        out = vh.parallel_read(addrs)
+        addrs = vh.write_round([0, 1], [d0, d1])
+        out = vh.parallel_read_arr(addrs)
         assert np.array_equal(out[0]["key"], d0["key"])
         assert np.array_equal(out[1]["key"], d1["key"])
 
     def test_one_parallel_step_per_op(self):
         ph, vh = self._vh()
         d = make_records(np.arange(4, dtype=np.uint64))
-        vh.parallel_write([(0, d), (1, d)])
+        vh.write_round([0, 1], [d, d])
         assert ph.parallel_steps == 1
 
     def test_step_cost_is_max_f_of_address(self):
         ph, vh = self._vh(cost=PowerCost(alpha=1.0))
         d = make_records(np.arange(4, dtype=np.uint64))
-        vh.parallel_write([(0, d)])  # address 0 -> f(1) = 1 per record
+        vh.write_round([0], [d])  # address 0 -> f(1) = 1 per record
         assert ph.memory_time == 1.0
-        vh.parallel_write([(0, d)])  # address 1 -> f(2) = 2
+        vh.write_round([0], [d])  # address 1 -> f(2) = 2
         assert ph.memory_time == 3.0
 
     def test_contention_rejected(self):
         _, vh = self._vh()
         d = make_records(np.arange(4, dtype=np.uint64))
         with pytest.raises(DiskContentionError):
-            vh.parallel_write([(0, d), (0, d)])
+            vh.write_round([0, 0], [d, d])
 
     def test_address_recycling_lowest_first(self):
         _, vh = self._vh()
         d = make_records(np.arange(4, dtype=np.uint64))
-        a0 = vh.parallel_write([(0, d)])[0]
-        a1 = vh.parallel_write([(0, d)])[0]
+        a0 = vh.write_round([0], [d])[0]
+        a1 = vh.write_round([0], [d])[0]
         assert (a0.slot, a1.slot) == (0, 1)
-        vh.free([a0])
-        a2 = vh.parallel_write([(0, d)])[0]
+        vh.free_arr([a0])
+        a2 = vh.write_round([0], [d])[0]
         assert a2.slot == 0  # lowest free address reused
 
     def test_divisibility_required(self):
@@ -273,4 +273,4 @@ class TestVirtualHierarchies:
     def test_wrong_block_size_rejected(self):
         _, vh = self._vh()
         with pytest.raises(ParameterError):
-            vh.parallel_write([(0, make_records(np.arange(2, dtype=np.uint64)))])
+            vh.write_round([0], [make_records(np.arange(2, dtype=np.uint64))])

@@ -62,8 +62,8 @@ class TestStoreGauges:
     def test_double_free_does_not_go_negative(self, backend):
         s = make_store(backend, 4, 4)
         s.write_batch(np.array([0]), np.array([0]), block(0)[None])
-        s.free(0, 0)
-        s.free(0, 0)
+        s.free_batch(np.array([0]), np.array([0]))
+        s.free_batch(np.array([0]), np.array([0]))
         s.free_batch(np.array([0, 2]), np.array([0, 99]))
         assert s.mem_snapshot()["resident_blocks"] == 0
 

@@ -25,7 +25,7 @@ from repro.exceptions import (
 )
 from repro.hierarchies import HMM, UMH, ParallelHierarchies, VirtualHierarchies
 from repro.hypercube import Hypercube
-from repro.pdm import BlockAddress, ParallelDiskMachine, VirtualDisks
+from repro.pdm import ParallelDiskMachine, VirtualDisks
 from repro.pram import PRAM
 from repro.records import make_records
 
@@ -38,19 +38,18 @@ class TestDiskDiscipline:
     def test_two_blocks_one_disk_read(self):
         m = ParallelDiskMachine(memory=64, block=4, disks=4)
         m.mem_acquire(8)
-        m.write_blocks([(BlockAddress(0, 0), block(m))])
-        m.mem_acquire(0)
-        m.write_blocks([(BlockAddress(0, 1), block(m))])
+        m.write_blocks_arr(np.array([0]), np.array([0]), block(m)[None])
+        m.write_blocks_arr(np.array([0]), np.array([1]), block(m)[None])
         with pytest.raises(DiskContentionError):
-            m.read_blocks([BlockAddress(0, 0), BlockAddress(0, 1)])
+            m.read_blocks_arr(np.array([0, 0]), np.array([0, 1]))
 
     def test_memory_hard_ceiling_on_read_path(self):
         m = ParallelDiskMachine(memory=64, block=4, disks=4)
         m.mem_acquire(4)
-        m.write_blocks([(BlockAddress(0, 0), block(m))])
+        m.write_blocks_arr(np.array([0]), np.array([0]), block(m)[None])
         m.mem_acquire(m.M - 3)  # leave 3 records of room < B
         with pytest.raises(CapacityError):
-            m.read_blocks([BlockAddress(0, 0)])
+            m.read_blocks_arr(np.array([0]), np.array([0]))
 
     def test_cannot_fabricate_memory(self):
         m = ParallelDiskMachine(memory=64, block=4, disks=4)
@@ -62,14 +61,14 @@ class TestDiskDiscipline:
         v = VirtualDisks(m, 4)
         d = make_records(np.arange(4, dtype=np.uint64))
         with pytest.raises(DiskContentionError):
-            v.parallel_write([(1, d), (1, d)])
+            v.parallel_write_arr(np.array([1, 1]), np.stack([d, d]))
 
     def test_block_size_is_exact(self):
         m = ParallelDiskMachine(memory=64, block=4, disks=4)
         short = make_records(np.arange(3, dtype=np.uint64))
         m.mem_acquire(3)
         with pytest.raises(AddressError):
-            m.write_blocks([(BlockAddress(0, 0), short)])
+            m.write_blocks_arr(np.array([0]), np.array([0]), short[None])
 
 
 class TestPRAMDiscipline:
@@ -114,8 +113,8 @@ class TestHierarchyDiscipline:
         vh = VirtualHierarchies(ph, 2)
         d = make_records(np.arange(4, dtype=np.uint64))
         with pytest.raises(DiskContentionError):
-            vh.parallel_read(
-                [a for a in vh.parallel_write([(0, d)]) for _ in range(2)]
+            vh.parallel_read_arr(
+                [a for a in vh.write_round([0], [d]) for _ in range(2)]
             )
 
     def test_umh_frame_bounds(self):

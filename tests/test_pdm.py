@@ -16,9 +16,12 @@ from repro.pdm import (
     VirtualDisks,
     fully_striped_view,
 )
-from repro.pdm.layout import PAD_KEY, pad_to_block, strip_padding
+from repro.hierarchies import VirtualHierarchies
+from repro.pdm import layout
+from repro.pdm.layout import PAD_KEY
+from repro.pdm.store import ArenaBlockStore, DictBlockStore
 from repro.pdm.striping import default_virtual_disk_count
-from repro.records import RECORD_DTYPE, make_records
+from repro.records import RECORD_DTYPE, make_records, pad_records, strip_pad_records
 from repro.workloads import uniform
 
 
@@ -29,6 +32,10 @@ def machine(M=64, B=4, D=4, P=1):
 def block_of(machine_, value):
     r = make_records(np.full(machine_.B, value, dtype=np.uint64))
     return r
+
+
+def at(*ints):
+    return np.array(ints, dtype=np.int64)
 
 
 class TestMachineRules:
@@ -44,8 +51,8 @@ class TestMachineRules:
         m = machine()
         data = block_of(m, 7)
         m.mem_acquire(m.B)
-        m.write_blocks([(BlockAddress(0, 0), data)])
-        out = m.read_blocks([BlockAddress(0, 0)])[0]
+        m.write_blocks_arr(at(0), at(0), data[None])
+        out = m.read_blocks_arr(at(0), at(0))[0]
         assert np.array_equal(out["key"], data["key"])
         assert m.stats.read_ios == 1 and m.stats.write_ios == 1
 
@@ -53,26 +60,39 @@ class TestMachineRules:
         m = machine()
         m.mem_acquire(2 * m.B)
         with pytest.raises(DiskContentionError):
-            m.write_blocks(
-                [(BlockAddress(1, 0), block_of(m, 1)), (BlockAddress(1, 1), block_of(m, 2))]
+            m.write_blocks_arr(
+                at(1, 1), at(0, 1), np.stack([block_of(m, 1), block_of(m, 2)])
             )
+
+    def test_contention_rejected_in_a_wide_batch(self):
+        """Batches wider than 64 blocks take the np.unique contention path."""
+        m = machine(M=1024, B=2, D=128)
+        disks = np.arange(100, dtype=np.int64)
+        disks[70] = 5
+        data = make_records(np.arange(200, dtype=np.uint64)).reshape(100, 2)
+        m.mem_acquire(200)
+        with pytest.raises(DiskContentionError, match="disk 5 in one I/O"):
+            m.write_blocks_arr(disks, np.zeros(100, dtype=np.int64), data)
+        disks[70] = 200
+        with pytest.raises(AddressError, match="disk 200 out of range"):
+            m.write_blocks_arr(disks, np.zeros(100, dtype=np.int64), data)
 
     def test_read_unwritten_block(self):
         m = machine()
         with pytest.raises(AddressError):
-            m.read_blocks([BlockAddress(0, 0)])
+            m.read_blocks_arr(at(0), at(0))
 
     def test_wrong_block_size_rejected(self):
         m = machine()
         m.mem_acquire(2)
         bad = make_records(np.array([1, 2], dtype=np.uint64))
         with pytest.raises(AddressError):
-            m.write_blocks([(BlockAddress(0, 0), bad)])
+            m.write_blocks_arr(at(0), at(0), bad[None])
 
     def test_wrong_dtype_rejected(self):
         m = machine()
         with pytest.raises(TypeError):
-            m.write_blocks([(BlockAddress(0, 0), np.zeros(m.B))])
+            m.write_blocks_arr(at(0), at(0), np.zeros((1, m.B)))
 
     def test_memory_ledger_overflow(self):
         m = machine(M=64, B=4, D=4)
@@ -88,15 +108,16 @@ class TestMachineRules:
     def test_read_respects_memory_capacity(self):
         m = machine(M=64, B=4, D=4)
         m.mem_acquire(m.B)
-        m.write_blocks([(BlockAddress(0, 0), block_of(m, 3))])
+        m.write_blocks_arr(at(0), at(0), block_of(m, 3)[None])
         m.mem_acquire(m.M - m.B + 1)  # leave < B free
         with pytest.raises(CapacityError):
-            m.read_blocks([BlockAddress(0, 0)])
+            m.read_blocks_arr(at(0), at(0))
 
     def test_one_io_moves_up_to_d_blocks(self):
         m = machine()
         m.mem_acquire(4 * m.B)
-        m.write_blocks([(BlockAddress(d, 0), block_of(m, d)) for d in range(4)])
+        m.write_blocks_arr(at(0, 1, 2, 3), at(0, 0, 0, 0),
+                           np.stack([block_of(m, d) for d in range(4)]))
         assert m.stats.write_ios == 1
         assert m.stats.blocks_written == 4
 
@@ -120,7 +141,7 @@ class TestMachineRules:
             rows = wide[4 * slot : 4 * slot + 4]
             want = rows[:, ::2] if strided else rows[:, : m.B]
             for d in range(4):
-                got = m.peek_block(BlockAddress(d, slot))
+                got = m.peek_blocks_arr(at(d), at(slot))[0]
                 assert got.tobytes() == want[d].tobytes()
 
     def test_rewrite_of_a_pending_block_lands_last(self):
@@ -129,10 +150,10 @@ class TestMachineRules:
         m = machine()
         m.mem_acquire(2 * m.B)
         first, second = block_of(m, 1), block_of(m, 2)
-        m.write_blocks([(BlockAddress(0, 3), first)])
-        m.write_blocks([(BlockAddress(0, 3), second)])
+        m.write_blocks_arr(at(0), at(3), first[None])
+        m.write_blocks_arr(at(0), at(3), second[None])
         assert m.plan_stats.write_flushes == 1
-        assert m.peek_block(BlockAddress(0, 3)).tobytes() == second.tobytes()
+        assert m.peek_blocks_arr(at(0), at(3))[0].tobytes() == second.tobytes()
         assert m.mem_snapshot()["resident_blocks"] == 1 == m.store.n_blocks()
 
     def test_allocate_slots_monotone(self):
@@ -144,27 +165,27 @@ class TestMachineRules:
     def test_free_block_and_peek(self):
         m = machine()
         m.mem_acquire(m.B)
-        m.write_blocks([(BlockAddress(2, 5), block_of(m, 9))])
-        assert m.peek_block(BlockAddress(2, 5))["key"][0] == 9
-        m.free_block(BlockAddress(2, 5))
-        with pytest.raises(AddressError):
-            m.peek_block(BlockAddress(2, 5))
+        m.write_blocks_arr(at(2), at(5), block_of(m, 9)[None])
+        assert m.peek_blocks_arr(at(2), at(5))[0]["key"][0] == 9
+        m.free_blocks_arr(at(2), at(5))
+        with pytest.raises(AddressError, match="peek of unwritten"):
+            m.peek_blocks_arr(at(2), at(5))
 
 
 class TestPadding:
     def test_pad_to_block(self):
         r = make_records(np.array([1, 2, 3], dtype=np.uint64))
-        p = pad_to_block(r, 4)
+        p = pad_records(r, 4)
         assert p.shape == (4,)
         assert p["key"][3] == PAD_KEY
 
     def test_pad_exact_multiple_unchanged(self):
         r = make_records(np.array([1, 2], dtype=np.uint64))
-        assert pad_to_block(r, 2).shape == (2,)
+        assert pad_records(r, 2).shape == (2,)
 
     def test_strip_padding_inverts_pad(self):
         r = make_records(np.array([5], dtype=np.uint64))
-        assert strip_padding(pad_to_block(r, 8)).shape == (1,)
+        assert strip_pad_records(pad_records(r, 8)).shape == (1,)
 
 
 class TestStripedFile:
@@ -240,9 +261,9 @@ class TestVirtualDisks:
         d0 = make_records(np.arange(8, dtype=np.uint64))
         d1 = make_records(np.arange(8, dtype=np.uint64) + 100)
         m.mem_acquire(16)
-        addrs = v.parallel_write([(0, d0), (1, d1)])
+        addrs = v.parallel_write_arr(at(0, 1), np.stack([d0, d1]))
         assert m.stats.write_ios == 1
-        out = v.parallel_read(addrs)
+        out = v.parallel_read_arr(addrs)
         assert m.stats.read_ios == 1
         assert np.array_equal(out[0]["key"], d0["key"])
         assert np.array_equal(out[1]["key"], d1["key"])
@@ -253,13 +274,13 @@ class TestVirtualDisks:
         v = VirtualDisks(m, 2)
         d = make_records(np.arange(8, dtype=np.uint64))
         with pytest.raises(DiskContentionError):
-            v.parallel_write([(0, d), (0, d)])
+            v.parallel_write_arr(at(0, 0), np.stack([d, d]))
 
     def test_wrong_virtual_block_size_rejected(self):
         m = machine(M=64, B=4, D=4)
         v = VirtualDisks(m, 2)
         with pytest.raises(ParameterError):
-            v.parallel_write([(0, make_records(np.arange(4, dtype=np.uint64)))])
+            v.parallel_write_arr(at(0), make_records(np.arange(4, dtype=np.uint64))[None])
 
     def test_fully_striped_view(self):
         m = machine(M=64, B=4, D=4)
@@ -272,7 +293,31 @@ class TestVirtualDisks:
         v = VirtualDisks(m, 2)
         d = make_records(np.arange(8, dtype=np.uint64))
         m.mem_acquire(8)
-        addrs = v.parallel_write([(0, d)])
-        v.free(addrs)
+        addrs = v.parallel_write_arr(at(0), d[None])
+        v.free_arr(addrs)
         with pytest.raises(AddressError):
-            v.parallel_read(addrs)
+            v.parallel_read_arr(addrs)
+
+
+class TestStorageAPI:
+    """One implementation per block operation and layer: the per-address
+    shims beside the array entry points are gone."""
+
+    REMOVED = {
+        ParallelDiskMachine: ("read_blocks", "write_blocks", "peek_block",
+                              "free_block", "_validate_addr"),
+        VirtualDisks: ("parallel_write", "parallel_read", "peek", "free"),
+        VirtualHierarchies: ("parallel_write", "parallel_read", "peek", "free"),
+        ArenaBlockStore: ("peek", "free"),
+        DictBlockStore: ("peek", "free"),
+    }
+
+    def test_per_address_shims_are_gone(self):
+        left = [f"{cls.__name__}.{name}" for cls, names in self.REMOVED.items()
+                for name in names if hasattr(cls, name)]
+        assert left == []
+        # The padding helpers live in repro.records; layout keeps no alias.
+        padding = (pad_records, strip_pad_records)
+        bound = [name for name, value in vars(layout).items()
+                 if any(value is f for f in padding)]
+        assert bound == ["pad_records"]

@@ -27,25 +27,25 @@ class TestDualEndedPool:
         _, vh = storage_pair()
         data = workloads.uniform(6 * vh.virtual_block_size, seed=130)
         run = load_ordered_run(vh, data)  # slots 0..., low
-        vh.free([run.blocks[0].address, run.blocks[4].address])  # channel 0 slots 0,1
+        vh.free_arr([run.blocks[0].address, run.blocks[4].address])  # channel 0 slots 0,1
         d = data[: vh.virtual_block_size]
-        addr = vh.parallel_write([(0, d)])[0]
+        addr = vh.write_round([0], [d])[0]
         assert addr.slot == 0  # lowest recycled
 
     def test_park_alloc_takes_highest_free(self):
         _, vh = storage_pair()
         data = workloads.uniform(6 * vh.virtual_block_size, seed=131)
         run = load_ordered_run(vh, data)
-        vh.free([run.blocks[0].address, run.blocks[4].address])  # slots 0 and 1 on ch 0
+        vh.free_arr([run.blocks[0].address, run.blocks[4].address])  # slots 0 and 1 on ch 0
         d = data[: vh.virtual_block_size]
-        addr = vh.parallel_write([(0, d)], park=True)[0]
+        addr = vh.write_round([0], [d], park=True)[0]
         assert addr.slot == 1  # highest recycled, not the frontier
 
     def test_park_extends_frontier_when_pool_empty(self):
         _, vh = storage_pair()
         d = workloads.uniform(vh.virtual_block_size, seed=132)
-        a1 = vh.parallel_write([(0, d)], park=True)[0]
-        a2 = vh.parallel_write([(0, d)], park=True)[0]
+        a1 = vh.write_round([0], [d], park=True)[0]
+        a2 = vh.write_round([0], [d], park=True)[0]
         assert a2.slot == a1.slot + 1
 
     def test_no_double_allocation_under_mixed_traffic(self):
@@ -58,10 +58,10 @@ class TestDualEndedPool:
         for step in range(300):
             if live and rng.random() < 0.4:
                 idx = int(rng.integers(0, len(live)))
-                vh.free([live.pop(idx)])
+                vh.free_arr([live.pop(idx)])
             else:
                 park = bool(rng.random() < 0.5)
-                live.append(vh.parallel_write([(0, d)], park=park)[0])
+                live.append(vh.write_round([0], [d], park=park)[0])
             slots = [a.slot for a in live]
             assert len(set(slots)) == len(slots)
 
@@ -76,10 +76,10 @@ class TestDualEndedPool:
             op = rng.random()
             if live and op < 0.45:
                 addr = list(live)[int(rng.integers(0, len(live)))]
-                vh.free([addr])
+                vh.free_arr([addr])
                 live.discard(addr)
             else:
-                a = vh.parallel_write([(0, d)], park=bool(op > 0.7))[0]
+                a = vh.write_round([0], [d], park=bool(op > 0.7))[0]
                 assert a not in live
                 live.add(a)
 
@@ -103,7 +103,7 @@ class TestReposition:
         run = write_ordered_run(vh, data, park=True)
         high_slots = [r.address.slot for r in run.blocks]
         # free the filler: the front of the pool opens up
-        vh.free([r.address for r in f_run.blocks])
+        vh.free_arr([r.address for r in f_run.blocks])
         moved = reposition_run(vh, run)
         new_slots = [r.address.slot for r in moved.blocks]
         assert max(new_slots) < min(high_slots)
@@ -125,7 +125,7 @@ class TestReposition:
         for src in sources:
             if (src.vdisk, src.slot) not in new:
                 with pytest.raises(AddressError):
-                    vh.peek(src)
+                    vh.peek_many([src])
 
     def test_empty_run(self):
         _, vh = storage_pair()

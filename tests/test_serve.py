@@ -24,6 +24,7 @@ import time
 import pytest
 
 from repro.cli import main
+from repro.exceptions import ParameterError
 from repro.exec import JobRunner, ParallelRunner, RunSpec, payload_digest
 from repro.obs import Observation
 from repro.resilience import FaultPlan, SweepJournal
@@ -290,6 +291,18 @@ def service(runner=None, **kw):
     if runner is None:
         runner = JobRunner(jobs=0)
     return SortService(runner, **kw)
+
+
+class TestServiceSettings:
+    @pytest.mark.parametrize("kw, rule", [
+        (dict(queue_limit=0), "queue must be >= 1"),
+        (dict(quota_burst=0), "burst must be >= 1"),
+        (dict(quota_burst=2, quota_rate=-1.0), "rate must be >= 0"),
+    ], ids=["queue", "burst", "rate"])
+    def test_settings_that_refuse_every_job_are_refused(self, kw, rule):
+        """The check ``repro serve`` runs on its flags is the service's own."""
+        with pytest.raises(ParameterError, match=rule):
+            service(**kw)
 
 
 class TestServiceEndToEnd:

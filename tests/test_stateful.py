@@ -94,7 +94,7 @@ class AllocatorMachine(RuleBasedStateMachine):
 
     @rule(park=st.booleans(), channel=st.integers(0, 1))
     def allocate(self, park, channel):
-        addr = self.vh.parallel_write([(channel, self.payload)], park=park)[0]
+        addr = self.vh.write_round([channel], [self.payload], park=park)[0]
         assert addr not in self.live, "double allocation"
         self.live.append(addr)
 
@@ -102,7 +102,7 @@ class AllocatorMachine(RuleBasedStateMachine):
     @rule(data=st.data())
     def release(self, data):
         idx = data.draw(st.integers(0, len(self.live) - 1))
-        self.vh.free([self.live.pop(idx)])
+        self.vh.free_arr([self.live.pop(idx)])
 
     @invariant()
     def no_shared_slots(self):
@@ -112,7 +112,7 @@ class AllocatorMachine(RuleBasedStateMachine):
     @invariant()
     def all_live_blocks_readable(self):
         for a in self.live[-3:]:  # spot-check the most recent
-            self.vh.peek(a)
+            self.vh.peek_many([a])
 
 
 TestEngineStateful = EngineMachine.TestCase

@@ -15,7 +15,7 @@ import numpy as np
 import pytest
 
 from repro.exceptions import BlockCorruptionError, InjectedIOError
-from repro.pdm import BlockAddress, ParallelDiskMachine
+from repro.pdm import ParallelDiskMachine, VirtualDisks
 from repro.pdm.store import make_store
 from repro.records import make_records
 from repro.resilience import FaultInjector, FaultPlan, FaultRule, activate
@@ -111,6 +111,20 @@ class TestTransientReadFaults:
             m.free_blocks_arr(disks, slots)
         assert m.store.n_blocks() == D
 
+    def test_free_fault_fires_through_virtual_disks(self, store):
+        """``VirtualDisks.free_arr`` frees through ``free_blocks_arr``, so
+        the ``store.free`` hook sees it like any other free."""
+        m = machine(store)
+        v = VirtualDisks(m, 2)
+        addrs = v.load_initial([(0, blocks(2).reshape(-1)),
+                                (1, blocks(2, start=8).reshape(-1))])
+        m.attach_faults(FaultInjector(plan_for("store.free", at=(0,))))
+        with pytest.raises(InjectedIOError, match=r"free fault \(op 0"):
+            v.free_arr(addrs)
+        assert m.store.n_blocks() == D
+        v.free_arr(addrs)  # op 1 is past the rule
+        assert m.store.n_blocks() == 0
+
     def test_write_fault_fires_before_the_write(self, store):
         m = machine(store)
         m.attach_faults(FaultInjector(plan_for("store.write", at=(0,))))
@@ -138,8 +152,19 @@ class TestChecksums:
         m = machine(store, checksums=True)
         load(m)
         m.store.corrupt_block(1, 0, bit_seed=7)
-        with pytest.raises(BlockCorruptionError, match="peek"):
-            m.peek_block(BlockAddress(1, 0))
+        match = r"checksum mismatch on read of BlockAddress\(disk=1, slot=0\)"
+        with pytest.raises(BlockCorruptionError, match=match):
+            m.peek_blocks_arr(np.array([0, 1]), np.array([0, 0]))
+
+    def test_corruption_detected_through_peek_many(self, store):
+        m = machine(store, checksums=True)
+        v = VirtualDisks(m, 2)
+        addrs = v.load_initial([(0, blocks(2).reshape(-1)),
+                                (1, blocks(2, start=8).reshape(-1))])
+        m.store.corrupt_block(3, addrs[1].slot, bit_seed=5)  # virtual disk 1
+        match = rf"checksum mismatch on read of BlockAddress\(disk=3, slot={addrs[1].slot}\)"
+        with pytest.raises(BlockCorruptionError, match=match):
+            v.peek_many(addrs)
 
     def test_failed_fused_read_free_frees_nothing(self, store):
         m = machine(store, checksums=True)

@@ -12,7 +12,7 @@ import numpy as np
 import pytest
 
 from repro.exceptions import AddressError, CapacityError, ParameterError
-from repro.pdm import BlockAddress, ParallelDiskMachine
+from repro.pdm import ParallelDiskMachine
 from repro.pdm.store import make_store
 from repro.records import RECORD_DTYPE, make_records
 
@@ -90,29 +90,38 @@ class TestBlockLifecycle:
             s.read_batch(np.array([0]), np.array([10_000]))
 
     def test_free_then_peek_and_read_raise(self, store):
-        s = make_store(store, 4, 4)
-        s.write_batch(np.array([1]), np.array([3]), block(0)[None])
-        s.free(1, 3)
+        m = machine(store)
+        s = m.store
+        m.load_blocks_arr(np.array([1]), np.array([3]), block(0)[None])
+        m.free_blocks_arr(np.array([1]), np.array([3]))
         assert not s.has(1, 3)
         assert s.n_blocks() == 0
         with pytest.raises(AddressError, match="peek of unwritten"):
-            s.peek(1, 3)
+            m.peek_blocks_arr(np.array([1]), np.array([3]))
         with pytest.raises(AddressError, match="read of unwritten"):
             s.read_batch(np.array([1]), np.array([3]))
 
     def test_double_free_is_noop(self, store):
-        s = make_store(store, 4, 4)
-        s.write_batch(np.array([0]), np.array([0]), block(0)[None])
-        s.free(0, 0)
-        s.free(0, 0)  # scalar double free
-        s.free_batch(np.array([0, 0]), np.array([0, 0]))  # batched, duplicated
-        s.free_batch(np.array([2]), np.array([9999]))  # never written
-        assert s.n_blocks() == 0
+        for k in (2, 6):  # the store's small- and wide-batch free paths
+            s = make_store(store, 4, 4)
+            disks = np.arange(k, dtype=np.int64) % 4
+            slots = np.arange(k, dtype=np.int64) // 4
+            s.write_batch(disks, slots, np.stack([block(10 * i) for i in range(k)]))
+            s.free_batch(disks[:1], slots[:1])
+            s.free_batch(disks[:1], slots[:1])  # freed twice
+            s.free_batch(np.repeat(disks, 2), np.repeat(slots, 2))  # twice in one batch
+            s.free_batch(np.array([2]), np.array([9999]))  # never written
+            assert s.n_blocks() == 0 == s.mem_snapshot()["resident_blocks"]
+            # Each block was released once: k fresh blocks read back
+            # distinct (a twice-recycled arena row would alias two of them).
+            fresh = np.stack([block(100 + 10 * i) for i in range(k)])
+            s.write_batch(disks, slots + 8, fresh)
+            assert np.array_equal(s.read_batch(disks, slots + 8), fresh)
 
     def test_freed_slot_is_reusable(self, store):
         s = make_store(store, 4, 4)
         s.write_batch(np.array([0]), np.array([2]), block(0)[None])
-        s.free(0, 2)
+        s.free_batch(np.array([0]), np.array([2]))
         s.write_batch(np.array([0]), np.array([2]), block(40)[None])
         out = s.read_batch(np.array([0]), np.array([2]))
         assert np.array_equal(out[0], block(40))
@@ -158,20 +167,15 @@ class TestBlockLifecycle:
         s.write_batch(np.array([0]), np.array([0]), block(50)[None])
         assert np.array_equal(out, kept)
 
-    def test_peek_safety_modes(self, store):
-        s = make_store(store, 4, 4)
-        s.write_batch(np.array([0]), np.array([0]), block(3)[None])
-        view = s.peek(0, 0)
-        assert np.array_equal(view, block(3))
-        if store == "arena":
-            # Zero-copy read-only view: mutation attempts fail loudly.
-            assert not view.flags.writeable
-            with pytest.raises((ValueError, RuntimeError)):
-                view["key"][0] = 1
-        else:
-            assert view.flags.writeable  # defensive copy; mutation harmless
-            view["key"][0] = 1
-            assert s.peek(0, 0)["key"][0] == 3
+    def test_writing_into_a_peek_leaves_the_block(self, store):
+        """A peek or read is a copy: changing it never reaches the store."""
+        m = machine(store)
+        disks, slots = np.array([2]), np.array([5])
+        m.load_blocks_arr(disks, slots, block(7)[None])
+        for out in (m.peek_blocks_arr(disks, slots), m.store.read_batch(disks, slots)):
+            out["key"][0, 0] = 999
+            out["rid"][0, :] = 0
+            assert np.array_equal(m.peek_blocks_arr(disks, slots)[0], block(7))
 
     def test_arena_recycles_rows_before_growing(self, store):
         if store != "arena":
@@ -205,15 +209,3 @@ class TestMachineLifecycle:
         with pytest.raises(AddressError):
             m.read_blocks_arr(disks, slots)
         assert m.stats.read_ios == 1 and m.stats.write_ios == 1
-
-    def test_legacy_list_api_roundtrip(self, store):
-        m = machine(store)
-        blocks = [(BlockAddress(d, 0), block(d)) for d in range(4)]
-        m.mem_acquire(16)
-        m.write_blocks(blocks)
-        back = m.read_blocks([a for a, _ in blocks])
-        for (_, sent), got in zip(blocks, back):
-            assert np.array_equal(sent, got)
-        m.free_block(BlockAddress(0, 0))
-        with pytest.raises(AddressError):
-            m.read_blocks([BlockAddress(0, 0)])

@@ -93,7 +93,7 @@ class TestPeekMany:
         many = storage.peek_many(addresses)
         assert many.tobytes() == pad_records(data, vb).tobytes()
         for row, address in zip(many, addresses):
-            assert row.tobytes() == storage.peek(address).tobytes()
+            assert row.tobytes() == storage.peek_many([address])[0].tobytes()
         if hasattr(machine, "stats"):
             assert machine.stats.total_ios == 0
         else:

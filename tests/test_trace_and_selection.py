@@ -187,18 +187,15 @@ class TestWriteWidthStats:
         from repro.records import make_records
 
         m = ParallelDiskMachine(memory=64, block=2, disks=4)
-        from repro.pdm import BlockAddress
-
-        blocks = [
-            (BlockAddress(d, 0), make_records(np.arange(2, dtype=np.uint64)))
-            for d in range(4)
-        ]
+        disks = np.arange(4, dtype=np.int64)
+        slots = np.zeros(4, dtype=np.int64)
+        blocks = np.stack([make_records(np.arange(2, dtype=np.uint64))] * 4)
         m.mem_acquire(8)
-        m.write_blocks(blocks)
+        m.write_blocks_arr(disks, slots, blocks)
         assert m.stats.full_width_writes == 1
         assert m.stats.write_width_fraction == 1.0
         m.mem_acquire(2)
-        m.write_blocks(blocks[:1])
+        m.write_blocks_arr(disks[:1], slots[:1], blocks[:1])
         assert m.stats.full_width_writes == 1
         assert m.stats.write_width_fraction == 0.5
 
