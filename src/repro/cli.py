@@ -1050,8 +1050,10 @@ def _grid_output(
     """
     from .exec import merge_metrics, merge_trace_events, write_merged_trace
 
+    if args.trace_out or args.emit_json:
+        events = merge_trace_events(payloads)
     if args.trace_out:
-        write_merged_trace(payloads, args.trace_out)
+        write_merged_trace(events, args.trace_out)
     if args.emit_json:
         report = RunReport(
             command=command,
@@ -1064,7 +1066,7 @@ def _grid_output(
                 "failures": failures,
             },
             metrics=merge_metrics(payloads).export(),
-            trace_summary=summarize_trace(merge_trace_events(payloads)),
+            trace_summary=summarize_trace(events),
         )
         if report.write(args.emit_json):
             return
@@ -1959,19 +1961,26 @@ def _run_spec(args) -> tuple[str, list[dict]]:
 
 def _usage_error(args) -> str | None:
     """The first thing a command cannot run with, as one line; else None:
-    a runner, service, ``--bins`` or ``--min-of`` value no run can use, a
-    bad ``--cost`` named as such, or a cell :func:`repro.exec.check_spec`
-    refuses."""
+    a runner, service, ``--bins``, ``--min-of`` or ``top --interval``
+    value no run can use, a bad ``--cost`` named as such, or a cell
+    :func:`repro.exec.check_spec` refuses."""
     bench_record = getattr(args, "bench_command", None) == "record"
     if args.command == "profile" and args.bins < 1:
         return f"--bins must be >= 1, got {args.bins}"
     if bench_record and args.min_of < 1:
         return f"--min-of must be >= 1, got {args.min_of}"
+    if args.command == "top" and not args.interval > 0:
+        return f"--interval must be > 0, got {args.interval}"
     try:
         if args.command in ("sweep", "serve"):
             from .exec import check_runner_options
 
-            check_runner_options(args.retries, args.timeout, args.backoff)
+            check_runner_options(args.retries, args.timeout, args.backoff,
+                                 jobs=args.jobs)
+        elif bench_record:
+            from .exec import check_runner_options
+
+            check_runner_options(jobs=args.jobs)
         if args.command == "serve":
             from .serve.service import check_service_options
 

@@ -20,8 +20,11 @@ import json
 
 __all__ = ["SCHEMA_SALT", "canonical_params", "fingerprint"]
 
-#: Bump whenever the task payload schema changes shape.
-SCHEMA_SALT = "repro.exec_payload/1"
+#: Bump whenever the task payload schema changes shape (``/2``: the
+#: trace's channel rows travel as typed columns, see
+#: :mod:`repro.exec.tasks`).  A bump moves every fingerprint, so every
+#: job id, cache key and journal or ledger grid id.
+SCHEMA_SALT = "repro.exec_payload/2"
 
 
 def _coerce(value):

@@ -10,9 +10,11 @@ folded back into *one* registry and *one* event stream:
   :meth:`~repro.obs.MetricsRegistry.merge_export` (counters sum,
   histograms re-accumulate, gauge watermarks widen), so the merged export
   has exactly the shape of a single run's export;
-* **traces** concatenate with span-ids re-based and each run wrapped in a
-  synthetic ``run:<task>[<index>]`` span, so the merged stream is a valid
-  trace (unique span ids, well-formed begin/end nesting) that
+* **traces** are expanded from the payload form into event dicts
+  (:func:`~repro.obs.columnar.expand_trace`), then concatenate with
+  span-ids re-based and each run wrapped in a synthetic
+  ``run:<task>[<index>]`` span, so the merged stream is a valid trace
+  (unique span ids, well-formed begin/end nesting) that
   :func:`~repro.obs.summarize_trace` and ``repro report`` consume
   unchanged.
 
@@ -26,6 +28,7 @@ from __future__ import annotations
 from typing import Sequence
 
 from ..obs import MetricsRegistry
+from ..obs.columnar import expand_trace
 from ..obs.tracer import JsonlSink
 
 __all__ = ["merge_metrics", "merge_trace_events", "write_merged_trace"]
@@ -54,7 +57,7 @@ def merge_trace_events(payloads: Sequence[dict]) -> list[dict]:
     merged: list[dict] = []
     next_id = 1
     for index, payload in enumerate(payloads):
-        events = payload.get("trace") or []
+        events = expand_trace(payload.get("trace") or [])
         label = f"run:{payload.get('task', 'task')}[{index}]"
         root = next_id
         next_id += 1
@@ -67,18 +70,17 @@ def merge_trace_events(payloads: Sequence[dict]) -> list[dict]:
         )
         base = next_id - 1  # old span ids start at 1 → new = base + old
         max_old = 0
-        for ev in events:
-            rebased = dict(ev)
-            old_span = rebased.get("span")
+        for ev in events:  # expand_trace's dicts are ours to re-base
+            old_span = ev.get("span")
             if old_span is not None:
-                rebased["span"] = base + int(old_span)
+                ev["span"] = base + int(old_span)
                 max_old = max(max_old, int(old_span))
-            if "parent" in rebased:
-                old_parent = rebased["parent"]
-                rebased["parent"] = (
+            if "parent" in ev:
+                old_parent = ev["parent"]
+                ev["parent"] = (
                     root if old_parent is None else base + int(old_parent)
                 )
-            merged.append(rebased)
+            merged.append(ev)
         next_id = base + max_old + 1
         merged.append(
             {"ev": "end", "span": root, "parent": None, "name": label,
@@ -87,9 +89,9 @@ def merge_trace_events(payloads: Sequence[dict]) -> list[dict]:
     return merged
 
 
-def write_merged_trace(payloads: Sequence[dict], path: str) -> int:
-    """Write the merged trace as JSONL; returns the number of events."""
-    events = merge_trace_events(payloads)
+def write_merged_trace(events: Sequence[dict], path: str) -> int:
+    """Write a merged trace (:func:`merge_trace_events`) as JSONL; returns
+    the number of events."""
     sink = JsonlSink(path)
     try:
         for ev in events:

@@ -116,14 +116,17 @@ _POLL_S = 0.05
 
 
 def check_runner_options(
-    retries: int, timeout: float | None, backoff: float,
-    backoff_max: float | None = None,
+    retries: int = 0, timeout: float | None = None, backoff: float = 0.0,
+    backoff_max: float | None = None, jobs: int | None = None,
 ) -> None:
-    """Refuse retry settings no run can use (:class:`ParameterError`).
+    """Refuse worker and retry settings no run can use (:class:`ParameterError`).
 
-    :class:`JobRunner` applies it at construction; ``repro sweep`` and
-    ``repro serve`` apply it to their flags before anything runs.
+    :class:`JobRunner` applies it at construction; ``repro sweep``,
+    ``repro serve`` and ``repro bench record`` apply it to their flags
+    before anything runs.  ``jobs`` 0 or ``None`` means serial.
     """
+    if jobs is not None and jobs < 0:
+        raise ParameterError(f"jobs must be >= 0, got {jobs}")
     if retries < 0:
         raise ParameterError(f"retries must be >= 0, got {retries}")
     if timeout is not None and timeout <= 0:
@@ -280,12 +283,18 @@ def _execute(
 
 
 def _payload_rounds(payload: dict) -> int:
-    """I/O round trips recorded in a payload's trace (for telemetry)."""
-    return sum(
-        1 for event in payload.get("trace", ())
-        if event.get("ev") == "event"
-        and event.get("name") in ROUND_EVENTS
-    )
+    """I/O round trips recorded in a payload's trace (for telemetry): the
+    rows of its round channels plus its literal round events (``mem.step``),
+    counted without expanding the trace."""
+    rounds = 0
+    for record in payload.get("trace", ()):
+        if record.get("name") in ROUND_EVENTS:
+            ev = record.get("ev")
+            if ev == "rows":
+                rounds += len(record["seq"])
+            elif ev == "event":
+                rounds += 1
+    return rounds
 
 
 def _validate_payload(payload, task: str) -> None:
@@ -453,6 +462,7 @@ class JobRunner:
         telemetry=None,
         scheduler: Callable[[list[Job]], Job] | None = None,
     ):
+        check_runner_options(retries, timeout, backoff, backoff_max, jobs)
         requested = int(jobs) if jobs else 0
         usable = default_jobs()
         self.jobs_requested = requested
@@ -463,7 +473,6 @@ class JobRunner:
             )
         if cache is not None and cache_dir is not None:
             raise ValueError("pass cache or cache_dir, not both")
-        check_runner_options(retries, timeout, backoff, backoff_max)
         self.cache = cache if cache is not None else ResultCache(cache_dir)
         self.retries = int(retries)
         self.timeout = timeout

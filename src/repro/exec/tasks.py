@@ -19,12 +19,16 @@ function of ``(task, params)``.  That is what lets payloads be content-
 cached, diffed against golden files, and compared bit-for-bit between the
 serial and process-pool runners.
 
-Payload schema (``repro.exec_payload/1``)::
+Payload schema (``repro.exec_payload/2``)::
 
-    {"schema": "repro.exec_payload/1", "task": str, "params": {...},
+    {"schema": "repro.exec_payload/2", "task": str, "params": {...},
      "result": {...},        # task-specific summary (JSON-safe scalars)
      "metrics": {...},       # MetricsRegistry.export()
-     "trace": [...]}         # tracer events (begin/end/event dicts)
+     "trace": [...]}         # ColumnarJournal.export(): the literal event
+                             # dicts, then each channel's rows as columns
+
+:func:`~repro.obs.columnar.expand_trace` turns ``trace`` back into the
+``/1`` event list, one dict per event.
 """
 
 from __future__ import annotations
@@ -214,9 +218,9 @@ def run_task(name: str, params: dict) -> dict:
         # assigned after the round-trip so the payload's key order (and
         # therefore any insertion-ordered serialization) is unchanged.
         payload = json.loads(json.dumps(payload, default=_jsonable))
-        payload["trace"] = list(trace)
+        payload["trace"] = trace
         return payload
-    payload["trace"] = list(trace)
+    payload["trace"] = trace
     return json.loads(json.dumps(payload, default=_jsonable))
 
 

@@ -38,6 +38,7 @@ code.
 
 from __future__ import annotations
 
+import weakref
 from dataclasses import dataclass, field
 from typing import TYPE_CHECKING
 
@@ -208,7 +209,7 @@ class TheoryAuditor:
 
     def __init__(self, theorem4_limit: float = 2.0):
         self.theorem4_limit = float(theorem4_limit)
-        self.obs: "Observation | None" = None
+        self._obs = None
         self.violations: list[dict] = []
         self.rounds_checked = 0
         self.worst_factor = 1.0
@@ -222,12 +223,20 @@ class TheoryAuditor:
 
         Both sorts add every callback in that list to every
         :class:`~repro.core.balance.BalanceEngine` they construct, so one
-        ``install`` covers every distribution pass of the run.
+        ``install`` covers every distribution pass of the run.  The
+        auditor holds ``obs`` weakly (``obs.auditor`` is the strong link),
+        so a finished run's observation is freed by reference counting,
+        not left to the cyclic garbage collector.
         """
-        self.obs = obs
+        self._obs = weakref.ref(obs)
         obs.auditor = self
         obs.engine_observers.append(self.check_round)
         return self
+
+    @property
+    def obs(self) -> "Observation | None":
+        """The observation this auditor was installed on, while it lives."""
+        return None if self._obs is None else self._obs()
 
     # -------------------------------------------------------- round checks
 
@@ -268,9 +277,10 @@ class TheoryAuditor:
     def _violation(self, check: str, info: dict, detail: str) -> None:
         record = {"check": check, "round": info.get("round"), "detail": detail}
         self.violations.append(record)
-        if self.obs is not None:
-            self.obs.scope("audit").counter("violations").inc()
-            self.obs.event("audit.violation", **record)
+        obs = self.obs
+        if obs is not None:
+            obs.scope("audit").counter("violations").inc()
+            obs.event("audit.violation", **record)
 
     # ------------------------------------------------------------- scoring
 
@@ -388,8 +398,9 @@ class TheoryAuditor:
 
     def _finish(self, report: AuditReport) -> AuditReport:
         self.report = report
-        if self.obs is not None:
-            record_cell_audit(self.obs, report)
+        obs = self.obs
+        if obs is not None:
+            record_cell_audit(obs, report)
         return report
 
 

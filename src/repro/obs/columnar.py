@@ -1,27 +1,40 @@
 """Columnar (structure-of-arrays) event journal for the hot trace path.
 
 The simulators emit ~100 k point events per E1 cell (one per parallel
-I/O, one per Balance round), and the payload contract freezes every one
-of them: the exec payload's ``trace`` is a list of plain dicts with a
-fixed schema.  Building those dicts *at emit time* is the single largest
-per-round constant left after the fused I/O plans — ~100 k dict + kwargs
-allocations per cell that exist only to be JSON-serialized once at the
-end of the run.
+I/O, one per Balance round).  Building one dict per event *at emit time*
+was the largest per-round constant left after the fused I/O plans, so
+the events are not built as dicts at all unless a reader asks for them.
 
-A :class:`ColumnarJournal` stores the hot events as typed scalar columns
-instead: each registered *channel* (one fixed ``(name, attr-keys)``
-shape) appends ``(seq, span, ts, *values)`` onto parallel Python lists
-(which grow geometrically, like any list), and the event dicts are
-materialized **only at the serialization boundary** — bit-identical to
-the dicts ``Tracer.event`` would have built, in the same global order
-(the shared ``seq`` counter interleaves channels and cold literal
-events chronologically).  A tracer with a sink materializes from its
-delivery cursor on (``materialize(start)``) at each literal it emits.
+A :class:`ColumnarJournal` stores the hot events as typed scalar columns:
+each registered *channel* (one fixed ``(name, attr-keys)`` shape) appends
+``(seq, span, ts, *values)`` onto parallel Python lists (which grow
+geometrically, like any list).  The shared ``seq`` counter interleaves
+channels and cold literal events chronologically.
 
 Cold events — span begin/end records, rare diagnostics, anything emitted
 through the generic ``Tracer.event`` API — are stored as ready-made
 *literal* dicts carrying their own sequence number, so the journal never
 changes what an event looks like, only when the dict is allocated.
+
+Two outputs
+-----------
+* :meth:`ColumnarJournal.materialize` — event dicts in emission order,
+  each channel row the dict ``Tracer.event`` would have built.  A tracer
+  with a sink materializes from its delivery cursor on
+  (``materialize(start)``) at each literal it emits.
+* :meth:`ColumnarJournal.export` — the payload form of the trace
+  (``repro.exec_payload/2``): the literal dicts in emission order, then
+  one ``{"ev": "rows", "name", "keys", "seq", "span", "ts", "cols"}``
+  record per non-empty channel whose columns are plain JSON lists of
+  scalars.  ``seq`` is each row's global position, ``span`` and ``ts``
+  its span id and timestamp (``ts`` is the number ``0.0`` when every
+  row's timestamp is zero, as on the zero clock of an exec payload), and
+  ``cols`` one list per attr key.  No per-row dict is built.
+
+:func:`expand_trace` turns the payload form back into the exact event
+list (``repro.exec_payload/1``): rows go to their ``seq`` positions and
+the literals fill the others in order.  It and ``materialize`` share one
+row-to-dict builder, :func:`_place_rows`.
 
 Appender contract
 -----------------
@@ -35,8 +48,9 @@ canonicalizing JSON round-trip for the trace portion of a payload
 from __future__ import annotations
 
 from bisect import bisect_left
+from itertools import repeat
 
-__all__ = ["ColumnarJournal", "EventChannel", "json_roundtrip_safe"]
+__all__ = ["ColumnarJournal", "EventChannel", "expand_trace", "json_roundtrip_safe"]
 
 
 def json_roundtrip_safe(obj) -> bool:
@@ -197,23 +211,30 @@ class ColumnarJournal:
             seqs = ch.seqs
             if not seqs or seqs[-1] < start:
                 continue
-            name = ch.name
-            keys = ch.keys
             spans, ts, cols = ch.spans, ch.ts, ch.cols
             if start:
                 i = bisect_left(seqs, start)
                 seqs, spans, ts = seqs[i:], spans[i:], ts[i:]
                 cols = [col[i:] for col in cols]
-            if len(keys) == 1:
-                k0 = keys[0]
-                for seq, span, t, v0 in zip(seqs, spans, ts, cols[0]):
-                    out[seq - start] = {"ev": "event", "span": span, "name": name,
-                                        "ts": t, "attrs": {k0: v0}}
-            else:
-                for seq, span, t, *values in zip(seqs, spans, ts, *cols):
-                    out[seq - start] = {"ev": "event", "span": span, "name": name,
-                                        "ts": t, "attrs": dict(zip(keys, values))}
+            _place_rows(out, start, ch.name, ch.keys, seqs, spans, ts, cols)
         return out
+
+    def export(self) -> list[dict]:
+        """Every recorded event in the payload form (``repro.exec_payload/2``).
+
+        The literal dicts in emission order, then one ``rows`` record per
+        non-empty channel, its columns copied into fresh lists; ``ts`` is
+        ``0.0`` when every row of the channel reads zero.
+        :func:`expand_trace` inverts this exactly.
+        """
+        rows = [
+            {"ev": "rows", "name": ch.name, "keys": list(ch.keys),
+             "seq": ch.seqs[:], "span": ch.spans[:],
+             "ts": ch.ts[:] if any(ch.ts) else 0.0,
+             "cols": [col[:] for col in ch.cols]}
+            for ch in self.channels if ch.seqs
+        ]
+        return [*self._literals, *rows]
 
     def literals_json_safe(self) -> bool:
         """Whether every literal record survives a JSON round-trip as-is.
@@ -231,3 +252,54 @@ class ColumnarJournal:
                 break
         self._literals_checked = len(literals)
         return self._literals_safe
+
+
+def _place_rows(out: list, start: int, name: str, keys, seqs, spans, ts,
+                cols) -> None:
+    """Put each row's event dict at ``out[seq - start]``.
+
+    The one builder of channel-row dicts, shared by
+    :meth:`ColumnarJournal.materialize` and :func:`expand_trace`.  ``ts``
+    is a list, or one number every row gets.
+    """
+    if not isinstance(ts, list):
+        ts = repeat(ts, len(seqs))
+    if len(keys) == 1:
+        k0 = keys[0]
+        for seq, span, t, v0 in zip(seqs, spans, ts, cols[0]):
+            out[seq - start] = {"ev": "event", "span": span, "name": name,
+                                "ts": t, "attrs": {k0: v0}}
+    else:
+        for seq, span, t, *values in zip(seqs, spans, ts, *cols):
+            out[seq - start] = {"ev": "event", "span": span, "name": name,
+                                "ts": t, "attrs": dict(zip(keys, values))}
+
+
+def expand_trace(trace: list) -> list[dict]:
+    """The event list (``repro.exec_payload/1`` form) of a payload trace.
+
+    The inverse of :meth:`ColumnarJournal.export` and the only code that
+    turns a payload into event dicts: each ``rows`` record's rows become
+    dicts at their ``seq`` positions and shallow copies of the literal
+    records fill the remaining positions in order, so the caller owns
+    every top-level dict it gets.  A trace without ``rows`` records (the
+    ``/1`` form) comes back as copies of its records.  Raises
+    ``ValueError`` when the row positions do not fit the trace.
+    """
+    literals: list = []
+    blocks: list = []
+    for rec in trace:
+        (blocks if rec.get("ev") == "rows" else literals).append(rec)
+    out: list = [None] * (len(literals) + sum(len(b["seq"]) for b in blocks))
+    try:
+        for b in blocks:
+            _place_rows(out, 0, b["name"], b["keys"], b["seq"], b["span"],
+                        b["ts"], b["cols"])
+    except IndexError:
+        raise ValueError("payload trace: a row position is out of range") from None
+    free = [i for i, ev in enumerate(out) if ev is None]
+    if len(free) != len(literals):
+        raise ValueError("payload trace: two rows share a position")
+    for i, rec in zip(free, literals):
+        out[i] = dict(rec)
+    return out

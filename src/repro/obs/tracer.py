@@ -20,7 +20,10 @@ the hot point events (one per parallel I/O, one per Balance round) as
 channel rows, everything else as literal dicts.  A sink sees the same
 records, materialized in sequence order: each literal is delivered when
 it is emitted, right after the channel rows recorded before it, and
-:meth:`Tracer.close` delivers the rest.
+:meth:`Tracer.close` delivers the rest.  An exec payload carries the
+journal's own form instead (:meth:`Tracer.payload_events`: the channel
+rows as typed columns), which :func:`~repro.obs.columnar.expand_trace`
+turns back into the same records.
 
 The disabled path: :data:`NULL_TRACER` (a :class:`NullTracer`) exposes
 ``span()`` / ``event()`` as constant no-ops — ``span()`` returns a shared
@@ -288,15 +291,20 @@ class Tracer:
         return self._journal.channel(self, name, keys)
 
     def payload_events(self) -> tuple[list, bool]:
-        """``(events, roundtrip_safe)`` for payload building.
+        """``(trace, roundtrip_safe)`` for payload building.
 
-        ``roundtrip_safe=True`` guarantees ``json.loads(json.dumps(events))``
-        is value-identical to ``events`` (plain scalar trees only), which
-        lets the exec layer skip the canonicalizing JSON round-trip for
-        the trace portion of a payload.  Channel values are scalars by
-        contract, and the few literal records are scanned incrementally.
+        ``trace`` is the journal's payload form
+        (:meth:`~repro.obs.columnar.ColumnarJournal.export`: the literal
+        dicts, then the channel rows as typed columns), with no per-row
+        dict built.  ``roundtrip_safe=True`` guarantees
+        ``json.loads(json.dumps(trace))`` is value-identical to ``trace``
+        (plain scalar trees only), which lets the exec layer skip the
+        canonicalizing JSON round-trip for the trace portion of a payload.
+        Channel values are scalars by contract, and the few literal
+        records are scanned incrementally.
         """
-        return self.events, self._journal.literals_json_safe()
+        journal = self._journal
+        return journal.export(), journal.literals_json_safe()
 
     # ---------------------------------------------------------- inspection
 

@@ -585,7 +585,8 @@ class TestBadCells:
         ("--timeout", "0", "timeout must be > 0, got 0.0"),
         ("--timeout", "-1", "timeout must be > 0, got -1.0"),
         ("--backoff", "-1", "backoff must be >= 0, got -1.0"),
-    ], ids=["retries", "timeout-0", "timeout-neg", "backoff"])
+        ("--jobs", "-3", "jobs must be >= 0, got -3"),
+    ], ids=["retries", "timeout-0", "timeout-neg", "backoff", "jobs-neg"])
     @pytest.mark.parametrize("command", ["sweep", "serve"])
     def test_bad_runner_flag_exits_two(self, command, flag, value, rule,
                                        capsys, monkeypatch):
@@ -618,7 +619,14 @@ class TestBadCells:
         (["profile", "t.jsonl", "--bins", "-1"], "--bins must be >= 1, got -1"),
         (["bench", "record", "--series", "s", *GRID, "--min-of", "0"],
          "--min-of must be >= 1, got 0"),
-    ], ids=["diff-rule", "profile-bins-0", "profile-bins-neg", "bench-min-of"])
+        (["bench", "record", "--series", "s", *GRID, "--jobs", "-3"],
+         "jobs must be >= 0, got -3"),
+        (["top", "t.jsonl", "--follow", "--interval", "-1"],
+         "--interval must be > 0, got -1.0"),
+        (["top", "t.jsonl", "--follow", "--interval", "0"],
+         "--interval must be > 0, got 0.0"),
+    ], ids=["diff-rule", "profile-bins-0", "profile-bins-neg", "bench-min-of",
+            "bench-jobs-neg", "top-interval-neg", "top-interval-0"])
     def test_bad_flag_value_exits_two(self, argv, says, tmp_path, capsys,
                                       monkeypatch):
         monkeypatch.chdir(tmp_path)

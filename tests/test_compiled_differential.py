@@ -12,6 +12,10 @@ Two fast paths must never change a single observable byte:
 The unit of comparison is the whole exec payload — result, metrics
 export, and zero-clock trace — canonicalized with ``json.dumps(...,
 sort_keys=True)`` so a drift anywhere in the value tree fails loudly.
+The dict-per-event oracle records every event as a literal, so its
+payload trace has no ``rows`` records; payloads compared with it are
+compared with their traces expanded (:func:`expanded`), one dict per
+event.
 Both block-store backends and both I/O executors (the fused plan and its
 round-at-a-time oracle, ``tests/io_reference.py``) are crossed in, plus
 the audit and profile report surfaces.
@@ -26,6 +30,7 @@ import pytest
 
 from repro.core import kernels
 from repro.exec import run_task
+from repro.obs.columnar import expand_trace
 
 from .io_reference import use_io
 from .obs_reference import use_obs
@@ -53,6 +58,11 @@ PLANS = [("fused", "fused"), ("unfused", "rounds")]
 def canon(payload: dict) -> str:
     """Canonical JSON of a payload — byte equality means bit identity."""
     return json.dumps(payload, sort_keys=True, separators=(",", ":"))
+
+
+def expanded(payload: dict) -> dict:
+    """The payload with its trace expanded to one dict per event."""
+    return {**payload, "trace": expand_trace(payload["trace"])}
 
 
 def _set_env(monkeypatch, **env):
@@ -89,7 +99,7 @@ class TestColumnarVsDictEvents:
         with use_io(plan[1]):
             classic = dict_events_payload("sort_pdm", CELL)
             columnar = run_task("sort_pdm", dict(CELL))
-        assert canon(classic) == canon(columnar)
+        assert canon(expanded(classic)) == canon(expanded(columnar))
 
     def test_compare_and_hierarchy_payload_identity(self):
         for task, params in (
@@ -98,7 +108,7 @@ class TestColumnarVsDictEvents:
         ):
             classic = dict_events_payload(task, params)
             columnar = run_task(task, dict(params))
-            assert canon(classic) == canon(columnar), task
+            assert canon(expanded(classic)) == canon(expanded(columnar)), task
 
     def test_trace_and_metrics_sections_individually(self):
         """Pinpoint failure mode: which payload section drifted."""
@@ -106,9 +116,10 @@ class TestColumnarVsDictEvents:
         columnar = run_task("sort_pdm", dict(CELL))
         assert classic["result"] == columnar["result"]
         assert classic["metrics"] == columnar["metrics"]
-        assert len(classic["trace"]) == len(columnar["trace"])
-        for i, (a, b) in enumerate(zip(classic["trace"],
-                                       columnar["trace"])):
+        classic_trace = expand_trace(classic["trace"])
+        columnar_trace = expand_trace(columnar["trace"])
+        assert len(classic_trace) == len(columnar_trace)
+        for i, (a, b) in enumerate(zip(classic_trace, columnar_trace)):
             assert a == b, f"trace record {i} drifted"
 
 
@@ -141,7 +152,7 @@ class TestCompiledVsPython:
             m.setattr(kernels, "ROUND_OPS", None)
             reference = dict_events_payload("sort_pdm", CELL)
         fast = run_task("sort_pdm", dict(CELL))
-        assert canon(reference) == canon(fast)
+        assert canon(expanded(reference)) == canon(expanded(fast))
 
     def test_audit_report_identical(self, monkeypatch, tmp_path):
         """The Theorem 1–4 audit surface is round-path-invariant."""
@@ -176,7 +187,7 @@ class TestCompiledVsPython:
                 payload = run_task("sort_pdm", dict(CELL))
             trace_path = tmp_path / f"trace-{path_name}.jsonl"
             with open(trace_path, "w") as fh:
-                for event in payload["trace"]:
+                for event in expand_trace(payload["trace"]):
                     fh.write(json.dumps(event) + "\n")
             out_path = tmp_path / f"profile-{path_name}.json"
             rc = main(["profile", str(trace_path),

@@ -26,6 +26,7 @@ from repro.exec import (
     task_names,
 )
 from repro.obs import MetricsRegistry
+from repro.obs.columnar import expand_trace
 
 # Small-but-real grid cells used throughout: fast enough for the unit
 # tier, real enough to carry metrics and traces.
@@ -158,12 +159,13 @@ class TestRunner:
 
     def test_payload_schema_and_zero_clock(self):
         payload = run_task("hierarchy_sort", {"n": 256, "h": 16})
-        assert payload["schema"] == "repro.exec_payload/1"
+        assert payload["schema"] == "repro.exec_payload/2"
         assert set(payload) == {"schema", "task", "params", "result",
                                 "metrics", "trace"}
         # zero-clock tracer: every timestamp is exactly 0.0
-        assert all(ev.get("ts", 0.0) == 0.0 for ev in payload["trace"])
-        assert all(ev.get("wall_s", 0.0) == 0.0 for ev in payload["trace"])
+        events = expand_trace(payload["trace"])
+        assert all(ev.get("ts", 0.0) == 0.0 for ev in events)
+        assert all(ev.get("wall_s", 0.0) == 0.0 for ev in events)
 
 
 # ------------------------------------------------------------ jobs clamp
@@ -209,6 +211,14 @@ class TestJobsClamp:
             assert runner.jobs <= 1  # no pool; stats still report >= 1
             assert runner.stats["jobs"] == 1
             assert runner.stats["jobs_requested"] == 1
+
+    def test_negative_jobs_refused(self):
+        from repro.exceptions import ParameterError
+        from repro.exec import JobRunner
+
+        for cls in (JobRunner, ParallelRunner):
+            with pytest.raises(ParameterError, match="jobs must be >= 0, got -3"):
+                cls(jobs=-3)
 
     def test_clamped_runner_results_correct(self, monkeypatch):
         import repro.exec.runner as runner_mod

@@ -1,14 +1,21 @@
 """Golden-trace regression corpus.
 
 Each file under ``tests/golden/`` is one canonical exec payload
-(``repro.exec_payload/1``): the full result + merged metrics + zero-clock
+(``repro.exec_payload/2``): the full result + merged metrics + zero-clock
 trace of a small, fast, deterministic run.  The test re-executes the
 run from the stored ``(task, params)`` and requires the fresh payload to
 equal the stored one *exactly* — any drift in I/O counts, metrics,
 trace structure, or result schema fails loudly with the offending paths.
 
+``tests/golden/v1/`` holds the same runs in the ``/1`` form, whose trace
+is one dict per event — the form payloads had before the trace went
+columnar, and the form every trace file still has.  It is the oracle of
+the expander: :func:`~repro.obs.columnar.expand_trace` of each fresh
+trace must equal the stored ``/1`` trace, and every other key but
+``schema`` must be equal.
+
 The corpus is stored gzipped (``*.json.gz``) — traces dominate the
-payloads and compress ~20×, which keeps the repo slim as the corpus
+payloads and compress well, which keeps the repo slim as the corpus
 grows.  The gzip stream is deterministic (``mtime=0``, no embedded
 filename), so regeneration without behaviour change is byte-stable and
 an intentional regen diffs as exactly the changed cases.
@@ -17,18 +24,25 @@ Regenerate after an intentional behaviour change with::
 
     PYTHONPATH=src python tests/test_golden_reports.py --regen
 
-and commit the diff; the diff *is* the review artifact.
+It rewrites both forms: each payload as ``run_task`` returns it, and its
+``/1`` form through the expander.  Commit the diff; the diff *is* the
+review artifact, and a ``v1/`` diff without a behaviour change is an
+expander bug.
 """
 
+import functools
 import gzip
 import json
 import os
 
 import pytest
 
-from repro.exec import run_task
+from repro.exec import SCHEMA_SALT, run_task
+from repro.obs.columnar import expand_trace
 
 GOLDEN_DIR = os.path.join(os.path.dirname(__file__), "golden")
+V1_DIR = os.path.join(GOLDEN_DIR, "v1")
+V1_SCHEMA = "repro.exec_payload/1"
 
 #: The corpus: small enough to re-run in seconds, wide enough to cover
 #: every task type and both PDM algorithm families.
@@ -56,8 +70,20 @@ CASES = {
 }
 
 
-def _path(name: str) -> str:
-    return os.path.join(GOLDEN_DIR, f"{name}.json.gz")
+def _path(name: str, folder: str = GOLDEN_DIR) -> str:
+    return os.path.join(folder, f"{name}.json.gz")
+
+
+@functools.cache
+def _fresh(name: str) -> dict:
+    """One fresh payload per case, shared by the tests (none mutates it)."""
+    task, params = CASES[name]
+    return run_task(task, params)
+
+
+def as_v1(payload: dict) -> dict:
+    """The ``/1`` form of a payload: its trace expanded, one dict per event."""
+    return {**payload, "schema": V1_SCHEMA, "trace": expand_trace(payload["trace"])}
 
 
 def load_golden(path: str) -> dict:
@@ -108,7 +134,8 @@ def test_golden_payload_unchanged(name):
     # The stored file must itself be self-consistent with the corpus.
     assert golden["task"] == task
     assert golden["params"] == params
-    fresh = run_task(task, params)
+    assert golden["schema"] == SCHEMA_SALT
+    fresh = _fresh(name)
     if fresh != golden:
         diff = "\n  ".join(_diff_paths(golden, fresh))
         pytest.fail(
@@ -118,23 +145,45 @@ def test_golden_payload_unchanged(name):
         )
 
 
+@pytest.mark.parametrize("name", sorted(CASES))
+def test_expanded_trace_equals_the_v1_payload(name):
+    """The expander is lossless: the fresh ``/2`` trace expands to the
+    stored ``/1`` trace, and every other key but ``schema`` is equal."""
+    path = _path(name, V1_DIR)
+    assert os.path.exists(path), f"missing v1 oracle {path}"
+    v1 = load_golden(path)
+    assert v1["schema"] == V1_SCHEMA
+    fresh = _fresh(name)
+    expanded = expand_trace(fresh["trace"])
+    if expanded != v1["trace"]:
+        diff = "\n  ".join(_diff_paths(v1["trace"], expanded, "trace"))
+        pytest.fail(f"expanded trace of {name!r} differs from the v1 "
+                    f"payload (v1 != expanded):\n  {diff}")
+    assert {k: v for k, v in fresh.items() if k not in ("schema", "trace")} == \
+        {k: v for k, v in v1.items() if k not in ("schema", "trace")}
+
+
 def test_golden_corpus_has_no_strays():
-    """Every file in tests/golden/ is a declared case, stored gzipped."""
-    listing = os.listdir(GOLDEN_DIR)
-    files = {f[:-8] for f in listing if f.endswith(".json.gz")}
-    assert files == set(CASES)
-    plain = [f for f in listing if f.endswith(".json")]
-    assert not plain, f"uncompressed strays in golden corpus: {plain}"
+    """Every file in tests/golden/ and tests/golden/v1/ is a declared
+    case, stored gzipped."""
+    for folder in (GOLDEN_DIR, V1_DIR):
+        listing = os.listdir(folder)
+        files = {f[:-8] for f in listing if f.endswith(".json.gz")}
+        assert files == set(CASES), folder
+        plain = [f for f in listing if f.endswith(".json")]
+        assert not plain, f"uncompressed strays in {folder}: {plain}"
+    assert set(os.listdir(GOLDEN_DIR)) == {f"{n}.json.gz" for n in CASES} | {"v1"}
 
 
 def test_golden_gzip_streams_are_deterministic():
     """Stored gzip bytes carry no timestamp/filename — regen is byte-stable."""
-    for name in sorted(CASES):
-        with open(_path(name), "rb") as fh:
-            header = fh.read(10)
-        assert header[:2] == b"\x1f\x8b", f"{name}: not a gzip stream"
-        assert header[3] == 0, f"{name}: FLG set (embedded filename?)"
-        assert header[4:8] == b"\x00\x00\x00\x00", f"{name}: nonzero MTIME"
+    for folder in (GOLDEN_DIR, V1_DIR):
+        for name in sorted(CASES):
+            with open(_path(name, folder), "rb") as fh:
+                header = fh.read(10)
+            assert header[:2] == b"\x1f\x8b", f"{name}: not a gzip stream"
+            assert header[3] == 0, f"{name}: FLG set (embedded filename?)"
+            assert header[4:8] == b"\x00\x00\x00\x00", f"{name}: nonzero MTIME"
 
 
 def _dump_gz(path: str, payload: dict) -> None:
@@ -146,12 +195,13 @@ def _dump_gz(path: str, payload: dict) -> None:
 
 
 def regenerate():
-    os.makedirs(GOLDEN_DIR, exist_ok=True)
+    os.makedirs(V1_DIR, exist_ok=True)
     for name, (task, params) in sorted(CASES.items()):
         payload = run_task(task, params)
-        _dump_gz(_path(name), payload)
-        print(f"wrote {_path(name)} "
-              f"({os.path.getsize(_path(name))} bytes)")
+        for path, doc in ((_path(name), payload),
+                          (_path(name, V1_DIR), as_v1(payload))):
+            _dump_gz(path, doc)
+            print(f"wrote {path} ({os.path.getsize(path)} bytes)")
 
 
 if __name__ == "__main__":

@@ -33,6 +33,7 @@ from repro.obs import (
     read_telemetry,
     render_progress_line,
 )
+from repro.obs.columnar import expand_trace
 from repro.obs.telemetry import progress_tables
 
 from .obs_reference import use_obs
@@ -145,7 +146,7 @@ class TestProgressSink:
             (sink,) = sinks
             finals[mode] = (sink.rounds, sink.spans, sink.balance_rounds,
                             sink.max_balance_factor, sink.events)
-        trace = payload["trace"]
+        trace = expand_trace(payload["trace"])
         rounds = [e for e in trace if e.get("name") == "balance.round"]
         assert finals["columnar"] == finals["dicts"] == (
             sum(e.get("name") in ROUND_EVENTS for e in trace),
