@@ -33,9 +33,8 @@ import sys
 from . import workloads
 from .analysis import bounds
 from .analysis.reporting import Table
-from .core.balance import MATCHERS
 from .exceptions import InputError, ParameterError
-from .hierarchies import well_behaved
+from .exec.tasks import ALGORITHMS, PARAMS
 from .obs import (
     MemoryTelemetry,
     Observation,
@@ -53,6 +52,79 @@ from .obs.report import write_json
 
 __all__ = ["main", "build_parser"]
 
+#: Each command's task params that differ from the task's table: the
+#: flag default where the command has the param as a flag, else the
+#: value all its cells get (single runs verify their output; ``sort``
+#: raises on a broken invariant, ``audit`` only observes).
+_OVERRIDES = {
+    "sort": {"n": 20_000, "memory": 1024, "verify": True, "check_invariants": True},
+    "compare": {"n": 20_000, "memory": 1024, "verify": True},
+    "audit": {"n": 20_000, "memory": 1024, "verify": True, "check_invariants": False},
+    "hierarchy": {"n": 8_000, "verify": True},
+    "grid": {"n": 8_000, "algorithm": ALGORITHMS},
+}
+
+#: The task params each command has as flags, in flag order; ``grid``
+#: is the ``sweep`` / ``submit`` / ``bench record`` surface, whose flags
+#: take comma lists.
+_FLAG_PARAMS = {
+    "sort": "n memory block disks workload seed matcher processors buckets virtual_disks",
+    "compare": "n memory block disks workload seed",
+    "hierarchy": "n h model cost interconnect workload seed",
+    "audit": "n memory block disks workload seed matcher processors buckets "
+             "virtual_disks h model cost interconnect",
+    "grid": "n memory block disks seed workload matcher buckets virtual_disks "
+            "verify algorithm h model cost interconnect",
+}
+
+#: The task a single-run command or a grid's ``--task`` runs, and the
+#: axes all cells of its grid carry, in axis order (any other flag the
+#: task declares joins the cells when set).
+_TASK_OF = {"sort": "sort_pdm", "compare": "compare_pdm", "hierarchy": "hierarchy_sort"}
+_GRID_AXES = {
+    "sort_pdm": ("workload", "n", "memory", "block", "disks", "seed", "matcher"),
+    "compare_pdm": ("algorithm", "workload", "n", "memory", "block", "disks", "seed"),
+    "hierarchy_sort": ("model", "cost", "interconnect", "h", "n", "workload", "seed"),
+}
+
+
+def _flags(command: str):
+    """``(dest, param, default)`` per task flag of ``command``: a grid
+    axis defaults to its comma-list text."""
+    for name in _FLAG_PARAMS[command].split():
+        param = next(table[name] for table in PARAMS.values() if name in table)
+        default = _OVERRIDES[command].get(name, param.default)
+        if command == "grid" and param.type is not bool and default is not None:
+            default = ",".join(map(str, default)) if isinstance(default, tuple) else str(default)
+        # The grid's ``--algorithms`` takes a list of ``algorithm``s.
+        yield ("algorithms" if name == "algorithm" else name), param, default
+
+
+def _add_task_flags(p, command: str) -> None:
+    """Add ``command``'s task flags, generated from the tasks' tables."""
+    for dest, param, default in _flags(command):
+        flag = "--" + dest.replace("_", "-")
+        if param.type is bool:
+            p.add_argument(flag, action="store_true", help=param.help)
+        elif isinstance(default, str) and command == "grid":
+            p.add_argument(flag, default=default, help=f"{param.help} (comma list)")
+        else:
+            p.add_argument(flag, type=int if param.type is int else None,
+                           default=default, choices=param.choices or None,
+                           help=param.help)
+
+
+def _task_flags(args, command: str, task: str):
+    """``(dest, param, default, value)`` per flag of ``command`` that
+    ``task`` declares; a flag it does not declare must be at its default."""
+    for dest, param, default in _flags(command):
+        value = getattr(args, dest)
+        if param.name in PARAMS[task]:
+            yield dest, param, default, value
+        elif value != default:
+            raise ParameterError(f"--{dest.replace('_', '-')} does not apply "
+                                 f"to {task} cells")
+
 
 def build_parser() -> argparse.ArgumentParser:
     """Construct the argument parser (exposed for tests and docs)."""
@@ -61,14 +133,6 @@ def build_parser() -> argparse.ArgumentParser:
         description="Balance Sort (Nodine & Vitter, SPAA'93) — simulators and sorts",
     )
     sub = parser.add_subparsers(dest="command", required=True)
-
-    def add_machine_args(p):
-        p.add_argument("--n", type=int, default=20_000, help="records to sort")
-        p.add_argument("--memory", type=int, default=1024, help="M: records in internal memory")
-        p.add_argument("--block", type=int, default=4, help="B: records per block")
-        p.add_argument("--disks", type=int, default=8, help="D: number of disks")
-        p.add_argument("--workload", default="uniform", choices=sorted(workloads.GENERATORS))
-        p.add_argument("--seed", type=int, default=0)
 
     def add_obs_args(p):
         p.add_argument(
@@ -81,24 +145,9 @@ def build_parser() -> argparse.ArgumentParser:
             help="stream the span/event trace to a JSONL file (see `repro report`)",
         )
 
-    def add_sort_args(p):
-        p.add_argument("--matcher", default="derandomized", choices=MATCHERS)
-        p.add_argument("--processors", type=int, default=1, help="[pdm] P: CPUs")
-        p.add_argument("--buckets", type=int, default=None, help="[pdm] override S")
-        p.add_argument("--virtual-disks", type=int, default=None,
-                       help="[pdm] override D'")
-
-    def add_hierarchy_args(p):
-        p.add_argument("--h", type=int, default=64, help="H: number of hierarchies")
-        p.add_argument("--model", default="hmm", choices=["hmm", "bt", "umh"])
-        p.add_argument("--cost", default="log",
-                       help="'log', 'umh', or a float exponent alpha for x^alpha")
-        p.add_argument("--interconnect", default="pram", choices=["pram", "hypercube"])
-
     p_sort = sub.add_parser("sort", help="Balance Sort on the parallel disk model")
-    add_machine_args(p_sort)
+    _add_task_flags(p_sort, "sort")
     add_obs_args(p_sort)
-    add_sort_args(p_sort)
     p_sort.add_argument(
         "-q", "--quiet", action="store_true",
         help="suppress informational stderr chatter (the [io-plan] "
@@ -107,48 +156,21 @@ def build_parser() -> argparse.ArgumentParser:
     )
 
     p_cmp = sub.add_parser("compare", help="all four PDM algorithms side by side")
-    add_machine_args(p_cmp)
+    _add_task_flags(p_cmp, "compare")
     add_obs_args(p_cmp)
 
     p_h = sub.add_parser("hierarchy", help="Balance Sort on P-HMM / P-BT / P-UMH")
-    p_h.add_argument("--n", type=int, default=8_000)
-    add_hierarchy_args(p_h)
-    p_h.add_argument("--workload", default="uniform", choices=sorted(workloads.GENERATORS))
-    p_h.add_argument("--seed", type=int, default=0)
+    _add_task_flags(p_h, "hierarchy")
     add_obs_args(p_h)
 
     def add_grid_args(p):
-        """The sweep-grid surface, shared by ``sweep`` and ``bench record``."""
+        """The sweep-grid surface, shared by ``sweep``, ``submit`` and
+        ``bench record``."""
         p.add_argument(
-            "--task", default="sort", choices=["sort", "compare", "hierarchy"],
+            "--task", default="sort", choices=list(_TASK_OF),
             help="which registered task each grid cell runs",
         )
-        for name, default, help_text in [
-            ("--n", "8000", "records to sort (comma list sweeps the axis)"),
-            ("--memory", "512", "M: records in internal memory (comma list)"),
-            ("--block", "4", "B: records per block (comma list)"),
-            ("--disks", "8", "D: number of disks (comma list)"),
-            ("--seed", "0", "workload seed (comma list)"),
-        ]:
-            p.add_argument(name, default=default, help=help_text)
-        p.add_argument("--workload", default="uniform",
-                       help="workload generator name (comma list)")
-        p.add_argument("--matcher", default="derandomized",
-                       help="[sort] rebalancing matcher (comma list)")
-        p.add_argument("--buckets", type=int, default=None, help="[sort] override S")
-        p.add_argument("--virtual-disks", type=int, default=None,
-                       help="[sort/compare balance] override D'")
-        p.add_argument("--verify", action="store_true",
-                       help="[sort] verify each cell's output (extra reads)")
-        p.add_argument("--algorithms", default="balance,greed,randomized,striped",
-                       help="[compare] algorithms to run (comma list)")
-        p.add_argument("--h", default="64", help="[hierarchy] H (comma list)")
-        p.add_argument("--model", default="hmm",
-                       help="[hierarchy] hmm/bt/umh (comma list)")
-        p.add_argument("--cost", default="log",
-                       help="[hierarchy] 'log', 'umh', or a float exponent")
-        p.add_argument("--interconnect", default="pram",
-                       help="[hierarchy] pram/hypercube (comma list)")
+        _add_task_flags(p, "grid")
         p.add_argument(
             "--jobs", type=int, default=None,
             help="worker processes (default: serial; 0/1 = serial in-process)",
@@ -350,9 +372,7 @@ def build_parser() -> argparse.ArgumentParser:
              "(Theorems 1-4, Invariants 1 & 2); exit 1 on any violation",
     )
     p_audit.add_argument("--target", default="pdm", choices=["pdm", "hierarchy"])
-    add_machine_args(p_audit)
-    add_sort_args(p_audit)
-    add_hierarchy_args(p_audit)
+    _add_task_flags(p_audit, "audit")
     p_audit.add_argument(
         "--theorem4-limit", type=float, default=2.0,
         help="max allowed read-parallelism balance factor (Theorem 4; default 2.0)",
@@ -633,10 +653,10 @@ def _emit(args, obs: Observation | None, command: str, result: dict) -> bool:
 
 def _run(args, obs: Observation | None) -> tuple[str, list[dict]]:
     """Run the cells :func:`_run_spec` builds under ``obs``: (task, results)."""
-    from .exec import get_task
+    from .exec import get_task, read_params
 
     task, cells = _run_spec(args)
-    return task, [get_task(task)(params, obs) for params in cells]
+    return task, [get_task(task)(read_params(task, params), obs) for params in cells]
 
 
 def cmd_sort(args) -> int:
@@ -775,74 +795,32 @@ def _sweep_specs(args) -> tuple[str, list]:
     """Build the (task name, RunSpec list) for a ``repro sweep`` grid."""
     from .exec import RunSpec, grid
 
-    common = dict(
-        workload=_axis(args, "workload"),
-        n=_axis(args, "n", int),
-        memory=_axis(args, "memory", int),
-        block=_axis(args, "block", int),
-        disks=_axis(args, "disks", int),
-        seed=_axis(args, "seed", int),
-    )
-    if args.task == "sort":
-        cells = grid(**common, matcher=_axis(args, "matcher"))
-        for cell in cells:
-            if args.buckets is not None:
-                cell["buckets"] = args.buckets
-            if args.virtual_disks is not None:
-                cell["virtual_disks"] = args.virtual_disks
-            if args.verify:
-                cell["verify"] = True
-        return "sort_pdm", [RunSpec("sort_pdm", c) for c in cells]
-    if args.task == "compare":
-        cells = grid(algorithm=_axis(args, "algorithms"), **common)
-        for cell in cells:
-            if cell["algorithm"] == "balance":
-                if args.buckets is not None:
-                    cell["buckets"] = args.buckets
-                if args.virtual_disks is not None:
-                    cell["virtual_disks"] = args.virtual_disks
-        return "compare_pdm", [RunSpec("compare_pdm", c) for c in cells]
-    cells = grid(
-        model=_axis(args, "model"),
-        cost=_axis(args, "cost"),
-        interconnect=_axis(args, "interconnect"),
-        h=_axis(args, "h", int),
-        n=common["n"],
-        workload=common["workload"],
-        seed=common["seed"],
-    )
-    return "hierarchy_sort", [RunSpec("hierarchy_sort", c) for c in cells]
+    task = _TASK_OF[args.task]
+    table = PARAMS[task]
+    axes = dict.fromkeys(_GRID_AXES[task])
+    for dest, param, default, value in _task_flags(args, "grid", task):
+        if param.name in axes or value != default:
+            axes[param.name] = (
+                _axis(args, dest, int if param.type is int else str)
+                if isinstance(default, str) else value
+            )
+    cells = [{k: v for k, v in cell.items() if table[k].applies(cell)}
+             for cell in grid(**axes)]
+    return task, [RunSpec(task, c) for c in cells]
 
 
+#: Each task's grid-table columns: a param, or ``(header, result key,
+#: digits to round to)``.
 _SWEEP_COLUMNS = {
-    "sort_pdm": (
-        ["workload", "n", "memory", "block", "disks", "seed", "matcher",
-         "ios", "bound", "ratio", "depth", "balance", "cached"],
-        lambda p, r, cached: [
-            p["workload"], p["n"], p["memory"], p["block"], p["disks"],
-            p["seed"], p.get("matcher", "derandomized"), r["parallel_ios"],
-            r["theorem1_bound"], round(r["ratio"], 2), r["recursion_depth"],
-            round(r["balance_factor"], 2), cached,
-        ],
-    ),
-    "compare_pdm": (
-        ["algorithm", "workload", "n", "memory", "block", "disks", "seed",
-         "ios", "ratio", "cached"],
-        lambda p, r, cached: [
-            r["algorithm"], p["workload"], p["n"], p["memory"], p["block"],
-            p["disks"], p["seed"], r["parallel_ios"], round(r["ratio"], 2),
-            cached,
-        ],
-    ),
-    "hierarchy_sort": (
-        ["model", "cost", "h", "n", "workload", "seed", "total time",
-         "steps", "balance", "cached"],
-        lambda p, r, cached: [
-            r["model"], p.get("cost", "log"), p["h"], p["n"], p["workload"],
-            p["seed"], round(r["total_time"], 1), r["parallel_steps"],
-            round(r["balance_factor"], 2), cached,
-        ],
-    ),
+    "sort_pdm": ("workload", "n", "memory", "block", "disks", "seed", "matcher",
+                 ("ios", "parallel_ios", None), ("bound", "theorem1_bound", None),
+                 ("ratio", "ratio", 2), ("depth", "recursion_depth", None),
+                 ("balance", "balance_factor", 2)),
+    "compare_pdm": ("algorithm", "workload", "n", "memory", "block", "disks", "seed",
+                    ("ios", "parallel_ios", None), ("ratio", "ratio", 2)),
+    "hierarchy_sort": ("model", "cost", "h", "n", "workload", "seed",
+                       ("total time", "total_time", 1), ("steps", "parallel_steps", None),
+                       ("balance", "balance_factor", 2)),
 }
 
 
@@ -1048,7 +1026,7 @@ def _grid_output(
     to stdout, the grid table and a failures table follow, counting
     ``unit``.
     """
-    from .exec import merge_metrics, merge_trace_events, write_merged_trace
+    from .exec import merge_metrics, merge_trace_events, read_params, write_merged_trace
 
     if args.trace_out or args.emit_json:
         events = merge_trace_events(payloads)
@@ -1070,10 +1048,14 @@ def _grid_output(
         )
         if report.write(args.emit_json):
             return
-    columns, row_fn = _SWEEP_COLUMNS[task]
-    t = Table(columns, title=f"{command} · {task} · {n_cells} {unit}")
+    columns = _SWEEP_COLUMNS[task]
+    t = Table([c if isinstance(c, str) else c[0] for c in columns] + ["cached"],
+              title=f"{command} · {task} · {n_cells} {unit}")
     for row in rows:
-        t.add(*row_fn(row["params"], row, row["cached"]))
+        params = read_params(task, row["params"])
+        t.add(*(params[c] if isinstance(c, str) else
+                row[c[1]] if c[2] is None else round(row[c[1]], c[2])
+                for c in columns), row["cached"])
     t.print()
     if failures:
         ft = Table(
@@ -1228,7 +1210,8 @@ def cmd_serve(args) -> int:
         asyncio.run(_serve())
     except KeyboardInterrupt:  # pragma: no cover - signal handler races
         pass
-    runner.close()
+    finally:
+        runner.close()
     stats = service.stats()
     if service.resumed:
         print(f"[serve] resumed {service.resumed} journalled jobs", file=sys.stderr)
@@ -1589,7 +1572,7 @@ def cmd_bench(args) -> int:
                 )
                 return 3
             seconds = elapsed if seconds is None else min(seconds, elapsed)
-        records = sum(int(spec.params.get("n", 0)) for spec in specs)
+        records = sum(spec.params["n"] for spec in specs)
         entry = make_entry(
             args.series,
             seconds,
@@ -1937,33 +1920,25 @@ def cmd_workloads(_args) -> int:
 
 def _run_spec(args) -> tuple[str, list[dict]]:
     """The ``(task, cells)`` a single run checks and then runs: one cell,
-    or one per algorithm for ``compare``; every cell verifies its output."""
-    from .exec.tasks import ALGORITHMS
-
-    sample = {"workload": args.workload, "seed": args.seed, "verify": True}
-    if "hierarchy" in (args.command, getattr(args, "target", None)):
-        cell = {"n": args.n, "h": args.h, "model": args.model, "cost": args.cost,
-                "interconnect": args.interconnect, **sample}
-        if args.command == "audit":  # the auditor observes; nothing raises
-            cell.update(matcher=args.matcher, check_invariants=False)
-        return "hierarchy_sort", [cell]
-    machine = {"n": args.n, "memory": args.memory, "block": args.block,
-               "disks": args.disks, **sample}
-    if args.command == "compare":
-        return "compare_pdm", [{"algorithm": a, **machine} for a in ALGORITHMS]
-    cell = {**machine, "processors": args.processors, "matcher": args.matcher,
-            "check_invariants": args.command == "sort"}
-    for key in ("buckets", "virtual_disks"):
-        if getattr(args, key) is not None:
-            cell[key] = getattr(args, key)
-    return "sort_pdm", [cell]
+    or one per algorithm for ``compare``."""
+    command = args.command
+    if command == "audit":
+        task = "hierarchy_sort" if args.target == "hierarchy" else "sort_pdm"
+    else:
+        task = _TASK_OF[command]
+    cell = {param.name: value for _, param, _, value in _task_flags(args, command, task)}
+    cell.update((k, v) for k, v in _OVERRIDES[command].items()
+                if k in PARAMS[task] and k not in cell)
+    if task == "compare_pdm":
+        return task, [{"algorithm": a, **cell} for a in ALGORITHMS]
+    return task, [cell]
 
 
 def _usage_error(args) -> str | None:
     """The first thing a command cannot run with, as one line; else None:
     a runner, service, ``--bins``, ``--min-of`` or ``top --interval``
-    value no run can use, a bad ``--cost`` named as such, or a cell
-    :func:`repro.exec.check_spec` refuses."""
+    value no run can use, a task flag the chosen task does not take, or
+    a cell :func:`repro.exec.check_spec` refuses."""
     bench_record = getattr(args, "bench_command", None) == "record"
     if args.command == "profile" and args.bins < 1:
         return f"--bins must be >= 1, got {args.bins}"
@@ -1994,8 +1969,6 @@ def _usage_error(args) -> str | None:
             return None
         from .exec import check_spec
 
-        for cost in dict.fromkeys(cell["cost"] for cell in cells if "cost" in cell):
-            well_behaved(cost)
         for index, cell in enumerate(cells):
             try:
                 check_spec(task, cell)

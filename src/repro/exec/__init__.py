@@ -12,9 +12,9 @@ package turns that shape into throughput without giving up determinism:
   run cache (config fingerprint → payload JSON) so repeated grid cells
   are served without re-simulating;
 * :mod:`~repro.exec.tasks` — the registered task functions
-  (``sort_pdm``, ``compare_pdm``, ``hierarchy_sort``), each executed
-  under a zero-clock observation so payloads are pure functions of their
-  params;
+  (``sort_pdm``, ``compare_pdm``, ``hierarchy_sort``) and their
+  parameter tables, each executed under a zero-clock observation so
+  payloads are pure functions of their params;
 * :mod:`~repro.exec.merge` — fold per-run metrics/traces back into one
   :class:`~repro.obs.MetricsRegistry` / one JSONL trace, keeping the
   ``repro.run_report/1`` schema stable.
@@ -46,7 +46,7 @@ from .runner import (
     default_jobs,
     grid,
 )
-from .tasks import check_spec, get_task, run_task, task, task_names
+from .tasks import check_spec, get_task, read_params, run_task, task, task_names
 
 __all__ = [
     "CACHE_ENTRY_SCHEMA",
@@ -72,5 +72,6 @@ __all__ = [
     "task",
     "task_names",
     "check_spec",
+    "read_params",
     "check_runner_options",
 ]

@@ -16,11 +16,12 @@ Integrity (schema ``repro.cache_entry/1``)
 ------------------------------------------
 On-disk entries are wrapped as ``{"schema", "sha256", "payload"}`` where
 ``sha256`` digests the canonical JSON of the payload.  A read that finds
-unparseable JSON, a missing wrapper field, or a digest mismatch
-**quarantines** the file (rename to ``<key>.json.quarantine``), bumps the
-``corrupt`` counter, and reports a miss — so bit rot (or an injected
-``cache.entry`` fault) costs one re-execution, never a wrong result.
-Legacy bare-payload entries (no wrapper) are still accepted.
+unparseable JSON, a missing wrapper (a bare payload), a digest mismatch,
+or a payload that fails the payload shape check
+(:func:`~repro.exec.tasks.payload_ok`) **quarantines** the file (rename
+to ``<key>.json.quarantine``), bumps the ``corrupt`` counter, and
+reports a miss — so bit rot (or an injected ``cache.entry`` fault) costs
+one re-execution, never a wrong result or a crash.
 """
 
 from __future__ import annotations
@@ -34,6 +35,8 @@ try:  # optional C canonical-JSON encoder (byte-identical, see _speedups.c)
     from .. import _speedups as _speedups
 except ImportError:
     _speedups = None
+
+from .tasks import payload_ok
 
 __all__ = ["ResultCache", "CACHE_ENTRY_SCHEMA", "payload_digest"]
 
@@ -102,14 +105,12 @@ class ResultCache:
             # entry is damaged and gets quarantined.
             self._quarantine(key, obs)
             return None
-        if not isinstance(doc, dict):
-            self._quarantine(key, obs)
-            return None
-        if doc.get("schema") != CACHE_ENTRY_SCHEMA:
-            # Legacy bare payload (pre-integrity format): accept as-is.
-            return doc
-        payload = doc.get("payload")
-        if not isinstance(payload, dict) or payload_digest(payload) != doc.get("sha256"):
+        payload = doc.get("payload") if isinstance(doc, dict) else None
+        if (
+            not payload_ok(payload)
+            or doc.get("schema") != CACHE_ENTRY_SCHEMA
+            or payload_digest(payload) != doc.get("sha256")
+        ):
             self._quarantine(key, obs)
             return None
         return payload

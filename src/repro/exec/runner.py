@@ -78,8 +78,8 @@ from ..pdm.machine import (
 )
 from ..resilience import FaultInjector, activate, exec_decision, grid_fingerprint
 from .cache import ResultCache
-from .fingerprint import SCHEMA_SALT, fingerprint
-from .tasks import run_task
+from .fingerprint import fingerprint
+from .tasks import payload_ok, run_task
 
 __all__ = [
     "RunSpec",
@@ -295,18 +295,6 @@ def _payload_rounds(payload: dict) -> int:
             elif ev == "event":
                 rounds += 1
     return rounds
-
-
-def _validate_payload(payload, task: str) -> None:
-    """Schema/shape check on a worker's payload (poison detection)."""
-    if (
-        not isinstance(payload, dict)
-        or payload.get("schema") != SCHEMA_SALT
-        or "result" not in payload
-    ):
-        raise PoisonedPayloadError(
-            f"worker returned an invalid payload for task {task!r}"
-        )
 
 
 def default_jobs() -> int:
@@ -872,7 +860,10 @@ class JobRunner:
                             "ledger_high_water_records", "peak_rss_kb",
                         ) if k in mem},
                     )
-        _validate_payload(payload, task)
+        if not payload_ok(payload):  # poison detection
+            raise PoisonedPayloadError(
+                f"worker returned an invalid payload for task {task!r}"
+            )
         return payload
 
     def _pick_locked(self, now: float) -> Job | None:

@@ -40,6 +40,8 @@ from .cost import CostFunction, LogCost
 from .hmm import HMM
 
 __all__ = [
+    "INTERCONNECTS",
+    "MODELS",
     "ParallelHierarchies",
     "VirtualHierarchies",
     "VirtualBlockAddress",
@@ -68,6 +70,11 @@ class VirtualBlockAddress(NamedTuple):
     slot: int
 
 
+#: The hierarchy kinds (Figure 3) and base-level interconnects.
+MODELS = ("hmm", "bt", "umh")
+INTERCONNECTS = ("pram", "hypercube")
+
+
 class ParallelHierarchies:
     """H hierarchies of one kind with an interconnect at the base level."""
 
@@ -80,10 +87,10 @@ class ParallelHierarchies:
     ):
         if h < 1:
             raise ParameterError("H must be >= 1")
-        if model not in ("hmm", "bt", "umh"):
-            raise ParameterError(f"model must be 'hmm', 'bt' or 'umh', got {model!r}")
-        if interconnect not in ("pram", "hypercube"):
-            raise ParameterError(f"interconnect must be 'pram' or 'hypercube'")
+        if model not in MODELS:
+            raise ParameterError(f"model must be one of {MODELS}, got {model!r}")
+        if interconnect not in INTERCONNECTS:
+            raise ParameterError(f"interconnect must be one of {INTERCONNECTS}")
         self.h = int(h)
         self.model = model
         if model == "umh" and cost_fn is None:

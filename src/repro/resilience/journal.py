@@ -26,6 +26,8 @@ import json
 import os
 from typing import Iterable, Sequence
 
+from ..exceptions import InputError
+
 __all__ = ["SweepJournal", "JOURNAL_SCHEMA", "grid_fingerprint"]
 
 JOURNAL_SCHEMA = "repro.journal/1"
@@ -42,9 +44,12 @@ class SweepJournal:
 
     def __init__(self, directory: str):
         self.directory = directory
+        if os.path.exists(directory) and not os.path.isdir(directory):
+            raise InputError(f"journal {directory}: not a directory")
         os.makedirs(directory, exist_ok=True)
         self.path = os.path.join(directory, "journal.jsonl")
         self.cells_dir = os.path.join(directory, "cells")
+        self.read()  # a malformed journal is refused before anything uses it
         #: Cells recorded done / failed *by this session*.
         self.recorded_done = 0
         self.recorded_failed = 0
@@ -106,10 +111,11 @@ class SweepJournal:
     # ------------------------------------------------------------- reading
 
     def read(self) -> list[dict]:
-        """All journal records; a torn final line (SIGKILL) is forgiven."""
+        """All journal records; a torn final line (SIGKILL) is forgiven,
+        any other line that is not a JSON object is an ``InputError``."""
         if not os.path.exists(self.path):
             return []
-        with open(self.path) as fh:
+        with open(self.path, encoding="utf-8", errors="replace") as fh:
             lines = fh.readlines()
         records = []
         for i, line in enumerate(lines, 1):
@@ -117,11 +123,14 @@ class SweepJournal:
             if not line:
                 continue
             try:
-                records.append(json.loads(line))
+                record = json.loads(line)
             except json.JSONDecodeError:
                 if i == len(lines):
                     break  # torn tail of a killed sweep
-                raise ValueError(f"bad journal line {i} in {self.path}") from None
+                record = None
+            if not isinstance(record, dict):
+                raise InputError(f"bad journal line {i} in {self.path}: not a JSON object")
+            records.append(record)
         return records
 
     def completed(self) -> dict[str, str]:

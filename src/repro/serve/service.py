@@ -255,11 +255,7 @@ class SortService:
                 "submit", "bad_request", f"bad spec: {type(exc).__name__}: {exc}"
             )
         spec = RunSpec(task, params)
-        try:
-            key = spec.fingerprint()
-        except (TypeError, ValueError) as exc:
-            self._count("bad_requests")
-            return reject("submit", "bad_request", f"unfingerprintable params: {exc}")
+        key = spec.fingerprint()
         tenant = self._tenant(doc)
         self._count("submitted")
         self._tenant_count(tenant, "submitted")

@@ -1,5 +1,8 @@
 """Tests for the command-line interface."""
 
+import json
+import re
+
 import pytest
 
 from repro.cli import build_parser, main
@@ -253,6 +256,26 @@ class TestSweepExitCodes:
         for knob in ("fault_plan", "retries", "journal", "resume"):
             assert knob not in report["params"]
 
+    def test_misshapen_cache_entry_reexecutes(self, tmp_path, capsys):
+        """A cache entry whose digest matches but whose payload has the
+        wrong shape is quarantined and the cell re-executed, not served."""
+        import json
+
+        from repro.exec import payload_digest
+
+        argv = self.ARGS + ["--cache-dir", str(tmp_path)]
+        assert main(argv) == 0
+        table = capsys.readouterr().out
+        (entry,) = tmp_path.glob("*.json")
+        doc = json.loads(entry.read_text())
+        doc["payload"]["result"] = 5
+        doc["sha256"] = payload_digest(doc["payload"])
+        entry.write_text(json.dumps(doc))
+        assert main(argv) == 0
+        cap = capsys.readouterr()
+        assert cap.out == table
+        assert "executed=1" in cap.err and "corrupt=1" in cap.err
+
     def test_journal_resume_warm_sweep(self, tmp_path, capsys):
         jdir = str(tmp_path / "j")
         assert main(self.ARGS + ["--journal", jdir]) == 0
@@ -297,6 +320,10 @@ class TestBadShapes:
         ["audit", "--target", "hierarchy", "--h", "0"],
         ["hierarchy", "--h", "0"],
         ["hierarchy", "--n", "-5"],
+        ["sort", "--n", "500", "--disks", "4", "--seed", "-1"],
+        ["compare", "--seed", "-1"],
+        ["hierarchy", "--seed", "-1"],
+        ["audit", "--target", "hierarchy", "--seed", "-1"],
     ], ids=lambda argv: "_".join(argv).replace("--", ""))
     def test_bad_shape_exits_two(self, argv, capsys):
         assert main(argv) == 2
@@ -378,8 +405,9 @@ class TestBadGridShapes:
 
 
 class TestBadCost:
-    """A bad ``--cost`` is a usage error: exit 2 with one stderr line,
-    checked before anything runs or connects."""
+    """A bad ``--cost`` is a usage error: exit 2 with one stderr line
+    naming the cell, checked before anything runs or connects (the
+    table's cost rule, like every other rule)."""
 
     HIER = ["--n", "900", "--h", "16"]
 
@@ -393,11 +421,14 @@ class TestBadCost:
     ], ids=["hierarchy", "hierarchy-negative", "audit", "sweep", "sweep-list",
             "submit"])
     def test_bad_cost_exits_two(self, argv, capsys):
+        import re
+
         assert main(argv) == 2
         cap = capsys.readouterr()
         assert cap.out == ""
         (line,) = cap.err.strip().splitlines()
-        assert line.startswith("repro: error: bad cost spec")
+        assert re.match(r"repro: error: cell \d+ \(hierarchy_sort .*\): "
+                        r"bad cost spec ", line), line
 
     def test_numeric_string_cost_runs(self, capsys):
         assert main(["hierarchy", *self.HIER, "--model", "bt", "--cost", "0.5"]) == 0
@@ -493,6 +524,51 @@ class TestOneRunPath:
         assert built == [True]
 
 
+# ------------------------------------------------ grid flags reach the cells
+
+
+class TestGridFlags:
+    """A grid flag the chosen task declares reaches every cell; flags
+    left at their defaults add nothing to a cell."""
+
+    @staticmethod
+    def _rows(argv, capsys):
+        assert main([*argv, "--emit-json", "-"]) == 0
+        return json.loads(capsys.readouterr().out)["result"]["rows"]
+
+    def test_hierarchy_cells_run_the_matcher_they_name(self, capsys):
+        from repro.exec import run_task
+
+        (row,) = self._rows(["sweep", "--task", "hierarchy", "--n", "2000",
+                             "--h", "64", "--matcher", "randomized"], capsys)
+        cell = {"model": "hmm", "cost": "log", "interconnect": "pram",
+                "h": 64, "n": 2000, "workload": "uniform", "seed": 0,
+                "matcher": "randomized"}
+        assert row.pop("params") == cell and row.pop("cached") is False
+        assert row == run_task("hierarchy_sort", cell)["result"]
+        default = {k: v for k, v in cell.items() if k != "matcher"}
+        assert row != run_task("hierarchy_sort", default)["result"]
+
+    @pytest.mark.parametrize("task, shape", [
+        ("sort", ["--disks", "4"]),
+        ("compare", ["--disks", "4"]),
+        ("hierarchy", ["--h", "16"]),
+    ])
+    def test_verify_reaches_every_cell(self, task, shape, capsys):
+        rows = self._rows(["sweep", "--task", task, "--n", "600", *shape,
+                           "--verify"], capsys)
+        assert rows and all(row["params"]["verify"] is True for row in rows)
+        assert all(row["verified"] is True for row in rows)
+
+    def test_default_flags_add_nothing(self, capsys):
+        (row,) = self._rows(["sweep", "--task", "hierarchy", "--n", "600",
+                             "--h", "16", "--matcher", "derandomized",
+                             "--memory", "512"], capsys)
+        assert list(row["params"]) == ["model", "cost", "interconnect", "h",
+                                       "n", "workload", "seed"]
+        assert "verified" not in row
+
+
 # ------------------------------------------------ cells a task would reject
 
 
@@ -514,8 +590,12 @@ class TestBadCells:
         ["sweep", *GRID, "--virtual-disks", "0"],
         ["bench", "record", "--series", "s", *GRID, "--workload", "nope"],
         ["submit", "--port", "1", *GRID, "--workload", "nope"],
+        ["sweep", *GRID, "--seed", "-1"],
+        ["sweep", "--n", "500", "--task", "hierarchy", "--seed", "-1"],
+        ["submit", "--port", "1", *GRID, "--seed", "-1"],
     ], ids=["workload", "matcher", "algorithm", "hierarchy-workload",
-            "buckets", "virtual-disks", "bench-record", "submit"])
+            "buckets", "virtual-disks", "bench-record", "submit", "seed",
+            "hierarchy-seed", "submit-seed"])
     def test_bad_grid_cell_exits_two(self, argv, tmp_path, capsys):
         ledger = tmp_path / "ledger.jsonl"
         if argv[0] == "bench":
@@ -525,6 +605,39 @@ class TestBadCells:
         assert cap.out == ""
         (line,) = cap.err.strip().splitlines()
         assert line.startswith("repro: error: cell 0 (")
+        assert not ledger.exists()
+
+    @pytest.mark.parametrize("argv, flag, task", [
+        (["sweep", *GRID, "--h", "8"], "--h", "sort_pdm"),
+        (["sweep", *GRID, "--h", "8", "--model", "bt"], "--h", "sort_pdm"),
+        (["sweep", "--n", "500", "--task", "hierarchy", "--h", "8",
+          "--memory", "1024"], "--memory", "hierarchy_sort"),
+        (["sweep", *GRID, "--task", "compare", "--matcher", "randomized"],
+         "--matcher", "compare_pdm"),
+        (["sweep", *GRID, "--algorithms", "greed"], "--algorithms", "sort_pdm"),
+        (["submit", "--port", "1", *GRID, "--model", "bt"], "--model", "sort_pdm"),
+        (["bench", "record", "--series", "s", *GRID, "--cost", "0.5"],
+         "--cost", "sort_pdm"),
+        (["audit", "--target", "hierarchy", "--memory", "64"],
+         "--memory", "hierarchy_sort"),
+        (["audit", "--target", "hierarchy", "--memory", "64", "--buckets", "3"],
+         "--memory", "hierarchy_sort"),
+        (["audit", "--h", "8"], "--h", "sort_pdm"),
+    ], ids=["sweep-h", "sweep-h-model", "hierarchy-memory", "compare-matcher",
+            "sort-algorithms", "submit-model", "bench-cost", "audit-memory",
+            "audit-memory-buckets", "audit-pdm-h"])
+    def test_flag_the_task_does_not_take_exits_two(self, argv, flag, task,
+                                                    tmp_path, capsys):
+        """A task flag the chosen task does not declare is refused, not
+        dropped, unless it is left at its default."""
+        ledger = tmp_path / "ledger.jsonl"
+        if argv[0] == "bench":
+            argv = [*argv, "--ledger", str(ledger)]
+        assert main(argv) == 2
+        cap = capsys.readouterr()
+        assert cap.out == ""
+        assert cap.err.strip().splitlines() == [
+            f"repro: error: {flag} does not apply to {task} cells"]
         assert not ledger.exists()
 
     @pytest.mark.parametrize("command", ["sort", "audit"])
@@ -668,6 +781,9 @@ class TestUnreadableInputs:
         (tmp_path / "tel.jsonl").write_text(
             '{"ev": "cell_finish", "ts": 1, "src": "runner", "key": "k", '
             '"cached": false, "failed": false, "seconds": "abc"}\n')
+        (tmp_path / "journal").mkdir()
+        (tmp_path / "journal" / "journal.jsonl").write_text(
+            'not json\n{"ev": "cell", "key": "k", "status": "done"}\n')
         monkeypatch.chdir(tmp_path)
         return tmp_path
 
@@ -689,8 +805,17 @@ class TestUnreadableInputs:
         (["profile", "wall.jsonl"], "wall.jsonl"),
         (["report", "width.jsonl"], "width.jsonl"),
         (["profile", "width.jsonl"], "width.jsonl"),
+        (["sweep", "--n", "500", "--disks", "4", "--journal", "doc.json"],
+         "doc.json"),
+        (["serve", "--journal", "doc.json"], "doc.json"),
+        (["sweep", "--n", "500", "--disks", "4", "--journal", "journal",
+          "--resume"], "journal/journal.jsonl"),
+        (["serve", "--journal", "journal", "--resume"], "journal/journal.jsonl"),
+        (["serve", "--journal", "journal"], "journal/journal.jsonl"),
     ], ids=lambda v: "_".join(v) if isinstance(v, list) else None)
-    def test_unreadable_input_exits_two(self, argv, named, files, capsys):
+    def test_unreadable_input_exits_two(self, argv, named, files, capsys,
+                                        monkeypatch):
+        TestBadCells._never_listen(monkeypatch)
         assert main(argv) == 2
         cap = capsys.readouterr()
         assert cap.out == ""

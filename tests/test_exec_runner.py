@@ -14,6 +14,7 @@ import numpy as np
 import pytest
 
 from repro.exec import (
+    SCHEMA_SALT,
     ParallelRunner,
     ResultCache,
     RunSpec,
@@ -96,10 +97,13 @@ class TestResultCache:
         assert c.stats["hits"] == 1 and c.stats["misses"] == 1
 
     def test_directory_persists_across_instances(self, tmp_path):
+        # An on-disk entry must hold a well-formed payload to be served.
+        payload = {"schema": SCHEMA_SALT, "task": "t", "params": {},
+                   "result": {"x": [1, 2]}, "metrics": {}, "trace": []}
         c1 = ResultCache(str(tmp_path))
-        c1.put("deadbeef", {"x": [1, 2]})
+        c1.put("deadbeef", payload)
         c2 = ResultCache(str(tmp_path))
-        assert c2.get("deadbeef") == {"x": [1, 2]}
+        assert c2.get("deadbeef") == payload
 
     def test_corrupt_entry_is_a_miss(self, tmp_path):
         c = ResultCache(str(tmp_path))

@@ -15,7 +15,14 @@ import os
 import pytest
 
 from repro.exceptions import InjectedIOError, ParameterError
-from repro.exec import JobRunner, ParallelRunner, ResultCache, RunSpec, payload_digest
+from repro.exec import (
+    SCHEMA_SALT,
+    JobRunner,
+    ParallelRunner,
+    ResultCache,
+    RunSpec,
+    payload_digest,
+)
 from repro.exec.runner import FAILURES_SCHEMA
 from repro.obs import Observation
 from repro.resilience import (
@@ -577,7 +584,8 @@ class TestRebuildRule:
 
 
 class TestCacheIntegrity:
-    PAYLOAD = {"schema": "x", "result": {"v": 1}}
+    PAYLOAD = {"schema": SCHEMA_SALT, "task": "t", "params": {},
+               "result": {"v": 1}, "metrics": {}, "trace": []}
 
     def test_wrapped_entry_round_trips(self, tmp_path):
         cache = ResultCache(str(tmp_path))
@@ -609,11 +617,31 @@ class TestCacheIntegrity:
         assert cache.corrupt == 1
         assert (tmp_path / "k2.json.quarantine").exists()
 
-    def test_legacy_bare_payload_accepted(self, tmp_path):
+    def test_bare_payload_quarantined(self, tmp_path):
+        """Every entry is written wrapped: an unwrapped payload is damage."""
         (tmp_path / "k3.json").write_text(json.dumps(self.PAYLOAD))
         cache = ResultCache(str(tmp_path))
-        assert cache.get("k3") == self.PAYLOAD
-        assert cache.corrupt == 0
+        assert cache.get("k3") is None
+        assert cache.corrupt == 1 and cache.misses == 1
+        assert (tmp_path / "k3.json.quarantine").exists()
+
+    @pytest.mark.parametrize("field, value", [
+        ("result", 5), ("params", []), ("metrics", None), ("trace", {}),
+        ("task", 7), ("schema", "repro.exec_payload/1"),
+    ])
+    def test_misshapen_payload_quarantined(self, field, value, tmp_path):
+        """A wrapped entry whose digest matches but whose payload has the
+        wrong shape is a miss, never a hit that crashes its reader."""
+        payload = {**self.PAYLOAD, field: value}
+        (tmp_path / "k5.json").write_text(json.dumps({
+            "schema": "repro.cache_entry/1",
+            "sha256": payload_digest(payload),
+            "payload": payload,
+        }))
+        cache = ResultCache(str(tmp_path))
+        assert cache.get("k5") is None
+        assert cache.corrupt == 1 and cache.misses == 1
+        assert (tmp_path / "k5.json.quarantine").exists()
 
     def test_quarantine_emits_obs(self, tmp_path):
         (tmp_path / "k4.json").write_text("[]")

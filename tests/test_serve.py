@@ -445,27 +445,43 @@ class TestServiceEndToEnd:
                 if rec.get("ev") == "job"] == []
 
     def test_unknown_names_are_bad_requests(self, tmp_path):
-        """A workload, matcher or algorithm the task does not know, or an
-        explicit ``buckets`` < 2, is refused at admission, never run."""
+        """A workload, matcher or algorithm the task does not know, an
+        explicit ``buckets`` < 2, a key the task does not declare, a value
+        of the wrong type, a negative seed, or an algorithm-specific param
+        on another algorithm is refused at admission, naming the key,
+        never run."""
         j = SweepJournal(str(tmp_path / "j"))
         runner = JobRunner(jobs=0, journal=j, cache_dir=j.cells_dir)
         svc = service(runner, journal=j)
         thread = serve_in_thread(svc)
         probes = (
-            ("sort_pdm", {"n": 100, "workload": "nope"}),
-            ("sort_pdm", {"n": 100, "matcher": "nope"}),
-            ("sort_pdm", {"n": 100, "buckets": 1}),
-            ("compare_pdm", {"n": 100}),
-            ("compare_pdm", {"n": 100, "algorithm": "zzz"}),
-            ("hierarchy_sort", {"n": 100, "h": 16, "workload": "nope"}),
+            ("sort_pdm", {"n": 100, "workload": "nope"}, "workload"),
+            ("sort_pdm", {"n": 100, "matcher": "nope"}, "matcher"),
+            ("sort_pdm", {"n": 100, "buckets": 1}, "buckets"),
+            ("compare_pdm", {"n": 100}, "algorithm"),
+            ("compare_pdm", {"n": 100, "algorithm": "zzz"}, "algorithm"),
+            ("hierarchy_sort", {"n": 100, "h": 16, "workload": "nope"}, "workload"),
+            ("sort_pdm", {"n": 2000, "dsks": 4}, "dsks"),
+            ("sort_pdm", {"n": 2000.7}, "n"),
+            ("sort_pdm", {"n": 100, "memory": "512"}, "memory"),
+            ("sort_pdm", {"n": 100, "verify": "false"}, "verify"),
+            ("sort_pdm", {"n": 100, "check_invariants": "no"}, "check_invariants"),
+            ("sort_pdm", {"n": 100, "seed": -1}, "seed"),
+            ("compare_pdm", {"n": 100, "algorithm": "greed", "virtual_disks": 3},
+             "virtual_disks"),
+            ("compare_pdm", {"n": 100, "algorithm": "balance", "rng_seed": 3},
+             "rng_seed"),
+            ("hierarchy_sort", {"n": 100, "h": 16, "memory": 512}, "memory"),
+            ("hierarchy_sort", {"n": 100, "h": 16, "cost": True}, "cost"),
         )
         try:
             with ServeClient(port=thread.port) as c:
-                for task, params in probes:
+                for task, params, key in probes:
                     r = c.submit(task, params)
                     assert r["schema"] == REJECT_SCHEMA, params
                     assert r["reason"] == "bad_request"
                     assert r["message"].startswith("bad spec: ")
+                    assert key in r["message"], (params, r["message"])
                 serve = c.stats()["stats"]["serve"]
                 assert serve["bad_requests"] == len(probes)
                 assert serve["submitted"] == 0 and serve["admitted"] == 0

@@ -225,3 +225,34 @@ class TestFusedReads:
     def test_matches_round_at_a_time(self, model, cost):
         fused = self._run("fused", model, cost, h=27)
         assert fused["steps"] and fused == self._run("rounds", model, cost, h=27)
+
+
+class TestTheorem4ReadsTwo:
+    """Why the Theorem-4 factor reads exactly 2.0 on hierarchies.
+
+    With H = 64 (H' = 4) a bucket of at most H' virtual blocks needs one
+    read at best, so one channel holding two of its blocks makes the
+    factor 2.0: every round whose factor is 2.0 gets it that way.
+    Buckets of more than H' blocks peak at 1.5 against their optimum of
+    ceil(blocks / H') reads.
+    """
+
+    @pytest.mark.parametrize("model, cost", [("hmm", "log"), ("bt", "0.5")])
+    def test_factor_two_comes_from_buckets_within_one_read(self, model, cost):
+        rows = []  # (factor, blocks in the bucket, its fullest channel, H')
+
+        def observe(engine, info):
+            x, hp = engine.matrices.X, engine.matrices.n_channels
+            for row in x[x.sum(axis=1) > 0]:
+                total, fullest = int(row.sum()), int(row.max())
+                rows.append((fullest / -(-total // hp), total, fullest, hp))
+
+        obs = Observation()
+        obs.engine_observers.append(observe)
+        m = phmm(64, cost=well_behaved(cost), model=model)
+        res = balance_sort_hierarchy(m, workloads.uniform(8000, seed=0), obs=obs)
+        assert res.max_balance_factor == 2.0
+        assert {hp for *_, hp in rows} == {4}
+        twos = [r for r in rows if r[0] == 2.0]
+        assert twos and all(total <= hp and fullest == 2 for _, total, fullest, hp in twos)
+        assert max(f for f, total, _, hp in rows if total > hp) == 1.5
