@@ -49,6 +49,7 @@ from .obs import (
     summarize_trace,
 )
 from .obs.report import write_json
+from .util.env import check_switches
 
 __all__ = ["main", "build_parser"]
 
@@ -1936,9 +1937,14 @@ def _run_spec(args) -> tuple[str, list[dict]]:
 
 def _usage_error(args) -> str | None:
     """The first thing a command cannot run with, as one line; else None:
-    a runner, service, ``--bins``, ``--min-of`` or ``top --interval``
-    value no run can use, a task flag the chosen task does not take, or
-    a cell :func:`repro.exec.check_spec` refuses."""
+    an on/off ``REPRO_*`` variable set to a value no switch takes
+    (:mod:`repro.util.env`), a runner, service, ``--bins``, ``--min-of``
+    or ``top --interval`` value no run can use, a task flag the chosen
+    task does not take, or a cell :func:`repro.exec.check_spec` refuses."""
+    try:
+        check_switches()
+    except ParameterError as exc:
+        return str(exc)
     bench_record = getattr(args, "bench_command", None) == "record"
     if args.command == "profile" and args.bins < 1:
         return f"--bins must be >= 1, got {args.bins}"

@@ -398,10 +398,7 @@ class VirtualHierarchies:
         if not addresses:
             return np.empty((0, self.group), dtype=RECORD_DTYPE)
         matrix = self.gather_rounds_arr([addresses])
-        slots = np.fromiter((a.slot for a in addresses), np.int64, len(addresses))
-        self.machine.parallel_step(self._step_costs(slots), kind="read")
-        if free:
-            self.free_arr(addresses)
+        self._read_step(addresses, free)
         return matrix
 
     # ------------------------------------------------------------ I/O plans
@@ -451,10 +448,24 @@ class VirtualHierarchies:
         :meth:`parallel_read_arr` charges it; ``free=True`` then recycles
         the round's addresses.
         """
-        slots = np.fromiter((a.slot for a in addresses), np.int64, len(addresses))
-        self.machine.parallel_step(self._step_costs(slots), kind="read")
+        self._read_step(addresses, free)
+
+    def _read_step(self, addresses: Sequence[VirtualBlockAddress], free: bool) -> None:
+        """Charge a gathered read round's step and, with ``free``, recycle
+        its addresses exactly as :meth:`free_arr` would.
+
+        The round's address columns are built once and serve both: every
+        block of a round just gathered is resident and on its own
+        hierarchy, so the free needs no residency test.
+        """
+        if not addresses:
+            return
+        vdisks, slots = zip(*addresses)
+        slot_arr = np.array(slots, dtype=np.int64)
+        self.machine.parallel_step(self._step_costs(slot_arr), kind="read")
         if free:
-            self.free_arr(addresses)
+            self._recycle(vdisks, slots)
+            self._store.free_batch(np.array(vdisks, dtype=np.int64), slot_arr)
 
     def free_arr(self, addresses: Sequence[VirtualBlockAddress]) -> None:
         """Recycle virtual-block addresses (no cost) in one store batch.
@@ -465,19 +476,21 @@ class VirtualHierarchies:
         store = self._store
         # Plain lists: a round frees at most H' blocks (H^{1/3} by default),
         # so building the arrays from generators would dominate the call.
-        vdisks, slots = [], []
-        for v, slot in addresses:
-            if store.has(v, slot):
-                vdisks.append(v)
-                slots.append(slot)
-                if slot not in self._free_set[v]:
-                    self._free_set[v].add(slot)
-                    heapq.heappush(self._free_min[v], slot)
-                    heapq.heappush(self._free_max[v], -slot)
-        if vdisks:
+        live = [(v, slot) for v, slot in addresses if store.has(v, slot)]
+        if live:
+            vdisks, slots = zip(*live)
+            self._recycle(vdisks, slots)
             store.free_batch(
                 np.array(vdisks, dtype=np.int64), np.array(slots, dtype=np.int64)
             )
+
+    def _recycle(self, vdisks: Sequence[int], slots: Sequence[int]) -> None:
+        """Push freed slots into their hierarchies' free pools, in order."""
+        for v, slot in zip(vdisks, slots):
+            if slot not in self._free_set[v]:
+                self._free_set[v].add(slot)
+                heapq.heappush(self._free_min[v], slot)
+                heapq.heappush(self._free_max[v], -slot)
 
     def load_initial(self, blocks: Sequence[tuple[int, np.ndarray]]) -> list[VirtualBlockAddress]:
         """Place input blocks without charging cost (the problem's given state)."""

@@ -9,7 +9,8 @@ measure — holds for memory too:
   adds/compares on paths that already move whole record blocks.
 * The *surfacing* (stderr ``[mem]`` chatter, ``--stats-json`` blocks,
   progress-channel fields, the ``_mem_stats`` payload sidecar) is gated
-  by ``REPRO_MEM_TELEMETRY`` (default on; ``0``/``off`` disables) and is
+  by ``REPRO_MEM_TELEMETRY`` (default on; ``0``/``off``/``false`` or empty
+  disables, ``1``/``on``/``true`` enables, anything else is refused) and is
   strictly out of band — the determinism suite proves exec payloads are
   bit-identical with telemetry on vs. off.
 
@@ -21,8 +22,7 @@ its peak footprint" without instrumenting any allocation site.
 
 from __future__ import annotations
 
-import os
-
+from ..util.env import env_switch
 from ..util.host import peak_rss_kb
 
 __all__ = ["MemoryTelemetry", "PHASES", "memory_telemetry_enabled", "peak_rss_kb"]
@@ -33,13 +33,13 @@ PHASES = ("partition", "distribute", "recurse", "base-case", "merge")
 
 
 def memory_telemetry_enabled() -> bool:
-    """True unless ``REPRO_MEM_TELEMETRY`` opts out (``""``/``0``/``off``).
+    """True unless ``REPRO_MEM_TELEMETRY`` opts out (see :mod:`repro.util.env`).
 
     Gates only the *surfacing* of memory telemetry; the underlying
     gauges are maintained unconditionally (they are too cheap to branch
     on and the differential suite pins them).
     """
-    return os.environ.get("REPRO_MEM_TELEMETRY", "1") not in ("", "0", "off")
+    return env_switch("REPRO_MEM_TELEMETRY")
 
 
 class MemoryTelemetry:

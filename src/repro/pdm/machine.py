@@ -32,7 +32,6 @@ by :meth:`~ParallelDiskMachine.peek_blocks_arr`.
 
 from __future__ import annotations
 
-import os
 import threading
 from contextlib import contextmanager
 from dataclasses import dataclass
@@ -49,6 +48,7 @@ from ..exceptions import (
 from ..pram.machine import PRAM, Variant
 from ..records import RECORD_DTYPE, concat_records
 from ..resilience.injector import active_fault_injector
+from ..util.env import env_switch
 from .store import make_store
 
 __all__ = ["BlockAddress", "IOPlanStats", "IOStats", "ParallelDiskMachine"]
@@ -288,12 +288,19 @@ class ParallelDiskMachine:
         ``$REPRO_PDM_STORE`` or the arena.  Backends are observationally
         identical — only wall-clock differs.
     checksums:
-        Keep a per-block CRC-32 in the store so bit rot (in practice, a
-        ``corrupt``-mode injected fault) raises
+        Keep a 64-bit checksum per stored block
+        (:func:`~repro.pdm.store.block_checksums`, one vectorized pass
+        per store batch) so bit rot (in practice, a ``corrupt``-mode
+        injected fault) raises
         :class:`~repro.exceptions.BlockCorruptionError` on read/peek.
-        ``None`` (the default) consults ``$REPRO_PDM_CHECKSUMS`` and
-        then the ambient fault plan: a plan that corrupts stored blocks
-        turns checksums on automatically so its damage is detectable.
+        Every change confined to one 64-bit word of a block — each
+        single-bit flip — is detected; random damage to several words
+        escapes with probability about 2^-64.  ``None`` (the default)
+        consults ``$REPRO_PDM_CHECKSUMS`` (``1``/``on``/``true`` on,
+        ``0``/``off``/``false``/empty off, anything else a
+        :class:`~repro.exceptions.ParameterError`) and then the ambient
+        fault plan: a plan that corrupts stored blocks turns checksums
+        on automatically so its damage is detectable.
     """
 
     def __init__(
@@ -330,7 +337,7 @@ class ParallelDiskMachine:
             injector if injector is not None and injector.watches_store else None
         )
         if checksums is None:
-            checksums = os.environ.get("REPRO_PDM_CHECKSUMS", "0") not in ("", "0")
+            checksums = env_switch("REPRO_PDM_CHECKSUMS")
             if not checksums and self._fault is not None:
                 checksums = self._fault.wants_store_checksums
         self.store = make_store(store, self.D, self.B, checksums=bool(checksums))

@@ -726,22 +726,42 @@ class TestBadCells:
         assert cap.out == ""
         assert cap.err.strip().splitlines() == [f"repro: error: {rule}"]
 
-    @pytest.mark.parametrize("argv, says", [
-        (["diff", "a.json", "b.json", "--rule", "a=abc"], "bad --rule 'a=abc'"),
-        (["profile", "t.jsonl", "--bins", "0"], "--bins must be >= 1, got 0"),
-        (["profile", "t.jsonl", "--bins", "-1"], "--bins must be >= 1, got -1"),
+    SWITCH = "is not a switch value (off: 0, off, false or empty; on: 1, on, true)"
+
+    @pytest.mark.parametrize("argv, says, env", [
+        (["diff", "a.json", "b.json", "--rule", "a=abc"], "bad --rule 'a=abc'", {}),
+        (["profile", "t.jsonl", "--bins", "0"], "--bins must be >= 1, got 0", {}),
+        (["profile", "t.jsonl", "--bins", "-1"], "--bins must be >= 1, got -1",
+         {}),
         (["bench", "record", "--series", "s", *GRID, "--min-of", "0"],
-         "--min-of must be >= 1, got 0"),
+         "--min-of must be >= 1, got 0", {}),
         (["bench", "record", "--series", "s", *GRID, "--jobs", "-3"],
-         "jobs must be >= 0, got -3"),
+         "jobs must be >= 0, got -3", {}),
         (["top", "t.jsonl", "--follow", "--interval", "-1"],
-         "--interval must be > 0, got -1.0"),
+         "--interval must be > 0, got -1.0", {}),
         (["top", "t.jsonl", "--follow", "--interval", "0"],
-         "--interval must be > 0, got 0.0"),
+         "--interval must be > 0, got 0.0", {}),
+        (["sweep", *GRID], f"REPRO_PDM_CHECKSUMS='yes' {SWITCH}",
+         {"REPRO_PDM_CHECKSUMS": "yes"}),
+        (["sort", "--n", "2000"], f"REPRO_PDM_CHECKSUMS='2' {SWITCH}",
+         {"REPRO_PDM_CHECKSUMS": "2"}),
+        (["serve"], f"REPRO_PDM_CHECKSUMS='of' {SWITCH}",
+         {"REPRO_PDM_CHECKSUMS": "of"}),
+        (["sweep", *GRID], f"REPRO_MEM_TELEMETRY='no' {SWITCH}",
+         {"REPRO_MEM_TELEMETRY": "no"}),
+        (["report", "t.jsonl"], f"REPRO_MEM_TELEMETRY='disabled' {SWITCH}",
+         {"REPRO_MEM_TELEMETRY": "disabled"}),
     ], ids=["diff-rule", "profile-bins-0", "profile-bins-neg", "bench-min-of",
-            "bench-jobs-neg", "top-interval-neg", "top-interval-0"])
-    def test_bad_flag_value_exits_two(self, argv, says, tmp_path, capsys,
+            "bench-jobs-neg", "top-interval-neg", "top-interval-0",
+            "checksums-sweep", "checksums-sort", "checksums-serve",
+            "mem-telemetry-sweep", "mem-telemetry-report"])
+    def test_bad_flag_value_exits_two(self, argv, says, env, tmp_path, capsys,
                                       monkeypatch):
+        """A flag value no run can use, or an on/off ``REPRO_*`` variable
+        set to a value no switch takes, is refused before anything runs."""
+        self._never_listen(monkeypatch)
+        for name, value in env.items():
+            monkeypatch.setenv(name, value)
         monkeypatch.chdir(tmp_path)
         for name in ("a.json", "b.json"):
             (tmp_path / name).write_text('{"a": 1}\n')
@@ -754,6 +774,8 @@ class TestBadCells:
         (line,) = cap.err.strip().splitlines()
         assert says in line
         assert not (tmp_path / "BENCH_ledger.jsonl").exists()
+        assert sorted(p.name for p in tmp_path.iterdir()) == [
+            "a.json", "b.json", "t.jsonl"]
 
 
 # --------------------------------------------- offline readers, bad input

@@ -16,6 +16,7 @@ import numpy as np
 import pytest
 
 from repro.cli import main
+from repro.exceptions import ParameterError
 from repro.obs.memory import (
     PHASES,
     MemoryTelemetry,
@@ -147,11 +148,15 @@ def test_collect_and_merge_mem_snapshots():
 def test_memory_telemetry_enabled_env(monkeypatch):
     monkeypatch.delenv("REPRO_MEM_TELEMETRY", raising=False)
     assert memory_telemetry_enabled() is True  # default on
-    for off in ("0", "", "off"):
+    for off in ("0", "", "off", "false", "False"):
         monkeypatch.setenv("REPRO_MEM_TELEMETRY", off)
         assert memory_telemetry_enabled() is False
-    monkeypatch.setenv("REPRO_MEM_TELEMETRY", "1")
-    assert memory_telemetry_enabled() is True
+    for on in ("1", "on", "true"):
+        monkeypatch.setenv("REPRO_MEM_TELEMETRY", on)
+        assert memory_telemetry_enabled() is True
+    monkeypatch.setenv("REPRO_MEM_TELEMETRY", "yes")
+    with pytest.raises(ParameterError, match="REPRO_MEM_TELEMETRY='yes'"):
+        memory_telemetry_enabled()
 
 
 def test_memory_telemetry_samples_top_level_phases():

@@ -14,7 +14,7 @@ store state.
 import numpy as np
 import pytest
 
-from repro.exceptions import BlockCorruptionError, InjectedIOError
+from repro.exceptions import BlockCorruptionError, InjectedIOError, ParameterError
 from repro.pdm import ParallelDiskMachine, VirtualDisks
 from repro.pdm.store import make_store
 from repro.records import make_records
@@ -228,6 +228,20 @@ class TestChecksums:
         monkeypatch.setenv("REPRO_PDM_CHECKSUMS", "0")
         assert not machine(store).store.checksums
 
+    @pytest.mark.parametrize("value, on", [
+        ("false", False), ("off", False), ("OFF", False), ("", False),
+        ("true", True), ("on", True),
+    ])
+    def test_env_var_vocabulary(self, store, value, on, monkeypatch):
+        monkeypatch.setenv("REPRO_PDM_CHECKSUMS", value)
+        assert machine(store).store.checksums is on
+
+    @pytest.mark.parametrize("value", ["yes", "2", "of"])
+    def test_env_var_other_values_refused(self, store, value, monkeypatch):
+        monkeypatch.setenv("REPRO_PDM_CHECKSUMS", value)
+        with pytest.raises(ParameterError, match=f"REPRO_PDM_CHECKSUMS={value!r}"):
+            machine(store)
+
     def test_corrupt_plan_auto_enables_checksums(self, store):
         plan = plan_for("store.write", mode="corrupt", at=(0,))
         with activate(FaultInjector(plan)):
@@ -258,6 +272,81 @@ class TestChecksums:
         m.write_blocks_arr(disks, slots, blocks(D, start=50))
         out = m.read_blocks_arr(disks, slots)
         assert np.array_equal(out, blocks(D, start=50))
+
+
+# ------------------------------------------------- what the checksum sees
+
+
+def stored(m, disk, slot):
+    """A writable view of the block the store holds at ``(disk, slot)``,
+    for damage ``corrupt_block`` cannot make."""
+    if m.store.name == "arena":
+        return m.store._arena[int(m.store._rows[disk, slot])]
+    return m.store._disks[disk][slot]
+
+
+def _read(m, disks, slots):
+    m.read_blocks_arr(disks, slots)
+
+
+def _peek(m, disks, slots):
+    m.peek_blocks_arr(disks, slots)
+
+
+def _gather(m, disks, slots):
+    m.gather_blocks_arr(disks, slots)
+    m.charge_read_io(len(disks), list(zip(disks.tolist(), slots.tolist())))
+
+
+READS = {"read": _read, "peek": _peek, "gather": _gather}
+
+
+@pytest.mark.parametrize("store", BACKENDS)
+class TestChecksumDetection:
+    """Every single-bit flip and every record swap of a stored block is
+    caught, on each read path, and a recycled arena row's checksum is the
+    one of the block last written into it."""
+
+    @pytest.mark.parametrize("path", sorted(READS))
+    def test_every_bit_flip_is_caught(self, store, path):
+        m = machine(store, checksums=True)
+        disks, slots = load(m)
+        read = READS[path]
+        n_bits = B * 16 * 8  # a record is 16 bytes
+        for bit in range(n_bits):
+            m.store.corrupt_block(1, 0, bit_seed=bit)
+            with pytest.raises(BlockCorruptionError, match=r"disk=1, slot=0\)"):
+                read(m, disks, slots)
+            m.store.corrupt_block(1, 0, bit_seed=bit)  # flip it back
+        read(m, disks, slots)
+        assert m.stats.read_ios == (1 if path != "peek" else 0)
+
+    @pytest.mark.parametrize("i, j", [(0, 1), (0, 3), (1, 2), (2, 3)])
+    def test_swapped_records_are_caught(self, store, i, j):
+        m = machine(store, checksums=True)
+        disks, slots = load(m)
+        block = stored(m, 2, 0)
+        assert block[i] != block[j]
+        block[[i, j]] = block[[j, i]]
+        with pytest.raises(BlockCorruptionError, match=r"disk=2, slot=0\)"):
+            m.read_blocks_arr(disks, slots)
+
+    def test_recycled_row_carries_the_new_checksum(self, store):
+        m = machine(store, checksums=True)
+        disks, slots = load(m)
+        m.read_blocks_arr(disks, slots, free=True)
+        m.mem_release(D * B)
+        rows = m.store.mem_snapshot()["slab_rows"]
+        m.mem_acquire(D * B)
+        m.write_blocks_arr(disks, slots + 1, blocks(D, start=500))
+        out = m.read_blocks_arr(disks, slots + 1)
+        assert np.array_equal(out, blocks(D, start=500))
+        if store == "arena":  # the rewrite took the freed rows
+            assert m.store.mem_snapshot()["slab_rows"] == rows
+            assert m.store.mem_snapshot()["free_rows"] == 0
+        m.store.corrupt_block(3, 1, bit_seed=200)
+        with pytest.raises(BlockCorruptionError, match=r"disk=3, slot=1\)"):
+            m.read_blocks_arr(disks, slots + 1)
 
 
 # ----------------------------------------------------------- differential
@@ -293,6 +382,27 @@ class TestBackendsFailIdentically:
                 m.read_blocks_arr(disks, slots, free=True)
             outcomes.append((str(exc.value), m.store.n_blocks()))
         assert outcomes[0] == outcomes[1]
+
+    def test_two_corrupt_blocks_identical(self):
+        """The first corrupt block in batch order raises, the same on both
+        backends; a gather records every corrupt block."""
+        outcomes = []
+        for m in self._pair(checksums=True):
+            m.store.corrupt_block(3, 0, bit_seed=40)
+            m.store.corrupt_block(1, 0, bit_seed=300)
+            disks, slots = addresses(D)
+            with pytest.raises(BlockCorruptionError) as exc:
+                m.read_blocks_arr(disks, slots)
+            m.gather_blocks_arr(disks, slots)
+            outcomes.append((str(exc.value), {
+                addr: str(err) for addr, err in m.corrupt_reads.items()}))
+        assert outcomes[0] == outcomes[1]
+        first, recorded = outcomes[0]
+        assert first == "checksum mismatch on read of BlockAddress(disk=1, slot=0)"
+        assert recorded == {
+            (1, 0): first,
+            (3, 0): "checksum mismatch on read of BlockAddress(disk=3, slot=0)",
+        }
 
     def test_same_bit_flipped_on_both_backends(self):
         # corrupt_block(bit_seed) must damage the same bit of the same
