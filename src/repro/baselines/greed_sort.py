@@ -301,7 +301,8 @@ def _greedy_merge(
         if claims:
             refs = [c.pending[i] for c, k in claims for i in range(k)]
             addresses = [r.address for r in refs]
-            blocks = storage.parallel_read_arr(addresses, free=True)
+            blocks = storage.gather_rounds_arr([addresses], free=True)
+            storage.charge_read_round(addresses, free=True)
             bi = 0
             for c, k in claims:
                 parts = [] if c.buffer is None or c.buffer.size == 0 else [c.buffer]
@@ -440,7 +441,8 @@ def _approximate_merge(
             if claims:
                 refs = [c.pending[i] for c, k in claims for i in range(k)]
                 addresses = [ref.address for ref in refs]
-                blocks = storage.parallel_read_arr(addresses, free=free_source)
+                blocks = storage.gather_rounds_arr([addresses], free=free_source)
+                storage.charge_read_round(addresses, free=free_source)
                 bi = 0
                 for c, k in claims:
                     parts = [] if c.buffer is None or c.buffer.size == 0 else [c.buffer]

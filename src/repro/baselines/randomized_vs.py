@@ -129,8 +129,7 @@ class RandomizedPlacer:
             blocks.append(block)
             writers.append((b, ch, fill))
         if blocks:
-            vdisks = np.array([ch for _, ch, _ in writers], dtype=np.int64)
-            addrs = self.storage.parallel_write_arr(vdisks, np.stack(blocks))
+            addrs = self.storage.write_round([ch for _, ch, _ in writers], blocks)
             for (b, ch, fill), addr in zip(writers, addrs):
                 self.chains[b][ch].append(BlockRef(addr, fill))
 

@@ -49,6 +49,7 @@ from .obs import (
     summarize_trace,
 )
 from .obs.report import write_json
+from .pdm.store import env_store_name
 from .util.env import check_switches
 
 __all__ = ["main", "build_parser"]
@@ -843,6 +844,50 @@ _SUBMIT_PARAM_EXCLUDES = _SWEEP_PARAM_EXCLUDES + (
 )
 
 
+def _exec_inputs(args, prefix: str, attach=None):
+    """The execution inputs ``sweep`` and ``serve`` share, built once:
+    ``(fault plan, journal, cache dir)``, or an exit code after one
+    ``[prefix] error:`` line on stderr.
+
+    Loads ``--fault-plan`` (exit 2 if malformed), refuses ``--resume``
+    without ``--journal`` (exit 2), opens the journal and hands it to
+    ``attach`` (which returns an exit code to stop), defaults the cache
+    directory to the journal's cells, and reports the cache entries the
+    plan damaged.
+    """
+    from .resilience import FaultPlan, SweepJournal, inject_cache_faults
+
+    plan = None
+    if args.fault_plan:
+        try:
+            plan = FaultPlan.load(args.fault_plan)
+        except ParameterError as exc:
+            print(f"[{prefix}] error: {exc}", file=sys.stderr)
+            return 2
+    if args.resume and not args.journal:
+        print(f"[{prefix}] error: --resume requires --journal DIR", file=sys.stderr)
+        return 2
+    journal = None
+    cache_dir = args.cache_dir
+    if args.journal:
+        journal = SweepJournal(args.journal)
+        if attach is not None:
+            code = attach(journal)
+            if code is not None:
+                return code
+        if cache_dir is None:
+            cache_dir = journal.cells_dir
+    if plan is not None and cache_dir:
+        damaged = inject_cache_faults(cache_dir, plan)
+        if damaged:
+            print(
+                f"[{prefix}] fault plan damaged {damaged} cache entr"
+                f"{'y' if damaged == 1 else 'ies'}",
+                file=sys.stderr,
+            )
+    return plan, journal, cache_dir
+
+
 def cmd_sweep(args) -> int:
     """Run a parameter grid through the ParallelRunner and print the table.
 
@@ -869,26 +914,11 @@ def cmd_sweep(args) -> int:
 
     from .exec import ParallelRunner
     from .obs import LiveProgressView, TelemetryWriter
-    from .resilience import FaultPlan, SweepJournal, inject_cache_faults
 
     task, specs = _sweep_specs(args)
     keys = [spec.fingerprint() for spec in specs]
 
-    plan = None
-    if args.fault_plan:
-        try:
-            plan = FaultPlan.load(args.fault_plan)
-        except ParameterError as exc:
-            print(f"[sweep] error: {exc}", file=sys.stderr)
-            return 2
-
-    if args.resume and not args.journal:
-        print("[sweep] error: --resume requires --journal DIR", file=sys.stderr)
-        return 2
-    journal = None
-    cache_dir = args.cache_dir
-    if args.journal:
-        journal = SweepJournal(args.journal)
+    def attach(journal) -> int | None:
         # A journal belongs to one grid: attaching a different grid —
         # resuming or not — would orphan the recorded checkpoints and
         # poison later resumes, so both paths refuse with the same
@@ -910,18 +940,13 @@ def cmd_sweep(args) -> int:
                 1 for k, st in journal.completed().items()
                 if st == "done" and k in key_set
             )
-        if cache_dir is None:
-            cache_dir = journal.cells_dir
         journal.begin(task, keys)
+        return None
 
-    if plan is not None and cache_dir:
-        damaged = inject_cache_faults(cache_dir, plan)
-        if damaged:
-            print(
-                f"[sweep] fault plan damaged {damaged} cache entr"
-                f"{'y' if damaged == 1 else 'ies'}",
-                file=sys.stderr,
-            )
+    inputs = _exec_inputs(args, "sweep", attach)
+    if isinstance(inputs, int):
+        return inputs
+    plan, journal, cache_dir = inputs
 
     telemetry_path = args.telemetry
     temp_telemetry = None
@@ -1133,33 +1158,12 @@ def cmd_serve(args) -> int:
     import signal
 
     from .exec import JobRunner
-    from .resilience import FaultPlan, SweepJournal, inject_cache_faults
     from .serve import FairShareScheduler, SortService
 
-    plan = None
-    if args.fault_plan:
-        try:
-            plan = FaultPlan.load(args.fault_plan)
-        except ParameterError as exc:
-            print(f"[serve] error: {exc}", file=sys.stderr)
-            return 2
-    if args.resume and not args.journal:
-        print("[serve] error: --resume requires --journal DIR", file=sys.stderr)
-        return 2
-    journal = None
-    cache_dir = args.cache_dir
-    if args.journal:
-        journal = SweepJournal(args.journal)
-        if cache_dir is None:
-            cache_dir = journal.cells_dir
-    if plan is not None and cache_dir:
-        damaged = inject_cache_faults(cache_dir, plan)
-        if damaged:
-            print(
-                f"[serve] fault plan damaged {damaged} cache entr"
-                f"{'y' if damaged == 1 else 'ies'}",
-                file=sys.stderr,
-            )
+    inputs = _exec_inputs(args, "serve")
+    if isinstance(inputs, int):
+        return inputs
+    plan, journal, cache_dir = inputs
     obs = Observation(trace_path=args.trace_out)
     runner = JobRunner(
         jobs=args.jobs,
@@ -1938,11 +1942,13 @@ def _run_spec(args) -> tuple[str, list[dict]]:
 def _usage_error(args) -> str | None:
     """The first thing a command cannot run with, as one line; else None:
     an on/off ``REPRO_*`` variable set to a value no switch takes
-    (:mod:`repro.util.env`), a runner, service, ``--bins``, ``--min-of``
-    or ``top --interval`` value no run can use, a task flag the chosen
-    task does not take, or a cell :func:`repro.exec.check_spec` refuses."""
+    (:mod:`repro.util.env`), a ``REPRO_PDM_STORE`` naming no store
+    backend, a runner, service, ``--bins``, ``--min-of`` or ``top
+    --interval`` value no run can use, a task flag the chosen task does
+    not take, or a cell :func:`repro.exec.check_spec` refuses."""
     try:
         check_switches()
+        env_store_name()
     except ParameterError as exc:
         return str(exc)
     bench_record = getattr(args, "bench_command", None) == "record"

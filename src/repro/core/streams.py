@@ -128,9 +128,9 @@ def write_ordered_run(
 ) -> OrderedRun:
     """Write in-memory records out as a round-robin run (charged).
 
-    Issues one parallel write per ``H'`` blocks — each a single batched
-    ``parallel_write_arr`` over a view of the padded input, so no
-    per-block copies happen above the storage layer.  On a ledgered
+    Issues one parallel write per ``H'`` blocks — each a single
+    ``write_round`` of a view of the padded input, so no per-block
+    copies happen above the storage layer.  On a ledgered
     backend the records must already be held in memory (padding is
     acquired here).  ``start_channel`` staggers the round-robin phase —
     runs that will later be merged in lockstep (Greed Sort) must not all
@@ -143,8 +143,8 @@ def write_ordered_run(
     blocks = []
     hp = storage.n_virtual
     for i in range(0, matrix.shape[0], hp):
-        addresses = storage.parallel_write_arr(
-            channels[i : i + hp], matrix[i : i + hp], park=park
+        addresses = storage.write_round(
+            channels[i : i + hp].tolist(), matrix[i : i + hp], park=park
         )
         blocks.extend(
             BlockRef(a, f) for a, f in zip(addresses, fills[i : i + hp])

@@ -13,10 +13,13 @@ the per-hierarchy access costs.  Interconnect time accumulates separately
 striping** (Section 4.1): the ``H`` hierarchies are grouped into
 ``H' = H^{1/3}`` *virtual hierarchies*, and a *virtual block* of
 ``H/H'`` records is striped one record per member hierarchy at a common
-local address.  It exposes the same ``write_round`` / ``parallel_read_arr``
-interface as :class:`repro.pdm.striping.VirtualDisks`, so the Balance
-engine (:mod:`repro.core.balance`) drives disks and hierarchies
-identically — the paper's central portability claim.
+local address.  It implements the same contract as
+:class:`repro.pdm.striping.VirtualDisks` — one write (``write_round``),
+one read (``gather_rounds_arr`` + ``charge_read_round``), the same
+:class:`~repro.pdm.striping.VirtualBlockAddress` and the same round and
+block checks — so the Balance engine (:mod:`repro.core.balance`) drives
+disks and hierarchies identically: the paper's central portability
+claim.
 
 Addresses are recycled lowest-first (a free-list per virtual hierarchy), so
 a subproblem of n records occupies the first O(n/H') addresses — the
@@ -27,14 +30,20 @@ hold.
 from __future__ import annotations
 
 import heapq
-from typing import NamedTuple, Sequence
+from typing import Sequence
 
 import numpy as np
 
-from ..exceptions import AddressError, DiskContentionError, ParameterError
+from ..exceptions import AddressError, ParameterError
 from ..hypercube.sharesort import T_H
 from ..pdm.store import make_store
-from ..records import RECORD_DTYPE
+from ..pdm.striping import (
+    VirtualBlockAddress,
+    check_blocks,
+    check_round,
+    default_virtual_disk_count,
+)
+from ..records import RECORD_DTYPE, concat_records
 from .bt import BT
 from .cost import CostFunction, LogCost
 from .hmm import HMM
@@ -44,30 +53,8 @@ __all__ = [
     "MODELS",
     "ParallelHierarchies",
     "VirtualHierarchies",
-    "VirtualBlockAddress",
     "EffectiveBTCost",
-    "default_virtual_hierarchy_count",
 ]
-
-
-def default_virtual_hierarchy_count(h: int) -> int:
-    """The paper's ``H' = H^{1/3}`` (largest divisor of H not exceeding it)."""
-    target = max(1, round(h ** (1.0 / 3.0)))
-    for candidate in range(min(target, h), 0, -1):
-        if h % candidate == 0:
-            return candidate
-    return 1
-
-
-class VirtualBlockAddress(NamedTuple):
-    """Address of one virtual block: virtual hierarchy and local address.
-
-    A ``NamedTuple`` for the same reason as the PDM twin: per-block
-    construction cost on the write path (see ``repro.pdm.striping``).
-    """
-
-    vdisk: int  # named vdisk for interface-compatibility with VirtualDisks
-    slot: int
 
 
 #: The hierarchy kinds (Figure 3) and base-level interconnects.
@@ -245,7 +232,7 @@ class VirtualHierarchies:
 
     Interface-compatible with :class:`repro.pdm.striping.VirtualDisks`:
     ``n_virtual``, ``virtual_block_size``, ``write_round``,
-    ``parallel_write_arr``, ``parallel_read_arr``, ``free_arr``,
+    ``gather_rounds_arr`` + ``charge_read_round``, ``free_arr``,
     ``peek_many``, ``load_initial`` — the contract the Balance engine
     and the run streams consume.
 
@@ -264,7 +251,7 @@ class VirtualHierarchies:
         effective_cost: CostFunction | None = None,
     ):
         h = machine.h
-        n_virtual = n_virtual or default_virtual_hierarchy_count(h)
+        n_virtual = n_virtual or default_virtual_disk_count(h)
         if n_virtual < 1 or h % n_virtual != 0:
             raise ParameterError(f"H={h} must be divisible by H'={n_virtual}")
         self.machine = machine
@@ -322,109 +309,64 @@ class VirtualHierarchies:
         """Per-channel access costs for one parallel step (one vector call)."""
         return [float(c) for c in self.cost_fn(slots + 1)]
 
-    # ------------------------------------------------------ batched fast path
-
-    def parallel_write_arr(
-        self, vdisks: np.ndarray, data: np.ndarray, park: bool = False
-    ) -> list[VirtualBlockAddress]:
-        """Write ≤1 virtual block per virtual hierarchy — one parallel step.
-
-        ``data`` is one ``(k, virtual_block_size)`` record matrix whose
-        rows may be views of caller buffers (the store scatters a copy).
-        ``park=True`` places the blocks at the highest recycled addresses
-        (or the frontier): used for distribution output and sorted
-        results so they stay clear of the front, where repositioned
-        subproblems compact (DESIGN.md §4; the working-set discipline of
-        the paper's recurrences).
-        """
-        vdisks = np.asarray(vdisks, dtype=np.int64)
-        k = vdisks.size
-        if k == 0:
-            return []
-        if k > 1 and np.unique(vdisks).size != k:
-            raise DiskContentionError("two virtual blocks addressed to one virtual hierarchy")
-        if int(vdisks.min()) < 0 or int(vdisks.max()) >= self.n_virtual:
-            bad = int(vdisks[(vdisks < 0) | (vdisks >= self.n_virtual)][0])
-            raise ParameterError(f"virtual hierarchy {bad} out of range")
-        if data.shape != (k, self.group):
-            raise ParameterError(
-                f"virtual block must hold {self.group} records, got "
-                f"{data.shape[1] if data.ndim == 2 else data.shape[0]}"
-            )
-        slots = np.empty(k, dtype=np.int64)
-        for i, v in enumerate(vdisks.tolist()):
-            slots[i] = self._alloc(v, park=park)
-        self._store.write_batch(vdisks, slots, data)
-        addresses = [
-            VirtualBlockAddress(vdisk=int(v), slot=int(s))
-            for v, s in zip(vdisks.tolist(), slots.tolist())
-        ]
-        self.machine.parallel_step(self._step_costs(slots), kind="write")
-        return addresses
+    # ---------------------------------------------------------------- write
 
     def write_round(
-        self, channels: Sequence[int], blocks: Sequence[np.ndarray],
-        park: bool = False, checked: bool = True,
+        self, channels: Sequence[int], blocks, park: bool = False,
+        checked: bool = True,
     ) -> list[VirtualBlockAddress]:
         """Write ``blocks[i]`` to virtual hierarchy ``channels[i]`` — one step.
 
-        :meth:`repro.pdm.striping.VirtualDisks.write_round`'s signature
-        over :meth:`parallel_write_arr` (which does the write, so slots,
-        addresses and step cost are its own).  ``checked=False`` skips
-        the per-block range/shape checks; contention is always checked.
+        :meth:`repro.pdm.striping.VirtualDisks.write_round`'s contract:
+        ``blocks`` is a list of rows or one ``(k, virtual_block_size)``
+        record matrix (the store scatters a copy), and ``checked=False``
+        skips :func:`~repro.pdm.striping.check_round` and
+        :func:`~repro.pdm.striping.check_blocks`.  ``park=True`` places
+        the blocks at the highest recycled addresses (or the frontier):
+        used for distribution output and sorted results so they stay
+        clear of the front, where repositioned subproblems compact
+        (DESIGN.md §4; the working-set discipline of the paper's
+        recurrences).  The step costs ``max f(slot + 1)`` over the
+        written slots.
         """
         k = len(channels)
         if k == 0:
             return []
-        matrix = np.empty((k, self.group), dtype=RECORD_DTYPE)
-        for i, (v, block) in enumerate(zip(channels, blocks)):
-            if checked:
-                self._check_block(v, block)
-            matrix[i] = block
-        return self.parallel_write_arr(
-            np.array(channels, dtype=np.int64), matrix, park=park
-        )
+        if checked:
+            check_round(channels, self.n_virtual, "virtual hierarchy", "addressed to")
+            check_blocks(blocks, k, self.group)
+        vdisks = np.array(channels, dtype=np.int64)
+        slots = [self._alloc(v, park=park) for v in channels]
+        slot_arr = np.array(slots, dtype=np.int64)
+        if not isinstance(blocks, np.ndarray):
+            blocks = concat_records(blocks).reshape(k, self.group)
+        self._store.write_batch(vdisks, slot_arr, blocks)
+        self.machine.parallel_step(self._step_costs(slot_arr), kind="write")
+        return list(map(VirtualBlockAddress, vdisks.tolist(), slots))
 
-    def parallel_read_arr(
-        self, addresses: Sequence[VirtualBlockAddress], free: bool = False
-    ) -> np.ndarray:
-        """Read ≤1 virtual block per virtual hierarchy — one parallel step.
-
-        Returns a freshly gathered ``(k, virtual_block_size)`` record
-        matrix; never views into the store.  ``free=True`` recycles the
-        addresses right after the gather (equivalent to a follow-up
-        :meth:`free_arr`; the address pools still see every slot).
-        """
-        if not addresses:
-            return np.empty((0, self.group), dtype=RECORD_DTYPE)
-        matrix = self.gather_rounds_arr([addresses])
-        self._read_step(addresses, free)
-        return matrix
-
-    # ------------------------------------------------------------ I/O plans
+    # ----------------------------------------------------------------- read
 
     def gather_rounds_arr(
         self, round_addresses: Sequence[Sequence[VirtualBlockAddress]],
         free: bool = False,
     ) -> np.ndarray:
-        """Gather several planned read rounds in one store pass.
+        """Gather one or more read rounds in one store pass.
 
         The hierarchy twin of
         :meth:`repro.pdm.striping.VirtualDisks.gather_rounds_arr`: each
-        round is checked for contention on its own, and the fused
+        round is checked on its own by
+        :func:`~repro.pdm.striping.check_round`, and the fused
         ``(total_blocks, virtual_block_size)`` matrix comes back with
-        rounds in plan order.  Nothing is charged **or freed** here —
-        each round's step cost and address recycling happen at its
+        rounds in order.  Nothing is charged **or freed** here — each
+        round's step cost and address recycling happen at its
         :meth:`charge_read_round`, so the free pools (and hence every
         later slot and step cost) evolve exactly as round-at-a-time.
         """
+        n_virtual = self.n_virtual
         flat: list[VirtualBlockAddress] = []
         for addresses in round_addresses:
-            k = len(addresses)
-            if k > 1 and len({a.vdisk for a in addresses}) != k:
-                raise DiskContentionError(
-                    "two virtual blocks read from one virtual hierarchy"
-                )
+            check_round([a.vdisk for a in addresses], n_virtual,
+                        "virtual hierarchy", "read from")
             flat.extend(addresses)
         k = len(flat)
         if k == 0:
@@ -444,19 +386,12 @@ class VirtualHierarchies:
     ) -> None:
         """Charge one gathered read round: one parallel step over ``addresses``.
 
-        The step costs ``max f(slot + 1)`` over the round's channels, as
-        :meth:`parallel_read_arr` charges it; ``free=True`` then recycles
-        the round's addresses.
-        """
-        self._read_step(addresses, free)
-
-    def _read_step(self, addresses: Sequence[VirtualBlockAddress], free: bool) -> None:
-        """Charge a gathered read round's step and, with ``free``, recycle
-        its addresses exactly as :meth:`free_arr` would.
-
-        The round's address columns are built once and serve both: every
-        block of a round just gathered is resident and on its own
-        hierarchy, so the free needs no residency test.
+        The step costs ``max f(slot + 1)`` over the round's channels;
+        ``free=True`` then recycles the round's addresses exactly as
+        :meth:`free_arr` would.  The round's address columns are built
+        once and serve both: every block of a round just gathered is
+        resident and on its own hierarchy, so the free needs no
+        residency test.
         """
         if not addresses:
             return

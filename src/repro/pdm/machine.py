@@ -21,13 +21,17 @@ default slab-allocated arena, or the legacy dict-of-dicts reference
 backend under ``REPRO_PDM_STORE=dict``.  The paper's cost model only
 counts parallel I/Os, so the substrate is free to be as fast as the
 hardware allows — both backends are pinned bit-identical by the
-differential suite.  Each block operation has one entry point, over
-integer address arrays: a parallel I/O is
-:meth:`ParallelDiskMachine.read_blocks_arr` /
+differential suite.  Block operations take integer address arrays: a
+parallel I/O is :meth:`ParallelDiskMachine.read_blocks_arr` /
 :meth:`~ParallelDiskMachine.write_blocks_arr`, moving one ``(k, B)``
 record matrix with a single vectorized gather/scatter; blocks are
 dropped by :meth:`~ParallelDiskMachine.free_blocks_arr` and inspected
-by :meth:`~ParallelDiskMachine.peek_blocks_arr`.
+by :meth:`~ParallelDiskMachine.peek_blocks_arr`.  The virtual disks
+write through :meth:`~ParallelDiskMachine.write_round_blocks` (the
+logical effects of :meth:`~ParallelDiskMachine.write_blocks_arr`, from
+one shared body) and read through
+:meth:`~ParallelDiskMachine.gather_blocks_arr` +
+:meth:`~ParallelDiskMachine.charge_read_io`.
 """
 
 from __future__ import annotations
@@ -574,11 +578,7 @@ class ParallelDiskMachine:
     # ------------------------------------------------- batched I/O (fast path)
 
     def read_blocks_arr(
-        self,
-        disks: np.ndarray,
-        slots: np.ndarray,
-        free: bool = False,
-        checked: bool = True,
+        self, disks: np.ndarray, slots: np.ndarray, free: bool = False
     ) -> np.ndarray:
         """One parallel read I/O over integer address arrays.
 
@@ -593,28 +593,14 @@ class ParallelDiskMachine:
         ``free=True`` drops the blocks right after the gather — the
         streaming consume pattern — identical to a separate
         :meth:`free_blocks_arr` call but fused in the store (the row
-        lookup is shared).  ``checked=False`` skips the contention and
-        disk-range validation for callers that already enforce them at
-        their own layer (:class:`~repro.pdm.striping.VirtualDisks`
-        validates distinct in-range *virtual* disks, which maps to
-        distinct in-range physical disks); caller-provided slots are
-        still guarded non-negative (a negative slot would silently
-        alias under the arena's row map).
+        lookup is shared).
         """
         disks = np.asarray(disks, dtype=np.int64)
         slots = np.asarray(slots, dtype=np.int64)
         k = disks.size
         if k == 0:
             return np.empty((0, self.B), dtype=RECORD_DTYPE)
-        if checked:
-            self._check_io_batch(disks, slots)
-        else:
-            sl = slots.tolist()
-            if min(sl) < 0:
-                i = next(i for i, s in enumerate(sl) if s < 0)
-                raise AddressError(
-                    f"negative slot in BlockAddress(disk={int(disks[i])}, slot={sl[i]})"
-                )
+        self._check_io_batch(disks, slots)
         self._flush_if_overlap(slots)
         if self._fault is not None:
             # One opportunity per parallel I/O; fires *before* the store is
@@ -630,11 +616,7 @@ class ParallelDiskMachine:
         return matrix
 
     def write_blocks_arr(
-        self,
-        disks: np.ndarray,
-        slots: np.ndarray,
-        data: np.ndarray,
-        checked: bool = True,
+        self, disks: np.ndarray, slots: np.ndarray, data: np.ndarray
     ) -> None:
         """One parallel write I/O: scatter a ``(k, B)`` record matrix.
 
@@ -642,12 +624,9 @@ class ParallelDiskMachine:
         logical effects land now, in program order; the scatter is
         deferred into the I/O plan, so ``data`` is handed over — the
         caller must not mutate it afterwards.  The written records leave
-        internal memory (the ledger is released).  ``checked=False``
-        skips contention/address validation for callers that enforce
-        both at their own layer *and* generate the slots themselves
-        (:class:`~repro.pdm.striping.VirtualDisks` bump-allocates them);
-        checked writes may target any slot, so one that rewrites a
-        pending block flushes the plan first.
+        internal memory (the ledger is released).  The slots may be any
+        slots, so a write that rewrites a pending block flushes the plan
+        first.
         """
         disks = np.asarray(disks, dtype=np.int64)
         slots = np.asarray(slots, dtype=np.int64)
@@ -660,70 +639,63 @@ class ParallelDiskMachine:
             raise AddressError(
                 f"write batch must be shaped (k={k}, B={self.B}), got {data.shape}"
             )
+        self._check_io_batch(disks, slots)
+        disk_list, slot_list = disks.tolist(), slots.tolist()
         plan = self._plan
-        if checked:
-            self._check_io_batch(disks, slots)
-            if plan.rounds and not set(zip(plan.disks, plan.slots)).isdisjoint(
-                zip(disks.tolist(), slots.tolist())
-            ):
-                self.flush_io_plan()  # a rewrite lands after the first write
-        # Raise-class fault rules fire *before* the write is queued (no
-        # partial effects); corrupt rules return the (row, bit_seed) to
-        # damage once the flush has stored the block.
-        corrupt = self._fault.on_write(k) if self._fault is not None else None
-        slot_list = slots.tolist()
-        plan.disks.extend(disks.tolist())
-        plan.slots.extend(slot_list)
-        plan.data.append(data)
-        if corrupt is not None:
-            row, bit_seed = corrupt
-            plan.corrupt.append((int(disks[row]), slot_list[row], bit_seed))
-        plan.rounds += 1
-        smin = min(slot_list)
-        if plan.min_slot < 0 or smin < plan.min_slot:
-            plan.min_slot = smin
-        self.plan_stats.deferred_write_rounds += 1
-        if plan.rounds >= PLAN_WINDOW:
-            self.flush_io_plan()
-        self.mem_release(k * self.B)
-        self.stats.write_ios += 1
-        self.stats.blocks_written += k
-        if k == self.D:
-            self.stats.full_width_writes += 1
-        if self._ev_write is not None:
-            self._ev_write(k, k == self.D)
+        if plan.rounds and not set(zip(plan.disks, plan.slots)).isdisjoint(
+            zip(disk_list, slot_list)
+        ):
+            self.flush_io_plan()  # a rewrite lands after the first write
+        self._queue_write(disk_list, slot_list, data)
 
-    def write_round_blocks(
-        self, disks: Sequence[int], slot: int, blocks: Sequence[np.ndarray]
-    ) -> None:
+    def write_round_blocks(self, disks: Sequence[int], slot: int, blocks) -> None:
         """One parallel write of whole blocks sharing a single slot.
 
-        The list-native fast path for round-structured writers
+        The list-native write of round-structured writers
         (:meth:`repro.pdm.striping.VirtualDisks.write_round`): ``disks``
         is an int sequence (distinctness/range already enforced by the
-        caller, exactly like ``checked=False``), every block lands at
-        ``slot``, and ``blocks`` are record arrays whose concatenation in
-        list order is the scatter payload (each a multiple of ``B``
-        records, flat order matching ``disks``).  Logical effects —
-        fault hook, ledger, :class:`IOStats`, obs — are identical to the
-        equivalent :meth:`write_blocks_arr` call; only the per-call array
-        construction is gone.  Blocks are handed over: the caller must
-        not mutate them afterwards (the scatter is deferred).
+        caller), every block lands at ``slot`` — a fresh slot from
+        :meth:`allocate_slots`, so no pending block can sit there — and
+        ``blocks`` is a list of record arrays or one record matrix whose
+        flat record order matches ``disks`` (each block a multiple of
+        ``B`` records).  Logical effects are those of
+        :meth:`write_blocks_arr`; only the per-call array construction
+        is gone.  Blocks are handed over: the caller must not mutate
+        them afterwards (the scatter is deferred).
         """
         k = len(disks)
         if k == 0:
             return
+        self._queue_write(disks, [slot] * k, blocks)
+
+    def _queue_write(self, disks: Sequence[int], slots: list[int], data) -> None:
+        """The logical effects of one parallel write of ``len(disks)`` blocks.
+
+        Fires the fault hook, queues the scatter in the I/O plan (flushing
+        once ``PLAN_WINDOW`` rounds are pending), then releases the
+        ledger and counts the I/O in :class:`IOStats` and obs.  ``data``
+        is one record matrix or a list of record arrays, in the flat
+        order of ``disks``.
+        """
+        k = len(disks)
+        # Raise-class fault rules fire *before* the write is queued (no
+        # partial effects); corrupt rules return the (row, bit_seed) to
+        # damage once the flush has stored the block.
         corrupt = self._fault.on_write(k) if self._fault is not None else None
         plan = self._plan
         plan.disks.extend(disks)
-        plan.slots.extend([slot] * k)
-        plan.data.extend(blocks)
+        plan.slots.extend(slots)
+        if isinstance(data, np.ndarray):
+            plan.data.append(data)
+        else:
+            plan.data.extend(data)
         if corrupt is not None:
             row, bit_seed = corrupt
-            plan.corrupt.append((disks[row], slot, bit_seed))
+            plan.corrupt.append((disks[row], slots[row], bit_seed))
         plan.rounds += 1
-        if plan.min_slot < 0 or slot < plan.min_slot:
-            plan.min_slot = slot
+        smin = min(slots)
+        if plan.min_slot < 0 or smin < plan.min_slot:
+            plan.min_slot = smin
         self.plan_stats.deferred_write_rounds += 1
         if plan.rounds >= PLAN_WINDOW:
             self.flush_io_plan()

@@ -57,6 +57,7 @@ __all__ = [
     "ArenaBlockStore",
     "DictBlockStore",
     "STORE_BACKENDS",
+    "env_store_name",
     "make_store",
 ]
 
@@ -552,12 +553,28 @@ STORE_BACKENDS = {
 }
 
 
+def env_store_name() -> str:
+    """The backend ``$REPRO_PDM_STORE`` names (the arena when unset).
+
+    Any other value is refused with a
+    :class:`~repro.exceptions.ParameterError` naming the variable, the
+    value and the backends, so the CLI can refuse it before anything runs.
+    """
+    name = os.environ.get("REPRO_PDM_STORE", "arena")
+    if name not in STORE_BACKENDS:
+        raise ParameterError(
+            f"REPRO_PDM_STORE={name!r} names no block store backend "
+            f"(expected one of {sorted(STORE_BACKENDS)})"
+        )
+    return name
+
+
 def make_store(
     name: str | None, n_disks: int, block: int, checksums: bool = False
 ):
     """Build the storage backend ``name`` (or ``$REPRO_PDM_STORE``, or arena)."""
     if name is None:
-        name = os.environ.get("REPRO_PDM_STORE", "arena")
+        name = env_store_name()
     try:
         cls = STORE_BACKENDS[name]
     except KeyError:

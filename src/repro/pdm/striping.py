@@ -11,19 +11,22 @@ units small enough for its matching machinery (the paper uses
 ``H' = H^{1/3}``) while keeping full hardware parallelism within each unit.
 
 :class:`VirtualDisks` exposes exactly the two operations Balance Sort
-needs, each costing one parallel I/O on the underlying machine (contention
-rules still enforced there):
+needs, each costing one parallel I/O on the underlying machine:
 
 * write at most one virtual block to each of a set of distinct virtual
-  disks;
+  disks — :meth:`VirtualDisks.write_round`;
 * read at most one virtual block from each of a set of distinct virtual
-  disks.
+  disks — :meth:`VirtualDisks.gather_rounds_arr` moves the blocks of one
+  or more planned rounds in one store pass, and
+  :meth:`VirtualDisks.charge_read_round` charges each round at the point
+  it is consumed.
 
-Each has one entry point (``parallel_write_arr`` or the list-native
-``write_round``, and ``parallel_read_arr``) that expands virtual
-addresses to physical ``(disk, slot)`` index arrays and moves one
-``(k, virtual_block_size)`` record matrix per parallel I/O (see
-``docs/performance.md``).
+Both refuse a round through :func:`check_round` (one block per virtual
+disk, every virtual disk in range), and the write checks its blocks
+through :func:`check_blocks`.
+:class:`~repro.hierarchies.parallel.VirtualHierarchies` implements the
+same contract with the same address type and the same checks, so the
+Balance engine and the run streams drive both machine models alike.
 """
 
 from __future__ import annotations
@@ -36,7 +39,14 @@ from ..exceptions import DiskContentionError, ParameterError
 from ..records import RECORD_DTYPE
 from .machine import ParallelDiskMachine
 
-__all__ = ["VirtualBlockAddress", "VirtualDisks", "fully_striped_view", "default_virtual_disk_count"]
+__all__ = [
+    "VirtualBlockAddress",
+    "VirtualDisks",
+    "check_blocks",
+    "check_round",
+    "default_virtual_disk_count",
+    "fully_striped_view",
+]
 
 
 def default_virtual_disk_count(d: int) -> int:
@@ -45,6 +55,7 @@ def default_virtual_disk_count(d: int) -> int:
     We take the largest divisor of ``D`` not exceeding ``ceil(D^{1/3})``
     when ``D`` has one; the cube-root scale is what makes the derandomized
     matching affordable (``H = (H')³`` processors run the ``(H')²`` copies).
+    The hierarchies take ``H'`` by the same rule.
     """
     if d < 1:
         raise ParameterError("D must be positive")
@@ -56,7 +67,7 @@ def default_virtual_disk_count(d: int) -> int:
 
 
 class VirtualBlockAddress(NamedTuple):
-    """Address of one virtual block: virtual disk and physical slot.
+    """Address of one virtual block: virtual disk (or hierarchy) and slot.
 
     A ``NamedTuple`` rather than a frozen dataclass: one is built per
     written virtual block (tens of thousands per grid cell), and tuple
@@ -66,6 +77,40 @@ class VirtualBlockAddress(NamedTuple):
 
     vdisk: int
     slot: int
+
+
+def check_round(
+    channels: Sequence[int], n_virtual: int, unit: str, verb: str
+) -> None:
+    """Refuse one parallel I/O's channels unless distinct and in range.
+
+    ``channels`` are plain ints, one per virtual block of the round;
+    ``unit`` names a channel in the message (``"virtual disk"``) and
+    ``verb`` the direction (``"addressed to"``, ``"read from"``).
+    Rounds are tiny (``k ≤ H'``): a Python set and ``min``/``max`` beat
+    numpy reductions.
+    """
+    k = len(channels)
+    if k > 1 and len(set(channels)) != k:
+        raise DiskContentionError(f"two virtual blocks {verb} one {unit}")
+    if k and (min(channels) < 0 or max(channels) >= n_virtual):
+        bad = next(v for v in channels if not 0 <= v < n_virtual)
+        raise ParameterError(f"{unit} {bad} out of range [0, {n_virtual})")
+
+
+def check_blocks(blocks, k: int, vb: int) -> None:
+    """Refuse a write round's blocks unless they are ``k`` record blocks of
+    ``vb`` records: a list of 1-D blocks or one ``(k, vb)`` matrix."""
+    if len(blocks) != k:
+        raise ParameterError(f"{k} channels but {len(blocks)} virtual blocks")
+    matrix = isinstance(blocks, np.ndarray)
+    for block in (blocks,) if matrix else blocks:
+        if block.dtype != RECORD_DTYPE:
+            raise TypeError(f"blocks must have record dtype, got {block.dtype}")
+        if block.ndim != (2 if matrix else 1) or block.shape[-1] != vb:
+            raise ParameterError(
+                f"virtual block must hold {vb} records, got shape {block.shape}"
+            )
 
 
 class VirtualDisks:
@@ -81,14 +126,8 @@ class VirtualDisks:
         self.machine = machine
         self.n_virtual = int(n_virtual)
         self.group = machine.D // self.n_virtual
-        # Cached per-group disk offsets for the vectorized expansion.
+        # Per-group disk offsets for the vectorized expansion.
         self._offsets = np.arange(self.group, dtype=np.int64)
-        # Physical-disk expansions keyed by the virtual-disk tuple.  The key
-        # space is tiny (H'! orderings at most, H' = D^(1/3)-ish), while the
-        # expansion itself runs once per parallel I/O — caching it removes
-        # two array constructions from every I/O.  Consumers only *read*
-        # the cached arrays (fancy-index sources), never mutate them.
-        self._pdisk_cache: dict[tuple, np.ndarray] = {}
         # Plain-list twin for the round-structured write path: physical
         # disks owned by each virtual disk, ready to splice per round.
         self._pdisk_rows = [
@@ -112,30 +151,7 @@ class VirtualDisks:
         g = self.group
         if g == 1:
             return vdisks, slots
-        return self._expand_disks(vdisks), np.repeat(slots, g)
-
-    def _expand_disks(self, vdisks: np.ndarray) -> np.ndarray:
-        """Memoized virtual→physical disk expansion (``group > 1`` only)."""
-        key = tuple(vdisks.tolist())
-        pdisks = self._pdisk_cache.get(key)
-        if pdisks is None:
-            pdisks = (vdisks[:, None] * self.group + self._offsets).ravel()
-            self._pdisk_cache[key] = pdisks
-        return pdisks
-
-    def _check_vdisks(self, vdisks: np.ndarray, verb: str) -> None:
-        # Tiny batches (k ≤ H'): a Python set/min/max beats numpy reductions.
-        listed = vdisks.tolist()
-        k = len(listed)
-        if k > 1 and len(set(listed)) != k:
-            raise DiskContentionError(
-                f"two virtual blocks {verb} one virtual disk"
-            )
-        if k and (min(listed) < 0 or max(listed) >= self.n_virtual):
-            bad = next(v for v in listed if not 0 <= v < self.n_virtual)
-            raise ParameterError(
-                f"virtual disk {bad} out of range [0, {self.n_virtual})"
-            )
+        return (vdisks[:, None] * g + self._offsets).ravel(), np.repeat(slots, g)
 
     @staticmethod
     def _addr_arrays(addresses: Sequence[VirtualBlockAddress]) -> tuple[np.ndarray, np.ndarray]:
@@ -144,85 +160,32 @@ class VirtualDisks:
         slots = np.fromiter((a.slot for a in addresses), np.int64, k)
         return vdisks, slots
 
-    # ------------------------------------------------------ batched fast path
-
-    def parallel_write_arr(
-        self, vdisks: np.ndarray, data: np.ndarray, park: bool = False
-    ) -> list[VirtualBlockAddress]:
-        """Write ≤1 virtual block per virtual disk — one parallel I/O.
-
-        ``data`` is one ``(k, virtual_block_size)`` record matrix; row
-        ``i`` lands on virtual disk ``vdisks[i]``.  Rows may be views of
-        caller buffers (the store scatters a copy).  Returns the address
-        of each written block (slots are bump-allocated per write so
-        blocks never collide).  ``park`` is accepted for interface
-        parity with the hierarchy backend and ignored: disk I/O cost is
-        address-independent.
-        """
-        vdisks = np.asarray(vdisks, dtype=np.int64)
-        k = vdisks.size
-        if k == 0:
-            return []
-        self._check_vdisks(vdisks, "addressed to")
-        vb = self.virtual_block_size
-        if data.shape != (k, vb):
-            raise ParameterError(
-                f"virtual block must hold {vb} records, got {data.shape[1] if data.ndim == 2 else data.shape[0]}"
-            )
-        slot = self.machine.allocate_slots(1)
-        g = self.group
-        # All k blocks share the freshly allocated slot, so the physical
-        # slot array is a single np.full — no per-write expansion needed.
-        pdisks = vdisks if g == 1 else self._expand_disks(vdisks)
-        pslots = np.full(k * g, slot, dtype=np.int64)
-        # checked=False: _check_vdisks guaranteed distinct in-range virtual
-        # disks (hence distinct in-range physical disks) and the slot came
-        # from the machine's own bump allocator.
-        self.machine.write_blocks_arr(
-            pdisks, pslots, data.reshape(-1, self.machine.B), checked=False
-        )
-        return [VirtualBlockAddress(vdisk=int(v), slot=slot) for v in vdisks.tolist()]
+    # ---------------------------------------------------------------- write
 
     def write_round(
-        self, channels: Sequence[int], blocks: Sequence[np.ndarray],
-        park: bool = False, checked: bool = True,
+        self, channels: Sequence[int], blocks, park: bool = False,
+        checked: bool = True,
     ) -> list[VirtualBlockAddress]:
         """Write one block per listed virtual disk — one parallel I/O.
 
-        The list-native twin of :meth:`parallel_write_arr` for
-        round-structured writers (the Balance engine's per-round
-        batches): ``channels`` is an int sequence, ``blocks[i]`` the
-        full virtual block bound for ``channels[i]``.  Charges, ledger
-        and obs effects are identical; the per-call numpy address
-        assembly is replaced by Python smalls (stripe widths are ≤ H').
-        Blocks are handed over — the caller must not mutate them after
-        this call.  ``park`` is accepted for interface parity and
-        ignored (disk cost is address-independent).  ``checked=False``
-        skips the contention/range/shape validation for callers that
-        enforce all three structurally (the Balance engine assigns at
-        most one full block per channel per batch) — same convention as
-        :meth:`parallel_write_arr`.
+        ``channels`` is an int sequence; ``blocks`` holds the full
+        virtual block bound for each channel, as a list of rows or one
+        ``(k, virtual_block_size)`` record matrix.  All blocks share one
+        freshly allocated slot, so blocks never collide.  Blocks are
+        handed over — the caller must not mutate them after this call
+        (the machine defers the scatter).  ``park`` is accepted for
+        interface parity with the hierarchies and ignored: disk cost is
+        address-independent.  ``checked=False`` skips
+        :func:`check_round` and :func:`check_blocks` for a caller that
+        enforces both structurally (the Balance engine assigns at most
+        one full block per channel per batch).
         """
         k = len(channels)
         if k == 0:
             return []
         if checked:
-            if k > 1 and len(set(channels)) != k:
-                raise DiskContentionError(
-                    "two virtual blocks addressed to one virtual disk"
-                )
-            n_virtual = self.n_virtual
-            if min(channels) < 0 or max(channels) >= n_virtual:
-                bad = next(v for v in channels if not 0 <= v < n_virtual)
-                raise ParameterError(
-                    f"virtual disk {bad} out of range [0, {n_virtual})"
-                )
-            vb = self.virtual_block_size
-            for block in blocks:
-                if block.shape[0] != vb:
-                    raise ParameterError(
-                        f"virtual block must hold {vb} records, got {block.shape[0]}"
-                    )
+            check_round(channels, self.n_virtual, "virtual disk", "addressed to")
+            check_blocks(blocks, k, self.virtual_block_size)
         slot = self.machine.allocate_slots(1)
         if self.group == 1:
             pdisks = channels
@@ -235,86 +198,40 @@ class VirtualDisks:
         new = tuple.__new__  # skips the NamedTuple __new__ frame per address
         return [new(VirtualBlockAddress, (c, slot)) for c in channels]
 
-    def parallel_read_arr(
-        self, addresses: Sequence[VirtualBlockAddress], free: bool = False
-    ) -> np.ndarray:
-        """Read ≤1 virtual block per virtual disk — one parallel I/O.
-
-        Returns a freshly gathered ``(k, virtual_block_size)`` record
-        matrix (row ``i`` is the block at ``addresses[i]``); never views
-        into the store, so the caller may hold it indefinitely.
-        ``free=True`` drops the blocks right after the gather (one fused
-        store pass — the streaming consume pattern; no extra I/O charge,
-        exactly like a follow-up :meth:`free_arr`).
-        """
-        if not addresses:
-            return np.empty((0, self.virtual_block_size), dtype=RECORD_DTYPE)
-        vdisks, slots = self._addr_arrays(addresses)
-        self._check_vdisks(vdisks, "read from")
-        pdisks, pslots = self._expand(vdisks, slots)
-        # checked=False: distinct in-range vdisks imply distinct in-range
-        # physical disks; the machine still guards negative slots.
-        matrix = self.machine.read_blocks_arr(pdisks, pslots, free=free, checked=False)
-        return matrix.reshape(len(addresses), self.virtual_block_size)
-
-    def free_arr(self, addresses: Sequence[VirtualBlockAddress]) -> None:
-        """Drop virtual blocks from the disks (no I/O cost) — one batch."""
-        if not addresses:
-            return
-        pdisks, pslots = self._expand(*self._addr_arrays(addresses))
-        self.machine.free_blocks_arr(pdisks, pslots)
-
-    # ------------------------------------------------------------ I/O plans
+    # ----------------------------------------------------------------- read
 
     def gather_rounds_arr(
         self, round_addresses: Sequence[Sequence[VirtualBlockAddress]],
         free: bool = False,
     ) -> np.ndarray:
-        """Physically gather several future read rounds in one store pass.
+        """Physically gather one or more read rounds in one store pass.
 
-        ``round_addresses`` lists each planned round's virtual-block
-        addresses; every round is validated against the one-block-per-
-        virtual-disk rule *individually* (contention is a per-logical-
-        round rule).  Returns the fused ``(total_blocks,
-        virtual_block_size)`` record matrix, rounds concatenated in plan
-        order.  **No logical charges happen here** — the caller charges
-        each round via :meth:`charge_read_round` at the point
+        ``round_addresses`` lists each round's virtual-block addresses;
+        every round is checked on its own by :func:`check_round`
+        (contention is a per-round rule).  Returns a fresh
+        ``(total_blocks, virtual_block_size)`` record matrix, rounds
+        concatenated in order; ``free=True`` drops the blocks in the same
+        store pass.  **No logical charges happen here** — the caller
+        charges each round via :meth:`charge_read_round` at the point
         round-at-a-time execution would have issued it.
         """
-        # Addresses accumulate as flat Python lists (per-round numpy
+        # Addresses accumulate as flat Python lists: per-round numpy
         # construction costs more than the fused store pass for the tiny
-        # ≤ H' stripe widths); the per-round contention check stays —
-        # it is a per-logical-round rule.
+        # ≤ H' stripe widths.
         n_virtual = self.n_virtual
         all_vdisks: list[int] = []
         all_slots: list[int] = []
         for addresses in round_addresses:
             vdisks = [a.vdisk for a in addresses]
-            k = len(vdisks)
-            if k > 1 and len(set(vdisks)) != k:
-                raise DiskContentionError(
-                    "two virtual blocks read from one virtual disk"
-                )
-            if k and (min(vdisks) < 0 or max(vdisks) >= n_virtual):
-                bad = next(v for v in vdisks if not 0 <= v < n_virtual)
-                raise ParameterError(
-                    f"virtual disk {bad} out of range [0, {n_virtual})"
-                )
+            check_round(vdisks, n_virtual, "virtual disk", "read from")
             all_vdisks.extend(vdisks)
             all_slots.extend(a.slot for a in addresses)
         total = len(all_vdisks)
         if total == 0:
             return np.empty((0, self.virtual_block_size), dtype=RECORD_DTYPE)
-        vdisks = np.array(all_vdisks, dtype=np.int64)
-        slots = np.array(all_slots, dtype=np.int64)
-        g = self.group
-        if g == 1:
-            pdisks, pslots = vdisks, slots
-        else:
-            # Direct expansion (the per-round memo cache is keyed by tiny
-            # per-I/O tuples; fused multi-round keys would only bloat it).
-            pdisks = (vdisks[:, None] * g + self._offsets).ravel()
-            pslots = np.repeat(slots, g)
+        pdisks, pslots = self._expand(
+            np.array(all_vdisks, dtype=np.int64), np.array(all_slots, dtype=np.int64)
+        )
         matrix = self.machine.gather_blocks_arr(pdisks, pslots, free=free)
         return matrix.reshape(total, self.virtual_block_size)
 
@@ -337,6 +254,13 @@ class VirtualDisks:
 
     # ------------------------------------------------- inspection, placement
 
+    def free_arr(self, addresses: Sequence[VirtualBlockAddress]) -> None:
+        """Drop virtual blocks from the disks (no I/O cost) — one batch."""
+        if not addresses:
+            return
+        pdisks, pslots = self._expand(*self._addr_arrays(addresses))
+        self.machine.free_blocks_arr(pdisks, pslots)
+
     def peek_many(self, addresses: Sequence[VirtualBlockAddress]) -> np.ndarray:
         """Inspect many virtual blocks without an I/O, in one store gather.
 
@@ -345,10 +269,8 @@ class VirtualDisks:
         """
         if not addresses:
             return np.empty((0, self.virtual_block_size), dtype=RECORD_DTYPE)
-        vdisks, slots = self._addr_arrays(addresses)
-        # Direct expansion: the memo cache is for per-round stripe keys.
-        pdisks = (vdisks[:, None] * self.group + self._offsets).ravel()
-        matrix = self.machine.peek_blocks_arr(pdisks, np.repeat(slots, self.group))
+        pdisks, pslots = self._expand(*self._addr_arrays(addresses))
+        matrix = self.machine.peek_blocks_arr(pdisks, pslots)
         return matrix.reshape(len(addresses), self.virtual_block_size)
 
     def load_initial(self, blocks: Sequence[tuple[int, np.ndarray]]) -> list[VirtualBlockAddress]:

@@ -1,11 +1,15 @@
 """Reference oracle for the fused I/O executor.
 
-Round-at-a-time execution: every logical parallel read is one charged
-``parallel_read_arr`` call, and every parallel write scatters into the
-store — taking any injected corruption — at its own I/O.  This is the
-schedule the shipped executor must match bit for bit: the windowed
-gathers of :func:`repro.core.streams.read_run_batches` and the deferred
-write scatters of :class:`~repro.pdm.machine.ParallelDiskMachine`.
+Round-at-a-time execution: every logical parallel read is read and
+charged in one call — one ``ParallelDiskMachine.read_blocks_arr`` on
+disks, one store read plus its step charge on hierarchies — and every
+parallel write scatters into the store, taking any injected corruption,
+at its own I/O.  This is the schedule the shipped executor must match
+bit for bit: the windowed gathers of
+:func:`repro.core.streams.read_run_batches`, the single-round gathers of
+Greed Sort and the deferred write scatters of
+:class:`~repro.pdm.machine.ParallelDiskMachine`.  The oracle expands
+virtual addresses itself, so it never runs the executor it checks.
 Differential tests run whole sorts with it patched in at the executor's
 call sites (:func:`use_io`), the way ``kernel_reference.use_kernels``
 patches the kernels.
@@ -22,15 +26,37 @@ from repro.pdm.striping import VirtualDisks
 from repro.records import concat_records
 
 
+def read_round(storage, addresses, free):
+    """Read and charge one round of virtual-block ``addresses``."""
+    if isinstance(storage, VirtualDisks):
+        g = storage.group
+        disks = [a.vdisk * g + i for a in addresses for i in range(g)]
+        slots = [a.slot for a in addresses for _ in range(g)]
+        matrix = storage.machine.read_blocks_arr(disks, slots, free=free)
+        return matrix.reshape(len(addresses), storage.virtual_block_size)
+    vdisks = np.array([a.vdisk for a in addresses], dtype=np.int64)
+    slots = np.array([a.slot for a in addresses], dtype=np.int64)
+    matrix = storage._store.read_batch(vdisks, slots)
+    storage.machine.parallel_step(storage._step_costs(slots), kind="read")
+    if free:
+        storage.free_arr(addresses)
+    return matrix
+
+
 def execute_rounds(storage, rounds, free):
-    """One window per round, read and charged by ``parallel_read_arr``."""
+    """One window per round, read and charged by :func:`read_round`."""
     for refs in rounds:
         addresses = [r.address for r in refs]
-        yield [refs], [addresses], storage.parallel_read_arr(addresses, free=free)
+        yield [refs], [addresses], read_round(storage, addresses, free)
+
+
+def gather_rounds_arr(self, round_addresses, free=False):
+    """Each round read and charged at once, in order."""
+    return np.concatenate([read_round(self, a, free) for a in round_addresses])
 
 
 def charged_by_read(self, addresses, free=False):
-    """No charge left to make: :func:`execute_rounds` read the round."""
+    """No charge left to make: :func:`read_round` charged the round."""
 
 
 def _land_write(machine, disks, slots, data, corrupt):
@@ -49,14 +75,13 @@ def _land_write(machine, disks, slots, data, corrupt):
         machine._ev_write(k, k == machine.D)
 
 
-def write_blocks_arr(self, disks, slots, data, checked=True):
+def write_blocks_arr(self, disks, slots, data):
     """``ParallelDiskMachine.write_blocks_arr``, stored at its own I/O."""
     disks = np.asarray(disks, dtype=np.int64)
     slots = np.asarray(slots, dtype=np.int64)
     if disks.size == 0:
         return
-    if checked:
-        self._check_io_batch(disks, slots)
+    self._check_io_batch(disks, slots)
     corrupt = self._fault.on_write(disks.size) if self._fault is not None else None
     _land_write(self, disks, slots, data, corrupt)
 
@@ -67,10 +92,11 @@ def write_round_blocks(self, disks, slot, blocks):
     if k == 0:
         return
     corrupt = self._fault.on_write(k) if self._fault is not None else None
-    data = (blocks[0] if len(blocks) == 1 else concat_records(blocks)).reshape(-1, self.B)
+    if not isinstance(blocks, np.ndarray):
+        blocks = blocks[0] if len(blocks) == 1 else concat_records(blocks)
     _land_write(
         self, np.array(disks, dtype=np.int64), np.full(k, slot, dtype=np.int64),
-        data, corrupt,
+        blocks.reshape(-1, self.B), corrupt,
     )
 
 
@@ -86,6 +112,9 @@ def use_io(name: str) -> ExitStack:
             mock.patch("repro.core.streams._execute_windows", execute_rounds)
         )
         for cls in (VirtualDisks, VirtualHierarchies):
+            stack.enter_context(
+                mock.patch.object(cls, "gather_rounds_arr", gather_rounds_arr)
+            )
             stack.enter_context(
                 mock.patch.object(cls, "charge_read_round", charged_by_read)
             )

@@ -727,6 +727,8 @@ class TestBadCells:
         assert cap.err.strip().splitlines() == [f"repro: error: {rule}"]
 
     SWITCH = "is not a switch value (off: 0, off, false or empty; on: 1, on, true)"
+    STORE = ("REPRO_PDM_STORE='bogus' names no block store backend "
+             "(expected one of ['arena', 'dict'])")
 
     @pytest.mark.parametrize("argv, says, env", [
         (["diff", "a.json", "b.json", "--rule", "a=abc"], "bad --rule 'a=abc'", {}),
@@ -751,10 +753,16 @@ class TestBadCells:
          {"REPRO_MEM_TELEMETRY": "no"}),
         (["report", "t.jsonl"], f"REPRO_MEM_TELEMETRY='disabled' {SWITCH}",
          {"REPRO_MEM_TELEMETRY": "disabled"}),
+        (["hierarchy", "--n", "500", "--h", "8"], STORE,
+         {"REPRO_PDM_STORE": "bogus"}),
+        (["sweep", "--task", "hierarchy", "--n", "500", "--h", "8"], STORE,
+         {"REPRO_PDM_STORE": "bogus"}),
+        (["serve"], STORE, {"REPRO_PDM_STORE": "bogus"}),
     ], ids=["diff-rule", "profile-bins-0", "profile-bins-neg", "bench-min-of",
             "bench-jobs-neg", "top-interval-neg", "top-interval-0",
             "checksums-sweep", "checksums-sort", "checksums-serve",
-            "mem-telemetry-sweep", "mem-telemetry-report"])
+            "mem-telemetry-sweep", "mem-telemetry-report",
+            "store-hierarchy", "store-sweep-hierarchy", "store-serve"])
     def test_bad_flag_value_exits_two(self, argv, says, env, tmp_path, capsys,
                                       monkeypatch):
         """A flag value no run can use, or an on/off ``REPRO_*`` variable

@@ -17,7 +17,7 @@ from repro.hierarchies import (
 )
 from repro.hierarchies.bt import touch_cost, transpose_cost
 from repro.hierarchies.cost import ConstantCost, paper_log
-from repro.hierarchies.parallel import default_virtual_hierarchy_count
+from repro.pdm.striping import VirtualBlockAddress
 from repro.records import make_records
 
 
@@ -212,9 +212,8 @@ class TestParallelHierarchies:
         assert ph.total_time == 5.0
 
     def test_default_virtual_hierarchy_count(self):
-        assert default_virtual_hierarchy_count(64) == 4
-        assert default_virtual_hierarchy_count(27) == 3
-        assert default_virtual_hierarchy_count(8) == 2
+        for h, n_virtual in ((64, 4), (27, 3), (8, 2)):
+            assert VirtualHierarchies(ParallelHierarchies(h)).n_virtual == n_virtual
 
 
 class TestVirtualHierarchies:
@@ -231,7 +230,8 @@ class TestVirtualHierarchies:
         d0 = make_records(np.arange(4, dtype=np.uint64))
         d1 = make_records(np.arange(4, dtype=np.uint64) + 50)
         addrs = vh.write_round([0, 1], [d0, d1])
-        out = vh.parallel_read_arr(addrs)
+        out = vh.gather_rounds_arr([addrs])
+        vh.charge_read_round(addrs)
         assert np.array_equal(out[0]["key"], d0["key"])
         assert np.array_equal(out[1]["key"], d1["key"])
 
@@ -274,3 +274,20 @@ class TestVirtualHierarchies:
         _, vh = self._vh()
         with pytest.raises(ParameterError):
             vh.write_round([0], [make_records(np.arange(2, dtype=np.uint64))])
+
+    @pytest.mark.parametrize("dtype", [np.float32, np.int64])
+    @pytest.mark.parametrize("as_matrix", [False, True], ids=["rows", "matrix"])
+    def test_non_record_blocks_rejected(self, dtype, as_matrix):
+        ph, vh = self._vh()
+        rows = [np.arange(4, dtype=dtype), np.arange(4, dtype=dtype)]
+        with pytest.raises(TypeError, match="record dtype"):
+            vh.write_round([0, 1], np.stack(rows) if as_matrix else rows)
+        assert ph.parallel_steps == 0
+
+    @pytest.mark.parametrize("vdisk", [-1, 2])
+    def test_read_of_out_of_range_hierarchy_rejected(self, vdisk):
+        _, vh = self._vh()
+        d = make_records(np.arange(4, dtype=np.uint64))
+        vh.write_round([0, 1], [d, d])
+        with pytest.raises(ParameterError, match=f"virtual hierarchy {vdisk} out of range"):
+            vh.gather_rounds_arr([[VirtualBlockAddress(vdisk, 0)]])

@@ -61,7 +61,7 @@ class TestDiskDiscipline:
         v = VirtualDisks(m, 4)
         d = make_records(np.arange(4, dtype=np.uint64))
         with pytest.raises(DiskContentionError):
-            v.parallel_write_arr(np.array([1, 1]), np.stack([d, d]))
+            v.write_round([1, 1], [d, d])
 
     def test_block_size_is_exact(self):
         m = ParallelDiskMachine(memory=64, block=4, disks=4)
@@ -113,8 +113,8 @@ class TestHierarchyDiscipline:
         vh = VirtualHierarchies(ph, 2)
         d = make_records(np.arange(4, dtype=np.uint64))
         with pytest.raises(DiskContentionError):
-            vh.parallel_read_arr(
-                [a for a in vh.write_round([0], [d]) for _ in range(2)]
+            vh.gather_rounds_arr(
+                [[a for a in vh.write_round([0], [d]) for _ in range(2)]]
             )
 
     def test_umh_frame_bounds(self):

@@ -1,5 +1,7 @@
 """Unit tests for the parallel disk machine, layout, and striping."""
 
+import inspect
+
 import numpy as np
 import pytest
 
@@ -261,9 +263,10 @@ class TestVirtualDisks:
         d0 = make_records(np.arange(8, dtype=np.uint64))
         d1 = make_records(np.arange(8, dtype=np.uint64) + 100)
         m.mem_acquire(16)
-        addrs = v.parallel_write_arr(at(0, 1), np.stack([d0, d1]))
+        addrs = v.write_round([0, 1], [d0, d1])
         assert m.stats.write_ios == 1
-        out = v.parallel_read_arr(addrs)
+        out = v.gather_rounds_arr([addrs])
+        v.charge_read_round(addrs)
         assert m.stats.read_ios == 1
         assert np.array_equal(out[0]["key"], d0["key"])
         assert np.array_equal(out[1]["key"], d1["key"])
@@ -274,13 +277,23 @@ class TestVirtualDisks:
         v = VirtualDisks(m, 2)
         d = make_records(np.arange(8, dtype=np.uint64))
         with pytest.raises(DiskContentionError):
-            v.parallel_write_arr(at(0, 0), np.stack([d, d]))
+            v.write_round([0, 0], [d, d])
 
     def test_wrong_virtual_block_size_rejected(self):
         m = machine(M=64, B=4, D=4)
         v = VirtualDisks(m, 2)
         with pytest.raises(ParameterError):
-            v.parallel_write_arr(at(0), make_records(np.arange(4, dtype=np.uint64))[None])
+            v.write_round([0], [make_records(np.arange(4, dtype=np.uint64))])
+
+    @pytest.mark.parametrize("dtype", [np.float32, np.int64])
+    @pytest.mark.parametrize("as_matrix", [False, True], ids=["rows", "matrix"])
+    def test_non_record_blocks_rejected(self, dtype, as_matrix):
+        m = machine(M=64, B=4, D=4)
+        v = VirtualDisks(m, 2)
+        rows = [np.ones(8, dtype=dtype), np.ones(8, dtype=dtype)]
+        with pytest.raises(TypeError, match="record dtype"):
+            v.write_round([0, 1], np.stack(rows) if as_matrix else rows)
+        assert m.stats.write_ios == 0
 
     def test_fully_striped_view(self):
         m = machine(M=64, B=4, D=4)
@@ -293,10 +306,10 @@ class TestVirtualDisks:
         v = VirtualDisks(m, 2)
         d = make_records(np.arange(8, dtype=np.uint64))
         m.mem_acquire(8)
-        addrs = v.parallel_write_arr(at(0), d[None])
+        addrs = v.write_round([0], [d])
         v.free_arr(addrs)
         with pytest.raises(AddressError):
-            v.parallel_read_arr(addrs)
+            v.gather_rounds_arr([addrs])
 
 
 class TestStorageAPI:
@@ -306,8 +319,11 @@ class TestStorageAPI:
     REMOVED = {
         ParallelDiskMachine: ("read_blocks", "write_blocks", "peek_block",
                               "free_block", "_validate_addr"),
-        VirtualDisks: ("parallel_write", "parallel_read", "peek", "free"),
-        VirtualHierarchies: ("parallel_write", "parallel_read", "peek", "free"),
+        VirtualDisks: ("parallel_write", "parallel_read", "peek", "free",
+                       "parallel_write_arr", "parallel_read_arr",
+                       "_check_vdisks", "_expand_disks"),
+        VirtualHierarchies: ("parallel_write", "parallel_read", "peek", "free",
+                             "parallel_write_arr", "parallel_read_arr"),
         ArenaBlockStore: ("peek", "free"),
         DictBlockStore: ("peek", "free"),
     }
@@ -321,3 +337,13 @@ class TestStorageAPI:
         bound = [name for name, value in vars(layout).items()
                  if any(value is f for f in padding)]
         assert bound == ["pad_records"]
+
+    def test_one_address_type_and_no_unchecked_machine_io(self):
+        from repro.hierarchies import parallel
+        from repro.pdm import striping
+
+        assert parallel.VirtualBlockAddress is striping.VirtualBlockAddress
+        assert not hasattr(parallel, "default_virtual_hierarchy_count")
+        for name in ("read_blocks_arr", "write_blocks_arr"):
+            params = inspect.signature(getattr(ParallelDiskMachine, name)).parameters
+            assert "checked" not in params
