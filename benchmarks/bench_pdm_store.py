@@ -7,7 +7,8 @@ the repo root:
 * **store microbench** — raw write/read/free batch throughput of the two
   backends in isolation (the substrate-only view of the change);
 * **E1 macro grid** — the Theorem-1 sweep (9 ``sort_pdm`` cells), timed
-  serially per cell under ``REPRO_PDM_STORE=arena`` and ``=dict``, with
+  serially per cell on the arena and on the dict store (selected through
+  ``repro.pdm.store.DEFAULT_STORE``), with
   backend runs interleaved and min-of-``repeats`` per cell to damp host
   noise.  Cell results are asserted bit-identical across backends — a
   speedup that changed the measurements would be a bug, not a win;
@@ -33,6 +34,7 @@ import json
 import os
 import sys
 import time
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -106,17 +108,10 @@ def _time_cell(cell: dict, store: str) -> tuple[float, dict]:
     """One serial ``sort_pdm`` run under the given backend; returns (s, result)."""
     from repro.exec import run_task
 
-    prev = os.environ.get("REPRO_PDM_STORE")
-    os.environ["REPRO_PDM_STORE"] = store
-    try:
+    with mock.patch("repro.pdm.store.DEFAULT_STORE", store):
         t0 = time.perf_counter()
         payload = run_task("sort_pdm", dict(cell))
         return time.perf_counter() - t0, payload["result"]
-    finally:
-        if prev is None:
-            os.environ.pop("REPRO_PDM_STORE", None)
-        else:
-            os.environ["REPRO_PDM_STORE"] = prev
 
 
 def grid_comparison(grid: list[dict], repeats: int = 2) -> dict:

@@ -41,7 +41,6 @@ from .obs import (
     RunReport,
     TheoryAuditor,
     diff_runs,
-    memory_telemetry_enabled,
     peak_rss_kb,
     profile_trace,
     render_profile,
@@ -49,7 +48,6 @@ from .obs import (
     summarize_trace,
 )
 from .obs.report import write_json
-from .pdm.store import env_store_name
 from .util.env import check_switches
 
 __all__ = ["main", "build_parser"]
@@ -630,8 +628,7 @@ def _make_obs(args) -> Observation | None:
     """An Observation when any sink was requested on the CLI, else None."""
     if args.emit_json is None and args.trace_out is None:
         return None
-    memory = MemoryTelemetry() if memory_telemetry_enabled() else None
-    return Observation(trace_path=args.trace_out, memory=memory)
+    return Observation(trace_path=args.trace_out, memory=MemoryTelemetry())
 
 
 def _emit(args, obs: Observation | None, command: str, result: dict) -> bool:
@@ -663,20 +660,16 @@ def _run(args, obs: Observation | None) -> tuple[str, list[dict]]:
 
 def cmd_sort(args) -> int:
     """Run Balance Sort on a PDM machine and print the measurements."""
-    from .pdm.machine import (
-        collect_mem_stats,
-        collect_plan_stats,
-        merge_mem_snapshots,
-        merge_plan_snapshots,
-    )
+    from .pdm.machine import collect_machines, merge_sidecars
 
     obs = _make_obs(args)
-    with collect_plan_stats() as plans, collect_mem_stats() as mems:
+    with collect_machines() as machines:
         _, (result,) = _run(args, obs)
     if not args.quiet and sys.stderr.isatty():
         # Interactive chatter only, out of band: the physical I/O-plan
         # and memory gauges never reach stdout or the report.
-        plan = merge_plan_snapshots(stats.snapshot() for stats in plans)
+        side = merge_sidecars(m.sidecar() for m in machines)
+        plan = side["io_plan"]
         if plan["write_flushes"] or plan["read_gathers"]:
             print(
                 "[io-plan] {deferred_write_rounds} write rounds fused into "
@@ -686,15 +679,14 @@ def cmd_sort(args) -> int:
                 "blocks)".format(**plan),
                 file=sys.stderr,
             )
-        if memory_telemetry_enabled():
-            print(
-                "[mem] arena high-water {high_water_blocks} blocks (slab "
-                "{slab_bytes} bytes, {grow_events} grows); ledger high-water "
-                "{ledger_high_water_records} records; peak RSS {rss} kB".format(
-                    **merge_mem_snapshots(fn() for fn in mems), rss=peak_rss_kb()
-                ),
-                file=sys.stderr,
-            )
+        print(
+            "[mem] arena high-water {high_water_blocks} blocks (slab "
+            "{slab_bytes} bytes, {grow_events} grows); ledger high-water "
+            "{ledger_high_water_records} records; peak RSS {rss} kB".format(
+                **side["memory"], rss=peak_rss_kb()
+            ),
+            file=sys.stderr,
+        )
     if _emit(args, obs, "sort", result):
         bound = bounds.sort_io_bound(args.n, args.memory, args.block, args.disks)
         t = Table(["metric", "value"], title="Balance Sort (parallel disk model)")
@@ -1403,11 +1395,8 @@ def cmd_profile(args) -> int:
         else:
             memory = doc
         if not memory or not any(memory.values()):
-            print(
-                f"[profile] {args.memory} holds no memory gauges "
-                "(was the sweep run with REPRO_MEM_TELEMETRY off?)",
-                file=sys.stderr,
-            )
+            print(f"[profile] {args.memory} holds no memory gauges",
+                  file=sys.stderr)
             memory = None
     profile = profile_trace(args.trace, top=args.top, bins=args.bins,
                             memory=memory)
@@ -1941,14 +1930,12 @@ def _run_spec(args) -> tuple[str, list[dict]]:
 
 def _usage_error(args) -> str | None:
     """The first thing a command cannot run with, as one line; else None:
-    an on/off ``REPRO_*`` variable set to a value no switch takes
-    (:mod:`repro.util.env`), a ``REPRO_PDM_STORE`` naming no store
-    backend, a runner, service, ``--bins``, ``--min-of`` or ``top
-    --interval`` value no run can use, a task flag the chosen task does
-    not take, or a cell :func:`repro.exec.check_spec` refuses."""
+    ``REPRO_PDM_CHECKSUMS`` set to a value no switch takes
+    (:mod:`repro.util.env`), a runner, service, ``--bins``, ``--min-of``
+    or ``top --interval`` value no run can use, a task flag the chosen
+    task does not take, or a cell :func:`repro.exec.check_spec` refuses."""
     try:
         check_switches()
-        env_store_name()
     except ParameterError as exc:
         return str(exc)
     bench_record = getattr(args, "bench_command", None) == "record"

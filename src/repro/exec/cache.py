@@ -31,11 +31,6 @@ import json
 import os
 import tempfile
 
-try:  # optional C canonical-JSON encoder (byte-identical, see _speedups.c)
-    from .. import _speedups as _speedups
-except ImportError:
-    _speedups = None
-
 from .tasks import payload_ok
 
 __all__ = ["ResultCache", "CACHE_ENTRY_SCHEMA", "payload_digest"]
@@ -45,15 +40,7 @@ CACHE_ENTRY_SCHEMA = "repro.cache_entry/1"
 
 def payload_digest(payload: dict) -> str:
     """sha256 over the canonical (sorted, compact) JSON of ``payload``."""
-    if _speedups is not None:
-        try:
-            text = _speedups.dumps(payload, True)
-        except (TypeError, ValueError, RecursionError):
-            # Non-scalar values (a hand-built payload in a test, say):
-            # the stdlib encoder defines the bytes.
-            text = json.dumps(payload, sort_keys=True, separators=(",", ":"))
-    else:
-        text = json.dumps(payload, sort_keys=True, separators=(",", ":"))
+    text = json.dumps(payload, sort_keys=True, separators=(",", ":"))
     return hashlib.sha256(text.encode("utf-8")).hexdigest()
 
 

@@ -68,14 +68,9 @@ from ..exceptions import (
     TaskTimeout,
 )
 from ..obs import ROUND_EVENTS
-from ..obs.memory import memory_telemetry_enabled, peak_rss_kb
+from ..obs.memory import peak_rss_kb
 from ..obs.telemetry import PROGRESS_SCHEMA, TelemetryWriter, activate_telemetry
-from ..pdm.machine import (
-    collect_mem_stats,
-    collect_plan_stats,
-    merge_mem_snapshots,
-    merge_plan_snapshots,
-)
+from ..pdm.machine import collect_machines, merge_sidecars
 from ..resilience import FaultInjector, activate, exec_decision, grid_fingerprint
 from .cache import ResultCache
 from .fingerprint import fingerprint
@@ -103,6 +98,10 @@ FAILURES_SCHEMA = "repro.failures/1"
 #: Schema tag a ``corrupt``-mode ``exec.task`` fault stamps on its poisoned
 #: payload — guaranteed to fail the runner's schema validation.
 _POISON_SCHEMA = "repro.poisoned/0"
+
+#: The reserved payload key a task's out-of-band telemetry rides back
+#: under (see :func:`_execute`); popped by :meth:`JobRunner._unpack`.
+_SIDECAR = "_sidecar"
 
 #: Default cap on the *total* deterministic-backoff delay one cell may
 #: accumulate across its retries.  Without a cap, a permanent-fault plan
@@ -241,20 +240,16 @@ def _execute(
     an *observer* of the tracer stream, never an input — the payload is
     byte-identical with it on or off.
 
-    Physical I/O-plan counters of every machine the task builds are
-    collected ambiently and ride back under the reserved ``_plan_stats``
-    key; the runner pops that key before the payload is validated,
-    cached, or returned, so payload purity is untouched (cache bytes and
-    results never see it).  Memory gauges (arena occupancy high waters,
-    the internal-memory ledger peak, worker peak RSS) ride the same way
-    under ``_mem_stats`` when ``REPRO_MEM_TELEMETRY`` is on.
+    Every machine the task builds is collected ambiently, and its
+    out-of-band telemetry rides back under the reserved ``_sidecar`` key:
+    the physical I/O-plan counters (``io_plan``) and the memory gauges
+    (``memory``: arena occupancy high waters, the internal-memory ledger
+    peak, worker peak RSS).  The runner pops that key before the payload
+    is validated, cached, or returned, so payload purity is untouched
+    (cache bytes and results never see it).
     """
     gate = None
-    mem_fns = None
-    with ExitStack() as outer:
-        plan_stats = outer.enter_context(collect_plan_stats())
-        if memory_telemetry_enabled():
-            mem_fns = outer.enter_context(collect_mem_stats())
+    with collect_machines() as machines:
         if plan is None and telemetry is None:
             payload = run_task(task, params)
         else:
@@ -271,14 +266,9 @@ def _execute(
                 payload = run_task(task, params)
     if gate == "poison":
         return {"schema": _POISON_SCHEMA, "task": task}
-    fused = merge_plan_snapshots(s.snapshot() for s in plan_stats)
-    if any(fused.values()):
-        payload["_plan_stats"] = fused
-    if mem_fns is not None:
-        mem = merge_mem_snapshots(fn() for fn in mem_fns)
-        mem["peak_rss_kb"] = peak_rss_kb()
-        if any(mem.values()):
-            payload["_mem_stats"] = mem
+    side = merge_sidecars(m.sidecar() for m in machines)
+    side["memory"]["peak_rss_kb"] = peak_rss_kb()
+    payload[_SIDECAR] = side
     return payload
 
 
@@ -501,9 +491,8 @@ class JobRunner:
         self._unexplained_crashes = 0  # since the last completed attempt
         # Out-of-band sidecars of the executed jobs, folded as each lands:
         # physical-fusion counters and memory gauges (counters add, high
-        # waters max; all-zero when REPRO_MEM_TELEMETRY is off).
-        self._io_plan = merge_plan_snapshots(())
-        self._memory = merge_mem_snapshots(())
+        # waters max).
+        self._sidecar = merge_sidecars(())
 
     # ----------------------------------------------------------- plumbing
 
@@ -838,28 +827,24 @@ class JobRunner:
         self._cond.notify_all()
 
     def _unpack(self, payload, task: str) -> dict:
-        """Pop a payload's out-of-band sidecars, then schema-check it.
+        """Pop a payload's out-of-band sidecar, then schema-check it.
 
         Must run before the payload is validated, cached, or exposed in
         a result: plan shape and memory gauges are telemetry, and a
-        cached serve must be byte-identical to a fresh execution.  Each
+        cached serve must be byte-identical to a fresh execution.  The
         sidecar is folded into the runner's totals as it lands.
         """
         if isinstance(payload, dict):
-            side = payload.pop("_plan_stats", None)
-            mem = payload.pop("_mem_stats", None)
-            with self._cond:
-                if side:
-                    self._io_plan = merge_plan_snapshots((self._io_plan, side))
-                if mem:
-                    self._memory = merge_mem_snapshots((self._memory, mem))
-                    self._tel(
-                        "cell_mem",
-                        **{k: mem[k] for k in (
+            side = payload.pop(_SIDECAR, None)
+            if side:
+                mem = side["memory"]
+                with self._cond:
+                    self._sidecar = merge_sidecars((self._sidecar, side))
+                    if any(mem.values()):
+                        self._tel("cell_mem", **{k: mem[k] for k in (
                             "high_water_blocks", "slab_bytes",
                             "ledger_high_water_records", "peak_rss_kb",
-                        ) if k in mem},
-                    )
+                        )})
         if not payload_ok(payload):  # poison detection
             raise PoisonedPayloadError(
                 f"worker returned an invalid payload for task {task!r}"
@@ -1273,8 +1258,8 @@ class ParallelRunner(JobRunner):
                 "cache": self.cache.stats,
                 # Physical-fusion telemetry summed over the freshly executed
                 # cells (cache hits ran no simulation, so contribute nothing).
-                "io_plan": dict(self._io_plan),
+                "io_plan": dict(self._sidecar["io_plan"]),
                 # Memory gauges folded the same way (counters add, high
-                # waters max); all-zero when REPRO_MEM_TELEMETRY is off.
-                "memory": dict(self._memory),
+                # waters max).
+                "memory": dict(self._sidecar["memory"]),
             }

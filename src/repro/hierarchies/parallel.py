@@ -258,10 +258,10 @@ class VirtualHierarchies:
         self.n_virtual = int(n_virtual)
         self.group = h // self.n_virtual
         self.cost_fn = effective_cost or machine.cost_fn
-        # Virtual-block payloads live in the same pluggable slab/dict
-        # substrate as the disk machine ("channels" here are virtual
-        # hierarchies, the block size is one record per member hierarchy);
-        # $REPRO_PDM_STORE selects the backend for both simulators.
+        # Virtual-block payloads live in the same block store as the disk
+        # machine ("channels" here are virtual hierarchies, the block size
+        # is one record per member hierarchy); both simulators build
+        # repro.pdm.store.DEFAULT_STORE.
         self._store = make_store(None, self.n_virtual, self.group)
         # Dual-ended free pool per virtual hierarchy: low allocations
         # compact subproblems to the front (the working-set discipline the
@@ -296,14 +296,6 @@ class VirtualHierarchies:
         addr = self._frontier[v]
         self._frontier[v] += 1
         return addr
-
-    def _check_block(self, v: int, data: np.ndarray) -> None:
-        if not 0 <= v < self.n_virtual:
-            raise ParameterError(f"virtual hierarchy {v} out of range")
-        if data.shape[0] != self.group:
-            raise ParameterError(
-                f"virtual block must hold {self.group} records, got {data.shape[0]}"
-            )
 
     def _step_costs(self, slots: np.ndarray) -> list[float]:
         """Per-channel access costs for one parallel step (one vector call)."""
@@ -428,16 +420,22 @@ class VirtualHierarchies:
                 heapq.heappush(self._free_max[v], -slot)
 
     def load_initial(self, blocks: Sequence[tuple[int, np.ndarray]]) -> list[VirtualBlockAddress]:
-        """Place input blocks without charging cost (the problem's given state)."""
+        """Place input blocks without charging cost (the problem's given state).
+
+        Each block is refused through :func:`~repro.pdm.striping.check_blocks`
+        unless it holds ``virtual_block_size`` records of the record dtype.
+        """
         if not blocks:
             return []
         k = len(blocks)
+        check_blocks([data for _, data in blocks], k, self.group)
         vdisks = np.empty(k, dtype=np.int64)
         slots = np.empty(k, dtype=np.int64)
         matrix = np.empty((k, self.group), dtype=RECORD_DTYPE)
         addresses = []
         for i, (v, data) in enumerate(blocks):
-            self._check_block(v, data)
+            if not 0 <= v < self.n_virtual:
+                raise ParameterError(f"virtual hierarchy {v} out of range")
             slot = self._alloc(v)
             vdisks[i], slots[i] = v, slot
             matrix[i] = data

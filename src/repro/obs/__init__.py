@@ -64,9 +64,8 @@ whole history of runs:
   compare --attribute``);
 * :class:`MemoryTelemetry` (:mod:`~repro.obs.memory`) — per-phase peak
   RSS sampling plus the store/machine arena gauges (high-water blocks,
-  slab growth, ledger records), out-of-band like ``_plan_stats`` so
-  payloads stay bit-identical telemetry on or off
-  (``REPRO_MEM_TELEMETRY``);
+  slab growth, ledger records), out of band in the same payload sidecar
+  as the I/O-plan counters, so payloads never carry them;
 * :func:`render_dashboard` (:mod:`~repro.obs.dashboard`) — the
   self-contained static-HTML perf dashboard over the history index
   (``repro dashboard``).
@@ -86,7 +85,7 @@ from .ledger import (
     compare_entries,
     make_entry,
 )
-from .memory import MemoryTelemetry, memory_telemetry_enabled, peak_rss_kb
+from .memory import MemoryTelemetry, peak_rss_kb
 from .metrics import Counter, Gauge, Histogram, MetricsRegistry
 from .profile import PROFILE_SCHEMA, profile_trace, render_profile
 from .report import RunReport, render_report, summarize_trace
@@ -164,7 +163,6 @@ __all__ = [
     "attribute_runs",
     "render_attrib",
     "MemoryTelemetry",
-    "memory_telemetry_enabled",
     "peak_rss_kb",
     "render_dashboard",
 ]

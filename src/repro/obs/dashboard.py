@@ -289,8 +289,7 @@ def _memory_section(records: list[dict]) -> str:
     if not hw and not rss:
         return (
             '<p class="placeholder">no memory telemetry indexed — ingest a '
-            "sweep <code>--stats-json</code> recorded with "
-            "<code>REPRO_MEM_TELEMETRY=1</code> (the default)</p>"
+            "sweep <code>--stats-json</code></p>"
         )
     parts = []
     if hw:

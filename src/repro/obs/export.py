@@ -240,17 +240,15 @@ def write_chrome_trace(
             read_trace(trace_path, tolerate_truncated_tail=True),
             metrics=metrics, counter_every=counter_every, source=trace_path,
         )
+    try:  # C canonical encoder when built — byte-identical output
+        from .._speedups import dumps as _c_dumps
+
+        text = _c_dumps(doc, False)
+    except (ImportError, TypeError, ValueError, RecursionError):
+        # One string, not a streaming json.dump: same bytes, a fraction
+        # of the time.
+        text = json.dumps(doc, separators=(",", ":"))
     with open(out_path, "w", encoding="utf-8") as fh:
-        try:  # C canonical encoder when built — byte-identical output
-            from .._speedups import dumps as _c_dumps
-        except ImportError:
-            _c_dumps = None
-        if _c_dumps is not None:
-            try:
-                fh.write(_c_dumps(doc, False))
-            except (TypeError, ValueError, RecursionError):
-                json.dump(doc, fh, separators=(",", ":"))
-        else:
-            json.dump(doc, fh, separators=(",", ":"))
+        fh.write(text)
         fh.write("\n")
     return doc

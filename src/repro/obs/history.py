@@ -37,6 +37,7 @@ import time
 
 from .. import __version__
 from ..util import capture_host, host_key as _host_key_of
+from ..util.env import switches_set
 from .ledger import SERIES_SCHEMA
 from .profile import PROFILE_SCHEMA, profile_trace
 from .tracer import _open_trace, read_trace
@@ -58,23 +59,14 @@ _SCHEMA_KINDS = {
     "repro.serve_stats/1": "serve",
 }
 
-#: Environment knobs captured as run configuration at ingest time (only
-#: the ones actually set — defaults are not configuration).
-_CONFIG_ENV = (
-    ("REPRO_PDM_STORE", "pdm_store"),
-    ("REPRO_PDM_CHECKSUMS", "pdm_checksums"),
-    ("REPRO_MEM_TELEMETRY", "mem_telemetry"),
-)
-
-
 def _capture_config() -> dict:
-    """The REPRO_* knobs currently set in the environment."""
-    cfg = {}
-    for env, key in _CONFIG_ENV:
-        value = os.environ.get(env)
-        if value is not None:
-            cfg[key] = value
-    return cfg
+    """The :data:`~repro.util.env.SWITCHES` currently set in the
+    environment, keyed without the ``REPRO_`` prefix in lower case
+    (``pdm_checksums``); defaults are not configuration."""
+    return {
+        name.removeprefix("REPRO_").lower(): value
+        for name, value in switches_set().items()
+    }
 
 
 def _artifact_id(kind: str, doc: dict) -> str:

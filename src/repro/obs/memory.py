@@ -1,4 +1,4 @@
-"""Memory telemetry: the opt-out gate and the per-phase RSS sampler.
+"""Memory telemetry: the per-phase RSS sampler.
 
 The design rule of this package — measurements never perturb what they
 measure — holds for memory too:
@@ -8,11 +8,11 @@ measure — holds for memory too:
   :mod:`repro.pdm.machine`) are always on: a handful of integer
   adds/compares on paths that already move whole record blocks.
 * The *surfacing* (stderr ``[mem]`` chatter, ``--stats-json`` blocks,
-  progress-channel fields, the ``_mem_stats`` payload sidecar) is gated
-  by ``REPRO_MEM_TELEMETRY`` (default on; ``0``/``off``/``false`` or empty
-  disables, ``1``/``on``/``true`` enables, anything else is refused) and is
-  strictly out of band — the determinism suite proves exec payloads are
-  bit-identical with telemetry on vs. off.
+  progress-channel fields, the ``memory`` block of the runner's
+  out-of-band ``_sidecar`` payload key) is always on and strictly out of
+  band — the runner pops the sidecar before a payload is validated,
+  cached or returned, and the determinism suite proves each payload
+  serializes byte-identically to a plain :func:`repro.exec.run_task`.
 
 :class:`MemoryTelemetry` rides the tracer's span-end path (cold — one
 call per phase, not per I/O) and samples :func:`peak_rss_kb` at each
@@ -22,24 +22,13 @@ its peak footprint" without instrumenting any allocation site.
 
 from __future__ import annotations
 
-from ..util.env import env_switch
 from ..util.host import peak_rss_kb
 
-__all__ = ["MemoryTelemetry", "PHASES", "memory_telemetry_enabled", "peak_rss_kb"]
+__all__ = ["MemoryTelemetry", "PHASES", "peak_rss_kb"]
 
 #: Top-level algorithm phases worth an RSS sample — the same set the
 #: progress channel announces (see ``ProgressSink.PHASES``).
 PHASES = ("partition", "distribute", "recurse", "base-case", "merge")
-
-
-def memory_telemetry_enabled() -> bool:
-    """True unless ``REPRO_MEM_TELEMETRY`` opts out (see :mod:`repro.util.env`).
-
-    Gates only the *surfacing* of memory telemetry; the underlying
-    gauges are maintained unconditionally (they are too cheap to branch
-    on and the differential suite pins them).
-    """
-    return env_switch("REPRO_MEM_TELEMETRY")
 
 
 class MemoryTelemetry:

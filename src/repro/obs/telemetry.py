@@ -56,7 +56,7 @@ import threading
 import time
 from contextlib import contextmanager
 
-from .memory import memory_telemetry_enabled, peak_rss_kb
+from .memory import peak_rss_kb
 from .tracer import ROUND_EVENTS, read_trace
 
 __all__ = [
@@ -181,10 +181,6 @@ class ProgressSink:
         self._clock = clock
         self._last_flush = clock()
         self._since_flush = 0
-        # Memory telemetry rides the same lines (an RSS field on phase/
-        # progress records) when REPRO_MEM_TELEMETRY is on; like the
-        # timestamps, it never enters a payload.
-        self._rss = memory_telemetry_enabled()
         self.rounds = 0
         self.spans = 0
         self.events = 0
@@ -210,10 +206,10 @@ class ProgressSink:
                 (event.get("attrs") or {}).get("level", 0) == 0
             ):
                 self.phase = name
-                if self._rss:
-                    self.writer.emit("phase", phase=name, rss_kb=peak_rss_kb())
-                else:
-                    self.writer.emit("phase", phase=name)
+                # Memory telemetry rides the same lines (an RSS field on
+                # phase/progress records); like the timestamps, it never
+                # enters a payload.
+                self.writer.emit("phase", phase=name, rss_kb=peak_rss_kb())
         elif kind == "end":
             self.spans += 1
         self._since_flush += 1
@@ -234,8 +230,7 @@ class ProgressSink:
         }
         if self.max_balance_factor is not None:
             fields["max_balance_factor"] = self.max_balance_factor
-        if self._rss:
-            fields["rss_kb"] = peak_rss_kb()
+        fields["rss_kb"] = peak_rss_kb()
         self.writer.emit("progress", **fields)
 
     def close(self) -> None:

@@ -12,7 +12,6 @@ metered by an attached :class:`~repro.pram.machine.PRAM` with ``P`` CPUs
 """
 
 from .machine import ParallelDiskMachine, IOStats, BlockAddress
-from .layout import StripedFile, Extent
 from .striping import VirtualDisks, fully_striped_view
 from .timing import DISK_1993, DISK_MODERN_HDD, DISK_NVME, DiskTimingModel
 
@@ -20,8 +19,6 @@ __all__ = [
     "ParallelDiskMachine",
     "IOStats",
     "BlockAddress",
-    "StripedFile",
-    "Extent",
     "VirtualDisks",
     "fully_striped_view",
     "DiskTimingModel",

@@ -16,12 +16,11 @@ Disks are unbounded collections of B-record blocks addressed by
 
 Storage substrate
 -----------------
-Block bytes live in a pluggable backend (:mod:`repro.pdm.store`): the
-default slab-allocated arena, or the legacy dict-of-dicts reference
-backend under ``REPRO_PDM_STORE=dict``.  The paper's cost model only
-counts parallel I/Os, so the substrate is free to be as fast as the
-hardware allows — both backends are pinned bit-identical by the
-differential suite.  Block operations take integer address arrays: a
+Block bytes live in the slab-allocated arena of :mod:`repro.pdm.store`;
+the dict-of-dicts backend stays as the tests' reference.  The paper's
+cost model only counts parallel I/Os, so the substrate is free to be as
+fast as the hardware allows — both backends are pinned bit-identical by
+the differential suite.  Block operations take integer address arrays: a
 parallel I/O is :meth:`ParallelDiskMachine.read_blocks_arr` /
 :meth:`~ParallelDiskMachine.write_blocks_arr`, moving one ``(k, B)``
 record matrix with a single vectorized gather/scatter; blocks are
@@ -150,97 +149,72 @@ class IOPlanStats:
         }
 
 
-#: Plan counters that add across machines/cells vs. high-water marks.
-_PLAN_SUM_KEYS = (
-    "deferred_write_rounds", "write_flushes",
-    "prefetched_read_rounds", "read_gathers",
-)
-_PLAN_MAX_KEYS = ("max_write_flush_blocks", "max_read_gather_blocks")
+#: How each block of the out-of-band sidecar (:meth:`ParallelDiskMachine.sidecar`)
+#: folds across machines, cells and runs: (counters that add, high waters
+#: that max).
+_SIDECAR_FOLD = {
+    "io_plan": (
+        ("deferred_write_rounds", "write_flushes",
+         "prefetched_read_rounds", "read_gathers"),
+        ("max_write_flush_blocks", "max_read_gather_blocks"),
+    ),
+    "memory": (
+        ("machines", "grow_events"),
+        ("slab_rows", "slab_bytes", "resident_blocks", "high_water_blocks",
+         "ledger_high_water_records", "peak_rss_kb"),
+    ),
+}
 
 
-def merge_plan_snapshots(snapshots: Iterable[dict]) -> dict:
-    """Fold :meth:`IOPlanStats.snapshot` dicts: counters add, maxima max.
+def merge_sidecars(sidecars: Iterable[dict]) -> dict:
+    """Fold sidecar dicts block by block: counters add, high waters max.
 
-    Used to aggregate physical-fusion telemetry across the machines of
-    one grid cell and across the cells of a sweep — still strictly out
-    of band (the result feeds stderr summaries and ``--stats-json``,
-    never a payload).
+    Each sidecar holds an ``io_plan`` block (:meth:`IOPlanStats.snapshot`)
+    and a ``memory`` block (:meth:`ParallelDiskMachine.mem_snapshot`);
+    the fold of none is all zeros.  Used across the machines of one grid
+    cell and across the cells of a sweep, strictly out of band (stderr
+    summaries, ``--stats-json``, the progress channel — never payloads).
     """
-    out = {k: 0 for k in _PLAN_SUM_KEYS + _PLAN_MAX_KEYS}
-    for snap in snapshots:
-        for k in _PLAN_SUM_KEYS:
-            out[k] += int(snap.get(k, 0))
-        for k in _PLAN_MAX_KEYS:
-            out[k] = max(out[k], int(snap.get(k, 0)))
+    out = {
+        block: dict.fromkeys(add + high, 0)
+        for block, (add, high) in _SIDECAR_FOLD.items()
+    }
+    for side in sidecars:
+        for block, (add, high) in _SIDECAR_FOLD.items():
+            snap, acc = side.get(block) or {}, out[block]
+            for k in add:
+                acc[k] += int(snap.get(k, 0))
+            for k in high:
+                acc[k] = max(acc[k], int(snap.get(k, 0) or 0))
     return out
 
 
-#: Ambient collectors, one set per thread: when active, every machine
-#: created on that thread registers its ``plan_stats`` (``.plans``) and
-#: its bound ``mem_snapshot`` (``.mems``) here, so callers outside the
-#: task boundary can aggregate out-of-band telemetry without touching
+#: The ambient collector, one per thread: when active, every machine
+#: created on that thread registers itself here, so callers outside the
+#: task boundary can fold its out-of-band telemetry without touching
 #: payloads.  Per thread, so a machine another thread builds meanwhile
 #: (``repro serve`` checks each admitted spec's shape on its event loop
 #: while a job runs) never lands in the running job's collection.
-_COLLECTORS = threading.local()
+_COLLECTOR = threading.local()
 
 
 @contextmanager
-def _collect(kind: str):
-    prev = getattr(_COLLECTORS, kind, None)
-    live: list = []
-    setattr(_COLLECTORS, kind, live)
-    try:
-        yield live
-    finally:
-        setattr(_COLLECTORS, kind, prev)
+def collect_machines():
+    """Collect every :class:`ParallelDiskMachine` built in this context.
 
-
-def collect_plan_stats():
-    """Collect the ``IOPlanStats`` of every machine built in this context.
-
-    Yields the live list; snapshot after the block (e.g. through
-    :func:`merge_plan_snapshots`).  Nestable — an inner collector
+    Yields the live list; fold ``m.sidecar()`` of each after the block
+    through :func:`merge_sidecars` (gauges are read then, so they
+    reflect lifetime high waters).  Nestable — an inner collector
     shadows the outer one, mirroring how each sweep cell owns exactly
     the machines its task constructs.
     """
-    return _collect("plans")
-
-
-#: Memory gauges that add across machines/cells vs. high-water marks.
-_MEM_SUM_KEYS = ("machines", "grow_events")
-_MEM_MAX_KEYS = (
-    "slab_rows", "slab_bytes", "resident_blocks", "high_water_blocks",
-    "ledger_high_water_records", "peak_rss_kb",
-)
-
-
-def merge_mem_snapshots(snapshots: Iterable[dict]) -> dict:
-    """Fold :meth:`mem_snapshot` dicts: counters add, high waters max.
-
-    The memory-telemetry analogue of :func:`merge_plan_snapshots` — used
-    to aggregate arena/ledger gauges across the machines of one grid cell
-    and across the cells of a sweep, strictly out of band (stderr
-    summaries, ``--stats-json``, the progress channel — never payloads).
-    """
-    out = {k: 0 for k in _MEM_SUM_KEYS + _MEM_MAX_KEYS}
-    for snap in snapshots:
-        out["machines"] += int(snap.get("machines", 1))
-        out["grow_events"] += int(snap.get("grow_events", 0))
-        for k in _MEM_MAX_KEYS:
-            out[k] = max(out[k], int(snap.get(k, 0) or 0))
-    return out
-
-
-def collect_mem_stats():
-    """Collect the ``mem_snapshot`` callable of every machine built here.
-
-    Yields the live list of zero-argument callables (gauges are read
-    lazily, so the snapshot reflects lifetime high waters); invoke them
-    after the block and fold through :func:`merge_mem_snapshots`.
-    Nestable, exactly like :func:`collect_plan_stats`.
-    """
-    return _collect("mems")
+    prev = getattr(_COLLECTOR, "machines", None)
+    live: list = []
+    _COLLECTOR.machines = live
+    try:
+        yield live
+    finally:
+        _COLLECTOR.machines = prev
 
 
 class _IOPlan:
@@ -289,8 +263,8 @@ class ParallelDiskMachine:
         Concurrency discipline of the interconnect ("EREW"/"CREW"/"CRCW").
     store:
         Storage backend name (``"arena"`` or ``"dict"``); defaults to
-        ``$REPRO_PDM_STORE`` or the arena.  Backends are observationally
-        identical — only wall-clock differs.
+        :data:`repro.pdm.store.DEFAULT_STORE`, the arena.  Backends are
+        observationally identical — only wall-clock differs.
     checksums:
         Keep a 64-bit checksum per stored block
         (:func:`~repro.pdm.store.block_checksums`, one vectorized pass
@@ -354,12 +328,9 @@ class ParallelDiskMachine:
         #: each raises at the charge of the round that reads its block.
         self.corrupt_reads: dict[tuple[int, int], Exception] = {}
         self.plan_stats = IOPlanStats()
-        plans = getattr(_COLLECTORS, "plans", None)
-        if plans is not None:
-            plans.append(self.plan_stats)
-        mems = getattr(_COLLECTORS, "mems", None)
-        if mems is not None:
-            mems.append(self.mem_snapshot)
+        machines = getattr(_COLLECTOR, "machines", None)
+        if machines is not None:
+            machines.append(self)
         # Observability (optional; None keeps the hot path untouched).
         self._obs_scope = None
         self._ev_read = self._ev_write = None
@@ -594,6 +565,11 @@ class ParallelDiskMachine:
         streaming consume pattern — identical to a separate
         :meth:`free_blocks_arr` call but fused in the store (the row
         lookup is shared).
+
+        No caller in ``src/`` is left (the virtual disks read through
+        :meth:`gather_blocks_arr` + :meth:`charge_read_io`).  It stays
+        because the I/O oracle (``tests/io_reference.py``) reads each
+        round through it and ``perfbench/layers.py`` times it by name.
         """
         disks = np.asarray(disks, dtype=np.int64)
         slots = np.asarray(slots, dtype=np.int64)
@@ -627,6 +603,10 @@ class ParallelDiskMachine:
         internal memory (the ledger is released).  The slots may be any
         slots, so a write that rewrites a pending block flushes the plan
         first.
+
+        No caller in ``src/`` is left (the virtual disks write through
+        :meth:`write_round_blocks`); tests write through it, and
+        ``perfbench/layers.py`` times it by name.
         """
         disks = np.asarray(disks, dtype=np.int64)
         slots = np.asarray(slots, dtype=np.int64)
@@ -879,6 +859,14 @@ class ParallelDiskMachine:
         snap["ledger_high_water_records"] = int(self._mem_high_water)
         snap["M"] = self.M
         return snap
+
+    def sidecar(self) -> dict:
+        """This machine's out-of-band telemetry, folded by :func:`merge_sidecars`.
+
+        The ``io_plan`` counters are read before :meth:`mem_snapshot`
+        flushes the pending write rounds, so that flush is not counted.
+        """
+        return {"io_plan": self.plan_stats.snapshot(), "memory": self.mem_snapshot()}
 
     # -------------------------------------------------------------- misc
 

@@ -17,9 +17,10 @@ one small interface:
     per-disk slab would force ``k`` separate gathers and surrender the
     batching win.
 
-:class:`DictBlockStore` (``REPRO_PDM_STORE=dict``)
+:class:`DictBlockStore`
     The original dict-of-dicts layout, kept as the bit-for-bit reference
-    backend for the differential suite and for debugging.
+    backend for the differential suite (``tests/store_reference.py``
+    selects it through :data:`DEFAULT_STORE`) and for debugging.
 
 Copy discipline (see ``docs/performance.md``):
 
@@ -46,8 +47,6 @@ with probability about 2^-64 (CRC-32's is 2^-32).
 
 from __future__ import annotations
 
-import os
-
 import numpy as np
 
 from ..exceptions import AddressError, BlockCorruptionError, ParameterError
@@ -56,8 +55,8 @@ from ..records import RECORD_DTYPE
 __all__ = [
     "ArenaBlockStore",
     "DictBlockStore",
+    "DEFAULT_STORE",
     "STORE_BACKENDS",
-    "env_store_name",
     "make_store",
 ]
 
@@ -411,9 +410,10 @@ class ArenaBlockStore:
 class DictBlockStore:
     """The legacy dict-of-dicts layout — the reference backend.
 
-    Selected with ``REPRO_PDM_STORE=dict`` (or ``store="dict"`` on the
-    machine).  Every behaviour is bit-identical to the arena backend —
-    the differential suite pins this — it is simply slower.
+    Selected with ``store="dict"`` on the machine, or for every machine
+    and hierarchy by patching :data:`DEFAULT_STORE`.  Every behaviour is
+    bit-identical to the arena backend — the differential suite pins
+    this — it is simply slower.
     """
 
     name = "dict"
@@ -553,28 +553,18 @@ STORE_BACKENDS = {
 }
 
 
-def env_store_name() -> str:
-    """The backend ``$REPRO_PDM_STORE`` names (the arena when unset).
-
-    Any other value is refused with a
-    :class:`~repro.exceptions.ParameterError` naming the variable, the
-    value and the backends, so the CLI can refuse it before anything runs.
-    """
-    name = os.environ.get("REPRO_PDM_STORE", "arena")
-    if name not in STORE_BACKENDS:
-        raise ParameterError(
-            f"REPRO_PDM_STORE={name!r} names no block store backend "
-            f"(expected one of {sorted(STORE_BACKENDS)})"
-        )
-    return name
+#: The backend :func:`make_store` builds when given no name.  Only the
+#: tests (``tests/store_reference.py``) and ``benchmarks/bench_pdm_store.py``
+#: patch it, to run every simulator on the dict reference.
+DEFAULT_STORE = "arena"
 
 
 def make_store(
     name: str | None, n_disks: int, block: int, checksums: bool = False
 ):
-    """Build the storage backend ``name`` (or ``$REPRO_PDM_STORE``, or arena)."""
+    """Build the storage backend ``name`` (or :data:`DEFAULT_STORE`)."""
     if name is None:
-        name = env_store_name()
+        name = DEFAULT_STORE
     try:
         cls = STORE_BACKENDS[name]
     except KeyError:

@@ -22,8 +22,8 @@ needs, each costing one parallel I/O on the underlying machine:
   it is consumed.
 
 Both refuse a round through :func:`check_round` (one block per virtual
-disk, every virtual disk in range), and the write checks its blocks
-through :func:`check_blocks`.
+disk, every virtual disk in range), and the write and the initial load
+check their blocks through :func:`check_blocks`.
 :class:`~repro.hierarchies.parallel.VirtualHierarchies` implements the
 same contract with the same address type and the same checks, so the
 Balance engine and the run streams drive both machine models alike.
@@ -278,21 +278,20 @@ class VirtualDisks:
 
         External sorting starts with the data resident on disk (Section 1);
         the initial layout is part of the problem statement, not the
-        algorithm's cost.
+        algorithm's cost.  Each block is refused through
+        :func:`check_blocks` unless it holds ``virtual_block_size``
+        records of the record dtype.
         """
         if not blocks:
             return []
         vb = self.virtual_block_size
         k = len(blocks)
+        check_blocks([data for _, data in blocks], k, vb)
         matrix = np.empty((k, vb), dtype=RECORD_DTYPE)
         vdisks = np.empty(k, dtype=np.int64)
         slots = np.empty(k, dtype=np.int64)
         addresses = []
         for i, (v, data) in enumerate(blocks):
-            if data.shape[0] != vb:
-                raise ParameterError(
-                    f"virtual block must hold {vb} records, got {data.shape[0]}"
-                )
             matrix[i] = data
             vdisks[i] = v
             slots[i] = self.machine.allocate_slots(1)

@@ -1,4 +1,4 @@
-"""On/off environment switches, all read by one rule.
+"""The one on/off environment switch, read by one rule.
 
 ``0``, ``off``, ``false`` and the empty string mean off; ``1``, ``on``
 and ``true`` mean on (any case).  Any other value is refused with a
@@ -12,12 +12,11 @@ import os
 
 from ..exceptions import ParameterError
 
-__all__ = ["SWITCHES", "check_switches", "env_switch"]
+__all__ = ["SWITCHES", "check_switches", "env_switch", "switches_set"]
 
 #: Every on/off ``REPRO_*`` variable and its value when unset.
 SWITCHES = {
     "REPRO_PDM_CHECKSUMS": False,
-    "REPRO_MEM_TELEMETRY": True,
 }
 
 _OFF = ("", "0", "off", "false")
@@ -43,3 +42,8 @@ def check_switches() -> None:
     """Refuse the first switch set to a value :func:`env_switch` refuses."""
     for name in SWITCHES:
         env_switch(name)
+
+
+def switches_set() -> dict[str, str]:
+    """The switches set in the environment: name → value as given."""
+    return {name: os.environ[name] for name in SWITCHES if name in os.environ}

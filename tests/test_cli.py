@@ -290,11 +290,41 @@ class TestSweepExitCodes:
 
 class TestEnvSwitches:
     """``REPRO_IO_PLAN`` is no longer read: a leftover value changes
-    nothing, and commands that run nothing never look at it."""
+    nothing, and commands that run nothing never look at it.  Neither
+    are ``REPRO_PDM_STORE`` and ``REPRO_MEM_TELEMETRY``: one switch is
+    left."""
 
     def test_commands_that_run_nothing_are_unaffected(self, capsys, monkeypatch):
         monkeypatch.setenv("REPRO_IO_PLAN", "abc")
         assert main(["workloads"]) == 0
+
+    def test_one_switch_read_in_one_place(self):
+        """``src/`` reads one ``REPRO_*`` variable, in ``util/env.py``;
+        the only other environment read is the CLI's ``GITHUB_SHA``
+        commit stamp."""
+        import ast
+        import pathlib
+
+        import repro
+        from repro.util.env import SWITCHES
+
+        assert SWITCHES == {"REPRO_PDM_CHECKSUMS": False}
+        root = pathlib.Path(repro.__file__).parent
+        reads = []
+        for path in sorted(root.rglob("*.py")):
+            source = path.read_text()
+            lines = source.splitlines()
+            for node in ast.walk(ast.parse(source)):
+                if (isinstance(node, ast.Attribute)
+                        and node.attr in ("environ", "getenv")
+                        and isinstance(node.value, ast.Name)
+                        and node.value.id == "os") or (
+                        isinstance(node, ast.ImportFrom) and node.module == "os"):
+                    reads.append((path.relative_to(root).as_posix(),
+                                  lines[node.lineno - 1].strip()))
+        assert {p for p, _ in reads} == {"util/env.py", "cli.py"}
+        assert [line for p, line in reads if p == "cli.py"] == [
+            'env = os.environ.get("GITHUB_SHA", "")']
 
 
 # ------------------------------------------------------ shape validation
@@ -727,8 +757,6 @@ class TestBadCells:
         assert cap.err.strip().splitlines() == [f"repro: error: {rule}"]
 
     SWITCH = "is not a switch value (off: 0, off, false or empty; on: 1, on, true)"
-    STORE = ("REPRO_PDM_STORE='bogus' names no block store backend "
-             "(expected one of ['arena', 'dict'])")
 
     @pytest.mark.parametrize("argv, says, env", [
         (["diff", "a.json", "b.json", "--rule", "a=abc"], "bad --rule 'a=abc'", {}),
@@ -749,20 +777,9 @@ class TestBadCells:
          {"REPRO_PDM_CHECKSUMS": "2"}),
         (["serve"], f"REPRO_PDM_CHECKSUMS='of' {SWITCH}",
          {"REPRO_PDM_CHECKSUMS": "of"}),
-        (["sweep", *GRID], f"REPRO_MEM_TELEMETRY='no' {SWITCH}",
-         {"REPRO_MEM_TELEMETRY": "no"}),
-        (["report", "t.jsonl"], f"REPRO_MEM_TELEMETRY='disabled' {SWITCH}",
-         {"REPRO_MEM_TELEMETRY": "disabled"}),
-        (["hierarchy", "--n", "500", "--h", "8"], STORE,
-         {"REPRO_PDM_STORE": "bogus"}),
-        (["sweep", "--task", "hierarchy", "--n", "500", "--h", "8"], STORE,
-         {"REPRO_PDM_STORE": "bogus"}),
-        (["serve"], STORE, {"REPRO_PDM_STORE": "bogus"}),
     ], ids=["diff-rule", "profile-bins-0", "profile-bins-neg", "bench-min-of",
             "bench-jobs-neg", "top-interval-neg", "top-interval-0",
-            "checksums-sweep", "checksums-sort", "checksums-serve",
-            "mem-telemetry-sweep", "mem-telemetry-report",
-            "store-hierarchy", "store-sweep-hierarchy", "store-serve"])
+            "checksums-sweep", "checksums-sort", "checksums-serve"])
     def test_bad_flag_value_exits_two(self, argv, says, env, tmp_path, capsys,
                                       monkeypatch):
         """A flag value no run can use, or an on/off ``REPRO_*`` variable

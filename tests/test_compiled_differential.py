@@ -16,8 +16,9 @@ The dict-per-event oracle records every event as a literal, so its
 payload trace has no ``rows`` records; payloads compared with it are
 compared with their traces expanded (:func:`expanded`), one dict per
 event.
-Both block-store backends and both I/O executors (the fused plan and its
-round-at-a-time oracle, ``tests/io_reference.py``) are crossed in, plus
+Both block-store backends (the arena and its dict reference,
+``tests/store_reference.py``) and both I/O executors (the fused plan and
+its round-at-a-time oracle, ``tests/io_reference.py``) are crossed in, plus
 the audit and profile report surfaces.
 
 Without the extension the compiled classes are skipped (the build is
@@ -34,6 +35,7 @@ from repro.obs.columnar import expand_trace
 
 from .io_reference import use_io
 from .obs_reference import use_obs
+from .store_reference import use_store
 
 HAVE_COMPILED = kernels.default_backend_name() == "compiled"
 
@@ -65,14 +67,6 @@ def expanded(payload: dict) -> dict:
     return {**payload, "trace": expand_trace(payload["trace"])}
 
 
-def _set_env(monkeypatch, **env):
-    for key, value in env.items():
-        if value is None:
-            monkeypatch.delenv(key, raising=False)
-        else:
-            monkeypatch.setenv(key, value)
-
-
 def dict_events_payload(task: str, params: dict) -> dict:
     """The payload built by the dict-per-event oracle."""
     with use_obs("dicts"):
@@ -94,9 +88,8 @@ class TestColumnarVsDictEvents:
 
     @pytest.mark.parametrize("store", STORES)
     @pytest.mark.parametrize("plan", PLANS, ids=lambda p: p[0])
-    def test_sort_payload_identity(self, monkeypatch, store, plan):
-        _set_env(monkeypatch, REPRO_PDM_STORE=store)
-        with use_io(plan[1]):
+    def test_sort_payload_identity(self, store, plan):
+        with use_store(store), use_io(plan[1]):
             classic = dict_events_payload("sort_pdm", CELL)
             columnar = run_task("sort_pdm", dict(CELL))
         assert canon(expanded(classic)) == canon(expanded(columnar))
@@ -133,8 +126,7 @@ class TestCompiledVsPython:
     @pytest.mark.parametrize("store", STORES)
     @pytest.mark.parametrize("plan", PLANS, ids=lambda p: p[0])
     def test_sort_payload_identity(self, monkeypatch, store, plan):
-        _set_env(monkeypatch, REPRO_PDM_STORE=store)
-        with use_io(plan[1]):
+        with use_store(store), use_io(plan[1]):
             python = python_payload(monkeypatch, "sort_pdm", CELL)
             compiled = run_task("sort_pdm", dict(CELL))
         assert canon(python) == canon(compiled)

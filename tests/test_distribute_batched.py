@@ -10,9 +10,10 @@ bit-identical to executing the rounds one at a time:
   every round boundary,
 * ``IOStats`` (logical parallel-I/O accounting) and CPU counters,
 * full ``repro.run_report/1`` payloads — trace events, metrics, result —
-  under both store backends, under the shipped kernels and their scalar
-  reference loops (``tests/kernel_reference.py``), and with observation
-  attached.
+  under both store backends (the arena and its dict reference,
+  ``tests/store_reference.py``), under the shipped kernels and their
+  scalar reference loops (``tests/kernel_reference.py``), and with
+  observation attached.
 
 The round-at-a-time reference execution is ``tests/io_reference.py``'s
 oracle; the window sweep (1 / 2 / 64 / auto, patching ``PLAN_WINDOW``)
@@ -20,8 +21,6 @@ pins that *every* fusion width agrees with it.
 """
 
 import json
-import os
-from contextlib import contextmanager
 
 import numpy as np
 import pytest
@@ -37,30 +36,13 @@ from repro.records import composite_keys
 
 from .io_reference import use_io, use_window
 from .kernel_reference import use_kernels
+from .store_reference import use_store
 
 CELL = dict(n=2000, memory=512, block=4, disks=8, workload="uniform", seed=0)
 
 
-@contextmanager
-def env(**kv):
-    saved = {k: os.environ.get(k) for k in kv}
-    try:
-        for k, v in kv.items():
-            if v is None:
-                os.environ.pop(k, None)
-            else:
-                os.environ[k] = str(v)
-        yield
-    finally:
-        for k, v in saved.items():
-            if v is None:
-                os.environ.pop(k, None)
-            else:
-                os.environ[k] = v
-
-
-def payload_json(io, cell=CELL, **extra_env):
-    with env(**extra_env), use_io(io):
+def payload_json(io, cell=CELL, store="arena"):
+    with use_store(store), use_io(io):
         return json.dumps(run_task("sort_pdm", dict(cell)), sort_keys=True)
 
 
@@ -74,8 +56,8 @@ class TestPayloadIdentity:
     @pytest.mark.parametrize("kernels", ["scalar", "vectorized"])
     def test_fused_payload_bit_identical(self, store, kernels):
         with use_kernels(kernels):
-            fused = payload_json("fused", REPRO_PDM_STORE=store)
-            unfused = payload_json("rounds", REPRO_PDM_STORE=store)
+            fused = payload_json("fused", store=store)
+            unfused = payload_json("rounds", store=store)
         assert fused == unfused
 
     @pytest.mark.parametrize("window", ["1", "2", "64", "auto"])
@@ -238,16 +220,16 @@ class TestPlanStatsOutOfBand:
         assert snap["read_gathers"] > 0
 
     def test_ambient_collector_and_merge(self):
-        """collect_plan_stats gathers every machine; merge sums/maxes."""
-        from repro.pdm.machine import collect_plan_stats, merge_plan_snapshots
+        """collect_machines gathers every machine; merge sums/maxes."""
+        from repro.pdm.machine import collect_machines, merge_sidecars
 
-        with collect_plan_stats() as collected:
+        with collect_machines() as collected:
             for n in (1000, 2000):
                 machine = ParallelDiskMachine(memory=512, block=4, disks=8)
                 balance_sort_pdm(machine, workloads.uniform(n, seed=0))
         assert len(collected) == 2
-        snaps = [s.snapshot() for s in collected]
-        merged = merge_plan_snapshots(snaps)
+        snaps = [m.plan_stats.snapshot() for m in collected]
+        merged = merge_sidecars(m.sidecar() for m in collected)["io_plan"]
         assert merged["write_flushes"] == sum(
             s["write_flushes"] for s in snaps)
         assert merged["deferred_write_rounds"] == sum(
@@ -265,19 +247,19 @@ class TestPlanStatsOutOfBand:
         collection."""
         import threading
 
-        from repro.pdm.machine import collect_mem_stats, collect_plan_stats
+        from repro.pdm.machine import collect_machines
 
         def build():
             ParallelDiskMachine(memory=512, block=4, disks=8)
 
-        with collect_plan_stats() as plans, collect_mem_stats() as mems:
+        with collect_machines() as machines:
             other = threading.Thread(target=build)
             other.start()
             other.join(timeout=10)
             assert not other.is_alive()
-            assert plans == [] and mems == []
+            assert machines == []
             build()
-        assert len(plans) == 1 and len(mems) == 1
+        assert len(machines) == 1
 
     def test_runner_folds_plan_stats_out_of_band(self, tmp_path):
         """The sweep runner aggregates per-cell plan telemetry without
@@ -288,12 +270,12 @@ class TestPlanStatsOutOfBand:
         specs = [RunSpec("sort_pdm", {"n": 1000, "disks": 4})]
         results = runner.map(specs)
         assert not results[0].failed
-        assert "_plan_stats" not in results[0].payload
+        assert "_sidecar" not in results[0].payload
         totals = runner.stats["io_plan"]
         assert totals["write_flushes"] > 0
         # A cache-served rerun contributes nothing new (no simulation).
         rerun = ParallelRunner(cache_dir=str(tmp_path / "cache"))
         again = rerun.map(specs)
         assert again[0].cached
-        assert "_plan_stats" not in again[0].payload
+        assert "_sidecar" not in again[0].payload
         assert not any(rerun.stats["io_plan"].values())

@@ -4,8 +4,10 @@ import numpy as np
 import pytest
 
 from repro import workloads
+from repro.core.streams import load_ordered_run
 from repro.exceptions import AddressError, ParameterError
-from repro.pdm import ParallelDiskMachine, StripedFile, VirtualDisks
+from repro.pdm import ParallelDiskMachine, VirtualDisks, fully_striped_view
+from repro.pdm.striping import VirtualBlockAddress
 from repro.pram import PRAM, Variant, primitives
 from repro.records import make_records
 
@@ -28,33 +30,31 @@ class TestResolveConcurrentWritesPriorities:
 
 
 class TestStripedFileEdges:
+    """A file striped over all D disks (:func:`fully_striped_view`)."""
+
     def test_write_stripe_wrong_length(self):
         m = ParallelDiskMachine(memory=640, block=4, disks=4)
-        f = StripedFile(m, 64, start_slot=0)
+        v = fully_striped_view(m)
         m.mem_acquire(3)
         with pytest.raises(ParameterError):
-            f.write_stripe(0, make_records(np.arange(3, dtype=np.uint64)))
-
-    def test_negative_length_rejected(self):
-        m = ParallelDiskMachine(memory=640, block=4, disks=4)
-        with pytest.raises(ParameterError):
-            StripedFile(m, -1, start_slot=0)
+            v.write_round([0], [make_records(np.arange(3, dtype=np.uint64))])
 
     def test_block_address_out_of_range(self):
         m = ParallelDiskMachine(memory=640, block=4, disks=4)
-        f = StripedFile(m, 16, start_slot=0)
+        v = fully_striped_view(m)
+        run = load_ordered_run(v, workloads.uniform(16, seed=210))
+        (only,) = run.blocks
         with pytest.raises(AddressError):
-            f.block_address(4)
+            v.peek_many([VirtualBlockAddress(0, only.address.slot + 1)])
 
     def test_free_removes_blocks(self):
         m = ParallelDiskMachine(memory=640, block=4, disks=4)
-        data = workloads.uniform(16, seed=210)
-        f = StripedFile(m, 16, start_slot=0)
-        f.load_initial(data)
-        f.free()
-        addr = f.block_address(0)
+        v = fully_striped_view(m)
+        run = load_ordered_run(v, workloads.uniform(16, seed=210))
+        v.free_arr([b.address for b in run.blocks])
+        slot = run.blocks[0].address.slot
         with pytest.raises(AddressError):
-            m.peek_blocks_arr(np.array([addr.disk]), np.array([addr.slot]))
+            m.peek_blocks_arr(np.array([0]), np.array([slot]))
 
 
 class TestMachineAddressing:

@@ -284,6 +284,13 @@ class TestVirtualHierarchies:
             vh.write_round([0, 1], np.stack(rows) if as_matrix else rows)
         assert ph.parallel_steps == 0
 
+    def test_load_initial_refuses_non_record_blocks(self):
+        # A float32 block of 1.5 would otherwise be cast to records (1, 1).
+        _, vh = self._vh()
+        with pytest.raises(TypeError, match="record dtype"):
+            vh.load_initial([(0, np.full(vh.virtual_block_size, 1.5, np.float32))])
+        assert vh.footprint(0) == 0
+
     @pytest.mark.parametrize("vdisk", [-1, 2])
     def test_read_of_out_of_range_hierarchy_rejected(self, vdisk):
         _, vh = self._vh()

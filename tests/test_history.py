@@ -19,6 +19,8 @@ from repro import __version__
 from repro.obs import INDEX_SCHEMA, RunHistory
 from repro.obs.ledger import make_entry
 
+from .store_reference import use_store
+
 
 def _report(ios=3128, n=8000):
     return {
@@ -176,17 +178,21 @@ class TestIngestPath:
             history.ingest_path(str(path))
 
     def test_config_env_and_explicit_merge(self, tmp_path, monkeypatch):
-        # The snapshot reads the ambient environment, so clear every
-        # captured knob first — the suite may legitimately run under
-        # e.g. REPRO_PDM_STORE=dict.
-        from repro.obs.history import _CONFIG_ENV
+        # The snapshot reads the ambient on/off switches, so clear them
+        # first — the suite may legitimately run under e.g.
+        # REPRO_PDM_CHECKSUMS=1.
+        from repro.util.env import SWITCHES
 
-        for env_name, _ in _CONFIG_ENV:
+        for env_name in SWITCHES:
             monkeypatch.delenv(env_name, raising=False)
-        monkeypatch.setenv("REPRO_PDM_STORE", "dict")
+        monkeypatch.setenv("REPRO_PDM_CHECKSUMS", "1")
+        monkeypatch.setenv("REPRO_PDM_STORE", "dict")  # no switch: not captured
         history = RunHistory(str(tmp_path / "h"))
-        record = history.ingest_doc(_report(), config={"extra": "1"})
-        assert record["config"] == {"pdm_store": "dict", "extra": "1"}
+        # The store is no environment setting, so a dict-store run records
+        # it explicitly (what `history ingest --config pdm_store=dict` does).
+        with use_store("dict"):
+            record = history.ingest_doc(_report(), config={"pdm_store": "dict"})
+        assert record["config"] == {"pdm_checksums": "1", "pdm_store": "dict"}
 
 
 class TestQuery:

@@ -4,10 +4,10 @@ Two contracts under test.  First, the gauges themselves: both store
 backends track resident/high-water block counts and slab growth, the
 machine adds its internal-memory ledger peak, and the runner folds
 worker snapshots (counters add, high waters max).  Second — the one CI
-stakes its determinism story on — ``REPRO_MEM_TELEMETRY`` gates only
-the *surfacing*: sweep payloads, stdout tables, and reports are
-bit-identical with telemetry on or off (``repro diff --threshold 0
---strict`` is the proof, same as the live-telemetry and io-plan gates).
+stakes its determinism story on — the gauges and the I/O-plan counters
+ride one out-of-band sidecar that never reaches a payload: what the
+runner keeps of an executed cell serializes byte-identically to a plain
+:func:`~repro.exec.run_task`, fault-free and under the CI chaos plan.
 """
 
 import json
@@ -16,16 +16,17 @@ import numpy as np
 import pytest
 
 from repro.cli import main
-from repro.exceptions import ParameterError
-from repro.obs.memory import (
-    PHASES,
-    MemoryTelemetry,
-    memory_telemetry_enabled,
-)
+from repro.exceptions import InjectedFault
+from repro.exec import run_task
+from repro.exec.fingerprint import fingerprint
+from repro.exec.runner import ParallelRunner, _execute
+from repro.exec.tasks import ALGORITHMS
+from repro.obs.memory import PHASES, MemoryTelemetry
 from repro.pdm import ParallelDiskMachine
-from repro.pdm.machine import collect_mem_stats, merge_mem_snapshots
+from repro.pdm.machine import collect_machines, merge_sidecars
 from repro.pdm.store import make_store
 from repro.records import make_records
+from repro.resilience import FaultPlan
 
 BACKENDS = ["arena", "dict"]
 
@@ -78,6 +79,14 @@ class TestStoreGauges:
         assert snap["resident_blocks"] == 0
         assert snap["high_water_blocks"] == 2
 
+    def test_gauges_always_on_even_when_disabled(self, backend, monkeypatch):
+        # The counters are too cheap to branch on, and nothing turns them
+        # off: a leftover REPRO_MEM_TELEMETRY=0 is no longer read.
+        monkeypatch.setenv("REPRO_MEM_TELEMETRY", "0")
+        s = make_store(backend, 4, 4)
+        s.write_batch(np.array([0]), np.array([0]), block(0)[None])
+        assert s.mem_snapshot()["high_water_blocks"] == 1
+
     def test_snapshot_shape(self, backend):
         snap = make_store(backend, 4, 4).mem_snapshot()
         assert set(snap) == {
@@ -85,14 +94,6 @@ class TestStoreGauges:
             "high_water_blocks", "free_rows", "grow_events",
         }
         assert snap["backend"] == backend
-
-    def test_gauges_always_on_even_when_disabled(self, backend, monkeypatch):
-        # The counters are too cheap to branch on; only *surfacing* is
-        # gated by REPRO_MEM_TELEMETRY.
-        monkeypatch.setenv("REPRO_MEM_TELEMETRY", "0")
-        s = make_store(backend, 4, 4)
-        s.write_batch(np.array([0]), np.array([0]), block(0)[None])
-        assert s.mem_snapshot()["high_water_blocks"] == 1
 
 
 def test_arena_grow_events_count_slab_growth():
@@ -124,39 +125,27 @@ def test_machine_snapshot_adds_ledger_peak():
 
 
 def test_collect_and_merge_mem_snapshots():
-    with collect_mem_stats() as fns:
+    with collect_machines() as machines:
         m1 = ParallelDiskMachine(memory=64, block=4, disks=4)
         m2 = ParallelDiskMachine(memory=64, block=4, disks=4)
         m1.mem_acquire(10)
         m2.mem_acquire(30)
         m1.store.write_batch(np.array([0]), np.array([0]), block(0)[None])
-    assert len(fns) == 2
-    merged = merge_mem_snapshots(fn() for fn in fns)
+    assert machines == [m1, m2]
+    merged = merge_sidecars(m.sidecar() for m in machines)["memory"]
     assert merged["machines"] == 2  # counters add
     assert merged["ledger_high_water_records"] == 30  # high waters max
     assert merged["high_water_blocks"] == 1
     # Machines built outside the context are not collected.
     ParallelDiskMachine(memory=64, block=4, disks=4)
-    assert len(fns) == 2
-    # An empty fold is the all-zero gauge set (what a disabled run reports).
-    assert not any(merge_mem_snapshots([]).values())
+    assert len(machines) == 2
+    # An empty fold is the all-zero gauge set of both blocks.
+    empty = merge_sidecars([])
+    assert set(empty) == {"io_plan", "memory"}
+    assert not any(v for blk in empty.values() for v in blk.values())
 
 
-# ------------------------------------------------------ enable gate + RSS
-
-
-def test_memory_telemetry_enabled_env(monkeypatch):
-    monkeypatch.delenv("REPRO_MEM_TELEMETRY", raising=False)
-    assert memory_telemetry_enabled() is True  # default on
-    for off in ("0", "", "off", "false", "False"):
-        monkeypatch.setenv("REPRO_MEM_TELEMETRY", off)
-        assert memory_telemetry_enabled() is False
-    for on in ("1", "on", "true"):
-        monkeypatch.setenv("REPRO_MEM_TELEMETRY", on)
-        assert memory_telemetry_enabled() is True
-    monkeypatch.setenv("REPRO_MEM_TELEMETRY", "yes")
-    with pytest.raises(ParameterError, match="REPRO_MEM_TELEMETRY='yes'"):
-        memory_telemetry_enabled()
+# ------------------------------------------------------------------ RSS
 
 
 def test_memory_telemetry_samples_top_level_phases():
@@ -176,70 +165,79 @@ def test_memory_telemetry_samples_top_level_phases():
 
 # ------------------------------------------- payload purity (the CI gate)
 
+#: The CI chaos gate's plan: transient task faults and one store-read fault.
+CHAOS = FaultPlan.from_dict({"seed": 33, "rules": [
+    {"site": "exec.task", "rate": 0.5, "seed": 3},
+    {"site": "store.read", "at": [7], "seed": 4}]})
+
+#: ``sort_pdm``, each ``compare_pdm`` algorithm and ``hierarchy_sort``.
+CELLS = [
+    ("sort_pdm", {"n": 2000, "disks": 4}),
+    *(("compare_pdm", {"n": 1000, "disks": 4, "algorithm": a})
+      for a in ALGORITHMS),
+    ("hierarchy_sort", {"n": 1000, "h": 8}),
+]
+
+
+def canon(payload: dict) -> str:
+    return json.dumps(payload, sort_keys=True, separators=(",", ":"))
+
 
 class TestPayloadPurity:
     GRID = ["sweep", "--task", "sort", "--n", "2000,4000", "--disks", "4"]
 
-    def _run(self, tmp_path, monkeypatch, capsys, enabled):
-        monkeypatch.setenv("REPRO_MEM_TELEMETRY", "1" if enabled else "0")
-        out = tmp_path / f"mem_{enabled}.json"
-        stats = tmp_path / f"stats_{enabled}.json"
-        rc = main([*self.GRID, "--emit-json", str(out),
-                   "--stats-json", str(stats)])
-        assert rc == 0
-        return capsys.readouterr().out, out, stats
+    @pytest.mark.parametrize("plan", [None, CHAOS], ids=["clean", "chaos"])
+    @pytest.mark.parametrize(
+        "task, params", CELLS,
+        ids=[params.get("algorithm", task) for task, params in CELLS])
+    def test_sidecar_never_reaches_a_payload(self, task, params, plan):
+        """What the runner keeps of an executed cell is the plain task's
+        payload, byte for byte; the sidecar only reaches its stats."""
+        cell = fingerprint(task, params)
+        for attempt in range(16):  # the runner's retries, by hand
+            try:
+                raw = _execute(task, dict(params), plan, cell, attempt)
+                break
+            except InjectedFault:
+                assert plan is not None
+        else:
+            pytest.fail("every attempt faulted")
+        assert "_sidecar" in raw
+        runner = ParallelRunner()
+        kept = runner._unpack(raw, task)
+        assert canon(kept) == canon(run_task(task, dict(params)))
+        assert runner.stats["memory"]["peak_rss_kb"] > 0
 
-    def test_payloads_bit_identical_on_or_off(self, tmp_path, monkeypatch,
-                                              capsys):
-        stdout_off, json_off, _ = self._run(tmp_path, monkeypatch, capsys,
-                                            enabled=False)
-        stdout_on, json_on, stats_on = self._run(tmp_path, monkeypatch,
-                                                 capsys, enabled=True)
-        assert stdout_on == stdout_off
-        rc = main(["diff", str(json_off), str(json_on),
-                   "--threshold", "0", "--strict"])
-        assert rc == 0, "memory telemetry leaked into the report"
-        # And the telemetry actually measured something when on.
-        memory = json.loads(stats_on.read_text())["runner"]["memory"]
-        assert memory["high_water_blocks"] > 0
-        assert memory["machines"] == 2  # one per grid cell
-        assert memory["ledger_high_water_records"] > 0
-        assert memory["peak_rss_kb"] > 0
-
-    def test_disabled_run_reports_no_gauges(self, tmp_path, monkeypatch,
-                                            capsys):
-        _, _, stats_off = self._run(tmp_path, monkeypatch, capsys,
-                                    enabled=False)
-        memory = json.loads(stats_off.read_text())["runner"]["memory"]
-        assert memory == {} or not any(memory.values())
-
-    def test_pool_merges_worker_snapshots(self, tmp_path, monkeypatch,
-                                          capsys):
-        monkeypatch.setenv("REPRO_MEM_TELEMETRY", "1")
-        stats = tmp_path / "pool_stats.json"
-        rc = main([*self.GRID, "--jobs", "2", "--stats-json", str(stats)])
-        assert rc == 0
+    def test_pool_merges_worker_snapshots(self, tmp_path, capsys):
+        """Serial and ``--jobs 2`` sweeps fold the same sidecars."""
+        runner = {}
+        for jobs in ("0", "2"):
+            stats = tmp_path / f"stats_{jobs}.json"
+            rc = main([*self.GRID, "--jobs", jobs, "--stats-json", str(stats)])
+            assert rc == 0
+            runner[jobs] = json.loads(stats.read_text())["runner"]
         capsys.readouterr()
-        memory = json.loads(stats.read_text())["runner"]["memory"]
-        assert memory["machines"] == 2
+        serial, pool = runner["0"], runner["2"]
+        assert serial["io_plan"]["write_flushes"] > 0
+        assert pool["io_plan"] == serial["io_plan"]
+        for key in ("machines", "high_water_blocks", "ledger_high_water_records"):
+            assert pool["memory"][key] == serial["memory"][key], key
+        memory = serial["memory"]
+        assert memory["machines"] == 2  # one per grid cell
         assert memory["high_water_blocks"] > 0
-        assert memory["peak_rss_kb"] > 0
+        assert memory["ledger_high_water_records"] > 0
+        assert memory["peak_rss_kb"] > 0 and pool["memory"]["peak_rss_kb"] > 0
 
 
 def test_mem_chatter_is_interactive_only(capsys, monkeypatch):
     import sys as _sys
 
     args = ["sort", "--n", "2000", "--memory", "512", "--disks", "4"]
-    monkeypatch.setenv("REPRO_MEM_TELEMETRY", "1")
     assert main(args) == 0
     assert "[mem]" not in capsys.readouterr().err  # stderr is not a tty
     monkeypatch.setattr(_sys.stderr, "isatty", lambda: True, raising=False)
     assert main(args) == 0
     err = capsys.readouterr().err
     assert "[mem]" in err and "arena high-water" in err
-    monkeypatch.setenv("REPRO_MEM_TELEMETRY", "0")
-    assert main(args) == 0
-    assert "[mem]" not in capsys.readouterr().err
-    monkeypatch.setenv("REPRO_MEM_TELEMETRY", "1")
     assert main([*args, "--quiet"]) == 0
     assert "[mem]" not in capsys.readouterr().err

@@ -1,10 +1,12 @@
-"""Unit tests for the parallel disk machine, layout, and striping."""
+"""Unit tests for the parallel disk machine and striping."""
 
+import importlib.util
 import inspect
 
 import numpy as np
 import pytest
 
+from repro.core.streams import load_ordered_run, read_run_all, write_ordered_run
 from repro.exceptions import (
     AddressError,
     CapacityError,
@@ -12,18 +14,14 @@ from repro.exceptions import (
     ParameterError,
 )
 from repro.pdm import (
-    BlockAddress,
     ParallelDiskMachine,
-    StripedFile,
     VirtualDisks,
     fully_striped_view,
 )
 from repro.hierarchies import VirtualHierarchies
-from repro.pdm import layout
-from repro.pdm.layout import PAD_KEY
 from repro.pdm.store import ArenaBlockStore, DictBlockStore
-from repro.pdm.striping import default_virtual_disk_count
-from repro.records import RECORD_DTYPE, make_records, pad_records, strip_pad_records
+from repro.pdm.striping import VirtualBlockAddress, default_virtual_disk_count
+from repro.records import PAD_KEY, make_records, pad_records, strip_pad_records
 from repro.workloads import uniform
 
 
@@ -191,13 +189,16 @@ class TestPadding:
 
 
 class TestStripedFile:
+    """A file striped over all D disks: an ordered run on
+    :func:`fully_striped_view`, as the striped merge sort keeps its runs."""
+
     def test_roundtrip_counts_ios(self):
         m = machine(M=640, B=4, D=4)
+        v = fully_striped_view(m)
         data = uniform(100, seed=1)
-        f = StripedFile(m, 100, start_slot=m.allocate_slots(100))
-        f.load_initial(data)
+        run = load_ordered_run(v, data)
         assert m.stats.total_ios == 0  # initial placement is free
-        out = f.read_all()
+        out = read_run_all(v, run)
         assert np.array_equal(out["key"], data["key"])
         # 100 records, B=4 -> 25 blocks -> ceil(25/4)=7 stripes = 7 I/Os
         assert m.stats.read_ios == 7
@@ -205,39 +206,47 @@ class TestStripedFile:
 
     def test_write_all_then_read_all(self):
         m = machine(M=640, B=4, D=4)
-        data = uniform(50, seed=2)
-        f = StripedFile(m, 50, start_slot=0)
-        m.mem_acquire(50)
-        f.write_all(data)
+        v = fully_striped_view(m)
+        data = uniform(64, seed=2)
+        m.mem_acquire(64)
+        run = write_ordered_run(v, data)
         assert m.memory_in_use == 0  # writes drain memory
-        out = f.read_all()
+        assert m.stats.write_ios == 4  # one full stripe per write
+        out = read_run_all(v, run)
         assert np.array_equal(out["key"], data["key"])
-        m.mem_release(50)
+        m.mem_release(64)
 
     def test_block_address_round_robin(self):
+        # Physical block j of the file sits on disk j mod D, one slot per
+        # stripe of D blocks.
         m = machine()
-        f = StripedFile(m, 10 * m.B, start_slot=3)
-        assert f.block_address(0) == BlockAddress(0, 3)
-        assert f.block_address(5) == BlockAddress(1, 4)
+        v = fully_striped_view(m)
+        m.allocate_slots(3)
+        run = load_ordered_run(v, make_records(np.arange(40, dtype=np.uint64)))
+        assert [b.address.slot for b in run.blocks] == [3, 4, 5]
+        block5 = m.peek_blocks_arr(np.array([1]), np.array([4]))
+        assert block5["key"].tolist() == [[20, 21, 22, 23]]
 
     def test_stripe_out_of_range(self):
         m = machine()
-        f = StripedFile(m, 4, start_slot=0)
-        f.load_initial(make_records(np.arange(4, dtype=np.uint64)))
+        v = fully_striped_view(m)
+        run = load_ordered_run(v, make_records(np.arange(4, dtype=np.uint64)))
+        (only,) = run.blocks
         with pytest.raises(AddressError):
-            f.read_stripe(1)
+            v.gather_rounds_arr([[VirtualBlockAddress(0, only.address.slot + 1)]])
 
     def test_length_mismatch_rejected(self):
         m = machine()
-        f = StripedFile(m, 8, start_slot=0)
+        v = fully_striped_view(m)
         with pytest.raises(ParameterError):
-            f.load_initial(make_records(np.arange(4, dtype=np.uint64)))
+            v.load_initial([(0, make_records(np.arange(4, dtype=np.uint64)))])
 
     def test_empty_file(self):
         m = machine()
-        f = StripedFile(m, 0, start_slot=0)
-        assert f.read_all().size == 0
-        assert f.n_stripes == 0
+        v = fully_striped_view(m)
+        run = load_ordered_run(v, make_records(np.arange(0, dtype=np.uint64)))
+        assert run.n_records == 0
+        assert read_run_all(v, run).size == 0
 
 
 class TestVirtualDisks:
@@ -295,6 +304,14 @@ class TestVirtualDisks:
             v.write_round([0, 1], np.stack(rows) if as_matrix else rows)
         assert m.stats.write_ios == 0
 
+    def test_load_initial_refuses_non_record_blocks(self):
+        # An int64 block of 7s would otherwise be cast to records (7, 7).
+        m = machine(M=64, B=4, D=4)
+        v = VirtualDisks(m, 2)
+        with pytest.raises(TypeError, match="record dtype"):
+            v.load_initial([(0, np.full(v.virtual_block_size, 7, np.int64))])
+        assert m.store.n_blocks() == 0
+
     def test_fully_striped_view(self):
         m = machine(M=64, B=4, D=4)
         v = fully_striped_view(m)
@@ -332,11 +349,9 @@ class TestStorageAPI:
         left = [f"{cls.__name__}.{name}" for cls, names in self.REMOVED.items()
                 for name in names if hasattr(cls, name)]
         assert left == []
-        # The padding helpers live in repro.records; layout keeps no alias.
-        padding = (pad_records, strip_pad_records)
-        bound = [name for name, value in vars(layout).items()
-                 if any(value is f for f in padding)]
-        assert bound == ["pad_records"]
+        # The padding helpers live in repro.records, and full striping is
+        # fully_striped_view: the striped-file module is gone.
+        assert importlib.util.find_spec("repro.pdm.layout") is None
 
     def test_one_address_type_and_no_unchecked_machine_io(self):
         from repro.hierarchies import parallel

@@ -2,8 +2,9 @@
 
 The storage substrate is pure engineering — the paper's cost model
 (parallel I/Os, Theorem 1) never sees it.  That is only true if every
-*observable* is bit-identical between ``REPRO_PDM_STORE=arena`` (the
-default slab-allocated backend) and ``=dict`` (the legacy dict-of-dicts):
+*observable* is bit-identical between the arena (the slab-allocated
+backend every machine builds) and the dict reference (the legacy
+dict-of-dicts, selected by ``tests/store_reference.use_store``):
 
 * sorted output records (exact array equality, keys *and* rids);
 * the Balance matrices ``X`` / ``A`` and the location matrix ``L``
@@ -30,6 +31,8 @@ from repro.obs import Observation
 from repro.pdm import ParallelDiskMachine, VirtualDisks
 from repro.pdm.store import ArenaBlockStore, DictBlockStore, make_store
 from repro.records import composite_keys
+
+from .store_reference import use_store
 
 BACKENDS = ["arena", "dict"]
 
@@ -66,13 +69,17 @@ class TestBackendSelection:
         assert isinstance(make_store("arena", 4, 4), ArenaBlockStore)
         assert isinstance(make_store("dict", 4, 4), DictBlockStore)
 
-    def test_env_var_selects_backend(self, monkeypatch):
+    def test_use_store_selects_backend(self, monkeypatch):
+        # The environment no longer picks a store; only the module default
+        # does, and only the tests' use_store patches it.
         monkeypatch.setenv("REPRO_PDM_STORE", "dict")
-        assert isinstance(make_store(None, 4, 4), DictBlockStore)
-        monkeypatch.setenv("REPRO_PDM_STORE", "arena")
         assert isinstance(make_store(None, 4, 4), ArenaBlockStore)
-        monkeypatch.delenv("REPRO_PDM_STORE")
+        with use_store("dict"):
+            assert isinstance(make_store(None, 4, 4), DictBlockStore)
+            assert isinstance(make_store("arena", 4, 4), ArenaBlockStore)
         assert isinstance(make_store(None, 4, 4), ArenaBlockStore)
+        with pytest.raises(ValueError, match="no block store backend 'bogus'"):
+            use_store("bogus")
 
     def test_machine_store_kwarg(self):
         assert isinstance(
@@ -103,12 +110,11 @@ class TestSortDifferential:
         assert m_a.memory_in_use == m_d.memory_in_use == 0
 
     @pytest.mark.parametrize("cell", CELLS, ids=lambda c: c["workload"])
-    def test_exec_payload_identical(self, cell, monkeypatch):
+    def test_exec_payload_identical(self, cell):
         """The cache/golden unit: result + metrics + trace, bit for bit."""
-        monkeypatch.setenv("REPRO_PDM_STORE", "arena")
         arena = run_task("sort_pdm", dict(cell))
-        monkeypatch.setenv("REPRO_PDM_STORE", "dict")
-        legacy = run_task("sort_pdm", dict(cell))
+        with use_store("dict"):
+            legacy = run_task("sort_pdm", dict(cell))
         assert arena == legacy
 
 

@@ -5,7 +5,7 @@ this suite extends the discipline to adversarial block *fate*: injected
 transient I/O errors mid-``read_blocks_arr``, failed fused read+free
 followed by a double free, and checksum-detected bit rot raising a typed
 :class:`~repro.exceptions.BlockCorruptionError`.  Every scenario runs
-under ``REPRO_PDM_STORE=dict`` and ``arena`` semantics via the ``store``
+on the dict and the arena backend via the machine's ``store``
 parameter, and the differential cases assert the two backends fail
 **identically** — same exception type, same message, same residual
 store state.
