@@ -60,7 +60,7 @@ def run_once(benchmark, fn):
 
 
 def parallel_sweep(task, cells, jobs=None, cache_dir=None):
-    """Run a benchmark grid through the :mod:`repro.exec` ParallelRunner.
+    """Run a benchmark grid through the :mod:`repro.exec` JobRunner.
 
     ``cells`` is a list of task-parameter dicts (one per grid cell);
     returns the per-cell ``result`` summaries **in cell order**, so
@@ -73,13 +73,13 @@ def parallel_sweep(task, cells, jobs=None, cache_dir=None):
     * ``REPRO_BENCH_JOBS`` — worker processes (unset/0/1 = serial);
     * ``REPRO_BENCH_CACHE`` — result-cache directory (unset = no cache).
     """
-    from repro.exec import ParallelRunner, RunSpec
+    from repro.exec import JobRunner, RunSpec
 
     if jobs is None:
         jobs = int(os.environ.get("REPRO_BENCH_JOBS", "0") or 0)
     if cache_dir is None:
         cache_dir = os.environ.get("REPRO_BENCH_CACHE") or None
-    runner = ParallelRunner(jobs=jobs, cache_dir=cache_dir)
+    runner = JobRunner(jobs=jobs, cache_dir=cache_dir)
     results = runner.map([RunSpec(task, dict(cell)) for cell in cells])
     return [r.result for r in results]
 

@@ -1,7 +1,7 @@
 """Exec-layer benchmark: serial vs ``--jobs 4`` vs warm cache on E1 + E3.
 
 Measures the wall-clock of the E1 (Theorem 1 I/O sweep) and E3 (baseline
-comparison) grids through the :mod:`repro.exec` ParallelRunner in three
+comparison) grids through the :mod:`repro.exec` JobRunner in three
 modes and records the trajectory point in ``BENCH_exec_runner.json`` at
 the repo root:
 
@@ -82,7 +82,7 @@ def measure() -> dict:
     return {
         "schema": "repro.bench_point/1",
         "name": "exec_runner",
-        "description": "E1+E3 grid wall-clock: serial vs ParallelRunner "
+        "description": "E1+E3 grid wall-clock: serial vs JobRunner "
                        "--jobs 4 vs warm result cache",
         "host": capture_host(),
         "rows": rows,

@@ -171,9 +171,57 @@ def build_parser() -> argparse.ArgumentParser:
             help="which registered task each grid cell runs",
         )
         _add_task_flags(p, "grid")
+
+    jobs_help = "worker processes (default: serial; 0/1 = serial in-process)"
+
+    def add_exec_args(p):
+        """The execution surface ``sweep`` and ``serve`` share; one
+        :func:`_exec_runner` builds their runner from it."""
+        p.add_argument("--jobs", type=int, default=None, help=jobs_help)
         p.add_argument(
-            "--jobs", type=int, default=None,
-            help="worker processes (default: serial; 0/1 = serial in-process)",
+            "--cache-dir", default=None, metavar="PATH",
+            help="content-hashed result cache directory (hits skip "
+                 "simulation; defaults to the journal's cells/ store when "
+                 "--journal is set)",
+        )
+        p.add_argument(
+            "--retries", type=int, default=0,
+            help="extra attempts per job after the first (default 0: fail "
+                 "fast into a structured repro.failures/1 record)",
+        )
+        p.add_argument(
+            "--timeout", type=float, default=None, metavar="SECONDS",
+            help="per-attempt wall-clock budget (pool mode; a hung worker "
+                 "triggers a pool rebuild and the job is charged a retry)",
+        )
+        p.add_argument(
+            "--backoff", type=float, default=0.05, metavar="SECONDS",
+            help="deterministic exponential backoff base: attempt k sleeps "
+                 "backoff*2^k before retrying (default 0.05)",
+        )
+        p.add_argument(
+            "--backoff-max", type=float, default=5.0, metavar="SECONDS",
+            help="cap on the cumulative backoff sleep per job (default 5.0), "
+                 "so permanent-fault plans with deep retry budgets cannot "
+                 "stall unboundedly; negative disables the cap",
+        )
+        p.add_argument(
+            "--fault-plan", default=None, metavar="PATH|JSON",
+            help="seeded chaos plan (repro.fault_plan/1 JSON file, or inline "
+                 "JSON starting with '{'); see docs/resilience.md",
+        )
+        p.add_argument(
+            "--journal", default=None, metavar="DIR",
+            help="checkpoint every job to DIR (journal.jsonl + payload "
+                 "store): a sweep re-run on it executes only the missing "
+                 "cells, and serve --resume resubmits the unfinished jobs",
+        )
+        p.add_argument(
+            "--resume", action="store_true",
+            help="serve: resubmit the journal's admitted-but-unfinished "
+                 "jobs on start; sweep: count the cells served from the "
+                 "journal as resumed (attaching --journal DIR already "
+                 "serves them; the grid fingerprint must match)",
         )
 
     p_sw = sub.add_parser(
@@ -181,46 +229,7 @@ def build_parser() -> argparse.ArgumentParser:
         help="run a parameter grid (optionally sharded across cores and cached)",
     )
     add_grid_args(p_sw)
-    p_sw.add_argument(
-        "--cache-dir", default=None, metavar="PATH",
-        help="content-hashed result cache directory (hits skip simulation)",
-    )
-    p_sw.add_argument(
-        "--retries", type=int, default=0,
-        help="extra attempts per cell after the first (default 0: fail fast "
-             "into a structured repro.failures/1 record)",
-    )
-    p_sw.add_argument(
-        "--timeout", type=float, default=None, metavar="SECONDS",
-        help="per-attempt wall-clock budget (pool mode; a hung worker "
-             "triggers a pool rebuild and the cell is charged a retry)",
-    )
-    p_sw.add_argument(
-        "--backoff", type=float, default=0.05, metavar="SECONDS",
-        help="deterministic exponential backoff base: attempt k sleeps "
-             "backoff*2^k before retrying (default 0.05)",
-    )
-    p_sw.add_argument(
-        "--backoff-max", type=float, default=5.0, metavar="SECONDS",
-        help="cap on the cumulative backoff sleep per cell (default 5.0), "
-             "so permanent-fault plans with deep retry budgets cannot "
-             "stall the sweep unboundedly; negative disables the cap",
-    )
-    p_sw.add_argument(
-        "--fault-plan", default=None, metavar="PATH|JSON",
-        help="seeded chaos plan (repro.fault_plan/1 JSON file, or inline "
-             "JSON starting with '{'); see docs/resilience.md",
-    )
-    p_sw.add_argument(
-        "--journal", default=None, metavar="DIR",
-        help="checkpoint completed cells to DIR (journal.jsonl + payload "
-             "store) so --resume re-executes only the missing ones",
-    )
-    p_sw.add_argument(
-        "--resume", action="store_true",
-        help="serve cells already completed in --journal DIR from the "
-             "checkpoint (grid fingerprint must match)",
-    )
+    add_exec_args(p_sw)
     p_sw.add_argument(
         "--telemetry", default=None, metavar="PATH",
         help="stream repro.progress/1 live-progress events to PATH "
@@ -269,40 +278,7 @@ def build_parser() -> argparse.ArgumentParser:
         help="token refill rate per tenant (default 0 = no refill, "
              "which makes quota tests exact)",
     )
-    p_srv.add_argument(
-        "--jobs", type=int, default=None,
-        help="worker processes (default: serial in-process driver)",
-    )
-    p_srv.add_argument("--retries", type=int, default=0,
-                       help="extra attempts per job after the first")
-    p_srv.add_argument("--timeout", type=float, default=None, metavar="SECONDS",
-                       help="per-attempt budget (pool mode; hung workers "
-                            "trigger a pool rebuild)")
-    p_srv.add_argument("--backoff", type=float, default=0.05, metavar="SECONDS",
-                       help="deterministic exponential backoff base")
-    p_srv.add_argument("--backoff-max", type=float, default=5.0,
-                       metavar="SECONDS",
-                       help="cumulative backoff cap per job (negative "
-                            "disables)")
-    p_srv.add_argument(
-        "--cache-dir", default=None, metavar="PATH",
-        help="content-hashed result cache (warm hits answer instantly; "
-             "defaults to the journal's cells/ store when --journal is set)",
-    )
-    p_srv.add_argument(
-        "--journal", default=None, metavar="DIR",
-        help="job-granular checkpoint log: admitted jobs survive SIGTERM "
-             "and are resubmitted by `repro serve --resume`",
-    )
-    p_srv.add_argument(
-        "--resume", action="store_true",
-        help="resubmit the journal's admitted-but-unfinished jobs on start",
-    )
-    p_srv.add_argument(
-        "--fault-plan", default=None, metavar="PATH|JSON",
-        help="live chaos drill: seeded faults injected into the running "
-             "service (responses stay bit-identical; docs/resilience.md)",
-    )
+    add_exec_args(p_srv)
     p_srv.add_argument(
         "--drain-grace", type=float, default=30.0, metavar="SECONDS",
         help="SIGTERM drain: stop accepting, wait this long for in-flight "
@@ -395,8 +371,8 @@ def build_parser() -> argparse.ArgumentParser:
     )
     p_prof.add_argument(
         "--memory", metavar="PATH", default=None,
-        help="attach a memory-telemetry snapshot (a sweep --stats-json "
-             "file, or any JSON dict of gauges) to the profile",
+        help="attach a memory-telemetry snapshot (a sweep or serve "
+             "--stats-json file, or any JSON dict of gauges) to the profile",
     )
 
     p_diff = sub.add_parser(
@@ -473,6 +449,7 @@ def build_parser() -> argparse.ArgumentParser:
              "point to the ledger",
     )
     add_grid_args(p_br)
+    p_br.add_argument("--jobs", type=int, default=None, help=jobs_help)
     p_br.add_argument("--series", required=True,
                       help="series name the point belongs to (e.g. e1-smoke)")
     p_br.add_argument(
@@ -836,9 +813,11 @@ _SUBMIT_PARAM_EXCLUDES = _SWEEP_PARAM_EXCLUDES + (
 )
 
 
-def _exec_inputs(args, prefix: str, attach=None):
-    """The execution inputs ``sweep`` and ``serve`` share, built once:
-    ``(fault plan, journal, cache dir)``, or an exit code after one
+def _exec_runner(args, prefix: str, attach=None):
+    """The :class:`~repro.exec.JobRunner` of ``sweep`` and ``serve``,
+    built from their shared execution flags: a constructor with every
+    flag applied, which the command calls with its own arguments
+    (telemetry, obs, scheduler); or an exit code after one
     ``[prefix] error:`` line on stderr.
 
     Loads ``--fault-plan`` (exit 2 if malformed), refuses ``--resume``
@@ -847,6 +826,9 @@ def _exec_inputs(args, prefix: str, attach=None):
     directory to the journal's cells, and reports the cache entries the
     plan damaged.
     """
+    from functools import partial
+
+    from .exec import JobRunner
     from .resilience import FaultPlan, SweepJournal, inject_cache_faults
 
     plan = None
@@ -877,11 +859,21 @@ def _exec_inputs(args, prefix: str, attach=None):
                 f"{'y' if damaged == 1 else 'ies'}",
                 file=sys.stderr,
             )
-    return plan, journal, cache_dir
+    return partial(
+        JobRunner,
+        jobs=args.jobs,
+        cache_dir=cache_dir,
+        retries=args.retries,
+        timeout=args.timeout,
+        backoff=args.backoff,
+        backoff_max=None if args.backoff_max < 0 else args.backoff_max,
+        fault_plan=plan,
+        journal=journal,
+    )
 
 
 def cmd_sweep(args) -> int:
-    """Run a parameter grid through the ParallelRunner and print the table.
+    """Run a parameter grid through the JobRunner and print the table.
 
     Grid cells are independent seeded simulations: ``--jobs N`` shards
     them across worker processes, ``--cache-dir`` serves repeated cells
@@ -894,7 +886,8 @@ def cmd_sweep(args) -> int:
     via ``--fault-plan`` or real) survivable; cells that exhaust their
     budget become ``repro.failures/1`` records in the report and a
     failures table on stderr-adjacent output.  ``--journal DIR``
-    checkpoints completed cells; ``--resume`` serves them back.
+    checkpoints every cell and serves the completed ones back;
+    ``--resume`` counts those as resumed.
 
     Exit codes: 0 when every cell succeeded, 2 on usage errors (bad
     fault plan, ``--resume`` without ``--journal``, grid mismatch), 3
@@ -904,7 +897,6 @@ def cmd_sweep(args) -> int:
     import os
     import tempfile
 
-    from .exec import ParallelRunner
     from .obs import LiveProgressView, TelemetryWriter
 
     task, specs = _sweep_specs(args)
@@ -935,10 +927,9 @@ def cmd_sweep(args) -> int:
         journal.begin(task, keys)
         return None
 
-    inputs = _exec_inputs(args, "sweep", attach)
-    if isinstance(inputs, int):
-        return inputs
-    plan, journal, cache_dir = inputs
+    make_runner = _exec_runner(args, "sweep", attach)
+    if isinstance(make_runner, int):
+        return make_runner
 
     telemetry_path = args.telemetry
     temp_telemetry = None
@@ -950,17 +941,7 @@ def cmd_sweep(args) -> int:
         temp_telemetry = telemetry_path
     writer = TelemetryWriter(telemetry_path) if telemetry_path else None
 
-    runner = ParallelRunner(
-        jobs=args.jobs,
-        cache_dir=cache_dir,
-        retries=args.retries,
-        timeout=args.timeout,
-        backoff=args.backoff,
-        backoff_max=None if args.backoff_max < 0 else args.backoff_max,
-        fault_plan=plan,
-        journal=journal,
-        telemetry=writer,
-    )
+    runner = make_runner(telemetry=writer)
     live = LiveProgressView(telemetry_path).start() if args.live else None
     try:
         results = runner.map(specs)
@@ -1011,10 +992,10 @@ def cmd_sweep(args) -> int:
         file=sys.stderr,
     )
     journal_stats = None
-    if journal is not None:
-        journal_stats = journal.stats
+    if runner.journal is not None:
+        journal_stats = runner.journal.stats
         print(
-            f"[sweep] journal={journal.directory} "
+            f"[sweep] journal={journal_stats['directory']} "
             f"resumed={journal_stats['resumed']} "
             f"recorded_done={journal_stats['recorded_done']} "
             f"recorded_failed={journal_stats['recorded_failed']} "
@@ -1149,26 +1130,13 @@ def cmd_serve(args) -> int:
     import asyncio
     import signal
 
-    from .exec import JobRunner
     from .serve import FairShareScheduler, SortService
 
-    inputs = _exec_inputs(args, "serve")
-    if isinstance(inputs, int):
-        return inputs
-    plan, journal, cache_dir = inputs
+    make_runner = _exec_runner(args, "serve")
+    if isinstance(make_runner, int):
+        return make_runner
     obs = Observation(trace_path=args.trace_out)
-    runner = JobRunner(
-        jobs=args.jobs,
-        cache_dir=cache_dir,
-        obs=obs,
-        retries=args.retries,
-        timeout=args.timeout,
-        backoff=args.backoff,
-        backoff_max=None if args.backoff_max < 0 else args.backoff_max,
-        fault_plan=plan,
-        journal=journal,
-        scheduler=FairShareScheduler(),
-    )
+    runner = make_runner(obs=obs, scheduler=FairShareScheduler())
     service = SortService(
         runner,
         host=args.host,
@@ -1178,7 +1146,7 @@ def cmd_serve(args) -> int:
         quota_rate=args.quota_rate,
         obs=obs,
         log_path=args.log,
-        journal=journal,
+        journal=runner.journal,
         resume=args.resume,
         drain_grace=args.drain_grace,
         hold=args.hold,
@@ -1189,7 +1157,7 @@ def cmd_serve(args) -> int:
         f"queue={args.queue} jobs={runner.jobs or 1} "
         f"quota={args.quota_burst or 'off'} "
         f"{'HOLD ' if args.hold else ''}"
-        f"{'chaos ' if plan is not None else ''}"
+        f"{'chaos ' if runner.fault_plan is not None else ''}"
         f"(SIGTERM drains; grace {args.drain_grace}s)",
         file=sys.stderr,
     )
@@ -1389,8 +1357,8 @@ def cmd_profile(args) -> int:
     memory = None
     if args.memory:
         doc = load_doc(args.memory)
-        if doc.get("schema") == "repro.sweep_stats/1":
-            # A sweep --stats-json dump: the gauges live under runner.
+        if doc.get("schema") in ("repro.sweep_stats/1", "repro.serve_stats/1"):
+            # A sweep or serve --stats-json dump: the gauges live under runner.
             memory = (doc.get("runner") or {}).get("memory")
         else:
             memory = doc
@@ -1542,7 +1510,7 @@ def cmd_bench(args) -> int:
     from .util import host_key
 
     if args.bench_command == "record":
-        from .exec import ParallelRunner
+        from .exec import JobRunner
 
         task, specs = _sweep_specs(args)
         keys = [spec.fingerprint() for spec in specs]
@@ -1552,7 +1520,7 @@ def cmd_bench(args) -> int:
         for rep in range(reps):
             # No cache on purpose: a trajectory point is an honest, fresh
             # wall-clock measurement of every cell, every repetition.
-            runner = ParallelRunner(jobs=args.jobs)
+            runner = JobRunner(jobs=args.jobs)
             t0 = _time.perf_counter()
             results = runner.map(specs)
             elapsed = _time.perf_counter() - t0

@@ -5,9 +5,9 @@ grid cell is an independent, seeded, deterministic simulation.  This
 package turns that shape into throughput without giving up determinism:
 
 * :class:`RunSpec` / :class:`JobRunner` — process-pool sharding of
-  registered tasks behind one serial and one pool driver;
-  :class:`ParallelRunner` is its batch front-end, returning results in
-  spec order (tables are bit-identical to serial runs);
+  registered tasks behind one serial and one pool driver; its ``map``
+  returns a batch's results in spec order (tables are bit-identical to
+  serial runs), and a service submits, polls and cancels single jobs;
 * :mod:`~repro.exec.fingerprint` / :class:`ResultCache` — content-hashed
   run cache (config fingerprint → payload JSON) so repeated grid cells
   are served without re-simulating;

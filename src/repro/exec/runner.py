@@ -4,9 +4,9 @@ Every benchmark grid (E1–E13), ``repro compare`` sweep, and workload
 matrix is a list of *independent* deterministic simulations — exactly the
 shape Rahn–Sanders–Singler exploit when they turn an external-sort
 algorithm into a system: the engineering is in the execution layer, not
-the algorithm.  :class:`JobRunner` is that layer for this repo, and
-:class:`ParallelRunner` is its batch front-end (``map`` a spec list to
-results in spec order):
+the algorithm.  :class:`JobRunner` is that layer for this repo; a batch
+calls its :meth:`~JobRunner.map` (a spec list to results in spec order)
+and a service its ``submit``/``poll``/``cancel``:
 
 * **sharding** — jobs run in a ``ProcessPoolExecutor`` (``jobs``
   workers); each worker re-creates the simulation from its
@@ -351,8 +351,8 @@ class JobRunner:
     therefore stay bit-identical to a fault-free serial run (the
     chaos-determinism gate).  A service runs the driver on a background
     thread (:meth:`start`); a batch drives it on its own thread until the
-    queue is empty (:meth:`run_until_idle`, which is what
-    :meth:`ParallelRunner.map` does).
+    queue is empty (:meth:`run_until_idle`, which is what :meth:`map`
+    does).
 
     Parameters
     ----------
@@ -393,9 +393,9 @@ class JobRunner:
         every cell then runs under its own deterministic
         :class:`~repro.resilience.FaultInjector`.
     journal:
-        Optional :class:`~repro.resilience.SweepJournal`; job transitions
-        are checkpointed as ``job`` records (:class:`ParallelRunner`
-        writes the sweep's ``cell`` records instead).
+        Optional :class:`~repro.resilience.SweepJournal`; every admitted
+        job and its terminal status are checkpointed as ``job`` records
+        (a sweep's caller writes the ``start`` record).
     telemetry:
         Optional live-progress channel: a
         :class:`~repro.obs.telemetry.TelemetryWriter` or a path to the
@@ -488,6 +488,7 @@ class JobRunner:
         self.pool_rebuilds = 0
         self.backoff_capped = 0
         self.backoff_slept = 0.0
+        self.served_from_cache = 0  # ``map`` specs answered without a run
         self._unexplained_crashes = 0  # since the last completed attempt
         # Out-of-band sidecars of the executed jobs, folded as each lands:
         # physical-fusion counters and memory gauges (counters add, high
@@ -1129,55 +1130,7 @@ class JobRunner:
         finally:
             pool.shutdown(wait=False, cancel_futures=True)
 
-    # -------------------------------------------------------------- stats
-
-    @property
-    def stats(self) -> dict:
-        """Admission + execution counters (``runner`` in ``repro.serve_stats/1``)."""
-        with self._cond:
-            return {
-                "jobs": self.jobs or 1,
-                "jobs_requested": self.jobs_requested or 1,
-                "admitted": self.admitted,
-                "coalesced": self.coalesced,
-                "cache_hits": self.cache_hits,
-                "shed": self.shed,
-                "executed": self.executed,
-                "completed": self.completed,
-                "failed": self.failed,
-                "cancelled": self.cancelled,
-                "retried": self.retried,
-                "timeouts": self.timeouts,
-                "pool_rebuilds": self.pool_rebuilds,
-                "backoff_max": self.backoff_max,
-                "backoff_capped": self.backoff_capped,
-                "queued": len(self._queue),
-                "running": len(self._running),
-                "driver_alive": self.driver_alive,
-                "driver_error": self.driver_error,
-                "cache": self.cache.stats,
-            }
-
-
-class ParallelRunner(JobRunner):
-    """Map a spec list to results in spec order over a :class:`JobRunner`.
-
-    Takes the :class:`JobRunner` constructor.  :meth:`map` submits every
-    spec, drives the queue to empty on the calling thread, and returns
-    one :class:`RunResult` per spec; :attr:`stats` is the
-    ``repro.sweep_stats/1`` view of the counters.  A journal receives
-    the sweep's ``cell`` records (the caller writes the ``start``
-    record).
-    """
-
-    def __init__(self, *args, **kwargs):
-        super().__init__(*args, **kwargs)
-        self.served_from_cache = 0
-
-    def _journal_job(self, job: Job, status: str) -> None:
-        """Checkpoint terminal cells as ``cell`` records (``start`` + ``cell``)."""
-        if self.journal is not None and status in ("done", "failed"):
-            self.journal.record(job.key, status)
+    # ---------------------------------------------------------------- map
 
     def map(self, specs: Iterable[RunSpec]) -> list[RunResult]:
         """Execute every spec; results return in spec order.
@@ -1234,9 +1187,13 @@ class ParallelRunner(JobRunner):
         )
         return results
 
+    # -------------------------------------------------------------- stats
+
     @property
     def stats(self) -> dict:
-        """Execution, cache, and resilience counters for reporting.
+        """Admission, execution, cache, and resilience counters: the
+        ``runner`` block of ``repro.sweep_stats/1`` and
+        ``repro.serve_stats/1`` alike.
 
         ``jobs`` is the *effective* worker count after the usable-core
         clamp; ``jobs_requested`` preserves what the caller asked for.
@@ -1246,20 +1203,35 @@ class ParallelRunner(JobRunner):
             return {
                 "jobs": self.jobs or 1,
                 "jobs_requested": self.jobs_requested or 1,
+                "admitted": self.admitted,
+                "coalesced": self.coalesced,
+                "cache_hits": self.cache_hits,
+                "shed": self.shed,
                 "executed": self.executed,
                 "served_from_cache": self.served_from_cache,
-                "retried": self.retried,
+                "completed": self.completed,
                 "failed": self.failed,
+                "cancelled": self.cancelled,
+                "retried": self.retried,
                 "timeouts": self.timeouts,
                 "pool_rebuilds": self.pool_rebuilds,
                 "backoff_max": self.backoff_max,
                 "backoff_slept": round(self.backoff_slept, 4),
                 "backoff_capped": self.backoff_capped,
+                "queued": len(self._queue),
+                "running": len(self._running),
+                "driver_alive": self.driver_alive,
+                "driver_error": self.driver_error,
                 "cache": self.cache.stats,
                 # Physical-fusion telemetry summed over the freshly executed
-                # cells (cache hits ran no simulation, so contribute nothing).
+                # jobs (cache hits ran no simulation, so contribute nothing).
                 "io_plan": dict(self._sidecar["io_plan"]),
                 # Memory gauges folded the same way (counters add, high
                 # waters max).
                 "memory": dict(self._sidecar["memory"]),
             }
+
+
+#: The batch runner's former name.  It stays because the perfbench
+#: harness imports it and patches ``ParallelRunner.map`` by name.
+ParallelRunner = JobRunner

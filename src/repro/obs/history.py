@@ -77,6 +77,21 @@ def _artifact_id(kind: str, doc: dict) -> str:
     return f"{kind}-{hashlib.sha256(canonical.encode('utf-8')).hexdigest()[:12]}"
 
 
+def _runner_summary(doc: dict) -> dict:
+    """The execution counters and memory gauges of a stats document's
+    ``runner`` block (``repro.sweep_stats/1`` and ``repro.serve_stats/1``
+    carry the same one)."""
+    runner = doc.get("runner") or {}
+    summary = {k: runner[k] for k in (
+        "executed", "served_from_cache", "failed", "retried",
+    ) if k in runner}
+    memory = runner.get("memory") or {}
+    for k in ("high_water_blocks", "peak_rss_kb"):
+        if memory.get(k):
+            summary[k] = memory[k]
+    return summary
+
+
 def _summarize(kind: str, doc: dict) -> dict:
     """The small kind-specific summary an index record carries inline."""
     if kind == "report":
@@ -126,24 +141,15 @@ def _summarize(kind: str, doc: dict) -> dict:
             summary["repro_version"] = doc["repro_version"]
         return summary
     if kind == "stats":
-        runner = doc.get("runner") or {}
-        summary = {k: runner[k] for k in (
-            "executed", "served_from_cache", "failed", "retried",
-        ) if k in runner}
-        memory = runner.get("memory") or {}
-        for k in ("high_water_blocks", "peak_rss_kb"):
-            if memory.get(k):
-                summary[k] = memory[k]
-        return summary
+        return _runner_summary(doc)
     if kind == "serve":
         serve = doc.get("serve") or {}
         summary = {k: serve[k] for k in (
             "admitted", "coalesced", "cache_hits", "shed", "quota_rejected",
             "completed", "failed", "cancelled", "drain_seconds", "resumed",
         ) if k in serve}
-        runner = doc.get("runner") or {}
-        if "retried" in runner:
-            summary["retried"] = runner["retried"]
+        for k, v in _runner_summary(doc).items():
+            summary.setdefault(k, v)
         tenants = doc.get("tenants")
         if isinstance(tenants, dict):
             summary["tenants"] = len(tenants)

@@ -3,7 +3,7 @@
 The obs stack up to PR 5 was entirely post-hoc: traces, reports, and the
 journal all become readable *after* a run exits.  This module adds the
 third leg — a **line-buffered JSONL progress stream** (schema
-``repro.progress/1``) that the :class:`~repro.exec.ParallelRunner` and
+``repro.progress/1``) that the :class:`~repro.exec.JobRunner` and
 the sorts' phase spans append to *while the sweep runs*, so a grid that
 takes minutes is observable from the first second:
 

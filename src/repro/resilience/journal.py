@@ -1,22 +1,25 @@
-"""The sweep journal: checkpoint completed cells so ``--resume`` is cheap.
+"""The journal: checkpoint every job so a killed run resumes cheaply.
 
 A journal directory holds two things:
 
-* ``journal.jsonl`` — an append-only log (schema ``repro.journal/1``):
-  one ``start`` record per sweep session (task, cell count, and a grid
-  fingerprint over the sorted cell keys) and one ``cell`` record per
-  completed cell (``done`` or ``failed``).  Every line is flushed and
-  fsynced, so a SIGKILL mid-sweep loses at most the cell in flight.
-* ``cells/`` — a :class:`~repro.exec.ResultCache` directory the sweep
+* ``journal.jsonl`` — an append-only log (schema ``repro.journal/1``)
+  of ``job`` records: one ``admitted`` record per job the runner queues
+  (task, params, meta) and one per terminal status (``done``,
+  ``failed``, ``cancelled``).  A sweep also writes one ``start`` record
+  per session (task, cell count, and a grid fingerprint over the sorted
+  cell keys).  Every line is flushed and fsynced, so a SIGKILL loses at
+  most the job in flight.
+* ``cells/`` — a :class:`~repro.exec.ResultCache` directory the runner
   uses as its payload store when no ``--cache-dir`` was given.  Payload
-  writes are atomic per cell, so a killed sweep leaves only whole,
+  writes are atomic per job, so a killed run leaves only whole,
   integrity-checked entries behind.
 
-``repro sweep --journal DIR --resume`` then re-runs the same grid:
-completed cells are served from the checkpoint byte-identically (payloads
-are pure functions of their specs) and only the missing ones execute.
-The grid fingerprint guards against resuming a *different* grid into an
-old journal.
+``repro sweep --journal DIR`` then re-runs the same grid: completed cells
+are served from the checkpoint byte-identically (payloads are pure
+functions of their specs) and only the missing ones execute.  The grid
+fingerprint guards against resuming a *different* grid into an old
+journal.  ``repro serve --journal DIR --resume`` resubmits the jobs
+admitted but never finished.
 """
 
 from __future__ import annotations
@@ -40,7 +43,7 @@ def grid_fingerprint(keys: Iterable[str]) -> str:
 
 
 class SweepJournal:
-    """Append-only completion log + payload checkpoint for one sweep grid."""
+    """Append-only job log + payload checkpoint for one sweep grid or service."""
 
     def __init__(self, directory: str):
         self.directory = directory
@@ -50,7 +53,7 @@ class SweepJournal:
         self.path = os.path.join(directory, "journal.jsonl")
         self.cells_dir = os.path.join(directory, "cells")
         self.read()  # a malformed journal is refused before anything uses it
-        #: Cells recorded done / failed *by this session*.
+        #: Jobs recorded done / failed *by this session*.
         self.recorded_done = 0
         self.recorded_failed = 0
         #: Cells this session served from the checkpoint (set by the sweep).
@@ -75,14 +78,6 @@ class SweepJournal:
             "grid": grid_fingerprint(keys),
         })
 
-    def record(self, key: str, status: str) -> None:
-        """Checkpoint one completed cell (``status`` ∈ done | failed)."""
-        self._append({"ev": "cell", "key": key, "status": status})
-        if status == "done":
-            self.recorded_done += 1
-        else:
-            self.recorded_failed += 1
-
     def job(
         self,
         key: str,
@@ -91,7 +86,7 @@ class SweepJournal:
         params: dict | None = None,
         meta: dict | None = None,
     ) -> None:
-        """Checkpoint one service job transition (job-granular records).
+        """Checkpoint one job transition.
 
         ``status`` ∈ ``admitted | done | failed | cancelled``.  The
         ``admitted`` record carries the spec (task + params) so a
@@ -107,6 +102,10 @@ class SweepJournal:
         if meta:
             record["meta"] = meta
         self._append(record)
+        if status == "done":
+            self.recorded_done += 1
+        elif status == "failed":
+            self.recorded_failed += 1
 
     # ------------------------------------------------------------- reading
 
@@ -133,13 +132,18 @@ class SweepJournal:
             records.append(record)
         return records
 
-    def completed(self) -> dict[str, str]:
-        """``key -> status`` over all sessions (the last record wins)."""
+    def _statuses(self) -> dict[str, str]:
+        """``key -> status`` of every job over all sessions (the last
+        record wins; ``admitted`` means still pending)."""
         out: dict[str, str] = {}
         for record in self.read():
-            if record.get("ev") == "cell":
-                out[record["key"]] = record.get("status", "done")
+            if record.get("ev") == "job" and record.get("key"):
+                out[record["key"]] = record.get("status", "admitted")
         return out
+
+    def completed(self) -> dict[str, str]:
+        """``key -> status`` of the jobs whose last record is terminal."""
+        return {k: s for k, s in self._statuses().items() if s != "admitted"}
 
     def last_start(self) -> dict | None:
         """The most recent session-start record, if any."""
@@ -191,23 +195,17 @@ class SweepJournal:
 
     @property
     def stats(self) -> dict:
-        """Session counters plus the all-sessions completion tally."""
-        completed = self.completed()
-        job_status: dict[str, str] = {}
-        for record in self.read():
-            if record.get("ev") == "job" and record.get("key"):
-                job_status[record["key"]] = record.get("status", "admitted")
+        """Session counters plus the all-sessions job tally."""
+        statuses = list(self._statuses().values())
         return {
             "directory": self.directory,
             "recorded_done": self.recorded_done,
             "recorded_failed": self.recorded_failed,
             "resumed": self.resumed,
-            "total_done": sum(1 for s in completed.values() if s == "done"),
-            "total_failed": sum(1 for s in completed.values() if s == "failed"),
-            "jobs_seen": len(job_status),
-            "jobs_pending": sum(
-                1 for s in job_status.values() if s == "admitted"
-            ),
+            "total_done": statuses.count("done"),
+            "total_failed": statuses.count("failed"),
+            "jobs_seen": len(statuses),
+            "jobs_pending": statuses.count("admitted"),
         }
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid

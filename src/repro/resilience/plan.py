@@ -12,7 +12,7 @@ Sites — where a rule can attach::
     store.read    one parallel read I/O on a ParallelDiskMachine
     store.write   one parallel write I/O (corrupt mode flips a stored bit)
     store.free    one batched free
-    exec.task     one task attempt in the ParallelRunner (gate before run)
+    exec.task     one task attempt in the JobRunner (gate before run)
     cache.entry   one on-disk ResultCache entry (inject_cache_faults)
 
 Modes — what kind of fault::

@@ -24,7 +24,7 @@ from repro.baselines import greed_sort
 from repro.core.sort_pdm import balance_sort_pdm
 from repro.core.streams import peek_run, read_run_batches, write_ordered_run
 from repro.exceptions import AddressError, BlockCorruptionError
-from repro.exec import ParallelRunner, RunSpec
+from repro.exec import JobRunner, RunSpec
 from repro.pdm import ParallelDiskMachine, VirtualDisks
 from repro.resilience import FaultPlan, FaultRule, SweepJournal
 from repro.resilience.injector import FaultInjector, activate
@@ -93,7 +93,7 @@ def payloads_json(results):
 
 @pytest.fixture(scope="module")
 def clean_payloads():
-    return payloads_json(ParallelRunner(jobs=0).map(SPECS))
+    return payloads_json(JobRunner(jobs=0).map(SPECS))
 
 
 # ------------------------------------------------------------ serial gate
@@ -102,7 +102,7 @@ def clean_payloads():
 class TestSerialChaosGate:
     @pytest.mark.parametrize("name", sorted(PLANS))
     def test_payloads_bit_identical_to_fault_free(self, name, clean_payloads):
-        runner = ParallelRunner(jobs=0, retries=3, backoff=0.0,
+        runner = JobRunner(jobs=0, retries=3, backoff=0.0,
                                 fault_plan=PLANS[name])
         chaos = runner.map(SPECS)
         assert runner.stats["failed"] == 0
@@ -112,7 +112,7 @@ class TestSerialChaosGate:
 
     def test_chaos_runs_are_repeatable(self):
         def run():
-            r = ParallelRunner(jobs=0, retries=3, backoff=0.0,
+            r = JobRunner(jobs=0, retries=3, backoff=0.0,
                                fault_plan=PLANS["mixed"])
             out = payloads_json(r.map(SPECS))
             return out, r.stats["retried"]
@@ -138,7 +138,7 @@ class TestFusedChaosParity:
 
     def _run(self, plan, io, specs=SPECS):
         with use_io(io):
-            runner = ParallelRunner(jobs=0, retries=3, backoff=0.0,
+            runner = JobRunner(jobs=0, retries=3, backoff=0.0,
                                     fault_plan=plan)
             out = payloads_json(runner.map(specs))
         return out, runner.stats["retried"]
@@ -154,7 +154,7 @@ class TestFusedChaosParity:
     @pytest.mark.parametrize("name", sorted(set(TIMING_PLANS) - {"free"}))
     def test_hand_placed_faults_identical_under_fused_plans(self, name):
         spec = RunSpec("sort_pdm", dict(TIMING_CELL))
-        clean = payloads_json(ParallelRunner(jobs=0).map([spec]))
+        clean = payloads_json(JobRunner(jobs=0).map([spec]))
         fused, fused_retries = self._run(TIMING_PLANS[name], "fused", [spec])
         unfused, unfused_retries = self._run(TIMING_PLANS[name], "rounds", [spec])
         assert fused_retries == unfused_retries == 1
@@ -316,7 +316,7 @@ class TestPoolChaosGate:
 
     @pytest.mark.parametrize("name", ["exec-transient", "store-read"])
     def test_pool_payloads_bit_identical(self, name, clean_payloads):
-        runner = ParallelRunner(jobs=2, retries=3, backoff=0.0,
+        runner = JobRunner(jobs=2, retries=3, backoff=0.0,
                                 fault_plan=PLANS[name])
         chaos = runner.map(SPECS)
         assert runner.stats["failed"] == 0
@@ -425,7 +425,7 @@ class TestJournalResume:
                 if proc.poll() is not None:
                     break  # finished before we could kill it — still valid
                 if os.path.exists(journal_path) and any(
-                    '"ev":"cell"' in line for line in open(journal_path)
+                    '"status":"done"' in line for line in open(journal_path)
                 ):
                     proc.send_signal(signal.SIGKILL)
                     proc.wait(timeout=30)

@@ -830,7 +830,7 @@ class TestUnreadableInputs:
             '"cached": false, "failed": false, "seconds": "abc"}\n')
         (tmp_path / "journal").mkdir()
         (tmp_path / "journal" / "journal.jsonl").write_text(
-            'not json\n{"ev": "cell", "key": "k", "status": "done"}\n')
+            'not json\n{"ev": "job", "key": "k", "status": "done"}\n')
         monkeypatch.chdir(tmp_path)
         return tmp_path
 

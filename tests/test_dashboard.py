@@ -80,6 +80,17 @@ class TestRenderDashboard:
         assert "arena high-water blocks" in html
         assert "peak RSS" in html
 
+    def test_memory_section_plots_served_runs(self, tmp_path):
+        history = RunHistory(str(tmp_path / "h"))
+        history.ingest_doc({
+            "schema": "repro.serve_stats/1", "serve": {"completed": 1},
+            "runner": {"executed": 1, "memory": {"high_water_blocks": 96,
+                                                 "peak_rss_kb": 65536}},
+        })
+        html = render_dashboard(history, when=0.0)
+        assert "arena high-water blocks" in html and "peak RSS" in html
+        assert "no memory telemetry indexed" not in html
+
     def test_empty_history_renders_placeholders_not_errors(self, tmp_path):
         history = RunHistory(str(tmp_path / "empty"))
         html = render_dashboard(history)

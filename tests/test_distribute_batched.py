@@ -264,9 +264,9 @@ class TestPlanStatsOutOfBand:
     def test_runner_folds_plan_stats_out_of_band(self, tmp_path):
         """The sweep runner aggregates per-cell plan telemetry without
         ever letting the sidecar key reach a payload or the cache."""
-        from repro.exec.runner import ParallelRunner, RunSpec
+        from repro.exec.runner import JobRunner, RunSpec
 
-        runner = ParallelRunner(cache_dir=str(tmp_path / "cache"))
+        runner = JobRunner(cache_dir=str(tmp_path / "cache"))
         specs = [RunSpec("sort_pdm", {"n": 1000, "disks": 4})]
         results = runner.map(specs)
         assert not results[0].failed
@@ -274,7 +274,7 @@ class TestPlanStatsOutOfBand:
         totals = runner.stats["io_plan"]
         assert totals["write_flushes"] > 0
         # A cache-served rerun contributes nothing new (no simulation).
-        rerun = ParallelRunner(cache_dir=str(tmp_path / "cache"))
+        rerun = JobRunner(cache_dir=str(tmp_path / "cache"))
         again = rerun.map(specs)
         assert again[0].cached
         assert "_sidecar" not in again[0].payload

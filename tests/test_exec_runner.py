@@ -15,7 +15,7 @@ import pytest
 
 from repro.exec import (
     SCHEMA_SALT,
-    ParallelRunner,
+    JobRunner,
     ResultCache,
     RunSpec,
     canonical_params,
@@ -120,7 +120,7 @@ class TestResultCache:
 
 class TestRunner:
     def test_duplicate_specs_execute_once(self):
-        runner = ParallelRunner(jobs=0)
+        runner = JobRunner(jobs=0)
         spec = RunSpec("hierarchy_sort", {"n": 256, "h": 16})
         results = runner.map([spec, spec, spec])
         assert runner.executed == 1
@@ -129,16 +129,16 @@ class TestRunner:
         assert results[0].payload == results[1].payload == results[2].payload
 
     def test_results_in_spec_order(self):
-        runner = ParallelRunner(jobs=0)
+        runner = JobRunner(jobs=0)
         specs = [RunSpec("hierarchy_sort", {"n": n, "h": 16}) for n in (256, 128, 512)]
         results = runner.map(specs)
         assert [r.spec.params["n"] for r in results] == [256, 128, 512]
         assert [r.result["records"] for r in results] == [256, 128, 512]
 
     def test_warm_cache_serves_without_execution(self, tmp_path):
-        r1 = ParallelRunner(jobs=0, cache_dir=str(tmp_path))
+        r1 = JobRunner(jobs=0, cache_dir=str(tmp_path))
         first = r1.map(SPECS[:1])
-        r2 = ParallelRunner(jobs=0, cache_dir=str(tmp_path))
+        r2 = JobRunner(jobs=0, cache_dir=str(tmp_path))
         second = r2.map(SPECS[:1])
         assert r2.executed == 0 and r2.served_from_cache == 1
         assert second[0].cached and not first[0].cached
@@ -147,8 +147,8 @@ class TestRunner:
     @pytest.mark.slow
     def test_serial_vs_pool_bit_identical(self):
         """The headline contract: jobs=2 payloads equal serial's exactly."""
-        serial = ParallelRunner(jobs=0).map(SPECS)
-        pooled = ParallelRunner(jobs=2).map(SPECS)
+        serial = JobRunner(jobs=0).map(SPECS)
+        pooled = JobRunner(jobs=2).map(SPECS)
         for s, p in zip(serial, pooled):
             assert s.payload == p.payload
         # Down to the serialized bytes, not just dict equality:
@@ -156,8 +156,8 @@ class TestRunner:
             json.dumps([r.payload for r in pooled], sort_keys=True)
 
     def test_repeat_run_identical_merged_trace(self):
-        a = [r.payload for r in ParallelRunner(jobs=0).map(SPECS)]
-        b = [r.payload for r in ParallelRunner(jobs=0).map(SPECS)]
+        a = [r.payload for r in JobRunner(jobs=0).map(SPECS)]
+        b = [r.payload for r in JobRunner(jobs=0).map(SPECS)]
         assert merge_trace_events(a) == merge_trace_events(b)
         assert merge_metrics(a).export() == merge_metrics(b).export()
 
@@ -177,7 +177,7 @@ class TestRunner:
 
 class TestJobsClamp:
     """``jobs`` is clamped to the usable core count (oversubscription only
-    adds pickling and contention; see the ParallelRunner docstring)."""
+    adds pickling and contention; see the JobRunner docstring)."""
 
     def test_oversubscription_clamps_and_traces(self, monkeypatch):
         import repro.exec.runner as runner_mod
@@ -185,7 +185,7 @@ class TestJobsClamp:
 
         monkeypatch.setattr(runner_mod, "default_jobs", lambda: 2)
         obs = Observation()
-        runner = ParallelRunner(jobs=8, obs=obs)
+        runner = JobRunner(jobs=8, obs=obs)
         assert runner.jobs == 2
         assert runner.jobs_requested == 8
         assert runner.stats["jobs"] == 2
@@ -201,7 +201,7 @@ class TestJobsClamp:
 
         monkeypatch.setattr(runner_mod, "default_jobs", lambda: 4)
         obs = Observation()
-        runner = ParallelRunner(jobs=3, obs=obs)
+        runner = JobRunner(jobs=3, obs=obs)
         assert runner.jobs == 3 and runner.jobs_requested == 3
         assert not [e for e in obs.tracer.events
                     if e.get("name") == "runner.jobs_clamped"]
@@ -211,27 +211,36 @@ class TestJobsClamp:
 
         monkeypatch.setattr(runner_mod, "default_jobs", lambda: 1)
         for jobs in (None, 0, 1):
-            runner = ParallelRunner(jobs=jobs)
+            runner = JobRunner(jobs=jobs)
             assert runner.jobs <= 1  # no pool; stats still report >= 1
             assert runner.stats["jobs"] == 1
             assert runner.stats["jobs_requested"] == 1
 
     def test_negative_jobs_refused(self):
         from repro.exceptions import ParameterError
-        from repro.exec import JobRunner
 
-        for cls in (JobRunner, ParallelRunner):
-            with pytest.raises(ParameterError, match="jobs must be >= 0, got -3"):
-                cls(jobs=-3)
+        with pytest.raises(ParameterError, match="jobs must be >= 0, got -3"):
+            JobRunner(jobs=-3)
 
     def test_clamped_runner_results_correct(self, monkeypatch):
         import repro.exec.runner as runner_mod
 
         monkeypatch.setattr(runner_mod, "default_jobs", lambda: 1)
-        runner = ParallelRunner(jobs=16)  # clamps to 1 → inline path
+        runner = JobRunner(jobs=16)  # clamps to 1 → inline path
         assert runner.jobs == 1
         results = runner.map(SPECS[:1])
         assert results[0].result["records"] == CELLS[0]["n"]
+
+
+def test_one_runner_class():
+    """``ParallelRunner`` is only the old name of :class:`JobRunner`,
+    kept because perfbench imports it and patches ``ParallelRunner.map``
+    by name."""
+    import repro.exec
+    import repro.exec.runner as runner_mod
+
+    assert repro.exec.ParallelRunner is repro.exec.JobRunner is JobRunner
+    assert "map" in runner_mod.ParallelRunner.__dict__
 
 
 # ---------------------------------------------------------------- merging

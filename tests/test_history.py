@@ -86,6 +86,27 @@ class TestIngestDoc:
         assert other["id"] != first["id"]
         assert len(history.read()) == 2
 
+    def test_service_dump_carries_the_runner_summary(self, tmp_path):
+        """Sweep and service stats carry one ``runner`` block, read by one
+        helper: a served run's executions and gauges reach the index."""
+        runner = {"executed": 3, "served_from_cache": 0, "failed": 0,
+                  "retried": 1, "memory": {"machines": 3,
+                                           "high_water_blocks": 96,
+                                           "peak_rss_kb": 65536}}
+        history = RunHistory(str(tmp_path / "h"))
+        swept = history.ingest_doc({"schema": "repro.sweep_stats/1",
+                                    "runner": runner, "journal": None})
+        served = history.ingest_doc({
+            "schema": "repro.serve_stats/1", "runner": runner,
+            "serve": {"admitted": 3, "completed": 3, "failed": 0},
+            "tenants": {"anon": {}},
+        })
+        for k in ("executed", "failed", "high_water_blocks", "peak_rss_kb"):
+            assert served["summary"][k] == swept["summary"][k] == (
+                runner["memory"].get(k, runner.get(k))), k
+        assert list(served["summary"])[:3] == ["admitted", "completed", "failed"]
+        assert served["summary"]["tenants"] == 1
+
     def test_unknown_schema_refused(self, tmp_path):
         history = RunHistory(str(tmp_path / "h"))
         with pytest.raises(ValueError, match="unrecognized artifact schema"):

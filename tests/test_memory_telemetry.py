@@ -19,7 +19,7 @@ from repro.cli import main
 from repro.exceptions import InjectedFault
 from repro.exec import run_task
 from repro.exec.fingerprint import fingerprint
-from repro.exec.runner import ParallelRunner, _execute
+from repro.exec.runner import JobRunner, _execute
 from repro.exec.tasks import ALGORITHMS
 from repro.obs.memory import PHASES, MemoryTelemetry
 from repro.pdm import ParallelDiskMachine
@@ -203,7 +203,7 @@ class TestPayloadPurity:
         else:
             pytest.fail("every attempt faulted")
         assert "_sidecar" in raw
-        runner = ParallelRunner()
+        runner = JobRunner()
         kept = runner._unpack(raw, task)
         assert canon(kept) == canon(run_task(task, dict(params)))
         assert runner.stats["memory"]["peak_rss_kb"] > 0
@@ -227,6 +227,66 @@ class TestPayloadPurity:
         assert memory["high_water_blocks"] > 0
         assert memory["ledger_high_water_records"] > 0
         assert memory["peak_rss_kb"] > 0 and pool["memory"]["peak_rss_kb"] > 0
+
+
+class TestProfileMemory:
+    """``repro profile --memory`` attaches the ``runner.memory`` gauges of
+    a sweep's and of a service's ``--stats-json`` document alike."""
+
+    @pytest.fixture
+    def trace(self, tmp_path, capsys):
+        path = tmp_path / "t.jsonl"
+        assert main(["sort", "--n", "2000", "--memory", "512", "--disks", "4",
+                     "--trace-out", str(path)]) == 0
+        capsys.readouterr()
+        return str(path)
+
+    def _sweep_stats(self, tmp_path, capsys):
+        path = tmp_path / "sweep_stats.json"
+        assert main(["sweep", "--task", "sort", "--n", "2000", "--disks", "4",
+                     "--stats-json", str(path)]) == 0
+        capsys.readouterr()
+        return path
+
+    def _serve_stats(self, tmp_path, capsys):
+        from repro.exec import RunSpec
+        from repro.serve import SortService
+
+        runner = JobRunner(jobs=0)
+        svc = SortService(runner)
+        runner.submit(RunSpec("sort_pdm", {"n": 2000, "disks": 4}))
+        runner.run_until_idle()
+        path = tmp_path / "serve_stats.json"
+        path.write_text(json.dumps(svc.stats()))
+        return path
+
+    @pytest.mark.parametrize("source", ["sweep", "serve"])
+    def test_stats_document_attaches_runner_memory(
+        self, source, trace, tmp_path, capsys
+    ):
+        stats = getattr(self, f"_{source}_stats")(tmp_path, capsys)
+        memory = json.loads(stats.read_text())["runner"]["memory"]
+        assert main(["profile", trace, "--memory", str(stats),
+                     "--emit-json", "-"]) == 0
+        profile = json.loads(capsys.readouterr().out)
+        assert profile["memory"] == {k: v for k, v in memory.items() if v}
+        assert profile["memory"]["high_water_blocks"] > 0
+        assert main(["profile", trace, "--memory", str(stats)]) == 0
+        out = capsys.readouterr().out
+        assert "memory telemetry" in out and "arena high-water blocks" in out
+
+    @pytest.mark.parametrize("doc", [
+        {"schema": "repro.serve_stats/1", "serve": {}, "runner": {}},
+        {"schema": "repro.sweep_stats/1", "runner": {"memory": {}}},
+        {"resident_blocks": 0},
+    ], ids=["serve", "sweep", "gauges"])
+    def test_document_without_gauges_says_so(self, doc, trace, tmp_path, capsys):
+        stats = tmp_path / "stats.json"
+        stats.write_text(json.dumps(doc))
+        assert main(["profile", trace, "--memory", str(stats)]) == 0
+        cap = capsys.readouterr()
+        assert f"{stats} holds no memory gauges" in cap.err
+        assert "memory telemetry" not in cap.out
 
 
 def test_mem_chatter_is_interactive_only(capsys, monkeypatch):

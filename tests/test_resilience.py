@@ -18,7 +18,6 @@ from repro.exceptions import InjectedIOError, ParameterError
 from repro.exec import (
     SCHEMA_SALT,
     JobRunner,
-    ParallelRunner,
     ResultCache,
     RunSpec,
     payload_digest,
@@ -200,9 +199,9 @@ class TestDecisionDeterminism:
 
 class TestSerialRetries:
     def test_transient_fault_retried_to_identical_payload(self):
-        clean = ParallelRunner(jobs=0).map([SPEC])[0].payload
+        clean = JobRunner(jobs=0).map([SPEC])[0].payload
         p = plan(rule())  # exec.task raise at opportunity 0, attempt 0 only
-        runner = ParallelRunner(jobs=0, retries=1, backoff=0.0, fault_plan=p)
+        runner = JobRunner(jobs=0, retries=1, backoff=0.0, fault_plan=p)
         out = runner.map([SPEC])[0]
         assert not out.failed
         assert json.dumps(out.payload, sort_keys=True) == \
@@ -212,7 +211,7 @@ class TestSerialRetries:
 
     def test_permanent_fault_becomes_failure_record(self):
         p = plan(rule(mode="permanent"))
-        runner = ParallelRunner(jobs=0, retries=2, backoff=0.0, fault_plan=p)
+        runner = JobRunner(jobs=0, retries=2, backoff=0.0, fault_plan=p)
         out = runner.map([SPEC, SPEC2])
         for r in out:
             assert r.failed
@@ -228,18 +227,18 @@ class TestSerialRetries:
     def test_failure_payloads_never_cached(self, tmp_path):
         p = plan(rule(mode="permanent"))
         cache_dir = str(tmp_path / "cache")
-        runner = ParallelRunner(jobs=0, cache_dir=cache_dir, retries=0,
+        runner = JobRunner(jobs=0, cache_dir=cache_dir, retries=0,
                                 backoff=0.0, fault_plan=p)
         assert runner.map([SPEC])[0].failed
         assert runner.cache.stores == 0
         # a fresh fault-free runner over the same dir re-executes clean
-        clean = ParallelRunner(jobs=0, cache_dir=cache_dir)
+        clean = JobRunner(jobs=0, cache_dir=cache_dir)
         out = clean.map([SPEC])[0]
         assert not out.failed and not out.cached
 
     def test_failed_duplicates_share_the_failure(self):
         p = plan(rule(mode="permanent"))
-        runner = ParallelRunner(jobs=0, retries=0, backoff=0.0, fault_plan=p)
+        runner = JobRunner(jobs=0, retries=0, backoff=0.0, fault_plan=p)
         a, b = runner.map([SPEC, RunSpec("hierarchy_sort", dict(CELL))])
         assert a.failed and b.failed
         assert a.payload is b.payload  # one execution, one record
@@ -247,26 +246,26 @@ class TestSerialRetries:
 
     def test_poisoned_payload_detected_and_retried(self):
         p = plan(rule(mode="corrupt"))
-        runner = ParallelRunner(jobs=0, retries=1, backoff=0.0, fault_plan=p)
+        runner = JobRunner(jobs=0, retries=1, backoff=0.0, fault_plan=p)
         out = runner.map([SPEC])[0]
         assert not out.failed
         assert runner.stats["retried"] == 1
         # without a retry budget the poison surfaces as the failure
-        runner2 = ParallelRunner(jobs=0, retries=0, backoff=0.0, fault_plan=p)
+        runner2 = JobRunner(jobs=0, retries=0, backoff=0.0, fault_plan=p)
         out2 = runner2.map([SPEC])[0]
         assert out2.failed
         assert out2.error["type"] == "PoisonedPayloadError"
 
     def test_hang_effect_self_releases_serially(self):
         p = plan(rule(effect="hang", duration=0.01))
-        runner = ParallelRunner(jobs=0, retries=1, backoff=0.0, fault_plan=p)
+        runner = JobRunner(jobs=0, retries=1, backoff=0.0, fault_plan=p)
         out = runner.map([SPEC])[0]
         assert not out.failed
         assert runner.stats["retried"] == 1
 
     def test_crash_effect_raises_typed_error_serially(self):
         p = plan(rule(effect="crash"))
-        runner = ParallelRunner(jobs=0, retries=0, backoff=0.0, fault_plan=p)
+        runner = JobRunner(jobs=0, retries=0, backoff=0.0, fault_plan=p)
         out = runner.map([SPEC])[0]
         assert out.failed
         assert out.error["type"] == "InjectedWorkerCrash"
@@ -274,7 +273,7 @@ class TestSerialRetries:
     def test_retry_events_and_backoff_schedule(self):
         obs = Observation()
         p = plan(rule(mode="permanent"))
-        runner = ParallelRunner(jobs=0, retries=2, backoff=0.0,
+        runner = JobRunner(jobs=0, retries=2, backoff=0.0,
                                 fault_plan=p, obs=obs)
         runner.map([SPEC])
         retries = [e for e in obs.tracer.events if e["name"] == "retry.attempt"]
@@ -287,14 +286,14 @@ class TestSerialRetries:
 
     def test_constructor_validation(self):
         with pytest.raises(ValueError):
-            ParallelRunner(retries=-1)
+            JobRunner(retries=-1)
         with pytest.raises(ValueError):
-            ParallelRunner(timeout=0)
+            JobRunner(timeout=0)
         with pytest.raises(ValueError):
-            ParallelRunner(backoff=-0.1)
+            JobRunner(backoff=-0.1)
 
     def test_no_plan_is_fault_free(self):
-        runner = ParallelRunner(jobs=0, retries=3)
+        runner = JobRunner(jobs=0, retries=3)
         out = runner.map([SPEC])[0]
         assert not out.failed and runner.stats["retried"] == 0
 
@@ -315,7 +314,7 @@ class TestPoolRecovery:
 
     def test_worker_crash_rebuilds_and_retries(self):
         p = plan(rule(effect="crash"))
-        runner = ParallelRunner(jobs=2, retries=1, backoff=0.0, fault_plan=p)
+        runner = JobRunner(jobs=2, retries=1, backoff=0.0, fault_plan=p)
         out = runner.map([SPEC, SPEC2])
         assert all(not r.failed for r in out)
         assert runner.stats["pool_rebuilds"] >= 1
@@ -323,8 +322,8 @@ class TestPoolRecovery:
 
     def test_pool_and_serial_retry_accounting_match(self):
         p = plan(rule(effect="crash"))
-        serial = ParallelRunner(jobs=0, retries=1, backoff=0.0, fault_plan=p)
-        pooled = ParallelRunner(jobs=2, retries=1, backoff=0.0, fault_plan=p)
+        serial = JobRunner(jobs=0, retries=1, backoff=0.0, fault_plan=p)
+        pooled = JobRunner(jobs=2, retries=1, backoff=0.0, fault_plan=p)
         s = serial.map([SPEC, SPEC2])
         q = pooled.map([SPEC, SPEC2])
         assert json.dumps([r.payload for r in s], sort_keys=True) == \
@@ -357,8 +356,8 @@ class TestPoolRecovery:
         assert len(crashers) == 24
         specs = [long_cell, *crashers]
 
-        serial = ParallelRunner(jobs=0, retries=1, backoff=3.0, fault_plan=p)
-        pooled = ParallelRunner(jobs=2, retries=1, backoff=3.0, fault_plan=p)
+        serial = JobRunner(jobs=0, retries=1, backoff=3.0, fault_plan=p)
+        pooled = JobRunner(jobs=2, retries=1, backoff=3.0, fault_plan=p)
         s = serial.map(specs)
         q = pooled.map(specs)
         assert not any(r.failed for r in s)
@@ -370,7 +369,7 @@ class TestPoolRecovery:
 
     def test_permanent_crash_isolates_to_failure_record(self):
         p = plan(rule(effect="crash", mode="permanent"))
-        runner = ParallelRunner(jobs=2, retries=1, backoff=0.0, fault_plan=p)
+        runner = JobRunner(jobs=2, retries=1, backoff=0.0, fault_plan=p)
         out = runner.map([SPEC])[0]
         assert out.failed
         assert out.error["type"] == "InjectedWorkerCrash"
@@ -378,7 +377,7 @@ class TestPoolRecovery:
 
     def test_timeout_preempts_hung_worker(self):
         p = plan(rule(effect="hang", duration=20.0))
-        runner = ParallelRunner(jobs=2, retries=1, backoff=0.0,
+        runner = JobRunner(jobs=2, retries=1, backoff=0.0,
                                 timeout=0.6, fault_plan=p)
         out = runner.map([SPEC])[0]
         assert not out.failed
@@ -399,7 +398,7 @@ class TestPoolRecovery:
                  for i in range(40)]
         hung = [s for s in cells if hangs(s)][:2]
         queued = [s for s in cells if not hangs(s)][:2]
-        runner = ParallelRunner(jobs=2, retries=1, backoff=0.0, timeout=1.0,
+        runner = JobRunner(jobs=2, retries=1, backoff=0.0, timeout=1.0,
                                 fault_plan=p)
         out = runner.map([*hung, *queued])
         assert not any(r.failed for r in out)
@@ -408,7 +407,7 @@ class TestPoolRecovery:
 
     def test_exhausted_timeout_charges_taskTimeout(self):
         p = plan(rule(effect="hang", mode="permanent", duration=20.0))
-        runner = ParallelRunner(jobs=2, retries=0, timeout=0.6, fault_plan=p)
+        runner = JobRunner(jobs=2, retries=0, timeout=0.6, fault_plan=p)
         out = runner.map([SPEC])[0]
         assert out.failed
         assert out.error["type"] == "TaskTimeout"
@@ -433,7 +432,7 @@ class TestPoolRecovery:
 
         monkeypatch.setattr(runner_mod, "ProcessPoolExecutor",
                             DiesBeforeFirstSubmit)
-        runner = ParallelRunner(jobs=2)
+        runner = JobRunner(jobs=2)
         out = runner.map([SPEC])[0]
         assert not out.failed
         assert runner.stats["pool_rebuilds"] == 1
@@ -449,7 +448,7 @@ class TestPoolRecovery:
 
         monkeypatch.setattr(runner_mod, "wait", wait_then_interrupt)
         journal = SweepJournal(str(tmp_path / "j"))
-        runner = ParallelRunner(jobs=2, cache_dir=journal.cells_dir,
+        runner = JobRunner(jobs=2, cache_dir=journal.cells_dir,
                                 journal=journal)
         with pytest.raises(KeyboardInterrupt):
             runner.map([SPEC, SPEC2])
@@ -458,7 +457,7 @@ class TestPoolRecovery:
         assert runner.cache.stores == 2
         assert journal.stats["total_done"] == 2
         # restart is warm: everything served from cache, nothing re-run
-        warm = ParallelRunner(jobs=0, cache_dir=journal.cells_dir)
+        warm = JobRunner(jobs=0, cache_dir=journal.cells_dir)
         out = warm.map([SPEC, SPEC2])
         assert all(r.cached for r in out)
         assert warm.executed == 0
@@ -509,7 +508,7 @@ class TestRetryReleasesFailedAttempt:
         return counts
 
     def test_batch_map(self, live_at_retry):
-        runner = ParallelRunner(jobs=0, retries=1, backoff=0.0,
+        runner = JobRunner(jobs=0, retries=1, backoff=0.0,
                                 fault_plan=self.PLAN)
         assert not runner.map([self.CELL])[0].failed
         assert live_at_retry == [0]
@@ -556,7 +555,7 @@ class TestRebuildRule:
         monkeypatch.setattr(runner_mod, "exec_decision", lambda *_args: None)
 
     def test_batch_map(self):
-        runner = ParallelRunner(jobs=self.JOBS, retries=self.RETRIES,
+        runner = JobRunner(jobs=self.JOBS, retries=self.RETRIES,
                                 backoff=0.0, fault_plan=self.PLAN)
         out = runner.map([SPEC, SPEC2])
         for r in out:
@@ -655,18 +654,18 @@ class TestCacheIntegrity:
 
     def test_inject_cache_faults_corrupt_then_reexecute(self, tmp_path):
         cache_dir = str(tmp_path)
-        runner = ParallelRunner(jobs=0, cache_dir=cache_dir)
+        runner = JobRunner(jobs=0, cache_dir=cache_dir)
         runner.map([SPEC])
         p = plan(rule("cache.entry", mode="corrupt", at=(0,)))
         assert inject_cache_faults(cache_dir, p) == 1
-        again = ParallelRunner(jobs=0, cache_dir=cache_dir)
+        again = JobRunner(jobs=0, cache_dir=cache_dir)
         out = again.map([SPEC])[0]
         assert not out.cached  # integrity check forced a re-execution
         assert again.cache.corrupt == 1
 
     def test_inject_cache_faults_delete(self, tmp_path):
         cache_dir = str(tmp_path)
-        ParallelRunner(jobs=0, cache_dir=cache_dir).map([SPEC])
+        JobRunner(jobs=0, cache_dir=cache_dir).map([SPEC])
         p = plan(rule("cache.entry", mode="transient", at=(0,)))
         assert inject_cache_faults(cache_dir, p) == 1
         assert not any(n.endswith(".json") for n in os.listdir(cache_dir))
@@ -683,8 +682,8 @@ class TestSweepJournal:
     def test_begin_and_record_round_trip(self, tmp_path):
         j = SweepJournal(str(tmp_path / "j"))
         j.begin("sort_pdm", ["k1", "k2", "k3"])
-        j.record("k1", "done")
-        j.record("k2", "failed")
+        j.job("k1", "done")
+        j.job("k2", "failed")
         fresh = SweepJournal(str(tmp_path / "j"))
         assert fresh.completed() == {"k1": "done", "k2": "failed"}
         start = fresh.last_start()
@@ -693,16 +692,16 @@ class TestSweepJournal:
 
     def test_last_record_wins(self, tmp_path):
         j = SweepJournal(str(tmp_path / "j"))
-        j.record("k1", "failed")
-        j.record("k1", "done")
+        j.job("k1", "failed")
+        j.job("k1", "done")
         assert j.completed() == {"k1": "done"}
 
     def test_torn_tail_is_forgiven(self, tmp_path):
         j = SweepJournal(str(tmp_path / "j"))
         j.begin("t", ["k1"])
-        j.record("k1", "done")
+        j.job("k1", "done")
         with open(j.path, "a") as fh:
-            fh.write('{"ev": "cell", "key": "k2"')  # SIGKILL mid-line
+            fh.write('{"ev": "job", "key": "k2"')  # SIGKILL mid-line
         fresh = SweepJournal(str(tmp_path / "j"))
         assert fresh.completed() == {"k1": "done"}
 
@@ -710,16 +709,16 @@ class TestSweepJournal:
         j = SweepJournal(str(tmp_path / "j"))
         with open(j.path, "a") as fh:
             fh.write("not json\n")
-        j.record("k1", "done")
+        j.job("k1", "done")
         with pytest.raises(ValueError, match="bad journal line"):
             j.read()
 
     def test_stats_tally_all_sessions(self, tmp_path):
         j = SweepJournal(str(tmp_path / "j"))
-        j.record("k1", "done")
+        j.job("k1", "done")
         j2 = SweepJournal(str(tmp_path / "j"))
-        j2.record("k2", "done")
-        j2.record("k3", "failed")
+        j2.job("k2", "done")
+        j2.job("k3", "failed")
         st = j2.stats
         assert st["recorded_done"] == 1 and st["recorded_failed"] == 1
         assert st["total_done"] == 2 and st["total_failed"] == 1
@@ -730,17 +729,34 @@ class TestSweepJournal:
 
     def test_runner_checkpoints_each_cell(self, tmp_path):
         j = SweepJournal(str(tmp_path / "j"))
-        runner = ParallelRunner(jobs=0, cache_dir=j.cells_dir, journal=j)
+        runner = JobRunner(jobs=0, cache_dir=j.cells_dir, journal=j)
         runner.map([SPEC, SPEC2])
         assert j.recorded_done == 2
         assert j.completed() and all(
             s == "done" for s in j.completed().values()
         )
 
+    def test_map_journals_job_records(self, tmp_path):
+        """A sweep journals what a service does: one ``admitted`` and one
+        ``done`` job record per executed cell, none for a cache hit."""
+        j = SweepJournal(str(tmp_path / "j"))
+        JobRunner(jobs=0, cache_dir=j.cells_dir).map([SPEC])  # warm SPEC
+        JobRunner(jobs=0, cache_dir=j.cells_dir, journal=j).map([SPEC, SPEC2])
+        records = j.read()
+        key = SPEC2.fingerprint()
+        assert [(r["ev"], r["key"], r["status"]) for r in records] == [
+            ("job", key, "admitted"), ("job", key, "done"),
+        ]
+        assert records[0]["task"] == SPEC2.task
+        assert records[0]["params"] == SPEC2.params
+        assert records[0]["meta"] == {"index": 1}
+        assert j.pending_jobs() == []
+        assert j.recorded_done == 1 and j.completed() == {key: "done"}
+
     def test_runner_journals_failures(self, tmp_path):
         j = SweepJournal(str(tmp_path / "j"))
         p = plan(rule(mode="permanent"))
-        runner = ParallelRunner(jobs=0, retries=0, backoff=0.0,
+        runner = JobRunner(jobs=0, retries=0, backoff=0.0,
                                 fault_plan=p, journal=j)
         runner.map([SPEC])
         assert j.recorded_failed == 1
@@ -842,7 +858,7 @@ class TestBackoffCap:
         import time as _time
 
         p = plan(rule(mode="permanent"))
-        runner = ParallelRunner(jobs=0, retries=6, backoff=0.2,
+        runner = JobRunner(jobs=0, retries=6, backoff=0.2,
                                 backoff_max=0.3, fault_plan=p)
         t0 = _time.monotonic()
         out = runner.map([SPEC])[0]
@@ -856,14 +872,14 @@ class TestBackoffCap:
         assert stats["backoff_slept"] <= 0.3 + 1e-6
 
     def test_cap_disabled_with_none(self):
-        runner = ParallelRunner(jobs=0, backoff_max=None)
+        runner = JobRunner(jobs=0, backoff_max=None)
         assert runner.stats["backoff_max"] is None
         runner.map([SPEC])
         assert runner.stats["backoff_slept"] == 0.0
 
     def test_negative_cap_rejected(self):
         with pytest.raises(ValueError, match="backoff_max"):
-            ParallelRunner(jobs=0, backoff_max=-1.0)
+            JobRunner(jobs=0, backoff_max=-1.0)
 
     def test_cap_surfaced_in_sweep_stderr(self, capsys):
         from repro.cli import main

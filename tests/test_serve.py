@@ -25,7 +25,7 @@ import pytest
 
 from repro.cli import main
 from repro.exceptions import ParameterError
-from repro.exec import JobRunner, ParallelRunner, RunSpec, payload_digest
+from repro.exec import JobRunner, RunSpec, payload_digest
 from repro.obs import Observation
 from repro.resilience import FaultPlan, SweepJournal
 from repro.serve import (
@@ -157,6 +157,20 @@ class TestJobRunner:
         assert stats["completed"] == 3 and stats["failed"] == 0
         runner.close()
 
+    def test_served_stats_carry_io_plan_and_memory(self):
+        """A served job's out-of-band sidecar reaches the runner's
+        ``stats`` exactly as a sweep's cell does: one ``stats`` for both."""
+        runner = JobRunner(jobs=0)
+        runner.start()
+        try:
+            job, _ = runner.submit(RunSpec("sort_pdm", {"n": 2000, "disks": 4}))
+            assert runner.wait(job.key, timeout=60).status == "done"
+            stats = runner.stats
+        finally:
+            runner.close()
+        assert "io_plan" in stats
+        assert stats["memory"]["machines"] >= 1
+
     def test_cancel_queued_job(self):
         runner = JobRunner(jobs=0)
         job, _ = runner.submit(SPEC)
@@ -233,7 +247,7 @@ class TestJobRunnerPool:
                 if e["name"] == "runner.pool_rebuilt"]
 
     def test_worker_crash_rebuilds_and_retries(self):
-        baseline = ParallelRunner(jobs=0).map([SPEC])[0].payload
+        baseline = JobRunner(jobs=0).map([SPEC])[0].payload
         obs = Observation()
         runner = JobRunner(jobs=2, retries=1, backoff=0.0, obs=obs,
                            fault_plan=self._plan(effect="crash")).start()
@@ -573,7 +587,7 @@ class TestServeChaosDrill:
     the full grid drill runs in CI, nightly under ``-m chaos``)."""
 
     def test_transient_faults_bit_identical_payload(self):
-        baseline = ParallelRunner(jobs=0).map([SPEC])[0].payload
+        baseline = JobRunner(jobs=0).map([SPEC])[0].payload
         runner = JobRunner(
             jobs=0, retries=3, backoff=0.0,
             fault_plan=FaultPlan.load(TRANSIENT),
@@ -603,7 +617,7 @@ class TestServeChaosDrill:
                  (256, 320, 384, 448)]
         baseline = {
             s.fingerprint(): out.payload
-            for s, out in zip(specs, ParallelRunner(jobs=0).map(specs))
+            for s, out in zip(specs, JobRunner(jobs=0).map(specs))
         }
         plan = FaultPlan.load(
             '{"seed": 33, "rules": ['
@@ -655,6 +669,33 @@ class TestServeCLI:
         rc = main(["serve", "--resume"])
         assert rc == 2
         assert "--resume requires --journal" in capsys.readouterr().err
+
+    def test_submit_has_no_jobs_flag(self, capsys):
+        """``submit`` runs nothing itself: ``--jobs`` is an unknown flag."""
+        with pytest.raises(SystemExit) as exit_:
+            main(["submit", "--port", "1", "--jobs", "2", "--task",
+                  "hierarchy", "--n", "256", "--h", "16"])
+        assert exit_.value.code == 2
+        assert "--jobs" in capsys.readouterr().err
+
+    def test_sweep_and_serve_runner_blocks_share_keys(self, tmp_path, capsys):
+        """One runner, one ``stats``: the runner block of a sweep's
+        ``--stats-json`` and of a service's stats have the same keys."""
+        stats_json = tmp_path / "sweep_stats.json"
+        grid = ["--task", "sort", "--n", "2000", "--disks", "4"]
+        assert main(["sweep", *grid, "--stats-json", str(stats_json)]) == 0
+        svc = service()
+        thread = serve_in_thread(svc)
+        try:
+            assert main(["submit", "--port", str(thread.port), *grid]) == 0
+        finally:
+            thread.stop()
+        capsys.readouterr()
+        swept = json.loads(stats_json.read_text())["runner"]
+        served = svc.stats()["runner"]
+        assert served.keys() == swept.keys()
+        assert served["memory"]["machines"] == swept["memory"]["machines"] == 1
+        assert served["io_plan"] == swept["io_plan"]
 
     def test_submit_unreachable_service_exits_two(self, capsys):
         rc = main(["submit", "--port", "1", "--task", "hierarchy",

@@ -20,7 +20,7 @@ from unittest import mock
 
 import pytest
 
-from repro.exec import ParallelRunner, RunSpec, run_task, tasks
+from repro.exec import JobRunner, RunSpec, run_task, tasks
 from repro.obs import (
     PROGRESS_SCHEMA,
     ROUND_EVENTS,
@@ -160,7 +160,7 @@ class TestProgressSink:
 class TestRunnerTelemetry:
     def test_lifecycle_events_serial(self, tmp_path):
         path = str(tmp_path / "tel.jsonl")
-        runner = ParallelRunner(telemetry=path)
+        runner = JobRunner(telemetry=path)
         runner.map(_sweep_specs())
         runner.telemetry.close()
         events = read_telemetry(path)
@@ -181,9 +181,9 @@ class TestRunnerTelemetry:
 
     def test_cache_hits_emit_cached_finishes(self, tmp_path):
         cache_dir = str(tmp_path / "cache")
-        ParallelRunner(cache_dir=cache_dir).map(_sweep_specs())
+        JobRunner(cache_dir=cache_dir).map(_sweep_specs())
         path = str(tmp_path / "tel.jsonl")
-        runner = ParallelRunner(cache_dir=cache_dir, telemetry=path)
+        runner = JobRunner(cache_dir=cache_dir, telemetry=path)
         runner.map(_sweep_specs())
         runner.telemetry.close()
         finishes = [e for e in read_telemetry(path) if e["ev"] == "cell_finish"]
@@ -199,7 +199,7 @@ class TestRunnerTelemetry:
             "rules": [{"site": "exec.task", "mode": "permanent", "at": [0]}],
         })
         path = str(tmp_path / "tel.jsonl")
-        runner = ParallelRunner(
+        runner = JobRunner(
             telemetry=path, fault_plan=plan, retries=1, backoff=0.0
         )
         results = runner.map(_sweep_specs()[:1])
@@ -217,10 +217,10 @@ class TestRunnerTelemetry:
         self, tmp_path
     ):
         specs = _sweep_specs()
-        baseline = [r.payload for r in ParallelRunner().map(specs)]
+        baseline = [r.payload for r in JobRunner().map(specs)]
         for jobs, name in ((None, "serial"), (2, "jobs2")):
             path = str(tmp_path / f"tel-{name}.jsonl")
-            runner = ParallelRunner(jobs=jobs, telemetry=path)
+            runner = JobRunner(jobs=jobs, telemetry=path)
             payloads = [r.payload for r in runner.map(specs)]
             runner.telemetry.close()
             assert json.dumps(payloads, sort_keys=True) == json.dumps(
@@ -293,7 +293,7 @@ class TestAggregation:
 class TestTornTail:
     def _write_with_torn_tail(self, tmp_path):
         path = str(tmp_path / "tel.jsonl")
-        runner = ParallelRunner(telemetry=path)
+        runner = JobRunner(telemetry=path)
         runner.map(_sweep_specs()[:1])
         runner.telemetry.close()
         with open(path, "a") as fh:
@@ -320,7 +320,7 @@ class TestTornTail:
 class TestLiveProgressView:
     def test_non_tty_prints_changed_lines(self, tmp_path):
         path = str(tmp_path / "tel.jsonl")
-        runner = ParallelRunner(telemetry=path)
+        runner = JobRunner(telemetry=path)
         runner.map(_sweep_specs()[:1])
         runner.telemetry.close()
         stream = io.StringIO()
