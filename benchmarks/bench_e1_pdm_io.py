@@ -59,7 +59,7 @@ def test_e1_io_vs_theorem1_bound(benchmark):
     for d in D_SWEEP:
         ratios = [r["ratio"] for r in rows if r["D"] == d]
         assert max(ratios) / min(ratios) < 2.0, f"ratio drifts for D={d}"
-        assert max(ratios) < 16
+        assert max(ratios) < 9.0
     # measured I/Os grow with the same exponent as the bound (log-log fit)
     for d in D_SWEEP:
         sub = [r for r in rows if r["D"] == d]

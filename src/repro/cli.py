@@ -887,7 +887,8 @@ def cmd_sweep(args) -> int:
     budget become ``repro.failures/1`` records in the report and a
     failures table on stderr-adjacent output.  ``--journal DIR``
     checkpoints every cell and serves the completed ones back;
-    ``--resume`` counts those as resumed.
+    ``--resume`` counts a journaled-done cell as resumed when its
+    checkpoint served it (a damaged or missing one re-executes).
 
     Exit codes: 0 when every cell succeeded, 2 on usage errors (bad
     fault plan, ``--resume`` without ``--journal``, grid mismatch), 3
@@ -901,6 +902,8 @@ def cmd_sweep(args) -> int:
 
     task, specs = _sweep_specs(args)
     keys = [spec.fingerprint() for spec in specs]
+    # Grid cells the journal records done: resumable from the checkpoint.
+    journaled_done: set[str] = set()
 
     def attach(journal) -> int | None:
         # A journal belongs to one grid: attaching a different grid —
@@ -920,8 +923,8 @@ def cmd_sweep(args) -> int:
             return 2
         if args.resume:
             key_set = set(keys)
-            journal.resumed = sum(
-                1 for k, st in journal.completed().items()
+            journaled_done.update(
+                k for k, st in journal.completed().items()
                 if st == "done" and k in key_set
             )
         journal.begin(task, keys)
@@ -993,6 +996,11 @@ def cmd_sweep(args) -> int:
     )
     journal_stats = None
     if runner.journal is not None:
+        # Resumed = journaled-done cells the checkpoint actually served; a
+        # damaged (quarantined) or missing checkpoint re-executes instead.
+        runner.journal.resumed = sum(
+            1 for res in results if res.cached and res.key in journaled_done
+        )
         journal_stats = runner.journal.stats
         print(
             f"[sweep] journal={journal_stats['directory']} "

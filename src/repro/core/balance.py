@@ -21,9 +21,22 @@ Per processing round (one "track" of Algorithm 3):
 4. blocks still overloading after Rebalance are *unprocessed*: their
    histogram counts are withdrawn and they conceptually rejoin the input
    (the front of the queue) — after which ``A`` is binary (Invariant 2);
-5. the placed blocks are written out: the untouched ones in one parallel
-   step, each Rearrange batch in its own parallel step (as in the paper,
-   where Rearrange uses separate parallel memory references).
+5. the placed blocks are handed to the write path: the untouched ones as
+   one batch, then each Rearrange batch (the paper writes each batch in
+   its own parallel step).
+
+Write-behind: on a backend whose storage has a memory ledger (disks), a
+placed block waits in internal memory, in a FIFO per channel, until
+every channel has a block waiting; then one parallel write takes every
+FIFO's head — a full stripe.  Where a block goes never changes, only
+when it is written: X, A, L's chains (the FIFOs keep each channel's
+order), the invariants and Theorem 4 are those of the per-batch
+schedule.  Held blocks stay on the ledger; an acquisition that would
+overflow ``M`` first has the engine write held heads out (the storage's
+memory-spill hook, installed for the span of the pass), and
+:meth:`BalanceEngine.flush` writes what is still held, widest write
+first.  Hierarchies have no internal memory outside the hierarchy, so
+there every batch is written at once.
 
 The engine checks Invariants 1 and 2 every round (disable with
 ``check_invariants=False`` for big benchmark runs).
@@ -178,6 +191,21 @@ class BalanceEngine:
         # `_round` monkey-patch).  Empty list = zero per-round overhead
         # beyond one truthiness check.
         self._round_observers: list[Callable] = []
+        # Write-behind: placed-but-unwritten queue entries, one FIFO per
+        # channel (None when the storage has no ledger to hold them on).
+        self._held: list[deque] | None = None
+        if storage.has_ledger:
+            self._held = [deque() for _ in range(self.n_channels)]
+            storage.set_memory_spill(self._write_held)
+
+    def __enter__(self) -> "BalanceEngine":
+        return self
+
+    def __exit__(self, *exc) -> None:
+        """Clear the storage's memory-spill hook: a pass that raised must
+        not leave the machine calling into a dead engine."""
+        if self._held is not None:
+            self.storage.set_memory_spill(None)
 
     # ----------------------------------------------------------- observers
 
@@ -454,8 +482,8 @@ class BalanceEngine:
         # Rebalance (Algorithm 5): resolve 2s while at least ⌊H'/2⌋ remain
         # (every 2 when draining).  A channel can legally end up holding
         # two of this round's blocks (its own tentative block plus a
-        # swapped-in block of another bucket); they are written in
-        # separate parallel steps.
+        # swapped-in block of another bucket); they sit in different
+        # batches, and the channel's FIFO writes them in separate steps.
         moved = [False] * k
         swap_batches = []
         threshold = 1 if drain else max(1, self.n_channels // 2)
@@ -480,9 +508,8 @@ class BalanceEngine:
         if self.check_invariants:
             mat.check_invariant_2()
 
-        # Write: kept blocks in one parallel step, then each Rearrange
-        # batch in its own parallel step (separate memory references, as
-        # in the paper's Algorithm 6 line 5).
+        # Place: kept blocks as one batch, then each Rearrange batch (the
+        # paper's separate memory references, Algorithm 6 line 5).
         kept = [h for h in range(k) if not moved[h]]
         if kept:
             self._write_batch(kept, [popped[h] for h in kept])
@@ -569,16 +596,51 @@ class BalanceEngine:
         raise ParameterError(f"unknown matcher {self.matcher!r}")
 
     def _write_batch(self, channels: Sequence[int], entries: list) -> None:
-        """One parallel write: queue entry ``entries[i]`` lands on ``channels[i]``.
+        """Place one batch: queue entry ``entries[i]`` lands on ``channels[i]``.
+
+        Each batch holds at most one block per channel by construction
+        (tentative placement assigns distinct channels; swap targets are
+        distinct matched v's).  Without a ledger the batch is written at
+        once, as is a batch that covers every channel while nothing is
+        held.  Otherwise its blocks join their channels' FIFOs, and once
+        every FIFO has a block one parallel write takes every head (one
+        is enough: a batch adds at most one block per channel, and some
+        FIFO was empty before it).
+        """
+        self.stats.blocks_placed += len(entries)
+        held = self._held
+        if held is None or (len(channels) == self.n_channels and not any(held)):
+            self._write_round(channels, entries)
+            return
+        for channel, entry in zip(channels, entries):
+            held[channel].append(entry)
+        if all(held):
+            self._write_held()
+
+    def _write_held(self) -> bool:
+        """Write the head of every non-empty FIFO as one parallel write.
+
+        Returns False, writing nothing, when nothing is held.  This is
+        also the storage's memory-spill hook: an acquisition that would
+        overflow ``M`` calls it until the acquisition fits.
+        """
+        held = self._held
+        channels = [c for c, fifo in enumerate(held) if fifo]
+        if not channels:
+            return False
+        self._write_round(channels, [held[c].popleft() for c in channels])
+        return True
+
+    def _write_round(self, channels: Sequence[int], entries: list) -> None:
+        """One parallel write of placed blocks, recorded in ``L``.
 
         Blocks are handed over as-is (every queued block is a fresh carve
         or an immutable view of a gather window, never mutated), with
-        ``checked=False``: each batch holds at most one full block per
-        channel by construction (tentative placement assigns distinct
-        channels; swap targets are distinct matched v's).  Distribution
-        output parks out of the compaction zone on hierarchy backends (a
-        no-op on disks): buckets are repositioned to the front before
-        their recursion (see streams.reposition_run).
+        ``checked=False``: the callers write at most one block per
+        channel.  Distribution output parks out of the compaction zone
+        on hierarchy backends (a no-op on disks): buckets are
+        repositioned to the front before their recursion (see
+        streams.reposition_run).
         """
         addresses = self.storage.write_round(
             channels, [e[1] for e in entries], park=True, checked=False
@@ -587,14 +649,17 @@ class BalanceEngine:
         new = tuple.__new__  # BlockRef without the NamedTuple __new__ frame
         for (bucket, _, fill), channel, addr in zip(entries, channels, addresses):
             record_location(bucket, channel, new(BlockRef, (addr, fill)))
-        stats = self.stats
-        stats.write_steps += 1
-        stats.blocks_placed += len(entries)
+        self.stats.write_steps += 1
 
     # --------------------------------------------------------------- flush
 
     def flush(self) -> list[BucketRun]:
-        """Pad partial blocks, place everything, and return the bucket runs."""
+        """Pad partial blocks, place everything, and return the bucket runs.
+
+        What is still held is written before this returns, widest write
+        first, and the storage's memory-spill hook is cleared: the pass
+        ends here.
+        """
         if self._finished:
             raise ParameterError("engine already finished")
         vb = self.block_size
@@ -609,6 +674,10 @@ class BalanceEngine:
                 for block, fill in tail_blocks(padded, true_n, vb):
                     self._queue.append((b, block, fill))
         self.run_rounds(drain_below=0, drain=True)
+        if self._held is not None:
+            while self._write_held():
+                pass
+            self.storage.set_memory_spill(None)
         self._finished = True
         return [
             BucketRun(

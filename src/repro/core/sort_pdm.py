@@ -259,9 +259,11 @@ def _sort(machine, storage, run, n, s, matcher, internal_sort, rng,
     agg.passes += 1
     hp = storage.n_virtual
     lg_s = log2_ceil(s)
-    with _phase(tracer, machine, "distribute", n=n, level=depth) as dspan:
+    with _phase(tracer, machine, "distribute", n=n, level=depth) as dspan, engine:
         # The engine groups a whole gather window at a time; each track's
         # blocks are queued at the track's own read, as if fed alone.
+        # Its flush writes the blocks it still holds, so this span's
+        # write_ios count every write of the pass.
         for chunk, blocks in read_run_batches(
             storage, run, free=True, window_map=engine.feed
         ):

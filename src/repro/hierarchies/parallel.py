@@ -472,6 +472,11 @@ class VirtualHierarchies:
 
     # Ledger hooks (no-ops: HMM/BT have no hard memory capacity — the cost
     # function plays that role), present for engine/backend interchangeability.
+
+    #: No internal memory outside the hierarchy holds a placed block, so
+    #: the Balance engine writes every batch at once.
+    has_ledger = False
+
     def acquire_memory(self, n_records: int) -> None:
         """No-op: the cost function, not a capacity, limits hierarchies."""
         pass

@@ -321,6 +321,11 @@ class ParallelDiskMachine:
         self.store = make_store(store, self.D, self.B, checksums=bool(checksums))
         self._mem_used = 0
         self._mem_high_water = 0
+        #: The memory-pressure hook of whoever holds records on the ledger
+        #: that it could write out (the Balance engine, for the span of a
+        #: distribution pass): each call writes held blocks and returns
+        #: False once nothing is held.  None when nobody holds any.
+        self.mem_spill = None
         self._alloc_ptr = 0
         # Every write scatter is deferred into the plan (see write_blocks_arr).
         self._plan = _IOPlan()
@@ -824,13 +829,20 @@ class ParallelDiskMachine:
         return self.M - self._mem_used
 
     def mem_acquire(self, n_records: int) -> None:
-        """Claim internal memory for ``n_records``; raises on overflow."""
+        """Claim internal memory for ``n_records``; raises on overflow.
+
+        An acquisition that would overflow ``M`` first has
+        :attr:`mem_spill`, when set, write held blocks out — until the
+        acquisition fits or nothing is held — and only then raises.
+        """
         if n_records < 0:
             raise ParameterError("cannot acquire negative memory")
-        if self._mem_used + n_records > self.M:
-            raise CapacityError(
-                f"memory overflow: {self._mem_used} + {n_records} > M={self.M}"
-            )
+        spill = self.mem_spill
+        while self._mem_used + n_records > self.M:
+            if spill is None or not spill():
+                raise CapacityError(
+                    f"memory overflow: {self._mem_used} + {n_records} > M={self.M}"
+                )
         self._mem_used += n_records
         if self._mem_used > self._mem_high_water:
             self._mem_high_water = self._mem_used

@@ -300,8 +300,19 @@ class VirtualDisks:
         self.machine.load_blocks_arr(pdisks, pslots, matrix.reshape(-1, self.machine.B))
         return addresses
 
-    # Memory-ledger hooks used by the backend-agnostic Balance engine when
-    # it materializes padding records (hierarchies have no ledger).
+    # Memory-ledger hooks used by the backend-agnostic Balance engine: it
+    # materializes padding records and holds placed blocks in memory
+    # until their stripe fills (hierarchies have no ledger).
+
+    #: Placed blocks can wait in internal memory before they are written:
+    #: the machine's ledger carries them until then.
+    has_ledger = True
+
+    def set_memory_spill(self, spill) -> None:
+        """Install ``spill`` as the machine's memory-pressure hook (None
+        clears it): see :meth:`ParallelDiskMachine.mem_acquire`."""
+        self.machine.mem_spill = spill
+
     def acquire_memory(self, n_records: int) -> None:
         """Claim internal memory on the underlying machine's ledger."""
         self.machine.mem_acquire(n_records)

@@ -11,6 +11,7 @@ slow/nightly tier.
 
 import json
 import os
+import re
 import signal
 import subprocess
 import sys
@@ -406,6 +407,35 @@ class TestJournalResume:
         assert f"resumed={st['total_done']}" in cap.err
         assert f"executed={st['total_failed']}" in cap.err
         assert SweepJournal(jdir).stats["total_done"] == 2
+
+    @pytest.mark.parametrize("jobs", ["1", "2"])
+    @pytest.mark.parametrize("damage", ["damaged", "missing"])
+    def test_resumed_counts_only_served_checkpoints(
+        self, tmp_path, capsys, damage, jobs
+    ):
+        """A journaled-done cell whose checkpoint is damaged or gone is
+        executed again, and counted as executed, not as resumed."""
+        from repro.cli import main
+
+        jdir = tmp_path / "journal"
+        argv = ["sweep", "--task", "sort", "--n", "600,800", "--disks", "4",
+                "--journal", str(jdir), "--jobs", jobs]
+        assert main(argv) == 0
+        capsys.readouterr()
+        checkpoints = sorted((jdir / "cells").glob("*.json"))
+        assert len(checkpoints) == 2
+        if damage == "damaged":
+            checkpoints[0].write_text('{"garbage": 1}')
+        else:
+            checkpoints[0].unlink()
+        assert main(argv + ["--resume"]) == 0
+        err = capsys.readouterr().err
+        resumed = int(re.search(r"resumed=(\d+)", err).group(1))
+        executed = int(re.search(r"executed=(\d+)", err).group(1))
+        assert resumed + executed == 2, (resumed, executed)
+        assert resumed == 1
+        if damage == "damaged":
+            assert "corrupt=1" in err
 
     @pytest.mark.slow
     def test_sigkill_then_resume_reexecutes_only_missing(self, tmp_path):

@@ -51,6 +51,26 @@ class TestDiskDiscipline:
         with pytest.raises(CapacityError):
             m.read_blocks_arr(np.array([0]), np.array([0]))
 
+    def test_memory_spill_runs_before_overflow_raises(self):
+        """A holder's spill hook may free room first; M itself never bends."""
+        m = ParallelDiskMachine(memory=64, block=4, disks=4)
+        m.mem_acquire(60)
+        spills = []
+
+        def spill():  # writes out one held block per call, two at most
+            if len(spills) == 2:
+                return False
+            spills.append(1)
+            m.mem_release(4)
+            return True
+
+        m.mem_spill = spill
+        m.mem_acquire(8)
+        assert len(spills) == 1 and m.memory_in_use == 64
+        with pytest.raises(CapacityError, match="memory overflow"):
+            m.mem_acquire(16)
+        assert len(spills) == 2 and m.memory_in_use == 60
+
     def test_cannot_fabricate_memory(self):
         m = ParallelDiskMachine(memory=64, block=4, disks=4)
         with pytest.raises(CapacityError):

@@ -7,11 +7,16 @@ every tentative block becomes a mutable placement record, a
 ``(channel, bucket)`` dict finds the block behind each 2, and the writes
 filter the placements by their swapped/dropped flags.
 
+The reference writes behind on its own: every placed block joins a
+per-channel FIFO, and once every channel has one a single write takes
+every head; a closing flush writes what is left, widest write first.
+
 Both are driven over the same queues — built so that rounds hit 2s,
 several Rearrange batches and unprocessed blocks — on twin engines whose
-storage logs every parallel write.  After each ``run_rounds`` the write
-logs, queues, ``X``/``A``/``L``, ``EngineStats`` and the round-observer
-stream must be identical, or both runs must fail with the same error.
+storage logs every parallel write.  After each ``run_rounds`` (and after
+the closing flush) the write logs, queues, ``X``/``A``/``L``,
+``EngineStats``, the ledger and the round-observer stream must be
+identical, or both runs must fail with the same error.
 
 The Rebalance loop must also stop on a matcher that swaps nothing: a
 callable matcher returning no pairs is refused with an
@@ -145,18 +150,37 @@ def ref_take(by_slot, u, b):
 
 
 def ref_write_batch(engine, batch):
+    """Place a batch: its blocks wait in per-channel FIFOs until every
+    channel has one, then one write takes the head of every FIFO."""
     if not batch:
         return
+    engine.stats.blocks_placed += len(batch)
+    fifos = engine.ref_fifos
+    for p in batch:
+        fifos[p[_P_CHANNEL]].append(p)
+    if all(fifos):
+        ref_write_heads(engine)
+
+
+def ref_write_heads(engine):
+    heads = [fifo.pop(0) for fifo in engine.ref_fifos if fifo]
+    if not heads:
+        return False
     addresses = engine.storage.write_round(
-        [p[_P_CHANNEL] for p in batch], [p[_P_BLOCK] for p in batch],
+        [p[_P_CHANNEL] for p in heads], [p[_P_BLOCK] for p in heads],
         park=True, checked=False,
     )
-    for p, addr in zip(batch, addresses):
+    for p, addr in zip(heads, addresses):
         engine.matrices.record_location(
             p[_P_BUCKET], p[_P_CHANNEL], BlockRef(address=addr, fill=p[_P_FILL])
         )
     engine.stats.write_steps += 1
-    engine.stats.blocks_placed += len(batch)
+    return True
+
+
+def ref_flush(engine):
+    while ref_write_heads(engine):
+        pass
 
 
 # ------------------------------------------------------------------ harness
@@ -188,6 +212,7 @@ def make_engine(hp, n_buckets, matcher, check):
     pivots = np.arange(1, n_buckets, dtype=np.uint64)
     engine = BalanceEngine(storage, pivots, matcher=matcher,
                            rng=np.random.default_rng(7), check_invariants=check)
+    engine.ref_fifos = [[] for _ in range(hp)]  # the reference's write-behind
     rounds = []
     engine.add_round_observer(lambda _engine, info: rounds.append(dict(info)))
     return engine, rounds
@@ -281,6 +306,12 @@ def test_round_loop_matches_reference_round(case):
         if got is not None:
             return
     assert engine.queued_blocks == 0
+    engine.flush()
+    ref_flush(oracle)
+    assert snapshot(engine, engine_rounds) == snapshot(oracle, oracle_rounds)
+    assert engine.storage.machine.memory_in_use == (1 << 15) - BLOCK * len(
+        [ref for row in engine.matrices.L for chain in row for ref in chain]
+    )
 
 
 def test_queue_shapes_reach_every_branch():
