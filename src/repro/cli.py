@@ -68,13 +68,14 @@ _OVERRIDES = {
 #: is the ``sweep`` / ``submit`` / ``bench record`` surface, whose flags
 #: take comma lists.
 _FLAG_PARAMS = {
-    "sort": "n memory block disks workload seed matcher processors buckets virtual_disks",
+    "sort": "n memory block disks workload seed matcher processors buckets "
+            "virtual_disks internal",
     "compare": "n memory block disks workload seed",
     "hierarchy": "n h model cost interconnect workload seed",
     "audit": "n memory block disks workload seed matcher processors buckets "
-             "virtual_disks h model cost interconnect",
+             "virtual_disks internal h model cost interconnect",
     "grid": "n memory block disks seed workload matcher buckets virtual_disks "
-            "verify algorithm h model cost interconnect",
+            "internal verify algorithm h model cost interconnect",
 }
 
 #: The task a single-run command or a grid's ``--task`` runs, and the

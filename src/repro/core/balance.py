@@ -123,6 +123,7 @@ class EngineStats:
     write_steps: int = 0
     records_fed: int = 0
     pad_records: int = 0
+    spill_writes: int = 0  # partial writes forced by memory pressure
 
 
 class BalanceEngine:
@@ -196,7 +197,7 @@ class BalanceEngine:
         self._held: list[deque] | None = None
         if storage.has_ledger:
             self._held = [deque() for _ in range(self.n_channels)]
-            storage.set_memory_spill(self._write_held)
+            storage.set_memory_spill(self._spill)
 
     def __enter__(self) -> "BalanceEngine":
         return self
@@ -617,12 +618,19 @@ class BalanceEngine:
         if all(held):
             self._write_held()
 
+    def _spill(self) -> bool:
+        """The storage's memory-spill hook: an acquisition that would
+        overflow ``M`` calls it until the acquisition fits.  Each call
+        writing something is one spill write."""
+        if self._write_held():
+            self.stats.spill_writes += 1
+            return True
+        return False
+
     def _write_held(self) -> bool:
         """Write the head of every non-empty FIFO as one parallel write.
 
-        Returns False, writing nothing, when nothing is held.  This is
-        also the storage's memory-spill hook: an acquisition that would
-        overflow ``M`` calls it until the acquisition fits.
+        Returns False, writing nothing, when nothing is held.
         """
         held = self._held
         channels = [c for c, fifo in enumerate(held) if fifo]

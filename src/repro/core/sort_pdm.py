@@ -7,7 +7,10 @@ Structure (the Section 5 modifications to Algorithm 1):
   the Rajasekaran–Reif radix sort on CRCW), write back;
 * ``S = (M/B)^{1/4}`` buckets;
 * partition elements come from the [ViSa] memoryload-sampling method
-  (:func:`repro.core.partition.pdm_partition_elements`);
+  (:func:`repro.core.partition.pdm_partition_elements`) at the top level;
+  below it a bucket takes them from the regular samples its parent's pass
+  kept of each memoryload (:class:`repro.core.partition.FragmentSampler`)
+  and skips that read, unless its sample cannot promise ``1.5·N/S``;
 * the Balance engine reads memoryloads (streamed at full ``DB``-records-
   per-I/O bandwidth) and places virtual blocks on the ``D'`` partially
   striped virtual disks, rebalancing with ``Fast-Partial-Match``;
@@ -20,9 +23,8 @@ CPU charges accumulate to ``O((N/P) log N)`` work.
 
 from __future__ import annotations
 
-import math
 from contextlib import contextmanager
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -31,10 +33,21 @@ from ..obs import NULL_TRACER
 from ..pdm.machine import ParallelDiskMachine
 from ..pdm.striping import VirtualDisks, default_virtual_disk_count
 from ..pram.primitives import log2_ceil
-from ..pram.sorting import cole_merge_sort, rajasekaran_reif_radix
-from ..records import RECORD_DTYPE, sort_records
-from .balance import BalanceEngine, BucketRun
-from .partition import pdm_partition_elements, validate_bucket_sizes
+from ..pram.radix import radix_sort, radix_sort_cost
+from ..pram.sorting import (
+    cole_cost,
+    cole_merge_sort,
+    rajasekaran_reif_radix,
+    rr_radix_cost,
+)
+from ..records import concat_records
+from .balance import BalanceEngine
+from .partition import (
+    FragmentSampler,
+    pdm_partition_elements,
+    sample_stride,
+    validate_bucket_sizes,
+)
 from .streams import (
     OrderedRun,
     concat_runs,
@@ -46,8 +59,15 @@ from .streams import (
 
 __all__ = ["balance_sort_pdm", "PDMSortResult", "default_bucket_count", "INTERNAL_SORTS"]
 
-#: The internal-sort flavours ``balance_sort_pdm`` accepts.
-INTERNAL_SORTS = ("cole", "radix", "radix-operational")
+#: The internal-sort flavours ``balance_sort_pdm`` accepts: the
+#: ``(work, depth)`` each one's sort charges for ``n`` records, and its
+#: label — what a fragment sort is billed.
+_SORT_COSTS = {
+    "cole": (cole_cost, "cole-sort"),
+    "radix": (rr_radix_cost, "rr-radix"),
+    "radix-operational": (radix_sort_cost, "radix-sort"),
+}
+INTERNAL_SORTS = tuple(_SORT_COSTS)
 
 
 def default_bucket_count(m: int, b: int) -> int:
@@ -147,8 +167,6 @@ def balance_sort_pdm(
     elif internal == "radix":
         internal_sort = lambda recs: rajasekaran_reif_radix(machine.cpu, recs)
     elif internal == "radix-operational":
-        from ..pram.radix import radix_sort
-
         internal_sort = lambda recs: radix_sort(machine.cpu, recs)
     else:
         raise ParameterError(f"unknown internal sort {internal!r}")
@@ -163,7 +181,8 @@ def balance_sort_pdm(
         tracer = obs.tracer
 
     output = _sort(
-        machine, storage, run, n, s, matcher, internal_sort, rng,
+        machine, storage, run, n, s, matcher,
+        (internal_sort, *_SORT_COSTS[internal]), rng,
         check_invariants, agg, depth=0, obs=obs, tracer=tracer,
     )
     return PDMSortResult(
@@ -224,27 +243,39 @@ def _phase(tracer, machine, name, **attrs):
         )
 
 
-def _sort(machine, storage, run, n, s, matcher, internal_sort, rng,
-          check_invariants, agg, depth, obs=None, tracer=NULL_TRACER) -> OrderedRun:
+def _sort(machine, storage, run, n, s, matcher, internal, rng,
+          check_invariants, agg, depth, obs=None, tracer=NULL_TRACER,
+          pivots=None) -> OrderedRun:
+    """Sort one subproblem.  ``pivots``, when given, are splitters the
+    parent's pass sampled for it, and its partition read is skipped."""
     agg.depth = max(agg.depth, depth)
     vb = storage.virtual_block_size
+    hp = storage.n_virtual
+    internal_sort, sort_cost, sort_label = internal
 
     if n == 0:
         return OrderedRun(blocks=[], n_records=0)
     # Base case: N ≤ M (minus working room) — one read, internal sort, write.
-    if n <= machine.M - (storage.n_virtual + 1) * vb:
+    base = machine.M - (hp + 1) * vb
+    if n <= base:
         with _phase(tracer, machine, "base-case", n=n, level=depth):
             recs = read_run_all(storage, run, free=True)
             out = internal_sort(recs)
             return write_ordered_run(storage, out)
 
     memoryload = _memoryload(machine, storage, s)
+    # A memoryload stays in memory until its rounds run.  Reads stop for
+    # the rounds once one more read round could take it past ``load``, so
+    # beside the carries and the queue the held blocks' FIFOs keep
+    # 2·D' + 1 blocks of room before an acquisition spills them.
+    load = max(memoryload - 2 * hp * vb, hp * vb)
 
     # --- partition elements ([ViSa] sampling pass) ----------------------
-    with _phase(tracer, machine, "partition", n=n, s=s, level=depth):
-        pivots = pdm_partition_elements(
-            machine, storage, run, s, memoryload, internal_sort=internal_sort
-        )
+    if pivots is None:
+        with _phase(tracer, machine, "partition", n=n, s=s, level=depth):
+            pivots = pdm_partition_elements(
+                machine, storage, run, s, memoryload, internal_sort=internal_sort
+            )
 
     # --- distribution pass (Balance, Section 5 flavour) ------------------
     engine = BalanceEngine(
@@ -256,14 +287,34 @@ def _sort(machine, storage, run, n, s, matcher, internal_sort, rng,
         # hook (see Observation.engine_observers / obs.audit.TheoryAuditor).
         for callback in obs.engine_observers:
             engine.add_round_observer(callback)
+    # Sample while distributing when the children will distribute too
+    # (their mean size n/S exceeds the base case) and can use a sample.
+    stride = sample_stride(n, s, load) if n > s * base else 0
+    sampler = FragmentSampler(pivots, stride) if stride else None
     agg.passes += 1
-    hp = storage.n_virtual
     lg_s = log2_ceil(s)
+
+    def run_memoryload(chunks):
+        # The memoryload is in memory: sort each bucket's fragment of it
+        # (one PRAM step, fragments side by side) and sample it, then run
+        # its rounds.  Rounds only pop the queue's front, so running them
+        # once per memoryload places every block as running them after
+        # every read would.
+        if sampler is not None and chunks:
+            sizes = sampler.add(concat_records(chunks) if len(chunks) > 1 else chunks[0])
+            costs = [sort_cost(f) for f in sizes if f]
+            machine.cpu.charge(
+                work=sum(w for w, _ in costs), depth=max(d for _, d in costs),
+                label=sort_label,
+            )
+        engine.run_rounds(drain_below=2 * hp)
+
     with _phase(tracer, machine, "distribute", n=n, level=depth) as dspan, engine:
         # The engine groups a whole gather window at a time; each track's
         # blocks are queued at the track's own read, as if fed alone.
         # Its flush writes the blocks it still holds, so this span's
         # write_ios count every write of the pass.
+        chunks, buffered = [], 0
         for chunk, blocks in read_run_batches(
             storage, run, free=True, window_map=engine.feed
         ):
@@ -272,7 +323,12 @@ def _sort(machine, storage, run, n, s, matcher, internal_sort, rng,
             machine.cpu.charge(
                 work=chunk.shape[0] * lg_s, depth=lg_s, label="partition"
             )
-            engine.run_rounds(drain_below=2 * hp)
+            chunks.append(chunk)
+            buffered += chunk.shape[0]
+            if buffered + hp * vb > load:
+                run_memoryload(chunks)
+                chunks, buffered = [], 0
+        run_memoryload(chunks)
         bucket_runs = engine.flush()
         # CPU: matrix upkeep (incremental updating, Section 5) and matching.
         machine.cpu.charge(
@@ -289,6 +345,7 @@ def _sort(machine, storage, run, n, s, matcher, internal_sort, rng,
             swapped=engine.stats.blocks_swapped,
             unprocessed=engine.stats.blocks_unprocessed,
             match_calls=engine.stats.match_calls,
+            spills=engine.stats.spill_writes,
         )
 
     agg.rounds += engine.stats.rounds
@@ -312,9 +369,12 @@ def _sort(machine, storage, run, n, s, matcher, internal_sort, rng,
                     f"bucket {brun.bucket} did not shrink ({brun.n_records}/{n}); "
                     f"S={s} too small for this input"
                 )
+            child_pivots = None
+            if sampler is not None and brun.n_records > base:
+                child_pivots = sampler.splitters(brun.bucket, brun.n_records, s)
             outputs.append(
                 _sort(machine, storage, brun, brun.n_records, s, matcher,
-                      internal_sort, rng, check_invariants, agg, depth + 1,
-                      obs=obs, tracer=tracer)
+                      internal, rng, check_invariants, agg, depth + 1,
+                      obs=obs, tracer=tracer, pivots=child_pivots)
             )
     return concat_runs(outputs)

@@ -229,8 +229,9 @@ def read_run_batches(storage, run, free: bool = False, window_map=None):
     result per round (:meth:`repro.core.balance.BalanceEngine.feed` is
     the intended hook).  The generator then yields ``(chunk, result)``
     pairs.  The hook runs once per window, before the window's first
-    round is charged; each round's charge, fill check and ledger release
-    still happen at its own yield point.
+    round is charged, on the rounds before any whose checksum failed;
+    each round's charge, fill check and ledger release still happen at
+    its own yield point.
     """
     strict = not isinstance(run, BucketRun)
     rounds = plan_read_rounds(storage, run)
@@ -240,7 +241,13 @@ def read_run_batches(storage, run, free: bool = False, window_map=None):
         sizes = [len(refs) * vb for refs in chunk]
         promised = [sum(r.fill for r in refs) for refs in chunk]
         records, counts = _strip_window(matrix.reshape(-1), sizes, promised)
-        mapped = None if window_map is None else window_map(records, tracks=counts)
+        mapped = None
+        if window_map is not None:
+            # The hook gets the rounds before the first one whose checksum
+            # failed: that round's charge raises, as a round-at-a-time read
+            # does, before its records reach anyone.
+            clean = storage.clean_rounds(addresses)
+            mapped = window_map(records[: sum(counts[:clean])], tracks=counts[:clean])
         offset = 0
         for i, round_addresses in enumerate(addresses):
             storage.charge_read_round(round_addresses, free=free)

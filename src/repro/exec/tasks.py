@@ -233,11 +233,14 @@ def check_spec(task: str, params: dict) -> dict:
 
 
 def _pdm_machine(params: dict, processors: int = 1):
+    """The cell's disk machine; its PRAM is CRCW under a radix internal
+    sort, which needs concurrent writes (Section 5), and EREW otherwise."""
     from ..pdm import ParallelDiskMachine
 
     return ParallelDiskMachine(
         memory=params["memory"], block=params["block"], disks=params["disks"],
         processors=processors,
+        pram_variant="EREW" if params.get("internal", "cole") == "cole" else "CRCW",
     )
 
 

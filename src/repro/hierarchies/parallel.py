@@ -394,6 +394,12 @@ class VirtualHierarchies:
             self._recycle(vdisks, slots)
             self._store.free_batch(np.array(vdisks, dtype=np.int64), slot_arr)
 
+    def clean_rounds(
+        self, round_addresses: Sequence[Sequence[VirtualBlockAddress]]
+    ) -> int:
+        """Every gathered round is clean: hierarchy stores keep no checksums."""
+        return len(round_addresses)
+
     def free_arr(self, addresses: Sequence[VirtualBlockAddress]) -> None:
         """Recycle virtual-block addresses (no cost) in one store batch.
 

@@ -31,7 +31,8 @@ Three layers:
 Bound checks are *informational* by default (``limit=None``): an
 asymptotic reproduction verifies that the constant factor exists and is
 stable, not a particular value.  Checks with a limit — the Theorem 4
-factor (default 2.0) and the zero-violation invariant counts — gate
+factor (default 2.0), the PDM partition bound (every bucket below
+``2N/S``) and the zero-violation invariant counts — gate
 :attr:`AuditReport.ok`, which is what ``repro audit`` turns into its exit
 code.
 """
@@ -299,7 +300,8 @@ class TheoryAuditor:
         return checks
 
     def finish_pdm(self, machine, result, params: dict | None = None) -> AuditReport:
-        """Score a finished PDM run against Theorem 1 and Theorem 4.
+        """Score a finished PDM run against Theorems 1 and 4 and the
+        partition bound (every bucket of every pass below ``2N/S``).
 
         ``machine`` is the :class:`~repro.pdm.machine.ParallelDiskMachine`
         the sort ran on (its M/B/D/P parameterize the bounds); ``result``
@@ -309,6 +311,7 @@ class TheoryAuditor:
         io_bound = sort_io_bound(n, machine.M, machine.B, machine.D)
         work_bound = cpu_work_bound(n, machine.P)
         factor = max(self.worst_factor, float(result.max_balance_factor))
+        bucket = float(result.max_bucket_ratio)
         checks = [
             _bound_check(
                 "theorem1.parallel_ios", result.io_stats["total_ios"], io_bound,
@@ -326,6 +329,13 @@ class TheoryAuditor:
                 ok=factor <= self.theorem4_limit + _EPS,
                 detail="max blocks on one channel / ceil(total/H'), worst "
                        "bucket over all rounds and the final matrices",
+            ),
+            AuditCheck(
+                name="partition.bucket_bound", kind="bound",
+                measured=round(bucket, 4), bound=None, ratio=round(bucket, 4),
+                limit=1.0, ok=bucket < 1.0,
+                detail="worst bucket / (2N/S) over every distribution pass; "
+                       "the paper's bound is strict",
             ),
             *self._invariant_checks(),
         ]

@@ -246,11 +246,25 @@ class VirtualDisks:
         round's.
         """
         machine = self.machine
+        blocks = self._physical(addresses) if machine.corrupt_reads else None
+        machine.charge_read_io(len(addresses) * self.group, blocks)
+
+    def clean_rounds(
+        self, round_addresses: Sequence[Sequence[VirtualBlockAddress]]
+    ) -> int:
+        """How many leading gathered rounds hold no block whose checksum
+        failed (the first such round's charge raises)."""
+        corrupt = self.machine.corrupt_reads
+        if corrupt:
+            for i, addresses in enumerate(round_addresses):
+                if any(addr in corrupt for addr in self._physical(addresses)):
+                    return i
+        return len(round_addresses)
+
+    def _physical(self, addresses) -> list[tuple[int, int]]:
+        """The ``(disk, slot)`` pairs behind virtual addresses, in order."""
         g = self.group
-        blocks = None
-        if machine.corrupt_reads:
-            blocks = [(a.vdisk * g + i, a.slot) for a in addresses for i in range(g)]
-        machine.charge_read_io(len(addresses) * g, blocks)
+        return [(a.vdisk * g + i, a.slot) for a in addresses for i in range(g)]
 
     # ------------------------------------------------- inspection, placement
 

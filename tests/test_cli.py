@@ -492,6 +492,22 @@ class TestOneRunPath:
                 "check_invariants": True, "verify": True}
         assert result == run_task("sort_pdm", cell)["result"]
 
+    def test_sort_internal_flag_is_the_task_param(self, capsys):
+        from repro.exec import run_task
+
+        result = self._result(
+            ["sort", "--n", "8000", "--memory", "512", "--disks", "4",
+             "--internal", "radix"], capsys)
+        cell = {"n": 8000, "memory": 512, "block": 4, "disks": 4,
+                "internal": "radix", "processors": 1,
+                "check_invariants": True, "verify": True}
+        payload = run_task("sort_pdm", cell)
+        assert result == payload["result"]
+        # Every internal sort charges [RaR], the fragment sorts included.
+        labels = payload["metrics"]["pdm"]["cpu"]["labels"]["counters"]
+        assert "rr-radix" in labels and "cole-sort" not in labels
+        assert result != run_task("sort_pdm", {**cell, "internal": "cole"})["result"]
+
     def test_hierarchy_result_is_the_task_result(self, capsys):
         from repro.exec import run_task
 
@@ -578,6 +594,12 @@ class TestGridFlags:
         assert row == run_task("hierarchy_sort", cell)["result"]
         default = {k: v for k, v in cell.items() if k != "matcher"}
         assert row != run_task("hierarchy_sort", default)["result"]
+
+    def test_internal_reaches_every_sort_cell(self, capsys):
+        rows = self._rows(["sweep", "--task", "sort", "--n", "3000",
+                           "--disks", "4", "--internal", "cole,radix"], capsys)
+        assert [row["params"]["internal"] for row in rows] == ["cole", "radix"]
+        assert rows[0]["cpu_work"] != rows[1]["cpu_work"]
 
     @pytest.mark.parametrize("task, shape", [
         ("sort", ["--disks", "4"]),

@@ -65,6 +65,18 @@ class TestAuditorPdm:
         assert check.measured <= 2.0 + 1e-9
         assert check.ok
 
+    def test_bucket_bound_gates_at_one(self):
+        machine, res, report, _ = _pdm_audit()
+        check = report.check("partition.bucket_bound")
+        assert check.limit == 1.0
+        assert check.measured == round(res.max_bucket_ratio, 4) < 1.0
+        assert check.ok
+        # A bucket of exactly 2N/S breaks the paper's strict bound.
+        res.max_bucket_ratio = 1.0
+        failed = TheoryAuditor().finish_pdm(machine, res)
+        assert not failed.check("partition.bucket_bound").ok
+        assert not failed.ok
+
     def test_invariants_zero_violations(self):
         _, _, report, _ = _pdm_audit()
         for name in ("invariant1", "invariant2"):

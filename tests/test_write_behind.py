@@ -76,6 +76,7 @@ def pass_record(engine, runs):
     mat = engine.matrices
     stats = dict(vars(engine.stats))
     stats.pop("write_steps")
+    stats.pop("spill_writes")  # a write count too: the hold's, not placement
     return {
         "X": mat.X.tolist(),
         "A": mat.A.tolist(),
