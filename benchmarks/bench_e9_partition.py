@@ -4,11 +4,6 @@ Paper claim: choosing every ⌊log N⌋-th element with ``G·log N ≤ N/S``
 (hierarchies), or every ``⌊memoryload/4S⌋``-th element per sorted
 memoryload (disks), yields ``0 < N_b < 2N/S`` for every bucket b — on any
 input, including heavy duplication and adversarial skew.
-
-Below level 0 the disk sort takes its splitters from the fragment
-sampler instead (DESIGN.md §2): E9c splits each level-0 bucket with the
-regular samples of its memoryload fragments and checks the same bound,
-with the proven ``N_b/S + t·(k_b + 1)`` beside it.
 """
 
 import numpy as np
@@ -16,15 +11,8 @@ import pytest
 
 from repro import ParallelHierarchies, workloads
 from repro.analysis.reporting import Table
-from repro.core.partition import (
-    FragmentSampler,
-    pdm_partition_elements,
-    regular_sample_bound,
-    sample_stride,
-    validate_bucket_sizes,
-)
+from repro.core.partition import pdm_partition_elements, validate_bucket_sizes
 from repro.core.sort_hierarchy import choose_s_and_g
-from repro.core.sort_pdm import _memoryload
 from repro.core.streams import load_ordered_run
 from repro.hierarchies import VirtualHierarchies
 from repro.pdm import ParallelDiskMachine, VirtualDisks
@@ -73,68 +61,6 @@ def test_e9_bucket_bound(benchmark):
            notes="Claim: max bucket < 2N/S (ratio < 1) on every workload — "
                  "duplicates handled by the composite-key distinctness trick.")
     assert all(r["ratio"] <= 1.0 for r in rows)
-
-
-def fragment_sweep():
-    """Level 1 as the sort runs it: [ViSa] splitters at level 0, each
-    memoryload's bucket fragments sampled, every level-0 bucket split by
-    its own sample."""
-    rows = []
-    for wl in WORKLOADS:
-        data = workloads.by_name(wl, N, seed=15)
-        keys = composite_keys(data)
-        for s in S_SWEEP:
-            machine = ParallelDiskMachine(memory=1024, block=4, disks=8)
-            storage = VirtualDisks(machine, 2)
-            run = load_ordered_run(storage, data)
-            memoryload = _memoryload(machine, storage, s)
-            pivots = pdm_partition_elements(machine, storage, run, s, memoryload)
-            hp, vb = storage.n_virtual, storage.virtual_block_size
-            load = max(memoryload - 2 * hp * vb, hp * vb)
-            sampler = FragmentSampler(pivots, sample_stride(N, s, load))
-            for lo in range(0, N, load):
-                sampler.add(data[lo : lo + load])
-            level0 = np.searchsorted(pivots, keys, side="right")
-            worst, bound, sampled = 0.0, 0.0, 0
-            for b in range(s):
-                child = keys[level0 == b]
-                n_b = child.size
-                k_b = sampler.fragments[b]
-                split = sampler.splitters(b, n_b, s)
-                if split is None:
-                    continue
-                sampled += 1
-                counts = np.bincount(np.searchsorted(split, child, side="right"),
-                                     minlength=s)
-                worst = max(worst, validate_bucket_sizes(counts, n_b, s))
-                proven = regular_sample_bound(n_b, s, sampler.stride, k_b)
-                bound = max(bound, proven / (2 * n_b / s))
-                assert counts.max() < proven
-            rows.append({
-                "workload": wl,
-                "S": s,
-                "t": sampler.stride,
-                "sampled": f"{sampled}/{s}",
-                "ratio": round(worst, 3),
-                "proven bound": round(bound, 3),
-            })
-    return rows
-
-
-@pytest.mark.benchmark(group="e9")
-def test_e9_fragment_sampler_bucket_bound(benchmark):
-    rows = run_once(benchmark, fragment_sweep)
-    t = Table(["workload", "S", "t", "sampled", "ratio", "proven bound"],
-              title=f"E9c  level-1 buckets split by the fragment sampler, N={N}")
-    for r in rows:
-        t.add_dict(r)
-    report("e9c_fragment_sampler", t,
-           notes="ratio = worst level-1 bucket / (2·N_b/S) over the level-0 "
-                 "buckets whose sample was used; proven bound = the worst "
-                 "(N_b/S + t·(k_b+1)) / (2·N_b/S), at most 0.75 by the "
-                 "sample condition.")
-    assert all(r["ratio"] <= 1.0 for r in rows)
-    assert all(r["ratio"] < r["proven bound"] <= 0.75 for r in rows if r["sampled"][0] != "0")
 
 
 @pytest.mark.benchmark(group="e9")

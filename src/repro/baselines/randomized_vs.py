@@ -30,7 +30,7 @@ from ..pram.sorting import cole_merge_sort
 from ..records import composite_keys, concat_records, pad_records
 from ..core.balance import BlockRef, BucketRun
 from ..core.partition import pdm_partition_elements
-from ..core.sort_pdm import default_bucket_count
+from ..core.sort_pdm import _memoryload, plan_bucket_count
 from ..core.streams import (
     OrderedRun,
     concat_runs,
@@ -183,10 +183,9 @@ def randomized_distribution_sort(
     if run is None:
         run = load_ordered_run(storage, records)
     rng = rng or np.random.default_rng(1729)
-    s = buckets or default_bucket_count(machine.M, machine.B)
 
     state = {"depth": 0, "bf": 1.0}
-    output = _sort(machine, storage, run, run.n_records, s, rng, state, 0)
+    output = _sort(machine, storage, run, run.n_records, buckets, rng, state, 0)
     return RandomizedSortResult(
         output=output,
         n_records=run.n_records,
@@ -198,7 +197,9 @@ def randomized_distribution_sort(
     )
 
 
-def _sort(machine, storage, run, n, s, rng, state, depth) -> OrderedRun:
+def _sort(machine, storage, run, n, buckets, rng, state, depth) -> OrderedRun:
+    """Sort one subproblem; ``buckets`` fixes its ``S`` (None: planned as
+    Balance Sort plans it)."""
     state["depth"] = max(state["depth"], depth)
     vb = storage.virtual_block_size
     if n == 0:
@@ -207,10 +208,8 @@ def _sort(machine, storage, run, n, s, rng, state, depth) -> OrderedRun:
         recs = read_run_all(storage, run, free=True)
         return write_ordered_run(storage, cole_merge_sort(machine.cpu, recs))
 
-    reserve = (s + 2 * storage.n_virtual + 1) * vb
-    memoryload = machine.M - reserve
-    if memoryload < 4 * s:
-        raise ParameterError(f"machine too small for S={s} (M={machine.M})")
+    s = plan_bucket_count(machine, storage, n) if buckets is None else buckets
+    memoryload = _memoryload(machine, storage, s)
     pivots = pdm_partition_elements(machine, storage, run, s, memoryload)
 
     placer = RandomizedPlacer(storage, pivots, rng)
@@ -229,5 +228,7 @@ def _sort(machine, storage, run, n, s, rng, state, depth) -> OrderedRun:
             continue
         if brun.n_records >= n:
             raise ParameterError(f"bucket did not shrink ({brun.n_records}/{n})")
-        outputs.append(_sort(machine, storage, brun, brun.n_records, s, rng, state, depth + 1))
+        outputs.append(
+            _sort(machine, storage, brun, brun.n_records, buckets, rng, state, depth + 1)
+        )
     return concat_runs(outputs)

@@ -1,7 +1,6 @@
 """Partition-element selection.
 
-Two deterministic methods, as in the paper, and the sampler that lets
-the parallel-disk sort skip the first one below its top level:
+Two deterministic methods, as in the paper:
 
 * :func:`pdm_partition_elements` — the [ViSa] memoryload-sampling method the
   parallel-disk variant uses (Section 5): stream the input one memoryload at
@@ -13,13 +12,6 @@ the parallel-disk sort skip the first one below its top level:
   ``< 2N/S`` because ``N`` exceeds the base case and so a memoryload;
   ``1.5·N/S`` only follows once ``N ≥ 2·memoryload`` (at ``N = 530``,
   ``D = 4`` the inequality gives 287.7, above ``1.5·N/S = 265``).
-* :class:`FragmentSampler` — regular samples taken while a level
-  distributes (DESIGN.md §2, "Sample while distributing"): each bucket's
-  fragment of every memoryload is sorted in internal memory and every
-  ``t``-th element kept; a child bucket of ``n_b`` records spread over
-  ``k_b`` fragments takes its ``S−1`` splitters from its samples when
-  ``t·(k_b + 1) ≤ n_b/(2S)``, and then each of its own buckets holds
-  fewer than ``n_b/S + t·(k_b + 1) ≤ 1.5·n_b/S`` records.
 * :func:`hierarchy_partition_elements` — Algorithm 2: split the input into
   ``G`` groups, sort each *recursively* (the caller passes its own sort
   back in), set aside every ``⌊log N⌋``-th element of each sorted group
@@ -44,10 +36,7 @@ from ..records import composite_keys, concat_records
 from .streams import OrderedRun, as_ordered_run, read_run_batches
 
 __all__ = [
-    "FragmentSampler",
     "pdm_partition_elements",
-    "regular_sample_bound",
-    "sample_stride",
     "hierarchy_partition_elements",
     "selection_partition_elements",
     "validate_bucket_sizes",
@@ -76,13 +65,16 @@ def pdm_partition_elements(
     s: int,
     memoryload: int,
     internal_sort: Callable | None = None,
+    span=None,
 ) -> np.ndarray:
     """[ViSa] sampling over memoryloads (Section 5).  One streaming pass.
 
     Reads the run one memoryload at a time (records leave memory after
     sampling), charging the machine's CPU for each internal sort via
     ``internal_sort`` (default: the charged Cole model on ``machine.cpu``).
-    Returns ``S−1`` composite-key pivots.
+    Returns ``S−1`` composite-key pivots.  A tracer ``span``, when given,
+    is annotated with ``sample``: the keys the sample kept, metadata off
+    the memory ledger.
     """
     from ..pram.sorting import cole_merge_sort
 
@@ -117,78 +109,9 @@ def pdm_partition_elements(
 
     sample = np.concatenate(samples) if samples else np.empty(0, dtype=np.uint64)
     sample.sort()  # the sample is metadata kept in memory, like X/A/L/E
+    if span is not None:
+        span.annotate(sample=int(sample.size))
     return _evenly_spaced_pivots(sample, s)
-
-
-def sample_stride(n: int, s: int, memoryload: int) -> int:
-    """The fragment sampler's stride ``t`` for an ``n``-record pass.
-
-    A child of about ``n/S`` records has at most ``k = ⌈n/memoryload⌉``
-    fragments; ``t = ⌊n/(4·S²·(k+1))⌋`` meets the sample condition
-    ``t·(k_b+1) ≤ n_b/(2S)`` for every child down to ``n/(2S)`` records.
-    Returns 0 when not even a child of the mean size ``n/S`` could use a
-    sample of stride 1: there is nothing to sample for.
-    """
-    loads = -(-n // memoryload)
-    t = max(1, n // (4 * s * s * (loads + 1)))
-    return t if 2 * s * s * t * (loads + 1) <= n else 0
-
-
-def regular_sample_bound(n_b: int, s: int, stride: int, fragments: int) -> float:
-    """Every bucket split by a regular sample is smaller than this.
-
-    ``n_b/S + t·(k_b + 1)`` for ``n_b`` records in ``k_b`` sorted
-    fragments sampled every ``t``-th element (proof: DESIGN.md §2).
-    """
-    return n_b / s + stride * (fragments + 1)
-
-
-class FragmentSampler:
-    """Regular samples of each bucket's fragment of every memoryload.
-
-    ``add`` takes one memoryload, sorts its keys (buckets are key ranges,
-    so each bucket's fragment is one slice of the sorted keys) and keeps
-    elements ``t, 2t, ...`` of every fragment; it returns the fragment
-    sizes, which the caller charges as one PRAM step.  The samples are
-    metadata beside X/A/L, off the memory ledger, like [ViSa]'s sample.
-    """
-
-    def __init__(self, pivots: np.ndarray, stride: int):
-        self.pivots = np.asarray(pivots, dtype=np.uint64)
-        self.stride = stride
-        n_buckets = self.pivots.size + 1
-        self._samples: list[list[np.ndarray]] = [[] for _ in range(n_buckets)]
-        self.fragments = [0] * n_buckets
-
-    def add(self, records: np.ndarray) -> list[int]:
-        """Sample one memoryload; returns its fragment sizes per bucket."""
-        keys = np.sort(composite_keys(records))
-        # Bucket i holds keys in [pivots[i-1], pivots[i]) (the engine's
-        # searchsorted(..., side="right")), so it starts at the first
-        # key not below pivots[i-1].
-        cuts = np.searchsorted(keys, self.pivots, side="left").tolist()
-        t = self.stride
-        sizes = []
-        lo = 0
-        for b, hi in enumerate(cuts + [keys.size]):
-            if hi > lo:
-                self._samples[b].append(keys[lo + t - 1 : hi : t])
-                self.fragments[b] += 1
-            sizes.append(hi - lo)
-            lo = hi
-        return sizes
-
-    def splitters(self, bucket: int, n_b: int, s: int) -> np.ndarray | None:
-        """``S−1`` splitters for a child bucket of ``n_b`` records, or
-        ``None`` when its sample cannot promise ``1.5·n_b/S`` (the child
-        then runs its own partition read).  Drops the bucket's sample."""
-        parts = self._samples[bucket]
-        self._samples[bucket] = []
-        if 2 * s * self.stride * (self.fragments[bucket] + 1) > n_b:
-            return None
-        sample = np.concatenate(parts)
-        sample.sort()  # metadata, as in pdm_partition_elements
-        return _evenly_spaced_pivots(sample, s)
 
 
 def hierarchy_partition_elements(

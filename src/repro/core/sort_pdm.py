@@ -5,12 +5,12 @@ Structure (the Section 5 modifications to Algorithm 1):
 * recursion terminates at ``N ≤ M`` — read everything, sort internally
   (charged to the attached PRAM: Cole's merge sort on an EREW interconnect,
   the Rajasekaran–Reif radix sort on CRCW), write back;
-* ``S = (M/B)^{1/4}`` buckets;
+* ``S`` buckets, planned per subproblem (:func:`plan_bucket_count`): the
+  paper's ``(M/B)^{1/4}`` or wider, up to what the memoryload admits —
+  the narrowest that provably leaves every child a base case, else the
+  widest;
 * partition elements come from the [ViSa] memoryload-sampling method
-  (:func:`repro.core.partition.pdm_partition_elements`) at the top level;
-  below it a bucket takes them from the regular samples its parent's pass
-  kept of each memoryload (:class:`repro.core.partition.FragmentSampler`)
-  and skips that read, unless its sample cannot promise ``1.5·N/S``;
+  (:func:`repro.core.partition.pdm_partition_elements`);
 * the Balance engine reads memoryloads (streamed at full ``DB``-records-
   per-I/O bandwidth) and places virtual blocks on the ``D'`` partially
   striped virtual disks, rebalancing with ``Fast-Partial-Match``;
@@ -33,21 +33,10 @@ from ..obs import NULL_TRACER
 from ..pdm.machine import ParallelDiskMachine
 from ..pdm.striping import VirtualDisks, default_virtual_disk_count
 from ..pram.primitives import log2_ceil
-from ..pram.radix import radix_sort, radix_sort_cost
-from ..pram.sorting import (
-    cole_cost,
-    cole_merge_sort,
-    rajasekaran_reif_radix,
-    rr_radix_cost,
-)
-from ..records import concat_records
+from ..pram.radix import radix_sort
+from ..pram.sorting import cole_merge_sort, rajasekaran_reif_radix
 from .balance import BalanceEngine
-from .partition import (
-    FragmentSampler,
-    pdm_partition_elements,
-    sample_stride,
-    validate_bucket_sizes,
-)
+from .partition import pdm_partition_elements, validate_bucket_sizes
 from .streams import (
     OrderedRun,
     concat_runs,
@@ -57,17 +46,16 @@ from .streams import (
     write_ordered_run,
 )
 
-__all__ = ["balance_sort_pdm", "PDMSortResult", "default_bucket_count", "INTERNAL_SORTS"]
+__all__ = [
+    "balance_sort_pdm",
+    "PDMSortResult",
+    "default_bucket_count",
+    "plan_bucket_count",
+    "INTERNAL_SORTS",
+]
 
-#: The internal-sort flavours ``balance_sort_pdm`` accepts: the
-#: ``(work, depth)`` each one's sort charges for ``n`` records, and its
-#: label — what a fragment sort is billed.
-_SORT_COSTS = {
-    "cole": (cole_cost, "cole-sort"),
-    "radix": (rr_radix_cost, "rr-radix"),
-    "radix-operational": (radix_sort_cost, "radix-sort"),
-}
-INTERNAL_SORTS = tuple(_SORT_COSTS)
+#: The internal-sort flavours ``balance_sort_pdm`` accepts.
+INTERNAL_SORTS = ("cole", "radix", "radix-operational")
 
 
 def default_bucket_count(m: int, b: int) -> int:
@@ -141,7 +129,8 @@ def balance_sort_pdm(
         ``"radix-operational"`` (CRCW, every radix pass executed on the
         PRAM — :func:`repro.pram.radix.radix_sort`).
     buckets / virtual_disks:
-        Override ``S`` and ``D'`` (defaults: ``(M/B)^{1/4}`` and partial
+        Fix ``S`` at every level and override ``D'`` (defaults: ``S``
+        planned per subproblem by :func:`plan_bucket_count`, and partial
         striping at ``~D^{1/3}``).
     obs:
         Optional :class:`~repro.obs.Observation`.  When given, the machine
@@ -171,7 +160,6 @@ def balance_sort_pdm(
     else:
         raise ParameterError(f"unknown internal sort {internal!r}")
 
-    s = default_bucket_count(machine.M, machine.B) if buckets is None else buckets
     agg = _Aggregate()
     rng = rng or np.random.default_rng(2718)
 
@@ -181,8 +169,7 @@ def balance_sort_pdm(
         tracer = obs.tracer
 
     output = _sort(
-        machine, storage, run, n, s, matcher,
-        (internal_sort, *_SORT_COSTS[internal]), rng,
+        machine, storage, run, n, buckets, matcher, internal_sort, rng,
         check_invariants, agg, depth=0, obs=obs, tracer=tracer,
     )
     return PDMSortResult(
@@ -222,6 +209,34 @@ def _memoryload(machine: ParallelDiskMachine, storage: VirtualDisks, s: int) -> 
     return load
 
 
+def plan_bucket_count(machine: ParallelDiskMachine, storage: VirtualDisks, n: int) -> int:
+    """The fan-out ``S`` for a subproblem of ``n`` records above the base case.
+
+    The candidates are the paper's ``S₀ = (M/B)^{1/4}`` and every wider
+    ``S`` whose memoryload :func:`_memoryload` admits with a [ViSa]
+    stride ``t(S) = ⌊memoryload/(4S)⌋`` of at least ``B`` (so the sample
+    keeps at most one key per block).  Every child of a pass is smaller
+    than ``n/S + t·(⌈n/memoryload⌉ + 1)``, the guarantee of
+    :func:`~repro.core.partition.pdm_partition_elements`; the plan takes
+    the narrowest candidate for which that is a base case, so the
+    recursion provably ends one level down, and otherwise the widest
+    (fewest levels).  Every candidate keeps Theorem 1's bound (DESIGN.md
+    §2, "Planned fan-out").
+    """
+    base = machine.M - (storage.n_virtual + 1) * storage.virtual_block_size
+    s = default_bucket_count(machine.M, machine.B)
+    load = _memoryload(machine, storage, s)
+    while n / s + max(1, load // (4 * s)) * (-(-n // load) + 1) > base:
+        try:
+            wider = _memoryload(machine, storage, s + 1)
+        except ParameterError:
+            break
+        if wider // (4 * (s + 1)) < machine.B:
+            break
+        s, load = s + 1, wider
+    return s
+
+
 @contextmanager
 def _phase(tracer, machine, name, **attrs):
     """Span a sort phase and attribute the machine-cost deltas to it."""
@@ -243,39 +258,31 @@ def _phase(tracer, machine, name, **attrs):
         )
 
 
-def _sort(machine, storage, run, n, s, matcher, internal, rng,
-          check_invariants, agg, depth, obs=None, tracer=NULL_TRACER,
-          pivots=None) -> OrderedRun:
-    """Sort one subproblem.  ``pivots``, when given, are splitters the
-    parent's pass sampled for it, and its partition read is skipped."""
+def _sort(machine, storage, run, n, buckets, matcher, internal_sort, rng,
+          check_invariants, agg, depth, obs=None, tracer=NULL_TRACER) -> OrderedRun:
+    """Sort one subproblem; ``buckets`` fixes its ``S`` (None: planned)."""
     agg.depth = max(agg.depth, depth)
     vb = storage.virtual_block_size
     hp = storage.n_virtual
-    internal_sort, sort_cost, sort_label = internal
 
     if n == 0:
         return OrderedRun(blocks=[], n_records=0)
     # Base case: N ≤ M (minus working room) — one read, internal sort, write.
-    base = machine.M - (hp + 1) * vb
-    if n <= base:
+    if n <= machine.M - (hp + 1) * vb:
         with _phase(tracer, machine, "base-case", n=n, level=depth):
             recs = read_run_all(storage, run, free=True)
             out = internal_sort(recs)
             return write_ordered_run(storage, out)
 
+    s = plan_bucket_count(machine, storage, n) if buckets is None else buckets
     memoryload = _memoryload(machine, storage, s)
-    # A memoryload stays in memory until its rounds run.  Reads stop for
-    # the rounds once one more read round could take it past ``load``, so
-    # beside the carries and the queue the held blocks' FIFOs keep
-    # 2·D' + 1 blocks of room before an acquisition spills them.
-    load = max(memoryload - 2 * hp * vb, hp * vb)
 
     # --- partition elements ([ViSa] sampling pass) ----------------------
-    if pivots is None:
-        with _phase(tracer, machine, "partition", n=n, s=s, level=depth):
-            pivots = pdm_partition_elements(
-                machine, storage, run, s, memoryload, internal_sort=internal_sort
-            )
+    with _phase(tracer, machine, "partition", n=n, s=s, level=depth) as pspan:
+        pivots = pdm_partition_elements(
+            machine, storage, run, s, memoryload, internal_sort=internal_sort,
+            span=pspan,
+        )
 
     # --- distribution pass (Balance, Section 5 flavour) ------------------
     engine = BalanceEngine(
@@ -287,34 +294,13 @@ def _sort(machine, storage, run, n, s, matcher, internal, rng,
         # hook (see Observation.engine_observers / obs.audit.TheoryAuditor).
         for callback in obs.engine_observers:
             engine.add_round_observer(callback)
-    # Sample while distributing when the children will distribute too
-    # (their mean size n/S exceeds the base case) and can use a sample.
-    stride = sample_stride(n, s, load) if n > s * base else 0
-    sampler = FragmentSampler(pivots, stride) if stride else None
     agg.passes += 1
     lg_s = log2_ceil(s)
-
-    def run_memoryload(chunks):
-        # The memoryload is in memory: sort each bucket's fragment of it
-        # (one PRAM step, fragments side by side) and sample it, then run
-        # its rounds.  Rounds only pop the queue's front, so running them
-        # once per memoryload places every block as running them after
-        # every read would.
-        if sampler is not None and chunks:
-            sizes = sampler.add(concat_records(chunks) if len(chunks) > 1 else chunks[0])
-            costs = [sort_cost(f) for f in sizes if f]
-            machine.cpu.charge(
-                work=sum(w for w, _ in costs), depth=max(d for _, d in costs),
-                label=sort_label,
-            )
-        engine.run_rounds(drain_below=2 * hp)
-
     with _phase(tracer, machine, "distribute", n=n, level=depth) as dspan, engine:
         # The engine groups a whole gather window at a time; each track's
         # blocks are queued at the track's own read, as if fed alone.
         # Its flush writes the blocks it still holds, so this span's
         # write_ios count every write of the pass.
-        chunks, buffered = [], 0
         for chunk, blocks in read_run_batches(
             storage, run, free=True, window_map=engine.feed
         ):
@@ -323,12 +309,7 @@ def _sort(machine, storage, run, n, s, matcher, internal, rng,
             machine.cpu.charge(
                 work=chunk.shape[0] * lg_s, depth=lg_s, label="partition"
             )
-            chunks.append(chunk)
-            buffered += chunk.shape[0]
-            if buffered + hp * vb > load:
-                run_memoryload(chunks)
-                chunks, buffered = [], 0
-        run_memoryload(chunks)
+            engine.run_rounds(drain_below=2 * hp)
         bucket_runs = engine.flush()
         # CPU: matrix upkeep (incremental updating, Section 5) and matching.
         machine.cpu.charge(
@@ -369,12 +350,9 @@ def _sort(machine, storage, run, n, s, matcher, internal, rng,
                     f"bucket {brun.bucket} did not shrink ({brun.n_records}/{n}); "
                     f"S={s} too small for this input"
                 )
-            child_pivots = None
-            if sampler is not None and brun.n_records > base:
-                child_pivots = sampler.splitters(brun.bucket, brun.n_records, s)
             outputs.append(
-                _sort(machine, storage, brun, brun.n_records, s, matcher,
-                      internal, rng, check_invariants, agg, depth + 1,
-                      obs=obs, tracer=tracer, pivots=child_pivots)
+                _sort(machine, storage, brun, brun.n_records, buckets, matcher,
+                      internal_sort, rng, check_invariants, agg, depth + 1,
+                      obs=obs, tracer=tracer)
             )
     return concat_runs(outputs)

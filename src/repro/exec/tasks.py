@@ -352,7 +352,8 @@ _WORKLOAD = Param("workload", str, "uniform", "key generator",
                   choices=tuple(sorted(workloads.GENERATORS)))
 _SEED = Param("seed", int, 0, "workload seed", minimum=0)
 _MATCHER = Param("matcher", str, "derandomized", "rebalancing matcher", choices=MATCHERS)
-_BUCKETS = Param("buckets", int, None, "S: buckets per pass (default: the paper's)")
+_BUCKETS = Param("buckets", int, None,
+                 "S: buckets per pass (default: planned per subproblem)")
 _VIRTUAL_DISKS = Param("virtual_disks", int, None,
                        "D': virtual disks (default: the paper's)")
 _CHECK_INVARIANTS = Param("check_invariants", bool, False,

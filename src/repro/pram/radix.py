@@ -29,7 +29,7 @@ from ..records import RECORD_DTYPE, composite_keys
 from .machine import PRAM
 from .primitives import log2_ceil
 
-__all__ = ["radix_sort", "radix_pass_count", "radix_sort_cost"]
+__all__ = ["radix_sort", "radix_pass_count"]
 
 
 def radix_pass_count(key_bits: int, digit_bits: int) -> int:
@@ -37,15 +37,6 @@ def radix_pass_count(key_bits: int, digit_bits: int) -> int:
     if digit_bits < 1:
         raise ValueError("digit_bits must be >= 1")
     return -(-key_bits // digit_bits)
-
-
-def radix_sort_cost(n: int, key_bits: int = 64, digit_bits: int = 8) -> tuple[int, int]:
-    """``(work, depth)`` summed over every step :func:`radix_sort` charges."""
-    if n <= 1:
-        return 1, 1
-    radix = 1 << digit_bits
-    passes = radix_pass_count(key_bits, digit_bits)
-    return passes * (3 * n + 3 * radix), passes * (3 + 2 * log2_ceil(radix))
 
 
 def radix_sort(

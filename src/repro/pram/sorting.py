@@ -36,9 +36,7 @@ __all__ = [
     "batcher_sort",
     "batcher_round_count",
     "cole_merge_sort",
-    "cole_cost",
     "rajasekaran_reif_radix",
-    "rr_radix_cost",
     "COLE_WORK_CONSTANT",
     "COLE_DEPTH_CONSTANT",
 ]
@@ -119,14 +117,6 @@ def _batcher_pairs(n: int, p: int, k: int):
     return lo, lo + k
 
 
-def cole_cost(n: int) -> tuple[int, int]:
-    """``(work, depth)`` the charged Cole model bills for sorting ``n`` items."""
-    if n <= 1:
-        return 1, 1
-    lg = log2_ceil(n)
-    return COLE_WORK_CONSTANT * n * lg, COLE_DEPTH_CONSTANT * lg
-
-
 def cole_merge_sort(machine: PRAM, values: np.ndarray) -> np.ndarray:
     """Cole's EREW merge sort as a charged cost model.
 
@@ -135,22 +125,14 @@ def cole_merge_sort(machine: PRAM, values: np.ndarray) -> np.ndarray:
     sorted array (records in composite order).
     """
     n = int(values.size)
-    work, depth = cole_cost(n)
-    machine.charge(work=work, depth=depth, label="cole-sort")
     if n <= 1:
+        machine.charge(work=1, depth=1, label="cole-sort")
         return values.copy()
+    lg = log2_ceil(n)
+    machine.charge(work=COLE_WORK_CONSTANT * n * lg, depth=COLE_DEPTH_CONSTANT * lg, label="cole-sort")
     if values.dtype == RECORD_DTYPE:
         return values[argsort_records(values)]
     return np.sort(values)
-
-
-def rr_radix_cost(n: int) -> tuple[int, int]:
-    """``(work, depth)`` the charged [RaR] model bills for ``n`` keys."""
-    if n <= 1:
-        return 1, 1
-    lg = log2_ceil(n)
-    lglg = max(1, int(math.ceil(math.log2(max(lg, 2)))))
-    return 4 * n, max(1, lg // lglg)
 
 
 def rajasekaran_reif_radix(machine: PRAM, values: np.ndarray, key_bits: int = 40) -> np.ndarray:
@@ -163,10 +145,12 @@ def rajasekaran_reif_radix(machine: PRAM, values: np.ndarray, key_bits: int = 40
     """
     machine.require_concurrent_write("Rajasekaran-Reif radix sort")
     n = int(values.size)
-    work, depth = rr_radix_cost(n)
-    machine.charge(work=work, depth=depth, label="rr-radix")
     if n <= 1:
+        machine.charge(work=1, depth=1, label="rr-radix")
         return values.copy()
+    lg = log2_ceil(n)
+    lglg = max(1, int(math.ceil(math.log2(max(lg, 2)))))
+    machine.charge(work=4 * n, depth=max(1, lg // lglg), label="rr-radix")
     if values.dtype == RECORD_DTYPE:
         return values[argsort_records(values)]
     return np.sort(values)

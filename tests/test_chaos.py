@@ -63,19 +63,20 @@ PLANS = {
 for _p in PLANS.values():
     _p.validate()
 
-#: Hand-placed store faults on one cell.  On its Balance Sort, write
-#: 70's corrupted block is read back 18 rounds into a 64-round gather
-#: window, as read op 143, and write op 100 fires with eight write rounds
-#: still pending; approximate Greed Sort frees (op 0) with 63 pending.
+#: Hand-placed store faults on one cell.  On its Balance Sort (S = 6,
+#: one distribution pass), write 56's corrupted block is read back by a
+#: base case 10 rounds into a 12-round gather window, as read op 136, and
+#: write op 100 fires with 36 write rounds still pending; approximate
+#: Greed Sort frees (op 0) with 63 pending.
 TIMING_CELL = {"n": 2000, "memory": 512, "block": 4, "disks": 8,
                "workload": "uniform", "seed": 0}
 TIMING_PLANS = {
     "corrupt-in-window": FaultPlan(seed=55, name="corrupt-in-window", rules=(
-        FaultRule(site="store.write", mode="corrupt", at=(70,), seed=6),
+        FaultRule(site="store.write", mode="corrupt", at=(56,), seed=6),
     )),
     "read-on-corrupt-round": FaultPlan(seed=55, name="read-on-corrupt-round", rules=(
-        FaultRule(site="store.write", mode="corrupt", at=(70,), seed=6),
-        FaultRule(site="store.read", at=(143,), seed=7),
+        FaultRule(site="store.write", mode="corrupt", at=(56,), seed=6),
+        FaultRule(site="store.read", at=(136,), seed=7),
     )),
     "write-while-pending": FaultPlan(seed=56, name="write-while-pending", rules=(
         FaultRule(site="store.write", at=(100,), seed=8),

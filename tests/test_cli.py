@@ -503,7 +503,7 @@ class TestOneRunPath:
                 "check_invariants": True, "verify": True}
         payload = run_task("sort_pdm", cell)
         assert result == payload["result"]
-        # Every internal sort charges [RaR], the fragment sorts included.
+        # Every internal sort charges [RaR]: base cases and [ViSa] passes.
         labels = payload["metrics"]["pdm"]["cpu"]["labels"]["counters"]
         assert "rr-radix" in labels and "cole-sort" not in labels
         assert result != run_task("sort_pdm", {**cell, "internal": "cole"})["result"]
