@@ -63,7 +63,7 @@ def test_e1_io_vs_theorem1_bound(benchmark):
     for d in D_SWEEP:
         ratios = [r["ratio"] for r in rows if r["D"] == d]
         assert max(ratios) / min(ratios) < 2.0, f"ratio drifts for D={d}"
-        assert max(ratios) < 6.5
+        assert max(ratios) < 5.5
     # measured I/Os grow with the same exponent as the bound (log-log fit)
     for d in D_SWEEP:
         sub = [r for r in rows if r["D"] == d]
@@ -113,7 +113,8 @@ def depth_sweep(jobs=None, cache_dir=None):
 @pytest.mark.benchmark(group="e1")
 def test_e1_constant_against_depth(benchmark):
     """The Theorem-1 constant against a fixed S on one cell, and the
-    planned fan-out beside the best of them."""
+    default (planned fan-out, histogram splitters) beside the best of
+    them."""
     rows = run_once(benchmark, depth_sweep)
     t = Table(["S", "ios", "ratio", "depth", "cpu ratio"],
               title="E1b  the 64k / D=4 cell against S (M=512, B=4, D'=2)")
@@ -124,8 +125,10 @@ def test_e1_constant_against_depth(benchmark):
     best = min(fixed, key=lambda r: r["ios"])
     report("e1b_depth", t,
            notes=f"S fixed at every level from the paper's (M/B)^(1/4) = {paper} "
-                 f"to the largest the memoryload rule admits; the last row is "
-                 f"the default, S planned per subproblem "
+                 f"to the largest the memoryload rule admits, every pass "
+                 f"reading for its splitters; the last row is the default, S "
+                 f"planned per subproblem and the root's children split on "
+                 f"its exact counts without that read "
                  f"({planned['ios']:,} I/Os against {best['ios']:,} at the best "
                  f"fixed S = {best['S']}).")
     assert fixed[0]["S"] == paper == 3
@@ -133,5 +136,5 @@ def test_e1_constant_against_depth(benchmark):
     # Fewer levels as S grows: depth never rises with S.
     depths = [r["depth"] for r in fixed]
     assert depths == sorted(depths, reverse=True)
-    # The plan finds the best fixed S's count without a sweep.
-    assert planned["ios"] <= 1.01 * best["ios"]
+    # The plan beats every fixed S: its children skip their sampling read.
+    assert planned["ios"] < best["ios"]

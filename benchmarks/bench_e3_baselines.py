@@ -33,10 +33,12 @@ CONFIGS = [
 ]
 N = 48_000
 M = 512
-# Bucket count for Balance Sort in this head-to-head: S = sqrt(M/B), the
-# [ViSa] practical choice.  The paper's S = (M/B)^(1/4) (used in E1) is
+# Bucket count for both distribution sorts in this head-to-head: S =
+# sqrt(M/B), the [ViSa] practical choice.  The paper's S = (M/B)^(1/4) is
 # what the simultaneous-CPU-optimality proof wants; both are Θ-optimal in
 # I/Os, differing only in the constant (4 vs 2 recursion levels here).
+# Fixing S for both (no planned fan-out, no histogram splitters) makes
+# the comparison one of block placement only.
 S_E3 = 16
 
 ALG_NAMES = ["balance", "greed", "randomized", "striped"]
@@ -49,10 +51,10 @@ for _d, _b, _vd in CONFIGS:
             "algorithm": _alg, "n": N, "memory": M, "block": _b, "disks": _d,
             "workload": "uniform", "seed": 3,
         }
-        if _alg == "balance":
+        if _alg in ("balance", "randomized"):
             cell["buckets"] = S_E3
-            if _vd is not None:
-                cell["virtual_disks"] = _vd
+        if _alg == "balance" and _vd is not None:
+            cell["virtual_disks"] = _vd
         GRID.append(cell)
 
 

@@ -3,18 +3,25 @@
 Paper claim: choosing every ⌊log N⌋-th element with ``G·log N ≤ N/S``
 (hierarchies), or every ``⌊memoryload/4S⌋``-th element per sorted
 memoryload (disks), yields ``0 < N_b < 2N/S`` for every bucket b — on any
-input, including heavy duplication and adversarial skew.
+input, including heavy duplication and adversarial skew.  E9c checks the
+same bound, and the base case, on the buckets of children whose
+splitters come from their parent's exact counts (histogram splitters).
 """
+
+from unittest import mock
 
 import numpy as np
 import pytest
 
 from repro import ParallelHierarchies, workloads
 from repro.analysis.reporting import Table
+from repro.core import sort_pdm
+from repro.core.balance import BalanceEngine
 from repro.core.partition import pdm_partition_elements, validate_bucket_sizes
 from repro.core.sort_hierarchy import choose_s_and_g
 from repro.core.streams import load_ordered_run
 from repro.hierarchies import VirtualHierarchies
+from repro.obs import Observation
 from repro.pdm import ParallelDiskMachine, VirtualDisks
 from repro.records import composite_keys
 
@@ -23,6 +30,8 @@ from _harness import report, run_once
 WORKLOADS = ["uniform", "zipf", "few_distinct", "sorted", "adversarial_bucket_skew", "gaussian"]
 S_SWEEP = [4, 8, 16]
 N = 20_000
+#: E9c's sort size: the root's children need 7–8 buckets each.
+N_HISTOGRAM = 64_000
 
 
 def sweep():
@@ -61,6 +70,59 @@ def test_e9_bucket_bound(benchmark):
            notes="Claim: max bucket < 2N/S (ratio < 1) on every workload — "
                  "duplicates handled by the composite-key distinctness trick.")
     assert all(r["ratio"] <= 1.0 for r in rows)
+
+
+def histogram_children_sweep():
+    """Per workload, one disk sort whose root collects a histogram: its
+    children, those split on the root's counts, and their worst bucket
+    against ``2N_b/S_c`` and against the base case."""
+    rows = []
+    for wl in WORKLOADS:
+        machine = ParallelDiskMachine(memory=512, block=4, disks=4)
+        storage = VirtualDisks(machine, 2)
+        base = machine.M - 3 * storage.virtual_block_size
+        passes = []
+
+        class Engine(BalanceEngine):
+            def flush(self):
+                runs = super().flush()
+                passes.append((int(self.stats.records_fed), self.n_buckets,
+                               int(self.bucket_record_counts.max())))
+                return runs
+
+        obs = Observation()
+        with mock.patch.object(sort_pdm, "BalanceEngine", Engine):
+            sort_pdm.balance_sort_pdm(
+                machine, workloads.by_name(wl, N_HISTOGRAM, seed=15),
+                storage=storage, obs=obs,
+            )
+        sources = [ev["attrs"].get("source") for ev in obs.tracer.events
+                   if ev.get("ev") == "end" and ev.get("name") == "partition"]
+        split = [p for p, source in zip(passes, sources) if source == "histogram"]
+        rows.append({
+            "workload": wl,
+            "children": len(passes) - 1,
+            "split": len(split),
+            "S_c": f"{min(s for _, s, _ in split)}-{max(s for _, s, _ in split)}",
+            "worst / (2N_b/S_c)": round(max(w * s / (2 * n) for n, s, w in split), 3),
+            "worst / base": round(max(w for *_, w in split) / base, 3),
+        })
+    return rows
+
+
+@pytest.mark.benchmark(group="e9")
+def test_e9_histogram_children_bucket_bound(benchmark):
+    rows = run_once(benchmark, histogram_children_sweep)
+    t = Table(list(rows[0]), title=f"E9c  children split on exact counts, N={N_HISTOGRAM} "
+                                   f"(M=512, B=4, D=4, D'=2, base case 488)")
+    for r in rows:
+        t.add_dict(r)
+    report("e9c_histogram_children", t,
+           notes="Claim: a child that takes its splitters from its parent's "
+                 "exact counts has every bucket under 2N_b/S_c and a base case, "
+                 "by construction, on every workload.")
+    for r in rows:
+        assert r["worst / (2N_b/S_c)"] < 1.0 and r["worst / base"] <= 1.0
 
 
 @pytest.mark.benchmark(group="e9")

@@ -143,6 +143,11 @@ class BalanceEngine:
         ``"randomized"`` (Algorithm 7), ``"greedy"``, or ``"mincost"``
         (Section 6 conjecture); or a callable ``(MatchingInstance,
         BalanceMatrices, rng) -> MatchResult``.
+    candidates:
+        Optional composite keys to count records against (a histogram):
+        each record fed falls in one interval of the sorted union of
+        pivots and candidates, and :meth:`histogram` gives a bucket's
+        inner candidate keys with its exact per-interval counts.
 
     The round bookkeeping runs in C (:data:`repro.core.kernels.ROUND_OPS`)
     whenever the optional extension is built; both paths are
@@ -156,6 +161,7 @@ class BalanceEngine:
         matcher: str | Callable = "derandomized",
         rng: np.random.Generator | None = None,
         check_invariants: bool = True,
+        candidates: np.ndarray | None = None,
     ):
         pivots = np.asarray(pivots, dtype=np.uint64)
         if pivots.size and np.any(pivots[1:] < pivots[:-1]):
@@ -163,6 +169,19 @@ class BalanceEngine:
         self.storage = storage
         self.pivots = pivots
         self.n_buckets = int(pivots.size) + 1
+        # Histogram: interval j of the sorted key union holds the keys in
+        # [edges[j-1], edges[j]); its bucket is a table lookup.  (Sorted,
+        # not np.union1d: np.unique imports numpy.ma, about 1 MB resident.)
+        self._edges = None
+        self.interval_counts = None
+        if candidates is not None:
+            self._edges = np.sort(
+                np.concatenate((pivots, np.asarray(candidates, dtype=np.uint64)))
+            )
+            self._interval_bucket = np.concatenate(
+                ([0], np.searchsorted(pivots, self._edges, side="right"))
+            )
+            self.interval_counts = np.zeros(self._edges.size + 1, dtype=np.int64)
         self.n_channels = storage.n_virtual
         self.block_size = storage.virtual_block_size
         self.matrices = BalanceMatrices(self.n_buckets, self.n_channels)
@@ -362,8 +381,14 @@ class BalanceEngine:
         records stay in arrival order), one gather and one ``bincount``;
         every full block is a zero-copy view of the gathered copy, and
         what is left over (< VB records per bucket) becomes the carry.
+        Under a histogram the buckets come from one ``searchsorted`` over
+        the key union and one more ``bincount`` counts the intervals.
         """
-        if buckets is None:
+        if self._edges is not None:
+            intervals = np.searchsorted(self._edges, composite_keys(records), side="right")
+            self.interval_counts += np.bincount(intervals, minlength=self._edges.size + 1)
+            buckets = self._interval_bucket[intervals]
+        elif buckets is None:
             buckets = self.bucket_ids(records)
         self.stats.records_fed += records.shape[0]
         counts = np.bincount(buckets, minlength=self.n_buckets)
@@ -699,6 +724,16 @@ class BalanceEngine:
     @property
     def bucket_record_counts(self) -> np.ndarray:
         return self._bucket_records.copy()
+
+    def histogram(self, bucket: int) -> tuple[np.ndarray, np.ndarray]:
+        """Bucket ``bucket``'s inner candidate keys (``k−1``, ascending)
+        and the records fed into each of its ``k`` intervals.
+
+        Key ``i`` divides interval ``i`` from ``i+1``: exactly
+        ``counts[:i+1].sum()`` of the bucket's records lie below it.
+        """
+        lo, hi = np.searchsorted(self._interval_bucket, [bucket, bucket + 1])
+        return self._edges[lo : hi - 1], self.interval_counts[lo:hi]
 
 
 def read_bucket_run(storage, run: BucketRun, free: bool = True):

@@ -5,11 +5,14 @@ Two deterministic methods, as in the paper:
 * :func:`pdm_partition_elements` — the [ViSa] memoryload-sampling method the
   parallel-disk variant uses (Section 5): stream the input one memoryload at
   a time, sort each load internally, keep every ``t``-th element
-  (``t = ⌊memoryload/(4S)⌋``), sort the sample, and take ``S−1`` evenly
-  spaced elements.  Guarantee: every bucket receives fewer than
-  ``N/S + t·(⌈N/memoryload⌉ + 1)`` records.  With ``t ≤ memoryload/(4S)``
-  that is ``< N/S + N/(4S) + memoryload/(2S)``, which is inside the paper's
-  ``< 2N/S`` because ``N`` exceeds the base case and so a memoryload;
+  (``t = ⌊memoryload/(4S)⌋``), sort the sample (:func:`pdm_sample`), and
+  take ``S−1`` evenly spaced elements (:func:`evenly_spaced_pivots`;
+  :func:`histogram_candidates` takes further evenly spaced keys for a
+  pass that counts its records against them).  Guarantee: every bucket
+  receives fewer than ``N/S + t·(⌈N/memoryload⌉ + 1)`` records.  With
+  ``t ≤ memoryload/(4S)`` that is ``< N/S + N/(4S) + memoryload/(2S)``,
+  which is inside the paper's ``< 2N/S`` because ``N`` exceeds the base
+  case and so a memoryload;
   ``1.5·N/S`` only follows once ``N ≥ 2·memoryload`` (at ``N = 530``,
   ``D = 4`` the inequality gives 287.7, above ``1.5·N/S = 265``).
 * :func:`hierarchy_partition_elements` — Algorithm 2: split the input into
@@ -36,7 +39,10 @@ from ..records import composite_keys, concat_records
 from .streams import OrderedRun, as_ordered_run, read_run_batches
 
 __all__ = [
+    "pdm_sample",
     "pdm_partition_elements",
+    "evenly_spaced_pivots",
+    "histogram_candidates",
     "hierarchy_partition_elements",
     "selection_partition_elements",
     "validate_bucket_sizes",
@@ -49,16 +55,50 @@ def paper_floor_log2(n: int) -> int:
     return max(1, n.bit_length() - 1)
 
 
-def _evenly_spaced_pivots(sample_sorted: np.ndarray, s: int) -> np.ndarray:
-    """``S−1`` pivots at ranks ``⌈j·|C|/S⌉`` of the sorted sample."""
-    c = sample_sorted.shape[0]
+def _pivot_ranks(c: int, s: int) -> np.ndarray:
+    """Ranks ``⌈j·c/S⌉ − 1`` (0-based), ``j = 1 … S−1``, of a sorted sample of ``c``."""
     if c < s - 1:
         raise ParameterError(f"sample of {c} too small for {s - 1} pivots")
-    ranks = np.ceil(np.arange(1, s) * c / s).astype(np.int64) - 1
-    return sample_sorted[ranks]
+    return np.ceil(np.arange(1, s) * c / s).astype(np.int64) - 1
+
+
+def evenly_spaced_pivots(sample_sorted: np.ndarray, s: int) -> np.ndarray:
+    """``S−1`` pivots at ranks ``⌈j·|C|/S⌉`` of the sorted sample."""
+    return sample_sorted[_pivot_ranks(sample_sorted.shape[0], s)]
+
+
+def histogram_candidates(sample_sorted: np.ndarray, s: int, q: int) -> np.ndarray:
+    """``q`` candidate splitters at evenly spaced ranks of the sorted
+    sample, its ``S−1`` pivots excluded (every other key when ``q`` or
+    fewer remain).
+
+    A pass counts its records against the union of pivots and
+    candidates, so each bucket's size is known per interval between
+    consecutive keys (:class:`~repro.core.balance.BalanceEngine`).
+    """
+    rest = np.delete(sample_sorted, _pivot_ranks(sample_sorted.shape[0], s))
+    if rest.shape[0] <= q:
+        return rest
+    ranks = np.ceil(np.arange(1, q + 1) * rest.shape[0] / (q + 1)).astype(np.int64) - 1
+    return rest[ranks]
 
 
 def pdm_partition_elements(
+    machine,
+    storage,
+    run,
+    s: int,
+    memoryload: int,
+    internal_sort: Callable | None = None,
+    span=None,
+) -> np.ndarray:
+    """[ViSa] partition elements: ``S−1`` composite-key pivots evenly
+    spaced in :func:`pdm_sample`'s sorted sample."""
+    sample = pdm_sample(machine, storage, run, s, memoryload, internal_sort, span)
+    return evenly_spaced_pivots(sample, s)
+
+
+def pdm_sample(
     machine,
     storage,
     run,
@@ -72,9 +112,9 @@ def pdm_partition_elements(
     Reads the run one memoryload at a time (records leave memory after
     sampling), charging the machine's CPU for each internal sort via
     ``internal_sort`` (default: the charged Cole model on ``machine.cpu``).
-    Returns ``S−1`` composite-key pivots.  A tracer ``span``, when given,
-    is annotated with ``sample``: the keys the sample kept, metadata off
-    the memory ledger.
+    Returns the sorted sample of composite keys.  A tracer ``span``, when
+    given, is annotated with ``sample``: the keys the sample kept,
+    metadata off the memory ledger.
     """
     from ..pram.sorting import cole_merge_sort
 
@@ -111,7 +151,7 @@ def pdm_partition_elements(
     sample.sort()  # the sample is metadata kept in memory, like X/A/L/E
     if span is not None:
         span.annotate(sample=int(sample.size))
-    return _evenly_spaced_pivots(sample, s)
+    return sample
 
 
 def hierarchy_partition_elements(
@@ -169,7 +209,7 @@ def hierarchy_partition_elements(
     _charge_striped_sort(machine, sample.shape[0], storage.n_virtual, vb)
     sample.sort()
     # Step (4): e_j := the ⌊N/((S−1) log N)⌋·j-th smallest element of C.
-    pivots = _evenly_spaced_pivots(sample, s)
+    pivots = evenly_spaced_pivots(sample, s)
     return pivots, sorted_groups
 
 

@@ -10,7 +10,10 @@ Structure (the Section 5 modifications to Algorithm 1):
   the narrowest that provably leaves every child a base case, else the
   widest;
 * partition elements come from the [ViSa] memoryload-sampling method
-  (:func:`repro.core.partition.pdm_partition_elements`);
+  (:func:`repro.core.partition.pdm_partition_elements`), or, below a
+  pass expected to leave its children exactly one more pass, from the
+  exact counts that pass took while distributing (histogram splitters,
+  :func:`histogram_split`): such a child skips its sampling read;
 * the Balance engine reads memoryloads (streamed at full ``DB``-records-
   per-I/O bandwidth) and places virtual blocks on the ``D'`` partially
   striped virtual disks, rebalancing with ``Fast-Partial-Match``;
@@ -32,11 +35,16 @@ from ..exceptions import ParameterError
 from ..obs import NULL_TRACER
 from ..pdm.machine import ParallelDiskMachine
 from ..pdm.striping import VirtualDisks, default_virtual_disk_count
-from ..pram.primitives import log2_ceil
+from ..pram.primitives import log2_ceil, prefix_sum
 from ..pram.radix import radix_sort
 from ..pram.sorting import cole_merge_sort, rajasekaran_reif_radix
 from .balance import BalanceEngine
-from .partition import pdm_partition_elements, validate_bucket_sizes
+from .partition import (
+    evenly_spaced_pivots,
+    histogram_candidates,
+    pdm_sample,
+    validate_bucket_sizes,
+)
 from .streams import (
     OrderedRun,
     concat_runs,
@@ -51,6 +59,8 @@ __all__ = [
     "PDMSortResult",
     "default_bucket_count",
     "plan_bucket_count",
+    "histogram_size",
+    "histogram_split",
     "INTERNAL_SORTS",
 ]
 
@@ -223,7 +233,7 @@ def plan_bucket_count(machine: ParallelDiskMachine, storage: VirtualDisks, n: in
     (fewest levels).  Every candidate keeps Theorem 1's bound (DESIGN.md
     §2, "Planned fan-out").
     """
-    base = machine.M - (storage.n_virtual + 1) * storage.virtual_block_size
+    base = _base_case(machine, storage)
     s = default_bucket_count(machine.M, machine.B)
     load = _memoryload(machine, storage, s)
     while n / s + max(1, load // (4 * s)) * (-(-n // load) + 1) > base:
@@ -235,6 +245,75 @@ def plan_bucket_count(machine: ParallelDiskMachine, storage: VirtualDisks, n: in
             break
         s, load = s + 1, wider
     return s
+
+
+def _base_case(machine: ParallelDiskMachine, storage: VirtualDisks) -> int:
+    """The largest subproblem sorted in memory: ``M − (D′+1)·VB``."""
+    return machine.M - (storage.n_virtual + 1) * storage.virtual_block_size
+
+
+def _widest_bucket_count(machine: ParallelDiskMachine, storage: VirtualDisks) -> int:
+    """``S_max``: the widest ``S`` whose memoryload :func:`_memoryload` admits."""
+    s = default_bucket_count(machine.M, machine.B)
+    while True:
+        try:
+            _memoryload(machine, storage, s + 1)
+        except ParameterError:
+            return s
+        s += 1
+
+
+def histogram_size(machine: ParallelDiskMachine, storage: VirtualDisks, n: int, s: int) -> int:
+    """``q``: the candidate keys a pass of ``n`` records at ``S`` counts
+    against, 0 when it collects no histogram.
+
+    A pass collects when its children are expected to need exactly one
+    more pass: ``n/S`` is above the base case but at most ``S_max`` base
+    cases.  It holds ``memoryload(S) − D·B`` keys, each with its count
+    one record on the ledger, which leaves one read round of room beside
+    the engine's reserve (DESIGN.md §2, "Histogram splitters"); where
+    the memoryload is a single read round, that is none.
+    """
+    base = _base_case(machine, storage)
+    if not base < n / s <= _widest_bucket_count(machine, storage) * base:
+        return 0
+    return _memoryload(machine, storage, s) - machine.D * machine.B
+
+
+def histogram_split(
+    machine: ParallelDiskMachine, storage: VirtualDisks,
+    keys: np.ndarray, counts: np.ndarray,
+) -> np.ndarray | None:
+    """A child's ``S_c − 1`` splitters from its exact interval counts, or
+    None when the counts cannot prove every one of its buckets a base case.
+
+    ``keys`` are the child's inner candidate keys and ``counts`` its
+    records per interval between them (:meth:`BalanceEngine.histogram`).
+    ``S_c`` is the smallest ``S`` from ``S₀`` up that :func:`_memoryload`
+    admits whose boundaries — the candidate keys nearest the ranks
+    ``j·n_b/S`` — give every bucket at most the base case and fewer than
+    ``2n_b/S`` records; both hold exactly, by the counts.  Of keys
+    equally near a rank, the lowest.  Charged as one prefix sum over the
+    intervals.
+    """
+    ranks = prefix_sum(machine.cpu, counts)
+    n = int(ranks[-1])
+    ranks = ranks[:-1]  # records below each key
+    base = _base_case(machine, storage)
+    if ranks.size == 0:
+        return None
+    # Fewer than ⌈n/base⌉ buckets cannot all be base cases.
+    first = max(default_bucket_count(machine.M, machine.B), -(-n // base))
+    for s in range(first, _widest_bucket_count(machine, storage) + 1):
+        targets = np.arange(1, s) * n / s
+        above = np.minimum(np.searchsorted(ranks, targets), ranks.size - 1)
+        below = np.maximum(above - 1, 0)
+        pick = np.where(targets - ranks[below] <= ranks[above] - targets, below, above)
+        pick = np.searchsorted(ranks, ranks[pick])  # ties: the lowest key
+        largest = int(np.diff(ranks[pick], prepend=0, append=n).max())
+        if largest <= base and largest * s < 2 * n:
+            return keys[pick]
+    return None
 
 
 @contextmanager
@@ -259,34 +338,47 @@ def _phase(tracer, machine, name, **attrs):
 
 
 def _sort(machine, storage, run, n, buckets, matcher, internal_sort, rng,
-          check_invariants, agg, depth, obs=None, tracer=NULL_TRACER) -> OrderedRun:
-    """Sort one subproblem; ``buckets`` fixes its ``S`` (None: planned)."""
+          check_invariants, agg, depth, obs=None, tracer=NULL_TRACER,
+          pivots=None) -> OrderedRun:
+    """Sort one subproblem; ``buckets`` fixes its ``S`` (None: planned),
+    and ``pivots`` (from its parent's histogram) skip its [ViSa] read."""
     agg.depth = max(agg.depth, depth)
-    vb = storage.virtual_block_size
     hp = storage.n_virtual
+    base = _base_case(machine, storage)
 
     if n == 0:
         return OrderedRun(blocks=[], n_records=0)
     # Base case: N ≤ M (minus working room) — one read, internal sort, write.
-    if n <= machine.M - (hp + 1) * vb:
+    if n <= base:
         with _phase(tracer, machine, "base-case", n=n, level=depth):
             recs = read_run_all(storage, run, free=True)
             out = internal_sort(recs)
             return write_ordered_run(storage, out)
 
-    s = plan_bucket_count(machine, storage, n) if buckets is None else buckets
-    memoryload = _memoryload(machine, storage, s)
-
-    # --- partition elements ([ViSa] sampling pass) ----------------------
-    with _phase(tracer, machine, "partition", n=n, s=s, level=depth) as pspan:
-        pivots = pdm_partition_elements(
-            machine, storage, run, s, memoryload, internal_sort=internal_sort,
-            span=pspan,
-        )
+    # --- partition elements ([ViSa] sampling pass, or the histogram) ----
+    candidates = None
+    if pivots is not None:
+        s = pivots.size + 1
+        with _phase(tracer, machine, "partition", n=n, s=s, level=depth,
+                    source="histogram") as pspan:
+            pspan.annotate(sample=0)
+    else:
+        s = plan_bucket_count(machine, storage, n) if buckets is None else buckets
+        with _phase(tracer, machine, "partition", n=n, s=s, level=depth) as pspan:
+            sample = pdm_sample(
+                machine, storage, run, s, _memoryload(machine, storage, s),
+                internal_sort=internal_sort, span=pspan,
+            )
+            pivots = evenly_spaced_pivots(sample, s)
+            q = 0 if buckets is not None else histogram_size(machine, storage, n, s)
+            if q:
+                candidates = histogram_candidates(sample, s, q)
+            del sample  # off-ledger metadata: not held through the recursion
 
     # --- distribution pass (Balance, Section 5 flavour) ------------------
     engine = BalanceEngine(
-        storage, pivots, matcher=matcher, rng=rng, check_invariants=check_invariants
+        storage, pivots, matcher=matcher, rng=rng, check_invariants=check_invariants,
+        candidates=candidates,
     )
     if obs is not None:
         engine.attach_obs(obs)
@@ -295,8 +387,13 @@ def _sort(machine, storage, run, n, buckets, matcher, internal_sort, rng,
         for callback in obs.engine_observers:
             engine.add_round_observer(callback)
     agg.passes += 1
-    lg_s = log2_ceil(s)
-    with _phase(tracer, machine, "distribute", n=n, level=depth) as dspan, engine:
+    q = 0 if candidates is None else int(candidates.size)
+    lg_s = log2_ceil(s + q)
+    attrs = {} if candidates is None else {"histogram": q}
+    splits = {}  # bucket -> its child's splitters
+    with _phase(tracer, machine, "distribute", n=n, level=depth, **attrs) as dspan, engine:
+        # The histogram's keys and counts sit on the ledger for the pass.
+        storage.acquire_memory(q)
         # The engine groups a whole gather window at a time; each track's
         # blocks are queued at the track's own read, as if fed alone.
         # Its flush writes the blocks it still holds, so this span's
@@ -305,7 +402,8 @@ def _sort(machine, storage, run, n, buckets, matcher, internal_sort, rng,
             storage, run, free=True, window_map=engine.feed
         ):
             engine.enqueue(blocks)
-            # CPU: partition the chunk among S sorted pivots (binary search).
+            # CPU: partition the chunk among S sorted pivots (binary search),
+            # or among pivots and candidates under a histogram.
             machine.cpu.charge(
                 work=chunk.shape[0] * lg_s, depth=lg_s, label="partition"
             )
@@ -321,6 +419,15 @@ def _sort(machine, storage, run, n, buckets, matcher, internal_sort, rng,
                 depth=engine.stats.match_calls * log2_ceil(machine.P),
                 label="matching",
             )
+        if candidates is not None:
+            for brun in bucket_runs:
+                if brun.n_records > base:
+                    split = histogram_split(
+                        machine, storage, *engine.histogram(brun.bucket)
+                    )
+                    if split is not None:
+                        splits[brun.bucket] = split
+        storage.release_memory(q)
         dspan.annotate(
             rounds=engine.stats.rounds,
             swapped=engine.stats.blocks_swapped,
@@ -353,6 +460,6 @@ def _sort(machine, storage, run, n, buckets, matcher, internal_sort, rng,
             outputs.append(
                 _sort(machine, storage, brun, brun.n_records, buckets, matcher,
                       internal_sort, rng, check_invariants, agg, depth + 1,
-                      obs=obs, tracer=tracer)
+                      obs=obs, tracer=tracer, pivots=splits.get(brun.bucket))
             )
     return concat_runs(outputs)

@@ -86,8 +86,9 @@ class Param:
     ``None``; :data:`REQUIRED` means every cell gives the param.
     ``choices`` lists a str's values, ``minimum`` bounds an int,
     ``rule`` (raising :class:`~repro.exceptions.ParameterError`) checks
-    the rest, and ``only=(key, value)`` admits the param only in cells
-    whose ``key`` is ``value``.  ``help`` doubles as the CLI flag's help.
+    the rest, and ``only=(key, value, …)`` admits the param only in cells
+    whose ``key`` is one of the values.  ``help`` doubles as the CLI
+    flag's help.
     """
 
     name: str
@@ -123,7 +124,7 @@ class Param:
 
     def applies(self, params: dict) -> bool:
         """Whether the param applies to a cell with these (canonical) params."""
-        return self.only is None or params[self.only[0]] == self.only[1]
+        return self.only is None or params[self.only[0]] in self.only[1:]
 
 
 def task(name: str, params: tuple) -> Callable:
@@ -180,9 +181,10 @@ def read_params(task: str, params: dict) -> dict:
     for name, param in table.items():
         if not param.applies(out):
             if name in params:
+                key = param.only[0]
+                where = " or ".join(f"{key}={value}" for value in param.only[1:])
                 raise ParameterError(
-                    f"{name} applies only to {param.only[0]}={param.only[1]}, "
-                    f"not {param.only[0]}={out[param.only[0]]}"
+                    f"{name} applies only to {where}, not {key}={out[key]}"
                 )
             continue
         if name in params:
@@ -199,9 +201,9 @@ def check_spec(task: str, params: dict) -> dict:
     its canonical params.
 
     First the task's table (:func:`read_params`), then the machine
-    shape: the machine constructor and, for ``sort_pdm`` and balance
-    ``compare_pdm`` cells, :class:`~repro.pdm.VirtualDisks` and the
-    sort's memoryload rule, each raising
+    shape: the machine constructor and, for ``sort_pdm`` and balance or
+    randomized ``compare_pdm`` cells, :class:`~repro.pdm.VirtualDisks`
+    and the sort's memoryload rule, each raising
     :class:`~repro.exceptions.ParameterError`.  Single CLI runs, every
     cell of a ``sweep`` / ``submit`` / ``bench record`` grid, and
     ``repro serve`` admission all check here.
@@ -216,11 +218,16 @@ def check_spec(task: str, params: dict) -> dict:
         return params
     if task == "sort_pdm":
         machine = _pdm_machine(params, params["processors"])
+        virtual = params["virtual_disks"]
     else:
         machine = _pdm_machine(params)
-        if params["algorithm"] != "balance":
+        if params["algorithm"] == "randomized":
+            virtual = machine.D  # the baseline stripes nothing
+        elif params["algorithm"] == "balance":
+            virtual = params["virtual_disks"]
+        else:
             return params
-    buckets, virtual = params["buckets"], params["virtual_disks"]
+    buckets = params["buckets"]
     storage = VirtualDisks(
         machine,
         default_virtual_disk_count(machine.D) if virtual is None else virtual,
@@ -268,6 +275,22 @@ def _verified(res, data: np.ndarray) -> bool:
     assert_sorted(out)
     assert_is_permutation(out, data)
     return True
+
+
+def _checked_output(machine, res, data: np.ndarray, verify: bool) -> bool | None:
+    """``verify``: :func:`_verified`.  Otherwise, when the store keeps
+    checksums, check the output run's blocks against them without an I/O
+    (the verify peek checks them too), so a corrupt write that landed on
+    an output block fails the attempt
+    (:class:`~repro.exceptions.BlockCorruptionError`) instead of passing
+    as success."""
+    from ..core.streams import peek_run
+
+    if verify:
+        return _verified(res, data)
+    if machine.store.checksums:
+        peek_run(res.storage, res.output)
+    return None
 
 
 def _zero_clock() -> float:
@@ -410,14 +433,14 @@ def sort_pdm(params: dict, obs: Observation | None) -> dict:
         "match_calls": res.match_calls,
         "balance_factor": round(res.max_balance_factor, 4),
         "io": res.io_stats,
-        "verified": _verified(res, data) if params["verify"] else None,
+        "verified": _checked_output(machine, res, data, params["verify"]),
     }
 
 
 @task("compare_pdm", (
     Param("algorithm", str, help="the sort to run", choices=ALGORITHMS),
     _N, _MEMORY, _BLOCK, _DISKS, _WORKLOAD, _SEED,
-    replace(_BUCKETS, only=_BALANCE),
+    replace(_BUCKETS, only=(*_BALANCE, "randomized")),
     replace(_VIRTUAL_DISKS, only=_BALANCE),
     replace(_CHECK_INVARIANTS, only=_BALANCE),
     Param("rng_seed", int, None, "seed of the randomized baseline (default: "
@@ -452,7 +475,9 @@ def compare_pdm(params: dict, obs: Observation | None) -> dict:
         elif algorithm == "randomized":
             seed = params["rng_seed"]  # None: the baseline's own fixed seed
             rng = None if seed is None else np.random.default_rng(seed)
-            res = randomized_distribution_sort(machine, data, rng=rng)
+            res = randomized_distribution_sort(
+                machine, data, buckets=params["buckets"], rng=rng
+            )
         else:
             res = striped_merge_sort(machine, data)
         span.annotate(ios=res.total_ios)
@@ -466,8 +491,9 @@ def compare_pdm(params: dict, obs: Observation | None) -> dict:
         "ratio": round(res.total_ios / bound, 4),
         "io": machine.stats.snapshot(),
     }
+    verified = _checked_output(machine, res, data, params["verify"])
     if params["verify"]:
-        result["verified"] = _verified(res, data)
+        result["verified"] = verified
     return result
 
 

@@ -238,6 +238,27 @@ class TestFusedFaultTiming:
         assert "free fault (op 0" in error[1] and done is not None
 
 
+class TestOutputChecksums:
+    """A corrupt write on an output block, which no later read checks,
+    fails the attempt without ``verify``: when the store keeps checksums
+    the PDM tasks check the output run's blocks against them, uncharged.
+    On the timing cell, write op 70 is a base case's output block."""
+
+    PLAN = FaultPlan(seed=55, name="corrupt-output", rules=(
+        FaultRule(site="store.write", mode="corrupt", at=(70,), seed=6),
+    )).validate()
+
+    def test_corrupt_output_block_fails_the_attempt_and_a_retry_recovers(self):
+        spec = RunSpec("sort_pdm", dict(TIMING_CELL))  # verify off
+        clean = JobRunner(jobs=0).map([spec])
+        (failed,) = JobRunner(jobs=0, retries=0, fault_plan=self.PLAN).map([spec])
+        assert failed.failed and failed.error["type"] == "BlockCorruptionError"
+        runner = JobRunner(jobs=0, retries=3, backoff=0.0, fault_plan=self.PLAN)
+        chaos = runner.map([spec])
+        assert runner.stats["retried"] == 1 and runner.stats["failed"] == 0
+        assert payloads_json(chaos) == payloads_json(clean)
+
+
 def stream_back(plan, io, rounds=100):
     """Write ``rounds`` full write rounds, free round 0's first block (its
     slot predates every pending write), then stream rounds 1+ back.

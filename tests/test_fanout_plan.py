@@ -5,13 +5,17 @@
 admits with a [ViSa] stride ``t(S) = ⌊memoryload/(4S)⌋ ≥ B``.  At a node
 of ``n`` records it takes the narrowest candidate whose proven child
 bound ``n/S + t·(⌈n/memoryload⌉ + 1)`` is a base case, else the widest
-(DESIGN.md §2, "Planned fan-out").
+(DESIGN.md §2, "Planned fan-out").  A child whose splitters came from
+its parent's histogram plans nothing: its S is the split rule's
+(``tests/split_reference.py``).
 
 * (a) drawn shapes, each under checked invariants and the theory
   auditor: a sorted permutation, Invariants 1–2, the Theorem-4 factor,
-  every bucket under ``2N/S`` and the proven [ViSa] bound, a candidate S
-  chosen by the rule, only base-case children below a node planned to
-  finish, and a sample of at most ``⌊n/B⌋`` keys wherever ``S > S₀``;
+  every bucket under ``2N/S``; on every [ViSa] pass, every bucket under
+  the proven [ViSa] bound, a candidate S chosen by the rule, only
+  base-case children below a node planned to finish, and a sample of at
+  most ``⌊n/B⌋`` keys wherever ``S > S₀``; every split pass exactly the
+  split rule's choice;
 * (b) ``buckets=S`` fixes S on every ``partition`` span;
 * (c) the randomized baseline plans as Balance Sort does;
 * (d) the E1 cells.
@@ -43,12 +47,10 @@ from repro.obs.columnar import expand_trace
 from repro.pdm import ParallelDiskMachine, VirtualDisks
 from repro.util import assert_is_permutation, assert_sorted
 
+from .split_reference import assert_split_pass, base_case
+
 
 # ------------------------------------------------------------- harness
-
-
-def base_case(machine, storage):
-    return machine.M - (storage.n_virtual + 1) * storage.virtual_block_size
 
 
 def candidates(machine, storage):
@@ -74,8 +76,9 @@ def proven_bound(machine, storage, n, s):
 
 def recorded_sort(machine, data, **kwargs):
     """Sort under an observation and the theory auditor; returns the
-    result, the audit, every pass (records, S, bucket counts) in order,
-    and every ``partition`` span's closing attributes."""
+    result, the audit, every pass (records, S, pivots, bucket counts and
+    any histogram it collected) in order, and every ``partition`` span's
+    closing attributes."""
     passes = []
 
     class Engine(BalanceEngine):
@@ -84,7 +87,11 @@ def recorded_sort(machine, data, **kwargs):
             passes.append({
                 "n": int(self.stats.records_fed),
                 "s": self.n_buckets,
+                "pivots": self.pivots.copy(),
                 "counts": self.bucket_record_counts.tolist(),
+                "histogram": None if self.interval_counts is None else [
+                    self.histogram(b) for b in range(self.n_buckets)
+                ],
             })
             return runs
 
@@ -151,9 +158,17 @@ def test_drawn_shapes_sort_on_their_plan(shape):
     allowed = candidates(machine, storage)
     s0 = allowed[0]
     assert len(spans) == len(passes)
-    for p, span in zip(passes, spans):
+    for i, (p, span) in enumerate(zip(passes, spans)):
         n_p, s, counts = p["n"], p["s"], p["counts"]
         assert (span["n"], span["s"]) == (n_p, s)
+        if span.get("source") == "histogram":
+            # Splitters from the parent's exact counts: the split rule's
+            # S, every bucket a base case under 2N/S, and no read.
+            parent = next(q for q, up in zip(passes[i::-1], spans[i::-1])
+                          if up["level"] == span["level"] - 1)
+            assert_split_pass(machine, storage, parent, p)
+            assert span["ios"] == 0
+            continue
         # The plan's choice: a candidate, the narrowest that finishes,
         # else the widest.
         assert s in allowed
@@ -246,6 +261,23 @@ def test_the_randomized_baseline_follows_the_same_plan(n, d, buckets):
     for n_p, s, memoryload, planned, load in calls:
         assert s == (planned if buckets is None else buckets)
         assert memoryload == load
+
+
+def test_a_randomized_compare_cell_takes_buckets():
+    """``compare_pdm``'s ``buckets`` reaches the randomized baseline (E3
+    runs both distribution sorts at one fixed S); Greed Sort refuses it."""
+    cell = {"algorithm": "randomized", "n": 16_000, "memory": 512, "block": 4,
+            "disks": 4, "seed": 4, "buckets": 3}
+    payload = run_task("compare_pdm", cell)
+    machine = ParallelDiskMachine(memory=512, block=4, disks=4)
+    res = randomized_distribution_sort(
+        machine, workloads.by_name("uniform", 16_000, seed=4), buckets=3
+    )
+    assert payload["result"]["parallel_ios"] == res.total_ios
+    assert res.total_ios != run_task("compare_pdm", dict(cell, buckets=None))[
+        "result"]["parallel_ios"]
+    with pytest.raises(ParameterError, match="buckets applies only to"):
+        run_task("compare_pdm", dict(cell, algorithm="greed"))
 
 
 # ---------------------------------------------------------- (d) E1 cells
