@@ -211,6 +211,11 @@ class BalanceEngine:
         # `_round` monkey-patch).  Empty list = zero per-round overhead
         # beyond one truthiness check.
         self._round_observers: list[Callable] = []
+        # The balance.round channel's appenders and the auditor, once an
+        # observation is attached (attach_obs).
+        self._ev_round = None
+        self._auditor = None
+        self._audit_above = 0.0
         # Write-behind: placed-but-unwritten queue entries, one FIFO per
         # channel (None when the storage has no ledger to hold them on).
         self._held: list[deque] | None = None
@@ -255,11 +260,17 @@ class BalanceEngine:
             pass
 
     def attach_obs(self, obs, scope: str = "balance") -> None:
-        """Wire an :class:`~repro.obs.Observation` through a round observer.
+        """Record every round on an :class:`~repro.obs.Observation`.
 
-        Per completed round: a ``balance.round`` trace event (cumulative
-        totals + current Theorem-4 balance factor) on a trace channel.
-        Under ``obs.scope(scope)``, counters ``rounds`` / ``swaps`` /
+        Per completed round the engine itself records a ``balance.round``
+        trace event (cumulative totals + current Theorem-4 balance
+        factor) as a row of a trace channel: C-level list appends, no
+        info dict, no observer call.  With ``obs.auditor`` installed, a
+        round that Invariant 1, Invariant 2 or the auditor's Theorem-4
+        limit flags is handed to
+        :meth:`~repro.obs.audit.TheoryAuditor.check_round`; a clean round
+        costs one truth test.  Under ``obs.scope(scope)``, counters
+        ``rounds`` / ``swaps`` /
         ``unprocessed`` / ``match_calls``, a per-round swap-count
         histogram, and a ``max_balance_factor`` gauge (its ``max``
         watermark is the worst factor seen anywhere in the pass) are
@@ -282,12 +293,11 @@ class BalanceEngine:
             ("round", "placed", "swapped", "unprocessed", "match_calls",
              "max_balance_factor"),
         )
-        append = channel.append
-
-        def _observe(engine, info):
-            append(info["round"], info["placed"], info["swapped"],
-                   info["unprocessed"], info["match_calls"],
-                   info["max_balance_factor"])
+        self._ev_round = channel.appenders
+        auditor = obs.auditor
+        if auditor is not None:
+            self._auditor = auditor
+            self._audit_above = auditor.watch(channel.cols[5])
 
         cols = channel.cols
         swapped_col, unproc_col = cols[2], cols[3]
@@ -317,17 +327,21 @@ class BalanceEngine:
             bf.set_bulk(factor_col[i:n])
 
         reg.add_pending_flush(_flush)
-        self.add_round_observer(_observe)
+
+    def _round_info(self, factor: float) -> dict:
+        """The round observers' ``info`` dict for the round just done."""
+        stats = self.stats
+        return {
+            "round": stats.rounds,
+            "placed": stats.blocks_placed,
+            "swapped": stats.blocks_swapped,
+            "unprocessed": stats.blocks_unprocessed,
+            "match_calls": stats.match_calls,
+            "max_balance_factor": factor,
+        }
 
     def _notify_round(self) -> None:
-        info = {
-            "round": self.stats.rounds,
-            "placed": self.stats.blocks_placed,
-            "swapped": self.stats.blocks_swapped,
-            "unprocessed": self.stats.blocks_unprocessed,
-            "match_calls": self.stats.match_calls,
-            "max_balance_factor": self.matrices.max_balance_factor(),
-        }
+        info = self._round_info(self.matrices.max_balance_factor())
         for callback in self._round_observers:
             callback(self, info)
 
@@ -496,20 +510,51 @@ class BalanceEngine:
         if self.check_invariants:
             mat.check_invariant_1()
         twos = mat.channels_with_two()
-        if not twos:
+        if twos:
+            self._rebalance(twos, popped, drain)
+        else:
             # Nothing to swap or drop, and nothing touches the matrices
             # before the write: the closing refresh and the Invariant-2
-            # check below would be no-ops.
+            # check would be no-ops.
             self._write_batch(range(k), popped)
-            if self._round_observers:
-                self._notify_round()
-            return
+        ev = self._ev_round
+        if ev is not None:
+            # The balance.round row, then the audit of a flagged round.
+            # Under the pure-Python incremental upkeep the max factor and
+            # both invariants are O(1) reads; compiled ops and batch
+            # matrices answer by walking the buckets.
+            factor = mat.max_factor
+            fast = factor is not None
+            if not fast:
+                factor = mat.max_balance_factor()
+            mark, add_round, add_placed, add_swapped, add_unproc, add_match, add_factor = ev
+            mark()
+            add_round(stats.rounds)
+            add_placed(stats.blocks_placed)
+            add_swapped(stats.blocks_swapped)
+            add_unproc(stats.blocks_unprocessed)
+            add_match(stats.match_calls)
+            add_factor(factor)
+            if self._auditor is not None and (
+                factor > self._audit_above
+                or (mat.short_rows or mat._twos_cells or mat._over_two if fast
+                    else not (mat.invariant_1_ok() and mat.invariant_2_ok()))
+            ):
+                self._auditor.check_round(self, self._round_info(factor))
+        if self._round_observers:
+            self._notify_round()
 
-        # Rebalance (Algorithm 5): resolve 2s while at least ⌊H'/2⌋ remain
-        # (every 2 when draining).  A channel can legally end up holding
-        # two of this round's blocks (its own tentative block plus a
-        # swapped-in block of another bucket); they sit in different
-        # batches, and the channel's FIFO writes them in separate steps.
+    def _rebalance(self, twos: list, popped: list, drain: bool) -> None:
+        """Algorithm 5 on this round's 2s, then the round's writes.
+
+        Resolves 2s while at least ⌊H'/2⌋ remain (every 2 when draining).
+        A channel can legally end up holding two of this round's blocks
+        (its own tentative block plus a swapped-in block of another
+        bucket); they sit in different batches, and the channel's FIFO
+        writes them in separate steps.
+        """
+        mat = self.matrices
+        k = len(popped)
         moved = [False] * k
         swap_batches = []
         threshold = 1 if drain else max(1, self.n_channels // 2)
@@ -528,8 +573,8 @@ class BalanceEngine:
                 )
             mat.remove_block(b, h)
             moved[h] = True
-            queue.appendleft(popped[h])
-            stats.blocks_unprocessed += 1
+            self._queue.appendleft(popped[h])
+            self.stats.blocks_unprocessed += 1
         mat.refresh_aux()
         if self.check_invariants:
             mat.check_invariant_2()
@@ -541,8 +586,6 @@ class BalanceEngine:
             self._write_batch(kept, [popped[h] for h in kept])
         for batch in swap_batches:
             self._write_batch([v for _, v in batch], [popped[u] for u, _ in batch])
-        if self._round_observers:
-            self._notify_round()
 
     def _rearrange(self, u_set: Sequence[int], popped: list, moved: list) -> list:
         """Algorithm 6: match overloaded channels to zero channels and swap.

@@ -63,6 +63,17 @@ class BalanceMatrices:
         ]
         self._incremental = False
         self._cops = None
+        #: The Theorem-4 max factor, kept current in O(1) amortized time
+        #: by the pure-Python incremental upkeep; None on every other path
+        #: (batch mode, compiled ops), where :meth:`max_balance_factor`
+        #: walks the buckets instead.
+        self.max_factor: float | None = None
+        #: Rows of ``A`` with fewer than ⌈H'/2⌉ zeros (Invariant 1 broken),
+        #: kept by the pure-Python incremental upkeep beside the 2-cell
+        #: index.  The median rule leaves at least ⌈H'/2⌉ zeros in every
+        #: row it computes, so this stays empty unless the upkeep itself
+        #: goes wrong; it lets a clean round's audit be one truth test.
+        self.short_rows: set = set()
 
     # --------------------------------------------- incremental maintenance
 
@@ -88,6 +99,7 @@ class BalanceMatrices:
                 self.X, self.A, self._xrows, self._alist,
                 self._twos_cells, self._over_two, self._factors, self._rank,
             )
+        self.max_factor = None  # the C updates do not keep it
         return True
 
     def enable_incremental(self) -> None:
@@ -136,23 +148,34 @@ class BalanceMatrices:
         self._over_two = {
             (int(b), int(h)) for b, h in zip(*np.nonzero(self.A > 2))
         }
+        self.short_rows = set(
+            np.nonzero((self.A == 0).sum(axis=1) < self._rank)[0].tolist()
+        )
         totals = self.X.sum(axis=1)
         maxima = self.X.max(axis=1)
         factors = np.ones(self.n_buckets, dtype=np.float64)
         nz = totals > 0
         factors[nz] = maxima[nz] / (-(-totals[nz] // self.n_channels))
-        # Kept as a plain list: read once per round (`max`), updated one
-        # scalar at a time — numpy element access would dominate.
+        # Kept as a plain list, updated one scalar at a time — numpy
+        # element access would dominate.
         self._factors = factors.tolist()
+        self.max_factor = max(self._factors)
+        self._at_max = self._factors.count(self.max_factor)
 
     def _update_row(self, bucket: int) -> None:
-        """Recompute row ``bucket``'s aux/factor after a ±1 entry change."""
+        """Recompute row ``bucket``'s aux/factor after a ±1 entry change.
+
+        Also keeps :attr:`max_factor` current: ``_at_max`` counts the
+        buckets at the max, so only the last of them dropping below it
+        costs a walk.
+        """
         row = self._xrows[bucket]
         alist = self._alist[bucket]  # plain-list mirror: numpy scalar reads
         arow = None  # would dominate these loops; A's row is fetched on change
         if len(row) == 2:
             # H' = 2 (rank 1): the median is the row min, so exactly the
-            # larger entry can carry a nonzero aux — unrolled.
+            # larger entry can carry a nonzero aux — unrolled.  The
+            # smaller entry's aux is 0: the row keeps its ⌈2/2⌉ zero.
             x0, x1 = row
             if x0 <= x1:
                 m, mx, total = x0, x1, x0 + x1
@@ -176,32 +199,54 @@ class BalanceMatrices:
                         self._twos_cells.add(cell)
                     elif a > 2:
                         self._over_two.add(cell)
-            self._factors[bucket] = mx / -(-total // 2) if total else 1.0
+        else:
+            m = sorted(row)[self._rank - 1]
+            total = 0
+            mx = 0
+            zeros = 0
+            for h, x in enumerate(row):
+                a = x - m if x > m else 0
+                if not a:
+                    zeros += 1
+                old = alist[h]
+                if old != a:
+                    if arow is None:
+                        arow = self.A[bucket]
+                    alist[h] = a
+                    arow[h] = a
+                    cell = (bucket, h)
+                    if old == 2:
+                        self._twos_cells.discard(cell)
+                    elif old > 2:
+                        self._over_two.discard(cell)
+                    if a == 2:
+                        self._twos_cells.add(cell)
+                    elif a > 2:
+                        self._over_two.add(cell)
+                total += x
+                if x > mx:
+                    mx = x
+            if zeros < self._rank:
+                self.short_rows.add(bucket)
+            elif self.short_rows:
+                self.short_rows.discard(bucket)
+        factor = mx / (-(-total // self.n_channels)) if total else 1.0
+        factors = self._factors
+        old = factors[bucket]
+        if factor == old:
             return
-        m = sorted(row)[self._rank - 1]
-        total = 0
-        mx = 0
-        for h, x in enumerate(row):
-            a = x - m if x > m else 0
-            old = alist[h]
-            if old != a:
-                if arow is None:
-                    arow = self.A[bucket]
-                alist[h] = a
-                arow[h] = a
-                cell = (bucket, h)
-                if old == 2:
-                    self._twos_cells.discard(cell)
-                elif old > 2:
-                    self._over_two.discard(cell)
-                if a == 2:
-                    self._twos_cells.add(cell)
-                elif a > 2:
-                    self._over_two.add(cell)
-            total += x
-            if x > mx:
-                mx = x
-        self._factors[bucket] = mx / (-(-total // self.n_channels)) if total else 1.0
+        factors[bucket] = factor
+        top = self.max_factor
+        if factor > top:
+            self.max_factor = factor
+            self._at_max = 1
+        elif factor == top:
+            self._at_max += 1
+        elif old == top:
+            self._at_max -= 1
+            if not self._at_max:
+                self.max_factor = top = max(factors)
+                self._at_max = factors.count(top)
 
     # ------------------------------------------------------------ updates
 
@@ -327,15 +372,18 @@ class BalanceMatrices:
     def invariant_1_ok(self) -> bool:
         """Quick boolean form of Invariant 1 (≥ ⌈H'/2⌉ zeros per A row).
 
-        Under :meth:`enable_incremental` this walks the maintained rows
-        in plain Python (the matrices are S × H' with both factors small
-        — scalar loops beat numpy reductions by an order of magnitude on
-        the per-round audit path); otherwise it defers to the vectorized
+        O(1) under the pure-Python incremental upkeep (the short-row
+        index is kept per update); under compiled ops it walks the
+        maintained rows in plain Python (the matrices are S × H' with
+        both factors small — scalar loops beat numpy reductions by an
+        order of magnitude); otherwise it defers to the vectorized
         check.  Callers wanting the offending rows use
         :meth:`check_invariant_1`.
         """
         need = (self.n_channels + 1) // 2
         if self._incremental:
+            if self._cops is None:
+                return not self.short_rows
             for alist in self._alist:
                 zeros = 0
                 for a in alist:
@@ -359,8 +407,8 @@ class BalanceMatrices:
     def check_invariant_1(self) -> None:
         """≥ ⌈H'/2⌉ zeros in every row of A."""
         if self._incremental and self.invariant_1_ok():
-            return  # same condition, O(S·H') plain-int loop; numpy only
-            # runs below to name the offending rows in the error.
+            return  # same condition without numpy, which only runs
+            # below to name the offending rows in the error.
         need = (self.n_channels + 1) // 2
         zeros = (self.A == 0).sum(axis=1)
         bad = np.nonzero(zeros < need)[0]
@@ -401,10 +449,11 @@ class BalanceMatrices:
         division per non-empty bucket followed by a max).  Under
         :meth:`enable_incremental` the per-bucket factors are maintained
         on update (empty buckets carry 1.0, which never wins the max —
-        every non-empty factor is ≥ 1 because ``max(row) ≥ ⌈total/H'⌉``).
+        every non-empty factor is ≥ 1 because ``max(row) ≥ ⌈total/H'⌉``),
+        and so is their max (:attr:`max_factor`) except under compiled ops.
         """
         if self._incremental:
-            return max(self._factors)
+            return self.max_factor if self.max_factor is not None else max(self._factors)
         totals = self.X.sum(axis=1)
         nonempty = totals > 0
         if not nonempty.any():

@@ -220,9 +220,9 @@ def _sort(machine, storage, run, n, matcher, rng, check_invariants, agg, depth,
         storage, pivots, matcher=matcher, rng=rng, check_invariants=check_invariants
     )
     if obs is not None:
-        engine.attach_obs(obs)
-        # Auditors and other engine-level monitors ride the same per-round
-        # hook (see Observation.engine_observers / obs.audit.TheoryAuditor).
+        engine.attach_obs(obs)  # records and audits every round
+        # Other engine-level monitors get each round's info dict (see
+        # Observation.engine_observers).
         for callback in obs.engine_observers:
             engine.add_round_observer(callback)
     hp = storage.n_virtual

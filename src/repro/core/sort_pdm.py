@@ -381,9 +381,9 @@ def _sort(machine, storage, run, n, buckets, matcher, internal_sort, rng,
         candidates=candidates,
     )
     if obs is not None:
-        engine.attach_obs(obs)
-        # Auditors and other engine-level monitors ride the same per-round
-        # hook (see Observation.engine_observers / obs.audit.TheoryAuditor).
+        engine.attach_obs(obs)  # records and audits every round
+        # Other engine-level monitors get each round's info dict (see
+        # Observation.engine_observers).
         for callback in obs.engine_observers:
             engine.add_round_observer(callback)
     agg.passes += 1

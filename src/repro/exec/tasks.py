@@ -50,7 +50,7 @@ from ..core.sort_pdm import INTERNAL_SORTS
 from ..exceptions import ParameterError
 from ..hierarchies import well_behaved
 from ..hierarchies.parallel import INTERCONNECTS, MODELS
-from ..obs import NULL_TRACER, Observation, TheoryAuditor, Tracer
+from ..obs import NULL_TRACER, Observation, TheoryAuditor, Tracer, zero_clock
 from ..obs.telemetry import ProgressSink, active_telemetry
 from .fingerprint import SCHEMA_SALT
 
@@ -293,11 +293,6 @@ def _checked_output(machine, res, data: np.ndarray, verify: bool) -> bool | None
     return None
 
 
-def _zero_clock() -> float:
-    """Pinned tracer clock: every ``ts`` / ``wall_s`` is exactly 0.0."""
-    return 0.0
-
-
 def run_task(name: str, params: dict) -> dict:
     """Execute one task under a deterministic observation; return the payload.
 
@@ -318,7 +313,7 @@ def run_task(name: str, params: dict) -> dict:
     canonical = read_params(name, params)
     channel = active_telemetry()
     sink = ProgressSink(channel) if channel is not None else None
-    obs = Observation(tracer=Tracer(sink=sink, clock=_zero_clock))
+    obs = Observation(tracer=Tracer(sink=sink, clock=zero_clock))
     result = fn(canonical, obs)
     obs.close()
     trace, trace_safe = obs.tracer.payload_events()

@@ -28,8 +28,8 @@ On top of the substrate sit three analysis engines (PR 4):
 * :class:`TheoryAuditor` (:mod:`~repro.obs.audit`) — scores measured costs
   against the paper's bound expressions (Theorems 1–4, Invariants 1 & 2)
   as measured/bound constant-factor ratios, with live non-raising
-  per-round invariant checks via the Balance engine's observer hook
-  (``repro audit``);
+  per-round invariant checks that every attached Balance engine makes
+  in O(1) (``repro audit``);
 * :func:`profile_trace` (:mod:`~repro.obs.profile`) — span self-time and
   critical-path aggregation, per-level and utilization timelines, and the
   I/O-round-trip hotspot table (``repro profile``);
@@ -109,6 +109,7 @@ from .tracer import (
     Observation,
     Tracer,
     read_trace,
+    zero_clock,
 )
 
 __all__ = [
@@ -124,6 +125,7 @@ __all__ = [
     "ListSink",
     "read_trace",
     "ROUND_EVENTS",
+    "zero_clock",
     "RunReport",
     "render_report",
     "summarize_trace",

@@ -7,18 +7,23 @@ records raw counts; this module closes the loop by computing the bound
 expressions from :mod:`repro.analysis.bounds` for the run's parameters and
 reporting every measurement as a ``measured / bound`` constant-factor
 ratio, plus live per-round verification of Invariants 1 & 2 and the
-Theorem 4 factor through the Balance engine's round-observer hook.
+Theorem 4 factor on every round of every Balance engine.
 
 Three layers:
 
 * :class:`TheoryAuditor` — the live half.  :meth:`TheoryAuditor.install`
-  appends its round checker to ``obs.engine_observers``; both sorts
-  register every entry of that list on every :class:`BalanceEngine` they
-  construct, so the auditor sees the post-round matrices of every
-  distribution pass at every recursion level.  Violations never raise —
-  they are recorded, emitted as ``audit.violation`` tracer events, and
-  counted in the ``audit`` metrics scope (a monitor must outlive the run
-  it monitors, unlike ``check_invariants=True`` which raises mid-sort).
+  sets ``obs.auditor``; every :class:`BalanceEngine` attached to ``obs``
+  (both sorts attach every engine they construct) then tests the
+  post-round matrices of every round against Invariants 1 & 2 and the
+  auditor's Theorem-4 limit in O(1) — one truth test on a clean round —
+  and hands a flagged round to :meth:`TheoryAuditor.check_round`.  Every
+  round's factor lands in the engine's ``balance.round`` trace column,
+  which the auditor reads for ``rounds_checked`` and ``worst_factor``.
+  Violations never raise — they are recorded, emitted as
+  ``audit.violation`` tracer events right after their round's
+  ``balance.round`` event, and counted in the ``audit`` metrics scope (a
+  monitor must outlive the run it monitors, unlike
+  ``check_invariants=True`` which raises mid-sort).
 * ``finish_pdm`` / ``finish_hierarchy`` — the scoring half: combine the
   round observations with the final result + machine parameters into an
   :class:`AuditReport` (schema ``repro.audit/1``) of bound ratios and
@@ -212,27 +217,48 @@ class TheoryAuditor:
         self.theorem4_limit = float(theorem4_limit)
         self._obs = None
         self.violations: list[dict] = []
-        self.rounds_checked = 0
-        self.worst_factor = 1.0
+        # The max-factor column of every watched engine's balance.round
+        # channel: one entry per round.
+        self._factor_columns: list[list] = []
         #: The last :class:`AuditReport` a ``finish_*`` call produced.
         self.report: AuditReport | None = None
 
     # ------------------------------------------------------------- install
 
     def install(self, obs: "Observation") -> "TheoryAuditor":
-        """Register the round checker on ``obs.engine_observers``.
+        """Make this the auditor of every engine attached to ``obs``.
 
-        Both sorts add every callback in that list to every
-        :class:`~repro.core.balance.BalanceEngine` they construct, so one
-        ``install`` covers every distribution pass of the run.  The
-        auditor holds ``obs`` weakly (``obs.auditor`` is the strong link),
-        so a finished run's observation is freed by reference counting,
-        not left to the cyclic garbage collector.
+        :meth:`~repro.core.balance.BalanceEngine.attach_obs` reads
+        ``obs.auditor``, and both sorts attach every engine they
+        construct, so one ``install`` covers every distribution pass of
+        the run.  The auditor holds ``obs`` weakly (``obs.auditor`` is the
+        strong link), so a finished run's observation is freed by
+        reference counting, not left to the cyclic garbage collector.
         """
         self._obs = weakref.ref(obs)
         obs.auditor = self
-        obs.engine_observers.append(self.check_round)
         return self
+
+    def watch(self, factors: list) -> float:
+        """Count an engine's rounds: ``factors`` is its ``balance.round``
+        channel's ``max_balance_factor`` column, one entry per round.
+
+        Returns the factor above which the engine must hand a round to
+        :meth:`check_round` (the Theorem-4 limit, with representation
+        slack).
+        """
+        self._factor_columns.append(factors)
+        return self.theorem4_limit + _EPS
+
+    @property
+    def rounds_checked(self) -> int:
+        """Rounds of every watched engine so far."""
+        return sum(map(len, self._factor_columns))
+
+    @property
+    def worst_factor(self) -> float:
+        """The max Theorem-4 factor over every round checked (1.0 before any)."""
+        return max([1.0, *(max(col) for col in self._factor_columns if col)])
 
     @property
     def obs(self) -> "Observation | None":
@@ -242,16 +268,15 @@ class TheoryAuditor:
     # -------------------------------------------------------- round checks
 
     def check_round(self, engine, info: dict) -> None:
-        """Non-raising Invariant 1/2 + Theorem 4 check (round observer).
+        """Record the violations of a round the engine flagged.
 
-        Runs after the round's writes complete, so ``engine.matrices``
-        reflects exactly the state Invariant 2 constrains.
+        The engine calls this after the round's writes complete, so
+        ``engine.matrices`` reflects exactly the state Invariant 2
+        constrains, and only when Invariant 1, Invariant 2 or the
+        Theorem-4 limit flags the round (``info`` is the round observers'
+        dict).  The vectorized detail scans only run here.
         """
-        self.rounds_checked += 1
         mat = engine.matrices
-        # Invariants via the matrices' cheap boolean queries (O(S·H')
-        # scalar / O(1) under incremental maintenance — this runs after
-        # every round); the vectorized detail scan only runs on failure.
         if not mat.invariant_1_ok():
             need = (mat.n_channels + 1) // 2
             zeros = (mat.A == 0).sum(axis=1)
@@ -268,7 +293,6 @@ class TheoryAuditor:
             )
         # Theorem 4: max balance factor within the ~2x guarantee.
         factor = float(info["max_balance_factor"])
-        self.worst_factor = max(self.worst_factor, factor)
         if factor > self.theorem4_limit + _EPS:
             self._violation(
                 "theorem4", info,

@@ -1,20 +1,36 @@
 """Columnar (structure-of-arrays) event journal for the hot trace path.
 
-The simulators emit ~100 k point events per E1 cell (one per parallel
-I/O, one per Balance round).  Building one dict per event *at emit time*
-was the largest per-round constant left after the fused I/O plans, so
-the events are not built as dicts at all unless a reader asks for them.
+The simulators emit ~40 k point events per 64 k-record E1 cell (one per
+parallel I/O, one per Balance round).  Recording one costs about what a
+counter costs: a few appends to plain lists through bound C methods, and
+no Python call.  No event is built as a dict unless a reader asks.
 
-A :class:`ColumnarJournal` stores the hot events as typed scalar columns:
-each registered *channel* (one fixed ``(name, attr-keys)`` shape) appends
-``(seq, span, ts, *values)`` onto parallel Python lists (which grow
-geometrically, like any list).  The shared ``seq`` counter interleaves
-channels and cold literal events chronologically.
+A :class:`ColumnarJournal` keeps
 
-Cold events — span begin/end records, rare diagnostics, anything emitted
-through the generic ``Tracer.event`` API — are stored as ready-made
-*literal* dicts carrying their own sequence number, so the journal never
-changes what an event looks like, only when the dict is allocated.
+* one journal-wide ``order`` list with one entry per event, in emission
+  order: the index of the channel that recorded it, or ``-1`` for a
+  literal;
+* per *channel* (one fixed ``(name, attr-keys)`` shape) one column per
+  attr key;
+* the *literal* records — span begin/end records, rare diagnostics,
+  anything emitted through the generic ``Tracer.event`` API — as
+  ready-made dicts, so the journal never changes what an event looks
+  like, only when the dict is allocated;
+* a span log: the ``order`` position of every change of the innermost
+  open span and the span id it changed to, from which each row's span
+  id is read back;
+* on a ticking clock, one raw clock reading per row.  A journal on the
+  pinned clock (:func:`repro.obs.tracer.zero_clock`) keeps none: every
+  row's timestamp is ``0.0``.
+
+Recording a row
+---------------
+:attr:`EventChannel.appenders` is ``(mark, add_0, add_1, ...)``: call
+``mark()``, then each ``add_i`` with the row's value for key ``i``.  On
+the pinned clock ``mark`` is a :func:`functools.partial` of
+``order.append``, so the whole row is C calls; on a ticking clock it is
+a closure that also appends a clock reading.  :meth:`EventChannel.append`
+does the same for callers off the hot path.
 
 Two outputs
 -----------
@@ -28,8 +44,8 @@ Two outputs
   record per non-empty channel whose columns are plain JSON lists of
   scalars.  ``seq`` is each row's global position, ``span`` and ``ts``
   its span id and timestamp (``ts`` is the number ``0.0`` when every
-  row's timestamp is zero, as on the zero clock of an exec payload), and
-  ``cols`` one list per attr key.  No per-row dict is built.
+  row's timestamp is zero, as on the pinned clock of an exec payload),
+  and ``cols`` one list per attr key.  No per-row dict is built.
 
 :func:`expand_trace` turns the payload form back into the exact event
 list (``repro.exec_payload/1``): rows go to their ``seq`` positions and
@@ -39,16 +55,19 @@ row-to-dict builder, :func:`_place_rows`.
 Appender contract
 -----------------
 Values appended through a channel MUST be plain ``str`` / ``int`` /
-``float`` / ``bool`` / ``None`` scalars (not numpy scalars, not tuples).
-This is not checked per append — it is what lets the exec layer skip the
+``float`` / ``bool`` / ``None`` scalars (not numpy scalars, not tuples),
+and a ``mark()`` must be followed by exactly one value per column.
+Neither is checked per row — it is what lets the exec layer skip the
 canonicalizing JSON round-trip for the trace portion of a payload
 (:func:`json_roundtrip_safe` covers the few literal records instead).
 """
 
 from __future__ import annotations
 
-from bisect import bisect_left
+from functools import partial
 from itertools import repeat
+
+import numpy as np
 
 __all__ = ["ColumnarJournal", "EventChannel", "expand_trace", "json_roundtrip_safe"]
 
@@ -87,113 +106,153 @@ _SCALARS = frozenset((int, float, str, bool, type(None)))
 
 
 class EventChannel:
-    """One fixed event shape: parallel columns plus a fast appender.
+    """One fixed event shape: its columns and the appends that record a row.
 
     Channels are deliberately *not* deduplicated by ``(name, keys)``:
     every requester (one Balance engine, one disk machine) gets private
     columns, so deferred metric replay can keep an independent cursor
     per requester while materialization still interleaves everything
-    chronologically through the shared sequence counter.
+    chronologically through the journal's ``order`` list.
     """
 
-    __slots__ = ("name", "keys", "seqs", "spans", "ts", "cols", "append")
+    __slots__ = ("name", "keys", "cols", "ts", "appenders")
 
-    def __init__(self, journal: "ColumnarJournal", tracer, name: str,
+    def __init__(self, journal: "ColumnarJournal", index: int, name: str,
                  keys: tuple):
+        if not keys:
+            raise ValueError(f"channel {name!r} needs at least one attr key")
         self.name = name
         self.keys = tuple(keys)
-        self.seqs: list = []
-        self.spans: list = []
-        self.ts: list = []
         self.cols: list = [[] for _ in self.keys]
-        # Build the appender closure with every per-event attribute
-        # lookup hoisted: the only per-call work is the seq bump, the
-        # span peek, the (usually pinned-to-zero) clock read, and one
-        # list append per column.
-        count = journal._count
-        seqs_append = self.seqs.append
-        spans_append = self.spans.append
-        ts_append = self.ts.append
-        stack = tracer._stack
-        clock = tracer._clock
-        epoch = tracer._epoch
-        cols = self.cols
-        if len(cols) == 1:
-            col0_append = cols[0].append
-
-            def append(v0):
-                seqs_append(count[0])
-                count[0] += 1
-                spans_append(stack[-1].span_id if stack else None)
-                t = clock() - epoch
-                ts_append(round(t, 6) if t else 0.0)
-                col0_append(v0)
-
-        elif len(cols) == 2:
-            col0_append = cols[0].append
-            col1_append = cols[1].append
-
-            def append(v0, v1):
-                seqs_append(count[0])
-                count[0] += 1
-                spans_append(stack[-1].span_id if stack else None)
-                t = clock() - epoch
-                ts_append(round(t, 6) if t else 0.0)
-                col0_append(v0)
-                col1_append(v1)
-
+        #: Raw clock readings, one per row (None on the pinned clock).
+        self.ts: list | None = None
+        order_append = journal.order.append
+        clock = journal.clock
+        if clock is None:
+            mark = partial(order_append, index)
         else:
+            self.ts = []
+            ts_append = self.ts.append
 
-            def append(*values):
-                seqs_append(count[0])
-                count[0] += 1
-                spans_append(stack[-1].span_id if stack else None)
-                t = clock() - epoch
-                ts_append(round(t, 6) if t else 0.0)
-                for col, v in zip(cols, values):
-                    col.append(v)
+            def mark():
+                order_append(index)
+                ts_append(clock())
 
-        self.append = append
+        self.appenders = (mark, *(col.append for col in self.cols))
+
+    def append(self, *values) -> None:
+        """Record one row (the off-hot-path form of :attr:`appenders`)."""
+        if len(values) != len(self.keys):
+            raise TypeError(
+                f"channel {self.name!r} takes {len(self.keys)} values, got {len(values)}"
+            )
+        mark, *adds = self.appenders
+        mark()
+        for add, value in zip(adds, values):
+            add(value)
 
     def __len__(self) -> int:
-        return len(self.seqs)
+        return len(self.cols[0])
 
 
 class ColumnarJournal:
-    """Shared store for one tracer's events: channels + literal records."""
+    """Shared store for one tracer's events: channels + literal records.
 
-    __slots__ = ("_count", "channels", "_literal_seqs", "_literals",
-                 "_literals_checked", "_literals_safe")
+    ``clock`` is the tracer's clock (``None`` for the pinned clock) and
+    ``epoch`` its reading at creation: a row's timestamp is
+    ``round(reading - epoch, 6)``, as ``Tracer`` stamps a literal.
+    """
 
-    def __init__(self):
-        # Global sequence counter, shared (as a one-slot list) with every
-        # channel appender so materialization can restore total order.
-        self._count = [0]
+    __slots__ = ("order", "channels", "clock", "epoch", "_literals",
+                 "_span_pos", "_span_top", "_cursor", "_literals_checked",
+                 "_literals_safe")
+
+    def __init__(self, clock=None, epoch: float = 0.0):
+        self.order: list[int] = []
         self.channels: list[EventChannel] = []
-        self._literal_seqs: list[int] = []
+        self.clock = clock
+        self.epoch = epoch
         self._literals: list[dict] = []
+        self._span_pos: list[int] = []
+        self._span_top: list = []
+        # (position, rows per code + 1 before it): where the last
+        # materialize stopped, so a sink's next window starts there.
+        self._cursor: tuple[int, list] = (0, [0])
         self._literals_checked = 0
         self._literals_safe = True
 
     @property
     def n(self) -> int:
         """Total events recorded (channels + literals)."""
-        return self._count[0]
+        return len(self.order)
 
     def literal(self, record: dict) -> int:
         """Append a ready-made event dict; return its sequence number."""
-        count = self._count
-        seq = count[0]
-        self._literal_seqs.append(seq)
-        count[0] = seq + 1
+        seq = len(self.order)
+        self.order.append(-1)
         self._literals.append(record)
         return seq
 
-    def channel(self, tracer, name: str, keys: tuple) -> EventChannel:
+    def span_changed(self, span_id: int | None) -> None:
+        """Log that rows recorded from now on belong to span ``span_id``."""
+        self._span_pos.append(len(self.order))
+        self._span_top.append(span_id)
+
+    def channel(self, name: str, keys: tuple) -> EventChannel:
         """Open a new private channel for one fixed event shape."""
-        ch = EventChannel(self, tracer, name, keys)
+        ch = EventChannel(self, len(self.channels), name, keys)
         self.channels.append(ch)
         return ch
+
+    def _window(self, start: int) -> tuple[list, list]:
+        """The events from position ``start`` on, gathered per code.
+
+        Returns ``(literals, blocks)``: the literal records in order, and
+        one ``(channel, seqs, spans, ts, cols)`` per channel with rows in
+        the window, in channel order — ``seqs`` their global positions,
+        ``spans`` their span ids, ``ts`` their timestamps (a list, or the
+        number ``0.0`` on the pinned clock) and ``cols`` their values.
+        """
+        order = self.order
+        n = len(order)
+        codes = np.fromiter(order[start:n], dtype=np.int64, count=n - start)
+        base = self._rows_before(start)
+        counts = np.bincount(codes + 1, minlength=len(self.channels) + 1).tolist()
+        base += [0] * (len(counts) - len(base))
+        self._cursor = (n, [b + c for b, c in zip(base, counts)])
+        literals = self._literals[base[0] : base[0] + counts[0]]
+        if not any(counts[1:]):
+            return literals, []
+        tops = np.array([None, *self._span_top], dtype=object)
+        span_pos = np.array(self._span_pos, dtype=np.int64)
+        epoch = self.epoch
+        blocks = []
+        for index in np.flatnonzero(counts[1:]).tolist():
+            ch = self.channels[index]
+            seqs = np.flatnonzero(codes == index) + start
+            lo = base[index + 1]
+            hi = lo + counts[index + 1]
+            spans = tops[np.searchsorted(span_pos, seqs, side="right")].tolist()
+            if ch.ts is None:
+                ts = 0.0
+            else:
+                ts = []
+                for reading in ch.ts[lo:hi]:
+                    t = reading - epoch
+                    ts.append(round(t, 6) if t else 0.0)
+            blocks.append((ch, seqs.tolist(), spans, ts,
+                           [col[lo:hi] for col in ch.cols]))
+        return literals, blocks
+
+    def _rows_before(self, start: int) -> list:
+        """Events per code + 1 (literals first) at positions ``< start``."""
+        pos, counts = self._cursor
+        if start == pos:
+            return list(counts)
+        if start == 0:
+            return [0]
+        codes = np.fromiter(self.order[:start], dtype=np.int64, count=start)
+        return np.bincount(codes + 1, minlength=len(self.channels) + 1).tolist()
 
     def materialize(self, start: int = 0) -> list[dict]:
         """Events from sequence number ``start`` on, as dicts, in emission order.
@@ -202,21 +261,14 @@ class ColumnarJournal:
         ``{"ev": "event", "span": ..., "name": ..., "ts": ...,
         "attrs": {keys in declaration order}}``.
         """
-        out: list = [None] * (self._count[0] - start)
-        seqs = self._literal_seqs
-        i = bisect_left(seqs, start) if start else 0
-        for seq, rec in zip(seqs[i:], self._literals[i:]):
-            out[seq - start] = rec
-        for ch in self.channels:
-            seqs = ch.seqs
-            if not seqs or seqs[-1] < start:
-                continue
-            spans, ts, cols = ch.spans, ch.ts, ch.cols
-            if start:
-                i = bisect_left(seqs, start)
-                seqs, spans, ts = seqs[i:], spans[i:], ts[i:]
-                cols = [col[i:] for col in cols]
+        literals, blocks = self._window(start)
+        out: list = [None] * (len(self.order) - start)
+        for ch, seqs, spans, ts, cols in blocks:
             _place_rows(out, start, ch.name, ch.keys, seqs, spans, ts, cols)
+        if literals:
+            free = [i for i, ev in enumerate(out) if ev is None]
+            for i, rec in zip(free, literals):
+                out[i] = rec
         return out
 
     def export(self) -> list[dict]:
@@ -227,14 +279,15 @@ class ColumnarJournal:
         ``0.0`` when every row of the channel reads zero.
         :func:`expand_trace` inverts this exactly.
         """
+        literals, blocks = self._window(0)
         rows = [
             {"ev": "rows", "name": ch.name, "keys": list(ch.keys),
-             "seq": ch.seqs[:], "span": ch.spans[:],
-             "ts": ch.ts[:] if any(ch.ts) else 0.0,
-             "cols": [col[:] for col in ch.cols]}
-            for ch in self.channels if ch.seqs
+             "seq": seqs, "span": spans,
+             "ts": ts if isinstance(ts, list) and any(ts) else 0.0,
+             "cols": cols}
+            for ch, seqs, spans, ts, cols in blocks
         ]
-        return [*self._literals, *rows]
+        return [*literals, *rows]
 
     def literals_json_safe(self) -> bool:
         """Whether every literal record survives a JSON round-trip as-is.

@@ -62,11 +62,21 @@ __all__ = [
     "read_trace",
     "reading",
     "ROUND_EVENTS",
+    "zero_clock",
 ]
 
 #: Point events that each count as one I/O round trip: a PDM parallel I/O
 #: (``io.read`` / ``io.write``) or a hierarchy parallel memory step.
 ROUND_EVENTS = ("io.read", "io.write", "mem.step")
+
+
+def zero_clock() -> float:
+    """The pinned clock: every ``ts`` / ``wall_s`` is exactly 0.0.
+
+    Exec payloads trace on it so they stay a pure function of their
+    spec.  A :class:`Tracer` on this clock records no per-event time.
+    """
+    return 0.0
 
 
 class ListSink:
@@ -195,7 +205,9 @@ class Tracer:
         #: is the cold path (one pair per phase, not per I/O), so the
         #: detached cost is a single ``is not None`` test.
         self.memory = None
-        self._journal = ColumnarJournal()
+        self._journal = ColumnarJournal(
+            None if clock is zero_clock else clock, self._epoch
+        )
         self._mat_cache: tuple[int, list] | None = None
         #: Events handed to the sink so far (a sequence-number cursor).
         self._fed = 0
@@ -243,6 +255,7 @@ class Tracer:
     def _begin(self, span: Span) -> None:
         span.t0 = self._now()
         self._stack.append(span)
+        self._journal.span_changed(span.span_id)
         self._emit(
             {"ev": "begin", "span": span.span_id, "parent": span.parent_id,
              "name": span.name, "ts": round(span.t0, 6), "attrs": dict(span.attrs)}
@@ -256,6 +269,7 @@ class Tracer:
             self._stack.pop()  # tolerate mis-nested exits
         if self._stack:
             self._stack.pop()
+        self._journal.span_changed(self._stack[-1].span_id if self._stack else None)
         now = self._now()
         record = {
             "ev": "end", "span": span.span_id, "parent": span.parent_id,
@@ -282,13 +296,13 @@ class Tracer:
         """Open a columnar channel for one fixed event shape.
 
         Returns an :class:`~repro.obs.columnar.EventChannel` whose
-        ``append(*values)`` records the event ``{"ev": "event", ...,
-        "name": name, "attrs": dict(zip(keys, values))}`` without
-        building the dict (materialized lazily, in global order).
-        Values must be plain scalars — see the appender contract in
-        :mod:`repro.obs.columnar`.
+        ``appenders`` (hot paths) and ``append(*values)`` record the
+        event ``{"ev": "event", ..., "name": name, "attrs":
+        dict(zip(keys, values))}`` without building the dict
+        (materialized lazily, in global order).  Values must be plain
+        scalars — see the appender contract in :mod:`repro.obs.columnar`.
         """
-        return self._journal.channel(self, name, keys)
+        return self._journal.channel(name, keys)
 
     def payload_events(self) -> tuple[list, bool]:
         """``(trace, roundtrip_safe)`` for payload building.
@@ -390,11 +404,10 @@ class Observation:
         #: Callbacks the sorts register on every BalanceEngine they build
         #: (signature ``cb(engine, info)`` — see
         #: :meth:`repro.core.balance.BalanceEngine.add_round_observer`).
-        #: The :class:`~repro.obs.audit.TheoryAuditor` appends its round
-        #: checker here so Invariants 1 & 2 and the Theorem 4 factor are
-        #: verified after every matching round of every engine in the run.
         self.engine_observers: list = []
         #: The installed :class:`~repro.obs.audit.TheoryAuditor`, if any.
+        #: Every engine attached to this observation audits each of its
+        #: rounds for it (:meth:`repro.core.balance.BalanceEngine.attach_obs`).
         self.auditor = None
 
     def scope(self, name: str) -> MetricsRegistry:

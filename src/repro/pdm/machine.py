@@ -363,8 +363,9 @@ class ParallelDiskMachine:
     def attach_obs(self, obs, scope: str = "pdm") -> None:
         """Attach an :class:`~repro.obs.Observation` to this machine.
 
-        Every parallel I/O then appends its stripe width to an
-        ``io.read`` / ``io.write`` trace channel.  The counters and
+        Every parallel I/O then records its stripe width as a row of an
+        ``io.read`` / ``io.write`` trace channel (C-level list appends
+        through the channel's ``appenders``; no Python call).  The counters and
         stripe-width histograms under ``obs.scope(scope)`` (names mirror
         :meth:`IOStats.snapshot`) are replayed from those columns in bulk
         when the scope is next read (see
@@ -383,8 +384,8 @@ class ParallelDiskMachine:
         hist_w = reg.histogram("io.write.width")
         read_ch = obs.tracer.scalar_channel("io.read", ("width",))
         write_ch = obs.tracer.scalar_channel("io.write", ("width", "full_stripe"))
-        self._ev_read = read_ch.append
-        self._ev_write = write_ch.append
+        self._ev_read = read_ch.appenders
+        self._ev_write = write_ch.appenders
         read_widths = read_ch.cols[0]
         write_widths, full_flags = write_ch.cols
         read_cursor = [0]
@@ -548,8 +549,11 @@ class ParallelDiskMachine:
         self.stats.read_ios += 1
         self.stats.blocks_read += width
         self.plan_stats.prefetched_read_rounds += 1
-        if self._ev_read is not None:
-            self._ev_read(width)
+        ev = self._ev_read
+        if ev is not None:
+            mark, add_width = ev
+            mark()
+            add_width(width)
 
     # ------------------------------------------------- batched I/O (fast path)
 
@@ -592,8 +596,11 @@ class ParallelDiskMachine:
         self.mem_acquire(k * self.B)
         self.stats.read_ios += 1
         self.stats.blocks_read += k
-        if self._ev_read is not None:
-            self._ev_read(k)
+        ev = self._ev_read
+        if ev is not None:
+            mark, add_width = ev
+            mark()
+            add_width(k)
         return matrix
 
     def write_blocks_arr(
@@ -689,8 +696,12 @@ class ParallelDiskMachine:
         self.stats.blocks_written += k
         if k == self.D:
             self.stats.full_width_writes += 1
-        if self._ev_write is not None:
-            self._ev_write(k, k == self.D)
+        ev = self._ev_write
+        if ev is not None:
+            mark, add_width, add_full = ev
+            mark()
+            add_width(k)
+            add_full(k == self.D)
 
     def free_blocks_arr(self, disks: np.ndarray, slots: np.ndarray) -> None:
         """Drop many blocks at once (no I/O cost; unwritten slots are no-ops)."""

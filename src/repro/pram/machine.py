@@ -22,6 +22,7 @@ from __future__ import annotations
 
 import enum
 import math
+import weakref
 from dataclasses import dataclass, field
 
 from ..exceptions import ConcurrencyViolation, ParameterError
@@ -79,11 +80,12 @@ class PRAM:
             raise ParameterError(f"need >= 1 processor, got {self.processors}")
         if isinstance(self.variant, str):
             self.variant = Variant(self.variant.upper())
-        # Observability (optional; None keeps `charge` untouched).
+        # Observability (optional; None keeps `charge` untouched): the
+        # charges, work and time not yet replayed into the metrics, and
+        # the work per label, in first-charge order.
         self._obs_scope = None
-        self._obs_labels = None
-        self._m_charge = None
-        self._label_counters: dict = {}
+        self._meter: list | None = None
+        self._label_work: dict | None = None
 
     def attach_obs(self, obs, scope: str = "pram") -> None:
         """Attach an :class:`~repro.obs.Observation`: per-charge metrics.
@@ -92,18 +94,42 @@ class PRAM:
         plus a ``labels`` child scope with one ``work`` counter per charge
         label — the per-primitive CPU breakdown (partition vs. matching vs.
         matrix upkeep) the Theorem-1 internal-processing claim decomposes
-        into.
+        into.  ``charge`` only adds to plain ints; the counters are
+        replayed from them in bulk when the scope is next read (see
+        :meth:`~repro.obs.MetricsRegistry.add_pending_flush`), and appear
+        once the machine has charged, as if updated at every charge.
         """
-        self._obs_scope = obs.scope(scope)
-        self._obs_labels = self._obs_scope.scope("labels")
-        self._m_charge = None
-        self._label_counters = {}
+        reg = self._obs_scope = obs.scope(scope)
+        reg.scope("labels")
+        meter = self._meter = [0, 0, 0]
+        label_work = self._label_work = {}
+        totals: list = []  # the charges/work/time counters, once charged
+        # The scope runs the flush, so it is alive whenever the flush is;
+        # a strong reference would make a cycle through its flush list.
+        scope_ref = weakref.ref(reg)
+
+        def _flush():
+            if not meter[0]:
+                return
+            reg = scope_ref()
+            if not totals:
+                totals.extend(
+                    (reg.counter("charges"), reg.counter("work"), reg.counter("time"))
+                )
+            for counter, amount in zip(totals, meter):
+                counter.inc(amount)
+            meter[:] = (0, 0, 0)
+            labels = reg.scope("labels")
+            for label, work in label_work.items():
+                labels.counter(label or "unlabeled").inc(work)
+            label_work.clear()
+
+        reg.add_pending_flush(_flush)
 
     def detach_obs(self) -> None:
         """Remove the attached observation (``charge`` is unmetered again)."""
-        self._obs_scope = self._obs_labels = None
-        self._m_charge = None
-        self._label_counters = {}
+        self._obs_scope = None
+        self._meter = self._label_work = None
 
     def charge(self, work: int, depth: int, label: str = "") -> int:
         """Charge one primitive: ``time += ceil(work/P) + depth``.
@@ -121,26 +147,13 @@ class PRAM:
         self.time += step_time
         if self.trace:
             self.steps.append(StepRecord(label, work, depth, step_time))
-        if self._obs_scope is not None:
-            m = self._m_charge
-            if m is None:
-                # Lazily cached on first charge so a machine that never
-                # charges exports exactly the instruments it always did.
-                scope = self._obs_scope
-                m = self._m_charge = (
-                    scope.counter("work"),
-                    scope.counter("time"),
-                    scope.counter("charges"),
-                )
-            m[0].inc(work)
-            m[1].inc(step_time)
-            m[2].inc()
-            lc = self._label_counters.get(label)
-            if lc is None:
-                lc = self._label_counters[label] = self._obs_labels.counter(
-                    label or "unlabeled"
-                )
-            lc.inc(work)
+        meter = self._meter
+        if meter is not None:
+            meter[0] += 1
+            meter[1] += work
+            meter[2] += step_time
+            label_work = self._label_work
+            label_work[label] = label_work.get(label, 0) + work
         return step_time
 
     def require_concurrent_read(self, context: str = "") -> None:

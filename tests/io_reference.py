@@ -71,8 +71,12 @@ def _land_write(machine, disks, slots, data, corrupt):
     machine.stats.blocks_written += k
     if k == machine.D:
         machine.stats.full_width_writes += 1
-    if machine._ev_write is not None:
-        machine._ev_write(k, k == machine.D)
+    ev = machine._ev_write
+    if ev is not None:
+        mark, add_width, add_full = ev
+        mark()
+        add_width(k)
+        add_full(k == machine.D)
 
 
 def write_blocks_arr(self, disks, slots, data):

@@ -161,3 +161,50 @@ class TestTheorem4Property:
             # max <= med + 1 and med <= ceil(total / ceil(H'/2) / ...) —
             # the paper's "factor of about 2": max <= 2*optimal + 1.
             assert m.X[b].max() <= 2 * optimal + 1
+
+
+def random_updates(seed: int, s: int, hp: int, n: int) -> list:
+    """``n`` valid ``(add?, bucket, channel)`` histogram updates."""
+    rng = np.random.default_rng(seed)
+    counts = np.zeros((s, hp), dtype=np.int64)
+    ops = []
+    for _ in range(n):
+        b, h = int(rng.integers(s)), int(rng.integers(hp))
+        add = counts[b, h] == 0 or rng.random() < 0.7
+        counts[b, h] += 1 if add else -1
+        ops.append((add, b, h))
+    return ops
+
+
+class TestIncrementalAuditState:
+    """The O(1) answers the engine's round audit reads, against batch
+    recomputation after every histogram update."""
+
+    @given(st.integers(0, 10**6), st.integers(2, 6), st.integers(1, 8))
+    @settings(max_examples=40, deadline=None)
+    def test_max_factor_and_invariants_match_batch(self, seed, hp, s):
+        m = BalanceMatrices(s, hp)
+        m.enable_incremental()
+        batch = BalanceMatrices(s, hp)
+        need = (hp + 1) // 2
+        for add, b, h in random_updates(seed, s, hp, 120):
+            (m.add_block if add else m.remove_block)(b, h)
+            batch.X[b, h] += 1 if add else -1
+            batch.A = compute_aux(batch.X)
+            assert m.max_factor == batch.max_balance_factor()
+            assert m.max_factor == max(m.balance_factor(i) for i in range(s))
+            zeros = (batch.A == 0).sum(axis=1)
+            assert m.short_rows == set(np.nonzero(zeros < need)[0].tolist()) == set()
+            assert m.invariant_1_ok() == batch.invariant_1_ok()
+            assert m.invariant_2_ok() == (int(batch.A.max()) <= 1)
+
+    def test_resync_after_tampering_rebuilds_the_audit_state(self):
+        m = BalanceMatrices(3, 4)
+        m.enable_incremental()
+        for b, h in [(0, 0), (0, 1), (1, 2)]:
+            m.add_block(b, h)
+        m.X[2, 3] += 5  # behind the upkeep's back
+        with pytest.raises(InvariantViolation, match="exceeds 2"):
+            m.refresh_aux()
+        assert m.max_factor == 2.5 == m.max_balance_factor()  # 5 / ceil(5/4)
+        assert m.short_rows == set() and not m.invariant_2_ok()

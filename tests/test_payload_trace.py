@@ -4,11 +4,13 @@ An exec payload (``repro.exec_payload/2``) carries the tracer journal's
 own form (:meth:`~repro.obs.columnar.ColumnarJournal.export`): literal
 records as dicts, channel rows as typed columns.
 :func:`~repro.obs.columnar.expand_trace` must rebuild exactly the event
-list the journal materializes and a sink receives, for any interleaving
-of spans, literal events and channel rows, on a zero and a ticking clock,
-and the payload form must survive a JSON round trip unchanged.  The
-corpus-level oracle (the ``/1`` payloads under ``tests/golden/v1/``) is
-in ``tests/test_golden_reports.py``.
+list the journal materializes, a sink receives and dict-per-event
+recording yields, for any interleaving of channel rows, literal events
+and nested or mis-nested spans, on the pinned and a ticking clock, with
+partial ``materialize(start)`` calls in between; and the payload form
+must survive a JSON round trip unchanged.  The corpus-level oracle (the
+``/1`` payloads under ``tests/golden/v1/``) is in
+``tests/test_golden_reports.py``.
 """
 
 import gc
@@ -21,7 +23,7 @@ from hypothesis import strategies as st
 
 from repro.exec import merge_trace_events, run_task
 from repro.exec.runner import _payload_rounds
-from repro.obs import ROUND_EVENTS, ListSink, Tracer
+from repro.obs import ROUND_EVENTS, ListSink, Tracer, zero_clock
 from repro.obs.columnar import expand_trace
 
 ROUND_KEYS = ("round", "placed", "swapped", "unprocessed", "match_calls",
@@ -63,35 +65,51 @@ def _row(index: int):
 ops = st.lists(
     st.one_of(
         st.tuples(st.just("begin"), names, attrs),
-        st.tuples(st.just("end"), st.booleans(), attrs),
+        # End the innermost open span (0) or one further out (mis-nested).
+        st.tuples(st.just("end"), st.integers(0, 3), st.booleans(), attrs),
         st.tuples(st.just("event"), names, attrs),
+        st.tuples(st.just("peek"), st.floats(0, 1)),
         *(_row(i) for i in range(len(CHANNELS))),
     ),
     max_size=40,
 )
 
 
-def _record(script, clock, sink) -> Tracer:
-    """Drive a tracer through ``script``; one channel stays empty."""
+def _record(script, clock, sink, dicts=False) -> tuple[Tracer, list]:
+    """Drive a tracer through ``script``; one channel stays empty.
+
+    ``dicts`` records each row through ``Tracer.event`` instead (one
+    literal dict per event: the reference).  Returns the tracer and the
+    ``(start, end, materialize(start))`` of every peek.
+    """
     tr = Tracer(sink=sink, clock=clock)
     channels = [tr.scalar_channel(name, keys) for name, keys in CHANNELS]
     tr.scalar_channel("io.read", ("width",))  # never appended to
     open_spans = []
+    peeks = []
     for op in script:
         if op[0] == "begin":
             span = tr.span(op[1], **op[2])
             span.__enter__()
             open_spans.append(span)
         elif op[0] == "end" and open_spans:
-            span = open_spans.pop()
-            span.annotate(**op[2])
-            span.__exit__(RuntimeError if op[1] else None, None, None)
+            span = open_spans.pop(-1 - op[1] % len(open_spans))
+            span.annotate(**op[3])
+            span.__exit__(RuntimeError if op[2] else None, None, None)
         elif op[0] == "event":
             tr.event(op[1], **op[2])
+        elif op[0] == "peek" and not dicts:
+            journal = tr._journal
+            start = int(op[1] * journal.n)
+            peeks.append((start, journal.n, journal.materialize(start)))
         elif op[0] == "row":
-            channels[op[1]].append(*op[2])
+            name, keys = CHANNELS[op[1]]
+            if dicts:
+                tr.event(name, **dict(zip(keys, op[2])))
+            else:
+                channels[op[1]].append(*op[2])
     tr.close()
-    return tr
+    return tr, peeks
 
 
 def _ticking():
@@ -99,19 +117,35 @@ def _ticking():
     return lambda: next(ticks) * 0.001
 
 
+def _clock(kind: str):
+    """The pinned clock, a constant one the tracer cannot tell is
+    constant, or one that ticks at every read."""
+    if kind == "pinned":
+        return zero_clock
+    if kind == "constant":
+        return lambda: 0.0
+    return _ticking()
+
+
 class TestExpandRoundTrip:
     @settings(max_examples=150, deadline=None)
-    @given(script=ops, ticking=st.booleans(), with_sink=st.booleans())
-    def test_expanded_payload_equals_journal_and_sink(self, script, ticking,
+    @given(script=ops, clock=st.sampled_from(["pinned", "constant", "ticking"]),
+           with_sink=st.booleans())
+    def test_expanded_payload_equals_journal_and_sink(self, script, clock,
                                                       with_sink):
         sink = ListSink() if with_sink else None
-        tr = _record(script, _ticking() if ticking else (lambda: 0.0), sink)
+        tr, peeks = _record(script, _clock(clock), sink)
+        reference, _ = _record(script, _clock(clock), None, dicts=True)
         trace, safe = tr.payload_events()
         events = tr.events
         assert safe
         assert expand_trace(trace) == events
+        assert events == reference.events
         if sink is not None:
             assert sink.events == events
+        for start, end, got in peeks:
+            assert got == events[start:end]
+        ticking = clock == "ticking"
         wire = json.loads(json.dumps(trace))
         assert wire == trace
         assert expand_trace(wire) == events
